@@ -44,8 +44,7 @@ def main():
     print(f"rule-selected bandwidth at n={n}: {bandwidth[0]:.4f}")
     sample = generate_sample(scenario, n, np.random.default_rng(42))
     lattice = build_lattice(grid, noise, bandwidth, base_kind="order_m_flat_top")
-    fit = minimize(hclass, sample, DeconvolutionBackend(lattice=lattice, loss=loss),
-                   strategy="plugin")
+    fit = minimize(hclass, sample, DeconvolutionBackend(lattice=lattice, loss=loss))
     _, star, star_risk = bayes_in_class(hclass, scenario, loss)
     chosen_risk = true_risk(fit.classifier, scenario, loss)
     print(f"chosen threshold {fit.classifier.threshold:.4f} "

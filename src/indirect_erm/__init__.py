@@ -56,7 +56,6 @@ from .noisy_risk import (
     modified_loss_deconv,
     modified_loss_svd,
     plug_in_density,
-    restricted_loss,
 )
 from .operators import (
     CoefficientVector,

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (
+    RATE_MODES,
     DiagnosticsReport,
     bernstein_ratio,
     empirical_bias_deconv,
@@ -34,14 +35,20 @@ from .diagnostics import (
     sup_bound_svd,
     table_sup,
 )
-from .erm import DeconvolutionBackend, RateConfig, SvdBackend, minimize, select_bandwidth, select_cutoff
+from .erm import BIAS_VARIANTS, RateConfig, minimize
 from .errors import ConfigurationError, IndirectErmError, SimulationError
 from .grid import Grid
-from .hypotheses import LossSpec, Scenario, bayes_in_class, threshold_grid, true_risk
-from .kernels import build_base_kernel, build_deconvolution_kernel
+from .hypotheses import LOSS_KINDS, LossSpec, Scenario, bayes_in_class, threshold_grid, true_risk
+from .kernels import BASE_KINDS, build_base_kernel, build_deconvolution_kernel
 from .noisy_risk import build_lattice, modified_loss_deconv, modified_loss_svd
 from .operators import SpectralOperator
-from .simulation import ExperimentPlan, generate_sample, run_rate_experiment
+from .simulation import (
+    BACKENDS,
+    ExperimentPlan,
+    build_backend,
+    generate_sample,
+    run_rate_experiment,
+)
 
 COMMANDS = ("kernel", "fit", "rates", "diagnose", "exponent")
 
@@ -67,7 +74,6 @@ _SCHEMA: dict = {
     "exponent_mode": (str, False),
     "alpha": (float, False),
     "diagnose": (dict, False),
-    "strategy": (str, False),
 }
 
 _SCENARIO_KEYS = {"priors", "densities", "contamination", "alpha", "gamma", "grid",
@@ -76,6 +82,18 @@ _HYPOTHESES_KEYS = {"kind", "count"}
 _LOSS_KEYS = {"kind", "clip"}
 _RATE_KEYS = {"kappa", "rho", "gamma", "beta_bar", "dim", "bias_variant"}
 _DIAGNOSE_KEYS = {"bandwidths", "cutoffs", "mc_n", "pair_count", "bias_variant"}
+
+# (block or None for the top level, key, allowed values)
+_CHOICES = (
+    (None, "backend", BACKENDS),
+    ("hypotheses", "kind", ("thresholds",)),
+    ("loss", "kind", LOSS_KINDS),
+    (None, "base_kernel", BASE_KINDS),
+    (None, "theory_mode", RATE_MODES),
+    (None, "exponent_mode", RATE_MODES),
+    ("rate_config", "bias_variant", BIAS_VARIANTS),
+    ("diagnose", "bias_variant", BIAS_VARIANTS),
+)
 
 
 def _type_ok(value, expected) -> bool:
@@ -87,7 +105,7 @@ def _type_ok(value, expected) -> bool:
 
 
 def validate_config(doc: dict) -> None:
-    """Strict schema check: required keys, types, and no unknown keys."""
+    """Strict schema check: required keys, types, allowed values, no unknown keys."""
     if not isinstance(doc, dict):
         raise ConfigurationError("config root must be a JSON object")
     unknown = set(doc) - set(_SCHEMA)
@@ -111,6 +129,12 @@ def validate_config(doc: dict) -> None:
             bad = set(doc[key]) - allowed
             if bad:
                 raise ConfigurationError(f"unknown keys in {key!r}: {sorted(bad)}")
+    for block, key, allowed in _CHOICES:
+        section = doc if block is None else doc.get(block, {})
+        if key in section and section[key] not in allowed:
+            name = key if block is None else f"{block}.{key}"
+            raise ConfigurationError(
+                f"config key {name!r} is {section[key]!r}, not one of {list(allowed)}")
 
 
 def _load_scenario(doc: dict) -> Scenario:
@@ -205,21 +229,13 @@ def _cmd_fit(doc, out_dir, seed):
     n = int(doc.get("n", 1024))
     hclass = threshold_grid(int((doc.get("hypotheses") or {}).get("count", 101)),
                             scenario.domain)
+    backend = build_backend(doc.get("backend", "deconvolution"), scenario, loss, cfg, n,
+                            base_kernel=doc.get("base_kernel", "sinc"),
+                            pad_factor=float(doc.get("pad_factor", 4.0)),
+                            window=tuple(doc["window"]) if "window" in doc else None,
+                            bandwidth=doc.get("bandwidth"), cutoff=doc.get("cutoff"))
     sample = generate_sample(scenario, n, np.random.default_rng(seed))
-    backend_name = doc.get("backend", "deconvolution")
-    if backend_name == "svd":
-        op = scenario.contamination
-        cutoff = min(int(doc.get("cutoff", select_cutoff(cfg, n))), op.k_max)
-        backend = SvdBackend(operator=op, cutoff=cutoff, grid=scenario.domain, loss=loss)
-    else:
-        bw = doc.get("bandwidth")
-        bw = select_bandwidth(cfg, n) if bw is None else (float(bw),)
-        lattice = build_lattice(scenario.domain, scenario.contamination, bw,
-                                base_kind=doc.get("base_kernel", "sinc"),
-                                pad_factor=float(doc.get("pad_factor", 4.0)))
-        window = tuple(doc["window"]) if "window" in doc else None
-        backend = DeconvolutionBackend(lattice=lattice, loss=loss, window=window)
-    fit = minimize(hclass, sample, backend, strategy=doc.get("strategy", "tables"))
+    fit = minimize(hclass, sample, backend)
     payload = fit.to_json()
     payload["true_risk"] = true_risk(fit.classifier, scenario, loss)
     _write(os.path.join(out_dir, "fit.json"), _json_bytes(payload))
@@ -240,7 +256,6 @@ def _plan_from_config(doc, seed) -> ExperimentPlan:
         base_kernel=doc.get("base_kernel", "sinc"),
         pad_factor=float(doc.get("pad_factor", 4.0)),
         window=tuple(doc["window"]) if "window" in doc else None,
-        strategy=doc.get("strategy", "plugin"),
         theory_mode=doc.get("theory_mode", "hard_loss"),
     )
 

@@ -89,8 +89,9 @@ def fit_rate_slope(points) -> tuple[float, float]:
     back to equal weights. Returns (slope, half_width) with a 95% normal
     half-width, nan when there are no residual degrees of freedom.
     """
+    points = list(points)
     kept = [(n, m, s) for n, m, s in points if m > 0]
-    dropped = len(list(points)) - len(kept)
+    dropped = len(points) - len(kept)
     if dropped:
         logger.warning("dropping %d nonpositive mean point(s) from the slope fit", dropped)
     if len(kept) < 2:
@@ -122,13 +123,6 @@ def fit_rate_slope(points) -> tuple[float, float]:
 # measured structural constants
 # ---------------------------------------------------------------------------
 
-def _contaminated_sampler(scenario: Scenario, lattice_or_grid, rng, n: int):
-    """Draw (z, y) from the contaminated joint law of the scenario."""
-    from .simulation import generate_sample  # local import to avoid a cycle
-
-    return generate_sample(scenario, n, rng)
-
-
 def empirical_lipschitz(scenario: Scenario, tables: dict, pairs,
                         mc_n: int, seed, mu: str = "nu_y",
                         grid: Grid | None = None) -> np.ndarray:
@@ -141,9 +135,11 @@ def empirical_lipschitz(scenario: Scenario, tables: dict, pairs,
 
     ``tables`` maps a classifier to its ModifiedLossTable.
     """
+    from .simulation import generate_sample  # a top-level import would be circular
+
     g = grid or scenario.domain
     x, w = g.axis(0), g.weights(0)
-    sample = _contaminated_sampler(scenario, g, np.random.default_rng(seed), mc_n)
+    sample = generate_sample(scenario, mc_n, np.random.default_rng(seed))
     loss = LossSpec("hard")
     ratios = []
     for clf_a, clf_b in pairs:
@@ -361,10 +357,12 @@ def empirical_modulus(scenario: Scenario, hclass: HypothesisClass, delta: float,
                 c = svd_loss_coefficients(clfs[i], loss, op, cutoff, g, label)
                 val += scenario.priors[label] * float(np.dot(c, theta[label]))
             true_mean[i] = val
+    from .simulation import generate_sample  # a top-level import would be circular
+
     rng = np.random.default_rng(seed)
     sups = []
     for _ in range(mc_reps):
-        sample = _contaminated_sampler(scenario, g, rng, n)
+        sample = generate_sample(scenario, n, rng)
         emp = {}
         for i in {k for p in admissible for k in p}:
             table = tables[clfs[i]]

@@ -1,10 +1,11 @@
 """Smoothed empirical risk minimization and smoothing-parameter selection.
 
-The solver scans a finite hypothesis class exhaustively. Two evaluation
-strategies are provided: ``tables`` precomputes the regularized loss table
-of every classifier, while ``plugin`` accumulates the identical bilinear
-form through the plug-in density estimate (one convolution per label per
-sample instead of one per classifier). The two orderings agree to rounding.
+The solver scans a finite hypothesis class exhaustively along one path for
+both backends: per label, a cached class matrix (node losses, or spectral
+loss coefficients) times one statistic of that label's observations (the
+weighted plug-in density, or the 1/b_k-weighted basis means). This is the
+per-classifier table evaluation of ``noisy_risk`` in another order; the two
+agree to rounding.
 """
 
 from __future__ import annotations
@@ -17,15 +18,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import trapezoid_weights
-from .hypotheses import HypothesisClass, LossSpec, loss_values
-from .noisy_risk import (
-    NoisySample,
-    ObservationLattice,
-    empirical_risk,
-    modified_loss_deconv,
-    plug_in_density,
-    svd_loss_coefficients,
-)
+from .hypotheses import HypothesisClass, LossSpec, loss_values, window_mask
+from .noisy_risk import NoisySample, ObservationLattice, plug_in_density, svd_loss_coefficients
 from .operators import SpectralOperator
 
 __all__ = [
@@ -151,19 +145,60 @@ class FitResult:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
+def _class_rows(cache: dict, hclass: HypothesisClass, label: int, row) -> np.ndarray:
+    """One row per classifier, built once per (class, label) and kept in ``cache``."""
+    key = (hclass, label)
+    if key not in cache:
+        cache[key] = np.vstack([row(clf) for clf in hclass])
+    return cache[key]
+
+
 @dataclass(frozen=True)
 class DeconvolutionBackend:
-    """Kernel-quadrature empirical risk on a prepared observation lattice."""
+    """Kernel-quadrature empirical risk on a prepared observation lattice.
+
+    The risk of each classifier pairs its node losses with the
+    quadrature-weighted plug-in density of each label's observations;
+    ``window`` zeroes the quadrature weights outside a compact interval.
+    """
 
     lattice: ObservationLattice
     loss: LossSpec
     window: tuple[float, float] | None = None
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _weights: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        x = self.lattice.nodes
+        w = trapezoid_weights(len(x), self.lattice.spacing)
+        if self.window is not None:
+            w = np.where(window_mask(x, self.window), w, 0.0)
+        object.__setattr__(self, "_weights", w)
+
+    @property
+    def name(self) -> str:
+        return "deconvolution" if self.window is None else "restricted"
+
+    @property
+    def smoothing(self) -> tuple:
+        return self.lattice.bandwidth
+
+    def features(self, z: np.ndarray) -> np.ndarray:
+        return self._weights * plug_in_density(z, self.lattice)
+
+    def class_matrix(self, hclass: HypothesisClass, label: int) -> np.ndarray:
+        """Node losses, one row per classifier."""
+        return _class_rows(self._cache, hclass, label,
+                           lambda clf: loss_values(clf, self.loss, label, self.lattice.nodes))
 
 
 @dataclass(frozen=True)
 class SvdBackend:
-    """Spectral-cutoff empirical risk."""
+    """Spectral-cutoff empirical risk.
+
+    The risk of each classifier pairs its basis coefficients with the
+    1/b_k-weighted empirical basis moments of each label's observations.
+    """
 
     operator: SpectralOperator
     cutoff: int
@@ -171,105 +206,48 @@ class SvdBackend:
     loss: LossSpec
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
+    name = "svd"
 
-def _risks_deconv_tables(hclass, backend, sample) -> np.ndarray:
-    risks = np.empty(len(hclass))
-    for i, clf in enumerate(hclass):
-        table = modified_loss_deconv(clf, backend.loss, backend.lattice,
-                                     labels=tuple(int(v) for v in np.unique(sample.y)),
-                                     window=backend.window)
-        risks[i] = empirical_risk(table, sample)
-    return risks
+    @property
+    def smoothing(self) -> tuple:
+        return (self.cutoff,)
 
+    def features(self, z: np.ndarray) -> np.ndarray:
+        inv_b = 1.0 / self.operator.singular_values[: self.cutoff + 1]
+        return inv_b * self.operator.basis(z, self.cutoff).mean(axis=1)
 
-def _loss_matrix(backend, hclass, label: int, x: np.ndarray) -> np.ndarray:
-    """Node losses of the whole class, cached on the backend across samples."""
-    key = ("loss_matrix", id(hclass), label)
-    if key not in backend._cache:
-        backend._cache[key] = np.vstack(
-            [loss_values(clf, backend.loss, label, x) for clf in hclass])
-    return backend._cache[key]
+    def class_matrix(self, hclass: HypothesisClass, label: int) -> np.ndarray:
+        """Spectral loss coefficients, one row per classifier."""
+        return _class_rows(self._cache, hclass, label, lambda clf: svd_loss_coefficients(
+            clf, self.loss, self.operator, self.cutoff, self.grid, label))
 
 
-def _risks_deconv_plugin(hclass, backend, sample) -> np.ndarray:
-    """Plug-in ordering of the same bilinear form: loss against f-hat."""
-    lattice = backend.lattice
-    x = lattice.nodes
-    w = trapezoid_weights(len(x), lattice.spacing)
-    if backend.window is not None:
-        a, b = backend.window
-        w = np.where((x >= a) & (x <= b), w, 0.0)
-    risks = np.zeros(len(hclass))
-    for label in np.unique(sample.y):
-        label = int(label)
-        z_lab = sample.z[sample.y == label]
-        if z_lab.size == 0:
-            continue
-        fhat = plug_in_density(z_lab, lattice)
-        weight = z_lab.size / sample.n
-        risks += weight * (_loss_matrix(backend, hclass, label, x) @ (w * fhat))
-    return risks
-
-
-def _coefficient_matrix(backend, hclass, label: int) -> np.ndarray:
-    key = ("coef_matrix", id(hclass), label)
-    if key not in backend._cache:
-        backend._cache[key] = np.vstack(
-            [svd_loss_coefficients(clf, backend.loss, backend.operator,
-                                   backend.cutoff, backend.grid, label)
-             for clf in hclass])
-    return backend._cache[key]
-
-
-def _risks_svd(hclass, backend, sample) -> np.ndarray:
-    """Coefficient pairing: shared per-label empirical basis moments."""
-    op, cutoff = backend.operator, backend.cutoff
-    inv_b = 1.0 / op.singular_values[: cutoff + 1]
-    risks = np.zeros(len(hclass))
-    for label in np.unique(sample.y):
-        label = int(label)
-        z_lab = sample.z[sample.y == label]
-        if z_lab.size == 0:
-            continue
-        phi_means = op.basis(z_lab, cutoff).mean(axis=1)
-        weight = z_lab.size / sample.n
-        risks += weight * (_coefficient_matrix(backend, hclass, label) @ (inv_b * phi_means))
-    return risks
-
-
-def minimize(hclass: HypothesisClass, sample: NoisySample, backend,
-             strategy: str = "tables") -> FitResult:
+def minimize(hclass: HypothesisClass, sample: NoisySample, backend) -> FitResult:
     """Exhaustive scan of the class; deterministic lowest-index tie-break.
 
-    ``strategy`` applies to the deconvolution backend: ``tables`` builds the
-    regularized loss table of every classifier; ``plugin`` evaluates the
-    algebraically identical plug-in form (faster for large classes). The
-    spectral backend always shares per-label moments across the class.
+    Both backends evaluate the regularized empirical risk of the whole class
+    as one bilinear form per label: the backend's class matrix against the
+    backend's statistic of that label's observations.
     """
-    start = time.perf_counter()
-    if isinstance(backend, DeconvolutionBackend):
-        if strategy == "tables":
-            risks = _risks_deconv_tables(hclass, backend, sample)
-        elif strategy == "plugin":
-            risks = _risks_deconv_plugin(hclass, backend, sample)
-        else:
-            raise ConfigurationError(f"unknown strategy {strategy!r}")
-        smoothing = backend.lattice.bandwidth
-        name = "deconvolution" if backend.window is None else "restricted"
-    elif isinstance(backend, SvdBackend):
-        risks = _risks_svd(hclass, backend, sample)
-        smoothing = (backend.cutoff,)
-        name = "svd"
-    else:
+    if not isinstance(backend, (DeconvolutionBackend, SvdBackend)):
         raise ConfigurationError(f"unknown backend {type(backend).__name__}")
+    start = time.perf_counter()
+    risks = np.zeros(len(hclass))
+    for label in np.unique(sample.y):
+        label = int(label)
+        z_y = sample.z[sample.y == label]
+        # features first: allocating them after the cached class matrix
+        # fragments the heap and raises the peak resident set
+        features = backend.features(z_y)
+        risks += (z_y.size / sample.n) * (backend.class_matrix(hclass, label) @ features)
     idx = int(np.argmin(risks))
     elapsed = time.perf_counter() - start
     return FitResult(
         index=idx,
         classifier=hclass[idx],
         empirical_risk=float(risks[idx]),
-        smoothing=smoothing,
-        backend=name,
+        smoothing=backend.smoothing,
+        backend=backend.name,
         diagnostics={"scan_seconds": elapsed, "n_y": sample.counts(),
                      "class_size": len(hclass)},
     )

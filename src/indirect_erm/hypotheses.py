@@ -494,6 +494,17 @@ def hard_loss_pieces(clf, label: int, lo: float, hi: float):
     return None
 
 
+def window_mask(x: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """Nodes of x inside a compact restriction window [a, b]."""
+    a, b = window
+    if b <= a:
+        raise ConfigurationError("restriction window must have positive length")
+    mask = (x >= a) & (x <= b)
+    if not np.any(mask):
+        raise ConfigurationError("restriction window contains no grid nodes")
+    return mask
+
+
 def true_risk(clf, scenario: Scenario, loss: LossSpec,
               grid: Grid | None = None, window: tuple[float, float] | None = None) -> float:
     """Risk sum_y p(y) * integral of loss(g(x), y) f_y(x) by trapezoid quadrature.
@@ -504,10 +515,7 @@ def true_risk(clf, scenario: Scenario, loss: LossSpec,
     g = grid or scenario.domain
     x, w = g.axis(0), g.weights(0)
     if window is not None:
-        a, b = window
-        if b <= a:
-            raise ConfigurationError("restriction window must have positive length")
-        w = np.where((x >= a) & (x <= b), w, 0.0)
+        w = np.where(window_mask(x, window), w, 0.0)
     total = 0.0
     for label in scenario.labels:
         lv = loss_values(clf, loss, label, x)

@@ -20,7 +20,7 @@ from scipy.signal import fftconvolve
 
 from .errors import ConfigurationError, DataError
 from .grid import Grid, padded_axis, trapezoid_weights
-from .hypotheses import LossSpec, Scenario, hard_loss_pieces, loss_values
+from .hypotheses import LossSpec, Scenario, hard_loss_pieces, loss_values, window_mask
 from .kernels import NoiseModel, TabulatedKernel, build_base_kernel, build_deconvolution_kernel
 from .operators import SpectralOperator
 
@@ -35,7 +35,6 @@ __all__ = [
     "ModifiedLossTable",
     "build_lattice",
     "modified_loss_deconv",
-    "restricted_loss",
     "modified_loss_svd",
     "svd_loss_coefficients",
     "empirical_risk",
@@ -140,7 +139,6 @@ class ModifiedLossTable:
     smoothing: tuple
     # spectral backend: per-label (cutoff, b_k^(-1) c_k) for exact queries
     coefficient_data: dict | None = field(default=None, compare=False)
-    _clamp_state: dict = field(default_factory=dict, compare=False, repr=False)
 
     def labels(self):
         return tuple(sorted(self.values))
@@ -162,7 +160,6 @@ class ModifiedLossTable:
             global _clamp_seen
             level = logging.DEBUG if _clamp_seen else logging.WARNING
             _clamp_seen = True
-            self._clamp_state["count"] = self._clamp_state.get("count", 0) + n_clamped
             logger.log(level, "clamping %d observation(s) outside the table range "
                        "(later clamp events log at DEBUG)", n_clamped)
         return np.interp(z, self.z_nodes, self.values[label])
@@ -197,14 +194,7 @@ def modified_loss_deconv(clf, loss: LossSpec, lattice: ObservationLattice,
     compact subinterval instead.
     """
     x = lattice.nodes
-    mask = None
-    if window is not None:
-        a, b = window
-        if b <= a:
-            raise ConfigurationError("restriction window must have positive length")
-        mask = (x >= a) & (x <= b)
-        if not np.any(mask):
-            raise ConfigurationError("restriction window contains no grid nodes")
+    mask = None if window is None else window_mask(x, window)
     values = {}
     for label in labels:
         lv = loss_values(clf, loss, label, x)
@@ -214,12 +204,6 @@ def modified_loss_deconv(clf, loss: LossSpec, lattice: ObservationLattice,
     backend = "deconvolution" if window is None else "restricted"
     return ModifiedLossTable(z_nodes=x, values=values, backend=backend,
                              smoothing=lattice.bandwidth)
-
-
-def restricted_loss(clf, loss: LossSpec, lattice: ObservationLattice,
-                    window: tuple[float, float], labels=(0, 1)) -> ModifiedLossTable:
-    """Regularized loss with the integration clipped to a compact window."""
-    return modified_loss_deconv(clf, loss, lattice, labels=labels, window=window)
 
 
 def svd_loss_coefficients(clf, loss: LossSpec, op: SpectralOperator, cutoff: int,

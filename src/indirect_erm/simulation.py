@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import fit_rate_slope, hard_loss_exponent, rate_exponent
+from .diagnostics import RATE_MODES, fit_rate_slope, hard_loss_exponent, rate_exponent
 from .erm import (
     DeconvolutionBackend,
     RateConfig,
@@ -32,8 +33,10 @@ from .noisy_risk import NoisySample, build_lattice
 from .operators import SpectralOperator, apply_operator, contaminate, sample_density
 
 __all__ = [
+    "BACKENDS",
     "ExperimentPlan",
     "RateReport",
+    "build_backend",
     "generate_sample",
     "run_trial",
     "run_rate_experiment",
@@ -71,6 +74,41 @@ def generate_sample(scenario: Scenario, n: int, rng) -> NoisySample:
     return NoisySample(z=z, y=y)
 
 
+BACKENDS = ("deconvolution", "restricted", "svd")
+
+
+def _check_backend(kind: str, scenario: Scenario, window) -> None:
+    """Reject a backend that the scenario or the window cannot feed."""
+    if kind not in BACKENDS:
+        raise ConfigurationError(f"unknown backend {kind!r}")
+    if (kind == "restricted") != (window is not None):
+        raise ConfigurationError("the restricted backend needs a window, and only it takes one")
+    if kind == "svd" and not isinstance(scenario.contamination, SpectralOperator):
+        raise ConfigurationError("svd backend needs a spectral-operator scenario")
+    if kind != "svd" and not isinstance(scenario.contamination, NoiseModel):
+        raise ConfigurationError("kernel backends need an additive-noise scenario")
+
+
+def build_backend(kind: str, scenario: Scenario, loss: LossSpec, rate_config: RateConfig,
+                  n: int, base_kernel: str = "sinc", pad_factor: float = 4.0,
+                  window: tuple[float, float] | None = None, bandwidth: float | None = None,
+                  cutoff: int | None = None) -> DeconvolutionBackend | SvdBackend:
+    """The risk backend for sample size n; smoothing follows the rules unless given.
+
+    The spectral cutoff is capped at the operator's ``k_max``.
+    """
+    _check_backend(kind, scenario, window)
+    if kind == "svd":
+        op = scenario.contamination
+        cutoff = select_cutoff(rate_config, n) if cutoff is None else int(cutoff)
+        return SvdBackend(operator=op, cutoff=min(cutoff, op.k_max), grid=scenario.domain,
+                          loss=loss)
+    bw = select_bandwidth(rate_config, n) if bandwidth is None else (float(bandwidth),)
+    lattice = build_lattice(scenario.domain, scenario.contamination, bw,
+                            base_kind=base_kernel, pad_factor=pad_factor)
+    return DeconvolutionBackend(lattice=lattice, loss=loss, window=window)
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Definition of one rate experiment."""
@@ -86,7 +124,6 @@ class ExperimentPlan:
     base_kernel: str = "sinc"
     pad_factor: float = 4.0
     window: tuple[float, float] | None = None
-    strategy: str = "plugin"
     theory_mode: str = "hard_loss"
 
     def __post_init__(self):
@@ -96,10 +133,14 @@ class ExperimentPlan:
             raise ConfigurationError("n_grid must be strictly increasing with >= 2 values")
         if self.replications < 1:
             raise ConfigurationError("need at least one replication")
-        if self.backend not in ("deconvolution", "svd", "restricted"):
-            raise ConfigurationError(f"unknown backend {self.backend!r}")
-        if self.backend == "restricted" and self.window is None:
-            raise ConfigurationError("restricted backend needs a window")
+        _check_backend(self.backend, self.scenario, self.window)
+        if self.theory_mode not in RATE_MODES:
+            raise ConfigurationError(f"unknown theory mode {self.theory_mode!r}")
+
+    def backend_at(self, n: int) -> DeconvolutionBackend | SvdBackend:
+        return build_backend(self.backend, self.scenario, self.loss, self.rate_config, n,
+                             base_kernel=self.base_kernel, pad_factor=self.pad_factor,
+                             window=self.window)
 
     def hypothesis_class(self) -> HypothesisClass:
         return threshold_grid(self.n_thresholds, self.scenario.domain)
@@ -127,43 +168,19 @@ class _PlanContext:
 
 def _plan_context(plan: ExperimentPlan) -> _PlanContext:
     hclass = plan.hypothesis_class()
-    window = plan.window if plan.backend == "restricted" else None
-    risks = np.array([true_risk(c, plan.scenario, plan.loss, window=window)
+    risks = np.array([true_risk(c, plan.scenario, plan.loss, window=plan.window)
                       for c in hclass])
     star = int(np.argmin(risks))
     return _PlanContext(hclass=hclass, risks=risks, star_index=star)
 
 
-def _backend_for(plan: ExperimentPlan, n: int,
-                 lattice_cache: dict) -> DeconvolutionBackend | SvdBackend:
-    if plan.backend == "svd":
-        op = plan.scenario.contamination
-        if not isinstance(op, SpectralOperator):
-            raise ConfigurationError("svd backend needs a spectral-operator scenario")
-        cutoff = min(select_cutoff(plan.rate_config, n), op.k_max)
-        return SvdBackend(operator=op, cutoff=cutoff, grid=plan.scenario.domain,
-                          loss=plan.loss)
-    noise = plan.scenario.contamination
-    if not isinstance(noise, NoiseModel):
-        raise ConfigurationError("kernel backends need an additive-noise scenario")
-    bw = select_bandwidth(plan.rate_config, n)
-    key = (n, bw)
-    if key not in lattice_cache:
-        lattice_cache[key] = build_lattice(plan.scenario.domain, noise, bw,
-                                           base_kind=plan.base_kernel,
-                                           pad_factor=plan.pad_factor)
-    window = plan.window if plan.backend == "restricted" else None
-    return DeconvolutionBackend(lattice=lattice_cache[key], loss=plan.loss,
-                                window=window)
-
-
 def run_trial(plan: ExperimentPlan, n: int, seed, _context=None, _backend=None) -> float:
     """One replication: sample, fit, exact excess risk (nonnegative)."""
     ctx = _context or _plan_context(plan)
-    backend = _backend or _backend_for(plan, n, {})
+    backend = _backend or plan.backend_at(n)
     rng = np.random.default_rng(seed)
     sample = generate_sample(plan.scenario, n, rng)
-    fit = minimize(ctx.hclass, sample, backend, strategy=plan.strategy)
+    fit = minimize(ctx.hclass, sample, backend)
     return float(ctx.risks[fit.index] - ctx.risks[ctx.star_index])
 
 
@@ -204,33 +221,30 @@ class RateReport:
 
 
 def _run_block(args):
-    """Worker entry: all replications for one n (kept picklable)."""
-    plan, n, reps = args
-    ctx = _plan_context(plan)
-    backend = _backend_for(plan, n, {})
-    out = np.empty(reps)
-    for rep in range(reps):
+    """All replications for one n (a pool worker entry, so kept picklable)."""
+    plan, ctx, n = args
+    backend = plan.backend_at(n)
+    out = np.empty(plan.replications)
+    for rep in range(plan.replications):
         seed = trial_seed_sequence(plan.base_seed, n, rep)
         out[rep] = run_trial(plan, n, seed, _context=ctx, _backend=backend)
     return n, out
 
 
 def _iter_blocks(plan: ExperimentPlan, threads: int):
-    """Yield (n, excess array) per sample size, in n order."""
-    if threads > 1:
-        args = [(plan, n, plan.replications) for n in plan.n_grid]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(_run_block, args)
-        return
+    """Yield (n, excess array) per sample size, in n order.
+
+    The pool never gets more workers than n-blocks or cores: forked
+    workers all start at once, and surplus ones would sit idle.
+    """
     ctx = _plan_context(plan)
-    cache: dict = {}
-    for n in plan.n_grid:
-        backend = _backend_for(plan, n, cache)
-        excesses = np.empty(plan.replications)
-        for rep in range(plan.replications):
-            seed = trial_seed_sequence(plan.base_seed, n, rep)
-            excesses[rep] = run_trial(plan, n, seed, _context=ctx, _backend=backend)
-        yield n, excesses
+    args = [(plan, ctx, n) for n in plan.n_grid]
+    workers = min(threads, len(plan.n_grid), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_run_block, args)
+    else:
+        yield from map(_run_block, args)
 
 
 def run_rate_experiment(plan: ExperimentPlan, threads: int = 1,

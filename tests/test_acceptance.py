@@ -158,13 +158,13 @@ def test_criterion_3_plug_in_equivalence():
 
 
 def test_criterion_4_minimizer_oracle_equivalence():
-    """Table-based scans select the same index as naive quadrature."""
+    """The class scan selects the same index as naive quadrature."""
     started = time.perf_counter()
     lattice, instances = _random_instances()
     mismatches = 0
     for sample, hclass in instances:
         backend = DeconvolutionBackend(lattice=lattice, loss=HARD)
-        fit = minimize(hclass, sample, backend, strategy="tables")
+        fit = minimize(hclass, sample, backend)
         oracle = naive_minimize_index(hclass, HARD, lattice, sample)
         mismatches += fit.index != oracle
     ok = mismatches == 0

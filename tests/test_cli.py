@@ -44,6 +44,17 @@ def rates_config(out):
     }
 
 
+def fit_config(out):
+    return {
+        "version": 1, "command": "fit", "out": out, "seed": 3, "n": 200,
+        "scenario": {"family": "linear", "alpha": 1,
+                     "contamination": {"kind": "laplace", "beta": 2},
+                     "grid": {"points": 256}},
+        "hypotheses": {"kind": "thresholds", "count": 11},
+        "rate_config": {"kappa": 2.0, "rho": 0.5, "gamma": 1.0, "beta_bar": 2.0},
+    }
+
+
 # ---------------------------------------------------------------------------
 # schema validation
 # ---------------------------------------------------------------------------
@@ -75,6 +86,27 @@ def test_malformed_config_exit_codes(tmp_path):
     unknown = write_config(tmp_path, {"version": 1, "command": "rates", "x": 1})
     assert run(unknown, out_dir=out) == 2
     assert not os.path.exists(os.path.join(out, "rates.csv"))
+
+
+@pytest.mark.parametrize("make, block, key, value", [
+    (fit_config, None, "backend", "bogus"),
+    (fit_config, None, "backend", "svd"),  # Laplace scenario, spectral backend
+    (fit_config, None, "window", [0.2, 0.8]),  # window without the restricted backend
+    (fit_config, "hypotheses", "kind", "intervals"),
+    (fit_config, "loss", "kind", "absolute"),
+    (fit_config, None, "base_kernel", "gauss"),
+    (fit_config, "rate_config", "bias_variant", "cubic"),
+    (rates_config, None, "theory_mode", "hardloss"),
+    (exponent_config, None, "exponent_mode", "hardloss"),
+    (rates_config, "diagnose", "bias_variant", "cubic"),
+])
+def test_bad_config_values_exit_two(tmp_path, make, block, key, value):
+    out = tmp_path / "artifacts"
+    doc = make(str(out))
+    (doc if block is None else doc.setdefault(block, {}))[key] = value
+    assert run(write_config(tmp_path, doc), threads=1) == 2
+    for name in ("rates.csv", "fit.json", "exponent.json"):
+        assert not (out / name).exists()
 
 
 def test_missing_file_is_io_error(tmp_path):
@@ -144,16 +176,7 @@ def test_kernel_command(tmp_path):
 
 
 def test_fit_command(tmp_path):
-    out = str(tmp_path / "artifacts")
-    doc = {
-        "version": 1, "command": "fit", "out": out, "seed": 3, "n": 200,
-        "scenario": {"family": "linear", "alpha": 1,
-                     "contamination": {"kind": "laplace", "beta": 2},
-                     "grid": {"points": 256}},
-        "hypotheses": {"kind": "thresholds", "count": 11},
-        "rate_config": {"kappa": 2.0, "rho": 0.5, "gamma": 1.0, "beta_bar": 2.0},
-    }
-    path = write_config(tmp_path, doc)
+    path = write_config(tmp_path, fit_config(str(tmp_path / "artifacts")))
     assert run(path) == 0
     fit = json.loads((tmp_path / "artifacts" / "fit.json").read_text())
     assert 0 <= fit["index"] < 11

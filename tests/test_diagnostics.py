@@ -126,6 +126,14 @@ def test_slope_drops_nonpositive_means():
         fit_rate_slope([(100, 0.0, 0.0), (200, -1.0, 0.0)])
 
 
+def test_slope_counts_dropped_points_from_a_generator(caplog):
+    pts = [(100, 0.5, 0.01), (400, 0.0, 0.01), (1600, 0.125, 0.01)]
+    with caplog.at_level("WARNING", logger="indirect_erm.diagnostics"):
+        slope, _ = fit_rate_slope(p for p in pts)
+    assert slope == pytest.approx(np.log(0.25) / np.log(16.0))
+    assert "dropping 1 nonpositive mean point(s)" in caplog.text
+
+
 # ---------------------------------------------------------------------------
 # measured structural constants (light versions; heavy runs in acceptance)
 # ---------------------------------------------------------------------------

@@ -19,7 +19,12 @@ from indirect_erm import (
     threshold_grid,
 )
 from indirect_erm.hypotheses import snap_to_cell_midpoint
-from indirect_erm.noisy_risk import ModifiedLossTable, empirical_risk, modified_loss_deconv
+from indirect_erm.noisy_risk import (
+    ModifiedLossTable,
+    empirical_risk,
+    modified_loss_deconv,
+    modified_loss_svd,
+)
 from indirect_erm.simulation import generate_sample
 
 from oracles import naive_minimize_index
@@ -102,7 +107,9 @@ def test_minimize_singleton(grid, hard_loss):
     assert abs(fit.empirical_risk - empirical_risk(table, sample)) < 1e-12
 
 
-def test_strategies_agree(grid, hard_loss):
+def test_minimize_matches_per_classifier_tables(grid, hard_loss):
+    # the class scan and the per-classifier table lookups are one bilinear
+    # form evaluated in two orders
     sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     hclass = threshold_grid(21, grid)
@@ -110,10 +117,40 @@ def test_strategies_agree(grid, hard_loss):
     rng = np.random.default_rng(5)
     for _ in range(5):
         sample = generate_sample(sc, 120, rng)
-        a = minimize(hclass, sample, backend, strategy="tables")
-        b = minimize(hclass, sample, backend, strategy="plugin")
-        assert a.index == b.index
-        assert abs(a.empirical_risk - b.empirical_risk) < 1e-12
+        fit = minimize(hclass, sample, backend)
+        risks = [empirical_risk(modified_loss_deconv(clf, hard_loss, lattice), sample)
+                 for clf in hclass]
+        assert fit.index == int(np.argmin(risks))
+        assert abs(fit.empirical_risk - min(risks)) < 1e-12
+
+
+def test_minimize_svd_matches_per_classifier_tables(grid, hard_loss):
+    op = SpectralOperator(decay=1.0, k_max=64)
+    sc = make_margin_scenario(1, op, grid=grid)
+    hclass = threshold_grid(21, grid)
+    backend = SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss)
+    sample = generate_sample(sc, 300, np.random.default_rng(4))
+    fit = minimize(hclass, sample, backend)
+    risks = [empirical_risk(modified_loss_svd(clf, hard_loss, op, 8, grid), sample)
+             for clf in hclass]
+    assert fit.index == int(np.argmin(risks))
+    assert abs(fit.empirical_risk - min(risks)) < 1e-12
+
+
+def test_class_matrix_cache_keyed_by_value(grid, hard_loss):
+    lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
+    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
+    first = backend.class_matrix(threshold_grid(7, grid), 1)
+    assert backend.class_matrix(threshold_grid(7, grid), 1) is first
+    assert backend.class_matrix(threshold_grid(9, grid), 1).shape[0] == 9
+
+
+def test_restricted_backend_window_checked(grid, hard_loss):
+    lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
+    with pytest.raises(ConfigurationError):
+        DeconvolutionBackend(lattice=lattice, loss=hard_loss, window=(0.6, 0.2))
+    with pytest.raises(ConfigurationError):
+        DeconvolutionBackend(lattice=lattice, loss=hard_loss, window=(50.0, 60.0))
 
 
 def test_tables_minimize_matches_naive_oracle(grid, hard_loss):
@@ -127,7 +164,7 @@ def test_tables_minimize_matches_naive_oracle(grid, hard_loss):
         ts = np.sort(rng.choice(np.arange(1, 100), size=11, replace=False)) / 100.0
         hclass = HypothesisClass(tuple(
             ThresholdClassifier(snap_to_cell_midpoint(t, grid)) for t in ts))
-        fit = minimize(hclass, sample, backend, strategy="tables")
+        fit = minimize(hclass, sample, backend)
         assert fit.index == naive_minimize_index(hclass, hard_loss, lattice, sample)
 
 
@@ -170,7 +207,7 @@ def test_dirac_consistency_many_replications(grid, hard_loss):
     hits = 0
     for rep in range(100):
         sample = generate_sample(sc, 4096, np.random.default_rng(1000 + rep))
-        fit = minimize(hclass, sample, backend, strategy="plugin")
+        fit = minimize(hclass, sample, backend)
         hits += abs(fit.classifier.threshold - 0.5) <= 0.1
     assert hits >= 90
 

@@ -15,7 +15,6 @@ from indirect_erm import (
     modified_loss_deconv,
     modified_loss_svd,
     plug_in_density,
-    restricted_loss,
 )
 from indirect_erm.erm import RateConfig, select_bandwidth
 from indirect_erm.grid import trapezoid_weights
@@ -270,8 +269,9 @@ def test_svd_plug_in_identity(grid, hard_loss, rng):
 def test_restricted_full_window_equals_unrestricted(laplace_lattice, hard_loss):
     clf = ThresholdClassifier(0.5)
     full = modified_loss_deconv(clf, hard_loss, laplace_lattice)
-    restricted = restricted_loss(clf, hard_loss, laplace_lattice,
-                                 (laplace_lattice.nodes[0], laplace_lattice.nodes[-1]))
+    restricted = modified_loss_deconv(
+        clf, hard_loss, laplace_lattice,
+        window=(laplace_lattice.nodes[0], laplace_lattice.nodes[-1]))
     for label in (0, 1):
         assert np.array_equal(full.values[label], restricted.values[label])
 
@@ -280,7 +280,7 @@ def test_restricted_vanishing_integrand(grid, hard_loss):
     # loss supported right of the window: restricted table is exactly zero
     lattice = build_lattice(grid, laplace_noise(2.0), 0.2)
     clf = ThresholdClassifier(0.5)  # loss at label 0 lives on (0.5, 1]
-    table = restricted_loss(clf, hard_loss, lattice, (0.0, 0.5), labels=(0,))
+    table = modified_loss_deconv(clf, hard_loss, lattice, labels=(0,), window=(0.0, 0.5))
     assert np.abs(table.values[0]).max() == 0.0
 
 
@@ -289,8 +289,8 @@ def test_restricted_monotone_with_base_kernel(grid, hard_loss):
     # at most the absolute kernel mass over the added region
     lattice = build_lattice(grid, dirac_noise(), 0.1)
     clf = ThresholdClassifier(snap_to_cell_midpoint(0.4, grid), orientation=-1)
-    small = restricted_loss(clf, hard_loss, lattice, (0.2, 0.5), labels=(1,))
-    big = restricted_loss(clf, hard_loss, lattice, (0.1, 0.7), labels=(1,))
+    small = modified_loss_deconv(clf, hard_loss, lattice, labels=(1,), window=(0.2, 0.5))
+    big = modified_loss_deconv(clf, hard_loss, lattice, labels=(1,), window=(0.1, 0.7))
     w = trapezoid_weights(len(lattice.nodes), lattice.spacing)
     added = ((lattice.nodes >= 0.1) & (lattice.nodes < 0.2)) | \
             ((lattice.nodes > 0.5) & (lattice.nodes <= 0.7))
@@ -304,8 +304,8 @@ def test_restricted_monotone_with_base_kernel(grid, hard_loss):
 
 def test_restricted_empty_window(laplace_lattice, hard_loss):
     with pytest.raises(ConfigurationError):
-        restricted_loss(ThresholdClassifier(0.5), hard_loss, laplace_lattice,
-                        (0.5, 0.2))
+        modified_loss_deconv(ThresholdClassifier(0.5), hard_loss, laplace_lattice,
+                             window=(0.5, 0.2))
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,12 @@ def test_plan_validation(grid):
         small_plan(grid, replications=0)
     with pytest.raises(ConfigurationError):
         small_plan(grid, backend="restricted")  # needs a window
+    with pytest.raises(ConfigurationError):
+        small_plan(grid, window=(0.2, 0.8))  # only the restricted backend takes one
+    with pytest.raises(ConfigurationError):
+        small_plan(grid, backend="svd")  # additive-noise scenario
+    with pytest.raises(ConfigurationError):
+        small_plan(grid, theory_mode="hardloss")
 
 
 def test_minimal_report_two_points(grid):
@@ -103,6 +109,42 @@ def test_parallel_matches_sequential(grid):
     seq = run_rate_experiment(plan, threads=1)
     par = run_rate_experiment(plan, threads=2)
     assert seq.dumps() == par.dumps()
+
+
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor that runs the blocks in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return map(fn, args)
+
+
+@pytest.mark.parametrize("threads, cores, expected", [
+    (64, 8, [2]),      # capped at the two n-blocks
+    (64, 1, []),       # one core: no pool at all
+    (2, 8, [2]),
+    (1, 8, []),
+])
+def test_pool_capped_at_blocks_and_cores(grid, monkeypatch, threads, cores, expected):
+    import indirect_erm.simulation as sim
+
+    _RecordingPool.sizes = []
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: cores)
+    plan = small_plan(grid, replications=2, n_grid=(128, 256))
+    report = run_rate_experiment(plan, threads=threads)
+    assert _RecordingPool.sizes == expected
+    assert report.dumps() == run_rate_experiment(plan, threads=1).dumps()
 
 
 def test_progress_rows_stream_in_order(grid):
