@@ -41,7 +41,7 @@ def main():
     cfg = RateConfig(kappa=2.0, rho=0.5, gamma=2.0, beta_bar=2.0,
                      bias_variant="squared_loss")
     bandwidth = select_bandwidth(cfg, n)
-    print(f"rule-selected bandwidth at n={n}: {bandwidth[0]:.4f}")
+    print(f"rule-selected bandwidth at n={n}: {bandwidth:.4f}")
     sample = generate_sample(scenario, n, np.random.default_rng(42))
     lattice = build_lattice(grid, noise, bandwidth, base_kind="order_m_flat_top")
     fit = minimize(hclass, sample, DeconvolutionBackend(lattice=lattice, loss=loss))

@@ -41,7 +41,7 @@ def main():
     print("\n== smooth family (edge-vanishing Beta pair) ==")
     scenario = make_margin_scenario(1, laplace_noise(2.0), family="smooth",
                                     gamma=2.0, sharpness=1.3, grid=grid)
-    x = grid.axis(0)
+    x = grid.axis()
     for label in (0, 1):
         dens = scenario.density(label, x)
         print(f"f_{label}: mass {grid.integrate(dens):.6f}, peak {dens.max():.3f}, "

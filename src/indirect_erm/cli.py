@@ -37,8 +37,17 @@ from .diagnostics import (
 )
 from .erm import BIAS_VARIANTS, RateConfig, minimize
 from .errors import ConfigurationError, IndirectErmError, SimulationError
-from .grid import Grid
-from .hypotheses import LOSS_KINDS, LossSpec, Scenario, bayes_in_class, threshold_grid, true_risk
+from .hypotheses import (
+    LOSS_KINDS,
+    LossSpec,
+    Scenario,
+    bayes_in_class,
+    contamination_from_json,
+    grid_from_json,
+    make_margin_scenario,
+    threshold_grid,
+    true_risk,
+)
 from .kernels import BASE_KINDS, build_base_kernel, build_deconvolution_kernel
 from .noisy_risk import build_lattice, modified_loss_deconv, modified_loss_svd
 from .operators import SpectralOperator
@@ -71,7 +80,6 @@ _SCHEMA: dict = {
     "cutoff": (int, False),
     "window": (list, False),
     "theory_mode": (str, False),
-    "exponent_mode": (str, False),
     "alpha": (float, False),
     "diagnose": (dict, False),
 }
@@ -90,7 +98,6 @@ _CHOICES = (
     ("loss", "kind", LOSS_KINDS),
     (None, "base_kernel", BASE_KINDS),
     (None, "theory_mode", RATE_MODES),
-    (None, "exponent_mode", RATE_MODES),
     ("rate_config", "bias_variant", BIAS_VARIANTS),
     ("diagnose", "bias_variant", BIAS_VARIANTS),
 )
@@ -140,22 +147,13 @@ def validate_config(doc: dict) -> None:
 def _load_scenario(doc: dict) -> Scenario:
     sdoc = dict(doc.get("scenario") or {})
     if "family" in sdoc:  # margin-scenario shorthand
-        from .hypotheses import make_margin_scenario
-
-        grid_doc = sdoc.get("grid", {})
-        grid = Grid(lower=tuple(grid_doc.get("lower", (0.0,))),
-                    upper=tuple(grid_doc.get("upper", (1.0,))),
-                    points_per_dim=int(grid_doc.get("points", 1024)))
-        cont = Scenario.from_json({"priors": [0.5, 0.5], "densities": "linear",
-                                   "contamination": sdoc["contamination"],
-                                   "grid": grid_doc}).contamination
         return make_margin_scenario(
             alpha=float(sdoc.get("alpha", 1.0)),
-            contamination=cont,
+            contamination=contamination_from_json(sdoc["contamination"]),
             x_star=float(sdoc.get("x_star", 0.5)),
             family=sdoc["family"],
             gamma=sdoc.get("gamma"),
-            grid=grid,
+            grid=grid_from_json(sdoc.get("grid", {})),
             sharpness=float(sdoc.get("sharpness", 1.0)),
         )
     return Scenario.from_json(sdoc)
@@ -197,7 +195,7 @@ def _manifest(out_dir: str, doc: dict, seed: int, artifacts: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_exponent(doc, out_dir, seed):
-    mode = doc.get("exponent_mode", "deconv")
+    mode = doc.get("theory_mode", "deconv")
     if mode == "hard_loss" and "alpha" in doc:
         rc = doc.get("rate_config", {})
         value = hard_loss_exponent(float(doc["alpha"]), float(rc.get("gamma", 1.0)),

@@ -20,7 +20,13 @@ from .errors import ConfigurationError, DataError
 from .grid import Grid, trapezoid_weights
 from .hypotheses import HypothesisClass, LossSpec, Scenario, loss_values, true_risk
 from .kernels import kernel_fourier_l2
-from .noisy_risk import ObservationLattice, expected_modified_risk
+from .noisy_risk import (
+    ObservationLattice,
+    base_smoothed_density,
+    expected_modified_risk,
+    svd_loss_coefficients,
+    zero_extended_density,
+)
 from .operators import SpectralOperator
 
 logger = logging.getLogger(__name__)
@@ -138,7 +144,7 @@ def empirical_lipschitz(scenario: Scenario, tables: dict, pairs,
     from .simulation import generate_sample  # a top-level import would be circular
 
     g = grid or scenario.domain
-    x, w = g.axis(0), g.weights(0)
+    x, w = g.axis(), g.weights()
     sample = generate_sample(scenario, mc_n, np.random.default_rng(seed))
     loss = LossSpec("hard")
     ratios = []
@@ -166,7 +172,7 @@ def empirical_lipschitz(scenario: Scenario, tables: dict, pairs,
 
 
 def _max_loss_l2(hclass: HypothesisClass, loss: LossSpec, grid: Grid) -> float:
-    x, w = grid.axis(0), grid.weights(0)
+    x, w = grid.axis(), grid.weights()
     best = 0.0
     for clf in hclass:
         for label in (0, 1):
@@ -196,8 +202,7 @@ def sup_bound_svd(op: SpectralOperator, cutoff: int, hclass: HypothesisClass,
     max over z of the l2 norm of (b_k^(-1) phi_k(z))_k, times the largest
     loss L2 norm over the class.
     """
-    x = grid.axis(0)
-    phi = op.basis(x, cutoff)
+    phi = op.basis(grid.axis(), cutoff)
     inv_b = 1.0 / op.singular_values[: cutoff + 1]
     col_norms = np.sqrt(np.sum((inv_b[:, None] * phi) ** 2, axis=0))
     return float(col_norms.max()) * _max_loss_l2(hclass, loss, grid)
@@ -227,17 +232,14 @@ def empirical_bias_deconv(scenario: Scenario, lattice: ObservationLattice,
     the padded-grid quadrature so discretization errors cancel in the
     difference.
     """
-    from .noisy_risk import base_smoothed_density
-
     kappa = scenario.kappa
     r = _r_constant(kappa, bias_variant)
     nodes = lattice.nodes
     w = trapezoid_weights(len(nodes), lattice.spacing)
-    inside = (nodes >= scenario.domain.lower[0]) & (nodes <= scenario.domain.upper[0])
     risks = np.zeros(len(hclass))
     reg = np.zeros(len(hclass))
     for label in scenario.labels:
-        f = np.where(inside, scenario.density(label, nodes), 0.0)
+        f = zero_extended_density(scenario, lattice, label)
         f_smooth = base_smoothed_density(scenario, lattice, label)
         prior = scenario.priors[label]
         for i, clf in enumerate(hclass):
@@ -259,8 +261,6 @@ def empirical_bias_svd(scenario: Scenario, op: SpectralOperator, cutoff: int,
     The expectation of the truncated empirical risk is the coefficient
     pairing sum_y p_y sum_(k<=N) c_k(g, y) theta_k^y, evaluated exactly.
     """
-    from .noisy_risk import svd_loss_coefficients
-
     g = grid or scenario.domain
     kappa = scenario.kappa
     r = _r_constant(kappa, bias_variant)
@@ -291,7 +291,7 @@ def bernstein_ratio(scenario: Scenario, hclass: HypothesisClass, star_index: int
     if not kappa > 1.0 or not np.isfinite(kappa):  # also catches nan
         raise ConfigurationError("Bernstein ratio needs a finite kappa > 1")
     g = grid or scenario.domain
-    x, w = g.axis(0), g.weights(0)
+    x, w = g.axis(), g.weights()
     star = hclass[star_index]
     risk_star = true_risk(star, scenario, loss, g)
     best = 0.0
@@ -324,7 +324,7 @@ def empirical_modulus(scenario: Scenario, hclass: HypothesisClass, delta: float,
     if delta < 0:
         raise ConfigurationError("delta must be nonnegative")
     g = grid or scenario.domain
-    x, w = g.axis(0), g.weights(0)
+    x, w = g.axis(), g.weights()
     loss = LossSpec("hard")
     clfs = list(hclass)
     # admissible pairs and their exact contaminated-law means
@@ -349,7 +349,6 @@ def empirical_modulus(scenario: Scenario, hclass: HypothesisClass, delta: float,
         op, cutoff = operator_cutoff
         theta = {label: scenario.cosine_coefficients(label, cutoff)
                  for label in scenario.labels}
-        from .noisy_risk import svd_loss_coefficients
         true_mean = {}
         for i in {k for p in admissible for k in p}:
             val = 0.0
@@ -395,10 +394,9 @@ class DiagnosticsReport:
 
     def to_json(self) -> dict:
         return {
-            "lipschitz": [[list(np.atleast_1d(s).astype(float)), v] for s, v in self.lipschitz],
-            "sup_bounds": [[list(np.atleast_1d(s).astype(float)), c, r]
-                           for s, c, r in self.sup_bounds],
-            "bias": [[list(np.atleast_1d(s).astype(float)), v] for s, v in self.bias],
+            "lipschitz": [[[float(s)], v] for s, v in self.lipschitz],
+            "sup_bounds": [[[float(s)], c, r] for s, c, r in self.sup_bounds],
+            "bias": [[[float(s)], v] for s, v in self.bias],
             "bernstein_max": self.bernstein_max,
             "modulus": [[float(k), float(v)] for k, v in self.modulus],
             "slopes": self.slopes,
@@ -415,10 +413,10 @@ class DiagnosticsReport:
             writer = _csv.writer(fh)
             writer.writerow(["series", "smoothing", "value", "extra"])
             for s, v in self.lipschitz:
-                writer.writerow(["lipschitz", repr(float(np.atleast_1d(s)[0])), repr(v), ""])
+                writer.writerow(["lipschitz", repr(float(s)), repr(v), ""])
             for s, c, r in self.sup_bounds:
-                writer.writerow(["sup_bound", repr(float(np.atleast_1d(s)[0])), repr(c), repr(r)])
+                writer.writerow(["sup_bound", repr(float(s)), repr(c), repr(r)])
             for s, v in self.bias:
-                writer.writerow(["bias", repr(float(np.atleast_1d(s)[0])), repr(v), ""])
+                writer.writerow(["bias", repr(float(s)), repr(v), ""])
             for k, v in self.modulus:
                 writer.writerow(["modulus", repr(float(k)), repr(v), ""])

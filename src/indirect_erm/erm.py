@@ -11,7 +11,6 @@ agree to rounding.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +45,8 @@ class RateConfig:
     approximation-function regime tunes the smoothing: ``general`` for
     arbitrary bounded losses, ``squared_loss`` for losses whose pairwise
     differences square to themselves (the hard loss), which admits the
-    sharper bias exponent.
+    sharper bias exponent. ``dim`` is the input dimension d of the rate
+    exponents; the data model itself is one-dimensional.
     """
 
     kappa: float
@@ -99,12 +99,11 @@ def _smoothing_exponent(cfg: RateConfig) -> float:
     return (k - 1) / (g * (2 * k + r - 1) + 2 * (k - 1) * b)
 
 
-def select_bandwidth(cfg: RateConfig, n: int) -> tuple[float, ...]:
-    """Bandwidth rule: every component equals n^(-e) for the balancing exponent e."""
+def select_bandwidth(cfg: RateConfig, n: int) -> float:
+    """Bandwidth rule: n^(-e) for the balancing exponent e."""
     if n < 1:
         raise ConfigurationError("sample size must be at least 1")
-    lam = float(n) ** (-_smoothing_exponent(cfg))
-    return (lam,) * cfg.dim
+    return float(n) ** (-_smoothing_exponent(cfg))
 
 def select_cutoff(cfg: RateConfig, n: int) -> int:
     """Spectral cutoff rule: n^(+e) rounded to the nearest integer, at least 1."""
@@ -115,12 +114,12 @@ def select_cutoff(cfg: RateConfig, n: int) -> int:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one exhaustive scan."""
+    """Outcome of one exhaustive scan; ``smoothing`` is the bandwidth or the cutoff."""
 
     index: int
     classifier: object
     empirical_risk: float
-    smoothing: tuple
+    smoothing: float | int
     backend: str
     diagnostics: dict = field(default_factory=dict)
 
@@ -128,7 +127,7 @@ class FitResult:
         doc = {
             "index": self.index,
             "empirical_risk": self.empirical_risk,
-            "smoothing": list(self.smoothing),
+            "smoothing": [self.smoothing],
             "backend": self.backend,
             "diagnostics": self.diagnostics,
         }
@@ -180,7 +179,7 @@ class DeconvolutionBackend:
         return "deconvolution" if self.window is None else "restricted"
 
     @property
-    def smoothing(self) -> tuple:
+    def smoothing(self) -> float:
         return self.lattice.bandwidth
 
     def features(self, z: np.ndarray) -> np.ndarray:
@@ -209,8 +208,8 @@ class SvdBackend:
     name = "svd"
 
     @property
-    def smoothing(self) -> tuple:
-        return (self.cutoff,)
+    def smoothing(self) -> int:
+        return self.cutoff
 
     def features(self, z: np.ndarray) -> np.ndarray:
         inv_b = 1.0 / self.operator.singular_values[: self.cutoff + 1]
@@ -231,7 +230,6 @@ def minimize(hclass: HypothesisClass, sample: NoisySample, backend) -> FitResult
     """
     if not isinstance(backend, (DeconvolutionBackend, SvdBackend)):
         raise ConfigurationError(f"unknown backend {type(backend).__name__}")
-    start = time.perf_counter()
     risks = np.zeros(len(hclass))
     for label in np.unique(sample.y):
         label = int(label)
@@ -241,13 +239,11 @@ def minimize(hclass: HypothesisClass, sample: NoisySample, backend) -> FitResult
         features = backend.features(z_y)
         risks += (z_y.size / sample.n) * (backend.class_matrix(hclass, label) @ features)
     idx = int(np.argmin(risks))
-    elapsed = time.perf_counter() - start
     return FitResult(
         index=idx,
         classifier=hclass[idx],
         empirical_risk=float(risks[idx]),
         smoothing=backend.smoothing,
         backend=backend.name,
-        diagnostics={"scan_seconds": elapsed, "n_y": sample.counts(),
-                     "class_size": len(hclass)},
+        diagnostics={"n_y": sample.counts(), "class_size": len(hclass)},
     )

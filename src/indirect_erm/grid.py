@@ -28,76 +28,70 @@ def trapezoid_weights(n_points: int, spacing: float) -> np.ndarray:
     return w
 
 
+def _bound(value, name: str) -> float:
+    """A grid bound: a number, or a one-element sequence as configs write it."""
+    v = np.asarray(value, dtype=float).reshape(-1)
+    if v.size != 1:
+        raise ConfigurationError(f"grid {name} must be one number, got {value!r}")
+    return float(v[0])
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform boxed grid with trapezoid quadrature.
+    """Uniform grid on an interval with trapezoid quadrature.
 
-    Nodes along each axis include both endpoints:
-    ``linspace(lower, upper, points_per_dim)``.
+    Nodes include both endpoints: ``linspace(lower, upper, points_per_dim)``.
 
     Parameters
     ----------
-    lower, upper : tuple of float
-        Box bounds per dimension; ``upper > lower`` componentwise.
+    lower, upper : float
+        Interval bounds, ``upper > lower``; a one-element sequence is accepted.
     points_per_dim : int
-        Number of nodes per axis; at least 16 and a power of two.
+        Number of nodes; at least 16 and a power of two.
     """
 
-    lower: tuple[float, ...] = (0.0,)
-    upper: tuple[float, ...] = (1.0,)
+    lower: float = 0.0
+    upper: float = 1.0
     points_per_dim: int = 1024
 
     def __post_init__(self):
-        lower = tuple(float(v) for v in np.atleast_1d(self.lower))
-        upper = tuple(float(v) for v in np.atleast_1d(self.upper))
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        if len(lower) != len(upper):
-            raise ConfigurationError("lower/upper dimension mismatch")
-        if not all(u > l for l, u in zip(lower, upper)):
-            raise ConfigurationError("upper must exceed lower componentwise")
+        object.__setattr__(self, "lower", _bound(self.lower, "lower"))
+        object.__setattr__(self, "upper", _bound(self.upper, "upper"))
+        if not self.upper > self.lower:
+            raise ConfigurationError("upper must exceed lower")
         if self.points_per_dim < 16 or not _is_power_of_two(self.points_per_dim):
             raise ConfigurationError(
                 f"points_per_dim must be a power of two >= 16, got {self.points_per_dim}"
             )
 
     @property
-    def ndim(self) -> int:
-        return len(self.lower)
+    def spacing(self) -> float:
+        return (self.upper - self.lower) / (self.points_per_dim - 1)
 
-    @property
-    def spacing(self) -> tuple[float, ...]:
-        n = self.points_per_dim
-        return tuple((u - l) / (n - 1) for l, u in zip(self.lower, self.upper))
+    def axis(self) -> np.ndarray:
+        """Node coordinates (endpoints included)."""
+        return np.linspace(self.lower, self.upper, self.points_per_dim)
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod([u - l for l, u in zip(self.lower, self.upper)]))
+    def weights(self) -> np.ndarray:
+        """Trapezoid weights; they sum to the interval length."""
+        return trapezoid_weights(self.points_per_dim, self.spacing)
 
-    def axis(self, dim: int = 0) -> np.ndarray:
-        """Node coordinates along one axis (endpoints included)."""
-        return np.linspace(self.lower[dim], self.upper[dim], self.points_per_dim)
-
-    def weights(self, dim: int = 0) -> np.ndarray:
-        """Trapezoid weights along one axis; they sum to the axis length."""
-        return trapezoid_weights(self.points_per_dim, self.spacing[dim])
-
-    def integrate(self, values: np.ndarray, dim: int = 0) -> float:
-        """Trapezoid integral of node values along one axis."""
-        return float(np.dot(self.weights(dim), values))
+    def integrate(self, values: np.ndarray) -> float:
+        """Trapezoid integral of node values."""
+        return float(np.dot(self.weights(), values))
 
 
-def padded_axis(grid: Grid, margin: float, dim: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Extend one grid axis by ``margin`` on each side at the same spacing.
+def padded_axis(grid: Grid, margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Extend the grid by ``margin`` on each side at the same spacing.
 
     Returns ``(nodes, weights)`` for the extended axis. The original nodes
     are a contiguous subset, so tables on the padded axis restrict exactly
     to the domain grid. Used to absorb contaminated observations that fall
     outside the domain.
     """
-    h = grid.spacing[dim]
+    h = grid.spacing
     n_pad = int(math.ceil(max(margin, 0.0) / h))
     n_total = grid.points_per_dim + 2 * n_pad
-    lo = grid.lower[dim] - n_pad * h
+    lo = grid.lower - n_pad * h
     nodes = lo + h * np.arange(n_total)
     return nodes, trapezoid_weights(n_total, h)

@@ -31,6 +31,8 @@ __all__ = [
     "make_margin_scenario",
     "threshold_grid",
     "snap_to_cell_midpoint",
+    "grid_from_json",
+    "contamination_from_json",
 ]
 
 LOSS_KINDS = ("hard", "hinge_clipped", "quadratic_clipped")
@@ -131,10 +133,10 @@ class HypothesisClass:
         return self.classifiers[idx]
 
 
-def snap_to_cell_midpoint(value: float, grid: Grid, dim: int = 0) -> float:
+def snap_to_cell_midpoint(value: float, grid: Grid) -> float:
     """Nearest grid-cell midpoint; keeps jump points strictly between nodes."""
-    h = grid.spacing[dim]
-    lo = grid.lower[dim]
+    h = grid.spacing
+    lo = grid.lower
     cells = grid.points_per_dim - 1
     j = int(np.clip(np.floor((value - lo) / h), 0, cells - 1))
     return lo + (j + 0.5) * h
@@ -144,7 +146,7 @@ def threshold_grid(count: int, grid: Grid, orientation: int = 1) -> HypothesisCl
     """Equally spaced threshold classifiers snapped to cell midpoints."""
     if count < 1:
         raise ConfigurationError("need at least one threshold")
-    raw = np.linspace(grid.lower[0], grid.upper[0], count)
+    raw = np.linspace(grid.lower, grid.upper, count)
     clfs = tuple(
         ThresholdClassifier(snap_to_cell_midpoint(t, grid), orientation) for t in raw
     )
@@ -304,11 +306,10 @@ class Scenario:
 
     def density_values(self, label: int, grid: Grid | None = None) -> np.ndarray:
         g = grid or self.domain
-        return self.density(label, g.axis(0))
+        return self.density(label, g.axis())
 
     def marginal_values(self, grid: Grid | None = None) -> np.ndarray:
-        g = grid or self.domain
-        x = g.axis(0)
+        x = (grid or self.domain).axis()
         return self.priors[0] * self.density(0, x) + self.priors[1] * self.density(1, x)
 
     def cosine_coefficients(self, label: int, k_max: int) -> np.ndarray:
@@ -332,8 +333,7 @@ class Scenario:
         if self.densities == "tent_pair":
             return _piecewise_cosine_coefficients(_TENT_PIECES[label], k_max)
         # smooth family: quadrature against the basis
-        g = self.domain
-        x, w = g.axis(0), g.weights(0)
+        x, w = self.domain.axis(), self.domain.weights()
         phi = np.sqrt(2.0) * np.cos(np.pi * k[:, None] * x[None, :])
         phi[0, :] = 1.0
         return phi @ (w * self.density(label, x))
@@ -346,14 +346,14 @@ class Scenario:
         elif self.contamination.kind == "dirac":
             cont = {"kind": "dirac"}
         else:
-            cont = {"kind": "laplace", "beta": list(self.contamination.decay_exponents)}
+            cont = {"kind": "laplace", "beta": self.contamination.beta}
         doc = {
             "priors": list(self.priors),
             "densities": self.densities,
             "contamination": cont,
             "alpha": self.alpha,
             "gamma": self.gamma,
-            "grid": {"lower": list(self.domain.lower), "upper": list(self.domain.upper),
+            "grid": {"lower": [self.domain.lower], "upper": [self.domain.upper],
                      "points": self.domain.points_per_dim},
         }
         if self.density_params:
@@ -362,34 +362,13 @@ class Scenario:
 
     @staticmethod
     def from_json(doc: dict) -> "Scenario":
-        cont_doc = doc["contamination"]
-        kind = cont_doc.get("kind")
-        if kind == "svd_operator":
-            cont = SpectralOperator(decay=float(cont_doc.get("beta", 1.0)),
-                                    k_max=int(cont_doc.get("k_max", 64)))
-        elif kind == "dirac":
-            cont = dirac_noise()
-        elif kind == "laplace":
-            beta = cont_doc.get("beta", 2.0)
-            if isinstance(beta, (list, tuple)):
-                cont = NoiseModel("laplace_like", tuple(float(b) for b in beta))
-            else:
-                cont = laplace_noise(float(beta))
-        else:
-            raise ConfigurationError(f"unknown contamination kind {kind!r}")
-        grid_doc = doc.get("grid", {})
-        grid = Grid(
-            lower=tuple(grid_doc.get("lower", (0.0,))),
-            upper=tuple(grid_doc.get("upper", (1.0,))),
-            points_per_dim=int(grid_doc.get("points", 1024)),
-        )
         return Scenario(
             priors=tuple(doc["priors"]),
             densities=doc["densities"],
-            contamination=cont,
+            contamination=contamination_from_json(doc["contamination"]),
             alpha=float(doc.get("alpha", 1.0)),
             gamma=float(doc.get("gamma", 1.0)),
-            domain=grid,
+            domain=grid_from_json(doc.get("grid", {})),
             density_params=dict(doc.get("density_params", {})),
         )
 
@@ -399,6 +378,30 @@ class Scenario:
     @staticmethod
     def loads(text: str) -> "Scenario":
         return Scenario.from_json(json.loads(text))
+
+
+def grid_from_json(doc: dict) -> Grid:
+    """The domain grid of a scenario's ``grid`` block."""
+    return Grid(lower=doc.get("lower", 0.0), upper=doc.get("upper", 1.0),
+                points_per_dim=int(doc.get("points", 1024)))
+
+
+def contamination_from_json(doc: dict) -> NoiseModel | SpectralOperator:
+    """The noise model or spectral operator of a scenario's ``contamination`` block."""
+    kind = doc.get("kind")
+    if kind == "svd_operator":
+        return SpectralOperator(decay=float(doc.get("beta", 1.0)),
+                                k_max=int(doc.get("k_max", 64)))
+    if kind == "dirac":
+        return dirac_noise()
+    if kind == "laplace":
+        beta = doc.get("beta", 2.0)
+        if isinstance(beta, (list, tuple)):
+            if len(beta) != 1:
+                raise ConfigurationError(f"laplace beta must be one number, got {beta!r}")
+            beta = beta[0]
+        return laplace_noise(float(beta))
+    raise ConfigurationError(f"unknown contamination kind {kind!r}")
 
 
 def make_margin_scenario(alpha: float, contamination, x_star: float = 0.5,
@@ -513,7 +516,7 @@ def true_risk(clf, scenario: Scenario, loss: LossSpec,
     risk); by default the full domain is used.
     """
     g = grid or scenario.domain
-    x, w = g.axis(0), g.weights(0)
+    x, w = g.axis(), g.weights()
     if window is not None:
         w = np.where(window_mask(x, window), w, 0.0)
     total = 0.0

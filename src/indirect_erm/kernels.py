@@ -1,10 +1,11 @@
 """Band-limited smoothing kernels and their noise-corrected versions.
 
 Base kernels have compactly supported Fourier transforms (the transform
-lives in [-1, 1] per axis). The noise-corrected kernel divides that
-transform by the noise characteristic function before inverting, which
-undoes additive measurement error in expectation. Multivariate kernels
-are products of univariate factors, so every table here is per-axis.
+lives in [-1, 1]). The noise-corrected kernel divides that transform by
+the noise characteristic function before inverting, which undoes additive
+measurement error in expectation. The paper's kernels on R^d are products
+of such univariate factors; this package works on the line, so every
+table here is one univariate factor.
 
 Tables are produced by numerically inverting the Fourier integral with
 composite Gauss-Legendre panels sized to the oscillation, which keeps
@@ -20,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, IllPosednessError
-from .grid import Grid
+from .grid import Grid, trapezoid_weights
 
 __all__ = [
     "NoiseModel",
@@ -63,106 +64,61 @@ class NoiseModel:
     """Additive-noise law entering the contaminated observations.
 
     ``kind`` is ``"dirac"`` (no noise) or ``"laplace_like"``, the symmetric
-    Laplace law and its self-convolutions. Per-axis decay exponents are the
-    polynomial decay rates of the characteristic function modulus, and must
-    exceed 1/2. Laplace-type exponents are restricted to {2, 4, 6} so the
-    characteristic function and density stay in closed form.
+    Laplace law and its self-convolutions. ``beta`` is the polynomial decay
+    rate of the characteristic function modulus; Laplace-type exponents are
+    restricted to {2, 4, 6} so the characteristic function and density stay
+    in closed form. Dirac noise ignores ``beta``.
     """
 
     kind: str
-    decay_exponents: tuple[float, ...]
+    beta: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("dirac", "laplace_like"):
             raise ConfigurationError(f"unknown noise kind {self.kind!r}")
-        exps = tuple(float(b) for b in self.decay_exponents)
-        object.__setattr__(self, "decay_exponents", exps)
-        if self.kind == "laplace_like":
-            for b in exps:
-                if b not in (2.0, 4.0, 6.0):
-                    raise ConfigurationError(
-                        f"laplace_like decay exponent must be in {{2, 4, 6}}, got {b}"
-                    )
-                if b <= 0.5:
-                    raise ConfigurationError("decay exponents must exceed 1/2")
-
-    @property
-    def ndim(self) -> int:
-        return len(self.decay_exponents)
+        object.__setattr__(self, "beta", float(self.beta))
+        if self.kind == "laplace_like" and self.beta not in (2.0, 4.0, 6.0):
+            raise ConfigurationError(
+                f"laplace_like decay exponent must be in {{2, 4, 6}}, got {self.beta}"
+            )
 
     @property
     def beta_bar(self) -> float:
-        """Total ill-posedness: sum of per-axis decay exponents (0 for dirac)."""
-        if self.kind == "dirac":
-            return 0.0
-        return float(sum(self.decay_exponents))
+        """Ill-posedness: the decay exponent (0 for dirac)."""
+        return 0.0 if self.kind == "dirac" else self.beta
 
     @property
     def std(self) -> float:
-        """Largest per-axis standard deviation; 0 for dirac."""
-        if self.kind == "dirac":
-            return 0.0
-        return max(np.sqrt(b) for b in self.decay_exponents)  # var = 2k = beta
+        """Standard deviation; 0 for dirac."""
+        return 0.0 if self.kind == "dirac" else float(np.sqrt(self.beta))  # var = 2k = beta
 
-    def fourier(self, t: np.ndarray, dim: int = 0) -> np.ndarray:
-        """Characteristic function along one axis, evaluated in closed form."""
+    def fourier(self, t: np.ndarray) -> np.ndarray:
+        """Characteristic function, evaluated in closed form."""
         t = np.asarray(t, dtype=float)
         if self.kind == "dirac":
             return np.ones_like(t)
-        folds = int(self.decay_exponents[dim] / 2)
-        return (1.0 + t * t) ** (-folds)
+        return (1.0 + t * t) ** (-int(self.beta / 2))
 
-    def density(self, x: np.ndarray, dim: int = 0) -> np.ndarray:
-        """Noise density along one axis; dirac has no density (raises)."""
+    def density(self, x: np.ndarray) -> np.ndarray:
+        """Noise density; dirac has no density (raises)."""
         if self.kind == "dirac":
             raise ConfigurationError("dirac noise has no Lebesgue density")
-        folds = int(self.decay_exponents[dim] / 2)
-        return _laplace_fold_density(np.asarray(x, dtype=float), folds)
+        return _laplace_fold_density(np.asarray(x, dtype=float), int(self.beta / 2))
 
-    def density_table(self, offsets: np.ndarray, dim: int = 0) -> np.ndarray:
-        """Tabulated density values (dirac tabulates to zero: point mass)."""
-        if self.kind == "dirac":
-            values = np.zeros_like(np.asarray(offsets, dtype=float))
-            return values
-        return self.density(offsets, dim)
-
-    def fourier_table(self, freqs: np.ndarray, dim: int = 0) -> np.ndarray:
-        return self.fourier(freqs, dim)
-
-    @property
-    def density_values(self) -> np.ndarray | None:
-        """Density tabulated on the canonical offset grid (None for dirac)."""
-        if self.kind == "dirac":
-            return None
-        offsets = np.arange(-8.0 * self.std, 8.0 * self.std + 1e-12, 0.01)
-        return self.density_table(offsets)
-
-    @property
-    def fourier_values(self) -> np.ndarray:
-        """Characteristic function tabulated on the canonical frequency grid.
-
-        The range covers eight reciprocal bandwidths at the smallest
-        bandwidth the package refuses to alias (the coarsest useful grid),
-        matching the widest band a corrected kernel can request.
-        """
-        freqs = np.linspace(-128.0, 128.0, 4097)
-        return self.fourier_table(freqs)
-
-    def sample(self, rng: np.random.Generator, size: int, dim: int = 0) -> np.ndarray:
-        """Draw noise variates along one axis."""
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw noise variates."""
         if self.kind == "dirac":
             return np.zeros(size)
-        folds = int(self.decay_exponents[dim] / 2)
-        return rng.laplace(0.0, 1.0, size=(folds, size)).sum(axis=0)
+        return rng.laplace(0.0, 1.0, size=(int(self.beta / 2), size)).sum(axis=0)
 
 
-def dirac_noise(ndim: int = 1) -> NoiseModel:
-    return NoiseModel("dirac", (0.0,) * ndim)
+def dirac_noise() -> NoiseModel:
+    return NoiseModel("dirac")
 
 
-def laplace_noise(beta: float = 2.0, ndim: int = 1) -> NoiseModel:
-    """Laplace-type noise with characteristic function (1+t^2)^(-beta/2) per axis."""
-    return NoiseModel("laplace_like", (float(beta),) * ndim)
+def laplace_noise(beta: float = 2.0) -> NoiseModel:
+    """Laplace-type noise with characteristic function (1+t^2)^(-beta/2)."""
+    return NoiseModel("laplace_like", beta)
 
 
 # ---------------------------------------------------------------------------
@@ -242,205 +198,145 @@ def _invert_symbol(symbol_values: np.ndarray, s_nodes: np.ndarray,
 
 @dataclass(frozen=True)
 class TabulatedKernel:
-    """Separable kernel tabulated per axis on symmetric uniform offset grids.
+    """Univariate kernel tabulated on a symmetric uniform offset grid.
 
-    For ``kind == "base"`` the values are the unscaled kernel K(u). For
-    ``kind == "deconvolved"`` the values are the bandwidth-scaled,
-    noise-corrected kernel, i.e. the factor (1/lambda_i) K_eta((v)/lambda_i)
-    tabulated in observation-offset units v, so discrete convolution against
-    grid functions needs no further rescaling.
+    ``offsets`` and ``values`` are one-element tuples holding the offset
+    grid and the table. For ``kind == "base"`` the values are the unscaled
+    kernel K(u). For ``kind == "deconvolved"`` the values are the
+    bandwidth-scaled, noise-corrected kernel (1/lambda) K_eta(v/lambda)
+    tabulated in observation-offset units v, so discrete convolution
+    against grid functions needs no further rescaling.
     """
 
-    offsets: tuple[np.ndarray, ...]
-    values: tuple[np.ndarray, ...]
-    bandwidth: tuple[float, ...]
+    offsets: tuple[np.ndarray]
+    values: tuple[np.ndarray]
+    bandwidth: float
     kind: str
     base_kind: str
 
     def __post_init__(self):
-        for off, val in zip(self.offsets, self.values):
-            if off.shape != val.shape:
-                raise ConfigurationError("offset/value shape mismatch")
-            if not np.all(np.isfinite(val)):
-                raise ConfigurationError("kernel values must be finite")
-
-    @property
-    def ndim(self) -> int:
-        return len(self.offsets)
-
-    def spacing(self, dim: int = 0) -> float:
-        off = self.offsets[dim]
-        return float(off[1] - off[0])
-
-    def axis_values(self, dim: int = 0) -> np.ndarray:
-        return self.values[dim]
+        (off,), (val,) = self.offsets, self.values
+        if off.shape != val.shape:
+            raise ConfigurationError("offset/value shape mismatch")
+        if not np.all(np.isfinite(val)):
+            raise ConfigurationError("kernel values must be finite")
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the (product) kernel by per-axis linear interpolation.
+        """Evaluate the kernel by linear interpolation.
 
         Points outside the tabulated window evaluate to 0 (the window is
         chosen to cover every offset the quadratures can request).
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float).T).T
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.shape[1] != self.ndim:
-            pts = pts.reshape(-1, self.ndim)
-        out = np.ones(pts.shape[0])
-        for dim in range(self.ndim):
-            off, val = self.offsets[dim], self.values[dim]
-            out *= np.interp(pts[:, dim], off, val, left=0.0, right=0.0)
-        return out
+        return np.interp(np.asarray(points, dtype=float), self.offsets[0], self.values[0],
+                         left=0.0, right=0.0)
 
     def integral(self) -> float:
-        """Trapezoid integral over the tabulated window (product over axes).
+        """Trapezoid integral over the tabulated window.
 
         For band-limited kernels the exact integral is symbol(0) = 1, but a
         finite window misses slowly decaying oscillatory tails; the windowed
         value is exact only up to that truncated tail mass.
         """
-        total = 1.0
-        for dim in range(self.ndim):
-            h = self.spacing(dim)
-            w = np.full(len(self.offsets[dim]), h)
-            w[0] = w[-1] = h / 2.0
-            total *= float(np.dot(w, self.values[dim]))
-        return total
+        off = self.offsets[0]
+        return float(np.dot(trapezoid_weights(len(off), off[1] - off[0]), self.values[0]))
 
     def to_csv(self, path) -> None:
-        """Write per-axis (axis, offset, value) rows for plotting."""
+        """Write (axis, offset, value) rows for plotting; the axis is always 0."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["axis", "offset", "value"])
-            for dim in range(self.ndim):
-                for o, v in zip(self.offsets[dim], self.values[dim]):
-                    writer.writerow([dim, repr(float(o)), repr(float(v))])
+            for o, v in zip(self.offsets[0], self.values[0]):
+                writer.writerow([0, repr(float(o)), repr(float(v))])
 
 
-def _default_offsets(grid: Grid, dim: int) -> np.ndarray:
-    """Symmetric offsets at the grid spacing spanning eight axis widths.
+def _default_offsets(grid: Grid) -> np.ndarray:
+    """Symmetric offsets at the grid spacing spanning eight grid widths.
 
     Wide enough that slowly decaying kernel tails are visible in exports;
     convolution lattices override this with exactly matched offsets.
     """
-    n = grid.points_per_dim
-    h = grid.spacing[dim]
-    m = 8 * (n - 1)
-    return h * np.arange(-m, m + 1)
+    m = 8 * (grid.points_per_dim - 1)
+    return grid.spacing * np.arange(-m, m + 1)
 
 
 def build_base_kernel(kind: str, grid: Grid,
-                      offsets: tuple[np.ndarray, ...] | None = None) -> TabulatedKernel:
+                      offsets: np.ndarray | None = None) -> TabulatedKernel:
     """Tabulate a base kernel with band-limited transform on grid-aligned offsets.
 
     Parameters
     ----------
     kind : {"sinc", "order_m_flat_top"}
     grid : Grid
-        Supplies per-axis spacing and the default offset span.
-    offsets : optional per-axis offset arrays
+        Supplies the spacing and the default offset span.
+    offsets : optional offset array
         Override the tabulation window (must be symmetric and uniform).
     """
     if kind not in BASE_KINDS:
         raise ConfigurationError(f"unknown base kernel kind {kind!r}")
-    if offsets is None:
-        offsets = tuple(_default_offsets(grid, d) for d in range(grid.ndim))
-    values = []
-    for off in offsets:
-        v_max = float(np.max(np.abs(off)))
-        s_nodes, s_weights = _panel_rule(1.0, v_max)
-        values.append(_invert_symbol(base_symbol(kind, s_nodes), s_nodes, s_weights, off))
-    return TabulatedKernel(
-        offsets=tuple(offsets),
-        values=tuple(values),
-        bandwidth=(1.0,) * grid.ndim,
-        kind="base",
-        base_kind=kind,
-    )
+    off = _default_offsets(grid) if offsets is None else np.asarray(offsets, dtype=float)
+    s_nodes, s_weights = _panel_rule(1.0, float(np.max(np.abs(off))))
+    values = _invert_symbol(base_symbol(kind, s_nodes), s_nodes, s_weights, off)
+    return TabulatedKernel(offsets=(off,), values=(values,), bandwidth=1.0,
+                           kind="base", base_kind=kind)
 
 
-def _as_bandwidth(bandwidth, ndim: int) -> tuple[float, ...]:
-    bw = np.atleast_1d(np.asarray(bandwidth, dtype=float))
-    if bw.size == 1:
-        bw = np.repeat(bw, ndim)
-    if bw.size != ndim:
-        raise ConfigurationError("bandwidth dimension mismatch")
-    if np.any(bw <= 0):
-        raise ConfigurationError("bandwidth components must be positive")
-    return tuple(float(b) for b in bw)
+def _as_bandwidth(bandwidth) -> float:
+    lam = float(bandwidth)
+    if not lam > 0:
+        raise ConfigurationError(f"bandwidth must be positive, got {lam}")
+    return lam
 
 
 def build_deconvolution_kernel(base: TabulatedKernel, noise: NoiseModel,
-                               bandwidth) -> TabulatedKernel:
+                               bandwidth: float) -> TabulatedKernel:
     """Tabulate the noise-corrected kernel at bandwidth ``lambda``.
 
-    The per-axis factor is the inverse Fourier integral of
-    ``base_symbol(lambda_i s) / noise_fourier(s)``, tabulated in scaled form
-    (1/lambda_i) K_eta(v/lambda_i) on the base kernel's offset grid. With
+    The table is the inverse Fourier integral of
+    ``base_symbol(lambda s) / noise_fourier(s)``, in scaled form
+    (1/lambda) K_eta(v/lambda) on the base kernel's offset grid. With
     dirac noise this reduces to the bandwidth-scaled base kernel.
     """
-    ndim = base.ndim
-    if noise.ndim != ndim:
-        raise ConfigurationError("noise dimension does not match kernel")
-    bw = _as_bandwidth(bandwidth, ndim)
-    values = []
-    for dim in range(ndim):
-        lam = bw[dim]
-        off = base.offsets[dim]
-        h = off[1] - off[0]
-        if lam <= h:
-            raise ConfigurationError(
-                f"bandwidth {lam} at or below grid spacing {h}: refusing to alias"
-            )
-        s_max = 1.0 / lam  # symbol support of base_symbol(lam * s)
-        v_max = float(np.max(np.abs(off)))
-        s_nodes, s_weights = _panel_rule(s_max, v_max)
-        num = base_symbol(base.base_kind, lam * s_nodes)
-        den = noise.fourier(s_nodes, dim)
-        active = num != 0.0
-        if np.any(np.abs(den[active]) < MIN_NOISE_FOURIER):
-            raise IllPosednessError(
-                "noise characteristic function below threshold on the kernel band"
-            )
-        values.append(_invert_symbol(num / den, s_nodes, s_weights, off))
-    return TabulatedKernel(
-        offsets=base.offsets,
-        values=tuple(values),
-        bandwidth=bw,
-        kind="deconvolved",
-        base_kind=base.base_kind,
-    )
+    lam = _as_bandwidth(bandwidth)
+    off = base.offsets[0]
+    h = off[1] - off[0]
+    if lam <= h:
+        raise ConfigurationError(
+            f"bandwidth {lam} at or below grid spacing {h}: refusing to alias"
+        )
+    s_max = 1.0 / lam  # symbol support of base_symbol(lam * s)
+    s_nodes, s_weights = _panel_rule(s_max, float(np.max(np.abs(off))))
+    num = base_symbol(base.base_kind, lam * s_nodes)
+    den = noise.fourier(s_nodes)
+    active = num != 0.0
+    if np.any(np.abs(den[active]) < MIN_NOISE_FOURIER):
+        raise IllPosednessError(
+            "noise characteristic function below threshold on the kernel band"
+        )
+    values = _invert_symbol(num / den, s_nodes, s_weights, off)
+    return TabulatedKernel(offsets=base.offsets, values=(values,), bandwidth=lam,
+                           kind="deconvolved", base_kind=base.base_kind)
 
 
-def kernel_fourier_sup(base: TabulatedKernel, noise: NoiseModel, bandwidth,
+def kernel_fourier_sup(base: TabulatedKernel, noise: NoiseModel, bandwidth: float,
                        freq_points: int = 4097) -> float:
     """Numerical surrogate for the regularized-class Lipschitz constant.
 
-    Returns the product over axes of ``sup_t |symbol(t * lambda) / F[eta](t)|``
-    over the tabulated frequency range [-8/lambda, 8/lambda].
+    Returns ``sup_t |symbol(t * lambda) / F[eta](t)|`` over the tabulated
+    frequency range [0, 8/lambda].
     """
-    bw = _as_bandwidth(bandwidth, base.ndim)
-    total = 1.0
-    for dim in range(base.ndim):
-        lam = bw[dim]
-        t = np.linspace(0.0, 8.0 / lam, freq_points)
-        ratio = np.abs(base_symbol(base.base_kind, lam * t) / noise.fourier(t, dim))
-        total *= float(ratio.max())
-    return total
+    lam = _as_bandwidth(bandwidth)
+    t = np.linspace(0.0, 8.0 / lam, freq_points)
+    return float(np.abs(base_symbol(base.base_kind, lam * t) / noise.fourier(t)).max())
 
 
-def kernel_fourier_l2(base: TabulatedKernel, noise: NoiseModel, bandwidth) -> float:
+def kernel_fourier_l2(base: TabulatedKernel, noise: NoiseModel, bandwidth: float) -> float:
     """L2 norm of the scaled noise-corrected kernel, via Plancherel.
 
-    ``(1/pi * int_0^{1/lam} |symbol(lam s)/F[eta](s)|^2 ds)^(1/2)`` per axis,
-    multiplied over axes. This is the certified uniform-bound constant for
-    [0,1]-valued losses (Cauchy-Schwarz against the loss L2 norm).
+    ``(1/pi * int_0^{1/lam} |symbol(lam s)/F[eta](s)|^2 ds)^(1/2)``. This is
+    the certified uniform-bound constant for [0,1]-valued losses
+    (Cauchy-Schwarz against the loss L2 norm).
     """
-    bw = _as_bandwidth(bandwidth, base.ndim)
-    total = 1.0
-    for dim in range(base.ndim):
-        lam = bw[dim]
-        s_nodes, s_weights = _panel_rule(1.0 / lam, 0.0)
-        ratio = base_symbol(base.base_kind, lam * s_nodes) / noise.fourier(s_nodes, dim)
-        total *= float(np.sqrt(np.dot(s_weights, ratio * ratio) / np.pi))
-    return total
+    lam = _as_bandwidth(bandwidth)
+    s_nodes, s_weights = _panel_rule(1.0 / lam, 0.0)
+    ratio = base_symbol(base.base_kind, lam * s_nodes) / noise.fourier(s_nodes)
+    return float(np.sqrt(np.dot(s_weights, ratio * ratio) / np.pi))

@@ -21,7 +21,13 @@ from scipy.signal import fftconvolve
 from .errors import ConfigurationError, DataError
 from .grid import Grid, padded_axis, trapezoid_weights
 from .hypotheses import LossSpec, Scenario, hard_loss_pieces, loss_values, window_mask
-from .kernels import NoiseModel, TabulatedKernel, build_base_kernel, build_deconvolution_kernel
+from .kernels import (
+    NoiseModel,
+    TabulatedKernel,
+    build_base_kernel,
+    build_deconvolution_kernel,
+    dirac_noise,
+)
 from .operators import SpectralOperator
 
 logger = logging.getLogger(__name__)
@@ -39,8 +45,20 @@ __all__ = [
     "svd_loss_coefficients",
     "empirical_risk",
     "plug_in_density",
+    "zero_extended_density",
     "contaminated_density",
 ]
+
+
+def _log_clamped(z: np.ndarray, lo: float, hi: float) -> None:
+    """Log how many observations fall outside [lo, hi] and get clamped to it."""
+    global _clamp_seen
+    n_clamped = int(np.sum((z < lo) | (z > hi)))
+    if n_clamped:
+        level = logging.DEBUG if _clamp_seen else logging.WARNING
+        _clamp_seen = True
+        logger.log(level, "clamping %d observation(s) outside the lattice range "
+                   "(later clamp events log at DEBUG)", n_clamped)
 
 
 @dataclass(frozen=True)
@@ -90,7 +108,7 @@ class ObservationLattice:
     base_scaled: TabulatedKernel
 
     @property
-    def bandwidth(self) -> tuple[float, ...]:
+    def bandwidth(self) -> float:
         return self.kernel.bandwidth
 
     @property
@@ -103,23 +121,20 @@ class ObservationLattice:
         return slice(n_pad, n_pad + self.domain.points_per_dim)
 
 
-def build_lattice(grid: Grid, noise: NoiseModel, bandwidth,
+def build_lattice(grid: Grid, noise: NoiseModel, bandwidth: float,
                   base_kind: str = "sinc", pad_factor: float = 4.0) -> ObservationLattice:
     """Assemble the padded observation grid and the aligned scaled kernel.
 
     Padding is ``pad_factor * max(bandwidth, noise scale)`` per side, after
     which observations are clamped to the boundary (with a logged count).
     """
-    bw = np.atleast_1d(np.asarray(bandwidth, dtype=float))
-    margin = pad_factor * max(float(bw.max()), noise.std)
+    margin = pad_factor * max(float(bandwidth), noise.std)
     nodes, weights = padded_axis(grid, margin)
     m = len(nodes) - 1
     offsets = (nodes[1] - nodes[0]) * np.arange(-m, m + 1)
-    base = build_base_kernel(base_kind, grid, offsets=(offsets,))
+    base = build_base_kernel(base_kind, grid, offsets=offsets)
     kernel = build_deconvolution_kernel(base, noise, bandwidth)
-    from .kernels import dirac_noise
-
-    base_scaled = build_deconvolution_kernel(base, dirac_noise(noise.ndim), bandwidth)
+    base_scaled = build_deconvolution_kernel(base, dirac_noise(), bandwidth)
     return ObservationLattice(domain=grid, nodes=nodes, weights=weights,
                               kernel=kernel, noise=noise, base_scaled=base_scaled)
 
@@ -130,13 +145,14 @@ class ModifiedLossTable:
 
     ``values[label]`` holds the table on ``z_nodes``; queries interpolate
     linearly and clamp out-of-range observations to the boundary value
-    (clamp counts are logged, once per table at warning level).
+    (clamp counts are logged: the first time in a process at WARNING,
+    later at DEBUG). ``smoothing`` is the bandwidth or the spectral cutoff.
     """
 
     z_nodes: np.ndarray
     values: dict
     backend: str
-    smoothing: tuple
+    smoothing: float | int
     # spectral backend: per-label (cutoff, b_k^(-1) c_k) for exact queries
     coefficient_data: dict | None = field(default=None, compare=False)
 
@@ -154,14 +170,7 @@ class ModifiedLossTable:
             phi = np.sqrt(2.0) * np.cos(np.pi * k * z[None, :])
             phi[0, :] = 1.0
             return weighted @ phi
-        lo, hi = self.z_nodes[0], self.z_nodes[-1]
-        n_clamped = int(np.sum((z < lo) | (z > hi)))
-        if n_clamped:
-            global _clamp_seen
-            level = logging.DEBUG if _clamp_seen else logging.WARNING
-            _clamp_seen = True
-            logger.log(level, "clamping %d observation(s) outside the table range "
-                       "(later clamp events log at DEBUG)", n_clamped)
+        _log_clamped(z, self.z_nodes[0], self.z_nodes[-1])
         return np.interp(z, self.z_nodes, self.values[label])
 
     def max_abs(self) -> float:
@@ -178,8 +187,7 @@ class ModifiedLossTable:
 
 def _deconv_table_values(node_loss: np.ndarray, lattice: ObservationLattice) -> np.ndarray:
     """Discrete convolution of weighted node losses with the kernel table."""
-    spread = fftconvolve(lattice.weights * node_loss, lattice.kernel.axis_values(0),
-                         mode="valid")
+    spread = fftconvolve(lattice.weights * node_loss, lattice.kernel.values[0], mode="valid")
     # 'valid' of (P) against (2P-1) returns exactly P values aligned with nodes
     return spread
 
@@ -215,7 +223,7 @@ def svd_loss_coefficients(clf, loss: LossSpec, op: SpectralOperator, cutoff: int
     """
     if cutoff > op.k_max:
         raise ConfigurationError(f"cutoff {cutoff} exceeds k_max {op.k_max}")
-    lo, hi = grid.lower[0], grid.upper[0]
+    lo, hi = grid.lower, grid.upper
     k = np.arange(cutoff + 1, dtype=float)
     if loss.kind == "hard":
         pieces = hard_loss_pieces(clf, label, lo, hi)
@@ -233,7 +241,7 @@ def svd_loss_coefficients(clf, loss: LossSpec, op: SpectralOperator, cutoff: int
             seg[1:] = np.sqrt(2.0) * (np.sin(np.pi * kk * b) - np.sin(np.pi * kk * a)) / (np.pi * kk)
             coeffs += value * seg
         return coeffs
-    x, w = grid.axis(0), grid.weights(0)
+    x, w = grid.axis(), grid.weights()
     phi = op.basis(x, cutoff)
     return phi @ (w * loss_values(clf, loss, label, x))
 
@@ -246,7 +254,7 @@ def modified_loss_svd(clf, loss: LossSpec, op: SpectralOperator, cutoff: int,
     the truncated expansion exactly (the expansion is cheap and exactness
     keeps the empirical risk identical to the coefficient pairing).
     """
-    x = grid.axis(0)
+    x = grid.axis()
     phi = op.basis(x, cutoff)
     inv_b = 1.0 / op.singular_values[: cutoff + 1]
     values = {}
@@ -257,7 +265,7 @@ def modified_loss_svd(clf, loss: LossSpec, op: SpectralOperator, cutoff: int,
         values[label] = weighted @ phi
         coefficient_data[label] = (cutoff, weighted)
     return ModifiedLossTable(z_nodes=x, values=values, backend="svd",
-                             smoothing=(cutoff,), coefficient_data=coefficient_data)
+                             smoothing=cutoff, coefficient_data=coefficient_data)
 
 
 def empirical_risk(table: ModifiedLossTable, sample: NoisySample) -> float:
@@ -276,20 +284,36 @@ def plug_in_density(z_draws: np.ndarray, lattice: ObservationLattice) -> np.ndar
     Each observation contributes the interpolated kernel column; computed by
     linear binning followed by one discrete convolution, which reproduces
     the per-observation sum exactly because the table kernel is piecewise
-    linear between grid-aligned knots. Values may be negative.
+    linear between grid-aligned knots. Values may be negative. Observations
+    outside the lattice are clamped to its ends, with a logged count.
     """
     z = np.asarray(z_draws, dtype=float)
     if z.size == 0:
         raise DataError("plug-in density needs at least one observation")
     nodes = lattice.nodes
     h = lattice.spacing
+    _log_clamped(z, nodes[0], nodes[-1])
     z = np.clip(z, nodes[0], nodes[-1])
     idx = np.clip(np.searchsorted(nodes, z) - 1, 0, len(nodes) - 2)
     frac = (z - nodes[idx]) / h
     binned = np.zeros(len(nodes))
     np.add.at(binned, idx, 1.0 - frac)
     np.add.at(binned, idx + 1, frac)
-    return fftconvolve(binned / z.size, lattice.kernel.axis_values(0), mode="valid")
+    return fftconvolve(binned / z.size, lattice.kernel.values[0], mode="valid")
+
+
+def zero_extended_density(scenario: Scenario, lattice: ObservationLattice,
+                          label: int) -> np.ndarray:
+    """Conditional density on the lattice nodes, zero outside the domain.
+
+    Only nodes inside the domain are evaluated, so density formulas never
+    see arguments outside their support.
+    """
+    nodes = lattice.nodes
+    inside = (nodes >= scenario.domain.lower) & (nodes <= scenario.domain.upper)
+    f = np.zeros(len(nodes))
+    f[inside] = scenario.density(label, nodes[inside])
+    return f
 
 
 def contaminated_density(scenario: Scenario, lattice: ObservationLattice,
@@ -300,14 +324,12 @@ def contaminated_density(scenario: Scenario, lattice: ObservationLattice,
     density (zero-extended to the padded grid) with the tabulated noise
     density; for dirac noise it is the zero-extended density itself.
     """
-    nodes = lattice.nodes
-    inside = (nodes >= scenario.domain.lower[0]) & (nodes <= scenario.domain.upper[0])
-    f = np.where(inside, scenario.density(label, nodes), 0.0)
+    f = zero_extended_density(scenario, lattice, label)
     if lattice.noise.kind == "dirac":
         return f
-    m = len(nodes) - 1
+    m = len(lattice.nodes) - 1
     offs = lattice.spacing * np.arange(-m, m + 1)
-    eta = lattice.noise.density(offs, 0)
+    eta = lattice.noise.density(offs)
     return fftconvolve(lattice.weights * f, eta, mode="valid")
 
 
@@ -341,8 +363,5 @@ def base_smoothed_density(scenario: Scenario, lattice: ObservationLattice,
     this smoothed density. This form avoids integrating the oscillatory
     corrected kernel and is the numerically stable route to expectations.
     """
-    nodes = lattice.nodes
-    inside = (nodes >= scenario.domain.lower[0]) & (nodes <= scenario.domain.upper[0])
-    f = np.where(inside, scenario.density(label, nodes), 0.0)
-    return fftconvolve(lattice.weights * f, lattice.base_scaled.axis_values(0),
-                       mode="valid")
+    f = zero_extended_density(scenario, lattice, label)
+    return fftconvolve(lattice.weights * f, lattice.base_scaled.values[0], mode="valid")

@@ -105,18 +105,12 @@ def contaminate(x_draws: np.ndarray, noise: NoiseModel, seed) -> np.ndarray:
     """Add i.i.d. noise to direct draws: Z_i = X_i + eps_i.
 
     Reproducible: a fixed integer seed yields bitwise-identical output.
-    ``x_draws`` is (n,) for one dimension or (n, d).
+    ``x_draws`` is a one-dimensional array of n draws.
     """
-    rng = _as_rng(seed)
     x = np.asarray(x_draws, dtype=float)
-    if x.ndim == 1:
-        return x + noise.sample(rng, x.shape[0], dim=0)
-    if x.shape[1] != noise.ndim:
-        raise ConfigurationError("draw dimension does not match noise model")
-    out = x.copy()
-    for dim in range(x.shape[1]):
-        out[:, dim] += noise.sample(rng, x.shape[0], dim=dim)
-    return out
+    if x.ndim != 1:
+        raise ConfigurationError(f"draws must be a one-dimensional array, got shape {x.shape}")
+    return x + noise.sample(_as_rng(seed), x.shape[0])
 
 
 def apply_operator(coeffs: CoefficientVector, op: SpectralOperator,
@@ -128,8 +122,7 @@ def apply_operator(coeffs: CoefficientVector, op: SpectralOperator,
     """
     coeffs.check_density_guard()
     n = min(coeffs.k_max, op.k_max)
-    x = grid.axis(0)
-    phi = op.basis(x, n)
+    phi = op.basis(grid.axis(), n)
     vals = (op.singular_values[: n + 1] * coeffs.values[: n + 1]) @ phi
     if np.any(vals < -1e-9):
         raise ModelError("operator image is negative on the grid")
@@ -149,8 +142,8 @@ def sample_density(values: np.ndarray, grid: Grid, n: int, seed) -> np.ndarray:
     vals = np.asarray(values, dtype=float)
     if np.any(vals < 0):
         raise ModelError("density values must be nonnegative")
-    x = grid.axis(0)
-    h = grid.spacing[0]
+    x = grid.axis()
+    h = grid.spacing
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * h * (vals[1:] + vals[:-1]))])
     total = cdf[-1]
     if total <= 0:

@@ -103,7 +103,7 @@ def build_backend(kind: str, scenario: Scenario, loss: LossSpec, rate_config: Ra
         cutoff = select_cutoff(rate_config, n) if cutoff is None else int(cutoff)
         return SvdBackend(operator=op, cutoff=min(cutoff, op.k_max), grid=scenario.domain,
                           loss=loss)
-    bw = select_bandwidth(rate_config, n) if bandwidth is None else (float(bandwidth),)
+    bw = select_bandwidth(rate_config, n) if bandwidth is None else float(bandwidth)
     lattice = build_lattice(scenario.domain, scenario.contamination, bw,
                             base_kind=base_kernel, pad_factor=pad_factor)
     return DeconvolutionBackend(lattice=lattice, loss=loss, window=window)

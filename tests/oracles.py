@@ -35,7 +35,7 @@ def naive_empirical_risk(clf, loss, lattice, sample):
     x = lattice.nodes
     w = trapezoid_weights(len(x), lattice.spacing)
     off = lattice.kernel.offsets[0]
-    kv = lattice.kernel.axis_values(0)
+    kv = lattice.kernel.values[0]
     total = 0.0
     for z_i, y_i in zip(sample.z, sample.y):
         kcol = np.interp(z_i - x, off, kv, left=0.0, right=0.0)

@@ -75,14 +75,14 @@ def test_criterion_1_kernel_oracle():
     """Numerically inverted corrected kernel matches the closed form."""
     started = time.perf_counter()
     h = 16.0 / 1023.0
-    offsets = ((np.arange(1024) - 511.5) * h,)
+    offsets = (np.arange(1024) - 511.5) * h
     base = build_base_kernel("sinc", GRID, offsets=offsets)
     noise = ie.laplace_noise(2.0)
     worst = 0.0
     for lam in (1.0, 0.5):
         built = build_deconvolution_kernel(base, noise, lam)
-        exact = closed_form_corrected_sinc(offsets[0] / lam, lam) / lam
-        worst = max(worst, float(np.abs(built.axis_values(0) - exact).max()))
+        exact = closed_form_corrected_sinc(offsets / lam, lam) / lam
+        worst = max(worst, float(np.abs(built.values[0] - exact).max()))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-6 and elapsed < 1.0
     report("criterion-1 kernel oracle", ok,

@@ -18,7 +18,7 @@ def exponent_config(out):
         "version": 1,
         "command": "exponent",
         "out": out,
-        "exponent_mode": "deconv",
+        "theory_mode": "deconv",
         "rate_config": {"kappa": 2.0, "rho": 0.5, "gamma": 1.0, "beta_bar": 1.0},
     }
 
@@ -97,8 +97,9 @@ def test_malformed_config_exit_codes(tmp_path):
     (fit_config, None, "base_kernel", "gauss"),
     (fit_config, "rate_config", "bias_variant", "cubic"),
     (rates_config, None, "theory_mode", "hardloss"),
-    (exponent_config, None, "exponent_mode", "hardloss"),
+    (exponent_config, None, "theory_mode", "hardloss"),
     (rates_config, "diagnose", "bias_variant", "cubic"),
+    (fit_config, "scenario", "contamination", {"kind": "laplace", "beta": [2, 2]}),
 ])
 def test_bad_config_values_exit_two(tmp_path, make, block, key, value):
     out = tmp_path / "artifacts"
@@ -137,7 +138,7 @@ def test_model_error_exit_code(tmp_path):
     doc = exponent_config(out)
     doc["rate_config"]["rho"] = 0.5
     doc["rate_config"]["kappa"] = 2.0
-    doc["exponent_mode"] = "deconv"
+    doc["theory_mode"] = "deconv"
     doc["rate_config"]["gamma"] = -1.0  # invalid at construction time
     path = write_config(tmp_path, doc)
     assert run(path) == 2  # configuration errors map to exit 2
@@ -183,6 +184,13 @@ def test_fit_command(tmp_path):
     assert "true_risk" in fit
 
 
+def test_fit_json_reproducible(tmp_path):
+    path = write_config(tmp_path, fit_config(str(tmp_path / "a")))
+    assert run(path) == 0
+    assert run(path, out_dir=str(tmp_path / "b")) == 0
+    assert (tmp_path / "a" / "fit.json").read_bytes() == (tmp_path / "b" / "fit.json").read_bytes()
+
+
 def test_rates_command_and_determinism(tmp_path):
     out1 = str(tmp_path / "a")
     out2 = str(tmp_path / "b")
@@ -222,6 +230,7 @@ def test_diagnose_command(tmp_path):
     assert run(path) == 0
     report = json.loads((tmp_path / "artifacts" / "diagnostics.json").read_text())
     assert len(report["lipschitz"]) == 2
+    assert [entry[0] for entry in report["bias"]] == [[0.15], [0.3]]
     assert "slopes" in report
     assert (tmp_path / "artifacts" / "diagnostics.csv").exists()
 

@@ -140,7 +140,7 @@ def test_slope_counts_dropped_points_from_a_generator(caplog):
 
 def test_lipschitz_near_identity_for_dirac(grid, hard_loss):
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
-    h = grid.spacing[0]
+    h = grid.spacing
     lattice = build_lattice(grid, dirac_noise(), 4.0 * h)
     hclass = threshold_grid(11, grid)
     tables = {c: modified_loss_deconv(c, hard_loss, lattice) for c in hclass}
@@ -178,7 +178,7 @@ def test_sup_bound_scalings(grid, hard_loss):
 
 def test_bias_vanishes_for_dirac_small_bandwidth(grid, hard_loss):
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
-    lattice = build_lattice(grid, dirac_noise(), 6.0 * grid.spacing[0])
+    lattice = build_lattice(grid, dirac_noise(), 6.0 * grid.spacing)
     hclass = threshold_grid(21, grid)
     star, _, _ = bayes_in_class(hclass, sc, hard_loss)
     value = empirical_bias_deconv(sc, lattice, hclass, star, hard_loss)

@@ -42,24 +42,24 @@ def cfg(**kw):
 
 
 def test_bandwidth_at_n_one():
-    assert select_bandwidth(cfg(), 1) == (1.0,)
+    assert select_bandwidth(cfg(), 1) == 1.0
 
 
 def test_bandwidth_reference_value():
     # exponent 3/13 at kappa=2, rho=1/2, gamma=1, beta_bar=1
-    lam = select_bandwidth(cfg(), 1024)[0]
+    lam = select_bandwidth(cfg(), 1024)
     assert abs(lam - 1024.0 ** (-3.0 / 13.0)) < 1e-12
     assert abs(lam - 0.201983) < 1e-5
 
 
 def test_bandwidth_direct_case_exponent():
     # beta_bar = 0 reduces to the direct-case exponent 3/7
-    lam = select_bandwidth(cfg(beta_bar=0.0), 128)[0]
+    lam = select_bandwidth(cfg(beta_bar=0.0), 128)
     assert abs(lam - 128.0 ** (-3.0 / 7.0)) < 1e-12
 
 
 def test_bandwidth_monotone_in_n():
-    values = [select_bandwidth(cfg(), n)[0] for n in (2, 8, 64, 512, 4096)]
+    values = [select_bandwidth(cfg(), n) for n in (2, 8, 64, 512, 4096)]
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
@@ -69,7 +69,7 @@ def test_bandwidth_squared_loss_variant_matches_margin_display():
     from indirect_erm.diagnostics import hard_loss_exponent
 
     c = cfg(bias_variant="squared_loss", gamma=2.0, beta_bar=2.0)
-    lam = select_bandwidth(c, 1000)[0]
+    lam = select_bandwidth(c, 1000)
     e = -np.log(lam) / np.log(1000.0)
     bias_rate = e * c.kappa * c.gamma / (c.kappa - 1.0)
     assert abs(bias_rate - hard_loss_exponent(1.0, 2.0, 1, 2.0)) < 1e-12
@@ -200,7 +200,7 @@ def test_minimize_svd_backend(grid, hard_loss):
 def test_dirac_consistency_many_replications(grid, hard_loss):
     # near-threshold recovery in at least 90% of seeded replications
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
-    h = grid.spacing[0]
+    h = grid.spacing
     lattice = build_lattice(grid, dirac_noise(), 8.0 * h)
     hclass = threshold_grid(101, grid)
     backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
@@ -215,7 +215,7 @@ def test_dirac_consistency_many_replications(grid, hard_loss):
 def test_oracle_empirical_risk_converges(grid, hard_loss):
     # at the oracle threshold the empirical risk approaches 1/4 like 1/sqrt(n)
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
-    h = grid.spacing[0]
+    h = grid.spacing
     lattice = build_lattice(grid, dirac_noise(), 4.0 * h)
     star = ThresholdClassifier(snap_to_cell_midpoint(0.5, grid))
     table = modified_loss_deconv(star, hard_loss, lattice)
@@ -236,4 +236,5 @@ def test_fit_result_serialization(grid, hard_loss):
     doc = fit.to_json()
     assert doc["classifier"]["kind"] == "threshold"
     assert doc["backend"] == "deconvolution"
+    assert doc["smoothing"] == [0.3]
     assert isinstance(fit.dumps(), str)

@@ -41,7 +41,7 @@ def test_label_out_of_range():
 
 
 def test_losses_bounded(grid):
-    x = grid.axis(0)
+    x = grid.axis()
     clf = ThresholdClassifier(0.37)
     for kind in ("hard", "hinge_clipped", "quadratic_clipped"):
         loss = LossSpec(kind)
@@ -52,7 +52,7 @@ def test_losses_bounded(grid):
 
 def test_hard_loss_difference_identity(grid):
     # |l(g,y) - l(g',y)| equals the symmetric-difference indicator, any y
-    x = grid.axis(0)
+    x = grid.axis()
     loss = LossSpec("hard")
     g1, g2 = ThresholdClassifier(0.3), ThresholdClassifier(0.6)
     ind = np.abs(g1.predict(x) - g2.predict(x))
@@ -111,7 +111,7 @@ def test_densities_integrate_to_one(grid):
 def test_bayes_in_class_linear(grid, linear_scenario, hard_loss):
     hclass = threshold_grid(101, grid)
     idx, star, risk = bayes_in_class(hclass, linear_scenario, hard_loss)
-    assert abs(star.threshold - 0.5) < grid.spacing[0]
+    assert abs(star.threshold - 0.5) < grid.spacing
     assert abs(risk - 0.25) < 1e-6
 
 
@@ -183,7 +183,7 @@ def test_scenario_json_roundtrip(grid):
         assert back.densities == sc.densities
         assert back.gamma == sc.gamma
         assert back.density_params == sc.density_params
-        x = grid.axis(0)
+        x = grid.axis()
         assert np.allclose(back.density(1, x), sc.density(1, x))
         assert type(back.contamination) is type(sc.contamination)
 

@@ -3,7 +3,6 @@ import pytest
 
 from indirect_erm import (
     ConfigurationError,
-    Grid,
     IllPosednessError,
     build_base_kernel,
     build_deconvolution_kernel,
@@ -24,7 +23,7 @@ def test_noise_decay_exponent_validation():
     with pytest.raises(ConfigurationError):
         laplace_noise(3.0)  # closed forms only exist for 2, 4, 6
     with pytest.raises(ConfigurationError):
-        NoiseModel("gaussian", (2.0,))
+        NoiseModel("gaussian", 2.0)
 
 
 @pytest.mark.parametrize("beta,var", [(2.0, 2.0), (4.0, 4.0), (6.0, 6.0)])
@@ -58,14 +57,6 @@ def test_noise_fourier_matches_density_transform():
         assert abs(ft - noise.fourier(np.array([t]))[0]) < 1e-6
 
 
-def test_noise_tabulated_fields():
-    noise = laplace_noise(2.0)
-    dens = noise.density_values
-    assert dens is not None and np.all(dens >= 0)
-    assert np.all(np.abs(noise.fourier_values) > 0)
-    assert dirac_noise().density_values is None
-
-
 def test_noise_sampling_moments(rng):
     noise = laplace_noise(2.0)
     draws = noise.sample(rng, 200_000)
@@ -83,7 +74,7 @@ def test_sinc_base_kernel_matches_closed_form(grid):
     off = base.offsets[0]
     safe = np.where(off == 0.0, 1.0, off)
     exact = np.where(np.abs(off) < 1e-12, 1.0 / np.pi, np.sin(safe) / (np.pi * safe))
-    assert np.abs(base.axis_values(0) - exact).max() < 1e-9
+    assert np.abs(base.values[0] - exact).max() < 1e-9
     # K(0) = 1/pi, K(pi) = 0
     assert abs(base.evaluate(np.array([0.0]))[0] - 1.0 / np.pi) < 1e-9
     assert abs(base.evaluate(np.array([np.pi]))[0]) < 1e-5  # interpolated node gap
@@ -102,11 +93,11 @@ def test_flat_top_kernel_moments_vanish(grid):
     # the moment integrands amplify the tails, so the window must be wide
     assert np.all(base_symbol("order_m_flat_top", np.linspace(-0.5, 0.5, 101)) == 1.0)
     h = 0.05
-    off = (h * np.arange(-12000, 12001),)
+    off = h * np.arange(-12000, 12001)
     base = build_base_kernel("order_m_flat_top", grid, offsets=off)
-    vals = base.axis_values(0)
+    vals = base.values[0]
     for order in (1, 2, 3):
-        moment = np.sum(off[0] ** order * vals) * h
+        moment = np.sum(off ** order * vals) * h
         assert abs(moment) < 1e-5
 
 
@@ -120,7 +111,7 @@ def test_windowed_normalization(grid):
     # windowed trapezoid integral reaches 1 only to O(1/window); the exact
     # normalization lives in the transform: symbol(0) = 1.
     h = 0.05
-    off = (h * np.arange(-4000, 4001),)
+    off = h * np.arange(-4000, 4001)
     for kind in ("sinc", "order_m_flat_top"):
         base = build_base_kernel(kind, grid, offsets=off)
         assert abs(base.integral() - 1.0) < 0.02
@@ -134,7 +125,7 @@ def test_windowed_normalization(grid):
 def test_dirac_correction_is_identity(grid):
     base = build_base_kernel("sinc", grid)
     corrected = build_deconvolution_kernel(base, dirac_noise(), 1.0)
-    assert np.abs(corrected.axis_values(0) - base.axis_values(0)).max() < 1e-10
+    assert np.abs(corrected.values[0] - base.values[0]).max() < 1e-10
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.5])
@@ -143,7 +134,7 @@ def test_corrected_sinc_matches_closed_form(grid, lam):
     corrected = build_deconvolution_kernel(base, laplace_noise(2.0), lam)
     off = corrected.offsets[0]
     exact = closed_form_corrected_sinc(off / lam, lam) / lam
-    assert np.abs(corrected.axis_values(0) - exact).max() < 1e-8
+    assert np.abs(corrected.values[0] - exact).max() < 1e-8
 
 
 def test_corrected_kernel_center_value(grid):
@@ -157,15 +148,14 @@ def test_corrected_kernel_center_value(grid):
 def test_bandwidth_below_spacing_rejected(grid):
     base = build_base_kernel("sinc", grid)
     with pytest.raises(ConfigurationError):
-        build_deconvolution_kernel(base, laplace_noise(2.0), grid.spacing[0] / 2)
+        build_deconvolution_kernel(base, laplace_noise(2.0), grid.spacing / 2)
 
 
 def test_ill_posed_noise_rejected(grid):
     class VanishingNoise:
-        ndim = 1
         kind = "laplace_like"
 
-        def fourier(self, t, dim=0):
+        def fourier(self, t):
             return np.full_like(np.asarray(t, dtype=float), 1e-15)
 
     base = build_base_kernel("sinc", grid)
@@ -175,22 +165,9 @@ def test_ill_posed_noise_rejected(grid):
 
 def test_fft_roundtrip_of_tables(grid):
     base = build_base_kernel("sinc", grid)
-    vals = base.axis_values(0)
+    vals = base.values[0]
     roundtrip = np.fft.ifft(np.fft.fft(vals)).real
     assert np.abs(roundtrip - vals).max() < 1e-10
-
-
-def test_product_kernel_two_dimensions():
-    g2 = Grid(lower=(0.0, 0.0), upper=(1.0, 1.0), points_per_dim=64)
-    base = build_base_kernel("sinc", g2)
-    noise = laplace_noise(2.0, ndim=2)
-    corrected = build_deconvolution_kernel(base, noise, (0.5, 0.25))
-    assert corrected.ndim == 2
-    # product structure: evaluate at (u, 0) equals factor0(u) * factor1(0)
-    pts = np.column_stack([np.array([0.3, -0.2]), np.zeros(2)])
-    f0 = np.interp([0.3, -0.2], corrected.offsets[0], corrected.values[0])
-    f1 = np.interp(0.0, corrected.offsets[1], corrected.values[1])
-    assert np.allclose(corrected.evaluate(pts), f0 * f1, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

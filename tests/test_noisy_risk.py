@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,12 @@ from indirect_erm import (
 from indirect_erm.erm import RateConfig, select_bandwidth
 from indirect_erm.grid import trapezoid_weights
 from indirect_erm.hypotheses import IntervalClassifier, loss_values, snap_to_cell_midpoint
-from indirect_erm.noisy_risk import base_smoothed_density, svd_loss_coefficients
+from indirect_erm import noisy_risk
+from indirect_erm.noisy_risk import (
+    base_smoothed_density,
+    contaminated_density,
+    svd_loss_coefficients,
+)
 from indirect_erm.operators import contaminate, sample_density
 from indirect_erm.simulation import generate_sample
 
@@ -160,6 +167,35 @@ def test_plug_in_density_windowed_mass(grid, rng):
     assert abs(float(np.dot(w, fhat)) - 1.0) < 0.05
 
 
+def test_plug_in_density_logs_clamped_draws(laplace_lattice, caplog, monkeypatch):
+    # out-of-lattice draws are counted and logged: WARNING once, DEBUG after
+    monkeypatch.setattr(noisy_risk, "_clamp_seen", False)
+    z = np.array([laplace_lattice.nodes[0] - 1.0, 0.5, laplace_lattice.nodes[-1] + 1.0])
+    with caplog.at_level("DEBUG", logger="indirect_erm.noisy_risk"):
+        plug_in_density(z, laplace_lattice)
+        plug_in_density(z, laplace_lattice)
+        plug_in_density(np.array([0.5]), laplace_lattice)
+    records = [r for r in caplog.records if "clamping" in r.getMessage()]
+    assert [r.levelname for r in records] == ["WARNING", "DEBUG"]
+    assert "clamping 2 observation(s)" in records[0].getMessage()
+
+
+def test_contaminated_density_evaluates_only_the_domain(grid):
+    # the smooth family's powers are undefined left of the domain; the
+    # zero extension must never evaluate them there
+    noise = laplace_noise(2.0)
+    sc = make_margin_scenario(1, noise, family="smooth", gamma=2.0, sharpness=1.3, grid=grid)
+    lattice = build_lattice(grid, noise, 0.2)
+    w = trapezoid_weights(len(lattice.nodes), lattice.spacing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for label in sc.labels:
+            g = contaminated_density(sc, lattice, label)
+            assert np.all(np.isfinite(g))
+            # the padding holds all but the noise tails beyond four sigma
+            assert abs(float(np.dot(w, g)) - 1.0) < 0.01
+
+
 def test_noise_correction_beats_plain_smoothing(grid):
     # mean integrated squared error against the true uniform density,
     # paired draws: corrected estimate vs plain base-kernel smoothing
@@ -180,7 +216,7 @@ def test_noise_correction_beats_plain_smoothing(grid):
     mise_corrected = float(np.dot(w, (corrected - truth) ** 2))
 
     plain = np.zeros(len(lattice.nodes))
-    base_vals = lattice.base_scaled.axis_values(0)
+    base_vals = lattice.base_scaled.values[0]
     off = lattice.base_scaled.offsets[0]
     from scipy.signal import fftconvolve
 
@@ -230,7 +266,7 @@ def test_svd_table_converges_to_raw_loss(grid, hard_loss):
     op = SpectralOperator(decay=0.0, k_max=64)
     t = snap_to_cell_midpoint(0.5, grid)
     clf = ThresholdClassifier(t)
-    x, w = grid.axis(0), grid.weights(0)
+    x, w = grid.axis(), grid.weights()
     raw = loss_values(clf, hard_loss, 1, x)
     errs = []
     for cutoff in (8, 16, 32, 64):
@@ -314,7 +350,7 @@ def test_restricted_empty_window(laplace_lattice, hard_loss):
 
 def test_identity_reduction_dirac_small_bandwidth(grid, hard_loss):
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
-    h = grid.spacing[0]
+    h = grid.spacing
     lattice = build_lattice(grid, dirac_noise(), 4.0 * h)
     clf = IntervalClassifier(snap_to_cell_midpoint(0.3, grid),
                              snap_to_cell_midpoint(0.7, grid))

@@ -53,7 +53,7 @@ def test_contamination_seed_determinism():
 
 def test_basis_orthonormal_under_quadrature(grid):
     op = SpectralOperator(decay=1.0, k_max=64)
-    x, w = grid.axis(0), grid.weights(0)
+    x, w = grid.axis(), grid.weights()
     phi = op.basis(x)
     gram = (phi * w) @ phi.T
     assert np.abs(gram - np.eye(65)).max() < 1e-6
@@ -79,7 +79,7 @@ def test_apply_operator_scales_coefficients(grid):
     coeffs[0] = 1.0
     coeffs[3] = 0.1
     vals = apply_operator(CoefficientVector(coeffs), op, grid)
-    x, w = grid.axis(0), grid.weights(0)
+    x, w = grid.axis(), grid.weights()
     phi3 = np.sqrt(2.0) * np.cos(3.0 * np.pi * x)
     extracted = float(np.dot(w, vals * phi3))
     assert abs(extracted - 0.1 / 3.0) < 1e-10
@@ -100,7 +100,7 @@ def test_self_adjoint_roundtrip(grid, linear_scenario):
     op = SpectralOperator(decay=1.0, k_max=64)
     theta = linear_scenario.cosine_coefficients(1, 64)
     vals = apply_operator(CoefficientVector(theta), op, grid)
-    x, w = grid.axis(0), grid.weights(0)
+    x, w = grid.axis(), grid.weights()
     phi = op.basis(x)
     extracted = (phi * w) @ vals
     assert np.abs(extracted - op.singular_values * theta).max() < 1e-8
@@ -122,7 +122,7 @@ def test_sample_density_spike(grid):
     values[500] = 1.0
     values[501] = 1.0
     draws = sample_density(values, grid, 200, 5)
-    x = grid.axis(0)
+    x = grid.axis()
     assert np.all((draws >= x[499]) & (draws <= x[502]))
 
 
@@ -180,7 +180,7 @@ def test_unbiasedness_under_operator_image(grid, linear_scenario):
     n = 100_000
     z = sample_density(image, grid, n, 17)
     est = estimate_svd_coefficients(z, op, 8)
-    x_nodes = grid.axis(0)
+    x_nodes = grid.axis()
     for k in (1, 2, 3):
         phi_k = np.sqrt(2.0) * np.cos(np.pi * k * z)
         se = phi_k.std(ddof=1) / np.sqrt(n) * k  # b_k^(-1) rescale
