@@ -147,9 +147,10 @@ class FitResult:
 def _class_rows(cache: dict, hclass: HypothesisClass, label: int, row) -> np.ndarray:
     """One row per classifier, built once per (class, label) and kept in ``cache``."""
     key = (hclass, label)
-    if key not in cache:
-        cache[key] = np.vstack([row(clf) for clf in hclass])
-    return cache[key]
+    rows = cache.get(key)
+    if rows is None:
+        rows = cache[key] = np.vstack([row(clf) for clf in hclass])
+    return rows
 
 
 @dataclass(frozen=True)

@@ -117,11 +117,17 @@ class HypothesisClass:
 
     classifiers: tuple
     labels: tuple[int, ...] = (0, 1)
+    # hashing walks every classifier, so it is done once; caches key on the class
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
         if len(self.classifiers) == 0:
             raise ConfigurationError("hypothesis class must be nonempty")
+        object.__setattr__(self, "_hash", hash((self.classifiers, self.labels)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.classifiers)
@@ -307,10 +313,6 @@ class Scenario:
     def density_values(self, label: int, grid: Grid | None = None) -> np.ndarray:
         g = grid or self.domain
         return self.density(label, g.axis())
-
-    def marginal_values(self, grid: Grid | None = None) -> np.ndarray:
-        x = (grid or self.domain).axis()
-        return self.priors[0] * self.density(0, x) + self.priors[1] * self.density(1, x)
 
     def cosine_coefficients(self, label: int, k_max: int) -> np.ndarray:
         """Coefficients of f_y in the cosine basis.

@@ -10,6 +10,9 @@ table here is one univariate factor.
 Tables are produced by numerically inverting the Fourier integral with
 composite Gauss-Legendre panels sized to the oscillation, which keeps
 the pointwise error near machine precision even for small bandwidths.
+Offset grids are symmetric about 0 and the integrand is even, so only the
+upper half of the offsets is evaluated and mirrored: every table is
+exactly even.
 """
 
 from __future__ import annotations
@@ -181,15 +184,25 @@ def _panel_rule(s_max: float, v_max: float, points_per_panel: int = 16,
 
 def _invert_symbol(symbol_values: np.ndarray, s_nodes: np.ndarray,
                    s_weights: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Evaluate (1/pi) * int_0^smax symbol(s) cos(s v) ds at each offset v."""
-    # chunk the offset axis to bound the cos matrix size
-    out = np.empty_like(offsets, dtype=float)
+    """Evaluate (1/pi) * int_0^smax symbol(s) cos(s v) ds at each offset v.
+
+    The integral is even in v, so only the upper half of the symmetric
+    offset grid (from the 0 node on for odd lengths, the positive offsets
+    for even ones) is evaluated; the lower half is its mirror image and the
+    table is exactly even.
+    """
+    if not np.array_equal(offsets, -offsets[::-1]):
+        raise ConfigurationError("kernel offsets must be symmetric about 0")
+    upper = offsets[len(offsets) // 2:]
+    out = np.empty_like(upper, dtype=float)
     coef = s_weights * symbol_values
+    # chunk the offset axis to bound the cos matrix size
     chunk = max(1, int(4_000_000 / max(len(s_nodes), 1)))
-    for start in range(0, len(offsets), chunk):
-        block = offsets[start:start + chunk]
+    for start in range(0, len(upper), chunk):
+        block = upper[start:start + chunk]
         out[start:start + chunk] = np.cos(np.outer(block, s_nodes)) @ coef
-    return out / np.pi
+    out /= np.pi
+    return np.concatenate([out[len(offsets) % 2:][::-1], out])
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +282,8 @@ def build_base_kernel(kind: str, grid: Grid,
     grid : Grid
         Supplies the spacing and the default offset span.
     offsets : optional offset array
-        Override the tabulation window (must be symmetric and uniform).
+        Override the tabulation window (must be uniform and exactly
+        symmetric about 0, else ``ConfigurationError``).
     """
     if kind not in BASE_KINDS:
         raise ConfigurationError(f"unknown base kernel kind {kind!r}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -97,7 +98,8 @@ class ObservationLattice:
     contaminated observations; the kernel offsets run over every node
     difference at the same spacing, so discrete convolutions against node
     functions are exact sums. ``base_scaled`` is the bandwidth-scaled base
-    kernel on the same offsets (the noise-free twin of ``kernel``).
+    kernel on the same offsets (the noise-free twin of ``kernel``); it is
+    built on first use, since only bias diagnostics read it.
     """
 
     domain: Grid
@@ -105,7 +107,6 @@ class ObservationLattice:
     weights: np.ndarray
     kernel: TabulatedKernel
     noise: NoiseModel
-    base_scaled: TabulatedKernel
 
     @property
     def bandwidth(self) -> float:
@@ -115,10 +116,9 @@ class ObservationLattice:
     def spacing(self) -> float:
         return float(self.nodes[1] - self.nodes[0])
 
-    def domain_slice(self) -> slice:
-        """Positions of the original domain nodes inside the padded axis."""
-        n_pad = (len(self.nodes) - self.domain.points_per_dim) // 2
-        return slice(n_pad, n_pad + self.domain.points_per_dim)
+    @cached_property
+    def base_scaled(self) -> TabulatedKernel:
+        return build_deconvolution_kernel(self.kernel, dirac_noise(), self.bandwidth)
 
 
 def build_lattice(grid: Grid, noise: NoiseModel, bandwidth: float,
@@ -134,9 +134,8 @@ def build_lattice(grid: Grid, noise: NoiseModel, bandwidth: float,
     offsets = (nodes[1] - nodes[0]) * np.arange(-m, m + 1)
     base = build_base_kernel(base_kind, grid, offsets=offsets)
     kernel = build_deconvolution_kernel(base, noise, bandwidth)
-    base_scaled = build_deconvolution_kernel(base, dirac_noise(), bandwidth)
     return ObservationLattice(domain=grid, nodes=nodes, weights=weights,
-                              kernel=kernel, noise=noise, base_scaled=base_scaled)
+                              kernel=kernel, noise=noise)
 
 
 @dataclass(frozen=True)

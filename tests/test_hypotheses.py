@@ -124,6 +124,25 @@ def test_bayes_singleton_and_ties(grid, linear_scenario, hard_loss):
     assert idx == 0  # lowest index on exact ties
 
 
+def test_hypothesis_class_hashed_once():
+    class CountingThreshold(ThresholdClassifier):
+        calls = 0
+
+        def __hash__(self):
+            type(self).calls += 1
+            return super().__hash__()
+
+    clfs = tuple(CountingThreshold(t) for t in (0.2, 0.4, 0.6))
+    a = HypothesisClass(clfs)
+    assert CountingThreshold.calls == 3
+    b = HypothesisClass(tuple(CountingThreshold(t) for t in (0.2, 0.4, 0.6)))
+    assert a is not b and a == b and hash(a) == hash(b)
+    calls = CountingThreshold.calls
+    cache = {(a, 1): "rows"}
+    assert cache.get((b, 1)) == "rows"  # a value-equal class hits the cache
+    assert CountingThreshold.calls == calls
+
+
 def test_excess_risk_nonnegative(grid, linear_scenario, hard_loss):
     hclass = threshold_grid(31, grid)
     _, _, best = bayes_in_class(hclass, linear_scenario, hard_loss)

@@ -6,6 +6,7 @@ from indirect_erm import (
     IllPosednessError,
     build_base_kernel,
     build_deconvolution_kernel,
+    build_lattice,
     dirac_noise,
     kernel_fourier_sup,
     laplace_noise,
@@ -161,6 +162,30 @@ def test_ill_posed_noise_rejected(grid):
     base = build_base_kernel("sinc", grid)
     with pytest.raises(IllPosednessError):
         build_deconvolution_kernel(base, VanishingNoise(), 0.5)
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_tables_are_exactly_even(grid, parity):
+    lam = 0.25
+    # the padded lattice offsets: odd length with a 0 node
+    off = build_lattice(grid, laplace_noise(2.0), lam).kernel.offsets[0]
+    if parity == "even":
+        m = len(off) // 2
+        off = (np.arange(2 * m) - (m - 0.5)) * grid.spacing
+    base = build_base_kernel("order_m_flat_top", grid, offsets=off)
+    corrected = build_deconvolution_kernel(base, laplace_noise(2.0), lam)
+    for table in (base, corrected):
+        vals = table.values[0]
+        assert len(vals) % 2 == (parity == "odd")
+        np.testing.assert_array_equal(vals, vals[::-1])
+
+
+def test_asymmetric_offsets_rejected(grid):
+    h = grid.spacing
+    for off in (h * np.arange(0, 41), h * np.arange(-20, 21) + 0.25 * h,
+                h * np.arange(-20, 22)):
+        with pytest.raises(ConfigurationError):
+            build_base_kernel("sinc", grid, offsets=off)
 
 
 def test_fft_roundtrip_of_tables(grid):

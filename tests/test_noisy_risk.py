@@ -83,6 +83,28 @@ def test_expected_table_matches_base_smoothing(grid, hard_loss):
     assert abs(mc_vals.mean() - exact) < 3.0 * se + 1e-4
 
 
+def test_base_scaled_built_once_on_first_use(grid, monkeypatch):
+    original = noisy_risk.build_deconvolution_kernel
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(noisy_risk, "build_deconvolution_kernel", counting)
+    lam = 0.25
+    lattice = build_lattice(grid, laplace_noise(2.0), lam)
+    assert len(calls) == 1  # only the noise-corrected kernel
+    first = lattice.base_scaled
+    assert len(calls) == 2
+    assert lattice.base_scaled is first
+    assert len(calls) == 2
+    direct = original(lattice.kernel, dirac_noise(), lam)
+    np.testing.assert_array_equal(first.values[0], direct.values[0])
+    np.testing.assert_array_equal(first.offsets[0], lattice.kernel.offsets[0])
+    assert first.bandwidth == lam and first.base_kind == lattice.kernel.base_kind
+
+
 def test_table_clamps_out_of_range(laplace_lattice, hard_loss):
     clf = ThresholdClassifier(0.5)
     table = modified_loss_deconv(clf, hard_loss, laplace_lattice)
