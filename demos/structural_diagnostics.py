@@ -37,14 +37,15 @@ from indirect_erm.hypotheses import (
     structural_pair_priors,
     _TENT_CROSSING,
 )
-from indirect_erm.noisy_risk import modified_loss_deconv, modified_loss_svd
+from indirect_erm.erm import DeconvolutionBackend, SvdBackend
 
 
 def neighbor_pairs(hclass, per_scale=5):
+    """Index pairs of neighbors at geometric spacings."""
     pairs, step = [], 1
     while step < len(hclass):
         for i in range(0, len(hclass) - step, max(1, (len(hclass) - step) // per_scale)):
-            pairs.append((hclass[i], hclass[i + step]))
+            pairs.append((i, i + step))
         step *= 2
     return pairs
 
@@ -76,8 +77,8 @@ def main():
     lips, bounds = [], []
     for lam in lams:
         lattice = build_lattice(grid, noise, lam)
-        tables = {c: modified_loss_deconv(c, loss, lattice) for c in hclass}
-        lips.append(float(empirical_lipschitz(scenario, tables, pairs,
+        backend = DeconvolutionBackend(lattice=lattice, loss=loss)
+        lips.append(float(empirical_lipschitz(scenario, backend, hclass, pairs,
                                               10_000, seed=5).max()))
         bounds.append(sup_bound_deconv(lattice, hclass, loss, grid))
     bias_lams = [0.02, 0.03, 0.045, 0.068, 0.1]
@@ -96,8 +97,8 @@ def main():
     cutoffs = [4, 6, 9, 14, 21, 32]
     lips, bounds = [], []
     for cutoff in cutoffs:
-        tables = {c: modified_loss_svd(c, loss, op, cutoff, grid) for c in hclass}
-        lips.append(float(empirical_lipschitz(sc_linear, tables, pairs,
+        backend = SvdBackend(operator=op, cutoff=cutoff, grid=grid, loss=loss)
+        lips.append(float(empirical_lipschitz(sc_linear, backend, hclass, pairs,
                                               10_000, seed=5).max()))
         bounds.append(sup_bound_svd(op, cutoff, hclass, loss, grid))
     bias_cutoffs = [6, 9, 14, 21, 32, 48]
@@ -113,12 +114,10 @@ def main():
     print(f"Bernstein ratio (linear margin family): "
           f"{bernstein_ratio(sc_lin, hclass, star, loss):.3f}")
 
-    lattice = build_lattice(grid, noise, 0.25)
+    backend = DeconvolutionBackend(lattice=build_lattice(grid, noise, 0.25), loss=loss)
     small = threshold_grid(9, grid)
-    tables = {c: modified_loss_deconv(c, loss, lattice) for c in small}
     ns = (200, 800, 3200)
-    values = [empirical_modulus(sc_lin, small, 0.6, tables, n, 20, seed=7,
-                                lattice=lattice) for n in ns]
+    values = [empirical_modulus(sc_lin, backend, small, 0.6, n, 20, seed=7) for n in ns]
     print(f"modulus decay in n: slope {slope(ns, values):+.2f} (theory -0.5)")
 
 

@@ -49,13 +49,15 @@ from .hypotheses import (
     true_risk,
 )
 from .kernels import BASE_KINDS, build_base_kernel, build_deconvolution_kernel
-from .noisy_risk import build_lattice, modified_loss_deconv, modified_loss_svd
+# not called here; kept as module attributes that the benchmark tracer wraps
+from .noisy_risk import build_lattice, modified_loss_deconv  # noqa: F401
 from .operators import SpectralOperator
 from .simulation import (
     BACKENDS,
     ExperimentPlan,
     build_backend,
     generate_sample,
+    rule_smoothing,
     run_rate_experiment,
 )
 
@@ -227,11 +229,14 @@ def _cmd_fit(doc, out_dir, seed):
     n = int(doc.get("n", 1024))
     hclass = threshold_grid(int((doc.get("hypotheses") or {}).get("count", 101)),
                             scenario.domain)
-    backend = build_backend(doc.get("backend", "deconvolution"), scenario, loss, cfg, n,
+    kind = doc.get("backend", "deconvolution")
+    smoothing = doc.get("cutoff" if kind == "svd" else "bandwidth")
+    if smoothing is None:
+        smoothing = rule_smoothing(kind, scenario, cfg, n)
+    backend = build_backend(kind, scenario, loss, smoothing,
                             base_kernel=doc.get("base_kernel", "sinc"),
                             pad_factor=float(doc.get("pad_factor", 4.0)),
-                            window=tuple(doc["window"]) if "window" in doc else None,
-                            bandwidth=doc.get("bandwidth"), cutoff=doc.get("cutoff"))
+                            window=tuple(doc["window"]) if "window" in doc else None)
     sample = generate_sample(scenario, n, np.random.default_rng(seed))
     fit = minimize(hclass, sample, backend)
     payload = fit.to_json()
@@ -294,39 +299,30 @@ def _cmd_diagnose(doc, out_dir, seed):
     star_index, _, _ = bayes_in_class(hclass, scenario, loss)
     bias_variant = ddoc.get("bias_variant", "squared_loss")
     mc_n = int(ddoc.get("mc_n", 20000))
-    if isinstance(scenario.contamination, SpectralOperator):
-        op = scenario.contamination
-        cutoffs = [int(c) for c in ddoc.get("cutoffs", (4, 8, 16, 32))]
-        for cutoff in cutoffs:
-            tables = {clf: modified_loss_svd(clf, loss, op, cutoff, grid)
-                      for clf in hclass}
-            pairs = _diagnostic_pairs(hclass, int(ddoc.get("pair_count", 40)))
-            ratios = empirical_lipschitz(scenario, tables, pairs, mc_n, seed)
-            cert = sup_bound_svd(op, cutoff, hclass, loss, grid)
-            report.lipschitz.append((cutoff, float(ratios.max())))
-            report.sup_bounds.append((cutoff, cert, table_sup(tables)))
-            report.bias.append((cutoff, empirical_bias_svd(
-                scenario, op, cutoff, hclass, star_index, loss,
-                bias_variant=bias_variant)))
-        xs = [float(c) for c, _ in report.lipschitz]
-        report.slopes = _scaling_slopes(xs, report)
+    pairs = _diagnostic_pairs(hclass, int(ddoc.get("pair_count", 40)))
+    op = scenario.contamination
+    kind = "svd" if isinstance(op, SpectralOperator) else "deconvolution"
+    if kind == "svd":
+        smoothings = [int(c) for c in ddoc.get("cutoffs", (4, 8, 16, 32))]
     else:
-        bandwidths = [float(b) for b in ddoc.get("bandwidths", (0.1, 0.15, 0.22, 0.33, 0.5))]
-        for bw in bandwidths:
-            lattice = build_lattice(grid, scenario.contamination, bw,
-                                    base_kind=doc.get("base_kernel", "sinc"),
-                                    pad_factor=float(doc.get("pad_factor", 4.0)))
-            tables = {clf: modified_loss_deconv(clf, loss, lattice) for clf in hclass}
-            pairs = _diagnostic_pairs(hclass, int(ddoc.get("pair_count", 40)))
-            ratios = empirical_lipschitz(scenario, tables, pairs, mc_n, seed)
-            cert = sup_bound_deconv(lattice, hclass, loss, grid)
-            report.lipschitz.append((bw, float(ratios.max())))
-            report.sup_bounds.append((bw, cert, table_sup(tables)))
-            report.bias.append((bw, empirical_bias_deconv(
-                scenario, lattice, hclass, star_index, loss,
-                bias_variant=bias_variant)))
-        xs = [float(b) for b, _ in report.lipschitz]
-        report.slopes = _scaling_slopes(xs, report)
+        smoothings = [float(b) for b in ddoc.get("bandwidths", (0.1, 0.15, 0.22, 0.33, 0.5))]
+    for smoothing in smoothings:
+        backend = build_backend(kind, scenario, loss, smoothing,
+                                base_kernel=doc.get("base_kernel", "sinc"),
+                                pad_factor=float(doc.get("pad_factor", 4.0)))
+        ratios = empirical_lipschitz(scenario, backend, hclass, pairs, mc_n, seed)
+        if kind == "svd":
+            cert = sup_bound_svd(op, smoothing, hclass, loss, grid)
+            bias = empirical_bias_svd(scenario, op, smoothing, hclass, star_index, loss,
+                                      bias_variant=bias_variant)
+        else:
+            cert = sup_bound_deconv(backend.lattice, hclass, loss, grid)
+            bias = empirical_bias_deconv(scenario, backend.lattice, hclass, star_index, loss,
+                                         bias_variant=bias_variant)
+        report.lipschitz.append((smoothing, float(ratios.max())))
+        report.sup_bounds.append((smoothing, cert, table_sup(backend, hclass)))
+        report.bias.append((smoothing, bias))
+    report.slopes = _scaling_slopes([float(s) for s in smoothings], report)
     report.bernstein_max = bernstein_ratio(scenario, hclass, star_index, loss)
     _write(os.path.join(out_dir, "diagnostics.json"), _json_bytes(report.to_json()))
     report.raw_csv(os.path.join(out_dir, "diagnostics.csv"))
@@ -334,13 +330,13 @@ def _cmd_diagnose(doc, out_dir, seed):
 
 
 def _diagnostic_pairs(hclass, count):
-    """Neighbor pairs at geometric spacings plus far pairs, deterministic."""
+    """Index pairs of neighbors at geometric spacings plus far pairs, deterministic."""
     m = len(hclass)
     pairs = []
     step = 1
     while step < m and len(pairs) < count:
         for i in range(0, m - step, max(1, (m - step) // 6)):
-            pairs.append((hclass[i], hclass[i + step]))
+            pairs.append((i, i + step))
             if len(pairs) >= count:
                 break
         step *= 2

@@ -4,7 +4,10 @@ Everything here is either closed-form exponent arithmetic or a measured
 log-log scaling: the Lipschitz constant of the regularized loss class, its
 certified uniform bound, the approximation (bias) function, the Bernstein
 ratio of the excess-loss class, and the modulus of continuity of the
-centered empirical process over shrinking loss balls.
+centered empirical process over shrinking loss balls. The measured
+constants read the regularized loss class through the risk backends of
+``erm``, the same class matrices the minimizer scans: their losses at
+Monte-Carlo draws, their exact expected risks, and their empirical risks.
 """
 
 from __future__ import annotations
@@ -16,17 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .erm import DeconvolutionBackend, SvdBackend, empirical_risks
 from .errors import ConfigurationError, DataError
-from .grid import Grid, trapezoid_weights
+from .grid import Grid
 from .hypotheses import HypothesisClass, LossSpec, Scenario, loss_values, true_risk
 from .kernels import kernel_fourier_l2
-from .noisy_risk import (
-    ObservationLattice,
-    base_smoothed_density,
-    expected_modified_risk,
-    svd_loss_coefficients,
-    zero_extended_density,
-)
+from .noisy_risk import ObservationLattice, base_smoothed_density, zero_extended_density
 from .operators import SpectralOperator
 
 logger = logging.getLogger(__name__)
@@ -46,6 +44,7 @@ __all__ = [
 ]
 
 RATE_MODES = ("direct", "deconv", "svd", "hard_loss")
+MU_CHOICES = ("nu_y", "p")
 
 
 # ---------------------------------------------------------------------------
@@ -129,46 +128,52 @@ def fit_rate_slope(points) -> tuple[float, float]:
 # measured structural constants
 # ---------------------------------------------------------------------------
 
-def empirical_lipschitz(scenario: Scenario, tables: dict, pairs,
+def _loss_distance_sq(scenario: Scenario, loss: LossSpec, clf_a, clf_b, grid: Grid,
+                      mu: str) -> float:
+    """Squared L2(mu) distance of two classifiers' raw losses; ``mu`` is
+    "nu_y" (Lebesgue measure times the label priors) or "p" (the input law)."""
+    if mu not in MU_CHOICES:
+        raise ConfigurationError(f"unknown loss-distance measure {mu!r}, "
+                                 f"not one of {list(MU_CHOICES)}")
+    x, w = grid.axis(), grid.weights()
+    total = 0.0
+    for label in scenario.labels:
+        diff = loss_values(clf_a, loss, label, x) - loss_values(clf_b, loss, label, x)
+        density = scenario.density(label, x) if mu == "p" else np.ones_like(x)
+        total += scenario.priors[label] * float(np.dot(w, diff * diff * density))
+    return total
+
+
+def empirical_lipschitz(scenario: Scenario, backend, hclass: HypothesisClass, pairs,
                         mc_n: int, seed, mu: str = "nu_y",
                         grid: Grid | None = None) -> np.ndarray:
     """Measured Lipschitz ratios of the regularized loss class.
 
-    For each classifier pair: the Monte-Carlo L2 norm of the table
-    difference under the contaminated law, divided by the quadrature L2
-    norm of the raw loss difference under ``mu`` ("nu_y": Lebesgue times
-    label priors; "p": the joint input law). Degenerate pairs are skipped.
-
-    ``tables`` maps a classifier to its ModifiedLossTable.
+    For each pair (i, j) of class indices: the Monte-Carlo L2 norm of the
+    difference of the backend's regularized losses under the contaminated
+    law, divided by the quadrature L2 norm of the raw loss difference (with
+    the backend's loss) under ``mu``. Degenerate pairs are skipped.
     """
     from .simulation import generate_sample  # a top-level import would be circular
 
     g = grid or scenario.domain
-    x, w = g.axis(), g.weights()
-    sample = generate_sample(scenario, mc_n, np.random.default_rng(seed))
-    loss = LossSpec("hard")
-    ratios = []
-    for clf_a, clf_b in pairs:
-        denom_sq = 0.0
-        for label in scenario.labels:
-            diff = (loss_values(clf_a, loss, label, x)
-                    - loss_values(clf_b, loss, label, x))
-            density = scenario.density(label, x) if mu == "p" else np.ones_like(x)
-            denom_sq += scenario.priors[label] * float(np.dot(w, diff * diff * density))
-        denom = math.sqrt(max(denom_sq, 0.0))
+    kept = []  # (i, j, raw loss distance)
+    for i, j in pairs:
+        denom = math.sqrt(max(_loss_distance_sq(scenario, backend.loss, hclass[i], hclass[j],
+                                                g, mu), 0.0))
         if denom <= 1e-8:
             logger.info("skipping a degenerate classifier pair (zero loss distance)")
-            continue
-        num_sq = 0.0
-        ta, tb = tables[clf_a], tables[clf_b]
-        for label in scenario.labels:
-            z_lab = sample.z[sample.y == label]
-            if z_lab.size == 0:
-                continue
-            d = ta.evaluate(z_lab, label) - tb.evaluate(z_lab, label)
-            num_sq += float(np.sum(d * d))
-        ratios.append(math.sqrt(num_sq / sample.n) / denom)
-    return np.asarray(ratios)
+        else:
+            kept.append((i, j, denom))
+    sample = generate_sample(scenario, mc_n, np.random.default_rng(seed))
+    num_sq = np.zeros(len(kept))
+    for label in scenario.labels:
+        z_lab = sample.z[sample.y == label]
+        if z_lab.size:
+            values = backend.losses(hclass, label, z_lab)
+            num_sq += [float(np.sum((values[i] - values[j]) ** 2)) for i, j, _ in kept]
+            del values  # one label's loss matrix alive at a time
+    return np.asarray([math.sqrt(s / sample.n) / d for s, (_, _, d) in zip(num_sq, kept)])
 
 
 def _max_loss_l2(hclass: HypothesisClass, loss: LossSpec, grid: Grid) -> float:
@@ -208,9 +213,14 @@ def sup_bound_svd(op: SpectralOperator, cutoff: int, hclass: HypothesisClass,
     return float(col_norms.max()) * _max_loss_l2(hclass, loss, grid)
 
 
-def table_sup(tables) -> float:
-    """Raw measured sup of |table| over the class (secondary diagnostic)."""
-    return max(t.max_abs() for t in tables.values())
+def table_sup(backend, hclass: HypothesisClass) -> float:
+    """Raw measured sup of the regularized losses over the class (secondary
+    diagnostic), on the backend's own nodes: the lattice nodes, or the
+    domain axis for the spectral backend."""
+    nodes = (backend.lattice.nodes if isinstance(backend, DeconvolutionBackend)
+             else backend.grid.axis())
+    return max(float(np.max(np.abs(backend.losses(hclass, label, nodes))))
+               for label in hclass.labels)
 
 
 def _r_constant(kappa: float, variant: str) -> float:
@@ -234,8 +244,7 @@ def empirical_bias_deconv(scenario: Scenario, lattice: ObservationLattice,
     """
     kappa = scenario.kappa
     r = _r_constant(kappa, bias_variant)
-    nodes = lattice.nodes
-    w = trapezoid_weights(len(nodes), lattice.spacing)
+    nodes, w = lattice.nodes, lattice.weights
     risks = np.zeros(len(hclass))
     reg = np.zeros(len(hclass))
     for label in scenario.labels:
@@ -259,21 +268,16 @@ def empirical_bias_svd(scenario: Scenario, op: SpectralOperator, cutoff: int,
     """Approximation-function estimate for the spectral backend.
 
     The expectation of the truncated empirical risk is the coefficient
-    pairing sum_y p_y sum_(k<=N) c_k(g, y) theta_k^y, evaluated exactly.
+    pairing sum_y p_y sum_(k<=N) c_k(g, y) theta_k^y (the backend's
+    ``expected_risks``), evaluated exactly.
     """
     g = grid or scenario.domain
-    kappa = scenario.kappa
-    r = _r_constant(kappa, bias_variant)
-    theta = {label: scenario.cosine_coefficients(label, cutoff)
-             for label in scenario.labels}
+    r = _r_constant(scenario.kappa, bias_variant)
     risks = np.array([true_risk(c, scenario, loss, g) for c in hclass])
-    reg = np.zeros(len(hclass))
-    for i, clf in enumerate(hclass):
-        for label in scenario.labels:
-            c = svd_loss_coefficients(clf, loss, op, cutoff, g, label)
-            reg[i] += scenario.priors[label] * float(np.dot(c, theta[label]))
+    reg = SvdBackend(operator=op, cutoff=cutoff, grid=g, loss=loss).expected_risks(
+        hclass, scenario)
     excess = risks - risks[star_index]
-    bias = (risks - risks[star_index]) - (reg - reg[star_index])
+    bias = excess - (reg - reg[star_index])
     values = bias - r * excess
     return float(max(values.max(), 0.0))
 
@@ -291,7 +295,6 @@ def bernstein_ratio(scenario: Scenario, hclass: HypothesisClass, star_index: int
     if not kappa > 1.0 or not np.isfinite(kappa):  # also catches nan
         raise ConfigurationError("Bernstein ratio needs a finite kappa > 1")
     g = grid or scenario.domain
-    x, w = g.axis(), g.weights()
     star = hclass[star_index]
     risk_star = true_risk(star, scenario, loss, g)
     best = 0.0
@@ -301,78 +304,41 @@ def bernstein_ratio(scenario: Scenario, hclass: HypothesisClass, star_index: int
         excess = true_risk(clf, scenario, loss, g) - risk_star
         if excess <= min_excess:
             continue
-        norm_sq = 0.0
-        for label in scenario.labels:
-            diff = loss_values(clf, loss, label, x) - loss_values(star, loss, label, x)
-            density = scenario.density(label, x) if mu == "p" else np.ones_like(x)
-            norm_sq += scenario.priors[label] * float(np.dot(w, diff * diff * density))
+        norm_sq = _loss_distance_sq(scenario, loss, clf, star, g, mu)
         best = max(best, norm_sq / excess ** (1.0 / scenario.kappa))
     return best
 
 
-def empirical_modulus(scenario: Scenario, hclass: HypothesisClass, delta: float,
-                      tables: dict, n: int, mc_reps: int, seed,
-                      mu: str = "nu_y", grid: Grid | None = None,
-                      lattice: ObservationLattice | None = None,
-                      operator_cutoff: tuple | None = None) -> float:
+def empirical_modulus(scenario: Scenario, backend, hclass: HypothesisClass, delta: float,
+                      n: int, mc_reps: int, seed, mu: str = "nu_y",
+                      grid: Grid | None = None) -> float:
     """Monte-Carlo modulus of continuity of the centered empirical process.
 
     Average over replications of the sup, over classifier pairs whose raw
-    loss distance under mu is at most delta, of |empirical - true| mean of
-    the regularized loss difference. True means are exact quadratures.
+    loss distance under mu is at most delta, of |empirical - expected|
+    regularized risk difference. Both risks come from the backend; the
+    expected ones are exact.
     """
     if delta < 0:
         raise ConfigurationError("delta must be nonnegative")
     g = grid or scenario.domain
-    x, w = g.axis(), g.weights()
-    loss = LossSpec("hard")
-    clfs = list(hclass)
-    # admissible pairs and their exact contaminated-law means
-    admissible = []
-    for i in range(len(clfs)):
-        for j in range(i + 1, len(clfs)):
-            dist_sq = 0.0
-            for label in scenario.labels:
-                diff = (loss_values(clfs[i], loss, label, x)
-                        - loss_values(clfs[j], loss, label, x))
-                density = scenario.density(label, x) if mu == "p" else np.ones_like(x)
-                dist_sq += scenario.priors[label] * float(np.dot(w, diff * diff * density))
-            if math.sqrt(max(dist_sq, 0.0)) <= delta:
-                admissible.append((i, j))
+    admissible = [
+        (i, j) for i in range(len(hclass)) for j in range(i + 1, len(hclass))
+        if math.sqrt(max(_loss_distance_sq(scenario, backend.loss, hclass[i], hclass[j],
+                                           g, mu), 0.0)) <= delta
+    ]
     if not admissible:
         logger.warning("no classifier pair within delta=%g; modulus is 0", delta)
         return 0.0
-    if lattice is not None:
-        true_mean = {i: expected_modified_risk(tables[clfs[i]], scenario, lattice)
-                     for i in {k for p in admissible for k in p}}
-    else:
-        op, cutoff = operator_cutoff
-        theta = {label: scenario.cosine_coefficients(label, cutoff)
-                 for label in scenario.labels}
-        true_mean = {}
-        for i in {k for p in admissible for k in p}:
-            val = 0.0
-            for label in scenario.labels:
-                c = svd_loss_coefficients(clfs[i], loss, op, cutoff, g, label)
-                val += scenario.priors[label] * float(np.dot(c, theta[label]))
-            true_mean[i] = val
+    expected = backend.expected_risks(hclass, scenario)
     from .simulation import generate_sample  # a top-level import would be circular
 
     rng = np.random.default_rng(seed)
     sups = []
     for _ in range(mc_reps):
-        sample = generate_sample(scenario, n, rng)
-        emp = {}
-        for i in {k for p in admissible for k in p}:
-            table = tables[clfs[i]]
-            total = 0.0
-            for label in np.unique(sample.y):
-                z_lab = sample.z[sample.y == int(label)]
-                total += float(np.sum(table.evaluate(z_lab, int(label))))
-            emp[i] = total / sample.n
-        gaps = [abs((emp[i] - emp[j]) - (true_mean[i] - true_mean[j]))
-                for i, j in admissible]
-        sups.append(max(gaps))
+        emp = empirical_risks(hclass, generate_sample(scenario, n, rng), backend)
+        sups.append(max(abs((emp[i] - emp[j]) - (expected[i] - expected[j]))
+                        for i, j in admissible))
     return float(np.mean(sups))
 
 

@@ -1,11 +1,12 @@
 """Smoothed empirical risk minimization and smoothing-parameter selection.
 
-The solver scans a finite hypothesis class exhaustively along one path for
-both backends: per label, a cached class matrix (node losses, or spectral
-loss coefficients) times one statistic of that label's observations (the
-weighted plug-in density, or the 1/b_k-weighted basis means). This is the
-per-classifier table evaluation of ``noisy_risk`` in another order; the two
-agree to rounding.
+The two backends are the pipeline's one risk engine: per label, a cached
+class matrix (node losses, or spectral loss coefficients) times one
+statistic of that label's observations (the weighted plug-in density, or
+the 1/b_k-weighted basis means). The same matrices give the class's
+regularized losses at given points and its expected risks. The
+per-classifier tables of ``noisy_risk`` evaluate the same bilinear form in
+another order; they are the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -14,11 +15,18 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 from .errors import ConfigurationError
-from .grid import trapezoid_weights
-from .hypotheses import HypothesisClass, LossSpec, loss_values, window_mask
-from .noisy_risk import NoisySample, ObservationLattice, plug_in_density, svd_loss_coefficients
+from .hypotheses import HypothesisClass, LossSpec, Scenario, loss_values, window_mask
+from .noisy_risk import (
+    NoisySample,
+    ObservationLattice,
+    _log_clamped,
+    contaminated_density,
+    plug_in_density,
+    svd_loss_coefficients,
+)
 from .operators import SpectralOperator
 
 __all__ = [
@@ -28,6 +36,7 @@ __all__ = [
     "SvdBackend",
     "select_bandwidth",
     "select_cutoff",
+    "empirical_risks",
     "minimize",
 ]
 
@@ -144,13 +153,12 @@ class FitResult:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _class_rows(cache: dict, hclass: HypothesisClass, label: int, row) -> np.ndarray:
-    """One row per classifier, built once per (class, label) and kept in ``cache``."""
-    key = (hclass, label)
-    rows = cache.get(key)
-    if rows is None:
-        rows = cache[key] = np.vstack([row(clf) for clf in hclass])
-    return rows
+def _cached(cache: dict, key: tuple, build):
+    """``build()`` once per key, kept in ``cache``; keys hold values, never ids."""
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build()
+    return value
 
 
 @dataclass(frozen=True)
@@ -169,10 +177,9 @@ class DeconvolutionBackend:
     _weights: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        x = self.lattice.nodes
-        w = trapezoid_weights(len(x), self.lattice.spacing)
+        w = self.lattice.weights
         if self.window is not None:
-            w = np.where(window_mask(x, self.window), w, 0.0)
+            w = np.where(window_mask(self.lattice.nodes, self.window), w, 0.0)
         object.__setattr__(self, "_weights", w)
 
     @property
@@ -188,8 +195,35 @@ class DeconvolutionBackend:
 
     def class_matrix(self, hclass: HypothesisClass, label: int) -> np.ndarray:
         """Node losses, one row per classifier."""
-        return _class_rows(self._cache, hclass, label,
-                           lambda clf: loss_values(clf, self.loss, label, self.lattice.nodes))
+        return _cached(self._cache, (hclass, label), lambda: np.vstack(
+            [loss_values(clf, self.loss, label, self.lattice.nodes) for clf in hclass]))
+
+    def _tables(self, hclass: HypothesisClass, label: int) -> np.ndarray:
+        """Regularized losses on the lattice nodes, one row per classifier."""
+        def build():  # row by row; no class matrix, so diagnostics do not also hold one
+            nodes, kernel = self.lattice.nodes, self.lattice.kernel.values[0]
+            return np.vstack([
+                fftconvolve(self._weights * loss_values(clf, self.loss, label, nodes), kernel,
+                            mode="valid")
+                for clf in hclass])
+
+        return _cached(self._cache, ("tables", hclass, label), build)
+
+    def losses(self, hclass: HypothesisClass, label: int, z: np.ndarray) -> np.ndarray:
+        """Regularized losses at the points z (clamped to the lattice, with a
+        logged count), one row per classifier."""
+        z = np.asarray(z, dtype=float)
+        nodes = self.lattice.nodes
+        _log_clamped(z, nodes[0], nodes[-1])
+        return np.vstack([np.interp(z, nodes, row) for row in self._tables(hclass, label)])
+
+    def expected_risks(self, hclass: HypothesisClass, scenario: Scenario) -> np.ndarray:
+        """Expected regularized risks: tables against the contaminated densities."""
+        risks = np.zeros(len(hclass))
+        for label in scenario.labels:
+            g_z = self.lattice.weights * contaminated_density(scenario, self.lattice, label)
+            risks += scenario.priors[label] * (self._tables(hclass, label) @ g_z)
+        return risks
 
 
 @dataclass(frozen=True)
@@ -198,6 +232,7 @@ class SvdBackend:
 
     The risk of each classifier pairs its basis coefficients with the
     1/b_k-weighted empirical basis moments of each label's observations.
+    The cutoff must lie in [1, ``operator.k_max``].
     """
 
     operator: SpectralOperator
@@ -208,27 +243,45 @@ class SvdBackend:
 
     name = "svd"
 
+    def __post_init__(self):
+        if not 1 <= self.cutoff <= self.operator.k_max:
+            raise ConfigurationError(
+                f"cutoff {self.cutoff} outside [1, k_max={self.operator.k_max}]")
+
     @property
     def smoothing(self) -> int:
         return self.cutoff
 
+    @property
+    def _inv_b(self) -> np.ndarray:
+        return 1.0 / self.operator.singular_values[: self.cutoff + 1]
+
     def features(self, z: np.ndarray) -> np.ndarray:
-        inv_b = 1.0 / self.operator.singular_values[: self.cutoff + 1]
-        return inv_b * self.operator.basis(z, self.cutoff).mean(axis=1)
+        return self._inv_b * self.operator.basis(z, self.cutoff).mean(axis=1)
 
     def class_matrix(self, hclass: HypothesisClass, label: int) -> np.ndarray:
         """Spectral loss coefficients, one row per classifier."""
-        return _class_rows(self._cache, hclass, label, lambda clf: svd_loss_coefficients(
-            clf, self.loss, self.operator, self.cutoff, self.grid, label))
+        return _cached(self._cache, (hclass, label), lambda: np.vstack(
+            [svd_loss_coefficients(clf, self.loss, self.operator, self.cutoff, self.grid, label)
+             for clf in hclass]))
+
+    def losses(self, hclass: HypothesisClass, label: int, z: np.ndarray) -> np.ndarray:
+        """Regularized losses at the points z, one row per classifier."""
+        return (self.class_matrix(hclass, label) * self._inv_b) @ self.operator.basis(
+            z, self.cutoff)
+
+    def expected_risks(self, hclass: HypothesisClass, scenario: Scenario) -> np.ndarray:
+        """Expected regularized risks: loss against density coefficients."""
+        risks = np.zeros(len(hclass))
+        for label in scenario.labels:
+            theta = scenario.cosine_coefficients(label, self.cutoff)
+            risks += scenario.priors[label] * (self.class_matrix(hclass, label) @ theta)
+        return risks
 
 
-def minimize(hclass: HypothesisClass, sample: NoisySample, backend) -> FitResult:
-    """Exhaustive scan of the class; deterministic lowest-index tie-break.
-
-    Both backends evaluate the regularized empirical risk of the whole class
-    as one bilinear form per label: the backend's class matrix against the
-    backend's statistic of that label's observations.
-    """
+def empirical_risks(hclass: HypothesisClass, sample: NoisySample, backend) -> np.ndarray:
+    """Regularized empirical risk of every classifier: per label, the
+    backend's class matrix times its statistic of that label's observations."""
     if not isinstance(backend, (DeconvolutionBackend, SvdBackend)):
         raise ConfigurationError(f"unknown backend {type(backend).__name__}")
     risks = np.zeros(len(hclass))
@@ -239,6 +292,12 @@ def minimize(hclass: HypothesisClass, sample: NoisySample, backend) -> FitResult
         # fragments the heap and raises the peak resident set
         features = backend.features(z_y)
         risks += (z_y.size / sample.n) * (backend.class_matrix(hclass, label) @ features)
+    return risks
+
+
+def minimize(hclass: HypothesisClass, sample: NoisySample, backend) -> FitResult:
+    """Exhaustive scan of the class; deterministic lowest-index tie-break."""
+    risks = empirical_risks(hclass, sample, backend)
     idx = int(np.argmin(risks))
     return FitResult(
         index=idx,

@@ -2,11 +2,13 @@
 
 The regularized loss of a classifier is the quadrature of its pointwise
 loss against the noise-corrected kernel (or against the truncated spectral
-expansion). Tables are precomputed per classifier on an observation grid
-and queried by linear interpolation; because the observation grid, the
-quadrature grid, and the kernel offsets share one spacing, the table path,
-the per-observation quadrature path, and the plug-in density path are the
-same bilinear form evaluated in different orders and agree to rounding.
+expansion). Because the observation grid, the quadrature grid, and the
+kernel offsets share one spacing, the table path, the per-observation
+quadrature path, and the plug-in density path are the same bilinear form
+evaluated in different orders and agree to rounding. The pipeline evaluates
+it through the backends of ``erm``; the per-classifier tables here
+(``ModifiedLossTable``, ``modified_loss_deconv``/``modified_loss_svd``,
+``empirical_risk``) are the reference order the tests compare against.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .errors import ConfigurationError, DataError
-from .grid import Grid, padded_axis, trapezoid_weights
+from .grid import Grid, padded_axis
 from .hypotheses import LossSpec, Scenario, hard_loss_pieces, loss_values, window_mask
 from .kernels import (
     NoiseModel,
@@ -96,10 +98,11 @@ class ObservationLattice:
 
     ``nodes``/``weights`` extend the scenario domain far enough to absorb
     contaminated observations; the kernel offsets run over every node
-    difference at the same spacing, so discrete convolutions against node
-    functions are exact sums. ``base_scaled`` is the bandwidth-scaled base
-    kernel on the same offsets (the noise-free twin of ``kernel``); it is
-    built on first use, since only bias diagnostics read it.
+    difference at the domain's ``spacing``, the one that built the nodes and
+    the weights, so discrete convolutions against node functions are exact
+    sums. ``base_scaled`` is the bandwidth-scaled base kernel on the same
+    offsets (the noise-free twin of ``kernel``); it is built on first use,
+    since only bias diagnostics read it.
     """
 
     domain: Grid
@@ -114,7 +117,7 @@ class ObservationLattice:
 
     @property
     def spacing(self) -> float:
-        return float(self.nodes[1] - self.nodes[0])
+        return self.domain.spacing
 
     @cached_property
     def base_scaled(self) -> TabulatedKernel:
@@ -131,7 +134,7 @@ def build_lattice(grid: Grid, noise: NoiseModel, bandwidth: float,
     margin = pad_factor * max(float(bandwidth), noise.std)
     nodes, weights = padded_axis(grid, margin)
     m = len(nodes) - 1
-    offsets = (nodes[1] - nodes[0]) * np.arange(-m, m + 1)
+    offsets = grid.spacing * np.arange(-m, m + 1)
     base = build_base_kernel(base_kind, grid, offsets=offsets)
     kernel = build_deconvolution_kernel(base, noise, bandwidth)
     return ObservationLattice(domain=grid, nodes=nodes, weights=weights,
@@ -155,9 +158,6 @@ class ModifiedLossTable:
     # spectral backend: per-label (cutoff, b_k^(-1) c_k) for exact queries
     coefficient_data: dict | None = field(default=None, compare=False)
 
-    def labels(self):
-        return tuple(sorted(self.values))
-
     def evaluate(self, z: np.ndarray, label: int) -> np.ndarray:
         if label not in self.values:
             raise DataError(f"no table for label {label}")
@@ -172,23 +172,13 @@ class ModifiedLossTable:
         _log_clamped(z, self.z_nodes[0], self.z_nodes[-1])
         return np.interp(z, self.z_nodes, self.values[label])
 
-    def max_abs(self) -> float:
-        return max(float(np.max(np.abs(v))) for v in self.values.values())
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["label", "z", "value"])
-            for label in self.labels():
+            for label in sorted(self.values):
                 for z, v in zip(self.z_nodes, self.values[label]):
                     writer.writerow([label, repr(float(z)), repr(float(v))])
-
-
-def _deconv_table_values(node_loss: np.ndarray, lattice: ObservationLattice) -> np.ndarray:
-    """Discrete convolution of weighted node losses with the kernel table."""
-    spread = fftconvolve(lattice.weights * node_loss, lattice.kernel.values[0], mode="valid")
-    # 'valid' of (P) against (2P-1) returns exactly P values aligned with nodes
-    return spread
 
 
 def modified_loss_deconv(clf, loss: LossSpec, lattice: ObservationLattice,
@@ -207,7 +197,8 @@ def modified_loss_deconv(clf, loss: LossSpec, lattice: ObservationLattice,
         lv = loss_values(clf, loss, label, x)
         if mask is not None:
             lv = np.where(mask, lv, 0.0)
-        values[label] = _deconv_table_values(lv, lattice)
+        # 'valid' of (P) against (2P-1) returns exactly P values aligned with nodes
+        values[label] = fftconvolve(lattice.weights * lv, lattice.kernel.values[0], mode="valid")
     backend = "deconvolution" if window is None else "restricted"
     return ModifiedLossTable(z_nodes=x, values=values, backend=backend,
                              smoothing=lattice.bandwidth)
@@ -330,26 +321,6 @@ def contaminated_density(scenario: Scenario, lattice: ObservationLattice,
     offs = lattice.spacing * np.arange(-m, m + 1)
     eta = lattice.noise.density(offs)
     return fftconvolve(lattice.weights * f, eta, mode="valid")
-
-
-def expected_modified_risk(table: ModifiedLossTable, scenario: Scenario,
-                           lattice: ObservationLattice | None = None) -> float:
-    """Exact expectation of the empirical risk under the scenario.
-
-    Deconvolution backend: quadrature of each label table against the
-    contaminated observation density. Spectral backend: the truncated
-    coefficient pairing of the loss with the conditional densities.
-    """
-    total = 0.0
-    if table.backend in ("deconvolution", "restricted"):
-        if lattice is None:
-            raise ConfigurationError("deconvolution expectation needs the lattice")
-        w = trapezoid_weights(len(lattice.nodes), lattice.spacing)
-        for label in table.labels():
-            g_z = contaminated_density(scenario, lattice, label)
-            total += scenario.priors[label] * float(np.dot(w, table.values[label] * g_z))
-        return total
-    raise ConfigurationError(f"no exact expectation for backend {table.backend!r}")
 
 
 def base_smoothed_density(scenario: Scenario, lattice: ObservationLattice,

@@ -38,6 +38,7 @@ __all__ = [
     "RateReport",
     "build_backend",
     "generate_sample",
+    "rule_smoothing",
     "run_trial",
     "run_rate_experiment",
     "trial_seed_sequence",
@@ -89,22 +90,24 @@ def _check_backend(kind: str, scenario: Scenario, window) -> None:
         raise ConfigurationError("kernel backends need an additive-noise scenario")
 
 
-def build_backend(kind: str, scenario: Scenario, loss: LossSpec, rate_config: RateConfig,
-                  n: int, base_kernel: str = "sinc", pad_factor: float = 4.0,
-                  window: tuple[float, float] | None = None, bandwidth: float | None = None,
-                  cutoff: int | None = None) -> DeconvolutionBackend | SvdBackend:
-    """The risk backend for sample size n; smoothing follows the rules unless given.
+def rule_smoothing(kind: str, scenario: Scenario, rate_config: RateConfig,
+                   n: int) -> float | int:
+    """The rule's bandwidth, or its cutoff capped at the operator's ``k_max``."""
+    if kind != "svd":
+        return select_bandwidth(rate_config, n)
+    _check_backend(kind, scenario, None)  # a config error, not a missing k_max
+    return min(select_cutoff(rate_config, n), scenario.contamination.k_max)
 
-    The spectral cutoff is capped at the operator's ``k_max``.
-    """
+
+def build_backend(kind: str, scenario: Scenario, loss: LossSpec, smoothing: float | int,
+                  base_kernel: str = "sinc", pad_factor: float = 4.0,
+                  window: tuple[float, float] | None = None) -> DeconvolutionBackend | SvdBackend:
+    """The risk backend at one smoothing value: a bandwidth, or a cutoff."""
     _check_backend(kind, scenario, window)
     if kind == "svd":
-        op = scenario.contamination
-        cutoff = select_cutoff(rate_config, n) if cutoff is None else int(cutoff)
-        return SvdBackend(operator=op, cutoff=min(cutoff, op.k_max), grid=scenario.domain,
-                          loss=loss)
-    bw = select_bandwidth(rate_config, n) if bandwidth is None else float(bandwidth)
-    lattice = build_lattice(scenario.domain, scenario.contamination, bw,
+        return SvdBackend(operator=scenario.contamination, cutoff=int(smoothing),
+                          grid=scenario.domain, loss=loss)
+    lattice = build_lattice(scenario.domain, scenario.contamination, float(smoothing),
                             base_kind=base_kernel, pad_factor=pad_factor)
     return DeconvolutionBackend(lattice=lattice, loss=loss, window=window)
 
@@ -138,7 +141,8 @@ class ExperimentPlan:
             raise ConfigurationError(f"unknown theory mode {self.theory_mode!r}")
 
     def backend_at(self, n: int) -> DeconvolutionBackend | SvdBackend:
-        return build_backend(self.backend, self.scenario, self.loss, self.rate_config, n,
+        smoothing = rule_smoothing(self.backend, self.scenario, self.rate_config, n)
+        return build_backend(self.backend, self.scenario, self.loss, smoothing,
                              base_kernel=self.base_kernel, pad_factor=self.pad_factor,
                              window=self.window)
 

@@ -23,7 +23,7 @@ from indirect_erm.diagnostics import (
     sup_bound_deconv,
     sup_bound_svd,
 )
-from indirect_erm.erm import DeconvolutionBackend, RateConfig, minimize
+from indirect_erm.erm import DeconvolutionBackend, RateConfig, SvdBackend, minimize
 from indirect_erm.grid import trapezoid_weights
 from indirect_erm.hypotheses import (
     HypothesisClass,
@@ -39,7 +39,6 @@ from indirect_erm.noisy_risk import (
     build_lattice,
     empirical_risk,
     modified_loss_deconv,
-    modified_loss_svd,
     plug_in_density,
 )
 from indirect_erm.operators import contaminate, sample_density
@@ -187,15 +186,15 @@ def test_criterion_5_structural_scaling():
     step = 1
     while step < len(hclass):
         for i in range(0, len(hclass) - step, max(1, (len(hclass) - step) // 5)):
-            pairs.append((hclass[i], hclass[i + step]))
+            pairs.append((i, i + step))
         step *= 2
 
     lams = [0.05, 0.075, 0.11, 0.17, 0.25]
     lipschitz, bounds = [], []
     for lam in lams:
         lattice = build_lattice(GRID, noise, lam)
-        tables = {c: modified_loss_deconv(c, HARD, lattice) for c in hclass}
-        ratios = empirical_lipschitz(scenario, tables, pairs, 20_000, seed=5)
+        backend = DeconvolutionBackend(lattice=lattice, loss=HARD)
+        ratios = empirical_lipschitz(scenario, backend, hclass, pairs, 20_000, seed=5)
         lipschitz.append(float(ratios.max()))
         bounds.append(sup_bound_deconv(lattice, hclass, HARD, GRID))
     scan_class, scan_star = geometric_scan_class(_TENT_CROSSING)
@@ -215,8 +214,8 @@ def test_criterion_5_structural_scaling():
     cutoffs = [4, 6, 9, 14, 21, 32]
     lipschitz_svd, bounds_svd = [], []
     for cutoff in cutoffs:
-        tables = {c: modified_loss_svd(c, HARD, op, cutoff, GRID) for c in hclass}
-        ratios = empirical_lipschitz(sc_linear, tables, pairs, 20_000, seed=5)
+        backend = SvdBackend(operator=op, cutoff=cutoff, grid=GRID, loss=HARD)
+        ratios = empirical_lipschitz(sc_linear, backend, hclass, pairs, 20_000, seed=5)
         lipschitz_svd.append(float(ratios.max()))
         bounds_svd.append(sup_bound_svd(op, cutoff, hclass, HARD, GRID))
     bias_cutoffs = [6, 9, 14, 21, 32, 48]

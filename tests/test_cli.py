@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -55,6 +56,14 @@ def fit_config(out):
     }
 
 
+def svd_fit_config(out):
+    doc = fit_config(out)
+    doc["backend"] = "svd"
+    doc["scenario"]["contamination"] = {"kind": "svd_operator", "beta": 1.0, "k_max": 64}
+    doc["rate_config"]["beta_bar"] = 1.0
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # schema validation
 # ---------------------------------------------------------------------------
@@ -100,6 +109,8 @@ def test_malformed_config_exit_codes(tmp_path):
     (exponent_config, None, "theory_mode", "hardloss"),
     (rates_config, "diagnose", "bias_variant", "cubic"),
     (fit_config, "scenario", "contamination", {"kind": "laplace", "beta": [2, 2]}),
+    (svd_fit_config, None, "cutoff", 100),  # above k_max 64: rejected, not capped
+    (svd_fit_config, None, "cutoff", 0),
 ])
 def test_bad_config_values_exit_two(tmp_path, make, block, key, value):
     out = tmp_path / "artifacts"
@@ -184,6 +195,14 @@ def test_fit_command(tmp_path):
     assert "true_risk" in fit
 
 
+def test_svd_fit_command(tmp_path):
+    doc = svd_fit_config(str(tmp_path / "artifacts"))
+    doc["cutoff"] = 64
+    assert run(write_config(tmp_path, doc)) == 0
+    fit = json.loads((tmp_path / "artifacts" / "fit.json").read_text())
+    assert fit["backend"] == "svd" and fit["smoothing"] == [64]
+
+
 def test_fit_json_reproducible(tmp_path):
     path = write_config(tmp_path, fit_config(str(tmp_path / "a")))
     assert run(path) == 0
@@ -233,6 +252,23 @@ def test_diagnose_command(tmp_path):
     assert [entry[0] for entry in report["bias"]] == [[0.15], [0.3]]
     assert "slopes" in report
     assert (tmp_path / "artifacts" / "diagnostics.csv").exists()
+
+
+def test_diagnose_command_svd(tmp_path):
+    out = str(tmp_path / "artifacts")
+    doc = {
+        "version": 1, "command": "diagnose", "out": out, "seed": 5,
+        "scenario": {"priors": [0.5, 0.5], "densities": "linear",
+                     "contamination": {"kind": "svd_operator", "beta": 1.0, "k_max": 64},
+                     "alpha": 1.0, "gamma": 1.0, "grid": {"points": 256}},
+        "hypotheses": {"kind": "thresholds", "count": 9},
+        "diagnose": {"cutoffs": [4, 8], "mc_n": 2000},
+    }
+    assert run(write_config(tmp_path, doc)) == 0
+    report = json.loads((tmp_path / "artifacts" / "diagnostics.json").read_text())
+    for series in ("lipschitz", "sup_bounds", "bias"):
+        assert [entry[0] for entry in report[series]] == [[4.0], [8.0]]
+    assert all(math.isfinite(value) and value > 0 for _, value in report["lipschitz"])
 
 
 def test_preset_files_are_valid():

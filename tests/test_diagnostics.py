@@ -4,6 +4,7 @@ import pytest
 from indirect_erm import (
     ConfigurationError,
     HypothesisClass,
+    LossSpec,
     RateConfig,
     SpectralOperator,
     ThresholdClassifier,
@@ -23,10 +24,12 @@ from indirect_erm.diagnostics import (
     rate_exponent,
     sup_bound_deconv,
     sup_bound_svd,
+    table_sup,
 )
+from indirect_erm.erm import DeconvolutionBackend, SvdBackend
 from indirect_erm.errors import DataError
 from indirect_erm.hypotheses import Scenario, bayes_in_class, snap_to_cell_midpoint
-from indirect_erm.noisy_risk import modified_loss_deconv
+from indirect_erm.noisy_risk import modified_loss_deconv, modified_loss_svd
 
 
 def cfg(**kw):
@@ -143,9 +146,9 @@ def test_lipschitz_near_identity_for_dirac(grid, hard_loss):
     h = grid.spacing
     lattice = build_lattice(grid, dirac_noise(), 4.0 * h)
     hclass = threshold_grid(11, grid)
-    tables = {c: modified_loss_deconv(c, hard_loss, lattice) for c in hclass}
-    pairs = [(hclass[i], hclass[i + 2]) for i in range(0, 8)]
-    ratios = empirical_lipschitz(sc, tables, pairs, 20_000, seed=2)
+    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
+    pairs = [(i, i + 2) for i in range(0, 8)]
+    ratios = empirical_lipschitz(sc, backend, hclass, pairs, 20_000, seed=2)
     assert np.all(np.abs(ratios - 1.0) < 0.1)
 
 
@@ -153,9 +156,56 @@ def test_lipschitz_skips_degenerate_pairs(grid, hard_loss):
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
     lattice = build_lattice(grid, dirac_noise(), 0.05)
     clf = ThresholdClassifier(snap_to_cell_midpoint(0.5, grid))
-    tables = {clf: modified_loss_deconv(clf, hard_loss, lattice)}
-    ratios = empirical_lipschitz(sc, tables, [(clf, clf)], 100, seed=0)
+    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
+    ratios = empirical_lipschitz(sc, backend, HypothesisClass((clf,)), [(0, 0)], 100, seed=0)
     assert ratios.size == 0
+
+
+def test_loss_distances_use_the_backend_loss(grid, hard_loss):
+    # the hinge clipped at 0.5 is half the hard loss for 0/1 predictions:
+    # regularized and raw loss distances halve alike, so the ratios agree
+    sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
+    lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
+    hclass = threshold_grid(9, grid)
+    hard = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
+    half = DeconvolutionBackend(lattice=lattice, loss=LossSpec("hinge_clipped", clip=0.5))
+    pairs = [(0, 4), (2, 6), (3, 4)]
+    r_hard = empirical_lipschitz(sc, hard, hclass, pairs, 5000, seed=3)
+    r_half = empirical_lipschitz(sc, half, hclass, pairs, 5000, seed=3)
+    assert r_hard.size == 3
+    np.testing.assert_allclose(r_half, r_hard, rtol=1e-12, atol=0.0)
+    m_hard = empirical_modulus(sc, hard, hclass, 0.6, 400, 4, seed=3)
+    m_half = empirical_modulus(sc, half, hclass, 0.3, 400, 4, seed=3)
+    assert m_hard > 0.0
+    assert m_half == pytest.approx(0.5 * m_hard, rel=1e-12)
+
+
+def test_unknown_mu_rejected(grid, hard_loss):
+    sc = make_margin_scenario(1, dirac_noise(), grid=grid)
+    hclass = threshold_grid(9, grid)
+    backend = DeconvolutionBackend(lattice=build_lattice(grid, dirac_noise(), 0.05),
+                                   loss=hard_loss)
+    star, _, _ = bayes_in_class(hclass, sc, hard_loss)
+    with pytest.raises(ConfigurationError):
+        bernstein_ratio(sc, hclass, star, hard_loss, mu="P")
+    with pytest.raises(ConfigurationError):
+        empirical_lipschitz(sc, backend, hclass, [(2, 6)], 500, seed=1, mu="P")
+    with pytest.raises(ConfigurationError):
+        empirical_modulus(sc, backend, hclass, 0.6, 100, 1, seed=1, mu="lebesgue")
+
+
+def test_table_sup_matches_reference_tables(grid, hard_loss):
+    def sup(tables):
+        return max(np.abs(v).max() for t in tables for v in t.values.values())
+
+    hclass = threshold_grid(9, grid)
+    lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
+    ref = sup(modified_loss_deconv(c, hard_loss, lattice) for c in hclass)
+    assert table_sup(DeconvolutionBackend(lattice=lattice, loss=hard_loss), hclass) == ref
+    op = SpectralOperator(decay=1.0, k_max=64)
+    ref = sup(modified_loss_svd(c, hard_loss, op, 8, grid) for c in hclass)
+    svd = SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss)
+    assert table_sup(svd, hclass) == pytest.approx(ref, rel=1e-12)
 
 
 def test_sup_bound_scalings(grid, hard_loss):
@@ -212,26 +262,20 @@ def test_modulus_zero_delta_and_nesting(grid, hard_loss):
     sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     hclass = threshold_grid(9, grid)
-    tables = {c: modified_loss_deconv(c, hard_loss, lattice) for c in hclass}
-    zero = empirical_modulus(sc, hclass, 0.0, tables, 200, 3, seed=1,
-                             lattice=lattice)
+    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
+    zero = empirical_modulus(sc, backend, hclass, 0.0, 200, 3, seed=1)
     assert zero == 0.0
-    small = empirical_modulus(sc, hclass, 0.3, tables, 400, 8, seed=1,
-                              lattice=lattice)
-    large = empirical_modulus(sc, hclass, 1.0, tables, 400, 8, seed=1,
-                              lattice=lattice)
+    small = empirical_modulus(sc, backend, hclass, 0.3, 400, 8, seed=1)
+    large = empirical_modulus(sc, backend, hclass, 1.0, 400, 8, seed=1)
     assert small <= large + 0.02
 
 
 def test_modulus_svd_route(grid, hard_loss):
-    from indirect_erm.noisy_risk import modified_loss_svd
-
     op = SpectralOperator(decay=1.0, k_max=64)
     sc = make_margin_scenario(1, op, grid=grid)
     hclass = threshold_grid(7, grid)
-    tables = {c: modified_loss_svd(c, hard_loss, op, 8, grid) for c in hclass}
-    value = empirical_modulus(sc, hclass, 0.6, tables, 300, 5, seed=4,
-                              operator_cutoff=(op, 8))
+    backend = SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss)
+    value = empirical_modulus(sc, backend, hclass, 0.6, 300, 5, seed=4)
     assert value > 0.0 and np.isfinite(value)
 
 
@@ -240,10 +284,10 @@ def test_joint_law_weighting_option(grid, hard_loss):
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
     lattice = build_lattice(grid, dirac_noise(), 0.05)
     hclass = threshold_grid(9, grid)
-    tables = {c: modified_loss_deconv(c, hard_loss, lattice) for c in hclass}
-    pairs = [(hclass[2], hclass[6])]
-    r_nu = empirical_lipschitz(sc, tables, pairs, 5000, seed=1, mu="nu_y")
-    r_p = empirical_lipschitz(sc, tables, pairs, 5000, seed=1, mu="p")
+    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
+    pairs = [(2, 6)]
+    r_nu = empirical_lipschitz(sc, backend, hclass, pairs, 5000, seed=1, mu="nu_y")
+    r_p = empirical_lipschitz(sc, backend, hclass, pairs, 5000, seed=1, mu="p")
     assert r_nu.size == 1 and r_p.size == 1 and r_p[0] != r_nu[0]
     star, _, _ = bayes_in_class(hclass, sc, hard_loss)
     assert bernstein_ratio(sc, hclass, star, hard_loss, mu="p") > 0.0
@@ -253,11 +297,10 @@ def test_modulus_root_n_scaling(grid, hard_loss):
     sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     hclass = threshold_grid(9, grid)
-    tables = {c: modified_loss_deconv(c, hard_loss, lattice) for c in hclass}
+    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
     ns = np.array([200, 800, 3200])
     vals = np.array([
-        empirical_modulus(sc, hclass, 0.6, tables, int(n), 30, seed=7,
-                          lattice=lattice)
+        empirical_modulus(sc, backend, hclass, 0.6, int(n), 30, seed=7)
         for n in ns
     ])
     slope = np.polyfit(np.log(ns), np.log(vals), 1)[0]

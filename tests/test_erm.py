@@ -21,9 +21,11 @@ from indirect_erm import (
 from indirect_erm.hypotheses import snap_to_cell_midpoint
 from indirect_erm.noisy_risk import (
     ModifiedLossTable,
+    contaminated_density,
     empirical_risk,
     modified_loss_deconv,
     modified_loss_svd,
+    svd_loss_coefficients,
 )
 from indirect_erm.simulation import generate_sample
 
@@ -143,6 +145,53 @@ def test_class_matrix_cache_keyed_by_value(grid, hard_loss):
     first = backend.class_matrix(threshold_grid(7, grid), 1)
     assert backend.class_matrix(threshold_grid(7, grid), 1) is first
     assert backend.class_matrix(threshold_grid(9, grid), 1).shape[0] == 9
+
+
+def test_backend_losses_match_per_classifier_tables(grid, hard_loss):
+    # the class-wide losses are the reference tables' lookups: bit for bit on
+    # the lattice, to rounding for the spectral expansion
+    lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
+    op = SpectralOperator(decay=1.0, k_max=64)
+    hclass = threshold_grid(9, grid)
+    z = np.random.default_rng(2).uniform(-0.5, 1.5, 400)
+    window = (0.1, 0.9)
+    deconv = DeconvolutionBackend(lattice=lattice, loss=hard_loss, window=window)
+    svd = SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss)
+    for label in (0, 1):
+        ref = [modified_loss_deconv(c, hard_loss, lattice, window=window).evaluate(z, label)
+               for c in hclass]
+        assert np.array_equal(deconv.losses(hclass, label, z), np.vstack(ref))
+        ref = [modified_loss_svd(c, hard_loss, op, 8, grid).evaluate(z, label) for c in hclass]
+        assert np.abs(svd.losses(hclass, label, z) - np.vstack(ref)).max() < 1e-12
+
+
+def test_backend_expected_risks_match_reference_quadrature(grid, hard_loss):
+    hclass = threshold_grid(9, grid)
+    sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
+    lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
+    # each reference table integrated against the contaminated density
+    ref = [sum(sc.priors[y] * float(np.dot(
+        lattice.weights,
+        modified_loss_deconv(c, hard_loss, lattice).values[y]
+        * contaminated_density(sc, lattice, y))) for y in sc.labels) for c in hclass]
+    got = DeconvolutionBackend(lattice=lattice, loss=hard_loss).expected_risks(hclass, sc)
+    assert np.abs(got - ref).max() < 1e-12
+    # loss coefficients paired with the density coefficients
+    op = SpectralOperator(decay=1.0, k_max=64)
+    sc = make_margin_scenario(1, op, grid=grid)
+    ref = [sum(sc.priors[y] * float(np.dot(svd_loss_coefficients(c, hard_loss, op, 8, grid, y),
+                                           sc.cosine_coefficients(y, 8)))
+               for y in sc.labels) for c in hclass]
+    got = SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss).expected_risks(hclass, sc)
+    assert np.abs(got - ref).max() < 1e-12
+
+
+def test_svd_backend_rejects_cutoff_outside_range(grid, hard_loss):
+    op = SpectralOperator(decay=1.0, k_max=16)
+    for cutoff in (0, 17, 100):
+        with pytest.raises(ConfigurationError):
+            SvdBackend(operator=op, cutoff=cutoff, grid=grid, loss=hard_loss)
+    assert SvdBackend(operator=op, cutoff=16, grid=grid, loss=hard_loss).smoothing == 16
 
 
 def test_restricted_backend_window_checked(grid, hard_loss):

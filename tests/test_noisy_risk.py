@@ -42,6 +42,17 @@ def laplace_lattice(grid):
 # modified loss tables (kernel backend)
 # ---------------------------------------------------------------------------
 
+def test_lattice_spacing_builds_weights_and_offsets(grid):
+    # one spacing: the domain's, which built the nodes, the weights and the
+    # kernel offsets
+    lattice = build_lattice(grid, laplace_noise(2.0), 0.2)
+    assert lattice.spacing == grid.spacing
+    assert np.array_equal(lattice.weights,
+                          trapezoid_weights(len(lattice.nodes), lattice.spacing))
+    m = len(lattice.nodes) - 1
+    assert np.array_equal(lattice.kernel.offsets[0], lattice.spacing * np.arange(-m, m + 1))
+
+
 def test_zero_loss_table_is_zero(laplace_lattice, hard_loss):
     # classifier predicting 1 everywhere has zero loss at label 1
     clf = IntervalClassifier(laplace_lattice.nodes[0] - 1.0,

@@ -12,8 +12,10 @@ from indirect_erm import (
 )
 from indirect_erm.simulation import (
     ExperimentPlan,
+    build_backend,
     generate_sample,
     run_rate_experiment,
+    rule_smoothing,
     run_trial,
     trial_seed_sequence,
 )
@@ -181,6 +183,18 @@ def test_svd_plan_runs(grid):
     report = run_rate_experiment(plan)
     assert len(report.rows) == 2
     assert report.theory_exponent == pytest.approx(2.0 / 6.5)
+
+
+def test_rule_cutoff_capped_explicit_cutoff_checked(grid, hard_loss):
+    op = SpectralOperator(decay=1.0, k_max=4)
+    sc = make_margin_scenario(1, op, grid=grid)
+    cfg = RateConfig(kappa=2.0, rho=0.5, gamma=1.0, beta_bar=1.0, dim=1)
+    assert rule_smoothing("svd", sc, cfg, 10**6) == 4  # the rule asks for 24
+    assert build_backend("svd", sc, hard_loss, 4).cutoff == 4
+    with pytest.raises(ConfigurationError):
+        build_backend("svd", sc, hard_loss, 24)
+    with pytest.raises(ConfigurationError):
+        rule_smoothing("svd", make_margin_scenario(1, dirac_noise(), grid=grid), cfg, 100)
 
 
 def test_mean_excess_roughly_decreasing(grid):
