@@ -144,6 +144,27 @@ def validate_config(doc: dict) -> None:
             name = key if block is None else f"{block}.{key}"
             raise ConfigurationError(
                 f"config key {name!r} is {section[key]!r}, not one of {list(allowed)}")
+    for key in _unread_keys(doc):
+        if key in doc:
+            raise ConfigurationError(
+                f"config key {key!r} is not read by this {doc['command']!r} run")
+    for key, typ in (("bandwidths", float), ("cutoffs", int)):
+        values = doc.get("diagnose", {}).get(key, [])
+        if not isinstance(values, list) or not all(_type_ok(v, typ) for v in values):
+            raise ConfigurationError(
+                f"config key 'diagnose.{key}' must be a list of {typ.__name__}s, got {values!r}")
+
+
+def _unread_keys(doc: dict) -> tuple[str, ...]:
+    """Top-level keys the command would ignore: giving one is an error."""
+    command = doc["command"]
+    if command == "fit":
+        return ("bandwidth",) if doc.get("backend") == "svd" else ("cutoff",)
+    if command == "rates":
+        return ("bandwidth", "cutoff")
+    if command == "diagnose":  # smoothing values and backend come from the diagnose block
+        return ("backend", "window", "bandwidth", "cutoff")
+    return ()
 
 
 def _load_scenario(doc: dict) -> Scenario:
@@ -303,7 +324,7 @@ def _cmd_diagnose(doc, out_dir, seed):
     op = scenario.contamination
     kind = "svd" if isinstance(op, SpectralOperator) else "deconvolution"
     if kind == "svd":
-        smoothings = [int(c) for c in ddoc.get("cutoffs", (4, 8, 16, 32))]
+        smoothings = list(ddoc.get("cutoffs", (4, 8, 16, 32)))
     else:
         smoothings = [float(b) for b in ddoc.get("bandwidths", (0.1, 0.15, 0.22, 0.33, 0.5))]
     for smoothing in smoothings:

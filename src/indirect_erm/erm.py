@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import ConfigurationError
 from .hypotheses import HypothesisClass, LossSpec, Scenario, loss_values, window_mask
@@ -201,10 +200,9 @@ class DeconvolutionBackend:
     def _tables(self, hclass: HypothesisClass, label: int) -> np.ndarray:
         """Regularized losses on the lattice nodes, one row per classifier."""
         def build():  # row by row; no class matrix, so diagnostics do not also hold one
-            nodes, kernel = self.lattice.nodes, self.lattice.kernel.values[0]
+            lattice = self.lattice
             return np.vstack([
-                fftconvolve(self._weights * loss_values(clf, self.loss, label, nodes), kernel,
-                            mode="valid")
+                lattice.convolve(self._weights * loss_values(clf, self.loss, label, lattice.nodes))
                 for clf in hclass])
 
         return _cached(self._cache, ("tables", hclass, label), build)
@@ -285,7 +283,7 @@ def empirical_risks(hclass: HypothesisClass, sample: NoisySample, backend) -> np
     if not isinstance(backend, (DeconvolutionBackend, SvdBackend)):
         raise ConfigurationError(f"unknown backend {type(backend).__name__}")
     risks = np.zeros(len(hclass))
-    for label in np.unique(sample.y):
+    for label in np.flatnonzero(np.bincount(sample.y, minlength=2)):  # labels present
         label = int(label)
         z_y = sample.z[sample.y == label]
         # features first: allocating them after the cached class matrix

@@ -277,6 +277,9 @@ class Scenario:
     gamma: float = 1.0
     domain: Grid = field(default_factory=Grid)
     density_params: dict = field(default_factory=dict)
+    # sample-independent arrays built on first use, keyed by value (see
+    # ``simulation._sampling_density``); a rebuilt scenario starts empty
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         p = tuple(float(v) for v in self.priors)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.signal import fftconvolve
 
 from .errors import ConfigurationError, DataError
@@ -66,14 +67,17 @@ def _log_clamped(z: np.ndarray, lo: float, hi: float) -> None:
 
 @dataclass(frozen=True)
 class NoisySample:
-    """Labeled contaminated observations (z_i, y_i)."""
+    """Labeled contaminated observations (z_i, y_i); every label is 0 or 1."""
 
     z: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
-        y = np.asarray(self.y, dtype=int)
+        y = np.asarray(self.y)
+        if not np.all((y == 0) | (y == 1)):
+            raise DataError("labels must be 0 or 1")
+        y = y.astype(int)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "y", y)
         if z.shape[0] != y.shape[0]:
@@ -102,7 +106,10 @@ class ObservationLattice:
     the weights, so discrete convolutions against node functions are exact
     sums. ``base_scaled`` is the bandwidth-scaled base kernel on the same
     offsets (the noise-free twin of ``kernel``); it is built on first use,
-    since only bias diagnostics read it.
+    since only bias diagnostics read it. ``spectrum`` is the real FFT of
+    ``kernel`` at the length a 'valid' convolution against a node function
+    needs; it is computed on first use and cached on the lattice, so every
+    ``convolve`` (plug-in densities and class tables) reuses it.
     """
 
     domain: Grid
@@ -122,6 +129,25 @@ class ObservationLattice:
     @cached_property
     def base_scaled(self) -> TabulatedKernel:
         return build_deconvolution_kernel(self.kernel, dirac_noise(), self.bandwidth)
+
+    @property
+    def _fft_length(self) -> int:
+        # full linear convolution of P node values with 2P - 1 kernel values
+        return next_fast_len(3 * len(self.nodes) - 2, True)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return rfftn(self.kernel.values[0], (self._fft_length,))
+
+    def convolve(self, values: np.ndarray) -> np.ndarray:
+        """'valid' convolution of node values with ``kernel``: P values, one per node.
+
+        Same result as ``fftconvolve(values, kernel, mode="valid")`` to
+        rounding, without recomputing the kernel's FFT.
+        """
+        length, p = self._fft_length, len(self.nodes)
+        full = irfftn(self.spectrum * rfftn(values, (length,)), (length,))
+        return full[p - 1: 2 * p - 1].copy()
 
 
 def build_lattice(grid: Grid, noise: NoiseModel, bandwidth: float,
@@ -197,8 +223,7 @@ def modified_loss_deconv(clf, loss: LossSpec, lattice: ObservationLattice,
         lv = loss_values(clf, loss, label, x)
         if mask is not None:
             lv = np.where(mask, lv, 0.0)
-        # 'valid' of (P) against (2P-1) returns exactly P values aligned with nodes
-        values[label] = fftconvolve(lattice.weights * lv, lattice.kernel.values[0], mode="valid")
+        values[label] = lattice.convolve(lattice.weights * lv)
     backend = "deconvolution" if window is None else "restricted"
     return ModifiedLossTable(z_nodes=x, values=values, backend=backend,
                              smoothing=lattice.bandwidth)
@@ -289,7 +314,7 @@ def plug_in_density(z_draws: np.ndarray, lattice: ObservationLattice) -> np.ndar
     binned = np.zeros(len(nodes))
     np.add.at(binned, idx, 1.0 - frac)
     np.add.at(binned, idx + 1, frac)
-    return fftconvolve(binned / z.size, lattice.kernel.values[0], mode="valid")
+    return lattice.convolve(binned / z.size)
 
 
 def zero_extended_density(scenario: Scenario, lattice: ObservationLattice,

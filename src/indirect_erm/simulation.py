@@ -30,7 +30,13 @@ from .errors import ConfigurationError, SimulationError
 from .hypotheses import HypothesisClass, LossSpec, Scenario, threshold_grid, true_risk
 from .kernels import NoiseModel
 from .noisy_risk import NoisySample, build_lattice
-from .operators import SpectralOperator, apply_operator, contaminate, sample_density
+from .operators import (
+    CoefficientVector,
+    SpectralOperator,
+    apply_operator,
+    contaminate,
+    sample_density,
+)
 
 __all__ = [
     "BACKENDS",
@@ -45,16 +51,39 @@ __all__ = [
 ]
 
 
+def _sampling_density(scenario: Scenario, label: int) -> np.ndarray:
+    """The tabulated density one label's draws come from, built once per scenario.
+
+    For a spectral operator this is the image density of the label's cosine
+    coefficients; for additive noise it is the clean conditional density,
+    which ``contaminate`` then perturbs. The array is read-only and cached
+    on the scenario under ``("sampling_density", label)``.
+    """
+    key = ("sampling_density", label)
+    values = scenario._cache.get(key)
+    if values is None:
+        op = scenario.contamination
+        if isinstance(op, SpectralOperator):
+            coeffs = CoefficientVector(scenario.cosine_coefficients(label, op.k_max))
+            values = apply_operator(coeffs, op, scenario.domain)
+        else:
+            values = scenario.density_values(label)
+        values.setflags(write=False)
+        scenario._cache[key] = values
+    return values
+
+
 def generate_sample(scenario: Scenario, n: int, rng) -> NoisySample:
     """Draw a contaminated labeled sample of size n from the scenario.
 
-    Labels follow the priors. With additive noise, inputs are drawn from
-    the conditional densities and contaminated; with a spectral operator,
-    observations are drawn directly from the operator image densities.
+    Labels follow the priors. With a spectral operator, observations are
+    drawn directly from the operator image densities; with additive noise,
+    inputs are drawn from the conditional densities and contaminated. The
+    tabulated densities do not depend on the sample, so they are built on a
+    scenario's first draw and cached on it (``_sampling_density``).
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    grid = scenario.domain
     y = (rng.random(n) < scenario.priors[1]).astype(int)
     z = np.empty(n)
     contamination = scenario.contamination
@@ -63,15 +92,10 @@ def generate_sample(scenario: Scenario, n: int, rng) -> NoisySample:
         count = int(mask.sum())
         if count == 0:
             continue
-        if isinstance(contamination, SpectralOperator):
-            coeffs = scenario.cosine_coefficients(label, contamination.k_max)
-            from .operators import CoefficientVector
-
-            image = apply_operator(CoefficientVector(coeffs), contamination, grid)
-            z[mask] = sample_density(image, grid, count, rng)
-        else:
-            x = sample_density(scenario.density_values(label), grid, count, rng)
-            z[mask] = contaminate(x, contamination, rng)
+        draws = sample_density(_sampling_density(scenario, label), scenario.domain, count, rng)
+        if not isinstance(contamination, SpectralOperator):  # additive noise
+            draws = contaminate(draws, contamination, rng)
+        z[mask] = draws
     return NoisySample(z=z, y=y)
 
 

@@ -64,6 +64,24 @@ def svd_fit_config(out):
     return doc
 
 
+def diagnose_config(out):
+    return {
+        "version": 1, "command": "diagnose", "out": out, "seed": 5,
+        "scenario": {"priors": [0.5, 0.5], "densities": "linear",
+                     "contamination": {"kind": "laplace", "beta": 2},
+                     "alpha": 1.0, "gamma": 1.0, "grid": {"points": 256}},
+        "hypotheses": {"kind": "thresholds", "count": 9},
+        "diagnose": {"bandwidths": [0.15, 0.3], "mc_n": 2000},
+    }
+
+
+def svd_diagnose_config(out):
+    doc = diagnose_config(out)
+    doc["scenario"]["contamination"] = {"kind": "svd_operator", "beta": 1.0, "k_max": 64}
+    doc["diagnose"] = {"cutoffs": [4, 8], "mc_n": 2000}
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # schema validation
 # ---------------------------------------------------------------------------
@@ -111,13 +129,25 @@ def test_malformed_config_exit_codes(tmp_path):
     (fit_config, "scenario", "contamination", {"kind": "laplace", "beta": [2, 2]}),
     (svd_fit_config, None, "cutoff", 100),  # above k_max 64: rejected, not capped
     (svd_fit_config, None, "cutoff", 0),
+    # smoothing keys and backends the command would ignore
+    (fit_config, None, "cutoff", 8),
+    (svd_fit_config, None, "bandwidth", 0.2),
+    (rates_config, None, "bandwidth", 0.2),
+    (diagnose_config, None, "backend", "restricted"),
+    (diagnose_config, None, "window", [0.2, 0.8]),
+    (diagnose_config, None, "bandwidth", 0.2),
+    (svd_diagnose_config, None, "cutoff", 8),
+    # diagnose smoothing lists are checked, not truncated
+    (svd_diagnose_config, "diagnose", "cutoffs", [4.5, 8.7]),
+    (svd_diagnose_config, "diagnose", "cutoffs", [4, 8.0]),
+    (diagnose_config, "diagnose", "bandwidths", ["0.15"]),
 ])
 def test_bad_config_values_exit_two(tmp_path, make, block, key, value):
     out = tmp_path / "artifacts"
     doc = make(str(out))
     (doc if block is None else doc.setdefault(block, {}))[key] = value
     assert run(write_config(tmp_path, doc), threads=1) == 2
-    for name in ("rates.csv", "fit.json", "exponent.json"):
+    for name in ("rates.csv", "fit.json", "exponent.json", "diagnostics.json"):
         assert not (out / name).exists()
 
 
@@ -236,16 +266,7 @@ def test_rates_seed_override_changes_output(tmp_path):
 
 
 def test_diagnose_command(tmp_path):
-    out = str(tmp_path / "artifacts")
-    doc = {
-        "version": 1, "command": "diagnose", "out": out, "seed": 5,
-        "scenario": {"priors": [0.5, 0.5], "densities": "linear",
-                     "contamination": {"kind": "laplace", "beta": 2},
-                     "alpha": 1.0, "gamma": 1.0, "grid": {"points": 256}},
-        "hypotheses": {"kind": "thresholds", "count": 9},
-        "diagnose": {"bandwidths": [0.15, 0.3], "mc_n": 2000},
-    }
-    path = write_config(tmp_path, doc)
+    path = write_config(tmp_path, diagnose_config(str(tmp_path / "artifacts")))
     assert run(path) == 0
     report = json.loads((tmp_path / "artifacts" / "diagnostics.json").read_text())
     assert len(report["lipschitz"]) == 2
@@ -255,15 +276,7 @@ def test_diagnose_command(tmp_path):
 
 
 def test_diagnose_command_svd(tmp_path):
-    out = str(tmp_path / "artifacts")
-    doc = {
-        "version": 1, "command": "diagnose", "out": out, "seed": 5,
-        "scenario": {"priors": [0.5, 0.5], "densities": "linear",
-                     "contamination": {"kind": "svd_operator", "beta": 1.0, "k_max": 64},
-                     "alpha": 1.0, "gamma": 1.0, "grid": {"points": 256}},
-        "hypotheses": {"kind": "thresholds", "count": 9},
-        "diagnose": {"cutoffs": [4, 8], "mc_n": 2000},
-    }
+    doc = svd_diagnose_config(str(tmp_path / "artifacts"))
     assert run(write_config(tmp_path, doc)) == 0
     report = json.loads((tmp_path / "artifacts" / "diagnostics.json").read_text())
     for series in ("lipschitz", "sup_bounds", "bias"):

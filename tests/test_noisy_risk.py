@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from indirect_erm import (
     ConfigurationError,
@@ -114,6 +115,58 @@ def test_base_scaled_built_once_on_first_use(grid, monkeypatch):
     np.testing.assert_array_equal(first.values[0], direct.values[0])
     np.testing.assert_array_equal(first.offsets[0], lattice.kernel.offsets[0])
     assert first.bandwidth == lam and first.base_kind == lattice.kernel.base_kind
+
+
+def test_spectrum_built_once_per_lattice(grid, hard_loss, monkeypatch):
+    original = noisy_risk.rfftn
+    lengths = []
+
+    def counting(values, *args):
+        lengths.append(len(values))
+        return original(values, *args)
+
+    monkeypatch.setattr(noisy_risk, "rfftn", counting)
+    lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
+    assert lengths == []  # built on first use
+    plug_in_density(np.array([0.3, 0.6]), lattice)
+    modified_loss_deconv(ThresholdClassifier(0.5), hard_loss, lattice)
+    plug_in_density(np.array([0.4]), lattice)
+    # one kernel transform, then one per convolved node function (1 + 2 + 1)
+    assert lengths.count(len(lattice.kernel.values[0])) == 1
+    assert lengths.count(len(lattice.nodes)) == 4
+    assert lattice.spectrum is lattice.spectrum
+
+
+def _binned(z, nodes):
+    """Linear-binning weights of the draws z on the nodes, summing to 1."""
+    h = nodes[1] - nodes[0]
+    idx = np.clip(np.searchsorted(nodes, z) - 1, 0, len(nodes) - 2)
+    frac = (z - nodes[idx]) / h
+    out = np.zeros(len(nodes))
+    np.add.at(out, idx, 1.0 - frac)
+    np.add.at(out, idx + 1, frac)
+    return out / len(z)
+
+
+@pytest.mark.parametrize("source", ["plug_in", "table_row"])
+def test_convolve_matches_fftconvolve(laplace_lattice, hard_loss, source):
+    lattice = laplace_lattice
+    if source == "plug_in":
+        z = np.random.default_rng(8).normal(0.5, 0.3, 500)
+        values = _binned(z, lattice.nodes)
+    else:
+        values = lattice.weights * loss_values(ThresholdClassifier(0.4), hard_loss, 1,
+                                               lattice.nodes)
+    expected = fftconvolve(values, lattice.kernel.values[0], mode="valid")
+    got = lattice.convolve(values)
+    assert got.shape == (len(lattice.nodes),)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("labels", [[0, -1, 1], [0, 2, 1], [0.0, 0.5, 1.0]])
+def test_labels_outside_binary_rejected(labels):
+    with pytest.raises(DataError):
+        NoisySample(z=[0.1, 0.2, 0.3], y=labels)
 
 
 def test_table_clamps_out_of_range(laplace_lattice, hard_loss):

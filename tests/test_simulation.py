@@ -4,12 +4,14 @@ import pytest
 from indirect_erm import (
     ConfigurationError,
     RateConfig,
+    Scenario,
     SimulationError,
     SpectralOperator,
     dirac_noise,
     laplace_noise,
     make_margin_scenario,
 )
+from indirect_erm import simulation
 from indirect_erm.simulation import (
     ExperimentPlan,
     build_backend,
@@ -38,6 +40,31 @@ def test_generate_sample_determinism(grid, linear_scenario):
     a = generate_sample(linear_scenario, 500, 99)
     b = generate_sample(linear_scenario, 500, 99)
     assert np.array_equal(a.z, b.z) and np.array_equal(a.y, b.y)
+
+
+@pytest.mark.parametrize("contamination", [SpectralOperator(1.0, 64), laplace_noise(2.0)])
+def test_sampling_density_built_once_per_scenario(grid, monkeypatch, contamination):
+    calls = []
+    original = simulation.apply_operator
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(simulation, "apply_operator", counting)
+
+    def scenario():
+        return Scenario(priors=(0.5, 0.5), densities="linear", contamination=contamination,
+                        domain=grid)
+
+    sampled = scenario()
+    samples = [generate_sample(sampled, 300, seed) for seed in range(20)]
+    spectral = isinstance(contamination, SpectralOperator)
+    assert len(calls) == (2 if spectral else 0)  # one image per label, not per draw
+    assert sampled == scenario()  # the cache takes no part in equality
+    for seed, sample in enumerate(samples):
+        fresh = generate_sample(scenario(), 300, seed)
+        assert np.array_equal(sample.z, fresh.z) and np.array_equal(sample.y, fresh.y)
 
 
 def test_generate_sample_label_frequencies(grid):
