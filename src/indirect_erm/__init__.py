@@ -62,7 +62,6 @@ from .operators import (
     SpectralOperator,
     apply_operator,
     contaminate,
-    estimate_svd_coefficients,
     sample_density,
 )
 from .simulation import (

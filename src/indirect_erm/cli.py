@@ -2,9 +2,12 @@
 
 Commands: ``kernel`` (tabulate a kernel), ``fit`` (one smoothed-ERM fit),
 ``rates`` (Monte-Carlo rate experiment), ``diagnose`` (structural-scaling
-sweeps), ``exponent`` (rate-exponent arithmetic). Every run validates its
-JSON config against a strict schema, writes command artifacts plus a
-manifest, and is bitwise reproducible for a fixed config and seed.
+sweeps), ``exponent`` (rate-exponent arithmetic). A run first reads its
+whole JSON config: each key is read in one place, with its type, default
+and allowed values, and a key the command does not read is rejected, so a
+bad config fails before any work. The read returns the command's work,
+which writes its artifacts plus a manifest, bitwise reproducible for a
+fixed config and seed.
 
 Exit codes: 0 success, 2 configuration/schema violation, 3 numerical or
 model error, 4 I/O error.
@@ -17,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,9 +46,6 @@ from .hypotheses import (
     LossSpec,
     Scenario,
     bayes_in_class,
-    contamination_from_json,
-    grid_from_json,
-    make_margin_scenario,
     threshold_grid,
     true_risk,
 )
@@ -52,145 +53,61 @@ from .kernels import BASE_KINDS, build_base_kernel, build_deconvolution_kernel
 # not called here; kept as module attributes that the benchmark tracer wraps
 from .noisy_risk import build_lattice, modified_loss_deconv  # noqa: F401
 from .operators import SpectralOperator
+from .reader import ConfigReader
 from .simulation import (
     BACKENDS,
     ExperimentPlan,
+    _check_backend,
     build_backend,
     generate_sample,
     rule_smoothing,
     run_rate_experiment,
 )
 
-COMMANDS = ("kernel", "fit", "rates", "diagnose", "exponent")
 
-_SCHEMA: dict = {
-    "version": (int, True),
-    "command": (str, True),
-    "seed": (int, False),
-    "out": (str, False),
-    "scenario": (dict, False),
-    "rate_config": (dict, False),
-    "n_grid": (list, False),
-    "replications": (int, False),
-    "n": (int, False),
-    "backend": (str, False),
-    "hypotheses": (dict, False),
-    "loss": (dict, False),
-    "base_kernel": (str, False),
-    "pad_factor": (float, False),
-    "bandwidth": (float, False),
-    "cutoff": (int, False),
-    "window": (list, False),
-    "theory_mode": (str, False),
-    "alpha": (float, False),
-    "diagnose": (dict, False),
-}
+# ---------------------------------------------------------------------------
+# config blocks that several commands read
+# ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = {"priors", "densities", "contamination", "alpha", "gamma", "grid",
-                  "family", "x_star", "sharpness", "density_params"}
-_HYPOTHESES_KEYS = {"kind", "count"}
-_LOSS_KEYS = {"kind", "clip"}
-_RATE_KEYS = {"kappa", "rho", "gamma", "beta_bar", "dim", "bias_variant"}
-_DIAGNOSE_KEYS = {"bandwidths", "cutoffs", "mc_n", "pair_count", "bias_variant"}
-
-# (block or None for the top level, key, allowed values)
-_CHOICES = (
-    (None, "backend", BACKENDS),
-    ("hypotheses", "kind", ("thresholds",)),
-    ("loss", "kind", LOSS_KINDS),
-    (None, "base_kernel", BASE_KINDS),
-    (None, "theory_mode", RATE_MODES),
-    ("rate_config", "bias_variant", BIAS_VARIANTS),
-    ("diagnose", "bias_variant", BIAS_VARIANTS),
-)
+def _scenario(top: ConfigReader) -> Scenario:
+    return Scenario.from_json(top.get("scenario", dict))
 
 
-def _type_ok(value, expected) -> bool:
-    if expected is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if expected is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, expected)
+def _rate_config(top: ConfigReader) -> RateConfig:
+    return RateConfig.from_json(top.get("rate_config", dict))
 
 
-def validate_config(doc: dict) -> None:
-    """Strict schema check: required keys, types, allowed values, no unknown keys."""
-    if not isinstance(doc, dict):
-        raise ConfigurationError("config root must be a JSON object")
-    unknown = set(doc) - set(_SCHEMA)
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    for key, (typ, required) in _SCHEMA.items():
-        if key not in doc:
-            if required:
-                raise ConfigurationError(f"missing required config key {key!r}")
-            continue
-        if not _type_ok(doc[key], typ):
-            raise ConfigurationError(f"config key {key!r} has wrong type")
-    if doc.get("version") != 1:
-        raise ConfigurationError(f"unsupported config version {doc.get('version')!r}")
-    if doc["command"] not in COMMANDS:
-        raise ConfigurationError(f"unknown command {doc['command']!r}")
-    for key, allowed in (("scenario", _SCENARIO_KEYS), ("hypotheses", _HYPOTHESES_KEYS),
-                         ("loss", _LOSS_KEYS), ("rate_config", _RATE_KEYS),
-                         ("diagnose", _DIAGNOSE_KEYS)):
-        if key in doc:
-            bad = set(doc[key]) - allowed
-            if bad:
-                raise ConfigurationError(f"unknown keys in {key!r}: {sorted(bad)}")
-    for block, key, allowed in _CHOICES:
-        section = doc if block is None else doc.get(block, {})
-        if key in section and section[key] not in allowed:
-            name = key if block is None else f"{block}.{key}"
-            raise ConfigurationError(
-                f"config key {name!r} is {section[key]!r}, not one of {list(allowed)}")
-    for key in _unread_keys(doc):
-        if key in doc:
-            raise ConfigurationError(
-                f"config key {key!r} is not read by this {doc['command']!r} run")
-    for key, typ in (("bandwidths", float), ("cutoffs", int)):
-        values = doc.get("diagnose", {}).get(key, [])
-        if not isinstance(values, list) or not all(_type_ok(v, typ) for v in values):
-            raise ConfigurationError(
-                f"config key 'diagnose.{key}' must be a list of {typ.__name__}s, got {values!r}")
+def _loss(top: ConfigReader) -> LossSpec:
+    r = ConfigReader(top.get("loss", dict, {}), "loss")
+    loss = LossSpec(kind=r.get("kind", str, "hard", LOSS_KINDS), clip=r.get("clip", float, 1.0))
+    r.done()
+    return loss
 
 
-def _unread_keys(doc: dict) -> tuple[str, ...]:
-    """Top-level keys the command would ignore: giving one is an error."""
-    command = doc["command"]
-    if command == "fit":
-        return ("bandwidth",) if doc.get("backend") == "svd" else ("cutoff",)
-    if command == "rates":
-        return ("bandwidth", "cutoff")
-    if command == "diagnose":  # smoothing values and backend come from the diagnose block
-        return ("backend", "window", "bandwidth", "cutoff")
-    return ()
+def _class_size(top: ConfigReader, default: int = 101) -> int:
+    """The threshold count of the ``hypotheses`` block."""
+    r = ConfigReader(top.get("hypotheses", dict, {}), "hypotheses")
+    r.get("kind", str, "thresholds", ("thresholds",))
+    count = r.get("count", int, default)
+    r.done()
+    return count
 
 
-def _load_scenario(doc: dict) -> Scenario:
-    sdoc = dict(doc.get("scenario") or {})
-    if "family" in sdoc:  # margin-scenario shorthand
-        return make_margin_scenario(
-            alpha=float(sdoc.get("alpha", 1.0)),
-            contamination=contamination_from_json(sdoc["contamination"]),
-            x_star=float(sdoc.get("x_star", 0.5)),
-            family=sdoc["family"],
-            gamma=sdoc.get("gamma"),
-            grid=grid_from_json(sdoc.get("grid", {})),
-            sharpness=float(sdoc.get("sharpness", 1.0)),
-        )
-    return Scenario.from_json(sdoc)
+def _base_kernel(top: ConfigReader) -> str:
+    return top.get("base_kernel", str, "sinc", BASE_KINDS)
 
 
-def _loss(doc: dict) -> LossSpec:
-    ldoc = doc.get("loss") or {}
-    return LossSpec(kind=ldoc.get("kind", "hard"), clip=float(ldoc.get("clip", 1.0)))
+def _kernel_options(top: ConfigReader) -> dict:
+    return {"base_kernel": _base_kernel(top), "pad_factor": top.get("pad_factor", float, 4.0)}
 
 
-def _rate_config(doc: dict) -> RateConfig:
-    if "rate_config" not in doc:
-        raise ConfigurationError("this command requires a rate_config block")
-    return RateConfig.from_json(doc["rate_config"])
+def _backend(top: ConfigReader) -> tuple[str, dict]:
+    """The backend kind and the options ``build_backend`` takes for it."""
+    kind = top.get("backend", str, "deconvolution", BACKENDS)
+    options = {} if kind == "svd" else _kernel_options(top)
+    if kind == "restricted":
+        options["window"] = tuple(top.get("window", [float]))
+    return kind, options
 
 
 def _json_bytes(obj) -> bytes:
@@ -214,140 +131,169 @@ def _manifest(out_dir: str, doc: dict, seed: int, artifacts: list[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# commands: each reads its keys and returns its work(out_dir, seed, threads)
 # ---------------------------------------------------------------------------
 
-def _cmd_exponent(doc, out_dir, seed):
-    mode = doc.get("theory_mode", "deconv")
-    if mode == "hard_loss" and "alpha" in doc:
-        rc = doc.get("rate_config", {})
-        value = hard_loss_exponent(float(doc["alpha"]), float(rc.get("gamma", 1.0)),
-                                   int(rc.get("dim", 1)), float(rc.get("beta_bar", 0.0)))
-    else:
-        value = rate_exponent(_rate_config(doc), mode)
-    print(f"{value:.6f}")
-    _write(os.path.join(out_dir, "exponent.json"),
-           _json_bytes({"mode": mode, "exponent": value}))
-    return ["exponent.json"]
+def _read_exponent(top: ConfigReader):
+    mode = top.get("theory_mode", str, "deconv", RATE_MODES)
+    alpha = top.get("alpha", float, None) if mode == "hard_loss" else None
+    if alpha is None:
+        value = rate_exponent(_rate_config(top), mode)
+    else:  # the margin given directly: the rate_config block needs no kappa or rho
+        r = ConfigReader(top.get("rate_config", dict, {}), "rate_config")
+        value = hard_loss_exponent(alpha, r.get("gamma", float, 1.0),
+                                   r.get("dim", int, RateConfig.dim),
+                                   r.get("beta_bar", float, RateConfig.beta_bar))
+        r.done()
+
+    def work(out_dir, seed, threads):
+        print(f"{value:.6f}")
+        _write(os.path.join(out_dir, "exponent.json"),
+               _json_bytes({"mode": mode, "exponent": value}))
+        return ["exponent.json"]
+    return work
 
 
-def _cmd_kernel(doc, out_dir, seed):
-    scenario = _load_scenario(doc)
-    grid = scenario.domain
-    base = build_base_kernel(doc.get("base_kernel", "sinc"), grid)
+def _read_kernel(top: ConfigReader):
+    scenario = _scenario(top)
     if isinstance(scenario.contamination, SpectralOperator):
         raise ConfigurationError("kernel command needs an additive-noise scenario")
-    bandwidth = float(doc.get("bandwidth", 0.2))
-    kernel = build_deconvolution_kernel(base, scenario.contamination, bandwidth)
-    kernel.to_csv(os.path.join(out_dir, "kernel.csv"))
-    return ["kernel.csv"]
+    base_kind, bandwidth = _base_kernel(top), top.get("bandwidth", float, 0.2)
+
+    def work(out_dir, seed, threads):
+        base = build_base_kernel(base_kind, scenario.domain)
+        kernel = build_deconvolution_kernel(base, scenario.contamination, bandwidth)
+        kernel.to_csv(os.path.join(out_dir, "kernel.csv"))
+        return ["kernel.csv"]
+    return work
 
 
-def _cmd_fit(doc, out_dir, seed):
-    scenario = _load_scenario(doc)
-    loss = _loss(doc)
-    cfg = _rate_config(doc)
-    n = int(doc.get("n", 1024))
-    hclass = threshold_grid(int((doc.get("hypotheses") or {}).get("count", 101)),
-                            scenario.domain)
-    kind = doc.get("backend", "deconvolution")
-    smoothing = doc.get("cutoff" if kind == "svd" else "bandwidth")
+def _read_fit(top: ConfigReader):
+    scenario, loss, cfg = _scenario(top), _loss(top), _rate_config(top)
+    n, count = top.get("n", int, 1024), _class_size(top)
+    kind, options = _backend(top)
+    _check_backend(kind, scenario, options.get("window"))
+    if kind == "svd":
+        smoothing = top.get("cutoff", int, None, range(1, scenario.contamination.k_max + 1))
+    else:
+        smoothing = top.get("bandwidth", float, None)
     if smoothing is None:
         smoothing = rule_smoothing(kind, scenario, cfg, n)
-    backend = build_backend(kind, scenario, loss, smoothing,
-                            base_kernel=doc.get("base_kernel", "sinc"),
-                            pad_factor=float(doc.get("pad_factor", 4.0)),
-                            window=tuple(doc["window"]) if "window" in doc else None)
-    sample = generate_sample(scenario, n, np.random.default_rng(seed))
-    fit = minimize(hclass, sample, backend)
-    payload = fit.to_json()
-    payload["true_risk"] = true_risk(fit.classifier, scenario, loss)
-    _write(os.path.join(out_dir, "fit.json"), _json_bytes(payload))
-    return ["fit.json"]
+
+    def work(out_dir, seed, threads):
+        hclass = threshold_grid(count, scenario.domain)
+        backend = build_backend(kind, scenario, loss, smoothing, **options)
+        sample = generate_sample(scenario, n, np.random.default_rng(seed))
+        fit = minimize(hclass, sample, backend)
+        payload = fit.to_json()
+        payload["true_risk"] = true_risk(fit.classifier, scenario, loss)
+        _write(os.path.join(out_dir, "fit.json"), _json_bytes(payload))
+        return ["fit.json"]
+    return work
 
 
-def _plan_from_config(doc, seed) -> ExperimentPlan:
-    scenario = _load_scenario(doc)
+def _read_plan(top: ConfigReader) -> ExperimentPlan:
+    """The rate experiment of a ``rates`` config, at base seed 0 (the run sets it)."""
+    kind, options = _backend(top)
     return ExperimentPlan(
-        scenario=scenario,
-        rate_config=_rate_config(doc),
-        n_grid=tuple(int(n) for n in doc.get("n_grid", (256, 512, 1024))),
-        replications=int(doc.get("replications", 50)),
-        base_seed=seed,
-        backend=doc.get("backend", "deconvolution"),
-        n_thresholds=int((doc.get("hypotheses") or {}).get("count", 101)),
-        loss=_loss(doc),
-        base_kernel=doc.get("base_kernel", "sinc"),
-        pad_factor=float(doc.get("pad_factor", 4.0)),
-        window=tuple(doc["window"]) if "window" in doc else None,
-        theory_mode=doc.get("theory_mode", "hard_loss"),
+        scenario=_scenario(top),
+        rate_config=_rate_config(top),
+        n_grid=tuple(top.get("n_grid", [int], [256, 512, 1024])),
+        replications=top.get("replications", int, 50),
+        backend=kind,
+        n_thresholds=_class_size(top),
+        loss=_loss(top),
+        theory_mode=top.get("theory_mode", str, "hard_loss", RATE_MODES),
+        **options,
     )
 
 
-def _cmd_rates(doc, out_dir, seed, threads):
-    plan = _plan_from_config(doc, seed)
-    csv_path = os.path.join(out_dir, "rates.csv")
-    rows_written = []
+def _read_rates(top: ConfigReader):
+    plan = _read_plan(top)
 
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("n,mean_excess,standard_error,replications\n")
-        fh.flush()
-
-        def progress(row):
-            n, m, s, c = row
-            fh.write(f"{int(n)},{float(m)!r},{float(s)!r},{int(c)}\n")
+    def work(out_dir, seed, threads):
+        with open(os.path.join(out_dir, "rates.csv"), "w", newline="") as fh:
+            fh.write("n,mean_excess,standard_error,replications\n")
             fh.flush()
-            rows_written.append(row)
 
-        try:
-            report = run_rate_experiment(plan, threads=threads, progress=progress)
-        except SimulationError as exc:
-            _write(os.path.join(out_dir, "error.json"),
-                   _json_bytes({"error": str(exc),
-                                "partial_rows": [list(r) for r in exc.partial_rows]}))
-            raise
-    _write(os.path.join(out_dir, "summary.json"), _json_bytes(report.summary_json()))
-    return ["rates.csv", "summary.json"]
+            def progress(row):
+                n, m, s, c = row
+                fh.write(f"{int(n)},{float(m)!r},{float(s)!r},{int(c)}\n")
+                fh.flush()
+
+            try:
+                report = run_rate_experiment(replace(plan, base_seed=seed), threads=threads,
+                                             progress=progress)
+            except SimulationError as exc:
+                _write(os.path.join(out_dir, "error.json"),
+                       _json_bytes({"error": str(exc),
+                                    "partial_rows": [list(r) for r in exc.partial_rows]}))
+                raise
+        _write(os.path.join(out_dir, "summary.json"), _json_bytes(report.summary_json()))
+        return ["rates.csv", "summary.json"]
+    return work
 
 
-def _cmd_diagnose(doc, out_dir, seed):
-    scenario = _load_scenario(doc)
-    loss = _loss(doc)
-    ddoc = doc.get("diagnose") or {}
-    report = DiagnosticsReport()
-    grid = scenario.domain
-    hclass = threshold_grid(int((doc.get("hypotheses") or {}).get("count", 33)), grid)
-    star_index, _, _ = bayes_in_class(hclass, scenario, loss)
-    bias_variant = ddoc.get("bias_variant", "squared_loss")
-    mc_n = int(ddoc.get("mc_n", 20000))
-    pairs = _diagnostic_pairs(hclass, int(ddoc.get("pair_count", 40)))
+def _read_diagnose(top: ConfigReader):
+    scenario, loss, count = _scenario(top), _loss(top), _class_size(top, 33)
     op = scenario.contamination
     kind = "svd" if isinstance(op, SpectralOperator) else "deconvolution"
-    if kind == "svd":
-        smoothings = list(ddoc.get("cutoffs", (4, 8, 16, 32)))
-    else:
-        smoothings = [float(b) for b in ddoc.get("bandwidths", (0.1, 0.15, 0.22, 0.33, 0.5))]
-    for smoothing in smoothings:
-        backend = build_backend(kind, scenario, loss, smoothing,
-                                base_kernel=doc.get("base_kernel", "sinc"),
-                                pad_factor=float(doc.get("pad_factor", 4.0)))
-        ratios = empirical_lipschitz(scenario, backend, hclass, pairs, mc_n, seed)
-        if kind == "svd":
-            cert = sup_bound_svd(op, smoothing, hclass, loss, grid)
-            bias = empirical_bias_svd(scenario, op, smoothing, hclass, star_index, loss,
-                                      bias_variant=bias_variant)
-        else:
-            cert = sup_bound_deconv(backend.lattice, hclass, loss, grid)
-            bias = empirical_bias_deconv(scenario, backend.lattice, hclass, star_index, loss,
-                                         bias_variant=bias_variant)
-        report.lipschitz.append((smoothing, float(ratios.max())))
-        report.sup_bounds.append((smoothing, cert, table_sup(backend, hclass)))
-        report.bias.append((smoothing, bias))
-    report.slopes = _scaling_slopes([float(s) for s in smoothings], report)
-    report.bernstein_max = bernstein_ratio(scenario, hclass, star_index, loss)
-    _write(os.path.join(out_dir, "diagnostics.json"), _json_bytes(report.to_json()))
-    report.raw_csv(os.path.join(out_dir, "diagnostics.csv"))
-    return ["diagnostics.json", "diagnostics.csv"]
+    options = {} if kind == "svd" else _kernel_options(top)
+    r = ConfigReader(top.get("diagnose", dict, {}), "diagnose")
+    smoothings = (r.get("cutoffs", [int], [4, 8, 16, 32]) if kind == "svd"
+                  else r.get("bandwidths", [float], [0.1, 0.15, 0.22, 0.33, 0.5]))
+    bias_variant = r.get("bias_variant", str, "squared_loss", BIAS_VARIANTS)
+    mc_n, pair_count = r.get("mc_n", int, 20000), r.get("pair_count", int, 40)
+    r.done()
+
+    def work(out_dir, seed, threads):
+        report = DiagnosticsReport()
+        grid = scenario.domain
+        hclass = threshold_grid(count, grid)
+        star_index, _, _ = bayes_in_class(hclass, scenario, loss)
+        pairs = _diagnostic_pairs(hclass, pair_count)
+        for smoothing in smoothings:
+            backend = build_backend(kind, scenario, loss, smoothing, **options)
+            ratios = empirical_lipschitz(scenario, backend, hclass, pairs, mc_n, seed)
+            if kind == "svd":
+                cert = sup_bound_svd(op, smoothing, hclass, loss, grid)
+                bias = empirical_bias_svd(scenario, op, smoothing, hclass, star_index, loss,
+                                          bias_variant=bias_variant)
+            else:
+                cert = sup_bound_deconv(backend.lattice, hclass, loss, grid)
+                bias = empirical_bias_deconv(scenario, backend.lattice, hclass, star_index,
+                                             loss, bias_variant=bias_variant)
+            report.lipschitz.append((smoothing, float(ratios.max())))
+            report.sup_bounds.append((smoothing, cert, table_sup(backend, hclass)))
+            report.bias.append((smoothing, bias))
+        report.slopes = _scaling_slopes([float(s) for s in smoothings], report)
+        report.bernstein_max = bernstein_ratio(scenario, hclass, star_index, loss)
+        _write(os.path.join(out_dir, "diagnostics.json"), _json_bytes(report.to_json()))
+        report.raw_csv(os.path.join(out_dir, "diagnostics.csv"))
+        return ["diagnostics.json", "diagnostics.csv"]
+    return work
+
+
+_COMMANDS = {"kernel": _read_kernel, "fit": _read_fit, "rates": _read_rates,
+             "diagnose": _read_diagnose, "exponent": _read_exponent}
+
+
+def _parse(doc) -> tuple:
+    """Read the whole config: (the command's work, the seed, the output directory)."""
+    top = ConfigReader(doc)
+    top.get("version", int, allowed=(1,))
+    command = top.get("command", str, allowed=tuple(_COMMANDS))
+    seed, out = top.get("seed", int, 0), top.get("out", str, "artifacts")
+    work = _COMMANDS[command](top)
+    top.done()
+    return work, seed, out
+
+
+def validate_config(doc: dict) -> None:
+    """Read the config as a run would, doing none of its work: a missing
+    key, a wrong type or value, or a key the command does not read raises
+    ``ConfigurationError``."""
+    _parse(doc)
 
 
 def _diagnostic_pairs(hclass, count):
@@ -397,13 +343,13 @@ def run(config_path: str, out_dir: str | None = None, threads: int | None = None
         return 2
 
     try:
-        validate_config(doc)
-    except ConfigurationError as exc:
+        work, doc_seed, doc_out = _parse(doc)
+    except IndirectErmError as exc:  # also an invalid model the config names
         print(f"config rejected: {exc}", file=sys.stderr)
         return 2
 
-    effective_seed = int(seed if seed is not None else doc.get("seed", 0))
-    effective_out = out_dir or doc.get("out") or "artifacts"
+    effective_seed = int(seed if seed is not None else doc_seed)
+    effective_out = out_dir or doc_out
     effective_threads = int(threads if threads is not None else (os.cpu_count() or 1))
 
     try:
@@ -412,18 +358,8 @@ def run(config_path: str, out_dir: str | None = None, threads: int | None = None
         print(f"I/O error creating output dir: {exc}", file=sys.stderr)
         return 4
 
-    command = doc["command"]
     try:
-        if command == "exponent":
-            artifacts = _cmd_exponent(doc, effective_out, effective_seed)
-        elif command == "kernel":
-            artifacts = _cmd_kernel(doc, effective_out, effective_seed)
-        elif command == "fit":
-            artifacts = _cmd_fit(doc, effective_out, effective_seed)
-        elif command == "rates":
-            artifacts = _cmd_rates(doc, effective_out, effective_seed, effective_threads)
-        else:
-            artifacts = _cmd_diagnose(doc, effective_out, effective_seed)
+        artifacts = work(effective_out, effective_seed, effective_threads)
     except ConfigurationError as exc:
         print(f"config rejected: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .erm import DeconvolutionBackend, SvdBackend, empirical_risks
+from .erm import BIAS_VARIANTS, DeconvolutionBackend, SvdBackend, empirical_risks
 from .errors import ConfigurationError, DataError
 from .grid import Grid
 from .hypotheses import HypothesisClass, LossSpec, Scenario, loss_values, true_risk
@@ -128,14 +128,13 @@ def fit_rate_slope(points) -> tuple[float, float]:
 # measured structural constants
 # ---------------------------------------------------------------------------
 
-def _loss_distance_sq(scenario: Scenario, loss: LossSpec, clf_a, clf_b, grid: Grid,
-                      mu: str) -> float:
+def _loss_distance_sq(scenario: Scenario, loss: LossSpec, clf_a, clf_b, mu: str) -> float:
     """Squared L2(mu) distance of two classifiers' raw losses; ``mu`` is
     "nu_y" (Lebesgue measure times the label priors) or "p" (the input law)."""
     if mu not in MU_CHOICES:
         raise ConfigurationError(f"unknown loss-distance measure {mu!r}, "
                                  f"not one of {list(MU_CHOICES)}")
-    x, w = grid.axis(), grid.weights()
+    x, w = scenario.domain.axis(), scenario.domain.weights()
     total = 0.0
     for label in scenario.labels:
         diff = loss_values(clf_a, loss, label, x) - loss_values(clf_b, loss, label, x)
@@ -145,26 +144,27 @@ def _loss_distance_sq(scenario: Scenario, loss: LossSpec, clf_a, clf_b, grid: Gr
 
 
 def empirical_lipschitz(scenario: Scenario, backend, hclass: HypothesisClass, pairs,
-                        mc_n: int, seed, mu: str = "nu_y",
-                        grid: Grid | None = None) -> np.ndarray:
+                        mc_n: int, seed, mu: str = "nu_y") -> np.ndarray:
     """Measured Lipschitz ratios of the regularized loss class.
 
     For each pair (i, j) of class indices: the Monte-Carlo L2 norm of the
     difference of the backend's regularized losses under the contaminated
     law, divided by the quadrature L2 norm of the raw loss difference (with
-    the backend's loss) under ``mu``. Degenerate pairs are skipped.
+    the backend's loss) under ``mu``. Degenerate pairs are skipped; a
+    ``DataError`` is raised when none is left.
     """
     from .simulation import generate_sample  # a top-level import would be circular
 
-    g = grid or scenario.domain
     kept = []  # (i, j, raw loss distance)
     for i, j in pairs:
         denom = math.sqrt(max(_loss_distance_sq(scenario, backend.loss, hclass[i], hclass[j],
-                                                g, mu), 0.0))
+                                                mu), 0.0))
         if denom <= 1e-8:
             logger.info("skipping a degenerate classifier pair (zero loss distance)")
         else:
             kept.append((i, j, denom))
+    if not kept:
+        raise DataError("no classifier pair with a nonzero loss distance to measure")
     sample = generate_sample(scenario, mc_n, np.random.default_rng(seed))
     num_sq = np.zeros(len(kept))
     for label in scenario.labels:
@@ -224,6 +224,8 @@ def table_sup(backend, hclass: HypothesisClass) -> float:
 
 
 def _r_constant(kappa: float, variant: str) -> float:
+    if variant not in BIAS_VARIANTS:
+        raise ConfigurationError(f"unknown bias variant {variant!r}")
     return 1.0 / kappa if variant == "squared_loss" else 1.0 / (2.0 * kappa)
 
 
@@ -263,7 +265,6 @@ def empirical_bias_deconv(scenario: Scenario, lattice: ObservationLattice,
 
 def empirical_bias_svd(scenario: Scenario, op: SpectralOperator, cutoff: int,
                        hclass: HypothesisClass, star_index: int, loss: LossSpec,
-                       grid: Grid | None = None,
                        bias_variant: str = "squared_loss") -> float:
     """Approximation-function estimate for the spectral backend.
 
@@ -271,10 +272,9 @@ def empirical_bias_svd(scenario: Scenario, op: SpectralOperator, cutoff: int,
     pairing sum_y p_y sum_(k<=N) c_k(g, y) theta_k^y (the backend's
     ``expected_risks``), evaluated exactly.
     """
-    g = grid or scenario.domain
     r = _r_constant(scenario.kappa, bias_variant)
-    risks = np.array([true_risk(c, scenario, loss, g) for c in hclass])
-    reg = SvdBackend(operator=op, cutoff=cutoff, grid=g, loss=loss).expected_risks(
+    risks = np.array([true_risk(c, scenario, loss) for c in hclass])
+    reg = SvdBackend(operator=op, cutoff=cutoff, grid=scenario.domain, loss=loss).expected_risks(
         hclass, scenario)
     excess = risks - risks[star_index]
     bias = excess - (reg - reg[star_index])
@@ -283,35 +283,32 @@ def empirical_bias_svd(scenario: Scenario, op: SpectralOperator, cutoff: int,
 
 
 def bernstein_ratio(scenario: Scenario, hclass: HypothesisClass, star_index: int,
-                    loss: LossSpec, mu: str = "nu_y",
-                    grid: Grid | None = None, min_excess: float = 1e-8) -> float:
+                    loss: LossSpec, mu: str = "nu_y") -> float:
     """Empirical Bernstein constant of the excess-loss class.
 
-    max over classifiers (excess above ``min_excess``) of
+    max over classifiers (excess above 1e-8) of
     ||loss(g) - loss(g*)||^2_(L2(mu)) / excess^(1/kappa). Returns 0 for a
     singleton class.
     """
     kappa = scenario.kappa
     if not kappa > 1.0 or not np.isfinite(kappa):  # also catches nan
         raise ConfigurationError("Bernstein ratio needs a finite kappa > 1")
-    g = grid or scenario.domain
     star = hclass[star_index]
-    risk_star = true_risk(star, scenario, loss, g)
+    risk_star = true_risk(star, scenario, loss)
     best = 0.0
     for clf in hclass:
         if clf is star:
             continue
-        excess = true_risk(clf, scenario, loss, g) - risk_star
-        if excess <= min_excess:
+        excess = true_risk(clf, scenario, loss) - risk_star
+        if excess <= 1e-8:
             continue
-        norm_sq = _loss_distance_sq(scenario, loss, clf, star, g, mu)
+        norm_sq = _loss_distance_sq(scenario, loss, clf, star, mu)
         best = max(best, norm_sq / excess ** (1.0 / scenario.kappa))
     return best
 
 
 def empirical_modulus(scenario: Scenario, backend, hclass: HypothesisClass, delta: float,
-                      n: int, mc_reps: int, seed, mu: str = "nu_y",
-                      grid: Grid | None = None) -> float:
+                      n: int, mc_reps: int, seed, mu: str = "nu_y") -> float:
     """Monte-Carlo modulus of continuity of the centered empirical process.
 
     Average over replications of the sup, over classifier pairs whose raw
@@ -321,11 +318,10 @@ def empirical_modulus(scenario: Scenario, backend, hclass: HypothesisClass, delt
     """
     if delta < 0:
         raise ConfigurationError("delta must be nonnegative")
-    g = grid or scenario.domain
     admissible = [
         (i, j) for i in range(len(hclass)) for j in range(i + 1, len(hclass))
         if math.sqrt(max(_loss_distance_sq(scenario, backend.loss, hclass[i], hclass[j],
-                                           g, mu), 0.0)) <= delta
+                                           mu), 0.0)) <= delta
     ]
     if not admissible:
         logger.warning("no classifier pair within delta=%g; modulus is 0", delta)

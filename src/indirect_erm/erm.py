@@ -27,6 +27,7 @@ from .noisy_risk import (
     svd_loss_coefficients,
 )
 from .operators import SpectralOperator
+from .reader import ConfigReader
 
 __all__ = [
     "RateConfig",
@@ -87,11 +88,16 @@ class RateConfig:
 
     @staticmethod
     def from_json(doc: dict) -> "RateConfig":
-        return RateConfig(
-            kappa=float(doc["kappa"]), rho=float(doc["rho"]), gamma=float(doc["gamma"]),
-            beta_bar=float(doc.get("beta_bar", 0.0)), dim=int(doc.get("dim", 1)),
-            bias_variant=doc.get("bias_variant", "general"),
+        """The ``rate_config`` block; absent optional keys take the field defaults."""
+        r = ConfigReader(doc, "rate_config")
+        cfg = RateConfig(
+            kappa=r.get("kappa", float), rho=r.get("rho", float), gamma=r.get("gamma", float),
+            beta_bar=r.get("beta_bar", float, RateConfig.beta_bar),
+            dim=r.get("dim", int, RateConfig.dim),
+            bias_variant=r.get("bias_variant", str, RateConfig.bias_variant, BIAS_VARIANTS),
         )
+        r.done()
+        return cfg
 
 
 def _smoothing_exponent(cfg: RateConfig) -> float:

@@ -28,11 +28,11 @@ def trapezoid_weights(n_points: int, spacing: float) -> np.ndarray:
     return w
 
 
-def _bound(value, name: str) -> float:
-    """A grid bound: a number, or a one-element sequence as configs write it."""
+def _one_number(value, name: str) -> float:
+    """A number, or a one-element sequence as configs write it."""
     v = np.asarray(value, dtype=float).reshape(-1)
     if v.size != 1:
-        raise ConfigurationError(f"grid {name} must be one number, got {value!r}")
+        raise ConfigurationError(f"{name} must be one number, got {value!r}")
     return float(v[0])
 
 
@@ -55,8 +55,8 @@ class Grid:
     points_per_dim: int = 1024
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", _bound(self.lower, "lower"))
-        object.__setattr__(self, "upper", _bound(self.upper, "upper"))
+        object.__setattr__(self, "lower", _one_number(self.lower, "grid lower"))
+        object.__setattr__(self, "upper", _one_number(self.upper, "grid upper"))
         if not self.upper > self.lower:
             raise ConfigurationError("upper must exceed lower")
         if self.points_per_dim < 16 or not _is_power_of_two(self.points_per_dim):

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ModelError
-from .grid import Grid
+from .grid import Grid, _one_number
 from .kernels import NoiseModel, dirac_noise, laplace_noise
 from .operators import SpectralOperator
+from .reader import ConfigReader
 
 __all__ = [
     "LossSpec",
@@ -313,9 +314,8 @@ class Scenario:
         return _DENSITY_FUNCS[self.densities](label, np.asarray(x, dtype=float),
                                               self.density_params)
 
-    def density_values(self, label: int, grid: Grid | None = None) -> np.ndarray:
-        g = grid or self.domain
-        return self.density(label, g.axis())
+    def density_values(self, label: int) -> np.ndarray:
+        return self.density(label, self.domain.axis())
 
     def cosine_coefficients(self, label: int, k_max: int) -> np.ndarray:
         """Coefficients of f_y in the cosine basis.
@@ -367,15 +367,27 @@ class Scenario:
 
     @staticmethod
     def from_json(doc: dict) -> "Scenario":
-        return Scenario(
-            priors=tuple(doc["priors"]),
-            densities=doc["densities"],
-            contamination=contamination_from_json(doc["contamination"]),
-            alpha=float(doc.get("alpha", 1.0)),
-            gamma=float(doc.get("gamma", 1.0)),
-            domain=grid_from_json(doc.get("grid", {})),
-            density_params=dict(doc.get("density_params", {})),
-        )
+        """A scenario from its config block: ``priors`` and ``densities`` in
+        full, or the margin shorthand ``family`` (see ``make_margin_scenario``)."""
+        r = ConfigReader(doc, "scenario")
+        contamination = contamination_from_json(r.get("contamination", dict))
+        domain = grid_from_json(r.get("grid", dict, {}))
+        alpha = r.get("alpha", float, 1.0)
+        gamma = r.get("gamma", float, None)
+        if "family" in doc:
+            scenario = make_margin_scenario(
+                alpha, contamination, x_star=r.get("x_star", float, 0.5),
+                family=r.get("family", str), gamma=gamma, grid=domain,
+                sharpness=r.get("sharpness", float, 1.0))
+        else:
+            scenario = Scenario(
+                priors=tuple(r.get("priors", [float])),
+                densities=r.get("densities", str, allowed=DENSITY_FAMILIES),
+                contamination=contamination, alpha=alpha,
+                gamma=1.0 if gamma is None else gamma, domain=domain,
+                density_params=dict(r.get("density_params", dict, {})))
+        r.done()
+        return scenario
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -385,28 +397,30 @@ class Scenario:
         return Scenario.from_json(json.loads(text))
 
 
+_NUMBER = (float, [float])  # a number, or a one-element list as configs write it
+
+
 def grid_from_json(doc: dict) -> Grid:
     """The domain grid of a scenario's ``grid`` block."""
-    return Grid(lower=doc.get("lower", 0.0), upper=doc.get("upper", 1.0),
-                points_per_dim=int(doc.get("points", 1024)))
+    r = ConfigReader(doc, "scenario.grid")
+    grid = Grid(lower=r.get("lower", _NUMBER, 0.0), upper=r.get("upper", _NUMBER, 1.0),
+                points_per_dim=r.get("points", int, 1024))
+    r.done()
+    return grid
 
 
 def contamination_from_json(doc: dict) -> NoiseModel | SpectralOperator:
     """The noise model or spectral operator of a scenario's ``contamination`` block."""
-    kind = doc.get("kind")
+    r = ConfigReader(doc, "scenario.contamination")
+    kind = r.get("kind", str, allowed=("svd_operator", "dirac", "laplace"))
     if kind == "svd_operator":
-        return SpectralOperator(decay=float(doc.get("beta", 1.0)),
-                                k_max=int(doc.get("k_max", 64)))
-    if kind == "dirac":
-        return dirac_noise()
-    if kind == "laplace":
-        beta = doc.get("beta", 2.0)
-        if isinstance(beta, (list, tuple)):
-            if len(beta) != 1:
-                raise ConfigurationError(f"laplace beta must be one number, got {beta!r}")
-            beta = beta[0]
-        return laplace_noise(float(beta))
-    raise ConfigurationError(f"unknown contamination kind {kind!r}")
+        out = SpectralOperator(decay=r.get("beta", float, 1.0), k_max=r.get("k_max", int, 64))
+    elif kind == "dirac":
+        out = dirac_noise()
+    else:
+        out = laplace_noise(_one_number(r.get("beta", _NUMBER, 2.0), "laplace beta"))
+    r.done()
+    return out
 
 
 def make_margin_scenario(alpha: float, contamination, x_star: float = 0.5,
@@ -514,14 +528,13 @@ def window_mask(x: np.ndarray, window: tuple[float, float]) -> np.ndarray:
 
 
 def true_risk(clf, scenario: Scenario, loss: LossSpec,
-              grid: Grid | None = None, window: tuple[float, float] | None = None) -> float:
+              window: tuple[float, float] | None = None) -> float:
     """Risk sum_y p(y) * integral of loss(g(x), y) f_y(x) by trapezoid quadrature.
 
     ``window`` clips the integration to a compact subinterval (the restricted
     risk); by default the full domain is used.
     """
-    g = grid or scenario.domain
-    x, w = g.axis(), g.weights()
+    x, w = scenario.domain.axis(), scenario.domain.weights()
     if window is not None:
         w = np.where(window_mask(x, window), w, 0.0)
     total = 0.0
@@ -533,13 +546,11 @@ def true_risk(clf, scenario: Scenario, loss: LossSpec,
     return float(min(max(total, 0.0), 1.0))
 
 
-def bayes_in_class(hclass: HypothesisClass, scenario: Scenario, loss: LossSpec,
-                   grid: Grid | None = None,
-                   window: tuple[float, float] | None = None):
+def bayes_in_class(hclass: HypothesisClass, scenario: Scenario, loss: LossSpec):
     """Exhaustive in-class risk minimizer; ties break to the lowest index.
 
     Returns ``(index, classifier, risk)``.
     """
-    risks = np.array([true_risk(c, scenario, loss, grid, window) for c in hclass])
+    risks = np.array([true_risk(c, scenario, loss) for c in hclass])
     idx = int(np.argmin(risks))  # argmin returns the first minimizer
     return idx, hclass[idx], float(risks[idx])

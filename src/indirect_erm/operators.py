@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, ModelError
+from .errors import ConfigurationError, ModelError
 from .grid import Grid
 from .kernels import NoiseModel
 
@@ -21,7 +21,6 @@ __all__ = [
     "contaminate",
     "apply_operator",
     "sample_density",
-    "estimate_svd_coefficients",
 ]
 
 
@@ -158,19 +157,3 @@ def sample_density(values: np.ndarray, grid: Grid, n: int, seed) -> np.ndarray:
     frac = np.where(gap > 0, (u - cdf[idx]) / np.where(gap > 0, gap, 1.0), 0.0)
     return x[idx] + frac * h
 
-
-def estimate_svd_coefficients(z_draws: np.ndarray, op: SpectralOperator,
-                              n_coeffs: int) -> CoefficientVector:
-    """Unbiased spectral coefficient estimates from indirect draws.
-
-    theta_hat_k = b_k^(-1) * mean(phi_k(Z_i)) for k = 0..n_coeffs. Under a
-    self-adjoint operator these are unbiased for the input coefficients.
-    """
-    z = np.asarray(z_draws, dtype=float)
-    if z.size == 0:
-        raise DataError("cannot estimate coefficients from an empty sample")
-    if n_coeffs > op.k_max:
-        raise ConfigurationError(f"cutoff {n_coeffs} exceeds k_max {op.k_max}")
-    phi = op.basis(z, n_coeffs)
-    theta = phi.mean(axis=1) / op.singular_values[: n_coeffs + 1]
-    return CoefficientVector(theta)

@@ -106,8 +106,10 @@ def _check_backend(kind: str, scenario: Scenario, window) -> None:
     """Reject a backend that the scenario or the window cannot feed."""
     if kind not in BACKENDS:
         raise ConfigurationError(f"unknown backend {kind!r}")
-    if (kind == "restricted") != (window is not None):
-        raise ConfigurationError("the restricted backend needs a window, and only it takes one")
+    if (kind == "restricted") != (window is not None) or window is not None and (
+            len(window) != 2 or window[1] <= window[0]):
+        raise ConfigurationError("the restricted backend needs a window [a, b] with a < b, "
+                                 "and only it takes one")
     if kind == "svd" and not isinstance(scenario.contamination, SpectralOperator):
         raise ConfigurationError("svd backend needs a spectral-operator scenario")
     if kind != "svd" and not isinstance(scenario.contamination, NoiseModel):

@@ -8,11 +8,12 @@ stated runtime budgets on a laptop-class machine.
 import json
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
 import indirect_erm as ie
-from indirect_erm.cli import _plan_from_config, run as cli_run, validate_config
+from indirect_erm.cli import _read_plan, run as cli_run, validate_config
 from indirect_erm.diagnostics import (
     empirical_bias_deconv,
     empirical_bias_svd,
@@ -42,6 +43,7 @@ from indirect_erm.noisy_risk import (
     plug_in_density,
 )
 from indirect_erm.operators import contaminate, sample_density
+from indirect_erm.reader import ConfigReader
 from indirect_erm.simulation import generate_sample, run_rate_experiment
 
 from oracles import closed_form_corrected_sinc, naive_minimize_index
@@ -249,6 +251,10 @@ def _load_preset(name):
         doc = json.load(fh)
     validate_config(doc)
     return doc
+
+
+def _plan_from_config(doc, seed):
+    return replace(_read_plan(ConfigReader(doc)), base_seed=seed)
 
 
 def test_criterion_6_rate_slopes():

@@ -1,3 +1,4 @@
+import glob
 import json
 import math
 import os
@@ -6,6 +7,8 @@ import pytest
 
 from indirect_erm.cli import run, validate_config
 from indirect_erm.errors import ConfigurationError
+
+MISSING = object()  # a test case that deletes the key
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -62,6 +65,41 @@ def svd_fit_config(out):
     doc["scenario"]["contamination"] = {"kind": "svd_operator", "beta": 1.0, "k_max": 64}
     doc["rate_config"]["beta_bar"] = 1.0
     return doc
+
+
+def restricted_fit_config(out):
+    doc = fit_config(out)
+    doc["backend"] = "restricted"
+    doc["window"] = [0.2, 0.8]
+    return doc
+
+
+def restricted_rates_config(out):
+    doc = rates_config(out)
+    doc["backend"] = "restricted"
+    doc["window"] = [0.2, 0.8]
+    return doc
+
+
+def svd_rates_config(out):
+    doc = rates_config(out)
+    del doc["base_kernel"]
+    doc["backend"] = "svd"
+    doc["scenario"] = {"priors": [0.5, 0.5], "densities": "linear",
+                       "contamination": {"kind": "svd_operator", "beta": 1.0, "k_max": 64},
+                       "grid": {"points": 256}}
+    doc["rate_config"]["beta_bar"] = 1.0
+    doc["theory_mode"] = "svd"
+    return doc
+
+
+def kernel_config(out):
+    return {
+        "version": 1, "command": "kernel", "out": out, "bandwidth": 0.5,
+        "scenario": {"family": "linear", "alpha": 1,
+                     "contamination": {"kind": "laplace", "beta": 2},
+                     "grid": {"points": 256}},
+    }
 
 
 def diagnose_config(out):
@@ -141,11 +179,38 @@ def test_malformed_config_exit_codes(tmp_path):
     (svd_diagnose_config, "diagnose", "cutoffs", [4.5, 8.7]),
     (svd_diagnose_config, "diagnose", "cutoffs", [4, 8.0]),
     (diagnose_config, "diagnose", "bandwidths", ["0.15"]),
+    # keys the command does not read, wrong types and missing keys
+    (fit_config, "scenario.grid", "point", 256),
+    (fit_config, "scenario", "priors", [0.5, 0.5]),  # margin shorthand sets its priors
+    (fit_config, "scenario.contamination", "k_max", 64),
+    (fit_config, None, "n_grid", [128, 256]),
+    (fit_config, None, "replications", 3),
+    (fit_config, None, "diagnose", {"mc_n": 100}),
+    (svd_rates_config, None, "base_kernel", "sinc"),
+    (kernel_config, None, "rate_config", {"kappa": 2.0, "rho": 0.5, "gamma": 1.0}),
+    (exponent_config, None, "scenario", {"family": "linear",
+                                         "contamination": {"kind": "dirac"}}),
+    (fit_config, "hypotheses", "count", "11"),
+    (rates_config, None, "n_grid", ["128", "256"]),
+    (restricted_fit_config, None, "window", [0.2]),
+    (restricted_rates_config, None, "window", [0.8, 0.2]),
+    (fit_config, None, "scenario", MISSING),
+    (fit_config, "scenario", "contamination", MISSING),
+    (fit_config, "rate_config", "kappa", MISSING),
 ])
 def test_bad_config_values_exit_two(tmp_path, make, block, key, value):
     out = tmp_path / "artifacts"
     doc = make(str(out))
-    (doc if block is None else doc.setdefault(block, {}))[key] = value
+    validate_config(doc)  # the case's own change is what makes it invalid
+    section = doc
+    for name in block.split(".") if block else ():
+        section = section.setdefault(name, {})
+    if value is MISSING:
+        del section[key]
+    else:
+        section[key] = value
+    with pytest.raises(ConfigurationError):
+        validate_config(doc)
     assert run(write_config(tmp_path, doc), threads=1) == 2
     for name in ("rates.csv", "fit.json", "exponent.json", "diagnostics.json"):
         assert not (out / name).exists()
@@ -203,14 +268,7 @@ def test_exponent_command(tmp_path, capsys):
 
 
 def test_kernel_command(tmp_path):
-    out = str(tmp_path / "artifacts")
-    doc = {
-        "version": 1, "command": "kernel", "out": out, "bandwidth": 0.5,
-        "scenario": {"family": "linear", "alpha": 1,
-                     "contamination": {"kind": "laplace", "beta": 2},
-                     "grid": {"points": 256}},
-    }
-    path = write_config(tmp_path, doc)
+    path = write_config(tmp_path, kernel_config(str(tmp_path / "artifacts")))
     assert run(path) == 0
     rows = (tmp_path / "artifacts" / "kernel.csv").read_text().strip().splitlines()
     assert rows[0] == "axis,offset,value"
@@ -284,18 +342,34 @@ def test_diagnose_command_svd(tmp_path):
     assert all(math.isfinite(value) and value > 0 for _, value in report["lipschitz"])
 
 
+@pytest.mark.parametrize("block, key, value", [
+    ("diagnose", "pair_count", 0),
+    ("hypotheses", "count", 1),
+])
+def test_diagnose_without_pairs_exits_three(tmp_path, block, key, value):
+    out = tmp_path / "artifacts"
+    doc = diagnose_config(str(out))
+    doc[block][key] = value
+    assert run(write_config(tmp_path, doc)) == 3
+    assert json.loads((out / "error.json").read_text())["kind"] == "DataError"
+    assert not (out / "diagnostics.json").exists()
+
+
 def test_preset_files_are_valid():
     import indirect_erm
 
     root = os.path.normpath(os.path.join(
-        os.path.dirname(os.path.abspath(indirect_erm.__file__)),
-        "..", "..", "presets"))
-    names = ["laplace-linear.json", "dirac-linear.json", "svd-linear.json"]
-    for name in names:
-        with open(os.path.join(root, name)) as fh:
+        os.path.dirname(os.path.abspath(indirect_erm.__file__)), "..", ".."))
+    paths = sorted(glob.glob(os.path.join(root, "presets", "*.json"))
+                   + glob.glob(os.path.join(root, "perfbench", "configs", "*.json")))
+    names = [os.path.relpath(p, root) for p in paths]
+    assert {"presets/laplace-linear.json", "presets/dirac-linear.json",
+            "presets/svd-linear.json", "perfbench/configs/laplace-diagnose.json"} <= set(names)
+    for path in paths:
+        with open(path) as fh:
             doc = json.load(fh)
         validate_config(doc)
-    with open(os.path.join(root, "laplace-linear.json")) as fh:
+    with open(os.path.join(root, "presets", "laplace-linear.json")) as fh:
         laplace = json.load(fh)
     assert laplace["rate_config"]["beta_bar"] == 2.0
     assert laplace["scenario"]["gamma"] == 2.0

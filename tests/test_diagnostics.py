@@ -17,6 +17,7 @@ from indirect_erm import (
 from indirect_erm.diagnostics import (
     bernstein_ratio,
     empirical_bias_deconv,
+    empirical_bias_svd,
     empirical_lipschitz,
     empirical_modulus,
     fit_rate_slope,
@@ -28,7 +29,7 @@ from indirect_erm.diagnostics import (
 )
 from indirect_erm.erm import DeconvolutionBackend, SvdBackend
 from indirect_erm.errors import DataError
-from indirect_erm.hypotheses import Scenario, bayes_in_class, snap_to_cell_midpoint
+from indirect_erm.hypotheses import Scenario, bayes_in_class
 from indirect_erm.noisy_risk import modified_loss_deconv, modified_loss_svd
 
 
@@ -155,10 +156,15 @@ def test_lipschitz_near_identity_for_dirac(grid, hard_loss):
 def test_lipschitz_skips_degenerate_pairs(grid, hard_loss):
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
     lattice = build_lattice(grid, dirac_noise(), 0.05)
-    clf = ThresholdClassifier(snap_to_cell_midpoint(0.5, grid))
+    hclass = threshold_grid(9, grid)
     backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
-    ratios = empirical_lipschitz(sc, backend, HypothesisClass((clf,)), [(0, 0)], 100, seed=0)
-    assert ratios.size == 0
+    ratios = empirical_lipschitz(sc, backend, hclass, [(0, 0), (2, 6), (3, 3)], 100, seed=0)
+    assert ratios.size == 1
+    # no pair left to measure: an error, not an empty array
+    with pytest.raises(DataError):
+        empirical_lipschitz(sc, backend, hclass, [(0, 0), (3, 3)], 100, seed=0)
+    with pytest.raises(DataError):
+        empirical_lipschitz(sc, backend, hclass, [], 100, seed=0)
 
 
 def test_loss_distances_use_the_backend_loss(grid, hard_loss):
@@ -233,6 +239,18 @@ def test_bias_vanishes_for_dirac_small_bandwidth(grid, hard_loss):
     star, _, _ = bayes_in_class(hclass, sc, hard_loss)
     value = empirical_bias_deconv(sc, lattice, hclass, star, hard_loss)
     assert value <= 0.02
+
+
+def test_bias_variant_outside_choices_rejected(grid, hard_loss):
+    sc = make_margin_scenario(1, dirac_noise(), grid=grid)
+    hclass = threshold_grid(5, grid)
+    lattice = build_lattice(grid, dirac_noise(), 0.25)
+    op = SpectralOperator(decay=1.0, k_max=16)
+    sc_svd = make_margin_scenario(1, op, grid=grid)
+    with pytest.raises(ConfigurationError):
+        empirical_bias_deconv(sc, lattice, hclass, 2, hard_loss, bias_variant="cubic")
+    with pytest.raises(ConfigurationError):
+        empirical_bias_svd(sc_svd, op, 8, hclass, 2, hard_loss, bias_variant="cubic")
 
 
 def test_bernstein_ratio_linear_scenario(grid, hard_loss):

@@ -169,6 +169,11 @@ def test_labels_outside_binary_rejected(labels):
         NoisySample(z=[0.1, 0.2, 0.3], y=labels)
 
 
+def test_empty_sample_rejected():
+    with pytest.raises(DataError):
+        NoisySample(z=np.array([]), y=np.array([], dtype=int))
+
+
 def test_table_clamps_out_of_range(laplace_lattice, hard_loss):
     clf = ThresholdClassifier(0.5)
     table = modified_loss_deconv(clf, hard_loss, laplace_lattice)

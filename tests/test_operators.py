@@ -3,14 +3,13 @@ import pytest
 
 from indirect_erm import (
     CoefficientVector,
-    ConfigurationError,
-    DataError,
+    LossSpec,
     ModelError,
     SpectralOperator,
+    SvdBackend,
     apply_operator,
     contaminate,
     dirac_noise,
-    estimate_svd_coefficients,
     laplace_noise,
     sample_density,
 )
@@ -140,36 +139,29 @@ def test_sample_density_negative_rejected(grid):
 
 
 # ---------------------------------------------------------------------------
-# coefficient estimation
+# coefficient estimation: the spectral backend's features are the
+# estimates b_k^(-1) * mean(phi_k(Z_i)), k = 0..cutoff
 # ---------------------------------------------------------------------------
 
-def test_estimate_uniform_coefficients(rng):
+def svd_features(z, op, cutoff, grid):
+    return SvdBackend(operator=op, cutoff=cutoff, grid=grid, loss=LossSpec()).features(z)
+
+
+def test_estimate_uniform_coefficients(rng, grid):
     op = SpectralOperator(decay=1.0, k_max=16)
     z = rng.random(50_000)
-    est = estimate_svd_coefficients(z, op, 8)
-    assert est.values[0] == 1.0  # phi_0 = 1 exactly
+    est = svd_features(z, op, 8, grid)
+    assert est[0] == 1.0  # phi_0 = 1 exactly
     n = z.size
     for k in range(1, 9):
         band = 3.0 * (k ** 1.0) * np.sqrt(1.0 / n)
-        assert abs(est.values[k]) < band
+        assert abs(est[k]) < band
 
 
-def test_estimate_single_point():
+def test_estimate_single_point(grid):
     op = SpectralOperator(decay=0.0, k_max=4)
-    est = estimate_svd_coefficients(np.array([0.5]), op, 1)
-    assert abs(est.values[1] - np.sqrt(2.0) * np.cos(np.pi / 2.0)) < 1e-12
-
-
-def test_estimate_empty_rejected():
-    op = SpectralOperator(decay=1.0, k_max=4)
-    with pytest.raises(DataError):
-        estimate_svd_coefficients(np.array([]), op, 2)
-
-
-def test_estimate_cutoff_beyond_kmax():
-    op = SpectralOperator(decay=1.0, k_max=4)
-    with pytest.raises(ConfigurationError):
-        estimate_svd_coefficients(np.array([0.5]), op, 5)
+    est = svd_features(np.array([0.5]), op, 1, grid)
+    assert abs(est[1] - np.sqrt(2.0) * np.cos(np.pi / 2.0)) < 1e-12
 
 
 def test_unbiasedness_under_operator_image(grid, linear_scenario):
@@ -179,18 +171,17 @@ def test_unbiasedness_under_operator_image(grid, linear_scenario):
     image = apply_operator(CoefficientVector(theta), op, grid)
     n = 100_000
     z = sample_density(image, grid, n, 17)
-    est = estimate_svd_coefficients(z, op, 8)
-    x_nodes = grid.axis()
+    est = svd_features(z, op, 8, grid)
     for k in (1, 2, 3):
         phi_k = np.sqrt(2.0) * np.cos(np.pi * k * z)
         se = phi_k.std(ddof=1) / np.sqrt(n) * k  # b_k^(-1) rescale
-        assert abs(est.values[k] - theta[k]) < 3.0 * se + 1e-4
+        assert abs(est[k] - theta[k]) < 3.0 * se + 1e-4
 
 
-def test_beta_zero_is_projection(rng):
+def test_beta_zero_is_projection(rng, grid):
     # identity operator: estimates are plain projection coefficients
     op = SpectralOperator(decay=0.0, k_max=16)
     z = rng.random(20_000)
-    est = estimate_svd_coefficients(z, op, 6)
+    est = svd_features(z, op, 6, grid)
     phi = op.basis(z, 6)
-    assert np.allclose(est.values, phi.mean(axis=1), atol=1e-12)
+    assert np.allclose(est, phi.mean(axis=1), atol=1e-12)
