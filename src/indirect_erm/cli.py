@@ -90,6 +90,8 @@ def _class_size(top: ConfigReader, default: int = 101) -> int:
     r.get("kind", str, "thresholds", ("thresholds",))
     count = r.get("count", int, default)
     r.done()
+    if count < 1:
+        raise ConfigurationError("config key 'hypotheses.count' must be at least 1")
     return count
 
 

@@ -1,12 +1,17 @@
 """Smoothed empirical risk minimization and smoothing-parameter selection.
 
-The two backends are the pipeline's one risk engine: per label, a cached
-class matrix (node losses, or spectral loss coefficients) times one
-statistic of that label's observations (the weighted plug-in density, or
-the 1/b_k-weighted basis means). The same matrices give the class's
-regularized losses at given points and its expected risks. The
-per-classifier tables of ``noisy_risk`` evaluate the same bilinear form in
-another order; they are the reference the tests compare against.
+The two backends are the pipeline's one risk engine: per label, a
+backend's ``scan`` pairs its cached class matrix with one statistic of
+that label's observations. For the kernel backend these are the node
+losses, merged over the runs of nodes on which no classifier's loss
+changes (every classifier predicts 0 or 1, so every loss is piecewise
+constant), and the weighted plug-in density, summed per run; for the
+spectral backend, the loss coefficients and the 1/b_k-weighted basis
+means. The class's regularized losses at given points and its expected
+risks come from the kernel backend's regularized-loss tables and from the
+spectral class matrix. The per-classifier tables of ``noisy_risk``
+evaluate the same bilinear form in another order; they are the reference
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -173,6 +178,8 @@ class DeconvolutionBackend:
     The risk of each classifier pairs its node losses with the
     quadrature-weighted plug-in density of each label's observations;
     ``window`` zeroes the quadrature weights outside a compact interval.
+    The node losses are kept merged over the runs of nodes on which no
+    classifier's loss changes, so the pairing sums the density per run.
     """
 
     lattice: ObservationLattice
@@ -198,10 +205,31 @@ class DeconvolutionBackend:
     def features(self, z: np.ndarray) -> np.ndarray:
         return self._weights * plug_in_density(z, self.lattice)
 
+    def _runs(self, hclass: HypothesisClass, label: int) -> tuple[np.ndarray, np.ndarray]:
+        """The class matrix and the first node of each of its runs: the
+        lattice split into runs of consecutive nodes on which every
+        classifier's loss is constant."""
+        def build():
+            nodes = self.lattice.nodes
+            change = np.zeros(len(nodes), dtype=bool)
+            change[0] = True
+            for clf in hclass:
+                row = loss_values(clf, self.loss, label, nodes)
+                change[1:] |= row[1:] != row[:-1]
+            starts = np.flatnonzero(change)
+            return np.vstack([loss_values(clf, self.loss, label, nodes[starts])
+                              for clf in hclass]), starts
+
+        return _cached(self._cache, (hclass, label), build)
+
     def class_matrix(self, hclass: HypothesisClass, label: int) -> np.ndarray:
-        """Node losses, one row per classifier."""
-        return _cached(self._cache, (hclass, label), lambda: np.vstack(
-            [loss_values(clf, self.loss, label, self.lattice.nodes) for clf in hclass]))
+        """Node losses merged over runs, one row per classifier, one column per run."""
+        return self._runs(hclass, label)[0]
+
+    def scan(self, hclass: HypothesisClass, label: int, features: np.ndarray) -> np.ndarray:
+        """Each classifier's risk term: its run losses times the features summed per run."""
+        matrix, starts = self._runs(hclass, label)
+        return matrix @ np.add.reduceat(features, starts)
 
     def _tables(self, hclass: HypothesisClass, label: int) -> np.ndarray:
         """Regularized losses on the lattice nodes, one row per classifier."""
@@ -269,6 +297,10 @@ class SvdBackend:
             [svd_loss_coefficients(clf, self.loss, self.operator, self.cutoff, self.grid, label)
              for clf in hclass]))
 
+    def scan(self, hclass: HypothesisClass, label: int, features: np.ndarray) -> np.ndarray:
+        """Each classifier's risk term: its loss coefficients times the features."""
+        return self.class_matrix(hclass, label) @ features
+
     def losses(self, hclass: HypothesisClass, label: int, z: np.ndarray) -> np.ndarray:
         """Regularized losses at the points z, one row per classifier."""
         return (self.class_matrix(hclass, label) * self._inv_b) @ self.operator.basis(
@@ -285,7 +317,8 @@ class SvdBackend:
 
 def empirical_risks(hclass: HypothesisClass, sample: NoisySample, backend) -> np.ndarray:
     """Regularized empirical risk of every classifier: per label, the
-    backend's class matrix times its statistic of that label's observations."""
+    backend's scan of its class matrix against its statistic of that
+    label's observations."""
     if not isinstance(backend, (DeconvolutionBackend, SvdBackend)):
         raise ConfigurationError(f"unknown backend {type(backend).__name__}")
     risks = np.zeros(len(hclass))
@@ -295,7 +328,7 @@ def empirical_risks(hclass: HypothesisClass, sample: NoisySample, backend) -> np
         # features first: allocating them after the cached class matrix
         # fragments the heap and raises the peak resident set
         features = backend.features(z_y)
-        risks += (z_y.size / sample.n) * (backend.class_matrix(hclass, label) @ features)
+        risks += (z_y.size / sample.n) * backend.scan(hclass, label, features)
     return risks
 
 

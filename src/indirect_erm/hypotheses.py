@@ -380,12 +380,14 @@ class Scenario:
                 family=r.get("family", str), gamma=gamma, grid=domain,
                 sharpness=r.get("sharpness", float, 1.0))
         else:
+            densities = r.get("densities", str, allowed=DENSITY_FAMILIES)
             scenario = Scenario(
                 priors=tuple(r.get("priors", [float])),
-                densities=r.get("densities", str, allowed=DENSITY_FAMILIES),
+                densities=densities,
                 contamination=contamination, alpha=alpha,
                 gamma=1.0 if gamma is None else gamma, domain=domain,
-                density_params=dict(r.get("density_params", dict, {})))
+                density_params=_density_params_from_json(
+                    densities, r.get("density_params", dict, {})))
         r.done()
         return scenario
 
@@ -398,6 +400,17 @@ class Scenario:
 
 
 _NUMBER = (float, [float])  # a number, or a one-element list as configs write it
+
+
+def _density_params_from_json(densities: str, doc: dict) -> dict:
+    """A scenario's ``density_params`` block: the ``smooth`` family reads
+    ``sharpness``, the other families read nothing."""
+    r = ConfigReader(doc, "scenario.density_params")
+    params = {}
+    if densities == "smooth" and "sharpness" in doc:
+        params["sharpness"] = r.get("sharpness", float)
+    r.done()
+    return params
 
 
 def grid_from_json(doc: dict) -> Grid:

@@ -10,9 +10,10 @@ table here is one univariate factor.
 Tables are produced by numerically inverting the Fourier integral with
 composite Gauss-Legendre panels sized to the oscillation, which keeps
 the pointwise error near machine precision even for small bandwidths.
-Offset grids are symmetric about 0 and the integrand is even, so only the
-upper half of the offsets is evaluated and mirrored: every table is
-exactly even.
+Offset grids are uniform and symmetric about 0, and the integrand is
+even, so only the upper half of the offsets is evaluated and mirrored:
+every table is exactly even. Uniform offsets also let the cosines of the
+inversion factor into two small matrix products (``_invert_symbol``).
 """
 
 from __future__ import annotations
@@ -159,6 +160,10 @@ def base_symbol(kind: str, t: np.ndarray) -> np.ndarray:
 # Fourier inversion on Gauss-Legendre panels
 # ---------------------------------------------------------------------------
 
+# offsets per row of the split inversion in ``_invert_symbol``
+_SPLIT = 64
+
+
 @lru_cache(maxsize=None)
 def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(points)
@@ -189,19 +194,28 @@ def _invert_symbol(symbol_values: np.ndarray, s_nodes: np.ndarray,
     The integral is even in v, so only the upper half of the symmetric
     offset grid (from the 0 node on for odd lengths, the positive offsets
     for even ones) is evaluated; the lower half is its mirror image and the
-    table is exactly even.
+    table is exactly even. The grid must also be uniform, at spacing h: the
+    upper half then splits as v = a_j + h r with a_j every 64th offset and
+    0 <= r < 64, and cos(s v) = cos(s a_j) cos(s h r) - sin(s a_j) sin(s h r)
+    turns the M x S cosines of M offsets and S quadrature nodes into two
+    (M/64 x S)(S x 64) matrix products. ``einsum`` forms them on the calling
+    thread: they are small, and a threaded BLAS product leaves its worker
+    threads spinning after each call, which nearly doubled the CPU time of a
+    laplace rate experiment.
     """
     if not np.array_equal(offsets, -offsets[::-1]):
         raise ConfigurationError("kernel offsets must be symmetric about 0")
+    h = (offsets[-1] - offsets[0]) / max(len(offsets) - 1, 1)
+    if not np.allclose(offsets, offsets[0] + h * np.arange(len(offsets)), rtol=0.0,
+                       atol=1e-9 * h):
+        raise ConfigurationError("kernel offsets must be uniformly spaced")
     upper = offsets[len(offsets) // 2:]
-    out = np.empty_like(upper, dtype=float)
     coef = s_weights * symbol_values
-    # chunk the offset axis to bound the cos matrix size
-    chunk = max(1, int(4_000_000 / max(len(s_nodes), 1)))
-    for start in range(0, len(upper), chunk):
-        block = upper[start:start + chunk]
-        out[start:start + chunk] = np.cos(np.outer(block, s_nodes)) @ coef
-    out /= np.pi
+    phase_a = np.outer(upper[::_SPLIT], s_nodes)
+    phase_r = np.outer(h * np.arange(_SPLIT), s_nodes)
+    out = (np.einsum("js,rs->jr", np.cos(phase_a) * coef, np.cos(phase_r))
+           - np.einsum("js,rs->jr", np.sin(phase_a) * coef, np.sin(phase_r)))
+    out = out.ravel()[:len(upper)] / np.pi
     return np.concatenate([out[len(offsets) % 2:][::-1], out])
 
 

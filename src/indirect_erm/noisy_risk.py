@@ -107,9 +107,11 @@ class ObservationLattice:
     sums. ``base_scaled`` is the bandwidth-scaled base kernel on the same
     offsets (the noise-free twin of ``kernel``); it is built on first use,
     since only bias diagnostics read it. ``spectrum`` is the real FFT of
-    ``kernel`` at the length a 'valid' convolution against a node function
-    needs; it is computed on first use and cached on the lattice, so every
-    ``convolve`` (plug-in densities and class tables) reuses it.
+    ``kernel`` at the shortest fast length whose circular convolution
+    against a node function leaves the 'valid' outputs free of wraparound
+    (at least 2P - 1 for P nodes); it is computed on first use and cached
+    on the lattice, so every ``convolve`` (plug-in densities and class
+    tables) reuses it.
     """
 
     domain: Grid
@@ -132,8 +134,10 @@ class ObservationLattice:
 
     @property
     def _fft_length(self) -> int:
-        # full linear convolution of P node values with 2P - 1 kernel values
-        return next_fast_len(3 * len(self.nodes) - 2, True)
+        # the full linear convolution of P node values with 2P - 1 kernel
+        # values spans 3P - 2 indices, but the 'valid' outputs P - 1 .. 2P - 2
+        # are free of circular wraparound at any length >= 2P - 1
+        return next_fast_len(2 * len(self.nodes) - 1, True)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -293,6 +297,19 @@ def empirical_risk(table: ModifiedLossTable, sample: NoisySample) -> float:
     return total / sample.n
 
 
+def _cells(z: np.ndarray, nodes: np.ndarray, h: float) -> np.ndarray:
+    """The cell i in [0, P - 2] of each draw z in [nodes[0], nodes[-1]], with
+    nodes[i] < z <= nodes[i + 1] (i = 0 at the first node): exactly
+    ``searchsorted(nodes, z) - 1``, clipped. The nodes are uniform at
+    spacing h, so a floor index is off by at most one through rounding,
+    and one node comparison each way corrects it.
+    """
+    idx = np.clip(np.floor((z - nodes[0]) / h).astype(np.intp), 0, len(nodes) - 2)
+    idx -= nodes[idx] >= z
+    idx += nodes[idx + 1] < z
+    return np.clip(idx, 0, len(nodes) - 2, out=idx)
+
+
 def plug_in_density(z_draws: np.ndarray, lattice: ObservationLattice) -> np.ndarray:
     """Noise-corrected density estimate on the lattice nodes.
 
@@ -309,7 +326,7 @@ def plug_in_density(z_draws: np.ndarray, lattice: ObservationLattice) -> np.ndar
     h = lattice.spacing
     _log_clamped(z, nodes[0], nodes[-1])
     z = np.clip(z, nodes[0], nodes[-1])
-    idx = np.clip(np.searchsorted(nodes, z) - 1, 0, len(nodes) - 2)
+    idx = _cells(z, nodes, h)
     frac = (z - nodes[idx]) / h
     binned = np.zeros(len(nodes))
     np.add.at(binned, idx, 1.0 - frac)

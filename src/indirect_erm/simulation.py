@@ -27,7 +27,14 @@ from .erm import (
     select_cutoff,
 )
 from .errors import ConfigurationError, SimulationError
-from .hypotheses import HypothesisClass, LossSpec, Scenario, threshold_grid, true_risk
+from .hypotheses import (
+    HypothesisClass,
+    LossSpec,
+    Scenario,
+    threshold_grid,
+    true_risk,
+    window_mask,
+)
 from .kernels import NoiseModel
 from .noisy_risk import NoisySample, build_lattice
 from .operators import (
@@ -110,6 +117,8 @@ def _check_backend(kind: str, scenario: Scenario, window) -> None:
             len(window) != 2 or window[1] <= window[0]):
         raise ConfigurationError("the restricted backend needs a window [a, b] with a < b, "
                                  "and only it takes one")
+    if window is not None:
+        window_mask(scenario.domain.axis(), window)  # rejects a window with no domain node
     if kind == "svd" and not isinstance(scenario.contamination, SpectralOperator):
         raise ConfigurationError("svd backend needs a spectral-operator scenario")
     if kind != "svd" and not isinstance(scenario.contamination, NoiseModel):

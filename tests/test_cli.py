@@ -197,6 +197,11 @@ def test_malformed_config_exit_codes(tmp_path):
     (fit_config, None, "scenario", MISSING),
     (fit_config, "scenario", "contamination", MISSING),
     (fit_config, "rate_config", "kappa", MISSING),
+    # values that only the work used to reject, with an error.json left behind
+    (rates_config, "hypotheses", "count", 0),
+    (fit_config, "hypotheses", "count", 0),
+    (restricted_rates_config, None, "window", [1.5, 2.0]),  # holds no domain node
+    (restricted_fit_config, None, "window", [1.5, 2.0]),
 ])
 def test_bad_config_values_exit_two(tmp_path, make, block, key, value):
     out = tmp_path / "artifacts"
@@ -212,7 +217,7 @@ def test_bad_config_values_exit_two(tmp_path, make, block, key, value):
     with pytest.raises(ConfigurationError):
         validate_config(doc)
     assert run(write_config(tmp_path, doc), threads=1) == 2
-    for name in ("rates.csv", "fit.json", "exponent.json", "diagnostics.json"):
+    for name in ("rates.csv", "fit.json", "exponent.json", "diagnostics.json", "error.json"):
         assert not (out / name).exists()
 
 

@@ -207,6 +207,18 @@ def test_scenario_json_roundtrip(grid):
         assert type(back.contamination) is type(sc.contamination)
 
 
+def test_scenario_json_reads_density_params_per_family(grid):
+    doc = Scenario(priors=(0.5, 0.5), densities="smooth", contamination=dirac_noise(),
+                   domain=grid, density_params={"sharpness": 2.0}).to_json()
+    assert Scenario.from_json(doc).density_params == {"sharpness": 2.0}
+    assert Scenario.from_json(dict(doc, density_params={})).density_params == {}
+    # a misspelt key, a key the family does not read, and a wrong type
+    for densities, params in (("smooth", {"sharpnes": 2.0}), ("linear", {"sharpness": 2.0}),
+                              ("uniform", {"sharpness": 1.0}), ("smooth", {"sharpness": "2"})):
+        with pytest.raises(ConfigurationError):
+            Scenario.from_json(dict(doc, densities=densities, density_params=params))
+
+
 def test_restricted_true_risk(grid, linear_scenario, hard_loss):
     clf = ThresholdClassifier(snap_to_cell_midpoint(0.5, grid))
     full = true_risk(clf, linear_scenario, hard_loss)

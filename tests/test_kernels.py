@@ -11,7 +11,13 @@ from indirect_erm import (
     kernel_fourier_sup,
     laplace_noise,
 )
-from indirect_erm.kernels import NoiseModel, base_symbol, kernel_fourier_l2
+from indirect_erm.kernels import (
+    NoiseModel,
+    _invert_symbol,
+    _panel_rule,
+    base_symbol,
+    kernel_fourier_l2,
+)
 
 from oracles import closed_form_corrected_sinc
 
@@ -185,6 +191,38 @@ def test_asymmetric_offsets_rejected(grid):
     for off in (h * np.arange(0, 41), h * np.arange(-20, 21) + 0.25 * h,
                 h * np.arange(-20, 22)):
         with pytest.raises(ConfigurationError):
+            build_base_kernel("sinc", grid, offsets=off)
+
+
+def _cos_sum_inversion(symbol_values, s_nodes, s_weights, offsets):
+    """(1/pi) sum_s w(s) symbol(s) cos(s v): one cosine per offset and node."""
+    coef = s_weights * symbol_values
+    return np.concatenate([np.cos(np.outer(block, s_nodes)) @ coef
+                           for block in np.array_split(offsets, 16)]) / np.pi
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+@pytest.mark.parametrize("noise", [dirac_noise(), laplace_noise(2.0)])
+def test_split_inversion_matches_cos_sum(grid, parity, noise):
+    lam = 0.41  # the laplace preset's bandwidth at n = 16384
+    off = build_lattice(grid, laplace_noise(2.0), lam).kernel.offsets[0]
+    if parity == "even":
+        m = len(off) // 2
+        off = (np.arange(2 * m) - (m - 0.5)) * grid.spacing
+    assert len(off) == (25_195 if parity == "odd" else 25_194)
+    s_nodes, s_weights = _panel_rule(1.0 / lam, float(np.max(np.abs(off))))
+    symbol = base_symbol("sinc", lam * s_nodes) / noise.fourier(s_nodes)
+    got = _invert_symbol(symbol, s_nodes, s_weights, off)
+    want = _cos_sum_inversion(symbol, s_nodes, s_weights, off)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_nonuniform_offsets_rejected(grid):
+    # symmetric, but with a wide gap in each half, or a narrow one in the middle
+    for units in ([-5.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 5.0],
+                  [-2.25, -1.25, -0.25, 0.25, 1.25, 2.25]):
+        off = grid.spacing * np.array(units)
+        with pytest.raises(ConfigurationError, match="uniform"):
             build_base_kernel("sinc", grid, offsets=off)
 
 

@@ -240,6 +240,18 @@ def test_plug_in_equivalence(grid, hard_loss, laplace_lattice):
         assert abs(table_path - naive) < 1e-10
 
 
+def test_cells_match_searchsorted(laplace_lattice, rng):
+    # the floor index with its two corrections is the searchsorted cell,
+    # on every node, on both floating-point neighbours of each node, and
+    # on random draws (clamped to the lattice first, as the plug-in does)
+    nodes = laplace_lattice.nodes
+    z = np.concatenate([nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+                        rng.uniform(nodes[0] - 1.0, nodes[-1] + 1.0, 100_000)])
+    z = np.clip(z, nodes[0], nodes[-1])
+    want = np.clip(np.searchsorted(nodes, z) - 1, 0, len(nodes) - 2)
+    np.testing.assert_array_equal(noisy_risk._cells(z, nodes, laplace_lattice.spacing), want)
+
+
 def test_plug_in_density_single_dirac_draw(grid):
     # one observation: the estimate is the interpolated kernel column
     lattice = build_lattice(grid, dirac_noise(), 0.1)
