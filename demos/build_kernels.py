@@ -46,7 +46,7 @@ def main():
         corrected = build_deconvolution_kernel(base, noise, lam)
         off = corrected.offsets[0]
         err = np.abs(corrected.values[0] - closed_form(off / lam, lam) / lam).max()
-        sup = kernel_fourier_sup(base, noise, lam)
+        sup = kernel_fourier_sup("sinc", noise, lam)
         print(f"lam = {lam:4.2f}: sup err vs closed form = {err:.2e}, "
               f"band amplification = {sup:8.2f}")
 

@@ -72,18 +72,19 @@ def main():
     pairs = neighbor_pairs(hclass)
     probe, probe_star = scan_class(grid, _TENT_CROSSING)
 
+    def deconv(lam):
+        return DeconvolutionBackend(lattice=build_lattice(grid, noise, lam), loss=loss)
+
     print("== kernel route (Laplace noise, total decay 2) ==")
     lams = [0.05, 0.075, 0.11, 0.17, 0.25]
     lips, bounds = [], []
     for lam in lams:
-        lattice = build_lattice(grid, noise, lam)
-        backend = DeconvolutionBackend(lattice=lattice, loss=loss)
+        backend = deconv(lam)
         lips.append(float(empirical_lipschitz(scenario, backend, hclass, pairs,
                                               10_000, seed=5).max()))
-        bounds.append(sup_bound_deconv(lattice, hclass, loss, grid))
+        bounds.append(sup_bound_deconv(backend, hclass))
     bias_lams = [0.02, 0.03, 0.045, 0.068, 0.1]
-    bias = [empirical_bias_deconv(scenario, build_lattice(grid, noise, lam),
-                                  probe, probe_star, loss)
+    bias = [empirical_bias_deconv(scenario, deconv(lam), probe, probe_star)
             for lam in bias_lams]
     print(f"Lipschitz slope {slope(lams, lips):+.2f} (theory -2)")
     print(f"uniform-bound slope {slope(lams, bounds):+.2f} (theory -2.5)")
@@ -94,15 +95,19 @@ def main():
     sc_linear = make_margin_scenario(1, op, grid=grid)
     sc_tent = Scenario(priors=structural_pair_priors(), densities="tent_pair",
                        contamination=op, alpha=1.0, gamma=1.0, domain=grid)
+
+    def svd(cutoff):
+        return SvdBackend(operator=op, cutoff=cutoff, grid=grid, loss=loss)
+
     cutoffs = [4, 6, 9, 14, 21, 32]
     lips, bounds = [], []
     for cutoff in cutoffs:
-        backend = SvdBackend(operator=op, cutoff=cutoff, grid=grid, loss=loss)
+        backend = svd(cutoff)
         lips.append(float(empirical_lipschitz(sc_linear, backend, hclass, pairs,
                                               10_000, seed=5).max()))
-        bounds.append(sup_bound_svd(op, cutoff, hclass, loss, grid))
+        bounds.append(sup_bound_svd(backend, hclass))
     bias_cutoffs = [6, 9, 14, 21, 32, 48]
-    bias = [empirical_bias_svd(sc_tent, op, cutoff, probe, probe_star, loss)
+    bias = [empirical_bias_svd(sc_tent, svd(cutoff), probe, probe_star)
             for cutoff in bias_cutoffs]
     print(f"Lipschitz slope {slope(cutoffs, lips):+.2f} (theory +1)")
     print(f"uniform-bound slope {slope(cutoffs, bounds):+.2f} (theory +1.5)")
@@ -114,7 +119,7 @@ def main():
     print(f"Bernstein ratio (linear margin family): "
           f"{bernstein_ratio(sc_lin, hclass, star, loss):.3f}")
 
-    backend = DeconvolutionBackend(lattice=build_lattice(grid, noise, 0.25), loss=loss)
+    backend = deconv(0.25)
     small = threshold_grid(9, grid)
     ns = (200, 800, 3200)
     values = [empirical_modulus(sc_lin, backend, small, 0.6, n, 20, seed=7) for n in ns]

@@ -95,6 +95,19 @@ def _class_size(top: ConfigReader, default: int = 101) -> int:
     return count
 
 
+def _check_smoothing(scenario: Scenario, key: str, values) -> None:
+    """Reject a cutoff outside [1, k_max], or a bandwidth at or below the
+    domain spacing, which the kernel inversion refuses as aliased."""
+    op, h = scenario.contamination, scenario.domain.spacing
+    for value in values:
+        if isinstance(op, SpectralOperator) and not 1 <= value <= op.k_max:
+            raise ConfigurationError(f"config key {key!r}: cutoff {value} outside "
+                                     f"[1, k_max={op.k_max}]")
+        if not isinstance(op, SpectralOperator) and not value > h:
+            raise ConfigurationError(f"config key {key!r}: bandwidth {value} at or below "
+                                     f"the domain spacing {h}")
+
+
 def _base_kernel(top: ConfigReader) -> str:
     return top.get("base_kernel", str, "sinc", BASE_KINDS)
 
@@ -161,6 +174,7 @@ def _read_kernel(top: ConfigReader):
     if isinstance(scenario.contamination, SpectralOperator):
         raise ConfigurationError("kernel command needs an additive-noise scenario")
     base_kind, bandwidth = _base_kernel(top), top.get("bandwidth", float, 0.2)
+    _check_smoothing(scenario, "bandwidth", [bandwidth])
 
     def work(out_dir, seed, threads):
         base = build_base_kernel(base_kind, scenario.domain)
@@ -175,12 +189,11 @@ def _read_fit(top: ConfigReader):
     n, count = top.get("n", int, 1024), _class_size(top)
     kind, options = _backend(top)
     _check_backend(kind, scenario, options.get("window"))
-    if kind == "svd":
-        smoothing = top.get("cutoff", int, None, range(1, scenario.contamination.k_max + 1))
-    else:
-        smoothing = top.get("bandwidth", float, None)
+    key = "cutoff" if kind == "svd" else "bandwidth"
+    smoothing = top.get(key, int if kind == "svd" else float, None)
     if smoothing is None:
         smoothing = rule_smoothing(kind, scenario, cfg, n)
+    _check_smoothing(scenario, key, [smoothing])
 
     def work(out_dir, seed, threads):
         hclass = threshold_grid(count, scenario.domain)
@@ -238,33 +251,31 @@ def _read_rates(top: ConfigReader):
 
 def _read_diagnose(top: ConfigReader):
     scenario, loss, count = _scenario(top), _loss(top), _class_size(top, 33)
-    op = scenario.contamination
-    kind = "svd" if isinstance(op, SpectralOperator) else "deconvolution"
+    kind = "svd" if isinstance(scenario.contamination, SpectralOperator) else "deconvolution"
     options = {} if kind == "svd" else _kernel_options(top)
     r = ConfigReader(top.get("diagnose", dict, {}), "diagnose")
-    smoothings = (r.get("cutoffs", [int], [4, 8, 16, 32]) if kind == "svd"
-                  else r.get("bandwidths", [float], [0.1, 0.15, 0.22, 0.33, 0.5]))
+    key, typ, default = (("cutoffs", [int], [4, 8, 16, 32]) if kind == "svd"
+                         else ("bandwidths", [float], [0.1, 0.15, 0.22, 0.33, 0.5]))
+    smoothings = r.get(key, typ, default)
+    _check_smoothing(scenario, f"diagnose.{key}", smoothings)
     bias_variant = r.get("bias_variant", str, "squared_loss", BIAS_VARIANTS)
     mc_n, pair_count = r.get("mc_n", int, 20000), r.get("pair_count", int, 40)
     r.done()
 
     def work(out_dir, seed, threads):
         report = DiagnosticsReport()
-        grid = scenario.domain
-        hclass = threshold_grid(count, grid)
+        hclass = threshold_grid(count, scenario.domain)
         star_index, _, _ = bayes_in_class(hclass, scenario, loss)
         pairs = _diagnostic_pairs(hclass, pair_count)
         for smoothing in smoothings:
             backend = build_backend(kind, scenario, loss, smoothing, **options)
             ratios = empirical_lipschitz(scenario, backend, hclass, pairs, mc_n, seed)
             if kind == "svd":
-                cert = sup_bound_svd(op, smoothing, hclass, loss, grid)
-                bias = empirical_bias_svd(scenario, op, smoothing, hclass, star_index, loss,
-                                          bias_variant=bias_variant)
+                cert = sup_bound_svd(backend, hclass)
+                bias = empirical_bias_svd(scenario, backend, hclass, star_index, bias_variant)
             else:
-                cert = sup_bound_deconv(backend.lattice, hclass, loss, grid)
-                bias = empirical_bias_deconv(scenario, backend.lattice, hclass, star_index,
-                                             loss, bias_variant=bias_variant)
+                cert = sup_bound_deconv(backend, hclass)
+                bias = empirical_bias_deconv(scenario, backend, hclass, star_index, bias_variant)
             report.lipschitz.append((smoothing, float(ratios.max())))
             report.sup_bounds.append((smoothing, cert, table_sup(backend, hclass)))
             report.bias.append((smoothing, bias))

@@ -4,28 +4,29 @@ Everything here is either closed-form exponent arithmetic or a measured
 log-log scaling: the Lipschitz constant of the regularized loss class, its
 certified uniform bound, the approximation (bias) function, the Bernstein
 ratio of the excess-loss class, and the modulus of continuity of the
-centered empirical process over shrinking loss balls. The measured
-constants read the regularized loss class through the risk backends of
-``erm``, the same class matrices the minimizer scans: their losses at
-Monte-Carlo draws, their exact expected risks, and their empirical risks.
+centered empirical process over shrinking loss balls. Every measured
+constant takes a risk backend of ``erm`` and reads the regularized loss
+class through it: its losses at Monte-Carlo draws, and its scan of the
+same class matrices the minimizer scans, paired with the empirical
+statistic, its expectation (``expected_risks``) or, for the bias, the
+lattice-weighted density and base-smoothed density. The certificates
+read the loss, grid, kernel or operator, and cutoff from the backend.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .erm import BIAS_VARIANTS, DeconvolutionBackend, SvdBackend, empirical_risks
+from .erm import BIAS_VARIANTS, DeconvolutionBackend, SvdBackend, empirical_risks, expected_risks
 from .errors import ConfigurationError, DataError
 from .grid import Grid
 from .hypotheses import HypothesisClass, LossSpec, Scenario, loss_values, true_risk
 from .kernels import kernel_fourier_l2
-from .noisy_risk import ObservationLattice, base_smoothed_density, zero_extended_density
-from .operators import SpectralOperator
+from .noisy_risk import base_smoothed_density, zero_extended_density
 
 logger = logging.getLogger(__name__)
 
@@ -186,8 +187,7 @@ def _max_loss_l2(hclass: HypothesisClass, loss: LossSpec, grid: Grid) -> float:
     return best
 
 
-def sup_bound_deconv(lattice: ObservationLattice, hclass: HypothesisClass,
-                     loss: LossSpec, grid: Grid) -> float:
+def sup_bound_deconv(backend: DeconvolutionBackend, hclass: HypothesisClass) -> float:
     """Certified uniform bound of the regularized loss class (kernel route).
 
     Cauchy-Schwarz certificate: kernel L2 norm times the largest loss L2
@@ -195,22 +195,21 @@ def sup_bound_deconv(lattice: ObservationLattice, hclass: HypothesisClass,
     growth themselves, so the certificate, not the raw table sup, carries
     the theoretical scaling.
     """
-    base = lattice.kernel
-    l2 = kernel_fourier_l2(base, lattice.noise, lattice.bandwidth)
-    return l2 * _max_loss_l2(hclass, loss, grid)
+    lattice = backend.lattice
+    l2 = kernel_fourier_l2(lattice.kernel.base_kind, lattice.noise, lattice.bandwidth)
+    return l2 * _max_loss_l2(hclass, backend.loss, lattice.domain)
 
 
-def sup_bound_svd(op: SpectralOperator, cutoff: int, hclass: HypothesisClass,
-                  loss: LossSpec, grid: Grid) -> float:
+def sup_bound_svd(backend: SvdBackend, hclass: HypothesisClass) -> float:
     """Certified uniform bound for the spectral backend.
 
     max over z of the l2 norm of (b_k^(-1) phi_k(z))_k, times the largest
     loss L2 norm over the class.
     """
-    phi = op.basis(grid.axis(), cutoff)
-    inv_b = 1.0 / op.singular_values[: cutoff + 1]
-    col_norms = np.sqrt(np.sum((inv_b[:, None] * phi) ** 2, axis=0))
-    return float(col_norms.max()) * _max_loss_l2(hclass, loss, grid)
+    grid = backend.grid
+    phi = backend.operator.basis(grid.axis(), backend.cutoff)
+    col_norms = np.sqrt(np.sum((backend._inv_b[:, None] * phi) ** 2, axis=0))
+    return float(col_norms.max()) * _max_loss_l2(hclass, backend.loss, grid)
 
 
 def table_sup(backend, hclass: HypothesisClass) -> float:
@@ -223,63 +222,55 @@ def table_sup(backend, hclass: HypothesisClass) -> float:
                for label in hclass.labels)
 
 
-def _r_constant(kappa: float, variant: str) -> float:
+def _bias(risks: np.ndarray, reg: np.ndarray, star_index: int, kappa: float,
+          variant: str) -> float:
+    """The approximation function from the exact risks ``risks`` and the
+    expected regularized risks ``reg``: the largest bias of an excess over
+    the in-class oracle, less the residual-constant multiple of that
+    excess, floored at zero."""
     if variant not in BIAS_VARIANTS:
         raise ConfigurationError(f"unknown bias variant {variant!r}")
-    return 1.0 / kappa if variant == "squared_loss" else 1.0 / (2.0 * kappa)
+    r = 1.0 / kappa if variant == "squared_loss" else 1.0 / (2.0 * kappa)
+    excess = risks - risks[star_index]
+    bias = excess - (reg - reg[star_index])
+    return float(max((bias - r * excess).max(), 0.0))
 
 
-def empirical_bias_deconv(scenario: Scenario, lattice: ObservationLattice,
-                          hclass: HypothesisClass, star_index: int, loss: LossSpec,
+def empirical_bias_deconv(scenario: Scenario, backend: DeconvolutionBackend,
+                          hclass: HypothesisClass, star_index: int,
                           bias_variant: str = "squared_loss") -> float:
     """Approximation-function estimate for the kernel backend.
 
-    Exact quadrature of (R - R_reg)(g - g*) over the class, minus the
-    residual-constant multiple of the excess risk, floored at zero. The
-    expected regularized risk is evaluated through the base-smoothed
-    density identity (see ``base_smoothed_density``): integrating the raw
-    loss against the smoothed conditional density is analytically equal to
-    the table expectation and free of the oscillatory-quadrature noise that
-    would otherwise floor the small-bandwidth scaling. Both risk paths use
-    the padded-grid quadrature so discretization errors cancel in the
-    difference.
+    The backend's scan of the quadrature-weighted density gives the exact
+    risks; its scan of the quadrature-weighted base-smoothed density (see
+    ``base_smoothed_density``) gives the expected regularized risks. That
+    is analytically the table expectation, free of the oscillatory-
+    quadrature noise that would otherwise floor the small-bandwidth
+    scaling. Both risks use the padded-grid quadrature, so discretization
+    errors cancel in the difference.
     """
-    kappa = scenario.kappa
-    r = _r_constant(kappa, bias_variant)
-    nodes, w = lattice.nodes, lattice.weights
-    risks = np.zeros(len(hclass))
-    reg = np.zeros(len(hclass))
+    lattice, w = backend.lattice, backend.lattice.weights
+    risks, reg = np.zeros(len(hclass)), np.zeros(len(hclass))
     for label in scenario.labels:
-        f = zero_extended_density(scenario, lattice, label)
-        f_smooth = base_smoothed_density(scenario, lattice, label)
         prior = scenario.priors[label]
-        for i, clf in enumerate(hclass):
-            lv = loss_values(clf, loss, label, nodes)
-            risks[i] += prior * float(np.dot(w, lv * f))
-            reg[i] += prior * float(np.dot(w, lv * f_smooth))
-    excess = risks - risks[star_index]
-    bias = excess - (reg - reg[star_index])
-    values = bias - r * excess
-    return float(max(values.max(), 0.0))
+        f = zero_extended_density(scenario, lattice, label)
+        risks += prior * backend.scan(hclass, label, w * f)
+        f = base_smoothed_density(scenario, lattice, label)
+        reg += prior * backend.scan(hclass, label, w * f)
+    return _bias(risks, reg, star_index, scenario.kappa, bias_variant)
 
 
-def empirical_bias_svd(scenario: Scenario, op: SpectralOperator, cutoff: int,
-                       hclass: HypothesisClass, star_index: int, loss: LossSpec,
-                       bias_variant: str = "squared_loss") -> float:
+def empirical_bias_svd(scenario: Scenario, backend: SvdBackend, hclass: HypothesisClass,
+                       star_index: int, bias_variant: str = "squared_loss") -> float:
     """Approximation-function estimate for the spectral backend.
 
     The expectation of the truncated empirical risk is the coefficient
-    pairing sum_y p_y sum_(k<=N) c_k(g, y) theta_k^y (the backend's
-    ``expected_risks``), evaluated exactly.
+    pairing sum_y p_y sum_(k<=N) c_k(g, y) theta_k^y (``expected_risks``),
+    evaluated exactly.
     """
-    r = _r_constant(scenario.kappa, bias_variant)
-    risks = np.array([true_risk(c, scenario, loss) for c in hclass])
-    reg = SvdBackend(operator=op, cutoff=cutoff, grid=scenario.domain, loss=loss).expected_risks(
-        hclass, scenario)
-    excess = risks - risks[star_index]
-    bias = excess - (reg - reg[star_index])
-    values = bias - r * excess
-    return float(max(values.max(), 0.0))
+    risks = np.array([true_risk(c, scenario, backend.loss) for c in hclass])
+    return _bias(risks, expected_risks(hclass, scenario, backend), star_index,
+                 scenario.kappa, bias_variant)
 
 
 def bernstein_ratio(scenario: Scenario, hclass: HypothesisClass, star_index: int,
@@ -326,7 +317,7 @@ def empirical_modulus(scenario: Scenario, backend, hclass: HypothesisClass, delt
     if not admissible:
         logger.warning("no classifier pair within delta=%g; modulus is 0", delta)
         return 0.0
-    expected = backend.expected_risks(hclass, scenario)
+    expected = expected_risks(hclass, scenario, backend)
     from .simulation import generate_sample  # a top-level import would be circular
 
     rng = np.random.default_rng(seed)
@@ -364,9 +355,6 @@ class DiagnosticsReport:
             "slopes": self.slopes,
             "exponents": self.exponents,
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
     def raw_csv(self, path) -> None:
         import csv as _csv

@@ -1,17 +1,18 @@
 """Smoothed empirical risk minimization and smoothing-parameter selection.
 
-The two backends are the pipeline's one risk engine: per label, a
-backend's ``scan`` pairs its cached class matrix with one statistic of
-that label's observations. For the kernel backend these are the node
+The two backends are the pipeline's one risk engine: every regularized
+risk is a backend's ``scan``, which pairs its cached class matrix, per
+label, with one statistic. For the kernel backend these are the node
 losses, merged over the runs of nodes on which no classifier's loss
 changes (every classifier predicts 0 or 1, so every loss is piecewise
 constant), and the weighted plug-in density, summed per run; for the
 spectral backend, the loss coefficients and the 1/b_k-weighted basis
-means. The class's regularized losses at given points and its expected
-risks come from the kernel backend's regularized-loss tables and from the
-spectral class matrix. The per-classifier tables of ``noisy_risk``
-evaluate the same bilinear form in another order; they are the reference
-the tests compare against.
+means. ``empirical_risks`` scans the statistic of a sample's observations,
+``expected_risks`` its expectation (``expected_features``). The class's
+regularized losses at given points come from the kernel backend's
+regularized-loss tables and from the spectral class matrix. The
+per-classifier tables of ``noisy_risk`` evaluate the same bilinear form in
+another order; they are the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "SvdBackend",
     "select_bandwidth",
     "select_cutoff",
+    "expected_risks",
     "empirical_risks",
     "minimize",
 ]
@@ -249,13 +251,13 @@ class DeconvolutionBackend:
         _log_clamped(z, nodes[0], nodes[-1])
         return np.vstack([np.interp(z, nodes, row) for row in self._tables(hclass, label)])
 
-    def expected_risks(self, hclass: HypothesisClass, scenario: Scenario) -> np.ndarray:
-        """Expected regularized risks: tables against the contaminated densities."""
-        risks = np.zeros(len(hclass))
-        for label in scenario.labels:
-            g_z = self.lattice.weights * contaminated_density(scenario, self.lattice, label)
-            risks += scenario.priors[label] * (self._tables(hclass, label) @ g_z)
-        return risks
+    def expected_features(self, scenario: Scenario, label: int) -> np.ndarray:
+        """The expectation of ``features`` for one label: the kernel is even,
+        so pairing it with the node losses pairs the tables with the
+        contaminated density."""
+        lattice = self.lattice
+        return self._weights * lattice.convolve(
+            lattice.weights * contaminated_density(scenario, lattice, label))
 
 
 @dataclass(frozen=True)
@@ -306,21 +308,26 @@ class SvdBackend:
         return (self.class_matrix(hclass, label) * self._inv_b) @ self.operator.basis(
             z, self.cutoff)
 
-    def expected_risks(self, hclass: HypothesisClass, scenario: Scenario) -> np.ndarray:
-        """Expected regularized risks: loss against density coefficients."""
-        risks = np.zeros(len(hclass))
-        for label in scenario.labels:
-            theta = scenario.cosine_coefficients(label, self.cutoff)
-            risks += scenario.priors[label] * (self.class_matrix(hclass, label) @ theta)
-        return risks
+    def expected_features(self, scenario: Scenario, label: int) -> np.ndarray:
+        """The expectation of ``features`` for one label: the density's
+        cosine coefficients, since E[b_k^(-1) phi_k(Z)] = theta_k."""
+        return scenario.cosine_coefficients(label, self.cutoff)
+
+
+def expected_risks(hclass: HypothesisClass, scenario: Scenario, backend) -> np.ndarray:
+    """Expected regularized risk of every classifier: per label, the
+    backend's scan against the expectation of its statistic."""
+    risks = np.zeros(len(hclass))
+    for label in scenario.labels:
+        features = backend.expected_features(scenario, label)
+        risks += scenario.priors[label] * backend.scan(hclass, label, features)
+    return risks
 
 
 def empirical_risks(hclass: HypothesisClass, sample: NoisySample, backend) -> np.ndarray:
     """Regularized empirical risk of every classifier: per label, the
     backend's scan of its class matrix against its statistic of that
     label's observations."""
-    if not isinstance(backend, (DeconvolutionBackend, SvdBackend)):
-        raise ConfigurationError(f"unknown backend {type(backend).__name__}")
     risks = np.zeros(len(hclass))
     for label in np.flatnonzero(np.bincount(sample.y, minlength=2)):  # labels present
         label = int(label)

@@ -345,26 +345,27 @@ def build_deconvolution_kernel(base: TabulatedKernel, noise: NoiseModel,
                            kind="deconvolved", base_kind=base.base_kind)
 
 
-def kernel_fourier_sup(base: TabulatedKernel, noise: NoiseModel, bandwidth: float,
+def kernel_fourier_sup(base_kind: str, noise: NoiseModel, bandwidth: float,
                        freq_points: int = 4097) -> float:
     """Numerical surrogate for the regularized-class Lipschitz constant.
 
     Returns ``sup_t |symbol(t * lambda) / F[eta](t)|`` over the tabulated
-    frequency range [0, 8/lambda].
+    frequency range [0, 8/lambda], for the base kernel of kind ``base_kind``.
     """
     lam = _as_bandwidth(bandwidth)
     t = np.linspace(0.0, 8.0 / lam, freq_points)
-    return float(np.abs(base_symbol(base.base_kind, lam * t) / noise.fourier(t)).max())
+    return float(np.abs(base_symbol(base_kind, lam * t) / noise.fourier(t)).max())
 
 
-def kernel_fourier_l2(base: TabulatedKernel, noise: NoiseModel, bandwidth: float) -> float:
+def kernel_fourier_l2(base_kind: str, noise: NoiseModel, bandwidth: float) -> float:
     """L2 norm of the scaled noise-corrected kernel, via Plancherel.
 
-    ``(1/pi * int_0^{1/lam} |symbol(lam s)/F[eta](s)|^2 ds)^(1/2)``. This is
-    the certified uniform-bound constant for [0,1]-valued losses
-    (Cauchy-Schwarz against the loss L2 norm).
+    ``(1/pi * int_0^{1/lam} |symbol(lam s)/F[eta](s)|^2 ds)^(1/2)`` for the
+    base kernel of kind ``base_kind``. This is the certified uniform-bound
+    constant for [0,1]-valued losses (Cauchy-Schwarz against the loss L2
+    norm).
     """
     lam = _as_bandwidth(bandwidth)
     s_nodes, s_weights = _panel_rule(1.0 / lam, 0.0)
-    ratio = base_symbol(base.base_kind, lam * s_nodes) / noise.fourier(s_nodes)
+    ratio = base_symbol(base_kind, lam * s_nodes) / noise.fourier(s_nodes)
     return float(np.sqrt(np.dot(s_weights, ratio * ratio) / np.pi))

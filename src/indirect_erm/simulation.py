@@ -9,7 +9,6 @@ log-log slope fit that is compared to the theoretical exponent.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -250,13 +249,6 @@ class RateReport:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "mean_excess", "standard_error", "replications"])
-            for n, m, s, c in self.rows:
-                writer.writerow([int(n), repr(float(m)), repr(float(s)), int(c)])
 
 
 def _run_block(args):

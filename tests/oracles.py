@@ -69,3 +69,51 @@ def smooth_threshold_risk(t, sharpness=1.0):
     f1_cdf = betainc(4.0 + m, 4.0, t)
     f0_cdf = betainc(4.0, 4.0 + m, t)
     return 0.5 * (f1_cdf + 1.0 - f0_cdf)
+
+
+def _bias_from_risks(risks, reg, star_index, kappa, bias_variant):
+    r = 1.0 / kappa if bias_variant == "squared_loss" else 1.0 / (2.0 * kappa)
+    excess = risks - risks[star_index]
+    bias = excess - (reg - reg[star_index])
+    return float(max((bias - r * excess).max(), 0.0))
+
+
+def naive_bias_deconv(scenario, lattice, hclass, star_index, loss,
+                      bias_variant="squared_loss"):
+    """Approximation function of the kernel route, one classifier at a time.
+
+    Per label and classifier, the raw node losses are integrated against the
+    zero-extended density (exact risk) and against the base-smoothed density
+    (expected regularized risk) with the lattice weights.
+    """
+    from indirect_erm.noisy_risk import base_smoothed_density, zero_extended_density
+
+    nodes, w = lattice.nodes, lattice.weights
+    risks = np.zeros(len(hclass))
+    reg = np.zeros(len(hclass))
+    for label in scenario.labels:
+        f = zero_extended_density(scenario, lattice, label)
+        f_smooth = base_smoothed_density(scenario, lattice, label)
+        prior = scenario.priors[label]
+        for i, clf in enumerate(hclass):
+            lv = loss_values(clf, loss, label, nodes)
+            risks[i] += prior * float(np.dot(w, lv * f))
+            reg[i] += prior * float(np.dot(w, lv * f_smooth))
+    return _bias_from_risks(risks, reg, star_index, scenario.kappa, bias_variant)
+
+
+def naive_bias_svd(scenario, op, cutoff, hclass, star_index, loss,
+                   bias_variant="squared_loss"):
+    """Approximation function of the spectral route: exact risks against the
+    pairing of each classifier's loss coefficients with the density's
+    cosine coefficients, one classifier at a time."""
+    from indirect_erm.hypotheses import true_risk
+    from indirect_erm.noisy_risk import svd_loss_coefficients
+
+    risks = np.array([true_risk(c, scenario, loss) for c in hclass])
+    reg = np.array([
+        sum(scenario.priors[y] * float(np.dot(
+            svd_loss_coefficients(c, loss, op, cutoff, scenario.domain, y),
+            scenario.cosine_coefficients(y, cutoff))) for y in scenario.labels)
+        for c in hclass])
+    return _bias_from_risks(risks, reg, star_index, scenario.kappa, bias_variant)

@@ -198,13 +198,14 @@ def test_criterion_5_structural_scaling():
         backend = DeconvolutionBackend(lattice=lattice, loss=HARD)
         ratios = empirical_lipschitz(scenario, backend, hclass, pairs, 20_000, seed=5)
         lipschitz.append(float(ratios.max()))
-        bounds.append(sup_bound_deconv(lattice, hclass, HARD, GRID))
+        bounds.append(sup_bound_deconv(backend, hclass))
     scan_class, scan_star = geometric_scan_class(_TENT_CROSSING)
     bias_lams = [0.02, 0.03, 0.045, 0.068, 0.1]
-    bias = [empirical_bias_deconv(scenario, build_lattice(GRID, noise, lam),
-                                  scan_class, scan_star, HARD,
-                                  bias_variant="squared_loss")
-            for lam in bias_lams]
+    bias = []
+    for lam in bias_lams:
+        backend = DeconvolutionBackend(lattice=build_lattice(GRID, noise, lam), loss=HARD)
+        bias.append(empirical_bias_deconv(scenario, backend, scan_class, scan_star,
+                                          bias_variant="squared_loss"))
     c_slope = slope_of(lams, lipschitz)
     k_slope = slope_of(lams, bounds)
     a_slope = slope_of(bias_lams, bias)
@@ -219,11 +220,13 @@ def test_criterion_5_structural_scaling():
         backend = SvdBackend(operator=op, cutoff=cutoff, grid=GRID, loss=HARD)
         ratios = empirical_lipschitz(sc_linear, backend, hclass, pairs, 20_000, seed=5)
         lipschitz_svd.append(float(ratios.max()))
-        bounds_svd.append(sup_bound_svd(op, cutoff, hclass, HARD, GRID))
+        bounds_svd.append(sup_bound_svd(backend, hclass))
     bias_cutoffs = [6, 9, 14, 21, 32, 48]
-    bias_svd = [empirical_bias_svd(sc_tent, op, cutoff, scan_class, scan_star,
-                                   HARD, bias_variant="squared_loss")
-                for cutoff in bias_cutoffs]
+    bias_svd = []
+    for cutoff in bias_cutoffs:
+        backend = SvdBackend(operator=op, cutoff=cutoff, grid=GRID, loss=HARD)
+        bias_svd.append(empirical_bias_svd(sc_tent, backend, scan_class, scan_star,
+                                           bias_variant="squared_loss"))
     c_slope_svd = slope_of(cutoffs, lipschitz_svd)
     k_slope_svd = slope_of(cutoffs, bounds_svd)
     a_slope_svd = slope_of(bias_cutoffs, bias_svd)

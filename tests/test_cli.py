@@ -202,6 +202,12 @@ def test_malformed_config_exit_codes(tmp_path):
     (fit_config, "hypotheses", "count", 0),
     (restricted_rates_config, None, "window", [1.5, 2.0]),  # holds no domain node
     (restricted_fit_config, None, "window", [1.5, 2.0]),
+    # smoothing values outside their range: a cutoff above k_max, and
+    # bandwidths at or below the domain spacing (1/255), which alias
+    (svd_diagnose_config, "diagnose", "cutoffs", [4, 100]),
+    (fit_config, None, "bandwidth", -0.5),
+    (kernel_config, None, "bandwidth", 0.001),
+    (diagnose_config, "diagnose", "bandwidths", [0.3, 0.001]),
 ])
 def test_bad_config_values_exit_two(tmp_path, make, block, key, value):
     out = tmp_path / "artifacts"

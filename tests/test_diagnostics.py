@@ -29,8 +29,16 @@ from indirect_erm.diagnostics import (
 )
 from indirect_erm.erm import DeconvolutionBackend, SvdBackend
 from indirect_erm.errors import DataError
-from indirect_erm.hypotheses import Scenario, bayes_in_class
+from indirect_erm.hypotheses import (
+    _TENT_CROSSING,
+    Scenario,
+    bayes_in_class,
+    snap_to_cell_midpoint,
+    structural_pair_priors,
+)
 from indirect_erm.noisy_risk import modified_loss_deconv, modified_loss_svd
+
+from oracles import naive_bias_deconv, naive_bias_svd
 
 
 def cfg(**kw):
@@ -220,16 +228,49 @@ def test_sup_bound_scalings(grid, hard_loss):
     lams = np.array([0.2, 0.1, 0.05])
     vals = []
     for lam in lams:
-        lattice = build_lattice(grid, noise, lam)
-        vals.append(sup_bound_deconv(lattice, hclass, hard_loss, grid))
+        backend = DeconvolutionBackend(lattice=build_lattice(grid, noise, lam), loss=hard_loss)
+        vals.append(sup_bound_deconv(backend, hclass))
     slope = np.polyfit(np.log(lams), np.log(vals), 1)[0]
     assert abs(slope + 2.5) < 0.3
 
     op = SpectralOperator(decay=1.0, k_max=64)
     ns = np.array([8, 16, 32, 64])
-    svals = [sup_bound_svd(op, n, hclass, hard_loss, grid) for n in ns]
+    svals = [sup_bound_svd(SvdBackend(operator=op, cutoff=n, grid=grid, loss=hard_loss), hclass)
+             for n in ns]
     sslope = np.polyfit(np.log(ns), np.log(svals), 1)[0]
     assert abs(sslope - 1.5) < 0.3
+
+
+@pytest.mark.parametrize("variant", ["squared_loss", "general"])
+def test_bias_deconv_matches_per_classifier_quadrature(grid, hard_loss, variant):
+    # the laplace-diagnose benchmark's scenario, class and bandwidths
+    noise = laplace_noise(2.0)
+    sc = make_margin_scenario(1, noise, family="smooth", gamma=2.0, grid=grid, sharpness=1.3)
+    hclass = threshold_grid(33, grid)
+    star, _, _ = bayes_in_class(hclass, sc, hard_loss)
+    for lam in (0.1, 0.15, 0.22, 0.33, 0.5):
+        lattice = build_lattice(grid, noise, lam, base_kind="order_m_flat_top")
+        got = empirical_bias_deconv(sc, DeconvolutionBackend(lattice=lattice, loss=hard_loss),
+                                    hclass, star, variant)
+        ref = naive_bias_deconv(sc, lattice, hclass, star, hard_loss, variant)
+        assert ref > 0
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("variant", ["squared_loss", "general"])
+def test_bias_svd_matches_coefficient_pairing(grid, hard_loss, variant):
+    op = SpectralOperator(decay=1.0, k_max=64)
+    sc = Scenario(priors=structural_pair_priors(), densities="tent_pair", contamination=op,
+                  alpha=1.0, gamma=1.0, domain=grid)
+    # thresholds around the crossing, where the bias is not floored at zero
+    hclass = HypothesisClass(tuple(
+        ThresholdClassifier(snap_to_cell_midpoint(_TENT_CROSSING + 0.002 * j, grid))
+        for j in range(-8, 9)))
+    for cutoff in (6, 14, 32, 48):
+        svd = SvdBackend(operator=op, cutoff=cutoff, grid=grid, loss=hard_loss)
+        ref = naive_bias_svd(sc, op, cutoff, hclass, 8, hard_loss, variant)
+        assert ref > 0
+        assert abs(empirical_bias_svd(sc, svd, hclass, 8, variant) - ref) < 1e-12
 
 
 def test_bias_vanishes_for_dirac_small_bandwidth(grid, hard_loss):
@@ -237,20 +278,22 @@ def test_bias_vanishes_for_dirac_small_bandwidth(grid, hard_loss):
     lattice = build_lattice(grid, dirac_noise(), 6.0 * grid.spacing)
     hclass = threshold_grid(21, grid)
     star, _, _ = bayes_in_class(hclass, sc, hard_loss)
-    value = empirical_bias_deconv(sc, lattice, hclass, star, hard_loss)
+    value = empirical_bias_deconv(sc, DeconvolutionBackend(lattice=lattice, loss=hard_loss),
+                                  hclass, star)
     assert value <= 0.02
 
 
 def test_bias_variant_outside_choices_rejected(grid, hard_loss):
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
     hclass = threshold_grid(5, grid)
-    lattice = build_lattice(grid, dirac_noise(), 0.25)
+    deconv = DeconvolutionBackend(lattice=build_lattice(grid, dirac_noise(), 0.25), loss=hard_loss)
     op = SpectralOperator(decay=1.0, k_max=16)
     sc_svd = make_margin_scenario(1, op, grid=grid)
+    svd = SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss)
     with pytest.raises(ConfigurationError):
-        empirical_bias_deconv(sc, lattice, hclass, 2, hard_loss, bias_variant="cubic")
+        empirical_bias_deconv(sc, deconv, hclass, 2, bias_variant="cubic")
     with pytest.raises(ConfigurationError):
-        empirical_bias_svd(sc_svd, op, 8, hclass, 2, hard_loss, bias_variant="cubic")
+        empirical_bias_svd(sc_svd, svd, hclass, 2, bias_variant="cubic")
 
 
 def test_bernstein_ratio_linear_scenario(grid, hard_loss):

@@ -19,6 +19,7 @@ from indirect_erm import (
     select_cutoff,
     threshold_grid,
 )
+from indirect_erm.erm import expected_risks
 from indirect_erm.hypotheses import IntervalClassifier, loss_values, snap_to_cell_midpoint
 from indirect_erm.noisy_risk import (
     ModifiedLossTable,
@@ -175,7 +176,7 @@ def test_backend_expected_risks_match_reference_quadrature(grid, hard_loss):
         lattice.weights,
         modified_loss_deconv(c, hard_loss, lattice).values[y]
         * contaminated_density(sc, lattice, y))) for y in sc.labels) for c in hclass]
-    got = DeconvolutionBackend(lattice=lattice, loss=hard_loss).expected_risks(hclass, sc)
+    got = expected_risks(hclass, sc, DeconvolutionBackend(lattice=lattice, loss=hard_loss))
     assert np.abs(got - ref).max() < 1e-12
     # loss coefficients paired with the density coefficients
     op = SpectralOperator(decay=1.0, k_max=64)
@@ -183,7 +184,7 @@ def test_backend_expected_risks_match_reference_quadrature(grid, hard_loss):
     ref = [sum(sc.priors[y] * float(np.dot(svd_loss_coefficients(c, hard_loss, op, 8, grid, y),
                                            sc.cosine_coefficients(y, 8)))
                for y in sc.labels) for c in hclass]
-    got = SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss).expected_risks(hclass, sc)
+    got = expected_risks(hclass, sc, SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss))
     assert np.abs(got - ref).max() < 1e-12
 
 

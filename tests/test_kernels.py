@@ -237,44 +237,39 @@ def test_fft_roundtrip_of_tables(grid):
 # Fourier-domain diagnostics
 # ---------------------------------------------------------------------------
 
-def test_fourier_sup_dirac(grid):
-    base = build_base_kernel("sinc", grid)
-    assert abs(kernel_fourier_sup(base, dirac_noise(), 0.3) - 1.0) < 1e-10
+def test_fourier_sup_dirac():
+    assert abs(kernel_fourier_sup("sinc", dirac_noise(), 0.3) - 1.0) < 1e-10
 
 
-def test_fourier_sup_laplace_value(grid):
+def test_fourier_sup_laplace_value():
     # sup over the band of (1 + t^2) = 1 + lam^(-2)
-    base = build_base_kernel("sinc", grid)
-    val = kernel_fourier_sup(base, laplace_noise(2.0), 0.1)
+    val = kernel_fourier_sup("sinc", laplace_noise(2.0), 0.1)
     assert abs(val - 101.0) < 1e-6
     assert 50.0 < val < 200.0  # within a factor 2 of lam^(-2)
 
 
-def test_fourier_sup_halving_scaling(grid):
-    base = build_base_kernel("sinc", grid)
+def test_fourier_sup_halving_scaling():
     noise = laplace_noise(2.0)
     lams = np.array([0.4, 0.2, 0.1, 0.05])
-    vals = np.array([kernel_fourier_sup(base, noise, l) for l in lams])
+    vals = np.array([kernel_fourier_sup("sinc", noise, l) for l in lams])
     slopes = np.diff(np.log(vals)) / np.diff(np.log(lams))
     assert np.all(np.abs(slopes + 2.0) < 0.3)
 
 
-def test_fourier_sup_loglog_slope_matches_decay(grid):
-    base = build_base_kernel("sinc", grid)
+def test_fourier_sup_loglog_slope_matches_decay():
     for beta in (2.0, 4.0):
         noise = laplace_noise(beta)
         lams = np.array([0.3, 0.2, 0.12, 0.08])
-        vals = np.array([kernel_fourier_sup(base, noise, l) for l in lams])
+        vals = np.array([kernel_fourier_sup("sinc", noise, l) for l in lams])
         slope = np.polyfit(np.log(lams), np.log(vals), 1)[0]
         assert abs(slope + beta) < 0.3
 
 
-def test_fourier_l2_scaling(grid):
+def test_fourier_l2_scaling():
     # L2 norm of the corrected kernel grows like lam^-(beta + 1/2)
-    base = build_base_kernel("sinc", grid)
     noise = laplace_noise(2.0)
     lams = np.array([0.2, 0.1, 0.05, 0.025])
-    vals = np.array([kernel_fourier_l2(base, noise, l) for l in lams])
+    vals = np.array([kernel_fourier_l2("sinc", noise, l) for l in lams])
     slope = np.polyfit(np.log(lams), np.log(vals), 1)[0]
     assert abs(slope + 2.5) < 0.3
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from indirect_erm import (
     make_margin_scenario,
 )
 from indirect_erm import simulation
+from indirect_erm.cli import run
 from indirect_erm.simulation import (
     ExperimentPlan,
     build_backend,
@@ -126,11 +129,27 @@ def test_report_reproducible_and_csv(tmp_path, grid):
     r1 = run_rate_experiment(plan)
     r2 = run_rate_experiment(plan)
     assert r1.dumps() == r2.dumps()
-    path = tmp_path / "rates.csv"
-    r1.to_csv(path)
-    lines = path.read_text().strip().splitlines()
+    # the same experiment as a config: the command's rates.csv holds the
+    # report's rows, one line each, every line ending in a bare newline
+    doc = {
+        "version": 1, "command": "rates", "seed": plan.base_seed,
+        "scenario": {"family": "smooth", "alpha": 1, "gamma": 2.0, "sharpness": 1.3,
+                     "contamination": {"kind": "laplace", "beta": 2},
+                     "grid": {"points": grid.points_per_dim}},
+        "hypotheses": {"kind": "thresholds", "count": plan.n_thresholds},
+        "rate_config": plan.rate_config.to_json(),
+        "n_grid": list(plan.n_grid), "replications": plan.replications,
+        "base_kernel": plan.base_kernel, "theory_mode": plan.theory_mode,
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert run(str(config), out_dir=str(tmp_path / "out"), threads=1) == 0
+    data = (tmp_path / "out" / "rates.csv").read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n")
+    lines = data.decode().splitlines()
     assert lines[0] == "n,mean_excess,standard_error,replications"
     assert len(lines) == 1 + len(plan.n_grid)
+    assert lines[1:] == [f"{n},{m!r},{s!r},{c}" for n, m, s, c in r1.rows]
 
 
 def test_parallel_matches_sequential(grid):
