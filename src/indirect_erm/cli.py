@@ -16,6 +16,8 @@ model error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import hashlib
 import json
 import os
@@ -342,6 +344,27 @@ def _scaling_slopes(xs, report) -> dict:
 # driver
 # ---------------------------------------------------------------------------
 
+# glibc's mallopt parameters. Its mmap threshold starts at 128 KiB and rises
+# only when a block above it is freed, so a process that has made no large
+# free maps and unmaps every FFT work array of every trial afresh, one page
+# fault per page. Fixed thresholds keep arrays up to 32 MiB on the heap,
+# where the next trial reuses them.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def set_allocator_thresholds() -> bool:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB,
+    once per process (forked pool workers inherit both). Returns False
+    where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all([mallopt(_M_MMAP_THRESHOLD, 32 << 20), mallopt(_M_TRIM_THRESHOLD, 64 << 20)])
+
+
 def run(config_path: str, out_dir: str | None = None, threads: int | None = None,
         seed: int | None = None) -> int:
     """Execute one config file; returns the process exit code."""
@@ -371,6 +394,7 @@ def run(config_path: str, out_dir: str | None = None, threads: int | None = None
         print(f"I/O error creating output dir: {exc}", file=sys.stderr)
         return 4
 
+    set_allocator_thresholds()
     try:
         artifacts = work(effective_out, effective_seed, effective_threads)
     except ConfigurationError as exc:

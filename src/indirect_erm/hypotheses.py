@@ -168,19 +168,24 @@ def _density_linear(label: int, x: np.ndarray, params: dict) -> np.ndarray:
     return 2.0 * x if label == 1 else 2.0 * (1.0 - x)
 
 
+def _beta_4(m: float) -> float:
+    """B(4+m, 4) = 3! Gamma(4+m) / Gamma(8+m) = 6 / ((4+m)(5+m)(6+m)(7+m)),
+    by the recurrence Gamma(s+1) = s Gamma(s)."""
+    return 6.0 / ((4.0 + m) * (5.0 + m) * (6.0 + m) * (7.0 + m))
+
+
 def _density_smooth(label: int, x: np.ndarray, params: dict) -> np.ndarray:
     """Beta-pair conditionals Beta(4+m, 4) against Beta(4, 4+m).
 
     Both densities vanish to third order at the edges, so their zero
     extensions keep three Lipschitz derivatives; the regression function
-    crosses 1/2 linearly with slope controlled by ``sharpness`` = m.
+    crosses 1/2 linearly with slope controlled by ``sharpness`` = m. Both
+    normalizers are B(4+m, 4) = B(4, 4+m).
     """
-    from scipy.special import beta as _beta_fn
-
     m = float(params.get("sharpness", 1.0))
     if label == 1:
-        return x ** (3.0 + m) * (1.0 - x) ** 3 / _beta_fn(4.0 + m, 4.0)
-    return x ** 3 * (1.0 - x) ** (3.0 + m) / _beta_fn(4.0, 4.0 + m)
+        return x ** (3.0 + m) * (1.0 - x) ** 3 / _beta_4(m)
+    return x ** 3 * (1.0 - x) ** (3.0 + m) / _beta_4(m)
 
 
 def _density_uniform(label: int, x: np.ndarray, params: dict) -> np.ndarray:

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.signal import fftconvolve
+from numpy.fft import irfft, rfft
 
 from .errors import ConfigurationError, DataError
 from .grid import Grid, padded_axis
@@ -52,6 +51,22 @@ __all__ = [
     "zero_extended_density",
     "contaminated_density",
 ]
+
+
+def _next_fast_len(target: int) -> int:
+    """The smallest 5-smooth integer 2^a 3^b 5^c at or above ``target`` >= 1:
+    for each 3^b 5^c below the best length so far, the power of two that
+    lifts it to ``target``."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            quotient = -(-target // p35)
+            best = min(best, p35 << (quotient - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _log_clamped(z: np.ndarray, lo: float, hi: float) -> None:
@@ -107,11 +122,11 @@ class ObservationLattice:
     sums. ``base_scaled`` is the bandwidth-scaled base kernel on the same
     offsets (the noise-free twin of ``kernel``); it is built on first use,
     since only bias diagnostics read it. ``spectrum`` is the real FFT of
-    ``kernel`` at the shortest fast length whose circular convolution
+    ``kernel`` at the shortest 5-smooth length whose circular convolution
     against a node function leaves the 'valid' outputs free of wraparound
     (at least 2P - 1 for P nodes); it is computed on first use and cached
-    on the lattice, so every ``convolve`` (plug-in densities and class
-    tables) reuses it.
+    on the lattice, so every ``convolve`` with the kernel (plug-in
+    densities and class tables) reuses it.
     """
 
     domain: Grid
@@ -132,25 +147,28 @@ class ObservationLattice:
     def base_scaled(self) -> TabulatedKernel:
         return build_deconvolution_kernel(self.kernel, dirac_noise(), self.bandwidth)
 
-    @property
+    @cached_property
     def _fft_length(self) -> int:
         # the full linear convolution of P node values with 2P - 1 kernel
         # values spans 3P - 2 indices, but the 'valid' outputs P - 1 .. 2P - 2
         # are free of circular wraparound at any length >= 2P - 1
-        return next_fast_len(2 * len(self.nodes) - 1, True)
+        return _next_fast_len(2 * len(self.nodes) - 1)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        return rfftn(self.kernel.values[0], (self._fft_length,))
+        return rfft(self.kernel.values[0], self._fft_length)
 
-    def convolve(self, values: np.ndarray) -> np.ndarray:
-        """'valid' convolution of node values with ``kernel``: P values, one per node.
+    def convolve(self, values: np.ndarray, offset_values: np.ndarray | None = None) -> np.ndarray:
+        """'valid' convolution of node values with a function on the kernel's
+        2P - 1 offsets: P values, one per node.
 
-        Same result as ``fftconvolve(values, kernel, mode="valid")`` to
-        rounding, without recomputing the kernel's FFT.
+        Without ``offset_values`` the function is ``kernel``, whose FFT is
+        the cached ``spectrum``. Same result as ``fftconvolve(values,
+        offset_values, mode="valid")`` to rounding.
         """
         length, p = self._fft_length, len(self.nodes)
-        full = irfftn(self.spectrum * rfftn(values, (length,)), (length,))
+        spectrum = self.spectrum if offset_values is None else rfft(offset_values, length)
+        full = irfft(spectrum * rfft(values, length), length)
         return full[p - 1: 2 * p - 1].copy()
 
 
@@ -359,10 +377,8 @@ def contaminated_density(scenario: Scenario, lattice: ObservationLattice,
     f = zero_extended_density(scenario, lattice, label)
     if lattice.noise.kind == "dirac":
         return f
-    m = len(lattice.nodes) - 1
-    offs = lattice.spacing * np.arange(-m, m + 1)
-    eta = lattice.noise.density(offs)
-    return fftconvolve(lattice.weights * f, eta, mode="valid")
+    eta = lattice.noise.density(lattice.kernel.offsets[0])
+    return lattice.convolve(lattice.weights * f, eta)
 
 
 def base_smoothed_density(scenario: Scenario, lattice: ObservationLattice,
@@ -376,4 +392,4 @@ def base_smoothed_density(scenario: Scenario, lattice: ObservationLattice,
     corrected kernel and is the numerically stable route to expectations.
     """
     f = zero_extended_density(scenario, lattice, label)
-    return fftconvolve(lattice.weights * f, lattice.base_scaled.values[0], mode="valid")
+    return lattice.convolve(lattice.weights * f, lattice.base_scaled.values[0])

@@ -15,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; import it here, not inside the first trial
 
 from .diagnostics import RATE_MODES, fit_rate_slope, hard_loss_exponent, rate_exponent
 from .erm import (

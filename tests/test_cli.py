@@ -2,9 +2,12 @@ import glob
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+from indirect_erm import cli
 from indirect_erm.cli import run, validate_config
 from indirect_erm.errors import ConfigurationError
 
@@ -384,3 +387,82 @@ def test_preset_files_are_valid():
         laplace = json.load(fh)
     assert laplace["rate_config"]["beta_bar"] == 2.0
     assert laplace["scenario"]["gamma"] == 2.0
+
+
+# ---------------------------------------------------------------------------
+# the run path in a fresh interpreter: no scipy, a warm allocator
+# ---------------------------------------------------------------------------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+PRESETS = os.path.join(os.path.dirname(SRC), "presets")
+
+
+def _python(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports the package from ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+RUN_CONFIGS = """
+import json, sys
+from indirect_erm import cli
+for path in sys.argv[1:]:
+    assert cli.run(path, threads=1) == 0, path
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_import_and_run_load_no_scipy(tmp_path):
+    paths = [write_config(tmp_path, make(str(tmp_path / name)), f"{name}.json")
+             for name, make in (("rates", rates_config), ("svd_rates", svd_rates_config),
+                                ("diagnose", diagnose_config))]
+    assert json.loads(_python(RUN_CONFIGS, *paths)) == []
+
+
+WARM_TRIALS = """
+import json, resource, sys
+import numpy as np
+from indirect_erm import cli
+from indirect_erm.erm import RateConfig, minimize
+from indirect_erm.hypotheses import LossSpec, Scenario, threshold_grid
+from indirect_erm.simulation import build_backend, generate_sample, rule_smoothing
+
+if not cli.set_allocator_thresholds():
+    print("no mallopt")
+    sys.exit(0)
+with open(sys.argv[1]) as fh:
+    doc = json.load(fh)
+scenario, n = Scenario.from_json(doc["scenario"]), 16384
+bandwidth = rule_smoothing("deconvolution", scenario, RateConfig.from_json(doc["rate_config"]), n)
+backend = build_backend("deconvolution", scenario, LossSpec("hard"), bandwidth,
+                        base_kernel=doc["base_kernel"])
+hclass = threshold_grid(doc["hypotheses"]["count"], scenario.domain)
+rng = np.random.default_rng(11)
+for _ in range(3):  # builds the spectrum and the sampling densities
+    minimize(hclass, generate_sample(scenario, n, rng), backend)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    minimize(hclass, generate_sample(scenario, n, rng), backend)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+def test_run_sets_allocator_thresholds(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "set_allocator_thresholds", lambda: calls.append(1))
+    assert run(write_config(tmp_path, exponent_config(str(tmp_path / "out")))) == 0
+    assert calls == [1]
+
+
+def test_warm_trials_reuse_heap_buffers():
+    # without fixed thresholds each warm trial maps its FFT buffers afresh:
+    # a few hundred minor page faults per trial instead of a few
+    pytest.importorskip("resource")
+    faults = _python(WARM_TRIALS, os.path.join(PRESETS, "laplace-linear.json"))
+    if faults == "no mallopt":
+        pytest.skip("the C library has no mallopt")
+    assert float(faults) < 20

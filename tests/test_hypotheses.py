@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from indirect_erm import (
     threshold_grid,
     true_risk,
 )
-from indirect_erm.hypotheses import loss_values, snap_to_cell_midpoint
+from indirect_erm.hypotheses import _beta_4, loss_values, snap_to_cell_midpoint
 from indirect_erm.simulation import generate_sample
 
 from oracles import linear_threshold_risk, smooth_threshold_risk
@@ -95,6 +97,20 @@ def test_smooth_scenario_risks_match_beta_cdf(grid, hard_loss):
     # frozen value at the crossing
     mid = snap_to_cell_midpoint(0.5, grid)
     assert abs(true_risk(ThresholdClassifier(mid), sc, hard_loss) - 0.36328125) < 5e-6
+
+
+@pytest.mark.parametrize("m", [0.25, 0.5, 1.0, 1.3, 2.0, 3.0, 7.5])
+def test_smooth_normalizer_is_beta(m):
+    from scipy.special import beta
+
+    q = Fraction(m)
+    exact = Fraction(6) / ((4 + q) * (5 + q) * (6 + q) * (7 + q))
+    got = _beta_4(m)
+    assert abs(Fraction(got) - exact) <= Fraction(1e-15) * exact
+    # scipy's beta is itself off the exact value in the last bits (1.7e-15
+    # relative at m = 1.3); the closed form is within 1e-15 of it beyond that
+    ref = beta(4.0 + m, 4.0)
+    assert abs(Fraction(got) - Fraction(ref)) <= abs(Fraction(ref) - exact) + Fraction(1e-15) * exact
 
 
 def test_densities_integrate_to_one(grid):

@@ -27,6 +27,7 @@ from indirect_erm.noisy_risk import (
     base_smoothed_density,
     contaminated_density,
     svd_loss_coefficients,
+    zero_extended_density,
 )
 from indirect_erm.operators import contaminate, sample_density
 from indirect_erm.simulation import generate_sample
@@ -118,14 +119,14 @@ def test_base_scaled_built_once_on_first_use(grid, monkeypatch):
 
 
 def test_spectrum_built_once_per_lattice(grid, hard_loss, monkeypatch):
-    original = noisy_risk.rfftn
+    original = noisy_risk.rfft
     lengths = []
 
     def counting(values, *args):
         lengths.append(len(values))
         return original(values, *args)
 
-    monkeypatch.setattr(noisy_risk, "rfftn", counting)
+    monkeypatch.setattr(noisy_risk, "rfft", counting)
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     assert lengths == []  # built on first use
     plug_in_density(np.array([0.3, 0.6]), lattice)
@@ -161,6 +162,30 @@ def test_convolve_matches_fftconvolve(laplace_lattice, hard_loss, source):
     got = lattice.convolve(values)
     assert got.shape == (len(lattice.nodes),)
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_densities_match_fftconvolve(grid):
+    noise = laplace_noise(2.0)
+    sc = make_margin_scenario(1, noise, family="smooth", gamma=2.0, sharpness=1.3, grid=grid)
+    lattice = build_lattice(grid, noise, 0.2)
+    m = len(lattice.nodes) - 1
+    eta = noise.density(lattice.spacing * np.arange(-m, m + 1))
+    for label in sc.labels:
+        f = lattice.weights * zero_extended_density(sc, lattice, label)
+        for got, kernel in ((contaminated_density(sc, lattice, label), eta),
+                            (base_smoothed_density(sc, lattice, label),
+                             lattice.base_scaled.values[0])):
+            expected = fftconvolve(f, kernel, mode="valid")
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    targets = range(1, 2 ** 17 + 1)
+    assert ([noisy_risk._next_fast_len(t) for t in targets]
+            == [next_fast_len(t, True) for t in targets])
 
 
 @pytest.mark.parametrize("labels", [[0, -1, 1], [0, 2, 1], [0.0, 0.5, 1.0]])
