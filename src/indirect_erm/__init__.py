@@ -28,7 +28,6 @@ from .errors import (
 from .grid import Grid
 from .hypotheses import (
     HypothesisClass,
-    IntervalClassifier,
     LossSpec,
     Scenario,
     ThresholdClassifier,

@@ -81,7 +81,8 @@ def _rate_config(top: ConfigReader) -> RateConfig:
 
 def _loss(top: ConfigReader) -> LossSpec:
     r = ConfigReader(top.get("loss", dict, {}), "loss")
-    loss = LossSpec(kind=r.get("kind", str, "hard", LOSS_KINDS), clip=r.get("clip", float, 1.0))
+    loss = LossSpec(kind=r.get("kind", str, "hard", LOSS_KINDS))
+    r.get("clip", float, 1.0, (1.0,))  # below 1 it would only scale every risk
     r.done()
     return loss
 

@@ -145,21 +145,15 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        doc = {
+        return {
             "index": self.index,
             "empirical_risk": self.empirical_risk,
             "smoothing": [self.smoothing],
             "backend": self.backend,
             "diagnostics": self.diagnostics,
+            "classifier": {"kind": "threshold", "threshold": self.classifier.threshold,
+                           "orientation": self.classifier.orientation},
         }
-        clf = self.classifier
-        if hasattr(clf, "threshold"):
-            doc["classifier"] = {"kind": "threshold", "threshold": clf.threshold,
-                                 "orientation": clf.orientation}
-        elif hasattr(clf, "lower"):
-            doc["classifier"] = {"kind": "interval", "lower": clf.lower,
-                                 "upper": clf.upper, "orientation": clf.orientation}
-        return doc
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)

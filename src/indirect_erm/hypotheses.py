@@ -21,7 +21,6 @@ from .reader import ConfigReader
 __all__ = [
     "LossSpec",
     "ThresholdClassifier",
-    "IntervalClassifier",
     "HypothesisClass",
     "Scenario",
     "loss_eval",
@@ -36,7 +35,7 @@ __all__ = [
     "contamination_from_json",
 ]
 
-LOSS_KINDS = ("hard", "hinge_clipped", "quadratic_clipped")
+LOSS_KINDS = ("hard",)
 DENSITY_FAMILIES = ("linear", "smooth", "uniform", "tent_pair")
 
 
@@ -46,21 +45,17 @@ DENSITY_FAMILIES = ("linear", "smooth", "uniform", "tent_pair")
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Bounded loss on predictions and labels, with values in [0, 1].
+    """The hard loss |y - g(x)| on 0/1 predictions and labels.
 
-    ``hard`` is |y - g(x)| for 0/1 predictions. The convex kinds map the
-    prediction to a score in [-1, 1] and clip at ``clip`` (<= 1) to stay
-    bounded.
+    ``hard`` is the only kind: a misclassification costs 1 and a correct
+    prediction costs 0.
     """
 
     kind: str = "hard"
-    clip: float = 1.0
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ConfigurationError(f"unknown loss kind {self.kind!r}")
-        if not 0.0 < self.clip <= 1.0:
-            raise ConfigurationError("clip threshold must lie in (0, 1]")
 
 
 def loss_eval(loss: LossSpec, prediction, label: int) -> np.ndarray:
@@ -68,13 +63,7 @@ def loss_eval(loss: LossSpec, prediction, label: int) -> np.ndarray:
     if label not in (0, 1):
         raise ConfigurationError(f"label {label} out of range for binary losses")
     p = np.asarray(prediction, dtype=float)
-    if loss.kind == "hard":
-        return np.abs(label - p)
-    if loss.kind == "hinge_clipped":
-        margin = (2.0 * label - 1.0) * (2.0 * p - 1.0)
-        return np.minimum(np.maximum(1.0 - margin, 0.0) / 2.0, loss.clip)
-    # quadratic_clipped
-    return np.minimum((p - label) ** 2, loss.clip)
+    return np.abs(label - p)
 
 
 # ---------------------------------------------------------------------------
@@ -92,24 +81,6 @@ class ThresholdClassifier:
         x = np.asarray(x, dtype=float)
         above = (x > self.threshold).astype(float)
         return above if self.orientation >= 0 else 1.0 - above
-
-
-@dataclass(frozen=True)
-class IntervalClassifier:
-    """Predict 1 inside [lower, upper] (orientation +1), outside otherwise."""
-
-    lower: float
-    upper: float
-    orientation: int = 1
-
-    def __post_init__(self):
-        if self.upper <= self.lower:
-            raise ConfigurationError("interval upper bound must exceed lower bound")
-
-    def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        inside = ((x >= self.lower) & (x <= self.upper)).astype(float)
-        return inside if self.orientation >= 0 else 1.0 - inside
 
 
 @dataclass(frozen=True)
@@ -498,40 +469,24 @@ def loss_values(clf, loss: LossSpec, label: int, x: np.ndarray) -> np.ndarray:
     return loss_eval(loss, clf.predict(x), label)
 
 
-def hard_loss_pieces(clf, label: int, lo: float, hi: float):
-    """Piecewise-constant representation of the hard loss of a classifier.
+def hard_loss_pieces(clf: ThresholdClassifier, label: int, lo: float, hi: float):
+    """Piecewise-constant representation of |label - g(x)| for a threshold.
 
-    Returns [(a, b, value)] covering [lo, hi], or None when the classifier
-    is not one of the interval-like kinds. Used for exact basis integrals.
+    Returns [(a, b, value)] covering [lo, hi]; used for exact basis
+    integrals.
     """
-    if isinstance(clf, ThresholdClassifier):
-        t = clf.threshold
-        right = 1.0 if clf.orientation >= 0 else 0.0
-        left = 1.0 - right
-        pieces = []
-        if t <= lo:
-            pieces.append((lo, hi, right))
-        elif t >= hi:
-            pieces.append((lo, hi, left))
-        else:
-            pieces.append((lo, t, left))
-            pieces.append((t, hi, right))
-        return [(a, b, abs(label - v)) for a, b, v in pieces]
-    if isinstance(clf, IntervalClassifier):
-        inside = 1.0 if clf.orientation >= 0 else 0.0
-        outside = 1.0 - inside
-        a, b = max(lo, clf.lower), min(hi, clf.upper)
-        pieces = []
-        if b <= a:
-            pieces.append((lo, hi, outside))
-        else:
-            if a > lo:
-                pieces.append((lo, a, outside))
-            pieces.append((a, b, inside))
-            if b < hi:
-                pieces.append((b, hi, outside))
-        return [(p, q, abs(label - v)) for p, q, v in pieces]
-    return None
+    t = clf.threshold
+    right = 1.0 if clf.orientation >= 0 else 0.0
+    left = 1.0 - right
+    pieces = []
+    if t <= lo:
+        pieces.append((lo, hi, right))
+    elif t >= hi:
+        pieces.append((lo, hi, left))
+    else:
+        pieces.append((lo, t, left))
+        pieces.append((t, hi, right))
+    return [(a, b, abs(label - v)) for a, b, v in pieces]
 
 
 def window_mask(x: np.ndarray, window: tuple[float, float]) -> np.ndarray:

@@ -228,17 +228,17 @@ class TabulatedKernel:
     """Univariate kernel tabulated on a symmetric uniform offset grid.
 
     ``offsets`` and ``values`` are one-element tuples holding the offset
-    grid and the table. For ``kind == "base"`` the values are the unscaled
-    kernel K(u). For ``kind == "deconvolved"`` the values are the
-    bandwidth-scaled, noise-corrected kernel (1/lambda) K_eta(v/lambda)
-    tabulated in observation-offset units v, so discrete convolution
-    against grid functions needs no further rescaling.
+    grid and the table. At ``bandwidth`` 1 (``build_base_kernel``) the
+    values are the unscaled base kernel K(u). Otherwise
+    (``build_deconvolution_kernel``) they are the bandwidth-scaled,
+    noise-corrected kernel (1/lambda) K_eta(v/lambda) tabulated in
+    observation-offset units v, so discrete convolution against grid
+    functions needs no further rescaling.
     """
 
     offsets: tuple[np.ndarray]
     values: tuple[np.ndarray]
     bandwidth: float
-    kind: str
     base_kind: str
 
     def __post_init__(self):
@@ -304,8 +304,7 @@ def build_base_kernel(kind: str, grid: Grid,
     off = _default_offsets(grid) if offsets is None else np.asarray(offsets, dtype=float)
     s_nodes, s_weights = _panel_rule(1.0, float(np.max(np.abs(off))))
     values = _invert_symbol(base_symbol(kind, s_nodes), s_nodes, s_weights, off)
-    return TabulatedKernel(offsets=(off,), values=(values,), bandwidth=1.0,
-                           kind="base", base_kind=kind)
+    return TabulatedKernel(offsets=(off,), values=(values,), bandwidth=1.0, base_kind=kind)
 
 
 def _as_bandwidth(bandwidth) -> float:
@@ -342,7 +341,7 @@ def build_deconvolution_kernel(base: TabulatedKernel, noise: NoiseModel,
         )
     values = _invert_symbol(num / den, s_nodes, s_weights, off)
     return TabulatedKernel(offsets=base.offsets, values=(values,), bandwidth=lam,
-                           kind="deconvolved", base_kind=base.base_kind)
+                           base_kind=base.base_kind)
 
 
 def kernel_fourier_sup(base_kind: str, noise: NoiseModel, bandwidth: float,

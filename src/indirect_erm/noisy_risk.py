@@ -104,11 +104,8 @@ class NoisySample:
     def n(self) -> int:
         return int(self.z.shape[0])
 
-    def counts(self, labels=(0, 1)) -> dict[int, int]:
-        return {lab: int(np.sum(self.y == lab)) for lab in labels}
-
-    def label_fractions(self, labels=(0, 1)) -> dict[int, float]:
-        return {lab: cnt / self.n for lab, cnt in self.counts(labels).items()}
+    def counts(self) -> dict[int, int]:
+        return {lab: int(np.sum(self.y == lab)) for lab in (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -255,32 +252,23 @@ def svd_loss_coefficients(clf, loss: LossSpec, op: SpectralOperator, cutoff: int
                           grid: Grid, label: int) -> np.ndarray:
     """Basis coefficients c_k = integral of phi_k(x) loss(g(x), label) over the domain.
 
-    Hard losses of interval-like classifiers integrate in closed form per
-    constant piece; other losses fall back to trapezoid quadrature.
+    The loss is constant on each piece of ``hard_loss_pieces``, so every
+    piece integrates in closed form.
     """
     if cutoff > op.k_max:
         raise ConfigurationError(f"cutoff {cutoff} exceeds k_max {op.k_max}")
-    lo, hi = grid.lower, grid.upper
     k = np.arange(cutoff + 1, dtype=float)
-    if loss.kind == "hard":
-        pieces = hard_loss_pieces(clf, label, lo, hi)
-    else:
-        pieces = None
-    if pieces is not None:
-        # antiderivative of phi_k: x for k = 0, sqrt(2) sin(pi k x)/(pi k) else
-        coeffs = np.zeros(cutoff + 1)
-        for a, b, value in pieces:
-            if value == 0.0 or b <= a:
-                continue
-            seg = np.empty(cutoff + 1)
-            seg[0] = b - a
-            kk = k[1:]
-            seg[1:] = np.sqrt(2.0) * (np.sin(np.pi * kk * b) - np.sin(np.pi * kk * a)) / (np.pi * kk)
-            coeffs += value * seg
-        return coeffs
-    x, w = grid.axis(), grid.weights()
-    phi = op.basis(x, cutoff)
-    return phi @ (w * loss_values(clf, loss, label, x))
+    # antiderivative of phi_k: x for k = 0, sqrt(2) sin(pi k x)/(pi k) else
+    coeffs = np.zeros(cutoff + 1)
+    for a, b, value in hard_loss_pieces(clf, label, grid.lower, grid.upper):
+        if value == 0.0 or b <= a:
+            continue
+        seg = np.empty(cutoff + 1)
+        seg[0] = b - a
+        kk = k[1:]
+        seg[1:] = np.sqrt(2.0) * (np.sin(np.pi * kk * b) - np.sin(np.pi * kk * a)) / (np.pi * kk)
+        coeffs += value * seg
+    return coeffs
 
 
 def modified_loss_svd(clf, loss: LossSpec, op: SpectralOperator, cutoff: int,

@@ -1,12 +1,15 @@
 import glob
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import indirect_erm
 from indirect_erm import cli
 from indirect_erm.cli import run, validate_config
 from indirect_erm.errors import ConfigurationError
@@ -211,6 +214,11 @@ def test_malformed_config_exit_codes(tmp_path):
     (fit_config, None, "bandwidth", -0.5),
     (kernel_config, None, "bandwidth", 0.001),
     (diagnose_config, "diagnose", "bandwidths", [0.3, 0.001]),
+    # loss kinds that equal the hard loss on 0/1 predictions, and a clip
+    # below 1, which would only scale every risk
+    (fit_config, "loss", "kind", "hinge_clipped"),
+    (fit_config, "loss", "kind", "quadratic_clipped"),
+    (fit_config, "loss", "clip", 0.5),
 ])
 def test_bad_config_values_exit_two(tmp_path, make, block, key, value):
     out = tmp_path / "artifacts"
@@ -466,3 +474,12 @@ def test_warm_trials_reuse_heap_buffers():
     if faults == "no mallopt":
         pytest.skip("the C library has no mallopt")
     assert float(faults) < 20
+
+
+def test_every_module_exports_exist():
+    modules = [indirect_erm] + [importlib.import_module(f"indirect_erm.{info.name}")
+                                for info in pkgutil.iter_modules(indirect_erm.__path__)]
+    assert len(modules) > 10
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], module.__name__

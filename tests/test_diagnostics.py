@@ -4,7 +4,6 @@ import pytest
 from indirect_erm import (
     ConfigurationError,
     HypothesisClass,
-    LossSpec,
     RateConfig,
     SpectralOperator,
     ThresholdClassifier,
@@ -37,6 +36,7 @@ from indirect_erm.hypotheses import (
     structural_pair_priors,
 )
 from indirect_erm.noisy_risk import modified_loss_deconv, modified_loss_svd
+from indirect_erm.simulation import generate_sample
 
 from oracles import naive_bias_deconv, naive_bias_svd
 
@@ -176,22 +176,26 @@ def test_lipschitz_skips_degenerate_pairs(grid, hard_loss):
 
 
 def test_loss_distances_use_the_backend_loss(grid, hard_loss):
-    # the hinge clipped at 0.5 is half the hard loss for 0/1 predictions:
-    # regularized and raw loss distances halve alike, so the ratios agree
+    # under nu_y the raw hard-loss distance of two thresholds is the root of
+    # their gap; the regularized one is the backend's losses at the draws
     sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     hclass = threshold_grid(9, grid)
-    hard = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
-    half = DeconvolutionBackend(lattice=lattice, loss=LossSpec("hinge_clipped", clip=0.5))
+    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
     pairs = [(0, 4), (2, 6), (3, 4)]
-    r_hard = empirical_lipschitz(sc, hard, hclass, pairs, 5000, seed=3)
-    r_half = empirical_lipschitz(sc, half, hclass, pairs, 5000, seed=3)
-    assert r_hard.size == 3
-    np.testing.assert_allclose(r_half, r_hard, rtol=1e-12, atol=0.0)
-    m_hard = empirical_modulus(sc, hard, hclass, 0.6, 400, 4, seed=3)
-    m_half = empirical_modulus(sc, half, hclass, 0.3, 400, 4, seed=3)
-    assert m_hard > 0.0
-    assert m_half == pytest.approx(0.5 * m_hard, rel=1e-12)
+    ratios = empirical_lipschitz(sc, backend, hclass, pairs, 5000, seed=3)
+    assert ratios.size == 3
+    sample = generate_sample(sc, 5000, np.random.default_rng(3))
+    num_sq = np.zeros(len(pairs))
+    for label in sc.labels:
+        values = backend.losses(hclass, label, sample.z[sample.y == label])
+        num_sq += [np.sum((values[i] - values[j]) ** 2) for i, j in pairs]
+    gaps = np.array([hclass[j].threshold - hclass[i].threshold for i, j in pairs])
+    np.testing.assert_allclose(ratios, np.sqrt(num_sq / sample.n / gaps), rtol=1e-12, atol=0.0)
+    # a modulus ball narrower than the closest pair's raw distance holds no pair
+    closest = np.sqrt(min(b.threshold - a.threshold for a, b in zip(hclass, hclass[1:])))
+    assert empirical_modulus(sc, backend, hclass, 0.99 * closest, 400, 4, seed=3) == 0.0
+    assert empirical_modulus(sc, backend, hclass, 1.01 * closest, 400, 4, seed=3) > 0.0
 
 
 def test_unknown_mu_rejected(grid, hard_loss):

@@ -20,7 +20,7 @@ from indirect_erm import (
     threshold_grid,
 )
 from indirect_erm.erm import expected_risks
-from indirect_erm.hypotheses import IntervalClassifier, loss_values, snap_to_cell_midpoint
+from indirect_erm.hypotheses import LOSS_KINDS, loss_values, snap_to_cell_midpoint
 from indirect_erm.noisy_risk import (
     ModifiedLossTable,
     contaminated_density,
@@ -291,7 +291,7 @@ def test_fit_result_serialization(grid, hard_loss):
     assert isinstance(fit.dumps(), str)
 
 
-@pytest.mark.parametrize("kind", ["hard", "hinge_clipped", "quadratic_clipped"])
+@pytest.mark.parametrize("kind", LOSS_KINDS)
 @pytest.mark.parametrize("window", [None, (0.2, 0.7)])
 def test_run_merged_scan_matches_dense_product(grid, kind, window):
     # the class matrix keeps one column per run of nodes on which no loss
@@ -299,11 +299,8 @@ def test_run_merged_scan_matches_dense_product(grid, kind, window):
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     loss = LossSpec(kind=kind)
     backend = DeconvolutionBackend(lattice=lattice, loss=loss, window=window)
-    intervals = HypothesisClass(tuple(
-        IntervalClassifier(snap_to_cell_midpoint(a, grid), snap_to_cell_midpoint(a + w, grid), o)
-        for a in (0.05, 0.3, 0.55) for w in (0.1, 0.35) for o in (1, -1)))
     rng = np.random.default_rng(9)
-    for hclass in (threshold_grid(41, grid), intervals):
+    for hclass in (threshold_grid(41, grid), threshold_grid(41, grid, orientation=-1)):
         for label in (0, 1):
             dense = np.vstack([loss_values(clf, loss, label, lattice.nodes) for clf in hclass])
             assert backend.class_matrix(hclass, label).shape[1] < len(lattice.nodes) // 50

@@ -6,7 +6,6 @@ import pytest
 from indirect_erm import (
     ConfigurationError,
     HypothesisClass,
-    IntervalClassifier,
     LossSpec,
     ModelError,
     Scenario,
@@ -45,11 +44,10 @@ def test_label_out_of_range():
 def test_losses_bounded(grid):
     x = grid.axis()
     clf = ThresholdClassifier(0.37)
-    for kind in ("hard", "hinge_clipped", "quadratic_clipped"):
-        loss = LossSpec(kind)
-        for label in (0, 1):
-            vals = loss_values(clf, loss, label, x)
-            assert np.all((vals >= 0.0) & (vals <= 1.0))
+    loss = LossSpec("hard")
+    for label in (0, 1):
+        vals = loss_values(clf, loss, label, x)
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
 def test_hard_loss_difference_identity(grid):
@@ -84,7 +82,7 @@ def test_linear_scenario_threshold_risk(grid, linear_scenario, hard_loss):
 
 def test_predict_one_everywhere_risk_is_prior(grid, hard_loss):
     sc = make_margin_scenario(1, dirac_noise(), x_star=0.3, grid=grid)
-    everywhere = IntervalClassifier(-1.0, 2.0)  # predicts 1 on the domain
+    everywhere = ThresholdClassifier(grid.lower - 1.0)  # predicts 1 on the domain
     assert abs(true_risk(everywhere, sc, hard_loss) - sc.priors[0]) < 1e-6
 
 

@@ -21,7 +21,7 @@ from indirect_erm import (
 )
 from indirect_erm.erm import RateConfig, select_bandwidth
 from indirect_erm.grid import trapezoid_weights
-from indirect_erm.hypotheses import IntervalClassifier, loss_values, snap_to_cell_midpoint
+from indirect_erm.hypotheses import loss_values, snap_to_cell_midpoint
 from indirect_erm import noisy_risk
 from indirect_erm.noisy_risk import (
     base_smoothed_density,
@@ -57,8 +57,7 @@ def test_lattice_spacing_builds_weights_and_offsets(grid):
 
 def test_zero_loss_table_is_zero(laplace_lattice, hard_loss):
     # classifier predicting 1 everywhere has zero loss at label 1
-    clf = IntervalClassifier(laplace_lattice.nodes[0] - 1.0,
-                             laplace_lattice.nodes[-1] + 1.0)
+    clf = ThresholdClassifier(laplace_lattice.nodes[0] - 1.0)
     table = modified_loss_deconv(clf, hard_loss, laplace_lattice, labels=(1,))
     assert np.abs(table.values[1]).max() == 0.0
 
@@ -66,8 +65,7 @@ def test_zero_loss_table_is_zero(laplace_lattice, hard_loss):
 def test_constant_loss_table_near_one(grid, hard_loss):
     # loss identically 1: the table reproduces the windowed kernel mass
     lattice = build_lattice(grid, dirac_noise(), 0.05)
-    clf = IntervalClassifier(lattice.nodes[0] - 1.0, lattice.nodes[-1] + 1.0,
-                             orientation=-1)  # predicts 0 everywhere
+    clf = ThresholdClassifier(lattice.nodes[-1] + 1.0)  # predicts 0 everywhere
     table = modified_loss_deconv(clf, hard_loss, lattice, labels=(1,))
     interior = (lattice.nodes >= 0.25) & (lattice.nodes <= 0.75)
     assert np.abs(table.values[1][interior] - 1.0).max() < 0.02
@@ -366,7 +364,7 @@ def test_noise_correction_beats_plain_smoothing(grid):
 
 def test_svd_zero_loss_table(grid, hard_loss):
     op = SpectralOperator(decay=1.0, k_max=64)
-    clf = IntervalClassifier(-1.0, 2.0)  # zero loss at label 1
+    clf = ThresholdClassifier(grid.lower - 1.0)  # zero loss at label 1
     table = modified_loss_svd(clf, hard_loss, op, 16, grid, labels=(1,))
     assert np.abs(table.values[1]).max() < 1e-12
 
@@ -480,8 +478,7 @@ def test_identity_reduction_dirac_small_bandwidth(grid, hard_loss):
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
     h = grid.spacing
     lattice = build_lattice(grid, dirac_noise(), 4.0 * h)
-    clf = IntervalClassifier(snap_to_cell_midpoint(0.3, grid),
-                             snap_to_cell_midpoint(0.7, grid))
+    clf = ThresholdClassifier(snap_to_cell_midpoint(0.3, grid))
     sample = generate_sample(sc, 2000, np.random.default_rng(2))
     table = modified_loss_deconv(clf, hard_loss, lattice)
     smoothed = empirical_risk(table, sample)
