@@ -62,6 +62,7 @@ from .operators import (
     apply_operator,
     contaminate,
     sample_density,
+    sampler_table,
 )
 from .simulation import (
     ExperimentPlan,

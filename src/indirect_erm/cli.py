@@ -294,12 +294,19 @@ _COMMANDS = {"kernel": _read_kernel, "fit": _read_fit, "rates": _read_rates,
              "diagnose": _read_diagnose, "exponent": _read_exponent}
 
 
+def _nonnegative_seed(seed: int) -> int:
+    """The seed, which ``SeedSequence`` takes only when nonnegative."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def _parse(doc) -> tuple:
     """Read the whole config: (the command's work, the seed, the output directory)."""
     top = ConfigReader(doc)
     top.get("version", int, allowed=(1,))
     command = top.get("command", str, allowed=tuple(_COMMANDS))
-    seed, out = top.get("seed", int, 0), top.get("out", str, "artifacts")
+    seed, out = _nonnegative_seed(top.get("seed", int, 0)), top.get("out", str, "artifacts")
     work = _COMMANDS[command](top)
     top.done()
     return work, seed, out
@@ -381,11 +388,11 @@ def run(config_path: str, out_dir: str | None = None, threads: int | None = None
 
     try:
         work, doc_seed, doc_out = _parse(doc)
+        effective_seed = _nonnegative_seed(int(seed if seed is not None else doc_seed))
     except IndirectErmError as exc:  # also an invalid model the config names
         print(f"config rejected: {exc}", file=sys.stderr)
         return 2
 
-    effective_seed = int(seed if seed is not None else doc_seed)
     effective_out = out_dir or doc_out
     effective_threads = int(threads if threads is not None else (os.cpu_count() or 1))
 

@@ -39,10 +39,12 @@ from .kernels import NoiseModel
 from .noisy_risk import NoisySample, build_lattice
 from .operators import (
     CoefficientVector,
+    SamplerTable,
     SpectralOperator,
     apply_operator,
     contaminate,
     sample_density,
+    sampler_table,
 )
 
 __all__ = [
@@ -58,26 +60,27 @@ __all__ = [
 ]
 
 
-def _sampling_density(scenario: Scenario, label: int) -> np.ndarray:
-    """The tabulated density one label's draws come from, built once per scenario.
+def _sampling_density(scenario: Scenario, label: int) -> SamplerTable:
+    """The sampler table of the density one label's draws come from, built
+    once per scenario.
 
-    For a spectral operator this is the image density of the label's cosine
+    For a spectral operator the density is the image of the label's cosine
     coefficients; for additive noise it is the clean conditional density,
-    which ``contaminate`` then perturbs. The array is read-only and cached
-    on the scenario under ``("sampling_density", label)``.
+    which ``contaminate`` then perturbs. Its read-only inverse-CDF table
+    (``sampler_table``: normalized CDF, cell gaps, guide table) is cached on
+    the scenario under ``("sampling_density", label)``.
     """
     key = ("sampling_density", label)
-    values = scenario._cache.get(key)
-    if values is None:
+    table = scenario._cache.get(key)
+    if table is None:
         op = scenario.contamination
         if isinstance(op, SpectralOperator):
             coeffs = CoefficientVector(scenario.cosine_coefficients(label, op.k_max))
             values = apply_operator(coeffs, op, scenario.domain)
         else:
             values = scenario.density_values(label)
-        values.setflags(write=False)
-        scenario._cache[key] = values
-    return values
+        table = scenario._cache[key] = sampler_table(values, scenario.domain)
+    return table
 
 
 def generate_sample(scenario: Scenario, n: int, rng) -> NoisySample:
@@ -86,8 +89,8 @@ def generate_sample(scenario: Scenario, n: int, rng) -> NoisySample:
     Labels follow the priors. With a spectral operator, observations are
     drawn directly from the operator image densities; with additive noise,
     inputs are drawn from the conditional densities and contaminated. The
-    tabulated densities do not depend on the sample, so they are built on a
-    scenario's first draw and cached on it (``_sampling_density``).
+    densities' sampler tables do not depend on the sample, so they are
+    built on a scenario's first draw and cached on it (``_sampling_density``).
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
@@ -99,7 +102,7 @@ def generate_sample(scenario: Scenario, n: int, rng) -> NoisySample:
         count = int(mask.sum())
         if count == 0:
             continue
-        draws = sample_density(_sampling_density(scenario, label), scenario.domain, count, rng)
+        draws = sample_density(_sampling_density(scenario, label), count, rng)
         if not isinstance(contamination, SpectralOperator):  # additive noise
             draws = contaminate(draws, contamination, rng)
         z[mask] = draws

@@ -25,6 +25,25 @@ def closed_form_corrected_sinc(u, lam):
     return np.where(np.abs(u) < 1e-9, center, val)
 
 
+def reference_quantile(values, grid, u):
+    """Inverse CDF of tabulated density values at uniforms u: the CDF built
+    afresh, then a binary search of every u in it."""
+    vals = np.asarray(values, dtype=float)
+    x = grid.axis()
+    h = grid.spacing
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * h * (vals[1:] + vals[:-1]))])
+    cdf /= cdf[-1]
+    idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, len(x) - 2)
+    gap = cdf[idx + 1] - cdf[idx]
+    frac = np.where(gap > 0, (u - cdf[idx]) / np.where(gap > 0, gap, 1.0), 0.0)
+    return x[idx] + frac * h
+
+
+def reference_sample_density(values, grid, n, seed):
+    """n draws by ``reference_quantile`` of the seed's first n uniforms."""
+    return reference_quantile(values, grid, np.random.default_rng(seed).random(n))
+
+
 def naive_empirical_risk(clf, loss, lattice, sample):
     """Per-observation quadrature of the regularized loss, summed directly.
 

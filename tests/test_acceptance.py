@@ -42,7 +42,7 @@ from indirect_erm.noisy_risk import (
     modified_loss_deconv,
     plug_in_density,
 )
-from indirect_erm.operators import contaminate, sample_density
+from indirect_erm.operators import contaminate, sample_density, sampler_table
 from indirect_erm.reader import ConfigReader
 from indirect_erm.simulation import generate_sample, run_rate_experiment
 
@@ -99,7 +99,7 @@ def test_criterion_2_elementary_property():
                                  grid=GRID, sharpness=1.3)
     rng = np.random.default_rng(3)
     n = 100_000
-    x_draws = sample_density(sc.density_values(1), GRID, n, rng)
+    x_draws = sample_density(sampler_table(sc.density_values(1), GRID), n, rng)
     z_draws = contaminate(x_draws, noise, rng)
     worst = 0.0
     for lam in (0.1, 0.2, 0.4):

@@ -219,6 +219,8 @@ def test_malformed_config_exit_codes(tmp_path):
     (fit_config, "loss", "kind", "hinge_clipped"),
     (fit_config, "loss", "kind", "quadratic_clipped"),
     (fit_config, "loss", "clip", 0.5),
+    # a seed SeedSequence refuses inside the first trial
+    (rates_config, None, "seed", -1),
 ])
 def test_bad_config_values_exit_two(tmp_path, make, block, key, value):
     out = tmp_path / "artifacts"
@@ -236,6 +238,12 @@ def test_bad_config_values_exit_two(tmp_path, make, block, key, value):
     assert run(write_config(tmp_path, doc), threads=1) == 2
     for name in ("rates.csv", "fit.json", "exponent.json", "diagnostics.json", "error.json"):
         assert not (out / name).exists()
+
+
+def test_negative_seed_override_exits_two(tmp_path):
+    out = tmp_path / "artifacts"
+    assert run(write_config(tmp_path, rates_config(str(out))), seed=-1, threads=1) == 2
+    assert not out.exists()
 
 
 def test_missing_file_is_io_error(tmp_path):

@@ -29,7 +29,7 @@ from indirect_erm.noisy_risk import (
     svd_loss_coefficients,
     zero_extended_density,
 )
-from indirect_erm.operators import contaminate, sample_density
+from indirect_erm.operators import contaminate, sample_density, sampler_table
 from indirect_erm.simulation import generate_sample
 
 from oracles import naive_empirical_risk
@@ -82,7 +82,7 @@ def test_expected_table_matches_base_smoothing(grid, hard_loss):
 
     rng = np.random.default_rng(8)
     n = 100_000
-    x = sample_density(sc.density_values(1), grid, n, rng)
+    x = sample_density(sampler_table(sc.density_values(1), grid), n, rng)
     z = contaminate(x, noise, rng)
     mc_vals = table.evaluate(z, 1)
 

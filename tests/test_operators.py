@@ -11,8 +11,11 @@ from indirect_erm import (
     contaminate,
     dirac_noise,
     laplace_noise,
+    make_margin_scenario,
     sample_density,
+    sampler_table,
 )
+from oracles import reference_quantile, reference_sample_density
 
 
 def uniform_coeffs(k_max=64):
@@ -111,7 +114,7 @@ def test_self_adjoint_roundtrip(grid, linear_scenario):
 
 def test_sample_density_uniform_ks(grid):
     values = np.ones(grid.points_per_dim)
-    draws = sample_density(values, grid, 10_000, 5)
+    draws = sample_density(sampler_table(values, grid), 10_000, 5)
     ecdf_dev = np.abs(np.sort(draws) - (np.arange(1, 10_001) - 0.5) / 10_000).max()
     assert ecdf_dev < 1.36 / np.sqrt(10_000)  # 95% band
 
@@ -120,22 +123,73 @@ def test_sample_density_spike(grid):
     values = np.zeros(grid.points_per_dim)
     values[500] = 1.0
     values[501] = 1.0
-    draws = sample_density(values, grid, 200, 5)
+    draws = sample_density(sampler_table(values, grid), 200, 5)
     x = grid.axis()
     assert np.all((draws >= x[499]) & (draws <= x[502]))
 
 
 def test_sample_density_determinism(grid):
     values = np.ones(grid.points_per_dim)
-    a = sample_density(values, grid, 100, 11)
-    b = sample_density(values, grid, 100, 11)
+    a = sample_density(sampler_table(values, grid), 100, 11)
+    b = sample_density(sampler_table(values, grid), 100, 11)
     assert np.array_equal(a, b)
 
 
 def test_sample_density_negative_rejected(grid):
     values = -np.ones(grid.points_per_dim)
     with pytest.raises(ModelError):
-        sample_density(values, grid, 10, 0)
+        sample_density(sampler_table(values, grid), 10, 0)
+
+
+def test_sampler_table_zero_mass_rejected(grid):
+    with pytest.raises(ModelError):
+        sampler_table(np.zeros(grid.points_per_dim), grid)
+
+
+def sampler_densities(grid):
+    """Densities that stress the guide table, by name."""
+    op = SpectralOperator(decay=1.0, k_max=64)
+    linear = make_margin_scenario(1, op, grid=grid)
+    out = {f"svd image {y}": apply_operator(
+        CoefficientVector(linear.cosine_coefficients(y, 64)), op, grid) for y in (0, 1)}
+    # near-zero tails put many CDF nodes in one guide cell; x_star tilts the
+    # priors, so both crossings give the same pair of densities
+    for x_star in (0.5, 0.3):
+        smooth = make_margin_scenario(1, dirac_noise(), family="smooth", x_star=x_star,
+                                      grid=grid)
+        out.update({f"smooth {x_star} {y}": smooth.density_values(y) for y in (0, 1)})
+    spike = np.zeros(grid.points_per_dim)
+    spike[500:502] = 1.0  # flat CDF stretches on both sides
+    out["spike"] = spike
+    out["underflowing tail"] = np.exp(-((grid.axis() - 0.5) / 0.01) ** 2)
+    out["uniform"] = np.ones(grid.points_per_dim)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 256, 16384, 200_000])
+def test_sample_density_matches_reference(grid, n):
+    for name, values in sampler_densities(grid).items():
+        table = sampler_table(values, grid)
+        for seed in (0, 7, 2024):
+            assert np.array_equal(sample_density(table, n, seed),
+                                  reference_sample_density(values, grid, n, seed)), name
+
+
+def test_sampler_quantile_matches_reference_at_edges(grid):
+    # every guide-cell edge, every CDF node value and its two neighbours,
+    # and the largest uniform below 1
+    densities = sampler_densities(grid)
+    assert (densities["underflowing tail"] == 0).sum() > 400
+    crowded = max(np.diff(sampler_table(densities[f"smooth {x_star} 1"], grid).guide).max()
+                  for x_star in (0.5, 0.3))
+    assert crowded > 60  # CDF nodes inside the most crowded guide cell
+    for name, values in densities.items():
+        table = sampler_table(values, grid)
+        edges = np.arange(len(table.guide)) / len(table.guide)
+        u = np.concatenate([edges, table.cdf, np.nextafter(table.cdf, 0.0),
+                            np.nextafter(table.cdf, 1.0), [np.nextafter(1.0, 0.0)]])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert np.array_equal(table.quantile(u), reference_quantile(values, grid, u)), name
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +224,7 @@ def test_unbiasedness_under_operator_image(grid, linear_scenario):
     theta = linear_scenario.cosine_coefficients(1, 64)
     image = apply_operator(CoefficientVector(theta), op, grid)
     n = 100_000
-    z = sample_density(image, grid, n, 17)
+    z = sample_density(sampler_table(image, grid), n, 17)
     est = svd_features(z, op, 8, grid)
     for k in (1, 2, 3):
         phi_k = np.sqrt(2.0) * np.cos(np.pi * k * z)

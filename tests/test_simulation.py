@@ -47,14 +47,19 @@ def test_generate_sample_determinism(grid, linear_scenario):
 
 @pytest.mark.parametrize("contamination", [SpectralOperator(1.0, 64), laplace_noise(2.0)])
 def test_sampling_density_built_once_per_scenario(grid, monkeypatch, contamination):
-    calls = []
-    original = simulation.apply_operator
+    calls, tables = [], []
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(name, log):
+        original = getattr(simulation, name)
 
-    monkeypatch.setattr(simulation, "apply_operator", counting)
+        def wrapped(*args):
+            log.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(simulation, name, wrapped)
+
+    counting("apply_operator", calls)
+    counting("sampler_table", tables)
 
     def scenario():
         return Scenario(priors=(0.5, 0.5), densities="linear", contamination=contamination,
@@ -64,6 +69,7 @@ def test_sampling_density_built_once_per_scenario(grid, monkeypatch, contaminati
     samples = [generate_sample(sampled, 300, seed) for seed in range(20)]
     spectral = isinstance(contamination, SpectralOperator)
     assert len(calls) == (2 if spectral else 0)  # one image per label, not per draw
+    assert len(tables) == 2  # one sampler table per label, not per draw
     assert sampled == scenario()  # the cache takes no part in equality
     for seed, sample in enumerate(samples):
         fresh = generate_sample(scenario(), 300, seed)
