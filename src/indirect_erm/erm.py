@@ -1,16 +1,26 @@
 """Smoothed empirical risk minimization and smoothing-parameter selection.
 
 The two backends are the pipeline's one risk engine: every regularized
-risk is a backend's ``scan``, which pairs its cached class matrix, per
-label, with one statistic. For the kernel backend these are the node
-losses, merged over the runs of nodes on which no classifier's loss
-changes (every classifier predicts 0 or 1, so every loss is piecewise
-constant), and the weighted plug-in density, summed per run; for the
-spectral backend, the loss coefficients and the 1/b_k-weighted basis
-means. ``empirical_risks`` scans the statistic of a sample's observations,
-``expected_risks`` its expectation (``expected_features``). The class's
-regularized losses at given points come from the kernel backend's
-regularized-loss tables and from the spectral class matrix. The
+risk pairs a backend's cached class matrix, per label, with one linear
+statistic. For the kernel backend these are the node losses, merged over
+the runs of nodes on which no classifier's loss changes (every classifier
+predicts 0 or 1, so every loss is piecewise constant), and the weighted
+plug-in density, summed per run; for the spectral backend, the loss
+coefficients and the 1/b_k-weighted basis moments.
+
+``expected_risks`` scans each label's expected statistic
+(``expected_features``) with ``scan``. ``empirical_risks`` uses the hard
+loss: a classifier's label-1 row is its loss-1 row minus its label-0 row,
+so a sample's risks are the label-0 class matrix against the statistic of
+the signed measure P_0 - P_1, plus the statistic of P_1 against the loss
+1, one number for every classifier (``features``). The kernel backend
+evaluates the signed plug-in density pointwise only between the first
+run's end and the last run's start, by one convolution at about P + D nodes
+instead of 2P; the two outer runs and the shared term are dot products
+with kernel-smoothed weights cached per class.
+
+The class's regularized losses at given points come from the kernel
+backend's regularized-loss tables and from the spectral class matrix. The
 per-classifier tables of ``noisy_risk`` evaluate the same bilinear form in
 another order; they are the reference the tests compare against.
 """
@@ -28,8 +38,10 @@ from .noisy_risk import (
     NoisySample,
     ObservationLattice,
     _log_clamped,
+    basis_integrals,
+    bin_draws,
     contaminated_density,
-    plug_in_density,
+    plug_in_density,  # noqa: F401  unused here; the benchmark's tracer wraps it by name
     svd_loss_coefficients,
 )
 from .operators import SpectralOperator
@@ -172,10 +184,10 @@ class DeconvolutionBackend:
     """Kernel-quadrature empirical risk on a prepared observation lattice.
 
     The risk of each classifier pairs its node losses with the
-    quadrature-weighted plug-in density of each label's observations;
-    ``window`` zeroes the quadrature weights outside a compact interval.
-    The node losses are kept merged over the runs of nodes on which no
-    classifier's loss changes, so the pairing sums the density per run.
+    quadrature-weighted plug-in density of the observations; ``window``
+    zeroes the quadrature weights outside a compact interval. The node
+    losses are kept merged over the runs of nodes on which no classifier's
+    loss changes, so the pairing sums the density per run.
     """
 
     lattice: ObservationLattice
@@ -198,8 +210,31 @@ class DeconvolutionBackend:
     def smoothing(self) -> float:
         return self.lattice.bandwidth
 
-    def features(self, z: np.ndarray) -> np.ndarray:
-        return self._weights * plug_in_density(z, self.lattice)
+    def features(self, hclass: HypothesisClass, sample: NoisySample) -> tuple[np.ndarray, float]:
+        """The statistic ``empirical_risks`` scans: the weighted plug-in
+        density of the signed measure P_0 - P_1 summed over each run, and
+        the label-1 term every classifier shares, the weighted plug-in
+        density of P_1 summed over the lattice.
+
+        The interior runs come from one windowed convolution; the first and
+        the last run, and the shared term, are dot products of the binned
+        measures with the kernel convolved with the weights over that run
+        (the kernel is even). Lattice-length dot products multiply and
+        sum: numpy's pairwise sum keeps them accurate where a running sum
+        (``einsum``) loses about 1e-15 over the laplace preset's 12,598
+        nodes, and BLAS (``@``) would start a second thread for them.
+        """
+        starts, window, q = self._signed_runs(hclass)
+        binned = bin_draws(sample.z, sample.y, self.lattice)
+        signed = binned[0] - binned[1]
+        stat = np.empty(len(starts))
+        if window.stop > window.start:
+            stat[1:-1] = np.add.reduceat(
+                self._weights[window.start: window.stop] * window.convolve(signed),
+                starts[1:-1] - window.start)
+        stat[-1] = (q[1] * signed).sum()
+        stat[0] = (q[0] * signed).sum()  # after the last: one run is its own head
+        return stat, float((q[2] * binned[1]).sum())
 
     def _runs(self, hclass: HypothesisClass, label: int) -> tuple[np.ndarray, np.ndarray]:
         """The class matrix and the first node of each of its runs: the
@@ -221,6 +256,27 @@ class DeconvolutionBackend:
     def class_matrix(self, hclass: HypothesisClass, label: int) -> np.ndarray:
         """Node losses merged over runs, one row per classifier, one column per run."""
         return self._runs(hclass, label)[0]
+
+    def _signed_runs(self, hclass: HypothesisClass):
+        """The first node of each run; the kernel window over the interior
+        runs (from the second run's start to the last run's); and the
+        kernel convolved with the weights over the first run, over the last
+        run and over the whole lattice. A class with one run has no
+        interior and no last run apart from its first."""
+        def build():
+            starts = self._runs(hclass, 0)[1]
+            w, p = self._weights, len(self._weights)
+            a, b = (int(starts[1]), int(starts[-1])) if len(starts) > 1 else (p, p)
+            head, tail = w.copy(), w.copy()
+            head[a:] = 0.0
+            tail[:b] = 0.0
+            # the whole-lattice window is ``lattice.convolve`` with a spectrum
+            # that is not kept: nothing else in a rate run reads it
+            whole = self.lattice.kernel_window(0, p)
+            q = np.vstack([whole.convolve(v) for v in (head, tail, w)])
+            return starts, self.lattice.kernel_window(a, b), q
+
+        return _cached(self._cache, ("signed", hclass), build)
 
     def scan(self, hclass: HypothesisClass, label: int, features: np.ndarray) -> np.ndarray:
         """Each classifier's risk term: its run losses times the features summed per run."""
@@ -246,9 +302,10 @@ class DeconvolutionBackend:
         return np.vstack([np.interp(z, nodes, row) for row in self._tables(hclass, label)])
 
     def expected_features(self, scenario: Scenario, label: int) -> np.ndarray:
-        """The expectation of ``features`` for one label: the kernel is even,
-        so pairing it with the node losses pairs the tables with the
-        contaminated density."""
+        """The expectation of one label's weighted plug-in density on the
+        nodes (``features`` sums it per run): the kernel is even, so pairing
+        it with the node losses pairs the tables with the contaminated
+        density."""
         lattice = self.lattice
         return self._weights * lattice.convolve(
             lattice.weights * contaminated_density(scenario, lattice, label))
@@ -284,8 +341,20 @@ class SvdBackend:
     def _inv_b(self) -> np.ndarray:
         return 1.0 / self.operator.singular_values[: self.cutoff + 1]
 
-    def features(self, z: np.ndarray) -> np.ndarray:
-        return self._inv_b * self.operator.basis(z, self.cutoff).mean(axis=1)
+    def features(self, hclass: HypothesisClass, sample: NoisySample) -> tuple[np.ndarray, float]:
+        """The statistic ``empirical_risks`` scans: the 1/b_k-weighted basis
+        moments of the signed measure P_0 - P_1, and the label-1 term every
+        classifier shares, those moments of P_1 against the loss
+        coefficients of the loss 1 (a classifier's label-0 plus label-1 row).
+
+        Each label's draws get their own basis evaluation: one over all n
+        draws and a masked copy per label costs more at large n.
+        """
+        moments = np.stack([self.operator.basis(sample.z[sample.y == label], self.cutoff)
+                            .sum(axis=1) for label in (0, 1)]) / sample.n * self._inv_b
+        ones = _cached(self._cache, ("domain",), lambda: basis_integrals(
+            self.grid.lower, self.grid.upper, self.cutoff))
+        return moments[0] - moments[1], float(ones @ moments[1])
 
     def class_matrix(self, hclass: HypothesisClass, label: int) -> np.ndarray:
         """Spectral loss coefficients, one row per classifier."""
@@ -303,8 +372,8 @@ class SvdBackend:
             z, self.cutoff)
 
     def expected_features(self, scenario: Scenario, label: int) -> np.ndarray:
-        """The expectation of ``features`` for one label: the density's
-        cosine coefficients, since E[b_k^(-1) phi_k(Z)] = theta_k."""
+        """The expectation of one label's 1/b_k-weighted basis moments: the
+        density's cosine coefficients, since E[b_k^(-1) phi_k(Z)] = theta_k."""
         return scenario.cosine_coefficients(label, self.cutoff)
 
 
@@ -319,18 +388,18 @@ def expected_risks(hclass: HypothesisClass, scenario: Scenario, backend) -> np.n
 
 
 def empirical_risks(hclass: HypothesisClass, sample: NoisySample, backend) -> np.ndarray:
-    """Regularized empirical risk of every classifier: per label, the
-    backend's scan of its class matrix against its statistic of that
-    label's observations."""
-    risks = np.zeros(len(hclass))
-    for label in np.flatnonzero(np.bincount(sample.y, minlength=2)):  # labels present
-        label = int(label)
-        z_y = sample.z[sample.y == label]
-        # features first: allocating them after the cached class matrix
-        # fragments the heap and raises the peak resident set
-        features = backend.features(z_y)
-        risks += (z_y.size / sample.n) * backend.scan(hclass, label, features)
-    return risks
+    """Regularized empirical risk of every classifier.
+
+    Under the hard loss a classifier's label-1 loss is one minus its
+    label-0 loss, so the risks are one product of the label-0 class matrix
+    with the backend's statistic of the signed measure P_0 - P_1, plus the
+    label-1 term that every classifier shares.
+    """
+    # features first: on a class's first sample they build its cached runs
+    # and window, which then sit below every per-trial array on the heap;
+    # building them between per-trial arrays raises the peak resident set
+    signed, shared = backend.features(hclass, sample)
+    return backend.class_matrix(hclass, 0) @ signed + shared
 
 
 def minimize(hclass: HypothesisClass, sample: NoisySample, backend) -> FitResult:

@@ -6,8 +6,10 @@ expansion). Because the observation grid, the quadrature grid, and the
 kernel offsets share one spacing, the table path, the per-observation
 quadrature path, and the plug-in density path are the same bilinear form
 evaluated in different orders and agree to rounding. The pipeline evaluates
-it through the backends of ``erm``; the per-classifier tables here
-(``ModifiedLossTable``, ``modified_loss_deconv``/``modified_loss_svd``,
+it through the backends of ``erm``, which bin a sample once (``bin_draws``)
+and convolve it with the kernel only where the runs of a class need it
+pointwise (``ObservationLattice.kernel_window``); the per-classifier tables
+here (``ModifiedLossTable``, ``modified_loss_deconv``/``modified_loss_svd``,
 ``empirical_risk``) are the reference order the tests compare against.
 """
 
@@ -47,6 +49,7 @@ __all__ = [
     "modified_loss_svd",
     "svd_loss_coefficients",
     "empirical_risk",
+    "bin_draws",
     "plug_in_density",
     "zero_extended_density",
     "contaminated_density",
@@ -122,8 +125,8 @@ class ObservationLattice:
     ``kernel`` at the shortest 5-smooth length whose circular convolution
     against a node function leaves the 'valid' outputs free of wraparound
     (at least 2P - 1 for P nodes); it is computed on first use and cached
-    on the lattice, so every ``convolve`` with the kernel (plug-in
-    densities and class tables) reuses it.
+    on the lattice, so every ``convolve`` with the kernel (class tables,
+    kernel-smoothed weights, plug-in densities) reuses it.
     """
 
     domain: Grid
@@ -167,6 +170,38 @@ class ObservationLattice:
         spectrum = self.spectrum if offset_values is None else rfft(offset_values, length)
         full = irfft(spectrum * rfft(values, length), length)
         return full[p - 1: 2 * p - 1].copy()
+
+    def kernel_window(self, start: int, stop: int) -> "KernelWindow":
+        """``convolve`` with the kernel at the nodes start .. stop - 1 only.
+
+        Those D = stop - start outputs read the kernel at the P + D - 1
+        offsets start - P + 1 .. stop - 1 alone, so a circular convolution
+        at any length >= P + D - 1 leaves them free of wraparound; the
+        segment's spectrum is taken once here.
+        """
+        p = len(self.nodes)
+        length = _next_fast_len(p + stop - start - 1)
+        return KernelWindow(start=start, stop=stop, length=length,
+                            spectrum=rfft(self.kernel.values[0][start: stop + p - 1], length))
+
+
+@dataclass(frozen=True)
+class KernelWindow:
+    """The lattice kernel's 'valid' convolution restricted to the nodes
+    ``start`` .. ``stop - 1``, at the FFT ``length`` of its ``spectrum``
+    (``ObservationLattice.kernel_window``)."""
+
+    start: int
+    stop: int
+    length: int
+    spectrum: np.ndarray
+
+    def convolve(self, values: np.ndarray) -> np.ndarray:
+        """The D = stop - start outputs of ``ObservationLattice.convolve(values)``
+        at the window's nodes, to rounding."""
+        p = len(values)
+        full = irfft(self.spectrum * rfft(values, self.length), self.length)
+        return full[p - 1: p - 1 + self.stop - self.start]
 
 
 def build_lattice(grid: Grid, noise: NoiseModel, bandwidth: float,
@@ -257,18 +292,22 @@ def svd_loss_coefficients(clf, loss: LossSpec, op: SpectralOperator, cutoff: int
     """
     if cutoff > op.k_max:
         raise ConfigurationError(f"cutoff {cutoff} exceeds k_max {op.k_max}")
-    k = np.arange(cutoff + 1, dtype=float)
-    # antiderivative of phi_k: x for k = 0, sqrt(2) sin(pi k x)/(pi k) else
     coeffs = np.zeros(cutoff + 1)
     for a, b, value in hard_loss_pieces(clf, label, grid.lower, grid.upper):
         if value == 0.0 or b <= a:
             continue
-        seg = np.empty(cutoff + 1)
-        seg[0] = b - a
-        kk = k[1:]
-        seg[1:] = np.sqrt(2.0) * (np.sin(np.pi * kk * b) - np.sin(np.pi * kk * a)) / (np.pi * kk)
-        coeffs += value * seg
+        coeffs += value * basis_integrals(a, b, cutoff)
     return coeffs
+
+
+def basis_integrals(a: float, b: float, cutoff: int) -> np.ndarray:
+    """The integrals of phi_0 .. phi_cutoff over [a, b], from their
+    antiderivatives: x for k = 0, sqrt(2) sin(pi k x)/(pi k) else."""
+    kk = np.arange(1, cutoff + 1, dtype=float)
+    seg = np.empty(cutoff + 1)
+    seg[0] = b - a
+    seg[1:] = np.sqrt(2.0) * (np.sin(np.pi * kk * b) - np.sin(np.pi * kk * a)) / (np.pi * kk)
+    return seg
 
 
 def modified_loss_svd(clf, loss: LossSpec, op: SpectralOperator, cutoff: int,
@@ -316,6 +355,24 @@ def _cells(z: np.ndarray, nodes: np.ndarray, h: float) -> np.ndarray:
     return np.clip(idx, 0, len(nodes) - 2, out=idx)
 
 
+def bin_draws(z: np.ndarray, y: np.ndarray, lattice: ObservationLattice) -> np.ndarray:
+    """Linear binning of labeled draws onto the lattice nodes: row y holds
+    the binned mass of the label-y draws over the number of all draws, so
+    the two rows are the empirical measures P_0 and P_1 on the nodes.
+
+    Draws outside the lattice are clamped to its ends, with a logged count.
+    """
+    nodes, h, p = lattice.nodes, lattice.spacing, len(lattice.nodes)
+    _log_clamped(z, nodes[0], nodes[-1])
+    z = np.clip(z, nodes[0], nodes[-1])
+    idx = _cells(z, nodes, h)
+    frac = (z - nodes[idx]) / h
+    rows = idx + p * y
+    binned = np.bincount(np.concatenate([rows, rows + 1]),
+                         weights=np.concatenate([1.0 - frac, frac]), minlength=2 * p)
+    return binned.reshape(2, p) / z.size
+
+
 def plug_in_density(z_draws: np.ndarray, lattice: ObservationLattice) -> np.ndarray:
     """Noise-corrected density estimate on the lattice nodes.
 
@@ -328,16 +385,7 @@ def plug_in_density(z_draws: np.ndarray, lattice: ObservationLattice) -> np.ndar
     z = np.asarray(z_draws, dtype=float)
     if z.size == 0:
         raise DataError("plug-in density needs at least one observation")
-    nodes = lattice.nodes
-    h = lattice.spacing
-    _log_clamped(z, nodes[0], nodes[-1])
-    z = np.clip(z, nodes[0], nodes[-1])
-    idx = _cells(z, nodes, h)
-    frac = (z - nodes[idx]) / h
-    binned = np.zeros(len(nodes))
-    np.add.at(binned, idx, 1.0 - frac)
-    np.add.at(binned, idx + 1, frac)
-    return lattice.convolve(binned / z.size)
+    return lattice.convolve(bin_draws(z, np.zeros(z.size, dtype=np.intp), lattice)[0])
 
 
 def zero_extended_density(scenario: Scenario, lattice: ObservationLattice,

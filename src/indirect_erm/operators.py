@@ -176,12 +176,12 @@ _GUIDE_CELLS_PER_NODE = 16
 def sampler_table(values: np.ndarray, grid: Grid) -> SamplerTable:
     """The inverse-CDF table of tabulated density values on the grid.
 
-    Raises ``ModelError``, before any draw, for a negative value and for a
-    density with zero mass.
+    Raises ``ModelError``, before any draw, for a negative, NaN or infinite
+    value and for a density with zero mass.
     """
     vals = np.asarray(values, dtype=float)
-    if np.any(vals < 0):
-        raise ModelError("density values must be nonnegative")
+    if not np.all(np.isfinite(vals) & (vals >= 0)):
+        raise ModelError("density values must be finite and nonnegative")
     h = grid.spacing
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * h * (vals[1:] + vals[:-1]))])
     total = cdf[-1]

@@ -7,7 +7,8 @@ summation) and shares no code path with the package internals it checks.
 import numpy as np
 
 from indirect_erm.grid import trapezoid_weights
-from indirect_erm.hypotheses import loss_values
+from indirect_erm.hypotheses import loss_values, window_mask
+from indirect_erm.noisy_risk import plug_in_density
 
 
 def closed_form_corrected_sinc(u, lam):
@@ -42,6 +43,41 @@ def reference_quantile(values, grid, u):
 def reference_sample_density(values, grid, n, seed):
     """n draws by ``reference_quantile`` of the seed's first n uniforms."""
     return reference_quantile(values, grid, np.random.default_rng(seed).random(n))
+
+
+def reference_plug_in_features(z, backend):
+    """One label's kernel-backend statistic on every lattice node: the
+    full-lattice plug-in density of its draws times the quadrature weights,
+    zeroed outside the backend's window."""
+    lattice = backend.lattice
+    w = lattice.weights
+    if backend.window is not None:
+        w = np.where(window_mask(lattice.nodes, backend.window), w, 0.0)
+    return w * plug_in_density(z, lattice)
+
+
+def reference_empirical_risks(hclass, sample, backend):
+    """Kernel-backend empirical risks in the per-label order: for each label
+    present, its full-lattice plug-in features scanned against its own class
+    matrix, weighted by n_y / n.
+
+    Also returns the scale of the summed terms, (|M_0| + |M_1|) @ |features|
+    with each label's features weighted by n_y / n. Under the hard loss the
+    two rows of a classifier add up to one, and the signed order sums every
+    label-1 feature in its shared term, so the scale is the same for every
+    classifier; a classifier whose own label-1 row is zero where the draws
+    lie still gets its risk as a difference of terms of this size.
+    """
+    risks = np.zeros(len(hclass))
+    scale = 0.0
+    for label in np.unique(sample.y):
+        label = int(label)
+        z_y = sample.z[sample.y == label]
+        features = reference_plug_in_features(z_y, backend)
+        weight = z_y.size / sample.n
+        risks += weight * backend.scan(hclass, label, features)
+        scale += weight * np.abs(features).sum()
+    return risks, np.full(len(hclass), scale)
 
 
 def naive_empirical_risk(clf, loss, lattice, sample):

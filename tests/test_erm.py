@@ -19,10 +19,13 @@ from indirect_erm import (
     select_cutoff,
     threshold_grid,
 )
-from indirect_erm.erm import expected_risks
+from indirect_erm.erm import empirical_risks, expected_risks
 from indirect_erm.hypotheses import LOSS_KINDS, loss_values, snap_to_cell_midpoint
+from indirect_erm import noisy_risk
 from indirect_erm.noisy_risk import (
     ModifiedLossTable,
+    NoisySample,
+    _next_fast_len,
     contaminated_density,
     empirical_risk,
     modified_loss_deconv,
@@ -31,7 +34,7 @@ from indirect_erm.noisy_risk import (
 )
 from indirect_erm.simulation import generate_sample
 
-from oracles import naive_minimize_index
+from oracles import naive_minimize_index, reference_empirical_risks, reference_plug_in_features
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +308,73 @@ def test_run_merged_scan_matches_dense_product(grid, kind, window):
             dense = np.vstack([loss_values(clf, loss, label, lattice.nodes) for clf in hclass])
             assert backend.class_matrix(hclass, label).shape[1] < len(lattice.nodes) // 50
             for _ in range(4):
-                features = backend.features(rng.uniform(-0.5, 1.5, 300))
+                features = reference_plug_in_features(rng.uniform(-0.5, 1.5, 300), backend)
                 want = dense @ features
                 got = backend.scan(hclass, label, features)
                 # relative to the size of the summed terms, the scale of rounding
                 assert np.all(np.abs(got - want) <= 1e-15 * (np.abs(dense) @ np.abs(features)))
                 assert np.argmin(got) == np.argmin(want)
+
+
+def _reference_cases(grid, orientation):
+    """(name, class, sample) triples for the reference comparison."""
+    h = grid.spacing
+    t = snap_to_cell_midpoint(0.5, grid)
+    classes = {
+        "grid": threshold_grid(41, grid, orientation=orientation),
+        "singleton": HypothesisClass((ThresholdClassifier(t, orientation),)),
+        # both thresholds in one lattice cell: two runs, so no interior window
+        "one-cell": HypothesisClass((ThresholdClassifier(t - h / 4, orientation),
+                                     ThresholdClassifier(t + h / 4, orientation))),
+    }
+    rng = np.random.default_rng(17)
+    z = rng.uniform(-0.3, 1.3, 400)
+    samples = {
+        "two-label": NoisySample(z, rng.random(400) < 0.45),
+        "one-label": NoisySample(z[:150], np.ones(150, dtype=int)),
+        "clamped": NoisySample(np.concatenate([[-40.0, -40.0, 55.0], z[:60], [70.0]]),
+                               np.r_[0, 1, 0, rng.random(60) < 0.5, 1]),
+    }
+    return [(f"{c}/{s}", hclass, sample) for c, hclass in classes.items()
+            for s, sample in samples.items()]
+
+
+@pytest.mark.parametrize("noise", [laplace_noise(2.0), dirac_noise()], ids=["laplace", "dirac"])
+@pytest.mark.parametrize("window", [None, (0.2, 0.7)])
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_empirical_risks_match_per_label_reference(grid, hard_loss, noise, window, orientation):
+    # one signed, windowed statistic against the full-lattice plug-in
+    # density of each label scanned against its own class matrix
+    lattice = build_lattice(grid, noise, 0.25)
+    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss, window=window)
+    for name, hclass, sample in _reference_cases(grid, orientation):
+        runs = backend.class_matrix(hclass, 0).shape[1]
+        assert runs > 2 if name.startswith("grid") else runs == 2, name
+        got = empirical_risks(hclass, sample, backend)
+        want, scale = reference_empirical_risks(hclass, sample, backend)
+        assert np.all(np.abs(got - want) <= 1e-15 * scale), name
+        assert np.argmin(got) == np.argmin(want), name
+
+
+def test_minimize_makes_one_windowed_transform_pair(grid, hard_loss, monkeypatch):
+    # with the class's window cached, a trial is one rfft and one irfft at
+    # the window's length, not a full-lattice pair per label
+    lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
+    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
+    hclass = threshold_grid(41, grid)
+    sample = generate_sample(make_margin_scenario(1, laplace_noise(2.0), grid=grid), 300,
+                             np.random.default_rng(3))
+    assert min(sample.counts().values()) > 0
+    minimize(hclass, sample, backend)  # builds the class's cached window
+    calls = []
+    for name in ("rfft", "irfft"):
+        def counted(values, n, _name=name, _original=getattr(noisy_risk, name)):
+            calls.append((_name, n))
+            return _original(values, n)
+
+        monkeypatch.setattr(noisy_risk, name, counted)
+    minimize(hclass, sample, backend)
+    starts = backend._runs(hclass, 0)[1]
+    length = _next_fast_len(int(len(lattice.nodes) + starts[-1] - starts[1] - 1))
+    assert length < 2 * len(lattice.nodes) - 1
+    assert calls == [("rfft", length), ("irfft", length)]

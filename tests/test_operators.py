@@ -5,6 +5,7 @@ from indirect_erm import (
     CoefficientVector,
     LossSpec,
     ModelError,
+    NoisySample,
     SpectralOperator,
     SvdBackend,
     apply_operator,
@@ -146,6 +147,15 @@ def test_sampler_table_zero_mass_rejected(grid):
         sampler_table(np.zeros(grid.points_per_dim), grid)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sampler_table_non_finite_rejected(grid, bad):
+    # NaN passes both a sign test and a mass test, and would make every draw NaN
+    values = np.ones(grid.points_per_dim)
+    values[7] = bad
+    with pytest.raises(ModelError):
+        sampler_table(values, grid)
+
+
 def sampler_densities(grid):
     """Densities that stress the guide table, by name."""
     op = SpectralOperator(decay=1.0, k_max=64)
@@ -198,7 +208,9 @@ def test_sampler_quantile_matches_reference_at_edges(grid):
 # ---------------------------------------------------------------------------
 
 def svd_features(z, op, cutoff, grid):
-    return SvdBackend(operator=op, cutoff=cutoff, grid=grid, loss=LossSpec()).features(z)
+    # every draw labeled 0, so the signed statistic is that label's estimates
+    backend = SvdBackend(operator=op, cutoff=cutoff, grid=grid, loss=LossSpec())
+    return backend.features(None, NoisySample(z, np.zeros(z.size, dtype=int)))[0]
 
 
 def test_estimate_uniform_coefficients(rng, grid):
