@@ -6,6 +6,8 @@ risk at the rule-selected smoothing parameter, scans a threshold family,
 and compares the chosen classifier with the in-class oracle.
 """
 
+import json
+
 import numpy as np
 
 from indirect_erm import (
@@ -51,7 +53,7 @@ def main():
           f"(oracle {star.threshold:.4f})")
     print(f"excess risk {chosen_risk - star_risk:.5f}; "
           f"empirical risk at the minimum {fit.empirical_risk:.5f}")
-    print("fit record:", fit.dumps())
+    print("fit record:", json.dumps(fit.to_json(), sort_keys=True))
 
     print("\n== spectral backend: operator-contaminated observations ==")
     operator = SpectralOperator(decay=1.0, k_max=64)

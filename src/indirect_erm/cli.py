@@ -87,15 +87,20 @@ def _loss(top: ConfigReader) -> LossSpec:
     return loss
 
 
+def _at_least_one(key: str, value: int) -> int:
+    """A count or sample size, which must be at least 1."""
+    if value < 1:
+        raise ConfigurationError(f"config key {key!r} must be at least 1, got {value}")
+    return value
+
+
 def _class_size(top: ConfigReader, default: int = 101) -> int:
     """The threshold count of the ``hypotheses`` block."""
     r = ConfigReader(top.get("hypotheses", dict, {}), "hypotheses")
     r.get("kind", str, "thresholds", ("thresholds",))
     count = r.get("count", int, default)
     r.done()
-    if count < 1:
-        raise ConfigurationError("config key 'hypotheses.count' must be at least 1")
-    return count
+    return _at_least_one("hypotheses.count", count)
 
 
 def _check_smoothing(scenario: Scenario, key: str, values) -> None:
@@ -189,7 +194,7 @@ def _read_kernel(top: ConfigReader):
 
 def _read_fit(top: ConfigReader):
     scenario, loss, cfg = _scenario(top), _loss(top), _rate_config(top)
-    n, count = top.get("n", int, 1024), _class_size(top)
+    n, count = _at_least_one("n", top.get("n", int, 1024)), _class_size(top)
     kind, options = _backend(top)
     _check_backend(kind, scenario, options.get("window"))
     key = "cutoff" if kind == "svd" else "bandwidth"
@@ -262,7 +267,8 @@ def _read_diagnose(top: ConfigReader):
     smoothings = r.get(key, typ, default)
     _check_smoothing(scenario, f"diagnose.{key}", smoothings)
     bias_variant = r.get("bias_variant", str, "squared_loss", BIAS_VARIANTS)
-    mc_n, pair_count = r.get("mc_n", int, 20000), r.get("pair_count", int, 40)
+    mc_n = _at_least_one("diagnose.mc_n", r.get("mc_n", int, 20000))
+    pair_count = r.get("pair_count", int, 40)
     r.done()
 
     def work(out_dir, seed, threads):

@@ -6,11 +6,12 @@ certified uniform bound, the approximation (bias) function, the Bernstein
 ratio of the excess-loss class, and the modulus of continuity of the
 centered empirical process over shrinking loss balls. Every measured
 constant takes a risk backend of ``erm`` and reads the regularized loss
-class through it: its losses at Monte-Carlo draws, and its scan of the
-same class matrices the minimizer scans, paired with the empirical
-statistic, its expectation (``expected_risks``) or, for the bias, the
-lattice-weighted density and base-smoothed density. The certificates
-read the loss, grid, kernel or operator, and cutoff from the backend.
+class through it: its losses at Monte-Carlo draws, and the label-0 class
+matrix the minimizer pairs with the signed statistic of P_0 - P_1, here
+the empirical statistic, its expectation (``expected_risks``) or, for the
+bias, the lattice-weighted density and base-smoothed density. The
+certificates read the loss, grid, kernel or operator, and cutoff from the
+backend.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def table_sup(backend, hclass: HypothesisClass) -> float:
     nodes = (backend.lattice.nodes if isinstance(backend, DeconvolutionBackend)
              else backend.grid.axis())
     return max(float(np.max(np.abs(backend.losses(hclass, label, nodes))))
-               for label in hclass.labels)
+               for label in (0, 1))
 
 
 def _bias(risks: np.ndarray, reg: np.ndarray, star_index: int, kappa: float,
@@ -247,17 +248,18 @@ def empirical_bias_deconv(scenario: Scenario, backend: DeconvolutionBackend,
     is analytically the table expectation, free of the oscillatory-
     quadrature noise that would otherwise floor the small-bandwidth
     scaling. Both risks use the padded-grid quadrature, so discretization
-    errors cancel in the difference.
+    errors cancel in the difference. As in ``erm.empirical_risks``, each
+    is the scan of the signed measure p_0 F_0 - p_1 F_1 plus the label-1
+    mass p_1 sum F_1 that every classifier shares.
     """
-    lattice, w = backend.lattice, backend.lattice.weights
-    risks, reg = np.zeros(len(hclass)), np.zeros(len(hclass))
-    for label in scenario.labels:
-        prior = scenario.priors[label]
-        f = zero_extended_density(scenario, lattice, label)
-        risks += prior * backend.scan(hclass, label, w * f)
-        f = base_smoothed_density(scenario, lattice, label)
-        reg += prior * backend.scan(hclass, label, w * f)
-    return _bias(risks, reg, star_index, scenario.kappa, bias_variant)
+    lattice, (p0, p1) = backend.lattice, scenario.priors
+
+    def risks(density) -> np.ndarray:
+        f0, f1 = (lattice.weights * density(scenario, lattice, y) for y in (0, 1))
+        return backend.scan(hclass, p0 * f0 - p1 * f1) + p1 * f1.sum()
+
+    return _bias(risks(zero_extended_density), risks(base_smoothed_density), star_index,
+                 scenario.kappa, bias_variant)
 
 
 def empirical_bias_svd(scenario: Scenario, backend: SvdBackend, hclass: HypothesisClass,

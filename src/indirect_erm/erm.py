@@ -1,23 +1,24 @@
 """Smoothed empirical risk minimization and smoothing-parameter selection.
 
-The two backends are the pipeline's one risk engine: every regularized
-risk pairs a backend's cached class matrix, per label, with one linear
-statistic. For the kernel backend these are the node losses, merged over
-the runs of nodes on which no classifier's loss changes (every classifier
-predicts 0 or 1, so every loss is piecewise constant), and the weighted
-plug-in density, summed per run; for the spectral backend, the loss
-coefficients and the 1/b_k-weighted basis moments.
+The two backends are the pipeline's one risk engine. Under the hard loss a
+classifier's label-1 loss is one minus its label-0 loss, so every
+regularized risk, empirical or expected, is one product: the backend's
+cached label-0 class matrix against a statistic of the signed measure
+P_0 - P_1, plus the statistic of P_1 against the loss 1, one number that
+every classifier shares. For the kernel backend the class matrix holds the
+classifiers' 0/1 predictions merged over the runs of nodes on which none
+of them changes, and the statistic is the weighted plug-in density summed
+per run; for the spectral backend, the label-0 loss coefficients and the
+1/b_k-weighted basis moments.
 
-``expected_risks`` scans each label's expected statistic
-(``expected_features``) with ``scan``. ``empirical_risks`` uses the hard
-loss: a classifier's label-1 row is its loss-1 row minus its label-0 row,
-so a sample's risks are the label-0 class matrix against the statistic of
-the signed measure P_0 - P_1, plus the statistic of P_1 against the loss
-1, one number for every classifier (``features``). The kernel backend
-evaluates the signed plug-in density pointwise only between the first
-run's end and the last run's start, by one convolution at about P + D nodes
-instead of 2P; the two outer runs and the shared term are dot products
-with kernel-smoothed weights cached per class.
+``empirical_risks`` pairs the class matrix with a sample's statistic
+(``features``), ``expected_risks`` with its expectation
+(``expected_features``). The kernel backend evaluates the signed plug-in
+density pointwise only between the first run's end and the last run's
+start, by one convolution at about P + D nodes instead of 2P; the two
+outer runs and the shared term are dot products with kernel-smoothed
+weights cached per class. Its expectation is the same statistic of the
+node measures p_y w g_y, with g_y the contaminated density.
 
 The class's regularized losses at given points come from the kernel
 backend's regularized-loss tables and from the spectral class matrix. The
@@ -27,7 +28,6 @@ another order; they are the reference the tests compare against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,13 +98,6 @@ class RateConfig:
         if self.bias_variant not in BIAS_VARIANTS:
             raise ConfigurationError(f"unknown bias variant {self.bias_variant!r}")
 
-    def to_json(self) -> dict:
-        return {
-            "kappa": self.kappa, "rho": self.rho, "gamma": self.gamma,
-            "beta_bar": self.beta_bar, "dim": self.dim,
-            "bias_variant": self.bias_variant,
-        }
-
     @staticmethod
     def from_json(doc: dict) -> "RateConfig":
         """The ``rate_config`` block; absent optional keys take the field defaults."""
@@ -167,9 +160,6 @@ class FitResult:
                            "orientation": self.classifier.orientation},
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 def _cached(cache: dict, key: tuple, build):
     """``build()`` once per key, kept in ``cache``; keys hold values, never ids."""
@@ -211,13 +201,31 @@ class DeconvolutionBackend:
         return self.lattice.bandwidth
 
     def features(self, hclass: HypothesisClass, sample: NoisySample) -> tuple[np.ndarray, float]:
-        """The statistic ``empirical_risks`` scans: the weighted plug-in
-        density of the signed measure P_0 - P_1 summed over each run, and
-        the label-1 term every classifier shares, the weighted plug-in
-        density of P_1 summed over the lattice.
+        """A sample's statistic (``_statistic``) of its binned measures:
+        the signed P_0 - P_1 and P_1."""
+        self._signed_runs(hclass)  # cached first, below this trial's arrays on the heap
+        binned = bin_draws(sample.z, sample.y, self.lattice)
+        return self._statistic(hclass, binned[0] - binned[1], binned[1])
+
+    def expected_features(self, hclass: HypothesisClass,
+                          scenario: Scenario) -> tuple[np.ndarray, float]:
+        """The expectation of ``features``: the statistic of the node
+        measures p_y w g_y, with w the lattice weights and g_y the
+        contaminated density of label y."""
+        lattice = self.lattice
+        p0, p1 = (scenario.priors[y] * lattice.weights * contaminated_density(scenario, lattice, y)
+                  for y in (0, 1))
+        return self._statistic(hclass, p0 - p1, p1)
+
+    def _statistic(self, hclass: HypothesisClass, signed: np.ndarray,
+                   label1: np.ndarray) -> tuple[np.ndarray, float]:
+        """The weighted plug-in density of the node measure ``signed``
+        summed over each run, and the label-1 term every classifier shares,
+        the weighted plug-in density of the node measure ``label1`` summed
+        over the lattice.
 
         The interior runs come from one windowed convolution; the first and
-        the last run, and the shared term, are dot products of the binned
+        the last run, and the shared term, are dot products of the node
         measures with the kernel convolved with the weights over that run
         (the kernel is even). Lattice-length dot products multiply and
         sum: numpy's pairwise sum keeps them accurate where a running sum
@@ -225,8 +233,6 @@ class DeconvolutionBackend:
         nodes, and BLAS (``@``) would start a second thread for them.
         """
         starts, window, q = self._signed_runs(hclass)
-        binned = bin_draws(sample.z, sample.y, self.lattice)
-        signed = binned[0] - binned[1]
         stat = np.empty(len(starts))
         if window.stop > window.start:
             stat[1:-1] = np.add.reduceat(
@@ -234,28 +240,29 @@ class DeconvolutionBackend:
                 starts[1:-1] - window.start)
         stat[-1] = (q[1] * signed).sum()
         stat[0] = (q[0] * signed).sum()  # after the last: one run is its own head
-        return stat, float((q[2] * binned[1]).sum())
+        return stat, float((q[2] * label1).sum())
 
-    def _runs(self, hclass: HypothesisClass, label: int) -> tuple[np.ndarray, np.ndarray]:
+    def _runs(self, hclass: HypothesisClass) -> tuple[np.ndarray, np.ndarray]:
         """The class matrix and the first node of each of its runs: the
         lattice split into runs of consecutive nodes on which every
-        classifier's loss is constant."""
+        classifier's prediction is constant."""
         def build():
             nodes = self.lattice.nodes
             change = np.zeros(len(nodes), dtype=bool)
             change[0] = True
             for clf in hclass:
-                row = loss_values(clf, self.loss, label, nodes)
+                row = loss_values(clf, self.loss, 0, nodes)
                 change[1:] |= row[1:] != row[:-1]
             starts = np.flatnonzero(change)
-            return np.vstack([loss_values(clf, self.loss, label, nodes[starts])
+            return np.vstack([loss_values(clf, self.loss, 0, nodes[starts])
                               for clf in hclass]), starts
 
-        return _cached(self._cache, (hclass, label), build)
+        return _cached(self._cache, ("runs", hclass), build)
 
-    def class_matrix(self, hclass: HypothesisClass, label: int) -> np.ndarray:
-        """Node losses merged over runs, one row per classifier, one column per run."""
-        return self._runs(hclass, label)[0]
+    def class_matrix(self, hclass: HypothesisClass) -> np.ndarray:
+        """Label-0 node losses (the 0/1 predictions) merged over runs, one
+        row per classifier, one column per run."""
+        return self._runs(hclass)[0]
 
     def _signed_runs(self, hclass: HypothesisClass):
         """The first node of each run; the kernel window over the interior
@@ -264,23 +271,24 @@ class DeconvolutionBackend:
         run and over the whole lattice. A class with one run has no
         interior and no last run apart from its first."""
         def build():
-            starts = self._runs(hclass, 0)[1]
+            starts = self._runs(hclass)[1]
             w, p = self._weights, len(self._weights)
             a, b = (int(starts[1]), int(starts[-1])) if len(starts) > 1 else (p, p)
             head, tail = w.copy(), w.copy()
             head[a:] = 0.0
             tail[:b] = 0.0
-            # the whole-lattice window is ``lattice.convolve`` with a spectrum
-            # that is not kept: nothing else in a rate run reads it
+            # ``lattice.whole_window``, but not kept on the lattice: nothing
+            # else in a rate run reads its spectrum
             whole = self.lattice.kernel_window(0, p)
             q = np.vstack([whole.convolve(v) for v in (head, tail, w)])
             return starts, self.lattice.kernel_window(a, b), q
 
         return _cached(self._cache, ("signed", hclass), build)
 
-    def scan(self, hclass: HypothesisClass, label: int, features: np.ndarray) -> np.ndarray:
-        """Each classifier's risk term: its run losses times the features summed per run."""
-        matrix, starts = self._runs(hclass, label)
+    def scan(self, hclass: HypothesisClass, features: np.ndarray) -> np.ndarray:
+        """Each classifier's label-0 risk term: its run losses times the
+        node features summed per run."""
+        matrix, starts = self._runs(hclass)
         return matrix @ np.add.reduceat(features, starts)
 
     def _tables(self, hclass: HypothesisClass, label: int) -> np.ndarray:
@@ -300,15 +308,6 @@ class DeconvolutionBackend:
         nodes = self.lattice.nodes
         _log_clamped(z, nodes[0], nodes[-1])
         return np.vstack([np.interp(z, nodes, row) for row in self._tables(hclass, label)])
-
-    def expected_features(self, scenario: Scenario, label: int) -> np.ndarray:
-        """The expectation of one label's weighted plug-in density on the
-        nodes (``features`` sums it per run): the kernel is even, so pairing
-        it with the node losses pairs the tables with the contaminated
-        density."""
-        lattice = self.lattice
-        return self._weights * lattice.convolve(
-            lattice.weights * contaminated_density(scenario, lattice, label))
 
 
 @dataclass(frozen=True)
@@ -341,50 +340,60 @@ class SvdBackend:
     def _inv_b(self) -> np.ndarray:
         return 1.0 / self.operator.singular_values[: self.cutoff + 1]
 
+    @property
+    def _ones(self) -> np.ndarray:
+        """The loss coefficients of the loss 1: the basis integrals over the
+        domain (a classifier's label-0 plus label-1 row)."""
+        return _cached(self._cache, ("domain",), lambda: basis_integrals(
+            self.grid.lower, self.grid.upper, self.cutoff))
+
     def features(self, hclass: HypothesisClass, sample: NoisySample) -> tuple[np.ndarray, float]:
-        """The statistic ``empirical_risks`` scans: the 1/b_k-weighted basis
-        moments of the signed measure P_0 - P_1, and the label-1 term every
-        classifier shares, those moments of P_1 against the loss
-        coefficients of the loss 1 (a classifier's label-0 plus label-1 row).
+        """The statistic ``empirical_risks`` pairs with the class matrix:
+        the 1/b_k-weighted basis moments of the signed measure P_0 - P_1,
+        and the label-1 term every classifier shares, those moments of P_1
+        against the loss coefficients of the loss 1.
 
         Each label's draws get their own basis evaluation: one over all n
         draws and a masked copy per label costs more at large n.
         """
         moments = np.stack([self.operator.basis(sample.z[sample.y == label], self.cutoff)
                             .sum(axis=1) for label in (0, 1)]) / sample.n * self._inv_b
-        ones = _cached(self._cache, ("domain",), lambda: basis_integrals(
-            self.grid.lower, self.grid.upper, self.cutoff))
-        return moments[0] - moments[1], float(ones @ moments[1])
+        return moments[0] - moments[1], float(self._ones @ moments[1])
 
-    def class_matrix(self, hclass: HypothesisClass, label: int) -> np.ndarray:
-        """Spectral loss coefficients, one row per classifier."""
-        return _cached(self._cache, (hclass, label), lambda: np.vstack(
-            [svd_loss_coefficients(clf, self.loss, self.operator, self.cutoff, self.grid, label)
+    def expected_features(self, hclass: HypothesisClass,
+                          scenario: Scenario) -> tuple[np.ndarray, float]:
+        """The expectation of ``features``, (p_0 theta_0 - p_1 theta_1,
+        p_1 ones . theta_1), with theta_y the cosine coefficients of the
+        label-y density, since E[b_k^(-1) phi_k(Z)] = theta_k."""
+        p0, p1 = (scenario.priors[y] * scenario.cosine_coefficients(y, self.cutoff)
+                  for y in (0, 1))
+        return p0 - p1, float(self._ones @ p1)
+
+    def class_matrix(self, hclass: HypothesisClass) -> np.ndarray:
+        """Label-0 spectral loss coefficients, one row per classifier."""
+        return _cached(self._cache, ("matrix", hclass), lambda: np.vstack(
+            [svd_loss_coefficients(clf, self.loss, self.operator, self.cutoff, self.grid, 0)
              for clf in hclass]))
-
-    def scan(self, hclass: HypothesisClass, label: int, features: np.ndarray) -> np.ndarray:
-        """Each classifier's risk term: its loss coefficients times the features."""
-        return self.class_matrix(hclass, label) @ features
 
     def losses(self, hclass: HypothesisClass, label: int, z: np.ndarray) -> np.ndarray:
         """Regularized losses at the points z, one row per classifier."""
-        return (self.class_matrix(hclass, label) * self._inv_b) @ self.operator.basis(
-            z, self.cutoff)
+        matrix = self.class_matrix(hclass)
+        if label == 1:
+            matrix = self._ones - matrix
+        return (matrix * self._inv_b) @ self.operator.basis(z, self.cutoff)
 
-    def expected_features(self, scenario: Scenario, label: int) -> np.ndarray:
-        """The expectation of one label's 1/b_k-weighted basis moments: the
-        density's cosine coefficients, since E[b_k^(-1) phi_k(Z)] = theta_k."""
-        return scenario.cosine_coefficients(label, self.cutoff)
+
+def _risks(hclass: HypothesisClass, backend, statistic: tuple[np.ndarray, float]) -> np.ndarray:
+    """The label-0 class matrix against the signed statistic, plus the
+    label-1 term every classifier shares."""
+    signed, shared = statistic
+    return backend.class_matrix(hclass) @ signed + shared
 
 
 def expected_risks(hclass: HypothesisClass, scenario: Scenario, backend) -> np.ndarray:
-    """Expected regularized risk of every classifier: per label, the
-    backend's scan against the expectation of its statistic."""
-    risks = np.zeros(len(hclass))
-    for label in scenario.labels:
-        features = backend.expected_features(scenario, label)
-        risks += scenario.priors[label] * backend.scan(hclass, label, features)
-    return risks
+    """Expected regularized risk of every classifier: ``empirical_risks``
+    with the expectation of the backend's statistic."""
+    return _risks(hclass, backend, backend.expected_features(hclass, scenario))
 
 
 def empirical_risks(hclass: HypothesisClass, sample: NoisySample, backend) -> np.ndarray:
@@ -395,11 +404,7 @@ def empirical_risks(hclass: HypothesisClass, sample: NoisySample, backend) -> np
     with the backend's statistic of the signed measure P_0 - P_1, plus the
     label-1 term that every classifier shares.
     """
-    # features first: on a class's first sample they build its cached runs
-    # and window, which then sit below every per-trial array on the heap;
-    # building them between per-trial arrays raises the peak resident set
-    signed, shared = backend.features(hclass, sample)
-    return backend.class_matrix(hclass, 0) @ signed + shared
+    return _risks(hclass, backend, backend.features(hclass, sample))
 
 
 def minimize(hclass: HypothesisClass, sample: NoisySample, backend) -> FitResult:

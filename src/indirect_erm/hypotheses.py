@@ -7,7 +7,6 @@ risks of piecewise-linear scenario densities to second order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,7 +87,6 @@ class HypothesisClass:
     """Finite ordered family of classifiers over binary labels."""
 
     classifiers: tuple
-    labels: tuple[int, ...] = (0, 1)
     # hashing walks every classifier, so it is done once; caches key on the class
     _hash: int = field(init=False, compare=False, repr=False)
 
@@ -96,7 +94,7 @@ class HypothesisClass:
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
         if len(self.classifiers) == 0:
             raise ConfigurationError("hypothesis class must be nonempty")
-        object.__setattr__(self, "_hash", hash((self.classifiers, self.labels)))
+        object.__setattr__(self, "_hash", hash(self.classifiers))
 
     def __hash__(self) -> int:
         return self._hash
@@ -319,28 +317,6 @@ class Scenario:
         phi[0, :] = 1.0
         return phi @ (w * self.density(label, x))
 
-    def to_json(self) -> dict:
-        cont: dict
-        if isinstance(self.contamination, SpectralOperator):
-            cont = {"kind": "svd_operator", "beta": self.contamination.decay,
-                    "k_max": self.contamination.k_max}
-        elif self.contamination.kind == "dirac":
-            cont = {"kind": "dirac"}
-        else:
-            cont = {"kind": "laplace", "beta": self.contamination.beta}
-        doc = {
-            "priors": list(self.priors),
-            "densities": self.densities,
-            "contamination": cont,
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "grid": {"lower": [self.domain.lower], "upper": [self.domain.upper],
-                     "points": self.domain.points_per_dim},
-        }
-        if self.density_params:
-            doc["density_params"] = dict(self.density_params)
-        return doc
-
     @staticmethod
     def from_json(doc: dict) -> "Scenario":
         """A scenario from its config block: ``priors`` and ``densities`` in
@@ -366,13 +342,6 @@ class Scenario:
                     densities, r.get("density_params", dict, {})))
         r.done()
         return scenario
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @staticmethod
-    def loads(text: str) -> "Scenario":
-        return Scenario.from_json(json.loads(text))
 
 
 _NUMBER = (float, [float])  # a number, or a one-element list as configs write it

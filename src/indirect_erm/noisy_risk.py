@@ -121,12 +121,12 @@ class ObservationLattice:
     the weights, so discrete convolutions against node functions are exact
     sums. ``base_scaled`` is the bandwidth-scaled base kernel on the same
     offsets (the noise-free twin of ``kernel``); it is built on first use,
-    since only bias diagnostics read it. ``spectrum`` is the real FFT of
-    ``kernel`` at the shortest 5-smooth length whose circular convolution
-    against a node function leaves the 'valid' outputs free of wraparound
-    (at least 2P - 1 for P nodes); it is computed on first use and cached
-    on the lattice, so every ``convolve`` with the kernel (class tables,
-    kernel-smoothed weights, plug-in densities) reuses it.
+    since only bias diagnostics read it. ``whole_window`` holds the real
+    FFT of ``kernel`` at the shortest 5-smooth length whose circular
+    convolution against a node function leaves the 'valid' outputs free of
+    wraparound (at least 2P - 1 for P nodes); it is computed on first use
+    and cached on the lattice, so every ``convolve`` with the kernel
+    (class tables, plug-in densities) reuses it.
     """
 
     domain: Grid
@@ -148,47 +148,44 @@ class ObservationLattice:
         return build_deconvolution_kernel(self.kernel, dirac_noise(), self.bandwidth)
 
     @cached_property
-    def _fft_length(self) -> int:
-        # the full linear convolution of P node values with 2P - 1 kernel
-        # values spans 3P - 2 indices, but the 'valid' outputs P - 1 .. 2P - 2
-        # are free of circular wraparound at any length >= 2P - 1
-        return _next_fast_len(2 * len(self.nodes) - 1)
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        return rfft(self.kernel.values[0], self._fft_length)
+    def whole_window(self) -> "KernelWindow":
+        """The kernel's window over every node, built on first use."""
+        return self.kernel_window(0, len(self.nodes))
 
     def convolve(self, values: np.ndarray, offset_values: np.ndarray | None = None) -> np.ndarray:
         """'valid' convolution of node values with a function on the kernel's
         2P - 1 offsets: P values, one per node.
 
-        Without ``offset_values`` the function is ``kernel``, whose FFT is
-        the cached ``spectrum``. Same result as ``fftconvolve(values,
+        Without ``offset_values`` the function is ``kernel``, through the
+        cached ``whole_window``. Same result as ``fftconvolve(values,
         offset_values, mode="valid")`` to rounding.
         """
-        length, p = self._fft_length, len(self.nodes)
-        spectrum = self.spectrum if offset_values is None else rfft(offset_values, length)
-        full = irfft(spectrum * rfft(values, length), length)
-        return full[p - 1: 2 * p - 1].copy()
+        window = (self.whole_window if offset_values is None
+                  else self.kernel_window(0, len(self.nodes), offset_values))
+        return window.convolve(values).copy()
 
-    def kernel_window(self, start: int, stop: int) -> "KernelWindow":
-        """``convolve`` with the kernel at the nodes start .. stop - 1 only.
+    def kernel_window(self, start: int, stop: int,
+                      offset_values: np.ndarray | None = None) -> "KernelWindow":
+        """``convolve`` with the kernel, or with ``offset_values``, at the
+        nodes start .. stop - 1 only.
 
-        Those D = stop - start outputs read the kernel at the P + D - 1
+        Those D = stop - start outputs read the function at the P + D - 1
         offsets start - P + 1 .. stop - 1 alone, so a circular convolution
-        at any length >= P + D - 1 leaves them free of wraparound; the
-        segment's spectrum is taken once here.
+        at any length >= P + D - 1 (2P - 1 for the whole lattice) leaves
+        them free of wraparound; the segment's spectrum is taken once here.
         """
         p = len(self.nodes)
+        table = self.kernel.values[0] if offset_values is None else offset_values
         length = _next_fast_len(p + stop - start - 1)
         return KernelWindow(start=start, stop=stop, length=length,
-                            spectrum=rfft(self.kernel.values[0][start: stop + p - 1], length))
+                            spectrum=rfft(table[start: stop + p - 1], length))
 
 
 @dataclass(frozen=True)
 class KernelWindow:
-    """The lattice kernel's 'valid' convolution restricted to the nodes
-    ``start`` .. ``stop - 1``, at the FFT ``length`` of its ``spectrum``
+    """A 'valid' convolution on the lattice (with its kernel, or another
+    function on the kernel's offsets) restricted to the nodes ``start`` ..
+    ``stop - 1``, at the FFT ``length`` of its ``spectrum``
     (``ObservationLattice.kernel_window``)."""
 
     start: int

@@ -9,7 +9,6 @@ log-log slope fit that is compared to the theoretical exponent.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -170,8 +169,9 @@ class ExperimentPlan:
     def __post_init__(self):
         ns = tuple(int(n) for n in self.n_grid)
         object.__setattr__(self, "n_grid", ns)
-        if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ConfigurationError("n_grid must be strictly increasing with >= 2 values")
+        if len(ns) < 2 or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+            raise ConfigurationError("n_grid must be >= 2 strictly increasing sample sizes, "
+                                     "each at least 1")
         if self.replications < 1:
             raise ConfigurationError("need at least one replication")
         _check_backend(self.backend, self.scenario, self.window)
@@ -235,14 +235,6 @@ class RateReport:
     slope_half_width: float
     theory_exponent: float
 
-    def to_json(self) -> dict:
-        return {
-            "rows": [[int(n), m, s, int(c)] for n, m, s, c in self.rows],
-            "slope": self.slope,
-            "slope_half_width": self.slope_half_width,
-            "theory_exponent": self.theory_exponent,
-        }
-
     def summary_json(self) -> dict:
         return {
             "slope": self.slope,
@@ -250,9 +242,6 @@ class RateReport:
             "theory_exponent": self.theory_exponent,
             "theory_slope": -self.theory_exponent,
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def _run_block(args):

@@ -58,8 +58,9 @@ def reference_plug_in_features(z, backend):
 
 def reference_empirical_risks(hclass, sample, backend):
     """Kernel-backend empirical risks in the per-label order: for each label
-    present, its full-lattice plug-in features scanned against its own class
-    matrix, weighted by n_y / n.
+    present, its full-lattice plug-in features summed over the backend's
+    runs and paired with that label's run losses, weighted by n_y / n. The
+    label-1 run losses are 1 - M_0, exact for 0/1 entries.
 
     Also returns the scale of the summed terms, (|M_0| + |M_1|) @ |features|
     with each label's features weighted by n_y / n. Under the hard loss the
@@ -68,6 +69,7 @@ def reference_empirical_risks(hclass, sample, backend):
     classifier; a classifier whose own label-1 row is zero where the draws
     lie still gets its risk as a difference of terms of this size.
     """
+    matrix, starts = backend._runs(hclass)
     risks = np.zeros(len(hclass))
     scale = 0.0
     for label in np.unique(sample.y):
@@ -75,7 +77,8 @@ def reference_empirical_risks(hclass, sample, backend):
         z_y = sample.z[sample.y == label]
         features = reference_plug_in_features(z_y, backend)
         weight = z_y.size / sample.n
-        risks += weight * backend.scan(hclass, label, features)
+        losses = matrix if label == 0 else 1.0 - matrix
+        risks += weight * (losses @ np.add.reduceat(features, starts))
         scale += weight * np.abs(features).sum()
     return risks, np.full(len(hclass), scale)
 

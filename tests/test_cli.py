@@ -240,6 +240,31 @@ def test_bad_config_values_exit_two(tmp_path, make, block, key, value):
         assert not (out / name).exists()
 
 
+def fit_bandwidth_config(out):
+    doc = fit_config(out)
+    doc["bandwidth"] = 0.3  # so that no smoothing rule reads n
+    return doc
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("make, block, key", [
+    (fit_bandwidth_config, None, "n"),
+    (rates_config, None, "n_grid"),
+    (diagnose_config, "diagnose", "mc_n"),
+])
+def test_sample_sizes_below_one_exit_two(tmp_path, make, block, key, value):
+    # rejected when read: no traceback, no exit 3 mid-run, no output directory
+    out = tmp_path / "artifacts"
+    doc = make(str(out))
+    validate_config(doc)
+    section = doc[block] if block else doc
+    section[key] = [value, 256, 512] if key == "n_grid" else value
+    with pytest.raises(ConfigurationError):
+        validate_config(doc)
+    assert run(write_config(tmp_path, doc), threads=1) == 2
+    assert not out.exists()
+
+
 def test_negative_seed_override_exits_two(tmp_path):
     out = tmp_path / "artifacts"
     assert run(write_config(tmp_path, rates_config(str(out))), seed=-1, threads=1) == 2

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -147,9 +149,9 @@ def test_minimize_svd_matches_per_classifier_tables(grid, hard_loss):
 def test_class_matrix_cache_keyed_by_value(grid, hard_loss):
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
-    first = backend.class_matrix(threshold_grid(7, grid), 1)
-    assert backend.class_matrix(threshold_grid(7, grid), 1) is first
-    assert backend.class_matrix(threshold_grid(9, grid), 1).shape[0] == 9
+    first = backend.class_matrix(threshold_grid(7, grid))
+    assert backend.class_matrix(threshold_grid(7, grid)) is first
+    assert backend.class_matrix(threshold_grid(9, grid)).shape[0] == 9
 
 
 def test_backend_losses_match_per_classifier_tables(grid, hard_loss):
@@ -174,13 +176,15 @@ def test_backend_expected_risks_match_reference_quadrature(grid, hard_loss):
     hclass = threshold_grid(9, grid)
     sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
-    # each reference table integrated against the contaminated density
-    ref = [sum(sc.priors[y] * float(np.dot(
-        lattice.weights,
-        modified_loss_deconv(c, hard_loss, lattice).values[y]
-        * contaminated_density(sc, lattice, y))) for y in sc.labels) for c in hclass]
-    got = expected_risks(hclass, sc, DeconvolutionBackend(lattice=lattice, loss=hard_loss))
-    assert np.abs(got - ref).max() < 1e-12
+    for window in (None, (0.2, 0.7)):
+        # each reference table integrated against the contaminated density
+        ref = [sum(sc.priors[y] * float(np.dot(
+            lattice.weights,
+            modified_loss_deconv(c, hard_loss, lattice, window=window).values[y]
+            * contaminated_density(sc, lattice, y))) for y in sc.labels) for c in hclass]
+        backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss, window=window)
+        got = expected_risks(hclass, sc, backend)
+        assert np.abs(got - ref).max() < 1e-12
     # loss coefficients paired with the density coefficients
     op = SpectralOperator(decay=1.0, k_max=64)
     sc = make_margin_scenario(1, op, grid=grid)
@@ -189,6 +193,35 @@ def test_backend_expected_risks_match_reference_quadrature(grid, hard_loss):
                for y in sc.labels) for c in hclass]
     got = expected_risks(hclass, sc, SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss))
     assert np.abs(got - ref).max() < 1e-12
+
+
+def test_risks_request_label_zero_losses_only(grid, hard_loss, monkeypatch):
+    # every risk is the label-0 class matrix against a signed statistic: no
+    # risk builds label-1 losses or coefficients
+    from indirect_erm import erm
+    from indirect_erm.diagnostics import empirical_bias_deconv
+
+    labels = []
+    for name, position in (("loss_values", 2), ("svd_loss_coefficients", 5)):
+        def recorded(*args, _position=position, _original=getattr(erm, name)):
+            labels.append(args[_position])
+            return _original(*args)
+
+        monkeypatch.setattr(erm, name, recorded)
+    hclass = threshold_grid(9, grid)
+    noise, op = laplace_noise(2.0), SpectralOperator(decay=1.0, k_max=64)
+    sc, svd_sc = make_margin_scenario(1, noise, grid=grid), make_margin_scenario(1, op, grid=grid)
+    lattice = build_lattice(grid, noise, 0.25)
+    for window in (None, (0.2, 0.7)):
+        deconv = DeconvolutionBackend(lattice=lattice, loss=hard_loss, window=window)
+        sample = generate_sample(sc, 200, np.random.default_rng(1))
+        empirical_risks(hclass, sample, deconv)
+        expected_risks(hclass, sc, deconv)
+    empirical_bias_deconv(sc, DeconvolutionBackend(lattice=lattice, loss=hard_loss), hclass, 4)
+    svd = SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss)
+    empirical_risks(hclass, generate_sample(svd_sc, 200, np.random.default_rng(2)), svd)
+    expected_risks(hclass, svd_sc, SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss))
+    assert labels and set(labels) == {0}
 
 
 def test_svd_backend_rejects_cutoff_outside_range(grid, hard_loss):
@@ -291,29 +324,28 @@ def test_fit_result_serialization(grid, hard_loss):
     assert doc["classifier"]["kind"] == "threshold"
     assert doc["backend"] == "deconvolution"
     assert doc["smoothing"] == [0.3]
-    assert isinstance(fit.dumps(), str)
+    assert isinstance(json.dumps(doc, sort_keys=True), str)
 
 
 @pytest.mark.parametrize("kind", LOSS_KINDS)
 @pytest.mark.parametrize("window", [None, (0.2, 0.7)])
 def test_run_merged_scan_matches_dense_product(grid, kind, window):
     # the class matrix keeps one column per run of nodes on which no loss
-    # changes; its scan is the dense node-loss product in another order
+    # changes; its scan is the dense label-0 node-loss product in another order
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     loss = LossSpec(kind=kind)
     backend = DeconvolutionBackend(lattice=lattice, loss=loss, window=window)
     rng = np.random.default_rng(9)
     for hclass in (threshold_grid(41, grid), threshold_grid(41, grid, orientation=-1)):
-        for label in (0, 1):
-            dense = np.vstack([loss_values(clf, loss, label, lattice.nodes) for clf in hclass])
-            assert backend.class_matrix(hclass, label).shape[1] < len(lattice.nodes) // 50
-            for _ in range(4):
-                features = reference_plug_in_features(rng.uniform(-0.5, 1.5, 300), backend)
-                want = dense @ features
-                got = backend.scan(hclass, label, features)
-                # relative to the size of the summed terms, the scale of rounding
-                assert np.all(np.abs(got - want) <= 1e-15 * (np.abs(dense) @ np.abs(features)))
-                assert np.argmin(got) == np.argmin(want)
+        dense = np.vstack([loss_values(clf, loss, 0, lattice.nodes) for clf in hclass])
+        assert backend.class_matrix(hclass).shape[1] < len(lattice.nodes) // 50
+        for _ in range(4):
+            features = reference_plug_in_features(rng.uniform(-0.5, 1.5, 300), backend)
+            want = dense @ features
+            got = backend.scan(hclass, features)
+            # relative to the size of the summed terms, the scale of rounding
+            assert np.all(np.abs(got - want) <= 1e-15 * (np.abs(dense) @ np.abs(features)))
+            assert np.argmin(got) == np.argmin(want)
 
 
 def _reference_cases(grid, orientation):
@@ -348,7 +380,7 @@ def test_empirical_risks_match_per_label_reference(grid, hard_loss, noise, windo
     lattice = build_lattice(grid, noise, 0.25)
     backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss, window=window)
     for name, hclass, sample in _reference_cases(grid, orientation):
-        runs = backend.class_matrix(hclass, 0).shape[1]
+        runs = backend.class_matrix(hclass).shape[1]
         assert runs > 2 if name.startswith("grid") else runs == 2, name
         got = empirical_risks(hclass, sample, backend)
         want, scale = reference_empirical_risks(hclass, sample, backend)
@@ -374,7 +406,7 @@ def test_minimize_makes_one_windowed_transform_pair(grid, hard_loss, monkeypatch
 
         monkeypatch.setattr(noisy_risk, name, counted)
     minimize(hclass, sample, backend)
-    starts = backend._runs(hclass, 0)[1]
+    starts = backend._runs(hclass)[1]
     length = _next_fast_len(int(len(lattice.nodes) + starts[-1] - starts[1] - 1))
     assert length < 2 * len(lattice.nodes) - 1
     assert calls == [("rfft", length), ("irfft", length)]

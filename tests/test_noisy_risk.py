@@ -133,7 +133,7 @@ def test_spectrum_built_once_per_lattice(grid, hard_loss, monkeypatch):
     # one kernel transform, then one per convolved node function (1 + 2 + 1)
     assert lengths.count(len(lattice.kernel.values[0])) == 1
     assert lengths.count(len(lattice.nodes)) == 4
-    assert lattice.spectrum is lattice.spectrum
+    assert lattice.whole_window is lattice.whole_window
 
 
 def _binned(z, nodes):
