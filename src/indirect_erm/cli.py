@@ -121,7 +121,11 @@ def _base_kernel(top: ConfigReader) -> str:
 
 
 def _kernel_options(top: ConfigReader) -> dict:
-    return {"base_kernel": _base_kernel(top), "pad_factor": top.get("pad_factor", float, 4.0)}
+    pad_factor = top.get("pad_factor", float, 4.0)
+    if not 0.0 <= pad_factor < np.inf:  # NaN fails too
+        raise ConfigurationError(
+            f"config key 'pad_factor' must be finite and nonnegative, got {pad_factor}")
+    return {"base_kernel": _base_kernel(top), "pad_factor": pad_factor}
 
 
 def _backend(top: ConfigReader) -> tuple[str, dict]:

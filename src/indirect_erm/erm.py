@@ -353,8 +353,10 @@ class SvdBackend:
         and the label-1 term every classifier shares, those moments of P_1
         against the loss coefficients of the loss 1.
 
-        Each label's draws get their own basis evaluation: one over all n
-        draws and a masked copy per label costs more at large n.
+        Each label's draws get their own basis evaluation. One evaluation
+        over all n draws plus a masked copy per label costs more: at
+        n = 16384 and cutoff 6, a median 1.77 ms against 1.01 ms (2 vCPU),
+        and its column sums differ in the last bits.
         """
         moments = np.stack([self.operator.basis(sample.z[sample.y == label], self.cutoff)
                             .sum(axis=1) for label in (0, 1)]) / sample.n * self._inv_b

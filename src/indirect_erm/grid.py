@@ -87,10 +87,13 @@ def padded_axis(grid: Grid, margin: float) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(nodes, weights)`` for the extended axis. The original nodes
     are a contiguous subset, so tables on the padded axis restrict exactly
     to the domain grid. Used to absorb contaminated observations that fall
-    outside the domain.
+    outside the domain. A negative, NaN or infinite margin is a
+    ``ConfigurationError``.
     """
+    if not 0.0 <= margin < math.inf:
+        raise ConfigurationError(f"padding margin must be finite and nonnegative, got {margin}")
     h = grid.spacing
-    n_pad = int(math.ceil(max(margin, 0.0) / h))
+    n_pad = int(math.ceil(margin / h))
     n_total = grid.points_per_dim + 2 * n_pad
     lo = grid.lower - n_pad * h
     nodes = lo + h * np.arange(n_total)

@@ -26,6 +26,15 @@ def closed_form_corrected_sinc(u, lam):
     return np.where(np.abs(u) < 1e-9, center, val)
 
 
+def reference_basis(x, n_funcs):
+    """The cosine basis evaluated directly: row 0 is ones and row k is
+    sqrt(2) cos(pi k x), one ``cos`` per point and frequency."""
+    k = np.arange(n_funcs + 1)[:, None]
+    out = np.sqrt(2.0) * np.cos(np.pi * k * np.asarray(x, dtype=float)[None, :])
+    out[0] = 1.0
+    return out
+
+
 def reference_quantile(values, grid, u):
     """Inverse CDF of tabulated density values at uniforms u: the CDF built
     afresh, then a binary search of every u in it."""

@@ -265,6 +265,19 @@ def test_sample_sizes_below_one_exit_two(tmp_path, make, block, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("make", [fit_config, rates_config, diagnose_config])
+def test_bad_pad_factor_exits_two(tmp_path, make, value):
+    # a negative factor used to run silently as 0, clamping draws to the domain
+    out = tmp_path / "artifacts"
+    doc = make(str(out))
+    doc["pad_factor"] = value
+    with pytest.raises(ConfigurationError):
+        validate_config(doc)
+    assert run(write_config(tmp_path, doc), threads=1) == 2
+    assert not out.exists()
+
+
 def test_negative_seed_override_exits_two(tmp_path):
     out = tmp_path / "artifacts"
     assert run(write_config(tmp_path, rates_config(str(out))), seed=-1, threads=1) == 2

@@ -1,8 +1,11 @@
 import json
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import indirect_erm
 from indirect_erm import (
     ConfigurationError,
     DeconvolutionBackend,
@@ -21,6 +24,7 @@ from indirect_erm import (
     select_cutoff,
     threshold_grid,
 )
+from indirect_erm.cli import _read_plan
 from indirect_erm.erm import empirical_risks, expected_risks
 from indirect_erm.hypotheses import LOSS_KINDS, loss_values, snap_to_cell_midpoint
 from indirect_erm import noisy_risk
@@ -34,9 +38,15 @@ from indirect_erm.noisy_risk import (
     modified_loss_svd,
     svd_loss_coefficients,
 )
-from indirect_erm.simulation import generate_sample
+from indirect_erm.reader import ConfigReader
+from indirect_erm.simulation import generate_sample, trial_seed_sequence
 
-from oracles import naive_minimize_index, reference_empirical_risks, reference_plug_in_features
+from oracles import (
+    naive_minimize_index,
+    reference_basis,
+    reference_empirical_risks,
+    reference_plug_in_features,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +292,29 @@ def test_minimize_svd_backend(grid, hard_loss):
     assert fit.backend == "svd"
     assert 0 <= fit.index < len(hclass)
     assert abs(fit.classifier.threshold - 0.5) < 0.25
+
+
+def test_svd_preset_argmin_same_with_direct_cosine_basis(monkeypatch):
+    # the recurrence basis moves the risks in the last bits; on every trial
+    # of the svd-linear preset (20 replications, its seed and rule cutoffs)
+    # the selected classifier is the one the direct cosines select
+    path = os.path.join(os.path.dirname(indirect_erm.__file__), "..", "..", "presets",
+                        "svd-linear.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    plan = replace(_read_plan(ConfigReader(doc)), base_seed=doc["seed"], replications=20)
+    hclass = plan.hypothesis_class()
+    trials = []
+    for n in plan.n_grid:
+        backend = plan.backend_at(n)
+        for rep in range(plan.replications):
+            rng = np.random.default_rng(trial_seed_sequence(plan.base_seed, n, rep))
+            sample = generate_sample(plan.scenario, n, rng)
+            trials.append((backend, sample, minimize(hclass, sample, backend).index))
+    monkeypatch.setattr(SpectralOperator, "basis",
+                        lambda self, x, n_funcs: reference_basis(x, n_funcs))
+    assert [minimize(hclass, sample, backend).index for backend, sample, _ in trials] \
+        == [index for _, _, index in trials]
 
 
 def test_dirac_consistency_many_replications(grid, hard_loss):

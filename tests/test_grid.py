@@ -46,3 +46,8 @@ def test_padded_axis_contains_original_nodes():
     assert np.allclose(inner, g.axis(), atol=1e-12)
     assert abs(weights.sum() - (nodes[-1] - nodes[0])) < 1e-12
 
+
+@pytest.mark.parametrize("margin", [-0.1, float("nan"), float("inf")])
+def test_padded_axis_rejects_bad_margin(margin):
+    with pytest.raises(ConfigurationError):
+        padded_axis(Grid(points_per_dim=64), margin)

@@ -3,6 +3,7 @@ import pytest
 
 from indirect_erm import (
     CoefficientVector,
+    ConfigurationError,
     LossSpec,
     ModelError,
     NoisySample,
@@ -16,7 +17,8 @@ from indirect_erm import (
     sample_density,
     sampler_table,
 )
-from oracles import reference_quantile, reference_sample_density
+from indirect_erm import operators
+from oracles import reference_basis, reference_quantile, reference_sample_density
 
 
 def uniform_coeffs(k_max=64):
@@ -60,6 +62,41 @@ def test_basis_orthonormal_under_quadrature(grid):
     phi = op.basis(x)
     gram = (phi * w) @ phi.T
     assert np.abs(gram - np.eye(65)).max() < 1e-6
+
+
+def test_basis_matches_direct_cosines():
+    # the Chebyshev recurrence against sqrt(2) cos(pi k x), endpoints included
+    op = SpectralOperator(k_max=64)
+    x = np.concatenate([np.linspace(0.0, 1.0, 1025),
+                        np.random.default_rng(5).random(4000)])
+    phi = op.basis(x)
+    assert phi.shape == (65, x.size)
+    assert np.all(phi[0] == 1.0)
+    assert np.abs(phi - reference_basis(x, 64)).max() < 1e-12
+
+
+def test_basis_edge_cases():
+    op = SpectralOperator(k_max=8)
+    x = np.array([0.0, 0.3, 1.0])
+    assert np.array_equal(op.basis(x, 0), np.ones((1, 3)))
+    assert op.basis(np.array([]), 5).shape == (6, 0)  # a label with no draws
+    assert op.basis(np.array([]), 0).shape == (1, 0)
+    with pytest.raises(ConfigurationError):
+        op.basis(x, 9)
+
+
+def test_basis_takes_one_cos_per_point(monkeypatch):
+    sizes = []
+    original = np.cos
+
+    def counted(arg, *args, **kwargs):
+        sizes.append(np.size(arg))
+        return original(arg, *args, **kwargs)
+
+    monkeypatch.setattr(operators.np, "cos", counted)
+    x = np.random.default_rng(2).random(300)
+    SpectralOperator(k_max=64).basis(x, 6)
+    assert sizes == [x.size]
 
 
 def test_singular_values():
