@@ -272,7 +272,7 @@ def _read_diagnose(top: ConfigReader):
     _check_smoothing(scenario, f"diagnose.{key}", smoothings)
     bias_variant = r.get("bias_variant", str, "squared_loss", BIAS_VARIANTS)
     mc_n = _at_least_one("diagnose.mc_n", r.get("mc_n", int, 20000))
-    pair_count = r.get("pair_count", int, 40)
+    pair_count = _at_least_one("diagnose.pair_count", r.get("pair_count", int, 40))
     r.done()
 
     def work(out_dir, seed, threads):

@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 RATE_MODES = ("direct", "deconv", "svd", "hard_loss")
-MU_CHOICES = ("nu_y", "p")
 
 
 # ---------------------------------------------------------------------------
@@ -130,37 +129,32 @@ def fit_rate_slope(points) -> tuple[float, float]:
 # measured structural constants
 # ---------------------------------------------------------------------------
 
-def _loss_distance_sq(scenario: Scenario, loss: LossSpec, clf_a, clf_b, mu: str) -> float:
-    """Squared L2(mu) distance of two classifiers' raw losses; ``mu`` is
-    "nu_y" (Lebesgue measure times the label priors) or "p" (the input law)."""
-    if mu not in MU_CHOICES:
-        raise ConfigurationError(f"unknown loss-distance measure {mu!r}, "
-                                 f"not one of {list(MU_CHOICES)}")
+def _loss_distance_sq(scenario: Scenario, loss: LossSpec, clf_a, clf_b) -> float:
+    """Squared L2(nu_y) distance of two classifiers' raw losses (Lebesgue x priors)."""
     x, w = scenario.domain.axis(), scenario.domain.weights()
     total = 0.0
     for label in scenario.labels:
         diff = loss_values(clf_a, loss, label, x) - loss_values(clf_b, loss, label, x)
-        density = scenario.density(label, x) if mu == "p" else np.ones_like(x)
-        total += scenario.priors[label] * float(np.dot(w, diff * diff * density))
+        total += scenario.priors[label] * float(np.dot(w, diff * diff))
     return total
 
 
 def empirical_lipschitz(scenario: Scenario, backend, hclass: HypothesisClass, pairs,
-                        mc_n: int, seed, mu: str = "nu_y") -> np.ndarray:
+                        mc_n: int, seed) -> np.ndarray:
     """Measured Lipschitz ratios of the regularized loss class.
 
     For each pair (i, j) of class indices: the Monte-Carlo L2 norm of the
     difference of the backend's regularized losses under the contaminated
     law, divided by the quadrature L2 norm of the raw loss difference (with
-    the backend's loss) under ``mu``. Degenerate pairs are skipped; a
+    the backend's loss) under nu_y. Degenerate pairs are skipped; a
     ``DataError`` is raised when none is left.
     """
     from .simulation import generate_sample  # a top-level import would be circular
 
     kept = []  # (i, j, raw loss distance)
     for i, j in pairs:
-        denom = math.sqrt(max(_loss_distance_sq(scenario, backend.loss, hclass[i], hclass[j],
-                                                mu), 0.0))
+        denom = math.sqrt(max(_loss_distance_sq(scenario, backend.loss, hclass[i], hclass[j]),
+                              0.0))
         if denom <= 1e-8:
             logger.info("skipping a degenerate classifier pair (zero loss distance)")
         else:
@@ -276,11 +270,11 @@ def empirical_bias_svd(scenario: Scenario, backend: SvdBackend, hclass: Hypothes
 
 
 def bernstein_ratio(scenario: Scenario, hclass: HypothesisClass, star_index: int,
-                    loss: LossSpec, mu: str = "nu_y") -> float:
+                    loss: LossSpec) -> float:
     """Empirical Bernstein constant of the excess-loss class.
 
     max over classifiers (excess above 1e-8) of
-    ||loss(g) - loss(g*)||^2_(L2(mu)) / excess^(1/kappa). Returns 0 for a
+    ||loss(g) - loss(g*)||^2_(L2(nu_y)) / excess^(1/kappa). Returns 0 for a
     singleton class.
     """
     kappa = scenario.kappa
@@ -295,17 +289,17 @@ def bernstein_ratio(scenario: Scenario, hclass: HypothesisClass, star_index: int
         excess = true_risk(clf, scenario, loss) - risk_star
         if excess <= 1e-8:
             continue
-        norm_sq = _loss_distance_sq(scenario, loss, clf, star, mu)
+        norm_sq = _loss_distance_sq(scenario, loss, clf, star)
         best = max(best, norm_sq / excess ** (1.0 / scenario.kappa))
     return best
 
 
 def empirical_modulus(scenario: Scenario, backend, hclass: HypothesisClass, delta: float,
-                      n: int, mc_reps: int, seed, mu: str = "nu_y") -> float:
+                      n: int, mc_reps: int, seed) -> float:
     """Monte-Carlo modulus of continuity of the centered empirical process.
 
     Average over replications of the sup, over classifier pairs whose raw
-    loss distance under mu is at most delta, of |empirical - expected|
+    loss distance under nu_y is at most delta, of |empirical - expected|
     regularized risk difference. Both risks come from the backend; the
     expected ones are exact.
     """
@@ -313,8 +307,8 @@ def empirical_modulus(scenario: Scenario, backend, hclass: HypothesisClass, delt
         raise ConfigurationError("delta must be nonnegative")
     admissible = [
         (i, j) for i in range(len(hclass)) for j in range(i + 1, len(hclass))
-        if math.sqrt(max(_loss_distance_sq(scenario, backend.loss, hclass[i], hclass[j],
-                                           mu), 0.0)) <= delta
+        if math.sqrt(max(_loss_distance_sq(scenario, backend.loss, hclass[i], hclass[j]),
+                         0.0)) <= delta
     ]
     if not admissible:
         logger.warning("no classifier pair within delta=%g; modulus is 0", delta)

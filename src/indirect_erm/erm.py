@@ -1,29 +1,24 @@
 """Smoothed empirical risk minimization and smoothing-parameter selection.
 
-The two backends are the pipeline's one risk engine. Under the hard loss a
-classifier's label-1 loss is one minus its label-0 loss, so every
-regularized risk, empirical or expected, is one product: the backend's
-cached label-0 class matrix against a statistic of the signed measure
-P_0 - P_1, plus the statistic of P_1 against the loss 1, one number that
-every classifier shares. For the kernel backend the class matrix holds the
-classifiers' 0/1 predictions merged over the runs of nodes on which none
-of them changes, and the statistic is the weighted plug-in density summed
-per run; for the spectral backend, the label-0 loss coefficients and the
-1/b_k-weighted basis moments.
+The two backends are the pipeline's one risk engine for threshold classes.
+Under the hard loss a classifier's label-1 loss is one minus its label-0
+loss, so every regularized risk, empirical or expected, is one product: the
+backend's cached label-0 class matrix against a statistic of the signed
+measure P_0 - P_1, plus the statistic of P_1 against the loss 1, one
+number that every classifier shares. ``empirical_risks`` pairs it with a
+sample's statistic (``features``), ``expected_risks`` with its expectation
+(``expected_features``).
 
-``empirical_risks`` pairs the class matrix with a sample's statistic
-(``features``), ``expected_risks`` with its expectation
-(``expected_features``). The kernel backend evaluates the signed plug-in
-density pointwise only between the first run's end and the last run's
-start, by one convolution at about P + D nodes instead of 2P; the two
-outer runs and the shared term are dot products with kernel-smoothed
-weights cached per class. Its expectation is the same statistic of the
-node measures p_y w g_y, with g_y the contaminated density.
-
-The class's regularized losses at given points come from the kernel
-backend's regularized-loss tables and from the spectral class matrix. The
-per-classifier tables of ``noisy_risk`` evaluate the same bilinear form in
-another order; they are the reference the tests compare against.
+Each class matrix comes from the thresholds alone. The kernel backend's
+holds the 0/1 predictions on runs of lattice nodes that start right of a
+threshold, against the weighted plug-in density summed per run: one
+windowed convolution between the first run's end and the last run's
+start, and cached dot products for the outer runs and the shared term.
+The spectral backend's holds the basis integrals over the side of each
+threshold where its label-0 loss is 1, against the 1/b_k-weighted basis
+moments. ``losses`` at given points come from differences of the kernel's
+cumulative sum, or from the spectral class matrix; the per-classifier
+tables of ``noisy_risk`` are the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -31,18 +26,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
-from .hypotheses import HypothesisClass, LossSpec, Scenario, loss_values, window_mask
+from .hypotheses import HypothesisClass, LossSpec, Scenario, window_mask
 from .noisy_risk import (
     NoisySample,
     ObservationLattice,
+    _cells,
     _log_clamped,
+    _loss_interval,
     basis_integrals,
     bin_draws,
     contaminated_density,
     plug_in_density,  # noqa: F401  unused here; the benchmark's tracer wraps it by name
-    svd_loss_coefficients,
 )
 from .operators import SpectralOperator
 from .reader import ConfigReader
@@ -161,6 +158,11 @@ class FitResult:
         }
 
 
+def _thresholds(hclass: HypothesisClass) -> np.ndarray:
+    """The thresholds (row 0) and the orientations (row 1, +1 or -1) of a class."""
+    return np.array([(c.threshold, c.orientation) for c in hclass], dtype=float).T
+
+
 def _cached(cache: dict, key: tuple, build):
     """``build()`` once per key, kept in ``cache``; keys hold values, never ids."""
     value = cache.get(key)
@@ -173,11 +175,9 @@ def _cached(cache: dict, key: tuple, build):
 class DeconvolutionBackend:
     """Kernel-quadrature empirical risk on a prepared observation lattice.
 
-    The risk of each classifier pairs its node losses with the
-    quadrature-weighted plug-in density of the observations; ``window``
-    zeroes the quadrature weights outside a compact interval. The node
-    losses are kept merged over the runs of nodes on which no classifier's
-    loss changes, so the pairing sums the density per run.
+    The risk of each classifier pairs its node losses, merged over runs,
+    with the quadrature-weighted plug-in density of the observations summed
+    per run; ``window`` zeroes the quadrature weights outside an interval.
     """
 
     lattice: ObservationLattice
@@ -221,16 +221,14 @@ class DeconvolutionBackend:
                    label1: np.ndarray) -> tuple[np.ndarray, float]:
         """The weighted plug-in density of the node measure ``signed``
         summed over each run, and the label-1 term every classifier shares,
-        the weighted plug-in density of the node measure ``label1`` summed
-        over the lattice.
+        that of ``label1`` summed over the lattice.
 
         The interior runs come from one windowed convolution; the first and
         the last run, and the shared term, are dot products of the node
         measures with the kernel convolved with the weights over that run
-        (the kernel is even). Lattice-length dot products multiply and
-        sum: numpy's pairwise sum keeps them accurate where a running sum
-        (``einsum``) loses about 1e-15 over the laplace preset's 12,598
-        nodes, and BLAS (``@``) would start a second thread for them.
+        (the kernel is even). These multiply and sum: numpy's pairwise sum
+        keeps them accurate where a running sum (``einsum``) loses about
+        1e-15 over 12,598 nodes, and BLAS (``@``) would start a thread.
         """
         starts, window, q = self._signed_runs(hclass)
         stat = np.empty(len(starts))
@@ -242,26 +240,26 @@ class DeconvolutionBackend:
         stat[0] = (q[0] * signed).sum()  # after the last: one run is its own head
         return stat, float((q[2] * label1).sum())
 
+    def _cuts(self, hclass: HypothesisClass) -> np.ndarray:
+        """s_j, the first node right of threshold j (P if none is): the label-0
+        loss is 1 from s_j on for orientation +1, and before s_j for -1."""
+        return np.searchsorted(self.lattice.nodes, _thresholds(hclass)[0], "right")
+
     def _runs(self, hclass: HypothesisClass) -> tuple[np.ndarray, np.ndarray]:
-        """The class matrix and the first node of each of its runs: the
-        lattice split into runs of consecutive nodes on which every
-        classifier's prediction is constant."""
+        """The class matrix and the first node of each run of nodes on which
+        no prediction changes: node 0 and every s_j inside the lattice."""
         def build():
-            nodes = self.lattice.nodes
-            change = np.zeros(len(nodes), dtype=bool)
-            change[0] = True
-            for clf in hclass:
-                row = loss_values(clf, self.loss, 0, nodes)
-                change[1:] |= row[1:] != row[:-1]
-            starts = np.flatnonzero(change)
-            return np.vstack([loss_values(clf, self.loss, 0, nodes[starts])
-                              for clf in hclass]), starts
+            cuts = self._cuts(hclass)
+            change = np.zeros(len(self.lattice.nodes) + 1, dtype=bool)
+            change[np.r_[0, cuts]] = True  # np.unique would add 1.4 MiB to a run's peak RSS
+            starts = np.flatnonzero(change[:-1])
+            return np.where(_thresholds(hclass)[1, :, None] == 1, starts >= cuts[:, None],
+                            starts < cuts[:, None]) * 1.0, starts
 
         return _cached(self._cache, ("runs", hclass), build)
 
     def class_matrix(self, hclass: HypothesisClass) -> np.ndarray:
-        """Label-0 node losses (the 0/1 predictions) merged over runs, one
-        row per classifier, one column per run."""
+        """The 0/1 predictions merged over runs: one row per classifier."""
         return self._runs(hclass)[0]
 
     def _signed_runs(self, hclass: HypothesisClass):
@@ -286,28 +284,50 @@ class DeconvolutionBackend:
         return _cached(self._cache, ("signed", hclass), build)
 
     def scan(self, hclass: HypothesisClass, features: np.ndarray) -> np.ndarray:
-        """Each classifier's label-0 risk term: its run losses times the
-        node features summed per run."""
+        """The class matrix against the node features summed per run."""
         matrix, starts = self._runs(hclass)
         return matrix @ np.add.reduceat(features, starts)
 
-    def _tables(self, hclass: HypothesisClass, label: int) -> np.ndarray:
-        """Regularized losses on the lattice nodes, one row per classifier."""
-        def build():  # row by row; no class matrix, so diagnostics do not also hold one
-            lattice = self.lattice
-            return np.vstack([
-                lattice.convolve(self._weights * loss_values(clf, self.loss, label, lattice.nodes))
-                for clf in hclass])
+    def _tables(self, hclass: HypothesisClass) -> np.ndarray:
+        """Regularized losses on the nodes: row j for the loss 1{x > t_j} and
+        a last row for the loss 1, zero outside the window. The loss 1 on
+        nodes lo .. hi gives h (CK[i - lo + P] - CK[i - hi + P - 1]) at node
+        i, less h/2 times the kernel at each lattice end node in lo .. hi;
+        CK[u] sums the kernel's first u offsets. Row j runs from s_j."""
+        def build():
+            p, h = len(self.lattice.nodes), self.lattice.spacing
+            kernel = self.lattice.kernel.values[0]
+            first, last = np.flatnonzero(self._weights)[[0, -1]]  # the window's end nodes
+            lo = np.clip(np.r_[self._cuts(hclass), first], first, last + 1)
+            ck = sliding_window_view(np.r_[0.0, np.cumsum(kernel)], p)  # ck[k] = CK[k: k + P]
+            tables = ck[p - lo]
+            tables -= ck[p - 1 - last]
+            tables *= h
+            if first == 0:
+                tables[lo == 0] -= h / 2 * kernel[p - 1:]
+            if last == p - 1:
+                tables[lo <= last] -= h / 2 * kernel[:p]
+            return tables
 
-        return _cached(self._cache, ("tables", hclass, label), build)
+        return _cached(self._cache, ("tables", hclass), build)
 
     def losses(self, hclass: HypothesisClass, label: int, z: np.ndarray) -> np.ndarray:
         """Regularized losses at the points z (clamped to the lattice, with a
-        logged count), one row per classifier."""
+        logged count), one row per classifier: ``_tables`` interpolated
+        linearly, with each point's cell found once. A row of orientation -1
+        for label 0, or +1 for label 1, is the loss 1's minus its table's."""
         z = np.asarray(z, dtype=float)
         nodes = self.lattice.nodes
         _log_clamped(z, nodes[0], nodes[-1])
-        return np.vstack([np.interp(z, nodes, row) for row in self._tables(hclass, label)])
+        z = np.clip(z, nodes[0], nodes[-1])
+        cell = _cells(z, nodes, self.lattice.spacing)
+        tables = self._tables(hclass)
+        out, step = tables[:, cell], tables[:, cell + 1]
+        step -= out
+        step *= (z - nodes[cell]) / (nodes[cell + 1] - nodes[cell])
+        out += step
+        flip = (_thresholds(hclass)[1] == 1) == (label == 1)
+        return np.subtract(out[-1], out[:-1], out=out[:-1], where=flip[:, None])
 
 
 @dataclass(frozen=True)
@@ -372,10 +392,11 @@ class SvdBackend:
         return p0 - p1, float(self._ones @ p1)
 
     def class_matrix(self, hclass: HypothesisClass) -> np.ndarray:
-        """Label-0 spectral loss coefficients, one row per classifier."""
-        return _cached(self._cache, ("matrix", hclass), lambda: np.vstack(
-            [svd_loss_coefficients(clf, self.loss, self.operator, self.cutoff, self.grid, 0)
-             for clf in hclass]))
+        """Label-0 spectral loss coefficients, one row per classifier: the
+        basis integrals over the part of the domain where its loss is 1."""
+        return _cached(self._cache, ("matrix", hclass), lambda: basis_integrals(
+            *_loss_interval(*_thresholds(hclass), 0, self.grid.lower, self.grid.upper),
+            self.cutoff))
 
     def losses(self, hclass: HypothesisClass, label: int, z: np.ndarray) -> np.ndarray:
         """Regularized losses at the points z, one row per classifier."""

@@ -24,7 +24,6 @@ __all__ = [
     "Scenario",
     "loss_eval",
     "loss_values",
-    "hard_loss_pieces",
     "true_risk",
     "bayes_in_class",
     "make_margin_scenario",
@@ -71,15 +70,19 @@ def loss_eval(loss: LossSpec, prediction, label: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ThresholdClassifier:
-    """Predict 1 on one side of a threshold (orientation +1: x > threshold)."""
+    """Predict 1 where x > threshold (orientation +1) or x <= threshold (-1)."""
 
     threshold: float
     orientation: int = 1
 
+    def __post_init__(self):
+        if self.orientation not in (1, -1):
+            raise ConfigurationError(f"orientation must be +1 or -1, got {self.orientation!r}")
+
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         above = (x > self.threshold).astype(float)
-        return above if self.orientation >= 0 else 1.0 - above
+        return above if self.orientation == 1 else 1.0 - above
 
 
 @dataclass(frozen=True)
@@ -436,26 +439,6 @@ def make_margin_scenario(alpha: float, contamination, x_star: float = 0.5,
 def loss_values(clf, loss: LossSpec, label: int, x: np.ndarray) -> np.ndarray:
     """Node values of x -> loss(g(x), label)."""
     return loss_eval(loss, clf.predict(x), label)
-
-
-def hard_loss_pieces(clf: ThresholdClassifier, label: int, lo: float, hi: float):
-    """Piecewise-constant representation of |label - g(x)| for a threshold.
-
-    Returns [(a, b, value)] covering [lo, hi]; used for exact basis
-    integrals.
-    """
-    t = clf.threshold
-    right = 1.0 if clf.orientation >= 0 else 0.0
-    left = 1.0 - right
-    pieces = []
-    if t <= lo:
-        pieces.append((lo, hi, right))
-    elif t >= hi:
-        pieces.append((lo, hi, left))
-    else:
-        pieces.append((lo, t, left))
-        pieces.append((t, hi, right))
-    return [(a, b, abs(label - v)) for a, b, v in pieces]
 
 
 def window_mask(x: np.ndarray, window: tuple[float, float]) -> np.ndarray:

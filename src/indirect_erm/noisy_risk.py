@@ -25,7 +25,7 @@ from numpy.fft import irfft, rfft
 
 from .errors import ConfigurationError, DataError
 from .grid import Grid, padded_axis
-from .hypotheses import LossSpec, Scenario, hard_loss_pieces, loss_values, window_mask
+from .hypotheses import LossSpec, Scenario, loss_values, window_mask
 from .kernels import (
     NoiseModel,
     TabulatedKernel,
@@ -126,7 +126,7 @@ class ObservationLattice:
     convolution against a node function leaves the 'valid' outputs free of
     wraparound (at least 2P - 1 for P nodes); it is computed on first use
     and cached on the lattice, so every ``convolve`` with the kernel
-    (class tables, plug-in densities) reuses it.
+    (plug-in densities, reference tables) reuses it.
     """
 
     domain: Grid
@@ -282,29 +282,30 @@ def modified_loss_deconv(clf, loss: LossSpec, lattice: ObservationLattice,
 
 def svd_loss_coefficients(clf, loss: LossSpec, op: SpectralOperator, cutoff: int,
                           grid: Grid, label: int) -> np.ndarray:
-    """Basis coefficients c_k = integral of phi_k(x) loss(g(x), label) over the domain.
-
-    The loss is constant on each piece of ``hard_loss_pieces``, so every
-    piece integrates in closed form.
-    """
+    """Basis coefficients c_k = integral of phi_k(x) loss(g(x), label) over the
+    domain: the basis integrals over the interval where the loss is 1."""
     if cutoff > op.k_max:
         raise ConfigurationError(f"cutoff {cutoff} exceeds k_max {op.k_max}")
-    coeffs = np.zeros(cutoff + 1)
-    for a, b, value in hard_loss_pieces(clf, label, grid.lower, grid.upper):
-        if value == 0.0 or b <= a:
-            continue
-        coeffs += value * basis_integrals(a, b, cutoff)
-    return coeffs
+    return basis_integrals(*_loss_interval(clf.threshold, clf.orientation, label,
+                                           grid.lower, grid.upper), cutoff)
 
 
-def basis_integrals(a: float, b: float, cutoff: int) -> np.ndarray:
-    """The integrals of phi_0 .. phi_cutoff over [a, b], from their
-    antiderivatives: x for k = 0, sqrt(2) sin(pi k x)/(pi k) else."""
+def _loss_interval(threshold, orientation, label: int, lo: float, hi: float):
+    """The interval [a, b] of [lo, hi] on which a threshold classifier's hard
+    loss for ``label`` is 1, elementwise over arrays: right of the threshold
+    for orientation +1 and label 0 or -1 and 1, else left; maybe empty."""
+    t = np.clip(threshold, lo, hi)
+    right = (np.asarray(orientation) == 1) == (label == 0)
+    return np.where(right, t, lo), np.where(right, hi, t)
+
+
+def basis_integrals(a, b, cutoff: int) -> np.ndarray:
+    """The integrals of phi_0 .. phi_cutoff over [a, b], one row per interval
+    for bounds of one shape: x for k = 0, sqrt(2) sin(pi k x)/(pi k) else."""
+    a, b = (np.asarray(v, dtype=float)[..., None] for v in (a, b))
     kk = np.arange(1, cutoff + 1, dtype=float)
-    seg = np.empty(cutoff + 1)
-    seg[0] = b - a
-    seg[1:] = np.sqrt(2.0) * (np.sin(np.pi * kk * b) - np.sin(np.pi * kk * a)) / (np.pi * kk)
-    return seg
+    sines = np.sqrt(2.0) * (np.sin(np.pi * kk * b) - np.sin(np.pi * kk * a)) / (np.pi * kk)
+    return np.concatenate([b - a, sines], axis=-1)
 
 
 def modified_loss_svd(clf, loss: LossSpec, op: SpectralOperator, cutoff: int,

@@ -65,11 +65,40 @@ def reference_plug_in_features(z, backend):
     return w * plug_in_density(z, lattice)
 
 
+def reference_runs(hclass, loss, nodes):
+    """The label-0 class matrix and its run starts, found by evaluating
+    every classifier's loss on every node: a run starts at node 0 and
+    wherever some classifier's loss changes."""
+    change = np.zeros(len(nodes), dtype=bool)
+    change[0] = True
+    for clf in hclass:
+        row = loss_values(clf, loss, 0, nodes)
+        change[1:] |= row[1:] != row[:-1]
+    starts = np.flatnonzero(change)
+    return np.vstack([loss_values(clf, loss, 0, nodes[starts]) for clf in hclass]), starts
+
+
+def reference_loss_coefficients(clf, label, lo, hi, cutoff):
+    """Basis coefficients of one threshold classifier's label loss over
+    [lo, hi]: the loss on each side of the threshold (read off a prediction
+    there) times the basis integrals over that side, sqrt(2) sin(pi k x)
+    / (pi k) between its ends (x itself for k = 0)."""
+    t = min(max(clf.threshold, lo), hi)
+    k = np.arange(1, cutoff + 1, dtype=float)
+
+    def integrals(a, b):
+        return np.r_[b - a, np.sqrt(2.0) * (np.sin(np.pi * k * b) - np.sin(np.pi * k * a))
+                     / (np.pi * k)]
+
+    left, right = np.abs(label - clf.predict(np.array([lo, hi])))
+    return left * integrals(lo, t) + right * integrals(t, hi)
+
+
 def reference_empirical_risks(hclass, sample, backend):
     """Kernel-backend empirical risks in the per-label order: for each label
-    present, its full-lattice plug-in features summed over the backend's
-    runs and paired with that label's run losses, weighted by n_y / n. The
-    label-1 run losses are 1 - M_0, exact for 0/1 entries.
+    present, its full-lattice plug-in features summed over the runs of
+    ``reference_runs`` and paired with that label's run losses, weighted by
+    n_y / n. The label-1 run losses are 1 - M_0, exact for 0/1 entries.
 
     Also returns the scale of the summed terms, (|M_0| + |M_1|) @ |features|
     with each label's features weighted by n_y / n. Under the hard loss the
@@ -78,7 +107,7 @@ def reference_empirical_risks(hclass, sample, backend):
     classifier; a classifier whose own label-1 row is zero where the draws
     lie still gets its risk as a difference of terms of this size.
     """
-    matrix, starts = backend._runs(hclass)
+    matrix, starts = reference_runs(hclass, backend.loss, backend.lattice.nodes)
     risks = np.zeros(len(hclass))
     scale = 0.0
     for label in np.unique(sample.y):

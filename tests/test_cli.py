@@ -251,6 +251,7 @@ def fit_bandwidth_config(out):
     (fit_bandwidth_config, None, "n"),
     (rates_config, None, "n_grid"),
     (diagnose_config, "diagnose", "mc_n"),
+    (diagnose_config, "diagnose", "pair_count"),
 ])
 def test_sample_sizes_below_one_exit_two(tmp_path, make, block, key, value):
     # rejected when read: no traceback, no exit 3 mid-run, no output directory
@@ -411,7 +412,6 @@ def test_diagnose_command_svd(tmp_path):
 
 
 @pytest.mark.parametrize("block, key, value", [
-    ("diagnose", "pair_count", 0),
     ("hypotheses", "count", 1),
 ])
 def test_diagnose_without_pairs_exits_three(tmp_path, block, key, value):

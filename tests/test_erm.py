@@ -45,7 +45,9 @@ from oracles import (
     naive_minimize_index,
     reference_basis,
     reference_empirical_risks,
+    reference_loss_coefficients,
     reference_plug_in_features,
+    reference_runs,
 )
 
 
@@ -165,8 +167,9 @@ def test_class_matrix_cache_keyed_by_value(grid, hard_loss):
 
 
 def test_backend_losses_match_per_classifier_tables(grid, hard_loss):
-    # the class-wide losses are the reference tables' lookups: bit for bit on
-    # the lattice, to rounding for the spectral expansion
+    # the class-wide losses are the reference tables' lookups, to rounding:
+    # closed-form tables and a gather on the lattice, the exact expansion
+    # for the spectral backend
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     op = SpectralOperator(decay=1.0, k_max=64)
     hclass = threshold_grid(9, grid)
@@ -177,9 +180,57 @@ def test_backend_losses_match_per_classifier_tables(grid, hard_loss):
     for label in (0, 1):
         ref = [modified_loss_deconv(c, hard_loss, lattice, window=window).evaluate(z, label)
                for c in hclass]
-        assert np.array_equal(deconv.losses(hclass, label, z), np.vstack(ref))
+        assert np.abs(deconv.losses(hclass, label, z) - np.vstack(ref)).max() < 1e-12
         ref = [modified_loss_svd(c, hard_loss, op, 8, grid).evaluate(z, label) for c in hclass]
         assert np.abs(svd.losses(hclass, label, z) - np.vstack(ref)).max() < 1e-12
+
+
+def _edge_class(nodes, grid, orientation):
+    """Thresholds on a grid, left and right of the lattice, on a node, and
+    two in one cell."""
+    t, h = snap_to_cell_midpoint(0.5, grid), grid.spacing
+    ts = [*(c.threshold for c in threshold_grid(9, grid)), nodes[0] - 0.5, nodes[-1] + 0.5,
+          nodes[len(nodes) // 3], t - h / 4, t + h / 4]
+    return HypothesisClass(tuple(ThresholdClassifier(v, orientation) for v in ts))
+
+
+@pytest.mark.parametrize("noise", [laplace_noise(2.0), dirac_noise()], ids=["laplace", "dirac"])
+@pytest.mark.parametrize("bandwidth", [0.05, 0.1, 0.25, 0.5])
+def test_closed_form_tables_match_convolution_tables(grid, hard_loss, noise, bandwidth):
+    # each regularized loss, a difference of two values of the kernel's
+    # cumulative sum, against the per-classifier FFT tables: at every node
+    # and at points clamped to both lattice ends
+    lattice = build_lattice(grid, noise, bandwidth)
+    nodes = lattice.nodes
+    z = np.r_[nodes, nodes[0] - 1.0, nodes[-1] + 2.0,
+              np.random.default_rng(6).uniform(nodes[0], nodes[-1], 200)]
+    for window in (None, (0.1, 0.9)):
+        for orientation in (1, -1):
+            hclass = _edge_class(nodes, grid, orientation)
+            backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss, window=window)
+            tables = [modified_loss_deconv(c, hard_loss, lattice, window=window) for c in hclass]
+            for label in (0, 1):
+                want = np.vstack([t.evaluate(z, label) for t in tables])
+                got = backend.losses(hclass, label, z)
+                assert np.abs(got - want).max() <= 2e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_closed_form_class_matrices_match_loss_loops(grid, hard_loss, orientation):
+    # exactly: the risks, and so every fit, do not move
+    lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
+    hclass = _edge_class(lattice.nodes, grid, orientation)
+    matrix, starts = reference_runs(hclass, hard_loss, lattice.nodes)
+    for window in (None, (0.1, 0.9)):
+        runs = DeconvolutionBackend(lattice=lattice, loss=hard_loss, window=window)._runs(hclass)
+        assert np.array_equal(runs[0], matrix) and np.array_equal(runs[1], starts)
+    hclass = HypothesisClass(tuple(ThresholdClassifier(t, orientation)
+                                   for t in (-0.5, 0.0, 0.3, 0.5, 1.0, 1.5)))
+    op = SpectralOperator(decay=1.0, k_max=64)
+    for cutoff in (1, 8, 64):
+        backend = SvdBackend(operator=op, cutoff=cutoff, grid=grid, loss=hard_loss)
+        want = [reference_loss_coefficients(c, 0, grid.lower, grid.upper, cutoff) for c in hclass]
+        assert np.array_equal(backend.class_matrix(hclass), np.vstack(want))
 
 
 def test_backend_expected_risks_match_reference_quadrature(grid, hard_loss):
@@ -206,32 +257,43 @@ def test_backend_expected_risks_match_reference_quadrature(grid, hard_loss):
 
 
 def test_risks_request_label_zero_losses_only(grid, hard_loss, monkeypatch):
-    # every risk is the label-0 class matrix against a signed statistic: no
-    # risk builds label-1 losses or coefficients
-    from indirect_erm import erm
+    # stricter than label 0 only: both backends build their class matrices
+    # and tables from the thresholds alone, so no classifier is evaluated on
+    # the nodes for either label, and a fresh kernel backend's losses take
+    # no FFT
     from indirect_erm.diagnostics import empirical_bias_deconv
 
-    labels = []
-    for name, position in (("loss_values", 2), ("svd_loss_coefficients", 5)):
-        def recorded(*args, _position=position, _original=getattr(erm, name)):
-            labels.append(args[_position])
-            return _original(*args)
+    def refused(*args):
+        raise AssertionError("a classifier was evaluated")
 
-        monkeypatch.setattr(erm, name, recorded)
+    transforms = []
+
+    def counted(*args, _original=noisy_risk.rfft):
+        transforms.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(ThresholdClassifier, "predict", refused)
+    monkeypatch.setattr(noisy_risk, "rfft", counted)
     hclass = threshold_grid(9, grid)
     noise, op = laplace_noise(2.0), SpectralOperator(decay=1.0, k_max=64)
     sc, svd_sc = make_margin_scenario(1, noise, grid=grid), make_margin_scenario(1, op, grid=grid)
     lattice = build_lattice(grid, noise, 0.25)
+    z = np.random.default_rng(3).uniform(-0.5, 1.5, 300)
     for window in (None, (0.2, 0.7)):
         deconv = DeconvolutionBackend(lattice=lattice, loss=hard_loss, window=window)
+        for label in (0, 1):
+            deconv.losses(hclass, label, z)
+        assert transforms == []
         sample = generate_sample(sc, 200, np.random.default_rng(1))
         empirical_risks(hclass, sample, deconv)
         expected_risks(hclass, sc, deconv)
+        transforms.clear()
     empirical_bias_deconv(sc, DeconvolutionBackend(lattice=lattice, loss=hard_loss), hclass, 4)
     svd = SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss)
     empirical_risks(hclass, generate_sample(svd_sc, 200, np.random.default_rng(2)), svd)
     expected_risks(hclass, svd_sc, SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss))
-    assert labels and set(labels) == {0}
+    for label in (0, 1):
+        SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss).losses(hclass, label, z)
 
 
 def test_svd_backend_rejects_cutoff_outside_range(grid, hard_loss):
