@@ -25,7 +25,7 @@ import numpy as np
 from .erm import BIAS_VARIANTS, DeconvolutionBackend, SvdBackend, empirical_risks, expected_risks
 from .errors import ConfigurationError, DataError
 from .grid import Grid
-from .hypotheses import HypothesisClass, LossSpec, Scenario, loss_values, true_risk
+from .hypotheses import HypothesisClass, LossSpec, Scenario, _cuts, true_risks
 from .kernels import kernel_fourier_l2
 from .noisy_risk import base_smoothed_density, zero_extended_density
 
@@ -129,14 +129,24 @@ def fit_rate_slope(points) -> tuple[float, float]:
 # measured structural constants
 # ---------------------------------------------------------------------------
 
-def _loss_distance_sq(scenario: Scenario, loss: LossSpec, clf_a, clf_b) -> float:
-    """Squared L2(nu_y) distance of two classifiers' raw losses (Lebesgue x priors)."""
-    x, w = scenario.domain.axis(), scenario.domain.weights()
-    total = 0.0
-    for label in scenario.labels:
-        diff = loss_values(clf_a, loss, label, x) - loss_values(clf_b, loss, label, x)
-        total += scenario.priors[label] * float(np.dot(w, diff * diff))
-    return total
+def _weights_at_cuts(hclass: HypothesisClass, grid: Grid):
+    """The domain weight left of each cut (``_cuts``): h (s - 1/2) clipped to
+    [0, P - 1] at node s, exact where a running sum drifts by up to 4e-14
+    at 2048 nodes. Also the total weight and the orientations."""
+    cuts, orientations = _cuts(hclass, grid.axis())
+    total = grid.points_per_dim - 1.0
+    return grid.spacing * np.clip(cuts - 0.5, 0.0, total), grid.spacing * total, orientations
+
+
+def _loss_distance_sq(scenario: Scenario, hclass: HypothesisClass, a, b) -> np.ndarray:
+    """Squared L2(nu_y) distances (Lebesgue x priors) of the raw losses of
+    classifiers a[k] and b[k], for index arrays a and b: the label-1 losses
+    differ where the label-0 losses do, that is between the two cuts for
+    equal orientations and outside them otherwise."""
+    left, total, orientations = _weights_at_cuts(hclass, scenario.domain)
+    between = np.abs(left[a] - left[b])
+    same = orientations[a] == orientations[b]
+    return sum(scenario.priors) * np.where(same, between, total - between)
 
 
 def empirical_lipschitz(scenario: Scenario, backend, hclass: HypothesisClass, pairs,
@@ -145,41 +155,36 @@ def empirical_lipschitz(scenario: Scenario, backend, hclass: HypothesisClass, pa
 
     For each pair (i, j) of class indices: the Monte-Carlo L2 norm of the
     difference of the backend's regularized losses under the contaminated
-    law, divided by the quadrature L2 norm of the raw loss difference (with
-    the backend's loss) under nu_y. Degenerate pairs are skipped; a
-    ``DataError`` is raised when none is left.
+    law, divided by the quadrature L2 norm of the raw loss difference under
+    nu_y. Degenerate pairs are skipped; a ``DataError`` is raised when none
+    is left.
     """
     from .simulation import generate_sample  # a top-level import would be circular
 
-    kept = []  # (i, j, raw loss distance)
-    for i, j in pairs:
-        denom = math.sqrt(max(_loss_distance_sq(scenario, backend.loss, hclass[i], hclass[j]),
-                              0.0))
-        if denom <= 1e-8:
-            logger.info("skipping a degenerate classifier pair (zero loss distance)")
-        else:
-            kept.append((i, j, denom))
-    if not kept:
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+    denom = np.sqrt(_loss_distance_sq(scenario, hclass, i, j))
+    keep = denom > 1e-8
+    if not keep.all():
+        logger.info("skipping %d degenerate classifier pair(s)", np.count_nonzero(~keep))
+    if not keep.any():
         raise DataError("no classifier pair with a nonzero loss distance to measure")
+    i, j, denom = i[keep], j[keep], denom[keep]
     sample = generate_sample(scenario, mc_n, np.random.default_rng(seed))
-    num_sq = np.zeros(len(kept))
+    num_sq = np.zeros(len(i))
     for label in scenario.labels:
         z_lab = sample.z[sample.y == label]
         if z_lab.size:
             values = backend.losses(hclass, label, z_lab)
-            num_sq += [float(np.sum((values[i] - values[j]) ** 2)) for i, j, _ in kept]
+            num_sq += [float(np.sum((values[a] - values[b]) ** 2)) for a, b in zip(i, j)]
             del values  # one label's loss matrix alive at a time
-    return np.asarray([math.sqrt(s / sample.n) / d for s, (_, _, d) in zip(num_sq, kept)])
+    return np.sqrt(num_sq / sample.n) / denom
 
 
-def _max_loss_l2(hclass: HypothesisClass, loss: LossSpec, grid: Grid) -> float:
-    x, w = grid.axis(), grid.weights()
-    best = 0.0
-    for clf in hclass:
-        for label in (0, 1):
-            lv = loss_values(clf, loss, label, x)
-            best = max(best, math.sqrt(float(np.dot(w, lv * lv))))
-    return best
+def _max_loss_l2(hclass: HypothesisClass, grid: Grid) -> float:
+    """The largest raw-loss L2 norm over the class and both labels: the
+    root of the domain weight left or right of a cut, whichever is larger."""
+    left, total, _ = _weights_at_cuts(hclass, grid)
+    return math.sqrt(max(left.max(), (total - left).max()))
 
 
 def sup_bound_deconv(backend: DeconvolutionBackend, hclass: HypothesisClass) -> float:
@@ -192,7 +197,7 @@ def sup_bound_deconv(backend: DeconvolutionBackend, hclass: HypothesisClass) -> 
     """
     lattice = backend.lattice
     l2 = kernel_fourier_l2(lattice.kernel.base_kind, lattice.noise, lattice.bandwidth)
-    return l2 * _max_loss_l2(hclass, backend.loss, lattice.domain)
+    return l2 * _max_loss_l2(hclass, lattice.domain)
 
 
 def sup_bound_svd(backend: SvdBackend, hclass: HypothesisClass) -> float:
@@ -204,17 +209,17 @@ def sup_bound_svd(backend: SvdBackend, hclass: HypothesisClass) -> float:
     grid = backend.grid
     phi = backend.operator.basis(grid.axis(), backend.cutoff)
     col_norms = np.sqrt(np.sum((backend._inv_b[:, None] * phi) ** 2, axis=0))
-    return float(col_norms.max()) * _max_loss_l2(hclass, backend.loss, grid)
+    return float(col_norms.max()) * _max_loss_l2(hclass, grid)
 
 
 def table_sup(backend, hclass: HypothesisClass) -> float:
     """Raw measured sup of the regularized losses over the class (secondary
-    diagnostic), on the backend's own nodes: the lattice nodes, or the
-    domain axis for the spectral backend."""
-    nodes = (backend.lattice.nodes if isinstance(backend, DeconvolutionBackend)
-             else backend.grid.axis())
-    return max(float(np.max(np.abs(backend.losses(hclass, label, nodes))))
-               for label in (0, 1))
+    diagnostic) on the backend's nodes: every kernel loss is a cached table
+    row or the loss 1's row minus it; spectral losses are taken on the domain."""
+    if isinstance(backend, DeconvolutionBackend):
+        tables = backend._tables(hclass)
+        return float(max(np.abs(tables[:-1]).max(), np.abs(tables[-1] - tables[:-1]).max()))
+    return max(float(np.abs(backend.losses(hclass, y, backend.grid.axis())).max()) for y in (0, 1))
 
 
 def _bias(risks: np.ndarray, reg: np.ndarray, star_index: int, kappa: float,
@@ -264,9 +269,9 @@ def empirical_bias_svd(scenario: Scenario, backend: SvdBackend, hclass: Hypothes
     pairing sum_y p_y sum_(k<=N) c_k(g, y) theta_k^y (``expected_risks``),
     evaluated exactly.
     """
-    risks = np.array([true_risk(c, scenario, backend.loss) for c in hclass])
-    return _bias(risks, expected_risks(hclass, scenario, backend), star_index,
-                 scenario.kappa, bias_variant)
+    return _bias(true_risks(hclass, scenario, backend.loss),
+                 expected_risks(hclass, scenario, backend), star_index, scenario.kappa,
+                 bias_variant)
 
 
 def bernstein_ratio(scenario: Scenario, hclass: HypothesisClass, star_index: int,
@@ -280,18 +285,11 @@ def bernstein_ratio(scenario: Scenario, hclass: HypothesisClass, star_index: int
     kappa = scenario.kappa
     if not kappa > 1.0 or not np.isfinite(kappa):  # also catches nan
         raise ConfigurationError("Bernstein ratio needs a finite kappa > 1")
-    star = hclass[star_index]
-    risk_star = true_risk(star, scenario, loss)
-    best = 0.0
-    for clf in hclass:
-        if clf is star:
-            continue
-        excess = true_risk(clf, scenario, loss) - risk_star
-        if excess <= 1e-8:
-            continue
-        norm_sq = _loss_distance_sq(scenario, loss, clf, star)
-        best = max(best, norm_sq / excess ** (1.0 / scenario.kappa))
-    return best
+    excess = true_risks(hclass, scenario, loss)
+    excess -= excess[star_index]
+    kept = np.flatnonzero(excess > 1e-8)
+    ratios = _loss_distance_sq(scenario, hclass, kept, star_index) / excess[kept] ** (1 / kappa)
+    return float(ratios.max(initial=0.0))
 
 
 def empirical_modulus(scenario: Scenario, backend, hclass: HypothesisClass, delta: float,
@@ -305,12 +303,10 @@ def empirical_modulus(scenario: Scenario, backend, hclass: HypothesisClass, delt
     """
     if delta < 0:
         raise ConfigurationError("delta must be nonnegative")
-    admissible = [
-        (i, j) for i in range(len(hclass)) for j in range(i + 1, len(hclass))
-        if math.sqrt(max(_loss_distance_sq(scenario, backend.loss, hclass[i], hclass[j]),
-                         0.0)) <= delta
-    ]
-    if not admissible:
+    i, j = np.triu_indices(len(hclass), 1)
+    near = np.sqrt(_loss_distance_sq(scenario, hclass, i, j)) <= delta
+    i, j = i[near], j[near]
+    if not i.size:
         logger.warning("no classifier pair within delta=%g; modulus is 0", delta)
         return 0.0
     expected = expected_risks(hclass, scenario, backend)
@@ -320,8 +316,7 @@ def empirical_modulus(scenario: Scenario, backend, hclass: HypothesisClass, delt
     sups = []
     for _ in range(mc_reps):
         emp = empirical_risks(hclass, generate_sample(scenario, n, rng), backend)
-        sups.append(max(abs((emp[i] - emp[j]) - (expected[i] - expected[j]))
-                        for i, j in admissible))
+        sups.append(float(np.max(np.abs((emp[i] - emp[j]) - (expected[i] - expected[j])))))
     return float(np.mean(sups))
 
 
@@ -337,9 +332,7 @@ class DiagnosticsReport:
     sup_bounds: list = field(default_factory=list)     # (smoothing, certificate, raw sup)
     bias: list = field(default_factory=list)           # (smoothing, a-hat)
     bernstein_max: float = float("nan")
-    modulus: list = field(default_factory=list)        # (delta or n, value)
     slopes: dict = field(default_factory=dict)
-    exponents: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -347,9 +340,7 @@ class DiagnosticsReport:
             "sup_bounds": [[[float(s)], c, r] for s, c, r in self.sup_bounds],
             "bias": [[[float(s)], v] for s, v in self.bias],
             "bernstein_max": self.bernstein_max,
-            "modulus": [[float(k), float(v)] for k, v in self.modulus],
             "slopes": self.slopes,
-            "exponents": self.exponents,
         }
 
     def raw_csv(self, path) -> None:
@@ -364,5 +355,3 @@ class DiagnosticsReport:
                 writer.writerow(["sup_bound", repr(float(s)), repr(c), repr(r)])
             for s, v in self.bias:
                 writer.writerow(["bias", repr(float(s)), repr(v), ""])
-            for k, v in self.modulus:
-                writer.writerow(["modulus", repr(float(k)), repr(v), ""])

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
-from .hypotheses import HypothesisClass, LossSpec, Scenario, window_mask
+from .hypotheses import HypothesisClass, LossSpec, Scenario, _cuts, _thresholds, window_mask
 from .noisy_risk import (
     NoisySample,
     ObservationLattice,
@@ -82,13 +82,13 @@ class RateConfig:
     bias_variant: str = "general"
 
     def __post_init__(self):
-        if self.kappa <= 1.0:
+        if not self.kappa > 1.0:  # NaN fails too
             raise ConfigurationError("kappa must exceed 1")
         if not 0.0 < self.rho < 1.0:
             raise ConfigurationError("rho must lie strictly inside (0, 1)")
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise ConfigurationError("gamma must be positive")
-        if self.beta_bar < 0.0:
+        if not self.beta_bar >= 0.0:
             raise ConfigurationError("beta_bar must be nonnegative")
         if self.dim < 1:
             raise ConfigurationError("dim must be at least 1")
@@ -156,11 +156,6 @@ class FitResult:
             "classifier": {"kind": "threshold", "threshold": self.classifier.threshold,
                            "orientation": self.classifier.orientation},
         }
-
-
-def _thresholds(hclass: HypothesisClass) -> np.ndarray:
-    """The thresholds (row 0) and the orientations (row 1, +1 or -1) of a class."""
-    return np.array([(c.threshold, c.orientation) for c in hclass], dtype=float).T
 
 
 def _cached(cache: dict, key: tuple, build):
@@ -240,20 +235,16 @@ class DeconvolutionBackend:
         stat[0] = (q[0] * signed).sum()  # after the last: one run is its own head
         return stat, float((q[2] * label1).sum())
 
-    def _cuts(self, hclass: HypothesisClass) -> np.ndarray:
-        """s_j, the first node right of threshold j (P if none is): the label-0
-        loss is 1 from s_j on for orientation +1, and before s_j for -1."""
-        return np.searchsorted(self.lattice.nodes, _thresholds(hclass)[0], "right")
-
     def _runs(self, hclass: HypothesisClass) -> tuple[np.ndarray, np.ndarray]:
         """The class matrix and the first node of each run of nodes on which
-        no prediction changes: node 0 and every s_j inside the lattice."""
+        no prediction changes: node 0 and every cut s_j (``_cuts``) inside
+        the lattice."""
         def build():
-            cuts = self._cuts(hclass)
+            cuts, orientations = _cuts(hclass, self.lattice.nodes)
             change = np.zeros(len(self.lattice.nodes) + 1, dtype=bool)
             change[np.r_[0, cuts]] = True  # np.unique would add 1.4 MiB to a run's peak RSS
             starts = np.flatnonzero(change[:-1])
-            return np.where(_thresholds(hclass)[1, :, None] == 1, starts >= cuts[:, None],
+            return np.where(orientations[:, None] == 1, starts >= cuts[:, None],
                             starts < cuts[:, None]) * 1.0, starts
 
         return _cached(self._cache, ("runs", hclass), build)
@@ -298,7 +289,7 @@ class DeconvolutionBackend:
             p, h = len(self.lattice.nodes), self.lattice.spacing
             kernel = self.lattice.kernel.values[0]
             first, last = np.flatnonzero(self._weights)[[0, -1]]  # the window's end nodes
-            lo = np.clip(np.r_[self._cuts(hclass), first], first, last + 1)
+            lo = np.clip(np.r_[_cuts(hclass, self.lattice.nodes)[0], first], first, last + 1)
             ck = sliding_window_view(np.r_[0.0, np.cumsum(kernel)], p)  # ck[k] = CK[k: k + P]
             tables = ck[p - lo]
             tables -= ck[p - 1 - last]

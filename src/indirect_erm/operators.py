@@ -50,6 +50,8 @@ class SpectralOperator:
             raise ConfigurationError("operator decay must be nonnegative")
         if self.k_max < 1:
             raise ConfigurationError("k_max must be at least 1")
+        if not np.all(self.singular_values >= np.finfo(float).tiny):  # NaN fails too
+            raise ConfigurationError(f"decay {self.decay} makes a b_k up to k_max zero or NaN")
 
     @property
     def singular_values(self) -> np.ndarray:

@@ -17,7 +17,9 @@ def _is(value, typ) -> bool:
         return isinstance(value, list) and all(_is(v, typ[0]) for v in value)
     if isinstance(value, bool):  # JSON true/false is neither a number nor a count
         return False
-    return isinstance(value, (int, float) if typ is float else typ)
+    if typ is float:  # JSON parsing lets NaN, infinities and ints past the largest float through
+        return isinstance(value, (int, float)) and abs(value) <= 1.7976931348623157e308
+    return isinstance(value, typ)
 
 
 def _as(value, typ):
@@ -51,7 +53,8 @@ class ConfigReader:
             return default
         value = self._doc[key]
         if not _is(value, typ):
-            raise ConfigurationError(f"config key {self._path(key)!r} has wrong type: {value!r}")
+            raise ConfigurationError(
+                f"config key {self._path(key)!r} has wrong type or is not finite: {value!r}")
         if allowed is not None and value not in allowed:
             raise ConfigurationError(
                 f"config key {self._path(key)!r} is {value!r}, not one of {allowed}")

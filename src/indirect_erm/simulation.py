@@ -31,7 +31,7 @@ from .hypotheses import (
     LossSpec,
     Scenario,
     threshold_grid,
-    true_risk,
+    true_risks,
     window_mask,
 )
 from .kernels import NoiseModel
@@ -210,8 +210,7 @@ class _PlanContext:
 
 def _plan_context(plan: ExperimentPlan) -> _PlanContext:
     hclass = plan.hypothesis_class()
-    risks = np.array([true_risk(c, plan.scenario, plan.loss, window=plan.window)
-                      for c in hclass])
+    risks = true_risks(hclass, plan.scenario, plan.loss, window=plan.window)
     star = int(np.argmin(risks))
     return _PlanContext(hclass=hclass, risks=risks, star_index=star)
 

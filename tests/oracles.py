@@ -7,7 +7,7 @@ summation) and shares no code path with the package internals it checks.
 import numpy as np
 
 from indirect_erm.grid import trapezoid_weights
-from indirect_erm.hypotheses import loss_values, window_mask
+from indirect_erm.hypotheses import HypothesisClass, ThresholdClassifier, loss_values, window_mask
 from indirect_erm.noisy_risk import plug_in_density
 
 
@@ -63,6 +63,40 @@ def reference_plug_in_features(z, backend):
     if backend.window is not None:
         w = np.where(window_mask(lattice.nodes, backend.window), w, 0.0)
     return w * plug_in_density(z, lattice)
+
+
+def mixed_threshold_class(grid):
+    """Both orientations at thresholds left of, right of and across the
+    domain: on nodes, at the end nodes and inside cells."""
+    x = grid.axis()
+    thresholds = [*np.linspace(grid.lower - 0.2, grid.upper + 0.2, 23),
+                  x[0], x[100], x[-1], 0.5 * (x[3] + x[4]), grid.lower - 5.0, grid.upper + 5.0]
+    return HypothesisClass(tuple(ThresholdClassifier(float(t), o)
+                                 for t in thresholds for o in (1, -1)))
+
+
+def _domain_weights(scenario, window=None):
+    x, w = scenario.domain.axis(), scenario.domain.weights()
+    if window is not None:
+        w = np.where(window_mask(x, window), w, 0.0)
+    return x, w
+
+
+def reference_true_risk(clf, scenario, loss, window=None):
+    """One classifier's risk by trapezoid quadrature of each label's loss,
+    evaluated on every domain node, against its density and prior."""
+    x, w = _domain_weights(scenario, window)
+    return sum(scenario.priors[y] * float(np.dot(w, loss_values(clf, loss, y, x)
+                                                 * scenario.density(y, x))) for y in (0, 1))
+
+
+def reference_loss_distance_sq(scenario, loss, clf_a, clf_b):
+    """Squared L2(nu_y) distance of two classifiers' raw losses: each label's
+    loss difference squared on every domain node, weighted by its prior."""
+    x, w = _domain_weights(scenario)
+    return sum(scenario.priors[y] * float(np.dot(w, (loss_values(clf_a, loss, y, x)
+                                                     - loss_values(clf_b, loss, y, x)) ** 2))
+               for y in (0, 1))
 
 
 def reference_runs(hclass, loss, nodes):
@@ -203,10 +237,9 @@ def naive_bias_svd(scenario, op, cutoff, hclass, star_index, loss,
     """Approximation function of the spectral route: exact risks against the
     pairing of each classifier's loss coefficients with the density's
     cosine coefficients, one classifier at a time."""
-    from indirect_erm.hypotheses import true_risk
     from indirect_erm.noisy_risk import svd_loss_coefficients
 
-    risks = np.array([true_risk(c, scenario, loss) for c in hclass])
+    risks = np.array([reference_true_risk(c, scenario, loss) for c in hclass])
     reg = np.array([
         sum(scenario.priors[y] * float(np.dot(
             svd_loss_coefficients(c, loss, op, cutoff, scenario.domain, y),

@@ -3,16 +3,24 @@ by name: it imports public names and wraps module attributes. A rename in
 ``src`` would break ``--trace 1`` or leave its spans empty without any test
 of the package noticing, so these tests read the tracer's source and check
 that every name it uses exists and that the ``cli`` hooks of a diagnose run
-are still called."""
+are still called. The tracer's rate replay also scores each trial with
+the one-classifier ``true_risk`` and requires its rows to equal the
+untraced run's, so that risk must equal the plan's risk vector exactly."""
 
 import ast
 import importlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
-from indirect_erm import cli
+import pytest
 
-CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+from indirect_erm import cli, true_risk
+from indirect_erm.reader import ConfigReader
+from indirect_erm.simulation import _plan_context
+
+ROOT = Path(__file__).resolve().parents[1]
+CHILD = ROOT / "perfbench" / "child.py"
 
 # the cli attributes a traced diagnose run wraps and expects to be called
 DIAGNOSE_HOOKS = ("bayes_in_class", "empirical_lipschitz", "sup_bound_deconv",
@@ -70,3 +78,14 @@ def test_diagnose_calls_every_traced_cli_hook(tmp_path, monkeypatch):
     assert cli.run(str(config), out_dir=str(tmp_path / "out"), threads=1) == 0
     assert all(calls[name] >= 1 for name in DIAGNOSE_HOOKS), calls
 
+
+@pytest.mark.parametrize("preset, window", [("laplace-linear", None), ("dirac-linear", None),
+                                            ("svd-linear", None), ("laplace-linear", (0.2, 0.7))])
+def test_one_classifier_risk_equals_plan_risks_exactly(preset, window):
+    plan = cli._read_plan(ConfigReader(json.loads((ROOT / "presets" / f"{preset}.json")
+                                                  .read_text())))
+    if window is not None:
+        plan = replace(plan, backend="restricted", window=window)
+    ctx = _plan_context(plan)
+    assert [true_risk(c, plan.scenario, plan.loss, plan.window)
+            for c in ctx.hclass] == ctx.risks.tolist()

@@ -279,6 +279,45 @@ def test_bad_pad_factor_exits_two(tmp_path, make, value):
     assert not out.exists()
 
 
+def full_form_rates_config(out):
+    doc = rates_config(out)
+    doc["scenario"] = {"priors": [0.5, 0.5], "densities": "linear", "alpha": 1.0, "gamma": 1.0,
+                       "contamination": {"kind": "laplace", "beta": 2}, "grid": {"points": 256}}
+    return doc
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make, path, value", [
+    *[(rates_config, f"rate_config.{key}", v) for key in ("kappa", "gamma", "beta_bar")
+      for v in (NAN, INF)],
+    *[(full_form_rates_config, f"scenario.{key}", v) for key in ("alpha", "gamma")
+      for v in (NAN, INF)],
+    (full_form_rates_config, "scenario.priors", [NAN, NAN]),
+    (exponent_config, "rate_config.kappa", NAN),
+    (exponent_config, "rate_config.kappa", 10 ** 400),  # float() of it used to raise
+    (svd_fit_config, "scenario.contamination.beta", INF),
+    (svd_fit_config, "scenario.contamination.beta", NAN),
+    (svd_fit_config, "scenario.contamination.beta", 200.0),  # b_64 underflows to 0
+    (fit_config, "scenario.grid.upper", INF),
+])
+def test_non_finite_config_numbers_exit_two(tmp_path, make, path, value):
+    # each used to run to the end with NaN results, or exit 3 mid-run, or be
+    # rejected for another reason
+    out = tmp_path / "artifacts"
+    doc = make(str(out))
+    *parents, key = path.split(".")
+    block = doc
+    for name in parents:
+        block = block[name]
+    block[key] = value
+    with pytest.raises(ConfigurationError, match="finite|b_k"):
+        validate_config(doc)
+    assert run(write_config(tmp_path, doc), threads=1) == 2
+    assert not out.exists()
+
+
 def test_negative_seed_override_exits_two(tmp_path):
     out = tmp_path / "artifacts"
     assert run(write_config(tmp_path, rates_config(str(out))), seed=-1, threads=1) == 2

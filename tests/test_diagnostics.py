@@ -14,6 +14,8 @@ from indirect_erm import (
     threshold_grid,
 )
 from indirect_erm.diagnostics import (
+    _loss_distance_sq,
+    _max_loss_l2,
     bernstein_ratio,
     empirical_bias_deconv,
     empirical_bias_svd,
@@ -32,13 +34,20 @@ from indirect_erm.hypotheses import (
     _TENT_CROSSING,
     Scenario,
     bayes_in_class,
+    loss_values,
     snap_to_cell_midpoint,
     structural_pair_priors,
 )
 from indirect_erm.noisy_risk import modified_loss_deconv, modified_loss_svd
 from indirect_erm.simulation import generate_sample
 
-from oracles import naive_bias_deconv, naive_bias_svd
+from oracles import (
+    mixed_threshold_class,
+    naive_bias_deconv,
+    naive_bias_svd,
+    reference_loss_distance_sq,
+    reference_true_risk,
+)
 
 
 def cfg(**kw):
@@ -198,15 +207,43 @@ def test_loss_distances_use_the_backend_loss(grid, hard_loss):
     assert empirical_modulus(sc, backend, hclass, 1.01 * closest, 400, 4, seed=3) > 0.0
 
 
+def test_loss_distances_match_reference_quadrature(grid, hard_loss):
+    # priors summing to 1 - 1e-10: each distance carries p0 + p1, not 1
+    sc = Scenario(priors=(0.3, 0.7 - 1e-10), densities="linear", contamination=dirac_noise(),
+                  domain=grid)
+    hclass = mixed_threshold_class(grid)
+    i, j = np.triu_indices(len(hclass), 1)
+    ref = [reference_loss_distance_sq(sc, hard_loss, hclass[a], hclass[b]) for a, b in zip(i, j)]
+    assert np.abs(_loss_distance_sq(sc, hclass, i, j) - ref).max() <= 1e-15
+    x, w = grid.axis(), grid.weights()
+    for cls in (hclass, HypothesisClass(tuple(c for c in hclass if 0.0 < c.threshold < 0.9))):
+        norms = [np.dot(w, loss_values(c, hard_loss, y, x)) for c in cls for y in (0, 1)]
+        assert abs(_max_loss_l2(cls, grid) - np.sqrt(max(norms))) <= 1e-15
+
+
+def test_bernstein_ratio_matches_per_classifier_loop(grid, hard_loss):
+    sc = make_margin_scenario(1, dirac_noise(), x_star=0.3, grid=grid)
+    hclass = mixed_threshold_class(grid)
+    star, _, _ = bayes_in_class(hclass, sc, hard_loss)
+    risks = [reference_true_risk(c, sc, hard_loss) for c in hclass]
+    ref = max(reference_loss_distance_sq(sc, hard_loss, c, hclass[star])
+              / (r - risks[star]) ** (1.0 / sc.kappa)
+              for c, r in zip(hclass, risks) if r - risks[star] > 1e-8)
+    assert bernstein_ratio(sc, hclass, star, hard_loss) == pytest.approx(ref, rel=1e-12)
+
+
 def test_table_sup_matches_reference_tables(grid, hard_loss):
     def sup(tables):
         return max(np.abs(v).max() for t in tables for v in t.values.values())
 
     hclass = threshold_grid(9, grid)
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
-    ref = sup(modified_loss_deconv(c, hard_loss, lattice) for c in hclass)
-    assert table_sup(DeconvolutionBackend(lattice=lattice, loss=hard_loss),
-                     hclass) == pytest.approx(ref, rel=1e-12)
+    # here the largest loss is the loss 1's row minus a table row (3.38 against 3.15)
+    left = HypothesisClass(tuple(ThresholdClassifier(t) for t in (0.05, 0.1)))
+    for cls in (hclass, left):
+        ref = sup(modified_loss_deconv(c, hard_loss, lattice) for c in cls)
+        assert table_sup(DeconvolutionBackend(lattice=lattice, loss=hard_loss),
+                         cls) == pytest.approx(ref, rel=1e-12)
     op = SpectralOperator(decay=1.0, k_max=64)
     ref = sup(modified_loss_svd(c, hard_loss, op, 8, grid) for c in hclass)
     svd = SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss)

@@ -19,10 +19,16 @@ from indirect_erm import (
     threshold_grid,
     true_risk,
 )
-from indirect_erm.hypotheses import _beta_4, loss_values, snap_to_cell_midpoint
+from indirect_erm.hypotheses import _beta_4, loss_values, snap_to_cell_midpoint, true_risks
 from indirect_erm.simulation import generate_sample
 
-from oracles import linear_threshold_risk, smooth_threshold_risk
+from oracles import (
+    linear_threshold_risk,
+    mixed_threshold_class,
+    reference_basis,
+    reference_true_risk,
+    smooth_threshold_risk,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +249,45 @@ def test_scenario_json_reads_density_params_per_family(grid):
                               ("uniform", {"sharpness": 1.0}), ("smooth", {"sharpness": "2"})):
         with pytest.raises(ConfigurationError):
             Scenario.from_json(dict(doc, densities=densities, density_params=params))
+
+
+@pytest.mark.parametrize("window", [None, (0.2, 0.7)])
+@pytest.mark.parametrize("family", ["linear", "smooth", "tent_pair"])
+def test_true_risks_match_reference_quadrature(grid, hard_loss, family, window):
+    if family == "tent_pair":
+        sc = Scenario(priors=(0.3, 0.7), densities="tent_pair", contamination=dirac_noise(),
+                      domain=grid)
+    else:
+        sc = make_margin_scenario(1, laplace_noise(2.0), x_star=0.3, family=family, grid=grid,
+                                  sharpness=1.0 if family == "linear" else 2.0)
+    hclass = mixed_threshold_class(grid)
+    risks = true_risks(hclass, sc, hard_loss, window)
+    ref = [reference_true_risk(c, sc, hard_loss, window) for c in hclass]
+    assert np.abs(risks - ref).max() <= 1e-15
+    # each risk is a lookup into tables the class does not enter: the
+    # one-classifier risk is the same number, bit for bit
+    assert [true_risk(c, sc, hard_loss, window) for c in hclass] == risks.tolist()
+
+
+def test_risk_outside_unit_interval_is_model_error(grid, hard_loss):
+    # priors the scenario check would refuse, set past it: a risk above
+    # 1 + 1e-9 is an error, not clamped to 1
+    sc = Scenario(priors=(0.5, 0.5), densities="uniform", contamination=dirac_noise(),
+                  domain=grid)
+    object.__setattr__(sc, "priors", (1.5, 0.5))
+    with pytest.raises(ModelError):
+        true_risks(threshold_grid(5, grid), sc, hard_loss)
+
+
+def test_smooth_cosine_coefficients_match_direct_cosines(grid):
+    # the one basis (Chebyshev recurrence) against sqrt(2) cos(pi k x) per
+    # point: 4.2e-16 at most over sharpness 1-3, labels 0 and 1, k_max 64
+    sc = make_margin_scenario(1, SpectralOperator(1.0, 64), family="smooth", grid=grid,
+                              sharpness=1.3)
+    x, w = grid.axis(), grid.weights()
+    for label in (0, 1):
+        ref = reference_basis(x, 64) @ (w * sc.density(label, x))
+        assert np.abs(sc.cosine_coefficients(label, 64) - ref).max() <= 1e-14
 
 
 def test_restricted_true_risk(grid, linear_scenario, hard_loss):
