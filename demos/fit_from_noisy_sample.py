@@ -13,7 +13,6 @@ import numpy as np
 from indirect_erm import (
     DeconvolutionBackend,
     Grid,
-    LossSpec,
     RateConfig,
     SpectralOperator,
     SvdBackend,
@@ -25,14 +24,13 @@ from indirect_erm import (
     select_bandwidth,
     select_cutoff,
     threshold_grid,
-    true_risk,
 )
+from indirect_erm.hypotheses import true_risks
 from indirect_erm.simulation import generate_sample
 
 
 def main():
     grid = Grid(points_per_dim=1024)
-    loss = LossSpec("hard")
     hclass = threshold_grid(101, grid)
     n = 16384  # single fits scatter widely at smaller n under heavy noise
 
@@ -46,9 +44,9 @@ def main():
     print(f"rule-selected bandwidth at n={n}: {bandwidth:.4f}")
     sample = generate_sample(scenario, n, np.random.default_rng(42))
     lattice = build_lattice(grid, noise, bandwidth, base_kind="order_m_flat_top")
-    fit = minimize(hclass, sample, DeconvolutionBackend(lattice=lattice, loss=loss))
-    _, star, star_risk = bayes_in_class(hclass, scenario, loss)
-    chosen_risk = true_risk(fit.classifier, scenario, loss)
+    fit = minimize(hclass, sample, DeconvolutionBackend(lattice=lattice))
+    _, star, star_risk = bayes_in_class(hclass, scenario)
+    chosen_risk = true_risks(hclass, scenario)[fit.index]
     print(f"chosen threshold {fit.classifier.threshold:.4f} "
           f"(oracle {star.threshold:.4f})")
     print(f"excess risk {chosen_risk - star_risk:.5f}; "
@@ -63,9 +61,9 @@ def main():
     print(f"rule-selected cutoff at n={n}: {cutoff}")
     sample = generate_sample(scenario, n, np.random.default_rng(43))
     fit = minimize(hclass, sample,
-                   SvdBackend(operator=operator, cutoff=cutoff, grid=grid, loss=loss))
-    _, star, star_risk = bayes_in_class(hclass, scenario, loss)
-    chosen_risk = true_risk(fit.classifier, scenario, loss)
+                   SvdBackend(operator=operator, cutoff=cutoff, grid=grid))
+    _, star, star_risk = bayes_in_class(hclass, scenario)
+    chosen_risk = true_risks(hclass, scenario)[fit.index]
     print(f"chosen threshold {fit.classifier.threshold:.4f} "
           f"(oracle {star.threshold:.4f}); excess {chosen_risk - star_risk:.5f}")
 

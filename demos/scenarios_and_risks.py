@@ -8,25 +8,27 @@ import numpy as np
 
 from indirect_erm import (
     Grid,
-    LossSpec,
     bayes_in_class,
     laplace_noise,
     make_margin_scenario,
     threshold_grid,
-    true_risk,
 )
-from indirect_erm.hypotheses import ThresholdClassifier, snap_to_cell_midpoint
+from indirect_erm.hypotheses import (
+    HypothesisClass,
+    ThresholdClassifier,
+    snap_to_cell_midpoint,
+    true_risks,
+)
 
 
 def main():
     grid = Grid(points_per_dim=1024)
-    loss = LossSpec("hard")
 
     print("== linear margin scenario (closed-form risks) ==")
     scenario = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
-    for t in (0.3, 0.5, 0.7):
-        snapped = snap_to_cell_midpoint(t, grid)
-        risk = true_risk(ThresholdClassifier(snapped), scenario, loss)
+    thresholds = [snap_to_cell_midpoint(t, grid) for t in (0.3, 0.5, 0.7)]
+    risks = true_risks(HypothesisClass([ThresholdClassifier(s) for s in thresholds]), scenario)
+    for t, snapped, risk in zip((0.3, 0.5, 0.7), thresholds, risks):
         exact = (snapped ** 2 + (1 - snapped) ** 2) / 2
         print(f"threshold {t:.1f}: quadrature risk {risk:.6f}, exact {exact:.6f}")
 
@@ -34,7 +36,7 @@ def main():
     hclass = threshold_grid(201, grid)
     for x_star in (0.3, 0.5, 0.65):
         scenario = make_margin_scenario(1, laplace_noise(2.0), x_star=x_star, grid=grid)
-        idx, star, risk = bayes_in_class(hclass, scenario, loss)
+        idx, star, risk = bayes_in_class(hclass, scenario)
         print(f"crossing at {x_star:4.2f}: oracle threshold {star.threshold:.4f}, "
               f"risk {risk:.4f}")
 
@@ -46,7 +48,7 @@ def main():
         dens = scenario.density(label, x)
         print(f"f_{label}: mass {grid.integrate(dens):.6f}, peak {dens.max():.3f}, "
               f"edge values ({dens[0]:.1e}, {dens[-1]:.1e})")
-    idx, star, risk = bayes_in_class(threshold_grid(201, grid), scenario, loss)
+    idx, star, risk = bayes_in_class(threshold_grid(201, grid), scenario)
     print(f"oracle threshold {star.threshold:.4f}, in-class risk {risk:.5f}")
 
     print("\n== margin calibration (exponent 1) ==")

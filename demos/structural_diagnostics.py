@@ -11,7 +11,6 @@ import numpy as np
 
 from indirect_erm import (
     Grid,
-    LossSpec,
     SpectralOperator,
     Scenario,
     build_lattice,
@@ -38,6 +37,7 @@ from indirect_erm.hypotheses import (
     _TENT_CROSSING,
 )
 from indirect_erm.erm import DeconvolutionBackend, SvdBackend
+from indirect_erm.simulation import generate_sample
 
 
 def neighbor_pairs(hclass, per_scale=5):
@@ -64,7 +64,6 @@ def slope(xs, vals):
 
 def main():
     grid = Grid(points_per_dim=1024)
-    loss = LossSpec("hard")
     noise = laplace_noise(2.0)
     scenario = Scenario(priors=structural_pair_priors(), densities="tent_pair",
                         contamination=noise, alpha=1.0, gamma=1.0, domain=grid)
@@ -73,15 +72,15 @@ def main():
     probe, probe_star = scan_class(grid, _TENT_CROSSING)
 
     def deconv(lam):
-        return DeconvolutionBackend(lattice=build_lattice(grid, noise, lam), loss=loss)
+        return DeconvolutionBackend(lattice=build_lattice(grid, noise, lam))
 
     print("== kernel route (Laplace noise, total decay 2) ==")
     lams = [0.05, 0.075, 0.11, 0.17, 0.25]
     lips, bounds = [], []
+    mc_sample = generate_sample(scenario, 10_000, np.random.default_rng(5))
     for lam in lams:
         backend = deconv(lam)
-        lips.append(float(empirical_lipschitz(scenario, backend, hclass, pairs,
-                                              10_000, seed=5).max()))
+        lips.append(float(empirical_lipschitz(scenario, backend, hclass, pairs, mc_sample).max()))
         bounds.append(sup_bound_deconv(backend, hclass))
     bias_lams = [0.02, 0.03, 0.045, 0.068, 0.1]
     bias = [empirical_bias_deconv(scenario, deconv(lam), probe, probe_star)
@@ -97,14 +96,15 @@ def main():
                        contamination=op, alpha=1.0, gamma=1.0, domain=grid)
 
     def svd(cutoff):
-        return SvdBackend(operator=op, cutoff=cutoff, grid=grid, loss=loss)
+        return SvdBackend(operator=op, cutoff=cutoff, grid=grid)
 
     cutoffs = [4, 6, 9, 14, 21, 32]
     lips, bounds = [], []
+    mc_sample = generate_sample(sc_linear, 10_000, np.random.default_rng(5))
     for cutoff in cutoffs:
         backend = svd(cutoff)
         lips.append(float(empirical_lipschitz(sc_linear, backend, hclass, pairs,
-                                              10_000, seed=5).max()))
+                                              mc_sample).max()))
         bounds.append(sup_bound_svd(backend, hclass))
     bias_cutoffs = [6, 9, 14, 21, 32, 48]
     bias = [empirical_bias_svd(sc_tent, svd(cutoff), probe, probe_star)
@@ -115,9 +115,9 @@ def main():
 
     print("\n== excess-loss geometry ==")
     sc_lin = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
-    star, _, _ = bayes_in_class(hclass, sc_lin, loss)
+    star, _, _ = bayes_in_class(hclass, sc_lin)
     print(f"Bernstein ratio (linear margin family): "
-          f"{bernstein_ratio(sc_lin, hclass, star, loss):.3f}")
+          f"{bernstein_ratio(sc_lin, hclass, star):.3f}")
 
     backend = deconv(0.25)
     small = threshold_grid(9, grid)

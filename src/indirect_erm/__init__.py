@@ -32,7 +32,6 @@ from .hypotheses import (
     Scenario,
     ThresholdClassifier,
     bayes_in_class,
-    loss_eval,
     make_margin_scenario,
     threshold_grid,
     true_risk,

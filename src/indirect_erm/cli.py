@@ -43,14 +43,7 @@ from .diagnostics import (
 )
 from .erm import BIAS_VARIANTS, RateConfig, minimize
 from .errors import ConfigurationError, IndirectErmError, SimulationError
-from .hypotheses import (
-    LOSS_KINDS,
-    LossSpec,
-    Scenario,
-    bayes_in_class,
-    threshold_grid,
-    true_risk,
-)
+from .hypotheses import LOSS_KINDS, Scenario, bayes_in_class, threshold_grid, true_risks
 from .kernels import BASE_KINDS, build_base_kernel, build_deconvolution_kernel
 # not called here; kept as module attributes that the benchmark tracer wraps
 from .noisy_risk import build_lattice, modified_loss_deconv  # noqa: F401
@@ -79,12 +72,12 @@ def _rate_config(top: ConfigReader) -> RateConfig:
     return RateConfig.from_json(top.get("rate_config", dict))
 
 
-def _loss(top: ConfigReader) -> LossSpec:
+def _loss(top: ConfigReader) -> None:
+    """Check the ``loss`` block: the hard loss is the only loss there is."""
     r = ConfigReader(top.get("loss", dict, {}), "loss")
-    loss = LossSpec(kind=r.get("kind", str, "hard", LOSS_KINDS))
+    r.get("kind", str, "hard", LOSS_KINDS)
     r.get("clip", float, 1.0, (1.0,))  # below 1 it would only scale every risk
     r.done()
-    return loss
 
 
 def _at_least_one(key: str, value: int) -> int:
@@ -197,7 +190,7 @@ def _read_kernel(top: ConfigReader):
 
 
 def _read_fit(top: ConfigReader):
-    scenario, loss, cfg = _scenario(top), _loss(top), _rate_config(top)
+    scenario, _, cfg = _scenario(top), _loss(top), _rate_config(top)
     n, count = _at_least_one("n", top.get("n", int, 1024)), _class_size(top)
     kind, options = _backend(top)
     _check_backend(kind, scenario, options.get("window"))
@@ -209,11 +202,11 @@ def _read_fit(top: ConfigReader):
 
     def work(out_dir, seed, threads):
         hclass = threshold_grid(count, scenario.domain)
-        backend = build_backend(kind, scenario, loss, smoothing, **options)
+        backend = build_backend(kind, scenario, smoothing, **options)
         sample = generate_sample(scenario, n, np.random.default_rng(seed))
         fit = minimize(hclass, sample, backend)
         payload = fit.to_json()
-        payload["true_risk"] = true_risk(fit.classifier, scenario, loss)
+        payload["true_risk"] = float(true_risks(hclass, scenario)[fit.index])
         _write(os.path.join(out_dir, "fit.json"), _json_bytes(payload))
         return ["fit.json"]
     return work
@@ -222,6 +215,7 @@ def _read_fit(top: ConfigReader):
 def _read_plan(top: ConfigReader) -> ExperimentPlan:
     """The rate experiment of a ``rates`` config, at base seed 0 (the run sets it)."""
     kind, options = _backend(top)
+    _loss(top)
     return ExperimentPlan(
         scenario=_scenario(top),
         rate_config=_rate_config(top),
@@ -229,7 +223,6 @@ def _read_plan(top: ConfigReader) -> ExperimentPlan:
         replications=top.get("replications", int, 50),
         backend=kind,
         n_thresholds=_class_size(top),
-        loss=_loss(top),
         theory_mode=top.get("theory_mode", str, "hard_loss", RATE_MODES),
         **options,
     )
@@ -262,7 +255,7 @@ def _read_rates(top: ConfigReader):
 
 
 def _read_diagnose(top: ConfigReader):
-    scenario, loss, count = _scenario(top), _loss(top), _class_size(top, 33)
+    scenario, _, count = _scenario(top), _loss(top), _class_size(top, 33)
     kind = "svd" if isinstance(scenario.contamination, SpectralOperator) else "deconvolution"
     options = {} if kind == "svd" else _kernel_options(top)
     r = ConfigReader(top.get("diagnose", dict, {}), "diagnose")
@@ -278,11 +271,12 @@ def _read_diagnose(top: ConfigReader):
     def work(out_dir, seed, threads):
         report = DiagnosticsReport()
         hclass = threshold_grid(count, scenario.domain)
-        star_index, _, _ = bayes_in_class(hclass, scenario, loss)
+        star_index, _, _ = bayes_in_class(hclass, scenario)
         pairs = _diagnostic_pairs(hclass, pair_count)
+        mc_sample = generate_sample(scenario, mc_n, np.random.default_rng(seed))
         for smoothing in smoothings:
-            backend = build_backend(kind, scenario, loss, smoothing, **options)
-            ratios = empirical_lipschitz(scenario, backend, hclass, pairs, mc_n, seed)
+            backend = build_backend(kind, scenario, smoothing, **options)
+            ratios = empirical_lipschitz(scenario, backend, hclass, pairs, mc_sample)
             if kind == "svd":
                 cert = sup_bound_svd(backend, hclass)
                 bias = empirical_bias_svd(scenario, backend, hclass, star_index, bias_variant)
@@ -293,7 +287,7 @@ def _read_diagnose(top: ConfigReader):
             report.sup_bounds.append((smoothing, cert, table_sup(backend, hclass)))
             report.bias.append((smoothing, bias))
         report.slopes = _scaling_slopes([float(s) for s in smoothings], report)
-        report.bernstein_max = bernstein_ratio(scenario, hclass, star_index, loss)
+        report.bernstein_max = bernstein_ratio(scenario, hclass, star_index)
         _write(os.path.join(out_dir, "diagnostics.json"), _json_bytes(report.to_json()))
         report.raw_csv(os.path.join(out_dir, "diagnostics.csv"))
         return ["diagnostics.json", "diagnostics.csv"]

@@ -10,7 +10,7 @@ class through it: its losses at Monte-Carlo draws, and the label-0 class
 matrix the minimizer pairs with the signed statistic of P_0 - P_1, here
 the empirical statistic, its expectation (``expected_risks``) or, for the
 bias, the lattice-weighted density and base-smoothed density. The
-certificates read the loss, grid, kernel or operator, and cutoff from the
+certificates read the grid, kernel or operator, and cutoff from the
 backend.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 from .erm import BIAS_VARIANTS, DeconvolutionBackend, SvdBackend, empirical_risks, expected_risks
 from .errors import ConfigurationError, DataError
 from .grid import Grid
-from .hypotheses import HypothesisClass, LossSpec, Scenario, _cuts, true_risks
+from .hypotheses import HypothesisClass, Scenario, _cuts, true_risks
 from .kernels import kernel_fourier_l2
 from .noisy_risk import base_smoothed_density, zero_extended_density
 
@@ -150,17 +150,15 @@ def _loss_distance_sq(scenario: Scenario, hclass: HypothesisClass, a, b) -> np.n
 
 
 def empirical_lipschitz(scenario: Scenario, backend, hclass: HypothesisClass, pairs,
-                        mc_n: int, seed) -> np.ndarray:
+                        sample) -> np.ndarray:
     """Measured Lipschitz ratios of the regularized loss class.
 
-    For each pair (i, j) of class indices: the Monte-Carlo L2 norm of the
-    difference of the backend's regularized losses under the contaminated
-    law, divided by the quadrature L2 norm of the raw loss difference under
-    nu_y. Degenerate pairs are skipped; a ``DataError`` is raised when none
-    is left.
+    For each pair (i, j) of class indices: the Monte-Carlo L2 norm, over the
+    contaminated ``sample``, of the difference of the backend's regularized
+    losses, divided by the quadrature L2 norm of the raw loss difference
+    under nu_y. Degenerate pairs are skipped; a ``DataError`` is raised when
+    none is left.
     """
-    from .simulation import generate_sample  # a top-level import would be circular
-
     i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
     denom = np.sqrt(_loss_distance_sq(scenario, hclass, i, j))
     keep = denom > 1e-8
@@ -169,7 +167,6 @@ def empirical_lipschitz(scenario: Scenario, backend, hclass: HypothesisClass, pa
     if not keep.any():
         raise DataError("no classifier pair with a nonzero loss distance to measure")
     i, j, denom = i[keep], j[keep], denom[keep]
-    sample = generate_sample(scenario, mc_n, np.random.default_rng(seed))
     num_sq = np.zeros(len(i))
     for label in scenario.labels:
         z_lab = sample.z[sample.y == label]
@@ -269,13 +266,11 @@ def empirical_bias_svd(scenario: Scenario, backend: SvdBackend, hclass: Hypothes
     pairing sum_y p_y sum_(k<=N) c_k(g, y) theta_k^y (``expected_risks``),
     evaluated exactly.
     """
-    return _bias(true_risks(hclass, scenario, backend.loss),
-                 expected_risks(hclass, scenario, backend), star_index, scenario.kappa,
-                 bias_variant)
+    return _bias(true_risks(hclass, scenario), expected_risks(hclass, scenario, backend),
+                 star_index, scenario.kappa, bias_variant)
 
 
-def bernstein_ratio(scenario: Scenario, hclass: HypothesisClass, star_index: int,
-                    loss: LossSpec) -> float:
+def bernstein_ratio(scenario: Scenario, hclass: HypothesisClass, star_index: int) -> float:
     """Empirical Bernstein constant of the excess-loss class.
 
     max over classifiers (excess above 1e-8) of
@@ -285,7 +280,7 @@ def bernstein_ratio(scenario: Scenario, hclass: HypothesisClass, star_index: int
     kappa = scenario.kappa
     if not kappa > 1.0 or not np.isfinite(kappa):  # also catches nan
         raise ConfigurationError("Bernstein ratio needs a finite kappa > 1")
-    excess = true_risks(hclass, scenario, loss)
+    excess = true_risks(hclass, scenario)
     excess -= excess[star_index]
     kept = np.flatnonzero(excess > 1e-8)
     ratios = _loss_distance_sq(scenario, hclass, kept, star_index) / excess[kept] ** (1 / kappa)

@@ -176,7 +176,8 @@ class DeconvolutionBackend:
     """
 
     lattice: ObservationLattice
-    loss: LossSpec
+    # unread; kept for perfbench/child.py, which passes one, until ROADMAP item 1
+    loss: LossSpec = field(default_factory=LossSpec)
     window: tuple[float, float] | None = None
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
     _weights: np.ndarray = field(init=False, compare=False, repr=False)
@@ -333,7 +334,8 @@ class SvdBackend:
     operator: SpectralOperator
     cutoff: int
     grid: object
-    loss: LossSpec
+    # unread; kept for perfbench/child.py, which passes one, until ROADMAP item 1
+    loss: LossSpec = field(default_factory=LossSpec)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     name = "svd"

@@ -22,7 +22,6 @@ __all__ = [
     "ThresholdClassifier",
     "HypothesisClass",
     "Scenario",
-    "loss_eval",
     "loss_values",
     "true_risk",
     "true_risks",
@@ -42,6 +41,7 @@ DENSITY_FAMILIES = ("linear", "smooth", "uniform", "tent_pair")
 # losses
 # ---------------------------------------------------------------------------
 
+# kept only for perfbench/child.py, which passes one; ROADMAP item 1 deletes it
 @dataclass(frozen=True)
 class LossSpec:
     """The hard loss |y - g(x)| on 0/1 predictions and labels.
@@ -55,14 +55,6 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ConfigurationError(f"unknown loss kind {self.kind!r}")
-
-
-def loss_eval(loss: LossSpec, prediction, label: int) -> np.ndarray:
-    """Evaluate the loss; labels must be 0/1 in this release."""
-    if label not in (0, 1):
-        raise ConfigurationError(f"label {label} out of range for binary losses")
-    p = np.asarray(prediction, dtype=float)
-    return np.abs(label - p)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +259,8 @@ class Scenario:
             raise ModelError(f"priors must be two nonnegative numbers summing to 1, got {p}")
         if self.densities not in DENSITY_FAMILIES:
             raise ConfigurationError(f"unknown density family {self.densities!r}")
+        if not self.alpha > 0:  # NaN fails too
+            raise ConfigurationError("margin parameter alpha must be positive")
         if not self.gamma > 0:
             raise ConfigurationError("declared smoothness gamma must be positive")
 
@@ -277,16 +271,7 @@ class Scenario:
     @property
     def kappa(self) -> float:
         """Bernstein exponent (alpha + 1) / alpha from the margin parameter."""
-        if self.alpha <= 0:
-            raise ConfigurationError("margin parameter alpha must be positive")
         return (self.alpha + 1.0) / self.alpha
-
-    @property
-    def beta_bar(self) -> float:
-        """Ill-posedness: summed noise decay, or the operator decay."""
-        if isinstance(self.contamination, SpectralOperator):
-            return float(self.contamination.decay)
-        return self.contamination.beta_bar
 
     def density(self, label: int, x: np.ndarray) -> np.ndarray:
         return _DENSITY_FUNCS[self.densities](label, np.asarray(x, dtype=float),
@@ -431,9 +416,11 @@ def make_margin_scenario(alpha: float, contamination, x_star: float = 0.5,
 # risk functionals
 # ---------------------------------------------------------------------------
 
-def loss_values(clf, loss: LossSpec, label: int, x: np.ndarray) -> np.ndarray:
-    """Node values of x -> loss(g(x), label)."""
-    return loss_eval(loss, clf.predict(x), label)
+def loss_values(clf, label: int, x: np.ndarray) -> np.ndarray:
+    """Node values of the hard loss x -> |label - g(x)|; labels must be 0 or 1."""
+    if label not in (0, 1):
+        raise ConfigurationError(f"label {label} out of range for binary losses")
+    return np.abs(label - clf.predict(x))
 
 
 def window_mask(x: np.ndarray, window: tuple[float, float]) -> np.ndarray:
@@ -460,7 +447,7 @@ def _cuts(hclass: HypothesisClass, nodes: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.searchsorted(nodes, thresholds, "right"), orientations
 
 
-def true_risks(hclass: HypothesisClass, scenario: Scenario, loss: LossSpec,
+def true_risks(hclass: HypothesisClass, scenario: Scenario,
                window: tuple[float, float] | None = None) -> np.ndarray:
     """Risks sum_y p(y) integral loss(g(x), y) f_y(x) by trapezoid quadrature
     (clipped to ``window``): w (p_0 f_0 - p_1 f_1) summed from or before each
@@ -480,17 +467,18 @@ def true_risks(hclass: HypothesisClass, scenario: Scenario, loss: LossSpec,
     return np.clip(risks, 0.0, 1.0)
 
 
+# ``loss`` is unread; kept for perfbench/child.py, which passes one, until ROADMAP item 1
 def true_risk(clf, scenario: Scenario, loss: LossSpec,
               window: tuple[float, float] | None = None) -> float:
     """The risk of one classifier: ``true_risks`` of the class holding it."""
-    return float(true_risks(HypothesisClass((clf,)), scenario, loss, window)[0])
+    return float(true_risks(HypothesisClass((clf,)), scenario, window)[0])
 
 
-def bayes_in_class(hclass: HypothesisClass, scenario: Scenario, loss: LossSpec):
+def bayes_in_class(hclass: HypothesisClass, scenario: Scenario):
     """Exhaustive in-class risk minimizer; ties break to the lowest index.
 
     Returns ``(index, classifier, risk)``.
     """
-    risks = true_risks(hclass, scenario, loss)
+    risks = true_risks(hclass, scenario)
     idx = int(np.argmin(risks))  # argmin returns the first minimizer
     return idx, hclass[idx], float(risks[idx])

@@ -87,11 +87,6 @@ class NoiseModel:
             )
 
     @property
-    def beta_bar(self) -> float:
-        """Ill-posedness: the decay exponent (0 for dirac)."""
-        return 0.0 if self.kind == "dirac" else self.beta
-
-    @property
     def std(self) -> float:
         """Standard deviation; 0 for dirac."""
         return 0.0 if self.kind == "dirac" else float(np.sqrt(self.beta))  # var = 2k = beta

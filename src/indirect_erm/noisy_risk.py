@@ -25,7 +25,7 @@ from numpy.fft import irfft, rfft
 
 from .errors import ConfigurationError, DataError
 from .grid import Grid, padded_axis
-from .hypotheses import LossSpec, Scenario, loss_values, window_mask
+from .hypotheses import Scenario, loss_values, window_mask
 from .kernels import (
     NoiseModel,
     TabulatedKernel,
@@ -258,8 +258,7 @@ class ModifiedLossTable:
                     writer.writerow([label, repr(float(z)), repr(float(v))])
 
 
-def modified_loss_deconv(clf, loss: LossSpec, lattice: ObservationLattice,
-                         labels=(0, 1),
+def modified_loss_deconv(clf, lattice: ObservationLattice, labels=(0, 1),
                          window: tuple[float, float] | None = None) -> ModifiedLossTable:
     """Regularized loss table: quadrature of the loss against the scaled kernel.
 
@@ -271,7 +270,7 @@ def modified_loss_deconv(clf, loss: LossSpec, lattice: ObservationLattice,
     mask = None if window is None else window_mask(x, window)
     values = {}
     for label in labels:
-        lv = loss_values(clf, loss, label, x)
+        lv = loss_values(clf, label, x)
         if mask is not None:
             lv = np.where(mask, lv, 0.0)
         values[label] = lattice.convolve(lattice.weights * lv)
@@ -280,8 +279,8 @@ def modified_loss_deconv(clf, loss: LossSpec, lattice: ObservationLattice,
                              smoothing=lattice.bandwidth)
 
 
-def svd_loss_coefficients(clf, loss: LossSpec, op: SpectralOperator, cutoff: int,
-                          grid: Grid, label: int) -> np.ndarray:
+def svd_loss_coefficients(clf, op: SpectralOperator, cutoff: int, grid: Grid,
+                          label: int) -> np.ndarray:
     """Basis coefficients c_k = integral of phi_k(x) loss(g(x), label) over the
     domain: the basis integrals over the interval where the loss is 1."""
     if cutoff > op.k_max:
@@ -308,8 +307,8 @@ def basis_integrals(a, b, cutoff: int) -> np.ndarray:
     return np.concatenate([b - a, sines], axis=-1)
 
 
-def modified_loss_svd(clf, loss: LossSpec, op: SpectralOperator, cutoff: int,
-                      grid: Grid, labels=(0, 1)) -> ModifiedLossTable:
+def modified_loss_svd(clf, op: SpectralOperator, cutoff: int, grid: Grid,
+                      labels=(0, 1)) -> ModifiedLossTable:
     """Spectral-cutoff loss table: sum_k b_k^(-1) c_k phi_k(z).
 
     Node values are tabulated for inspection/export, but queries evaluate
@@ -322,7 +321,7 @@ def modified_loss_svd(clf, loss: LossSpec, op: SpectralOperator, cutoff: int,
     values = {}
     coefficient_data = {}
     for label in labels:
-        c = svd_loss_coefficients(clf, loss, op, cutoff, grid, label)
+        c = svd_loss_coefficients(clf, op, cutoff, grid, label)
         weighted = inv_b * c
         values[label] = weighted @ phi
         coefficient_data[label] = (cutoff, weighted)

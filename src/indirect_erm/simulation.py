@@ -136,17 +136,17 @@ def rule_smoothing(kind: str, scenario: Scenario, rate_config: RateConfig,
     return min(select_cutoff(rate_config, n), scenario.contamination.k_max)
 
 
-def build_backend(kind: str, scenario: Scenario, loss: LossSpec, smoothing: float | int,
+def build_backend(kind: str, scenario: Scenario, smoothing: float | int,
                   base_kernel: str = "sinc", pad_factor: float = 4.0,
                   window: tuple[float, float] | None = None) -> DeconvolutionBackend | SvdBackend:
     """The risk backend at one smoothing value: a bandwidth, or a cutoff."""
     _check_backend(kind, scenario, window)
     if kind == "svd":
         return SvdBackend(operator=scenario.contamination, cutoff=int(smoothing),
-                          grid=scenario.domain, loss=loss)
+                          grid=scenario.domain)
     lattice = build_lattice(scenario.domain, scenario.contamination, float(smoothing),
                             base_kind=base_kernel, pad_factor=pad_factor)
-    return DeconvolutionBackend(lattice=lattice, loss=loss, window=window)
+    return DeconvolutionBackend(lattice=lattice, window=window)
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,7 @@ class ExperimentPlan:
     base_seed: int = 0
     backend: str = "deconvolution"
     n_thresholds: int = 101
+    # unread; kept for perfbench/child.py, which passes one, until ROADMAP item 1
     loss: LossSpec = field(default_factory=LossSpec)
     base_kernel: str = "sinc"
     pad_factor: float = 4.0
@@ -180,7 +181,7 @@ class ExperimentPlan:
 
     def backend_at(self, n: int) -> DeconvolutionBackend | SvdBackend:
         smoothing = rule_smoothing(self.backend, self.scenario, self.rate_config, n)
-        return build_backend(self.backend, self.scenario, self.loss, smoothing,
+        return build_backend(self.backend, self.scenario, smoothing,
                              base_kernel=self.base_kernel, pad_factor=self.pad_factor,
                              window=self.window)
 
@@ -210,7 +211,7 @@ class _PlanContext:
 
 def _plan_context(plan: ExperimentPlan) -> _PlanContext:
     hclass = plan.hypothesis_class()
-    risks = true_risks(hclass, plan.scenario, plan.loss, window=plan.window)
+    risks = true_risks(hclass, plan.scenario, window=plan.window)
     star = int(np.argmin(risks))
     return _PlanContext(hclass=hclass, risks=risks, star_index=star)
 

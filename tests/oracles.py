@@ -82,34 +82,34 @@ def _domain_weights(scenario, window=None):
     return x, w
 
 
-def reference_true_risk(clf, scenario, loss, window=None):
+def reference_true_risk(clf, scenario, window=None):
     """One classifier's risk by trapezoid quadrature of each label's loss,
     evaluated on every domain node, against its density and prior."""
     x, w = _domain_weights(scenario, window)
-    return sum(scenario.priors[y] * float(np.dot(w, loss_values(clf, loss, y, x)
+    return sum(scenario.priors[y] * float(np.dot(w, loss_values(clf, y, x)
                                                  * scenario.density(y, x))) for y in (0, 1))
 
 
-def reference_loss_distance_sq(scenario, loss, clf_a, clf_b):
+def reference_loss_distance_sq(scenario, clf_a, clf_b):
     """Squared L2(nu_y) distance of two classifiers' raw losses: each label's
     loss difference squared on every domain node, weighted by its prior."""
     x, w = _domain_weights(scenario)
-    return sum(scenario.priors[y] * float(np.dot(w, (loss_values(clf_a, loss, y, x)
-                                                     - loss_values(clf_b, loss, y, x)) ** 2))
+    return sum(scenario.priors[y] * float(np.dot(w, (loss_values(clf_a, y, x)
+                                                     - loss_values(clf_b, y, x)) ** 2))
                for y in (0, 1))
 
 
-def reference_runs(hclass, loss, nodes):
+def reference_runs(hclass, nodes):
     """The label-0 class matrix and its run starts, found by evaluating
     every classifier's loss on every node: a run starts at node 0 and
     wherever some classifier's loss changes."""
     change = np.zeros(len(nodes), dtype=bool)
     change[0] = True
     for clf in hclass:
-        row = loss_values(clf, loss, 0, nodes)
+        row = loss_values(clf, 0, nodes)
         change[1:] |= row[1:] != row[:-1]
     starts = np.flatnonzero(change)
-    return np.vstack([loss_values(clf, loss, 0, nodes[starts]) for clf in hclass]), starts
+    return np.vstack([loss_values(clf, 0, nodes[starts]) for clf in hclass]), starts
 
 
 def reference_loss_coefficients(clf, label, lo, hi, cutoff):
@@ -141,7 +141,7 @@ def reference_empirical_risks(hclass, sample, backend):
     classifier; a classifier whose own label-1 row is zero where the draws
     lie still gets its risk as a difference of terms of this size.
     """
-    matrix, starts = reference_runs(hclass, backend.loss, backend.lattice.nodes)
+    matrix, starts = reference_runs(hclass, backend.lattice.nodes)
     risks = np.zeros(len(hclass))
     scale = 0.0
     for label in np.unique(sample.y):
@@ -155,7 +155,7 @@ def reference_empirical_risks(hclass, sample, backend):
     return risks, np.full(len(hclass), scale)
 
 
-def naive_empirical_risk(clf, loss, lattice, sample):
+def naive_empirical_risk(clf, lattice, sample):
     """Per-observation quadrature of the regularized loss, summed directly.
 
     For each observation: interpolate the tabulated kernel at (z_i - x_l)
@@ -169,14 +169,14 @@ def naive_empirical_risk(clf, loss, lattice, sample):
     total = 0.0
     for z_i, y_i in zip(sample.z, sample.y):
         kcol = np.interp(z_i - x, off, kv, left=0.0, right=0.0)
-        lv = loss_values(clf, loss, int(y_i), x)
+        lv = loss_values(clf, int(y_i), x)
         total += float(np.sum(w * lv * kcol))
     return total / sample.n
 
 
-def naive_minimize_index(hclass, loss, lattice, sample):
+def naive_minimize_index(hclass, lattice, sample):
     """Exhaustive scan with the naive risk; first minimizer wins."""
-    risks = [naive_empirical_risk(clf, loss, lattice, sample) for clf in hclass]
+    risks = [naive_empirical_risk(clf, lattice, sample) for clf in hclass]
     return int(np.argmin(risks))
 
 
@@ -208,8 +208,7 @@ def _bias_from_risks(risks, reg, star_index, kappa, bias_variant):
     return float(max((bias - r * excess).max(), 0.0))
 
 
-def naive_bias_deconv(scenario, lattice, hclass, star_index, loss,
-                      bias_variant="squared_loss"):
+def naive_bias_deconv(scenario, lattice, hclass, star_index, bias_variant="squared_loss"):
     """Approximation function of the kernel route, one classifier at a time.
 
     Per label and classifier, the raw node losses are integrated against the
@@ -226,23 +225,22 @@ def naive_bias_deconv(scenario, lattice, hclass, star_index, loss,
         f_smooth = base_smoothed_density(scenario, lattice, label)
         prior = scenario.priors[label]
         for i, clf in enumerate(hclass):
-            lv = loss_values(clf, loss, label, nodes)
+            lv = loss_values(clf, label, nodes)
             risks[i] += prior * float(np.dot(w, lv * f))
             reg[i] += prior * float(np.dot(w, lv * f_smooth))
     return _bias_from_risks(risks, reg, star_index, scenario.kappa, bias_variant)
 
 
-def naive_bias_svd(scenario, op, cutoff, hclass, star_index, loss,
-                   bias_variant="squared_loss"):
+def naive_bias_svd(scenario, op, cutoff, hclass, star_index, bias_variant="squared_loss"):
     """Approximation function of the spectral route: exact risks against the
     pairing of each classifier's loss coefficients with the density's
     cosine coefficients, one classifier at a time."""
     from indirect_erm.noisy_risk import svd_loss_coefficients
 
-    risks = np.array([reference_true_risk(c, scenario, loss) for c in hclass])
+    risks = np.array([reference_true_risk(c, scenario) for c in hclass])
     reg = np.array([
         sum(scenario.priors[y] * float(np.dot(
-            svd_loss_coefficients(c, loss, op, cutoff, scenario.domain, y),
+            svd_loss_coefficients(c, op, cutoff, scenario.domain, y),
             scenario.cosine_coefficients(y, cutoff))) for y in scenario.labels)
         for c in hclass])
     return _bias_from_risks(risks, reg, star_index, scenario.kappa, bias_variant)

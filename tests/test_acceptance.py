@@ -52,7 +52,6 @@ PRESET_DIR = os.path.normpath(os.path.join(
     os.path.dirname(os.path.abspath(ie.__file__)), "..", "..", "presets"))
 
 GRID = ie.Grid(points_per_dim=1024)
-HARD = ie.LossSpec("hard")
 
 
 def report(name: str, ok: bool, detail: str, started: float) -> None:
@@ -145,9 +144,9 @@ def test_criterion_3_plug_in_equivalence():
             if z_lab.size:
                 fhat[label] = (z_lab.size / sample.n) * plug_in_density(z_lab, lattice)
         for clf in hclass:
-            table = modified_loss_deconv(clf, HARD, lattice)
+            table = modified_loss_deconv(clf, lattice)
             lookup = empirical_risk(table, sample)
-            plug = sum(float(np.dot(loss_values(clf, HARD, label, lattice.nodes),
+            plug = sum(float(np.dot(loss_values(clf, label, lattice.nodes),
                                     w * fh))
                        for label, fh in fhat.items())
             worst = max(worst, abs(lookup - plug))
@@ -164,9 +163,9 @@ def test_criterion_4_minimizer_oracle_equivalence():
     lattice, instances = _random_instances()
     mismatches = 0
     for sample, hclass in instances:
-        backend = DeconvolutionBackend(lattice=lattice, loss=HARD)
+        backend = DeconvolutionBackend(lattice=lattice)
         fit = minimize(hclass, sample, backend)
-        oracle = naive_minimize_index(hclass, HARD, lattice, sample)
+        oracle = naive_minimize_index(hclass, lattice, sample)
         mismatches += fit.index != oracle
     ok = mismatches == 0
     report("criterion-4 minimizer equivalence", ok,
@@ -193,17 +192,18 @@ def test_criterion_5_structural_scaling():
 
     lams = [0.05, 0.075, 0.11, 0.17, 0.25]
     lipschitz, bounds = [], []
+    mc_sample = generate_sample(scenario, 20_000, np.random.default_rng(5))
     for lam in lams:
         lattice = build_lattice(GRID, noise, lam)
-        backend = DeconvolutionBackend(lattice=lattice, loss=HARD)
-        ratios = empirical_lipschitz(scenario, backend, hclass, pairs, 20_000, seed=5)
+        backend = DeconvolutionBackend(lattice=lattice)
+        ratios = empirical_lipschitz(scenario, backend, hclass, pairs, mc_sample)
         lipschitz.append(float(ratios.max()))
         bounds.append(sup_bound_deconv(backend, hclass))
     scan_class, scan_star = geometric_scan_class(_TENT_CROSSING)
     bias_lams = [0.02, 0.03, 0.045, 0.068, 0.1]
     bias = []
     for lam in bias_lams:
-        backend = DeconvolutionBackend(lattice=build_lattice(GRID, noise, lam), loss=HARD)
+        backend = DeconvolutionBackend(lattice=build_lattice(GRID, noise, lam))
         bias.append(empirical_bias_deconv(scenario, backend, scan_class, scan_star,
                                           bias_variant="squared_loss"))
     c_slope = slope_of(lams, lipschitz)
@@ -216,15 +216,16 @@ def test_criterion_5_structural_scaling():
                           contamination=op, alpha=1.0, gamma=1.0, domain=GRID)
     cutoffs = [4, 6, 9, 14, 21, 32]
     lipschitz_svd, bounds_svd = [], []
+    mc_sample = generate_sample(sc_linear, 20_000, np.random.default_rng(5))
     for cutoff in cutoffs:
-        backend = SvdBackend(operator=op, cutoff=cutoff, grid=GRID, loss=HARD)
-        ratios = empirical_lipschitz(sc_linear, backend, hclass, pairs, 20_000, seed=5)
+        backend = SvdBackend(operator=op, cutoff=cutoff, grid=GRID)
+        ratios = empirical_lipschitz(sc_linear, backend, hclass, pairs, mc_sample)
         lipschitz_svd.append(float(ratios.max()))
         bounds_svd.append(sup_bound_svd(backend, hclass))
     bias_cutoffs = [6, 9, 14, 21, 32, 48]
     bias_svd = []
     for cutoff in bias_cutoffs:
-        backend = SvdBackend(operator=op, cutoff=cutoff, grid=GRID, loss=HARD)
+        backend = SvdBackend(operator=op, cutoff=cutoff, grid=GRID)
         bias_svd.append(empirical_bias_svd(sc_tent, backend, scan_class, scan_star,
                                            bias_variant="squared_loss"))
     c_slope_svd = slope_of(cutoffs, lipschitz_svd)

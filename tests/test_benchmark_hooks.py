@@ -8,13 +8,17 @@ the one-classifier ``true_risk`` and requires its rows to equal the
 untraced run's, so that risk must equal the plan's risk vector exactly."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import json
+import pkgutil
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import indirect_erm
 from indirect_erm import cli, true_risk
 from indirect_erm.reader import ConfigReader
 from indirect_erm.simulation import _plan_context
@@ -89,3 +93,18 @@ def test_one_classifier_risk_equals_plan_risks_exactly(preset, window):
     ctx = _plan_context(plan)
     assert [true_risk(c, plan.scenario, plan.loss, plan.window)
             for c in ctx.hclass] == ctx.risks.tolist()
+
+
+def test_only_the_tracer_names_take_a_loss():
+    # the hard loss is fixed in ``hypotheses``; a ``loss`` parameter, which
+    # nothing reads, stays only where the tracer passes one
+    takes_loss = set()
+    for info in pkgutil.iter_modules(indirect_erm.__path__):
+        module = importlib.import_module(f"indirect_erm.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if ((inspect.isfunction(obj) or dataclasses.is_dataclass(obj))
+                    and "loss" in inspect.signature(obj).parameters):
+                takes_loss.add(name)
+    assert takes_loss == {"true_risk", "ExperimentPlan", "DeconvolutionBackend", "SvdBackend"}

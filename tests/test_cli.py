@@ -286,6 +286,27 @@ def full_form_rates_config(out):
     return doc
 
 
+def full_form_fit_config(out):
+    doc = fit_config(out)
+    doc["scenario"] = full_form_rates_config(out)["scenario"]
+    return doc
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+@pytest.mark.parametrize("make", [full_form_rates_config, svd_rates_config, full_form_fit_config,
+                                  diagnose_config])
+def test_nonpositive_alpha_exits_two(tmp_path, make, alpha):
+    # a hard_loss rates run used to exit 2 after writing rates.csv, an svd
+    # one and fit to finish, and diagnose to exit 2 mid-run
+    out = tmp_path / "artifacts"
+    doc = make(str(out))
+    doc["scenario"]["alpha"] = alpha
+    with pytest.raises(ConfigurationError, match="alpha"):
+        validate_config(doc)
+    assert run(write_config(tmp_path, doc), threads=1) == 2
+    assert not out.exists()
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -521,7 +542,7 @@ import json, resource, sys
 import numpy as np
 from indirect_erm import cli
 from indirect_erm.erm import RateConfig, minimize
-from indirect_erm.hypotheses import LossSpec, Scenario, threshold_grid
+from indirect_erm.hypotheses import Scenario, threshold_grid
 from indirect_erm.simulation import build_backend, generate_sample, rule_smoothing
 
 if not cli.set_allocator_thresholds():
@@ -531,7 +552,7 @@ with open(sys.argv[1]) as fh:
     doc = json.load(fh)
 scenario, n = Scenario.from_json(doc["scenario"]), 16384
 bandwidth = rule_smoothing("deconvolution", scenario, RateConfig.from_json(doc["rate_config"]), n)
-backend = build_backend("deconvolution", scenario, LossSpec("hard"), bandwidth,
+backend = build_backend("deconvolution", scenario, bandwidth,
                         base_kernel=doc["base_kernel"])
 hclass = threshold_grid(doc["hypotheses"]["count"], scenario.domain)
 rng = np.random.default_rng(11)

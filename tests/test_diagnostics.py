@@ -159,42 +159,44 @@ def test_slope_counts_dropped_points_from_a_generator(caplog):
 # measured structural constants (light versions; heavy runs in acceptance)
 # ---------------------------------------------------------------------------
 
-def test_lipschitz_near_identity_for_dirac(grid, hard_loss):
+def test_lipschitz_near_identity_for_dirac(grid):
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
     h = grid.spacing
     lattice = build_lattice(grid, dirac_noise(), 4.0 * h)
     hclass = threshold_grid(11, grid)
-    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
+    backend = DeconvolutionBackend(lattice=lattice)
     pairs = [(i, i + 2) for i in range(0, 8)]
-    ratios = empirical_lipschitz(sc, backend, hclass, pairs, 20_000, seed=2)
+    ratios = empirical_lipschitz(sc, backend, hclass, pairs,
+                                 generate_sample(sc, 20_000, np.random.default_rng(2)))
     assert np.all(np.abs(ratios - 1.0) < 0.1)
 
 
-def test_lipschitz_skips_degenerate_pairs(grid, hard_loss):
+def test_lipschitz_skips_degenerate_pairs(grid):
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
     lattice = build_lattice(grid, dirac_noise(), 0.05)
     hclass = threshold_grid(9, grid)
-    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
-    ratios = empirical_lipschitz(sc, backend, hclass, [(0, 0), (2, 6), (3, 3)], 100, seed=0)
+    backend = DeconvolutionBackend(lattice=lattice)
+    sample = generate_sample(sc, 100, np.random.default_rng(0))
+    ratios = empirical_lipschitz(sc, backend, hclass, [(0, 0), (2, 6), (3, 3)], sample)
     assert ratios.size == 1
     # no pair left to measure: an error, not an empty array
     with pytest.raises(DataError):
-        empirical_lipschitz(sc, backend, hclass, [(0, 0), (3, 3)], 100, seed=0)
+        empirical_lipschitz(sc, backend, hclass, [(0, 0), (3, 3)], sample)
     with pytest.raises(DataError):
-        empirical_lipschitz(sc, backend, hclass, [], 100, seed=0)
+        empirical_lipschitz(sc, backend, hclass, [], sample)
 
 
-def test_loss_distances_use_the_backend_loss(grid, hard_loss):
+def test_loss_distances_use_the_backend_loss(grid):
     # under nu_y the raw hard-loss distance of two thresholds is the root of
     # their gap; the regularized one is the backend's losses at the draws
     sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     hclass = threshold_grid(9, grid)
-    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
+    backend = DeconvolutionBackend(lattice=lattice)
     pairs = [(0, 4), (2, 6), (3, 4)]
-    ratios = empirical_lipschitz(sc, backend, hclass, pairs, 5000, seed=3)
-    assert ratios.size == 3
     sample = generate_sample(sc, 5000, np.random.default_rng(3))
+    ratios = empirical_lipschitz(sc, backend, hclass, pairs, sample)
+    assert ratios.size == 3
     num_sq = np.zeros(len(pairs))
     for label in sc.labels:
         values = backend.losses(hclass, label, sample.z[sample.y == label])
@@ -207,32 +209,32 @@ def test_loss_distances_use_the_backend_loss(grid, hard_loss):
     assert empirical_modulus(sc, backend, hclass, 1.01 * closest, 400, 4, seed=3) > 0.0
 
 
-def test_loss_distances_match_reference_quadrature(grid, hard_loss):
+def test_loss_distances_match_reference_quadrature(grid):
     # priors summing to 1 - 1e-10: each distance carries p0 + p1, not 1
     sc = Scenario(priors=(0.3, 0.7 - 1e-10), densities="linear", contamination=dirac_noise(),
                   domain=grid)
     hclass = mixed_threshold_class(grid)
     i, j = np.triu_indices(len(hclass), 1)
-    ref = [reference_loss_distance_sq(sc, hard_loss, hclass[a], hclass[b]) for a, b in zip(i, j)]
+    ref = [reference_loss_distance_sq(sc, hclass[a], hclass[b]) for a, b in zip(i, j)]
     assert np.abs(_loss_distance_sq(sc, hclass, i, j) - ref).max() <= 1e-15
     x, w = grid.axis(), grid.weights()
     for cls in (hclass, HypothesisClass(tuple(c for c in hclass if 0.0 < c.threshold < 0.9))):
-        norms = [np.dot(w, loss_values(c, hard_loss, y, x)) for c in cls for y in (0, 1)]
+        norms = [np.dot(w, loss_values(c, y, x)) for c in cls for y in (0, 1)]
         assert abs(_max_loss_l2(cls, grid) - np.sqrt(max(norms))) <= 1e-15
 
 
-def test_bernstein_ratio_matches_per_classifier_loop(grid, hard_loss):
+def test_bernstein_ratio_matches_per_classifier_loop(grid):
     sc = make_margin_scenario(1, dirac_noise(), x_star=0.3, grid=grid)
     hclass = mixed_threshold_class(grid)
-    star, _, _ = bayes_in_class(hclass, sc, hard_loss)
-    risks = [reference_true_risk(c, sc, hard_loss) for c in hclass]
-    ref = max(reference_loss_distance_sq(sc, hard_loss, c, hclass[star])
+    star, _, _ = bayes_in_class(hclass, sc)
+    risks = [reference_true_risk(c, sc) for c in hclass]
+    ref = max(reference_loss_distance_sq(sc, c, hclass[star])
               / (r - risks[star]) ** (1.0 / sc.kappa)
               for c, r in zip(hclass, risks) if r - risks[star] > 1e-8)
-    assert bernstein_ratio(sc, hclass, star, hard_loss) == pytest.approx(ref, rel=1e-12)
+    assert bernstein_ratio(sc, hclass, star) == pytest.approx(ref, rel=1e-12)
 
 
-def test_table_sup_matches_reference_tables(grid, hard_loss):
+def test_table_sup_matches_reference_tables(grid):
     def sup(tables):
         return max(np.abs(v).max() for t in tables for v in t.values.values())
 
@@ -241,52 +243,52 @@ def test_table_sup_matches_reference_tables(grid, hard_loss):
     # here the largest loss is the loss 1's row minus a table row (3.38 against 3.15)
     left = HypothesisClass(tuple(ThresholdClassifier(t) for t in (0.05, 0.1)))
     for cls in (hclass, left):
-        ref = sup(modified_loss_deconv(c, hard_loss, lattice) for c in cls)
-        assert table_sup(DeconvolutionBackend(lattice=lattice, loss=hard_loss),
+        ref = sup(modified_loss_deconv(c, lattice) for c in cls)
+        assert table_sup(DeconvolutionBackend(lattice=lattice),
                          cls) == pytest.approx(ref, rel=1e-12)
     op = SpectralOperator(decay=1.0, k_max=64)
-    ref = sup(modified_loss_svd(c, hard_loss, op, 8, grid) for c in hclass)
-    svd = SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss)
+    ref = sup(modified_loss_svd(c, op, 8, grid) for c in hclass)
+    svd = SvdBackend(operator=op, cutoff=8, grid=grid)
     assert table_sup(svd, hclass) == pytest.approx(ref, rel=1e-12)
 
 
-def test_sup_bound_scalings(grid, hard_loss):
+def test_sup_bound_scalings(grid):
     hclass = threshold_grid(11, grid)
     noise = laplace_noise(2.0)
     lams = np.array([0.2, 0.1, 0.05])
     vals = []
     for lam in lams:
-        backend = DeconvolutionBackend(lattice=build_lattice(grid, noise, lam), loss=hard_loss)
+        backend = DeconvolutionBackend(lattice=build_lattice(grid, noise, lam))
         vals.append(sup_bound_deconv(backend, hclass))
     slope = np.polyfit(np.log(lams), np.log(vals), 1)[0]
     assert abs(slope + 2.5) < 0.3
 
     op = SpectralOperator(decay=1.0, k_max=64)
     ns = np.array([8, 16, 32, 64])
-    svals = [sup_bound_svd(SvdBackend(operator=op, cutoff=n, grid=grid, loss=hard_loss), hclass)
+    svals = [sup_bound_svd(SvdBackend(operator=op, cutoff=n, grid=grid), hclass)
              for n in ns]
     sslope = np.polyfit(np.log(ns), np.log(svals), 1)[0]
     assert abs(sslope - 1.5) < 0.3
 
 
 @pytest.mark.parametrize("variant", ["squared_loss", "general"])
-def test_bias_deconv_matches_per_classifier_quadrature(grid, hard_loss, variant):
+def test_bias_deconv_matches_per_classifier_quadrature(grid, variant):
     # the laplace-diagnose benchmark's scenario, class and bandwidths
     noise = laplace_noise(2.0)
     sc = make_margin_scenario(1, noise, family="smooth", gamma=2.0, grid=grid, sharpness=1.3)
     hclass = threshold_grid(33, grid)
-    star, _, _ = bayes_in_class(hclass, sc, hard_loss)
+    star, _, _ = bayes_in_class(hclass, sc)
     for lam in (0.1, 0.15, 0.22, 0.33, 0.5):
         lattice = build_lattice(grid, noise, lam, base_kind="order_m_flat_top")
-        got = empirical_bias_deconv(sc, DeconvolutionBackend(lattice=lattice, loss=hard_loss),
+        got = empirical_bias_deconv(sc, DeconvolutionBackend(lattice=lattice),
                                     hclass, star, variant)
-        ref = naive_bias_deconv(sc, lattice, hclass, star, hard_loss, variant)
+        ref = naive_bias_deconv(sc, lattice, hclass, star, variant)
         assert ref > 0
         assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("variant", ["squared_loss", "general"])
-def test_bias_svd_matches_coefficient_pairing(grid, hard_loss, variant):
+def test_bias_svd_matches_coefficient_pairing(grid, variant):
     op = SpectralOperator(decay=1.0, k_max=64)
     sc = Scenario(priors=structural_pair_priors(), densities="tent_pair", contamination=op,
                   alpha=1.0, gamma=1.0, domain=grid)
@@ -295,63 +297,63 @@ def test_bias_svd_matches_coefficient_pairing(grid, hard_loss, variant):
         ThresholdClassifier(snap_to_cell_midpoint(_TENT_CROSSING + 0.002 * j, grid))
         for j in range(-8, 9)))
     for cutoff in (6, 14, 32, 48):
-        svd = SvdBackend(operator=op, cutoff=cutoff, grid=grid, loss=hard_loss)
-        ref = naive_bias_svd(sc, op, cutoff, hclass, 8, hard_loss, variant)
+        svd = SvdBackend(operator=op, cutoff=cutoff, grid=grid)
+        ref = naive_bias_svd(sc, op, cutoff, hclass, 8, variant)
         assert ref > 0
         assert abs(empirical_bias_svd(sc, svd, hclass, 8, variant) - ref) < 1e-12
 
 
-def test_bias_vanishes_for_dirac_small_bandwidth(grid, hard_loss):
+def test_bias_vanishes_for_dirac_small_bandwidth(grid):
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
     lattice = build_lattice(grid, dirac_noise(), 6.0 * grid.spacing)
     hclass = threshold_grid(21, grid)
-    star, _, _ = bayes_in_class(hclass, sc, hard_loss)
-    value = empirical_bias_deconv(sc, DeconvolutionBackend(lattice=lattice, loss=hard_loss),
+    star, _, _ = bayes_in_class(hclass, sc)
+    value = empirical_bias_deconv(sc, DeconvolutionBackend(lattice=lattice),
                                   hclass, star)
     assert value <= 0.02
 
 
-def test_bias_variant_outside_choices_rejected(grid, hard_loss):
+def test_bias_variant_outside_choices_rejected(grid):
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
     hclass = threshold_grid(5, grid)
-    deconv = DeconvolutionBackend(lattice=build_lattice(grid, dirac_noise(), 0.25), loss=hard_loss)
+    deconv = DeconvolutionBackend(lattice=build_lattice(grid, dirac_noise(), 0.25))
     op = SpectralOperator(decay=1.0, k_max=16)
     sc_svd = make_margin_scenario(1, op, grid=grid)
-    svd = SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss)
+    svd = SvdBackend(operator=op, cutoff=8, grid=grid)
     with pytest.raises(ConfigurationError):
         empirical_bias_deconv(sc, deconv, hclass, 2, bias_variant="cubic")
     with pytest.raises(ConfigurationError):
         empirical_bias_svd(sc_svd, svd, hclass, 2, bias_variant="cubic")
 
 
-def test_bernstein_ratio_linear_scenario(grid, hard_loss):
+def test_bernstein_ratio_linear_scenario(grid):
     # margin construction: the ratio is finite and stable under refinement
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
     vals = []
     for count in (11, 101):
         hclass = threshold_grid(count, grid)
-        star, _, _ = bayes_in_class(hclass, sc, hard_loss)
-        vals.append(bernstein_ratio(sc, hclass, star, hard_loss))
+        star, _, _ = bayes_in_class(hclass, sc)
+        vals.append(bernstein_ratio(sc, hclass, star))
     assert vals[0] > 0 and vals[1] > 0
     assert max(vals) / min(vals) < 2.0
 
 
-def test_bernstein_singleton_and_guard(grid, hard_loss):
+def test_bernstein_singleton_and_guard(grid):
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
     lone = HypothesisClass((ThresholdClassifier(0.5),))
-    assert bernstein_ratio(sc, lone, 0, hard_loss) == 0.0
+    assert bernstein_ratio(sc, lone, 0) == 0.0
     degenerate = Scenario(priors=(0.5, 0.5), densities="linear",
                           contamination=dirac_noise(), alpha=float("inf"),
                           domain=grid)
     with pytest.raises(ConfigurationError):
-        bernstein_ratio(degenerate, lone, 0, hard_loss)
+        bernstein_ratio(degenerate, lone, 0)
 
 
-def test_modulus_zero_delta_and_nesting(grid, hard_loss):
+def test_modulus_zero_delta_and_nesting(grid):
     sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     hclass = threshold_grid(9, grid)
-    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
+    backend = DeconvolutionBackend(lattice=lattice)
     zero = empirical_modulus(sc, backend, hclass, 0.0, 200, 3, seed=1)
     assert zero == 0.0
     small = empirical_modulus(sc, backend, hclass, 0.3, 400, 8, seed=1)
@@ -359,20 +361,20 @@ def test_modulus_zero_delta_and_nesting(grid, hard_loss):
     assert small <= large + 0.02
 
 
-def test_modulus_svd_route(grid, hard_loss):
+def test_modulus_svd_route(grid):
     op = SpectralOperator(decay=1.0, k_max=64)
     sc = make_margin_scenario(1, op, grid=grid)
     hclass = threshold_grid(7, grid)
-    backend = SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss)
+    backend = SvdBackend(operator=op, cutoff=8, grid=grid)
     value = empirical_modulus(sc, backend, hclass, 0.6, 300, 5, seed=4)
     assert value > 0.0 and np.isfinite(value)
 
 
-def test_modulus_root_n_scaling(grid, hard_loss):
+def test_modulus_root_n_scaling(grid):
     sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     hclass = threshold_grid(9, grid)
-    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
+    backend = DeconvolutionBackend(lattice=lattice)
     ns = np.array([200, 800, 3200])
     vals = np.array([
         empirical_modulus(sc, backend, hclass, 0.6, int(n), 30, seed=7)

@@ -10,7 +10,6 @@ from indirect_erm import (
     ConfigurationError,
     DeconvolutionBackend,
     HypothesisClass,
-    LossSpec,
     RateConfig,
     SpectralOperator,
     SvdBackend,
@@ -26,7 +25,7 @@ from indirect_erm import (
 )
 from indirect_erm.cli import _read_plan
 from indirect_erm.erm import empirical_risks, expected_risks
-from indirect_erm.hypotheses import LOSS_KINDS, loss_values, snap_to_cell_midpoint
+from indirect_erm.hypotheses import loss_values, snap_to_cell_midpoint
 from indirect_erm import noisy_risk
 from indirect_erm.noisy_risk import (
     ModifiedLossTable,
@@ -116,57 +115,57 @@ def test_rate_config_validation():
 # exhaustive minimization
 # ---------------------------------------------------------------------------
 
-def test_minimize_singleton(grid, hard_loss):
+def test_minimize_singleton(grid):
     sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
     lattice = build_lattice(grid, laplace_noise(2.0), 0.2)
     lone = HypothesisClass((ThresholdClassifier(snap_to_cell_midpoint(0.4, grid)),))
     sample = generate_sample(sc, 50, np.random.default_rng(0))
-    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
+    backend = DeconvolutionBackend(lattice=lattice)
     fit = minimize(lone, sample, backend)
     assert fit.index == 0
-    table = modified_loss_deconv(lone[0], hard_loss, lattice)
+    table = modified_loss_deconv(lone[0], lattice)
     assert abs(fit.empirical_risk - empirical_risk(table, sample)) < 1e-12
 
 
-def test_minimize_matches_per_classifier_tables(grid, hard_loss):
+def test_minimize_matches_per_classifier_tables(grid):
     # the class scan and the per-classifier table lookups are one bilinear
     # form evaluated in two orders
     sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     hclass = threshold_grid(21, grid)
-    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
+    backend = DeconvolutionBackend(lattice=lattice)
     rng = np.random.default_rng(5)
     for _ in range(5):
         sample = generate_sample(sc, 120, rng)
         fit = minimize(hclass, sample, backend)
-        risks = [empirical_risk(modified_loss_deconv(clf, hard_loss, lattice), sample)
+        risks = [empirical_risk(modified_loss_deconv(clf, lattice), sample)
                  for clf in hclass]
         assert fit.index == int(np.argmin(risks))
         assert abs(fit.empirical_risk - min(risks)) < 1e-12
 
 
-def test_minimize_svd_matches_per_classifier_tables(grid, hard_loss):
+def test_minimize_svd_matches_per_classifier_tables(grid):
     op = SpectralOperator(decay=1.0, k_max=64)
     sc = make_margin_scenario(1, op, grid=grid)
     hclass = threshold_grid(21, grid)
-    backend = SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss)
+    backend = SvdBackend(operator=op, cutoff=8, grid=grid)
     sample = generate_sample(sc, 300, np.random.default_rng(4))
     fit = minimize(hclass, sample, backend)
-    risks = [empirical_risk(modified_loss_svd(clf, hard_loss, op, 8, grid), sample)
+    risks = [empirical_risk(modified_loss_svd(clf, op, 8, grid), sample)
              for clf in hclass]
     assert fit.index == int(np.argmin(risks))
     assert abs(fit.empirical_risk - min(risks)) < 1e-12
 
 
-def test_class_matrix_cache_keyed_by_value(grid, hard_loss):
+def test_class_matrix_cache_keyed_by_value(grid):
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
-    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
+    backend = DeconvolutionBackend(lattice=lattice)
     first = backend.class_matrix(threshold_grid(7, grid))
     assert backend.class_matrix(threshold_grid(7, grid)) is first
     assert backend.class_matrix(threshold_grid(9, grid)).shape[0] == 9
 
 
-def test_backend_losses_match_per_classifier_tables(grid, hard_loss):
+def test_backend_losses_match_per_classifier_tables(grid):
     # the class-wide losses are the reference tables' lookups, to rounding:
     # closed-form tables and a gather on the lattice, the exact expansion
     # for the spectral backend
@@ -175,13 +174,13 @@ def test_backend_losses_match_per_classifier_tables(grid, hard_loss):
     hclass = threshold_grid(9, grid)
     z = np.random.default_rng(2).uniform(-0.5, 1.5, 400)
     window = (0.1, 0.9)
-    deconv = DeconvolutionBackend(lattice=lattice, loss=hard_loss, window=window)
-    svd = SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss)
+    deconv = DeconvolutionBackend(lattice=lattice, window=window)
+    svd = SvdBackend(operator=op, cutoff=8, grid=grid)
     for label in (0, 1):
-        ref = [modified_loss_deconv(c, hard_loss, lattice, window=window).evaluate(z, label)
+        ref = [modified_loss_deconv(c, lattice, window=window).evaluate(z, label)
                for c in hclass]
         assert np.abs(deconv.losses(hclass, label, z) - np.vstack(ref)).max() < 1e-12
-        ref = [modified_loss_svd(c, hard_loss, op, 8, grid).evaluate(z, label) for c in hclass]
+        ref = [modified_loss_svd(c, op, 8, grid).evaluate(z, label) for c in hclass]
         assert np.abs(svd.losses(hclass, label, z) - np.vstack(ref)).max() < 1e-12
 
 
@@ -196,7 +195,7 @@ def _edge_class(nodes, grid, orientation):
 
 @pytest.mark.parametrize("noise", [laplace_noise(2.0), dirac_noise()], ids=["laplace", "dirac"])
 @pytest.mark.parametrize("bandwidth", [0.05, 0.1, 0.25, 0.5])
-def test_closed_form_tables_match_convolution_tables(grid, hard_loss, noise, bandwidth):
+def test_closed_form_tables_match_convolution_tables(grid, noise, bandwidth):
     # each regularized loss, a difference of two values of the kernel's
     # cumulative sum, against the per-classifier FFT tables: at every node
     # and at points clamped to both lattice ends
@@ -207,8 +206,8 @@ def test_closed_form_tables_match_convolution_tables(grid, hard_loss, noise, ban
     for window in (None, (0.1, 0.9)):
         for orientation in (1, -1):
             hclass = _edge_class(nodes, grid, orientation)
-            backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss, window=window)
-            tables = [modified_loss_deconv(c, hard_loss, lattice, window=window) for c in hclass]
+            backend = DeconvolutionBackend(lattice=lattice, window=window)
+            tables = [modified_loss_deconv(c, lattice, window=window) for c in hclass]
             for label in (0, 1):
                 want = np.vstack([t.evaluate(z, label) for t in tables])
                 got = backend.losses(hclass, label, z)
@@ -216,24 +215,24 @@ def test_closed_form_tables_match_convolution_tables(grid, hard_loss, noise, ban
 
 
 @pytest.mark.parametrize("orientation", [1, -1])
-def test_closed_form_class_matrices_match_loss_loops(grid, hard_loss, orientation):
+def test_closed_form_class_matrices_match_loss_loops(grid, orientation):
     # exactly: the risks, and so every fit, do not move
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     hclass = _edge_class(lattice.nodes, grid, orientation)
-    matrix, starts = reference_runs(hclass, hard_loss, lattice.nodes)
+    matrix, starts = reference_runs(hclass, lattice.nodes)
     for window in (None, (0.1, 0.9)):
-        runs = DeconvolutionBackend(lattice=lattice, loss=hard_loss, window=window)._runs(hclass)
+        runs = DeconvolutionBackend(lattice=lattice, window=window)._runs(hclass)
         assert np.array_equal(runs[0], matrix) and np.array_equal(runs[1], starts)
     hclass = HypothesisClass(tuple(ThresholdClassifier(t, orientation)
                                    for t in (-0.5, 0.0, 0.3, 0.5, 1.0, 1.5)))
     op = SpectralOperator(decay=1.0, k_max=64)
     for cutoff in (1, 8, 64):
-        backend = SvdBackend(operator=op, cutoff=cutoff, grid=grid, loss=hard_loss)
+        backend = SvdBackend(operator=op, cutoff=cutoff, grid=grid)
         want = [reference_loss_coefficients(c, 0, grid.lower, grid.upper, cutoff) for c in hclass]
         assert np.array_equal(backend.class_matrix(hclass), np.vstack(want))
 
 
-def test_backend_expected_risks_match_reference_quadrature(grid, hard_loss):
+def test_backend_expected_risks_match_reference_quadrature(grid):
     hclass = threshold_grid(9, grid)
     sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
@@ -241,22 +240,22 @@ def test_backend_expected_risks_match_reference_quadrature(grid, hard_loss):
         # each reference table integrated against the contaminated density
         ref = [sum(sc.priors[y] * float(np.dot(
             lattice.weights,
-            modified_loss_deconv(c, hard_loss, lattice, window=window).values[y]
+            modified_loss_deconv(c, lattice, window=window).values[y]
             * contaminated_density(sc, lattice, y))) for y in sc.labels) for c in hclass]
-        backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss, window=window)
+        backend = DeconvolutionBackend(lattice=lattice, window=window)
         got = expected_risks(hclass, sc, backend)
         assert np.abs(got - ref).max() < 1e-12
     # loss coefficients paired with the density coefficients
     op = SpectralOperator(decay=1.0, k_max=64)
     sc = make_margin_scenario(1, op, grid=grid)
-    ref = [sum(sc.priors[y] * float(np.dot(svd_loss_coefficients(c, hard_loss, op, 8, grid, y),
+    ref = [sum(sc.priors[y] * float(np.dot(svd_loss_coefficients(c, op, 8, grid, y),
                                            sc.cosine_coefficients(y, 8)))
                for y in sc.labels) for c in hclass]
-    got = expected_risks(hclass, sc, SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss))
+    got = expected_risks(hclass, sc, SvdBackend(operator=op, cutoff=8, grid=grid))
     assert np.abs(got - ref).max() < 1e-12
 
 
-def test_risks_request_label_zero_losses_only(grid, hard_loss, monkeypatch):
+def test_risks_request_label_zero_losses_only(grid, monkeypatch):
     # stricter than label 0 only: both backends build their class matrices
     # and tables from the thresholds alone, so no classifier is evaluated on
     # the nodes for either label, and a fresh kernel backend's losses take
@@ -280,7 +279,7 @@ def test_risks_request_label_zero_losses_only(grid, hard_loss, monkeypatch):
     lattice = build_lattice(grid, noise, 0.25)
     z = np.random.default_rng(3).uniform(-0.5, 1.5, 300)
     for window in (None, (0.2, 0.7)):
-        deconv = DeconvolutionBackend(lattice=lattice, loss=hard_loss, window=window)
+        deconv = DeconvolutionBackend(lattice=lattice, window=window)
         for label in (0, 1):
             deconv.losses(hclass, label, z)
         assert transforms == []
@@ -288,35 +287,35 @@ def test_risks_request_label_zero_losses_only(grid, hard_loss, monkeypatch):
         empirical_risks(hclass, sample, deconv)
         expected_risks(hclass, sc, deconv)
         transforms.clear()
-    empirical_bias_deconv(sc, DeconvolutionBackend(lattice=lattice, loss=hard_loss), hclass, 4)
-    svd = SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss)
+    empirical_bias_deconv(sc, DeconvolutionBackend(lattice=lattice), hclass, 4)
+    svd = SvdBackend(operator=op, cutoff=8, grid=grid)
     empirical_risks(hclass, generate_sample(svd_sc, 200, np.random.default_rng(2)), svd)
-    expected_risks(hclass, svd_sc, SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss))
+    expected_risks(hclass, svd_sc, SvdBackend(operator=op, cutoff=8, grid=grid))
     for label in (0, 1):
-        SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss).losses(hclass, label, z)
+        SvdBackend(operator=op, cutoff=8, grid=grid).losses(hclass, label, z)
 
 
-def test_svd_backend_rejects_cutoff_outside_range(grid, hard_loss):
+def test_svd_backend_rejects_cutoff_outside_range(grid):
     op = SpectralOperator(decay=1.0, k_max=16)
     for cutoff in (0, 17, 100):
         with pytest.raises(ConfigurationError):
-            SvdBackend(operator=op, cutoff=cutoff, grid=grid, loss=hard_loss)
-    assert SvdBackend(operator=op, cutoff=16, grid=grid, loss=hard_loss).smoothing == 16
+            SvdBackend(operator=op, cutoff=cutoff, grid=grid)
+    assert SvdBackend(operator=op, cutoff=16, grid=grid).smoothing == 16
 
 
-def test_restricted_backend_window_checked(grid, hard_loss):
+def test_restricted_backend_window_checked(grid):
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     with pytest.raises(ConfigurationError):
-        DeconvolutionBackend(lattice=lattice, loss=hard_loss, window=(0.6, 0.2))
+        DeconvolutionBackend(lattice=lattice, window=(0.6, 0.2))
     with pytest.raises(ConfigurationError):
-        DeconvolutionBackend(lattice=lattice, loss=hard_loss, window=(50.0, 60.0))
+        DeconvolutionBackend(lattice=lattice, window=(50.0, 60.0))
 
 
-def test_tables_minimize_matches_naive_oracle(grid, hard_loss):
+def test_tables_minimize_matches_naive_oracle(grid):
     # two-path equivalence on random small instances (exact index match)
     sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
     lattice = build_lattice(grid, laplace_noise(2.0), 0.2)
-    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
+    backend = DeconvolutionBackend(lattice=lattice)
     rng = np.random.default_rng(9)
     for _ in range(5):
         sample = generate_sample(sc, 50, rng)
@@ -324,17 +323,17 @@ def test_tables_minimize_matches_naive_oracle(grid, hard_loss):
         hclass = HypothesisClass(tuple(
             ThresholdClassifier(snap_to_cell_midpoint(t, grid)) for t in ts))
         fit = minimize(hclass, sample, backend)
-        assert fit.index == naive_minimize_index(hclass, hard_loss, lattice, sample)
+        assert fit.index == naive_minimize_index(hclass, lattice, sample)
 
 
-def test_argmin_invariant_under_constant_shift(grid, hard_loss):
+def test_argmin_invariant_under_constant_shift(grid):
     sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
     lattice = build_lattice(grid, laplace_noise(2.0), 0.2)
     hclass = threshold_grid(11, grid)
     sample = generate_sample(sc, 80, np.random.default_rng(3))
     risks, shifted = [], []
     for clf in hclass:
-        table = modified_loss_deconv(clf, hard_loss, lattice)
+        table = modified_loss_deconv(clf, lattice)
         risks.append(empirical_risk(table, sample))
         bumped = ModifiedLossTable(
             z_nodes=table.z_nodes,
@@ -344,12 +343,12 @@ def test_argmin_invariant_under_constant_shift(grid, hard_loss):
     assert int(np.argmin(risks)) == int(np.argmin(shifted))
 
 
-def test_minimize_svd_backend(grid, hard_loss):
+def test_minimize_svd_backend(grid):
     op = SpectralOperator(decay=1.0, k_max=64)
     sc = make_margin_scenario(1, op, grid=grid)
     hclass = threshold_grid(21, grid)
     sample = generate_sample(sc, 400, np.random.default_rng(12))
-    backend = SvdBackend(operator=op, cutoff=8, grid=grid, loss=hard_loss)
+    backend = SvdBackend(operator=op, cutoff=8, grid=grid)
     fit = minimize(hclass, sample, backend)
     assert fit.backend == "svd"
     assert 0 <= fit.index < len(hclass)
@@ -379,13 +378,13 @@ def test_svd_preset_argmin_same_with_direct_cosine_basis(monkeypatch):
         == [index for _, _, index in trials]
 
 
-def test_dirac_consistency_many_replications(grid, hard_loss):
+def test_dirac_consistency_many_replications(grid):
     # near-threshold recovery in at least 90% of seeded replications
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
     h = grid.spacing
     lattice = build_lattice(grid, dirac_noise(), 8.0 * h)
     hclass = threshold_grid(101, grid)
-    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
+    backend = DeconvolutionBackend(lattice=lattice)
     hits = 0
     for rep in range(100):
         sample = generate_sample(sc, 4096, np.random.default_rng(1000 + rep))
@@ -394,13 +393,13 @@ def test_dirac_consistency_many_replications(grid, hard_loss):
     assert hits >= 90
 
 
-def test_oracle_empirical_risk_converges(grid, hard_loss):
+def test_oracle_empirical_risk_converges(grid):
     # at the oracle threshold the empirical risk approaches 1/4 like 1/sqrt(n)
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
     h = grid.spacing
     lattice = build_lattice(grid, dirac_noise(), 4.0 * h)
     star = ThresholdClassifier(snap_to_cell_midpoint(0.5, grid))
-    table = modified_loss_deconv(star, hard_loss, lattice)
+    table = modified_loss_deconv(star, lattice)
     rng = np.random.default_rng(6)
     for n in (256, 4096):
         values = [empirical_risk(table, generate_sample(sc, n, rng))
@@ -409,12 +408,12 @@ def test_oracle_empirical_risk_converges(grid, hard_loss):
         assert abs(np.mean(values) - 0.25) < 3.0 * se + 0.01
 
 
-def test_fit_result_serialization(grid, hard_loss):
+def test_fit_result_serialization(grid):
     sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
     lattice = build_lattice(grid, laplace_noise(2.0), 0.3)
     hclass = threshold_grid(5, grid)
     sample = generate_sample(sc, 30, np.random.default_rng(0))
-    fit = minimize(hclass, sample, DeconvolutionBackend(lattice=lattice, loss=hard_loss))
+    fit = minimize(hclass, sample, DeconvolutionBackend(lattice=lattice))
     doc = fit.to_json()
     assert doc["classifier"]["kind"] == "threshold"
     assert doc["backend"] == "deconvolution"
@@ -422,17 +421,15 @@ def test_fit_result_serialization(grid, hard_loss):
     assert isinstance(json.dumps(doc, sort_keys=True), str)
 
 
-@pytest.mark.parametrize("kind", LOSS_KINDS)
 @pytest.mark.parametrize("window", [None, (0.2, 0.7)])
-def test_run_merged_scan_matches_dense_product(grid, kind, window):
+def test_run_merged_scan_matches_dense_product(grid, window):
     # the class matrix keeps one column per run of nodes on which no loss
     # changes; its scan is the dense label-0 node-loss product in another order
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
-    loss = LossSpec(kind=kind)
-    backend = DeconvolutionBackend(lattice=lattice, loss=loss, window=window)
+    backend = DeconvolutionBackend(lattice=lattice, window=window)
     rng = np.random.default_rng(9)
     for hclass in (threshold_grid(41, grid), threshold_grid(41, grid, orientation=-1)):
-        dense = np.vstack([loss_values(clf, loss, 0, lattice.nodes) for clf in hclass])
+        dense = np.vstack([loss_values(clf, 0, lattice.nodes) for clf in hclass])
         assert backend.class_matrix(hclass).shape[1] < len(lattice.nodes) // 50
         for _ in range(4):
             features = reference_plug_in_features(rng.uniform(-0.5, 1.5, 300), backend)
@@ -469,11 +466,11 @@ def _reference_cases(grid, orientation):
 @pytest.mark.parametrize("noise", [laplace_noise(2.0), dirac_noise()], ids=["laplace", "dirac"])
 @pytest.mark.parametrize("window", [None, (0.2, 0.7)])
 @pytest.mark.parametrize("orientation", [1, -1])
-def test_empirical_risks_match_per_label_reference(grid, hard_loss, noise, window, orientation):
+def test_empirical_risks_match_per_label_reference(grid, noise, window, orientation):
     # one signed, windowed statistic against the full-lattice plug-in
     # density of each label scanned against its own class matrix
     lattice = build_lattice(grid, noise, 0.25)
-    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss, window=window)
+    backend = DeconvolutionBackend(lattice=lattice, window=window)
     for name, hclass, sample in _reference_cases(grid, orientation):
         runs = backend.class_matrix(hclass).shape[1]
         assert runs > 2 if name.startswith("grid") else runs == 2, name
@@ -483,11 +480,11 @@ def test_empirical_risks_match_per_label_reference(grid, hard_loss, noise, windo
         assert np.argmin(got) == np.argmin(want), name
 
 
-def test_minimize_makes_one_windowed_transform_pair(grid, hard_loss, monkeypatch):
+def test_minimize_makes_one_windowed_transform_pair(grid, monkeypatch):
     # with the class's window cached, a trial is one rfft and one irfft at
     # the window's length, not a full-lattice pair per label
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
-    backend = DeconvolutionBackend(lattice=lattice, loss=hard_loss)
+    backend = DeconvolutionBackend(lattice=lattice)
     hclass = threshold_grid(41, grid)
     sample = generate_sample(make_margin_scenario(1, laplace_noise(2.0), grid=grid), 300,
                              np.random.default_rng(3))

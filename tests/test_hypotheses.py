@@ -6,7 +6,6 @@ import pytest
 from indirect_erm import (
     ConfigurationError,
     HypothesisClass,
-    LossSpec,
     ModelError,
     Scenario,
     SpectralOperator,
@@ -14,7 +13,6 @@ from indirect_erm import (
     bayes_in_class,
     dirac_noise,
     laplace_noise,
-    loss_eval,
     make_margin_scenario,
     threshold_grid,
     true_risk,
@@ -36,34 +34,32 @@ from oracles import (
 # ---------------------------------------------------------------------------
 
 def test_hard_loss_values():
-    loss = LossSpec("hard")
-    assert loss_eval(loss, 1.0, 1) == 0.0
-    assert loss_eval(loss, 0.0, 1) == 1.0
-    assert loss_eval(loss, 1.0, 0) == 1.0
+    clf = ThresholdClassifier(0.5)  # predicts 1 at 0.7 and 0 at 0.3
+    assert loss_values(clf, 1, np.array([0.7])) == 0.0
+    assert loss_values(clf, 1, np.array([0.3])) == 1.0
+    assert loss_values(clf, 0, np.array([0.7])) == 1.0
 
 
 def test_label_out_of_range():
     with pytest.raises(ConfigurationError):
-        loss_eval(LossSpec("hard"), 1.0, 2)
+        loss_values(ThresholdClassifier(0.5), 2, np.array([0.7]))
 
 
 def test_losses_bounded(grid):
     x = grid.axis()
     clf = ThresholdClassifier(0.37)
-    loss = LossSpec("hard")
     for label in (0, 1):
-        vals = loss_values(clf, loss, label, x)
+        vals = loss_values(clf, label, x)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
 def test_hard_loss_difference_identity(grid):
     # |l(g,y) - l(g',y)| equals the symmetric-difference indicator, any y
     x = grid.axis()
-    loss = LossSpec("hard")
     g1, g2 = ThresholdClassifier(0.3), ThresholdClassifier(0.6)
     ind = np.abs(g1.predict(x) - g2.predict(x))
     for label in (0, 1):
-        diff = np.abs(loss_values(g1, loss, label, x) - loss_values(g2, loss, label, x))
+        diff = np.abs(loss_values(g1, label, x) - loss_values(g2, label, x))
         assert np.array_equal(diff, ind)
 
 
@@ -141,19 +137,19 @@ def test_densities_integrate_to_one(grid):
             assert abs(mass - 1.0) < 1e-5
 
 
-def test_bayes_in_class_linear(grid, linear_scenario, hard_loss):
+def test_bayes_in_class_linear(grid, linear_scenario):
     hclass = threshold_grid(101, grid)
-    idx, star, risk = bayes_in_class(hclass, linear_scenario, hard_loss)
+    idx, star, risk = bayes_in_class(hclass, linear_scenario)
     assert abs(star.threshold - 0.5) < grid.spacing
     assert abs(risk - 0.25) < 1e-6
 
 
-def test_bayes_singleton_and_ties(grid, linear_scenario, hard_loss):
+def test_bayes_singleton_and_ties(grid, linear_scenario):
     lone = HypothesisClass((ThresholdClassifier(0.3),))
-    idx, star, _ = bayes_in_class(lone, linear_scenario, hard_loss)
+    idx, star, _ = bayes_in_class(lone, linear_scenario)
     assert idx == 0
     dup = HypothesisClass((ThresholdClassifier(0.5), ThresholdClassifier(0.5)))
-    idx, _, _ = bayes_in_class(dup, linear_scenario, hard_loss)
+    idx, _, _ = bayes_in_class(dup, linear_scenario)
     assert idx == 0  # lowest index on exact ties
 
 
@@ -178,7 +174,7 @@ def test_hypothesis_class_hashed_once():
 
 def test_excess_risk_nonnegative(grid, linear_scenario, hard_loss):
     hclass = threshold_grid(31, grid)
-    _, _, best = bayes_in_class(hclass, linear_scenario, hard_loss)
+    _, _, best = bayes_in_class(hclass, linear_scenario)
     for clf in hclass:
         assert true_risk(clf, linear_scenario, hard_loss) - best >= -1e-9
 
@@ -195,10 +191,10 @@ def test_risk_bounds(grid, hard_loss):
 # margin scenario construction
 # ---------------------------------------------------------------------------
 
-def test_margin_scenario_crossing_shift(grid, hard_loss):
+def test_margin_scenario_crossing_shift(grid):
     sc = make_margin_scenario(1, dirac_noise(), x_star=0.3, grid=grid)
     hclass = threshold_grid(801, grid)
-    _, star, _ = bayes_in_class(hclass, sc, hard_loss)
+    _, star, _ = bayes_in_class(hclass, sc)
     assert abs(star.threshold - 0.3) < 0.005
     assert abs(sc.kappa - 2.0) < 1e-12
 
@@ -261,22 +257,22 @@ def test_true_risks_match_reference_quadrature(grid, hard_loss, family, window):
         sc = make_margin_scenario(1, laplace_noise(2.0), x_star=0.3, family=family, grid=grid,
                                   sharpness=1.0 if family == "linear" else 2.0)
     hclass = mixed_threshold_class(grid)
-    risks = true_risks(hclass, sc, hard_loss, window)
-    ref = [reference_true_risk(c, sc, hard_loss, window) for c in hclass]
+    risks = true_risks(hclass, sc, window)
+    ref = [reference_true_risk(c, sc, window) for c in hclass]
     assert np.abs(risks - ref).max() <= 1e-15
     # each risk is a lookup into tables the class does not enter: the
     # one-classifier risk is the same number, bit for bit
     assert [true_risk(c, sc, hard_loss, window) for c in hclass] == risks.tolist()
 
 
-def test_risk_outside_unit_interval_is_model_error(grid, hard_loss):
+def test_risk_outside_unit_interval_is_model_error(grid):
     # priors the scenario check would refuse, set past it: a risk above
     # 1 + 1e-9 is an error, not clamped to 1
     sc = Scenario(priors=(0.5, 0.5), densities="uniform", contamination=dirac_noise(),
                   domain=grid)
     object.__setattr__(sc, "priors", (1.5, 0.5))
     with pytest.raises(ModelError):
-        true_risks(threshold_grid(5, grid), sc, hard_loss)
+        true_risks(threshold_grid(5, grid), sc)
 
 
 def test_smooth_cosine_coefficients_match_direct_cosines(grid):

@@ -55,30 +55,30 @@ def test_lattice_spacing_builds_weights_and_offsets(grid):
     assert np.array_equal(lattice.kernel.offsets[0], lattice.spacing * np.arange(-m, m + 1))
 
 
-def test_zero_loss_table_is_zero(laplace_lattice, hard_loss):
+def test_zero_loss_table_is_zero(laplace_lattice):
     # classifier predicting 1 everywhere has zero loss at label 1
     clf = ThresholdClassifier(laplace_lattice.nodes[0] - 1.0)
-    table = modified_loss_deconv(clf, hard_loss, laplace_lattice, labels=(1,))
+    table = modified_loss_deconv(clf, laplace_lattice, labels=(1,))
     assert np.abs(table.values[1]).max() == 0.0
 
 
-def test_constant_loss_table_near_one(grid, hard_loss):
+def test_constant_loss_table_near_one(grid):
     # loss identically 1: the table reproduces the windowed kernel mass
     lattice = build_lattice(grid, dirac_noise(), 0.05)
     clf = ThresholdClassifier(lattice.nodes[-1] + 1.0)  # predicts 0 everywhere
-    table = modified_loss_deconv(clf, hard_loss, lattice, labels=(1,))
+    table = modified_loss_deconv(clf, lattice, labels=(1,))
     interior = (lattice.nodes >= 0.25) & (lattice.nodes <= 0.75)
     assert np.abs(table.values[1][interior] - 1.0).max() < 0.02
 
 
-def test_expected_table_matches_base_smoothing(grid, hard_loss):
+def test_expected_table_matches_base_smoothing(grid):
     # MC mean of the table under the contaminated law equals the quadrature
     # of the raw loss against the base-smoothed density (3 sigma band)
     noise = laplace_noise(2.0)
     sc = make_margin_scenario(1, noise, grid=grid)
     lattice = build_lattice(grid, noise, 0.2)
     clf = ThresholdClassifier(snap_to_cell_midpoint(0.4, grid))
-    table = modified_loss_deconv(clf, hard_loss, lattice, labels=(1,))
+    table = modified_loss_deconv(clf, lattice, labels=(1,))
 
     rng = np.random.default_rng(8)
     n = 100_000
@@ -87,7 +87,7 @@ def test_expected_table_matches_base_smoothing(grid, hard_loss):
     mc_vals = table.evaluate(z, 1)
 
     w = trapezoid_weights(len(lattice.nodes), lattice.spacing)
-    lv = loss_values(clf, hard_loss, 1, lattice.nodes)
+    lv = loss_values(clf, 1, lattice.nodes)
     smoothed = base_smoothed_density(sc, lattice, 1)
     exact = float(np.dot(w, lv * smoothed))
     se = mc_vals.std(ddof=1) / np.sqrt(n)
@@ -116,7 +116,7 @@ def test_base_scaled_built_once_on_first_use(grid, monkeypatch):
     assert first.bandwidth == lam and first.base_kind == lattice.kernel.base_kind
 
 
-def test_spectrum_built_once_per_lattice(grid, hard_loss, monkeypatch):
+def test_spectrum_built_once_per_lattice(grid, monkeypatch):
     original = noisy_risk.rfft
     lengths = []
 
@@ -128,7 +128,7 @@ def test_spectrum_built_once_per_lattice(grid, hard_loss, monkeypatch):
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     assert lengths == []  # built on first use
     plug_in_density(np.array([0.3, 0.6]), lattice)
-    modified_loss_deconv(ThresholdClassifier(0.5), hard_loss, lattice)
+    modified_loss_deconv(ThresholdClassifier(0.5), lattice)
     plug_in_density(np.array([0.4]), lattice)
     # one kernel transform, then one per convolved node function (1 + 2 + 1)
     assert lengths.count(len(lattice.kernel.values[0])) == 1
@@ -148,14 +148,13 @@ def _binned(z, nodes):
 
 
 @pytest.mark.parametrize("source", ["plug_in", "table_row"])
-def test_convolve_matches_fftconvolve(laplace_lattice, hard_loss, source):
+def test_convolve_matches_fftconvolve(laplace_lattice, source):
     lattice = laplace_lattice
     if source == "plug_in":
         z = np.random.default_rng(8).normal(0.5, 0.3, 500)
         values = _binned(z, lattice.nodes)
     else:
-        values = lattice.weights * loss_values(ThresholdClassifier(0.4), hard_loss, 1,
-                                               lattice.nodes)
+        values = lattice.weights * loss_values(ThresholdClassifier(0.4), 1, lattice.nodes)
     expected = fftconvolve(values, lattice.kernel.values[0], mode="valid")
     got = lattice.convolve(values)
     assert got.shape == (len(lattice.nodes),)
@@ -197,15 +196,15 @@ def test_empty_sample_rejected():
         NoisySample(z=np.array([]), y=np.array([], dtype=int))
 
 
-def test_table_clamps_out_of_range(laplace_lattice, hard_loss):
+def test_table_clamps_out_of_range(laplace_lattice):
     clf = ThresholdClassifier(0.5)
-    table = modified_loss_deconv(clf, hard_loss, laplace_lattice)
+    table = modified_loss_deconv(clf, laplace_lattice)
     far = np.array([laplace_lattice.nodes[-1] + 5.0])
     assert table.evaluate(far, 1)[0] == table.values[1][-1]
 
 
-def test_table_csv_export(tmp_path, laplace_lattice, hard_loss):
-    table = modified_loss_deconv(ThresholdClassifier(0.5), hard_loss, laplace_lattice)
+def test_table_csv_export(tmp_path, laplace_lattice):
+    table = modified_loss_deconv(ThresholdClassifier(0.5), laplace_lattice)
     path = tmp_path / "table.csv"
     table.to_csv(path)
     header = path.read_text().splitlines()[0]
@@ -216,15 +215,15 @@ def test_table_csv_export(tmp_path, laplace_lattice, hard_loss):
 # empirical risk and the plug-in identity
 # ---------------------------------------------------------------------------
 
-def test_empirical_risk_single_observation(laplace_lattice, hard_loss):
-    table = modified_loss_deconv(ThresholdClassifier(0.5), hard_loss, laplace_lattice)
+def test_empirical_risk_single_observation(laplace_lattice):
+    table = modified_loss_deconv(ThresholdClassifier(0.5), laplace_lattice)
     sample = NoisySample(z=np.array([0.37]), y=np.array([1]))
     expected = table.evaluate(np.array([0.37]), 1)[0]
     assert empirical_risk(table, sample) == pytest.approx(expected, abs=1e-15)
 
 
-def test_empirical_risk_duplication_invariance(laplace_lattice, hard_loss, rng):
-    table = modified_loss_deconv(ThresholdClassifier(0.5), hard_loss, laplace_lattice)
+def test_empirical_risk_duplication_invariance(laplace_lattice, rng):
+    table = modified_loss_deconv(ThresholdClassifier(0.5), laplace_lattice)
     z = rng.random(40)
     y = (rng.random(40) < 0.5).astype(int)
     once = empirical_risk(table, NoisySample(z=z, y=y))
@@ -232,15 +231,14 @@ def test_empirical_risk_duplication_invariance(laplace_lattice, hard_loss, rng):
     assert abs(once - twice) < 1e-12
 
 
-def test_missing_label_table(laplace_lattice, hard_loss):
-    table = modified_loss_deconv(ThresholdClassifier(0.5), hard_loss,
-                                 laplace_lattice, labels=(1,))
+def test_missing_label_table(laplace_lattice):
+    table = modified_loss_deconv(ThresholdClassifier(0.5), laplace_lattice, labels=(1,))
     sample = NoisySample(z=np.array([0.2]), y=np.array([0]))
     with pytest.raises(DataError):
         empirical_risk(table, sample)
 
 
-def test_plug_in_equivalence(grid, hard_loss, laplace_lattice):
+def test_plug_in_equivalence(grid, laplace_lattice):
     # table path == plug-in path == naive per-observation quadrature
     sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
     rng = np.random.default_rng(21)
@@ -248,7 +246,7 @@ def test_plug_in_equivalence(grid, hard_loss, laplace_lattice):
     for trial in range(5):
         sample = generate_sample(sc, 50, rng)
         clf = ThresholdClassifier(snap_to_cell_midpoint(rng.random(), grid))
-        table = modified_loss_deconv(clf, hard_loss, laplace_lattice)
+        table = modified_loss_deconv(clf, laplace_lattice)
         table_path = empirical_risk(table, sample)
         plug_path = 0.0
         for label in (0, 1):
@@ -256,9 +254,9 @@ def test_plug_in_equivalence(grid, hard_loss, laplace_lattice):
             if z_lab.size == 0:
                 continue
             fhat = plug_in_density(z_lab, laplace_lattice)
-            lv = loss_values(clf, hard_loss, label, laplace_lattice.nodes)
+            lv = loss_values(clf, label, laplace_lattice.nodes)
             plug_path += (z_lab.size / sample.n) * float(np.dot(w, lv * fhat))
-        naive = naive_empirical_risk(clf, hard_loss, laplace_lattice, sample)
+        naive = naive_empirical_risk(clf, laplace_lattice, sample)
         assert abs(table_path - plug_path) < 1e-10
         assert abs(table_path - naive) < 1e-10
 
@@ -362,52 +360,52 @@ def test_noise_correction_beats_plain_smoothing(grid):
 # spectral backend
 # ---------------------------------------------------------------------------
 
-def test_svd_zero_loss_table(grid, hard_loss):
+def test_svd_zero_loss_table(grid):
     op = SpectralOperator(decay=1.0, k_max=64)
     clf = ThresholdClassifier(grid.lower - 1.0)  # zero loss at label 1
-    table = modified_loss_svd(clf, hard_loss, op, 16, grid, labels=(1,))
+    table = modified_loss_svd(clf, op, 16, grid, labels=(1,))
     assert np.abs(table.values[1]).max() < 1e-12
 
 
-def test_svd_coefficients_closed_form(grid, hard_loss):
+def test_svd_coefficients_closed_form(grid):
     # hard loss of a threshold at label 1 is the indicator of [0, t]
     op = SpectralOperator(decay=1.0, k_max=64)
     t = snap_to_cell_midpoint(0.37, grid)
     clf = ThresholdClassifier(t)
-    c = svd_loss_coefficients(clf, hard_loss, op, 12, grid, 1)
+    c = svd_loss_coefficients(clf, op, 12, grid, 1)
     k = np.arange(1, 13)
     exact = np.sqrt(2.0) * np.sin(np.pi * k * t) / (np.pi * k)
     assert abs(c[0] - t) < 1e-12
     assert np.abs(c[1:] - exact).max() < 1e-12
 
 
-def test_svd_cutoff_validation(grid, hard_loss):
+def test_svd_cutoff_validation(grid):
     op = SpectralOperator(decay=1.0, k_max=8)
     with pytest.raises(ConfigurationError):
-        modified_loss_svd(ThresholdClassifier(0.5), hard_loss, op, 9, grid)
+        modified_loss_svd(ThresholdClassifier(0.5), op, 9, grid)
 
 
-def test_svd_table_converges_to_raw_loss(grid, hard_loss):
+def test_svd_table_converges_to_raw_loss(grid):
     # identity operator: the table converges to the raw loss in mean square
     op = SpectralOperator(decay=0.0, k_max=64)
     t = snap_to_cell_midpoint(0.5, grid)
     clf = ThresholdClassifier(t)
     x, w = grid.axis(), grid.weights()
-    raw = loss_values(clf, hard_loss, 1, x)
+    raw = loss_values(clf, 1, x)
     errs = []
     for cutoff in (8, 16, 32, 64):
-        table = modified_loss_svd(clf, hard_loss, op, cutoff, grid, labels=(1,))
+        table = modified_loss_svd(clf, op, cutoff, grid, labels=(1,))
         errs.append(float(np.dot(w, (table.values[1] - raw) ** 2)))
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 0.01
 
 
-def test_svd_plug_in_identity(grid, hard_loss, rng):
+def test_svd_plug_in_identity(grid, rng):
     # empirical risk over the table equals the coefficient pairing
     op = SpectralOperator(decay=1.0, k_max=64)
     cutoff = 12
     clf = ThresholdClassifier(snap_to_cell_midpoint(0.45, grid))
-    table = modified_loss_svd(clf, hard_loss, op, cutoff, grid)
+    table = modified_loss_svd(clf, op, cutoff, grid)
     z = rng.random(200)
     y = (rng.random(200) < 0.5).astype(int)
     sample = NoisySample(z=z, y=y)
@@ -418,7 +416,7 @@ def test_svd_plug_in_identity(grid, hard_loss, rng):
         z_lab = z[y == label]
         if z_lab.size == 0:
             continue
-        c = svd_loss_coefficients(clf, hard_loss, op, cutoff, grid, label)
+        c = svd_loss_coefficients(clf, op, cutoff, grid, label)
         moments = op.basis(z_lab, cutoff).mean(axis=1)
         paired += (z_lab.size / len(z)) * float(np.dot(c * inv_b, moments))
     assert abs(direct - paired) < 1e-10
@@ -428,31 +426,31 @@ def test_svd_plug_in_identity(grid, hard_loss, rng):
 # restricted loss
 # ---------------------------------------------------------------------------
 
-def test_restricted_full_window_equals_unrestricted(laplace_lattice, hard_loss):
+def test_restricted_full_window_equals_unrestricted(laplace_lattice):
     clf = ThresholdClassifier(0.5)
-    full = modified_loss_deconv(clf, hard_loss, laplace_lattice)
+    full = modified_loss_deconv(clf, laplace_lattice)
     restricted = modified_loss_deconv(
-        clf, hard_loss, laplace_lattice,
+        clf, laplace_lattice,
         window=(laplace_lattice.nodes[0], laplace_lattice.nodes[-1]))
     for label in (0, 1):
         assert np.array_equal(full.values[label], restricted.values[label])
 
 
-def test_restricted_vanishing_integrand(grid, hard_loss):
+def test_restricted_vanishing_integrand(grid):
     # loss supported right of the window: restricted table is exactly zero
     lattice = build_lattice(grid, laplace_noise(2.0), 0.2)
     clf = ThresholdClassifier(0.5)  # loss at label 0 lives on (0.5, 1]
-    table = modified_loss_deconv(clf, hard_loss, lattice, labels=(0,), window=(0.0, 0.5))
+    table = modified_loss_deconv(clf, lattice, labels=(0,), window=(0.0, 0.5))
     assert np.abs(table.values[0]).max() == 0.0
 
 
-def test_restricted_monotone_with_base_kernel(grid, hard_loss):
+def test_restricted_monotone_with_base_kernel(grid):
     # with the noise-free kernel, growing the window changes the table by
     # at most the absolute kernel mass over the added region
     lattice = build_lattice(grid, dirac_noise(), 0.1)
     clf = ThresholdClassifier(snap_to_cell_midpoint(0.4, grid), orientation=-1)
-    small = modified_loss_deconv(clf, hard_loss, lattice, labels=(1,), window=(0.2, 0.5))
-    big = modified_loss_deconv(clf, hard_loss, lattice, labels=(1,), window=(0.1, 0.7))
+    small = modified_loss_deconv(clf, lattice, labels=(1,), window=(0.2, 0.5))
+    big = modified_loss_deconv(clf, lattice, labels=(1,), window=(0.1, 0.7))
     w = trapezoid_weights(len(lattice.nodes), lattice.spacing)
     added = ((lattice.nodes >= 0.1) & (lattice.nodes < 0.2)) | \
             ((lattice.nodes > 0.5) & (lattice.nodes <= 0.7))
@@ -464,9 +462,9 @@ def test_restricted_monotone_with_base_kernel(grid, hard_loss):
         assert small.values[1][iz] <= big.values[1][iz] + bound + 1e-9
 
 
-def test_restricted_empty_window(laplace_lattice, hard_loss):
+def test_restricted_empty_window(laplace_lattice):
     with pytest.raises(ConfigurationError):
-        modified_loss_deconv(ThresholdClassifier(0.5), hard_loss, laplace_lattice,
+        modified_loss_deconv(ThresholdClassifier(0.5), laplace_lattice,
                              window=(0.5, 0.2))
 
 
@@ -474,16 +472,16 @@ def test_restricted_empty_window(laplace_lattice, hard_loss):
 # identity reduction at vanishing smoothing
 # ---------------------------------------------------------------------------
 
-def test_identity_reduction_dirac_small_bandwidth(grid, hard_loss):
+def test_identity_reduction_dirac_small_bandwidth(grid):
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
     h = grid.spacing
     lattice = build_lattice(grid, dirac_noise(), 4.0 * h)
     clf = ThresholdClassifier(snap_to_cell_midpoint(0.3, grid))
     sample = generate_sample(sc, 2000, np.random.default_rng(2))
-    table = modified_loss_deconv(clf, hard_loss, lattice)
+    table = modified_loss_deconv(clf, lattice)
     smoothed = empirical_risk(table, sample)
     direct = float(np.mean([
-        loss_values(clf, hard_loss, int(yi), np.array([zi]))[0]
+        loss_values(clf, int(yi), np.array([zi]))[0]
         for zi, yi in zip(sample.z, sample.y)
     ]))
     assert abs(smoothed - direct) < 0.02

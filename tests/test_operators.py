@@ -4,7 +4,6 @@ import pytest
 from indirect_erm import (
     CoefficientVector,
     ConfigurationError,
-    LossSpec,
     ModelError,
     NoisySample,
     SpectralOperator,
@@ -246,7 +245,7 @@ def test_sampler_quantile_matches_reference_at_edges(grid):
 
 def svd_features(z, op, cutoff, grid):
     # every draw labeled 0, so the signed statistic is that label's estimates
-    backend = SvdBackend(operator=op, cutoff=cutoff, grid=grid, loss=LossSpec())
+    backend = SvdBackend(operator=op, cutoff=cutoff, grid=grid)
     return backend.features(None, NoisySample(z, np.zeros(z.size, dtype=int)))[0]
 
 

@@ -30,7 +30,7 @@ def small_plan(grid, noise=None, **kw):
     noise = noise or dirac_noise()
     sc = make_margin_scenario(1, noise, family="smooth", gamma=2.0, grid=grid,
                               sharpness=1.3)
-    cfg = RateConfig(kappa=2.0, rho=0.5, gamma=2.0, beta_bar=sc.beta_bar, dim=1,
+    cfg = RateConfig(kappa=2.0, rho=0.5, gamma=2.0, beta_bar=noise.beta, dim=1,
                      bias_variant="squared_loss")
     defaults = dict(scenario=sc, rate_config=cfg, n_grid=(128, 512, 2048),
                     replications=10, base_seed=5, theory_mode="hard_loss",
@@ -243,14 +243,14 @@ def test_svd_plan_runs(grid):
     assert report.theory_exponent == pytest.approx(2.0 / 6.5)
 
 
-def test_rule_cutoff_capped_explicit_cutoff_checked(grid, hard_loss):
+def test_rule_cutoff_capped_explicit_cutoff_checked(grid):
     op = SpectralOperator(decay=1.0, k_max=4)
     sc = make_margin_scenario(1, op, grid=grid)
     cfg = RateConfig(kappa=2.0, rho=0.5, gamma=1.0, beta_bar=1.0, dim=1)
     assert rule_smoothing("svd", sc, cfg, 10**6) == 4  # the rule asks for 24
-    assert build_backend("svd", sc, hard_loss, 4).cutoff == 4
+    assert build_backend("svd", sc, 4).cutoff == 4
     with pytest.raises(ConfigurationError):
-        build_backend("svd", sc, hard_loss, 24)
+        build_backend("svd", sc, 24)
     with pytest.raises(ConfigurationError):
         rule_smoothing("svd", make_margin_scenario(1, dirac_noise(), grid=grid), cfg, 100)
 
