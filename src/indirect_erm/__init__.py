@@ -52,11 +52,9 @@ from .noisy_risk import (
     build_lattice,
     empirical_risk,
     modified_loss_deconv,
-    modified_loss_svd,
     plug_in_density,
 )
 from .operators import (
-    CoefficientVector,
     SpectralOperator,
     apply_operator,
     contaminate,

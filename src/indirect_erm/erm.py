@@ -17,8 +17,9 @@ start, and cached dot products for the outer runs and the shared term.
 The spectral backend's holds the basis integrals over the side of each
 threshold where its label-0 loss is 1, against the 1/b_k-weighted basis
 moments. ``losses`` at given points come from differences of the kernel's
-cumulative sum, or from the spectral class matrix; the per-classifier
-tables of ``noisy_risk`` are the reference the tests compare against.
+cumulative sum, or from the spectral class matrix and basis, the one
+spectral evaluation; the kernel tables of ``noisy_risk`` are the reference
+the tests compare the kernel backend against.
 """
 
 from __future__ import annotations
@@ -35,13 +36,11 @@ from .noisy_risk import (
     ObservationLattice,
     _cells,
     _log_clamped,
-    _loss_interval,
-    basis_integrals,
     bin_draws,
     contaminated_density,
     plug_in_density,  # noqa: F401  unused here; the benchmark's tracer wraps it by name
 )
-from .operators import SpectralOperator
+from .operators import SpectralOperator, basis_integrals
 from .reader import ConfigReader
 
 __all__ = [
@@ -386,10 +385,16 @@ class SvdBackend:
 
     def class_matrix(self, hclass: HypothesisClass) -> np.ndarray:
         """Label-0 spectral loss coefficients, one row per classifier: the
-        basis integrals over the part of the domain where its loss is 1."""
-        return _cached(self._cache, ("matrix", hclass), lambda: basis_integrals(
-            *_loss_interval(*_thresholds(hclass), 0, self.grid.lower, self.grid.upper),
-            self.cutoff))
+        basis integrals over the part of the domain where its loss is 1:
+        right of the threshold, clipped to the domain, for orientation +1
+        and left of it for -1."""
+        def build():
+            thresholds, orientations = _thresholds(hclass)
+            lo, hi = self.grid.lower, self.grid.upper
+            t, right = np.clip(thresholds, lo, hi), orientations == 1
+            return basis_integrals(np.where(right, t, lo), np.where(right, hi, t), self.cutoff)
+
+        return _cached(self._cache, ("matrix", hclass), build)
 
     def losses(self, hclass: HypothesisClass, label: int, z: np.ndarray) -> np.ndarray:
         """Regularized losses at the points z, one row per classifier."""

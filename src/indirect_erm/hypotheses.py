@@ -238,7 +238,9 @@ class Scenario:
     ``contamination`` is either a NoiseModel (additive errors, Z = X + eps)
     or a SpectralOperator (observations drawn from the operator image of the
     conditional density). ``alpha`` is the margin exponent of the regression
-    crossing; ``gamma`` the declared smoothness of the densities.
+    crossing; ``gamma`` the declared smoothness of the densities. ``domain``
+    is a grid on [0, 1], where every density family and the cosine basis
+    live.
     """
 
     priors: tuple[float, float]
@@ -263,6 +265,9 @@ class Scenario:
             raise ConfigurationError("margin parameter alpha must be positive")
         if not self.gamma > 0:
             raise ConfigurationError("declared smoothness gamma must be positive")
+        if (self.domain.lower, self.domain.upper) != (0.0, 1.0):
+            raise ConfigurationError(f"the scenario domain must be [0, 1], got "
+                                     f"[{self.domain.lower}, {self.domain.upper}]")
 
     @property
     def labels(self) -> tuple[int, int]:

@@ -1,29 +1,30 @@
 """Modified losses and empirical risks built from contaminated observations.
 
 The regularized loss of a classifier is the quadrature of its pointwise
-loss against the noise-corrected kernel (or against the truncated spectral
-expansion). Because the observation grid, the quadrature grid, and the
-kernel offsets share one spacing, the table path, the per-observation
-quadrature path, and the plug-in density path are the same bilinear form
-evaluated in different orders and agree to rounding. The pipeline evaluates
-it through the backends of ``erm``, which bin a sample once (``bin_draws``)
-and convolve it with the kernel only where the runs of a class need it
-pointwise (``ObservationLattice.kernel_window``); the per-classifier tables
-here (``ModifiedLossTable``, ``modified_loss_deconv``/``modified_loss_svd``,
-``empirical_risk``) are the reference order the tests compare against.
+loss against the noise-corrected kernel. Because the observation grid, the
+quadrature grid, and the kernel offsets share one spacing, the table path,
+the per-observation quadrature path, and the plug-in density path are the
+same bilinear form evaluated in different orders and agree to rounding.
+The pipeline evaluates it through the backends of ``erm``, which bin a
+sample once (``bin_draws``) and convolve it with the kernel only where the
+runs of a class need it pointwise (``ObservationLattice.kernel_window``);
+the per-classifier tables here (``ModifiedLossTable``,
+``modified_loss_deconv``, ``empirical_risk``) and ``plug_in_density`` are
+the kernel backend's reference order, which the tests compare against.
+The spectral backend has no table here: ``erm.SvdBackend`` evaluates its
+loss from the basis integrals and the basis of ``operators``.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .errors import ConfigurationError, DataError
+from .errors import DataError
 from .grid import Grid, padded_axis
 from .hypotheses import Scenario, loss_values, window_mask
 from .kernels import (
@@ -33,7 +34,6 @@ from .kernels import (
     build_deconvolution_kernel,
     dirac_noise,
 )
-from .operators import SpectralOperator
 
 logger = logging.getLogger(__name__)
 
@@ -46,8 +46,6 @@ __all__ = [
     "ModifiedLossTable",
     "build_lattice",
     "modified_loss_deconv",
-    "modified_loss_svd",
-    "svd_loss_coefficients",
     "empirical_risk",
     "bin_draws",
     "plug_in_density",
@@ -85,7 +83,8 @@ def _log_clamped(z: np.ndarray, lo: float, hi: float) -> None:
 
 @dataclass(frozen=True)
 class NoisySample:
-    """Labeled contaminated observations (z_i, y_i); every label is 0 or 1."""
+    """Labeled contaminated observations (z_i, y_i): one-dimensional arrays
+    of finite draws and of labels that are each 0 or 1."""
 
     z: np.ndarray
     y: np.ndarray
@@ -93,6 +92,11 @@ class NoisySample:
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
         y = np.asarray(self.y)
+        if z.ndim != 1 or y.ndim != 1:
+            raise DataError(f"observations and labels must be one-dimensional arrays, "
+                            f"got shapes {z.shape} and {y.shape}")
+        if not np.all(np.isfinite(z)):
+            raise DataError("observations must be finite")
         if not np.all((y == 0) | (y == 1)):
             raise DataError("labels must be 0 or 1")
         y = y.astype(int)
@@ -225,37 +229,18 @@ class ModifiedLossTable:
     ``values[label]`` holds the table on ``z_nodes``; queries interpolate
     linearly and clamp out-of-range observations to the boundary value
     (clamp counts are logged: the first time in a process at WARNING,
-    later at DEBUG). ``smoothing`` is the bandwidth or the spectral cutoff.
+    later at DEBUG).
     """
 
     z_nodes: np.ndarray
     values: dict
-    backend: str
-    smoothing: float | int
-    # spectral backend: per-label (cutoff, b_k^(-1) c_k) for exact queries
-    coefficient_data: dict | None = field(default=None, compare=False)
 
     def evaluate(self, z: np.ndarray, label: int) -> np.ndarray:
         if label not in self.values:
             raise DataError(f"no table for label {label}")
         z = np.asarray(z, dtype=float)
-        if self.coefficient_data is not None:
-            # evaluate the truncated expansion exactly; no node interpolation
-            cutoff, weighted = self.coefficient_data[label]
-            k = np.arange(cutoff + 1)[:, None]
-            phi = np.sqrt(2.0) * np.cos(np.pi * k * z[None, :])
-            phi[0, :] = 1.0
-            return weighted @ phi
         _log_clamped(z, self.z_nodes[0], self.z_nodes[-1])
         return np.interp(z, self.z_nodes, self.values[label])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label", "z", "value"])
-            for label in sorted(self.values):
-                for z, v in zip(self.z_nodes, self.values[label]):
-                    writer.writerow([label, repr(float(z)), repr(float(v))])
 
 
 def modified_loss_deconv(clf, lattice: ObservationLattice, labels=(0, 1),
@@ -274,59 +259,7 @@ def modified_loss_deconv(clf, lattice: ObservationLattice, labels=(0, 1),
         if mask is not None:
             lv = np.where(mask, lv, 0.0)
         values[label] = lattice.convolve(lattice.weights * lv)
-    backend = "deconvolution" if window is None else "restricted"
-    return ModifiedLossTable(z_nodes=x, values=values, backend=backend,
-                             smoothing=lattice.bandwidth)
-
-
-def svd_loss_coefficients(clf, op: SpectralOperator, cutoff: int, grid: Grid,
-                          label: int) -> np.ndarray:
-    """Basis coefficients c_k = integral of phi_k(x) loss(g(x), label) over the
-    domain: the basis integrals over the interval where the loss is 1."""
-    if cutoff > op.k_max:
-        raise ConfigurationError(f"cutoff {cutoff} exceeds k_max {op.k_max}")
-    return basis_integrals(*_loss_interval(clf.threshold, clf.orientation, label,
-                                           grid.lower, grid.upper), cutoff)
-
-
-def _loss_interval(threshold, orientation, label: int, lo: float, hi: float):
-    """The interval [a, b] of [lo, hi] on which a threshold classifier's hard
-    loss for ``label`` is 1, elementwise over arrays: right of the threshold
-    for orientation +1 and label 0 or -1 and 1, else left; maybe empty."""
-    t = np.clip(threshold, lo, hi)
-    right = (np.asarray(orientation) == 1) == (label == 0)
-    return np.where(right, t, lo), np.where(right, hi, t)
-
-
-def basis_integrals(a, b, cutoff: int) -> np.ndarray:
-    """The integrals of phi_0 .. phi_cutoff over [a, b], one row per interval
-    for bounds of one shape: x for k = 0, sqrt(2) sin(pi k x)/(pi k) else."""
-    a, b = (np.asarray(v, dtype=float)[..., None] for v in (a, b))
-    kk = np.arange(1, cutoff + 1, dtype=float)
-    sines = np.sqrt(2.0) * (np.sin(np.pi * kk * b) - np.sin(np.pi * kk * a)) / (np.pi * kk)
-    return np.concatenate([b - a, sines], axis=-1)
-
-
-def modified_loss_svd(clf, op: SpectralOperator, cutoff: int, grid: Grid,
-                      labels=(0, 1)) -> ModifiedLossTable:
-    """Spectral-cutoff loss table: sum_k b_k^(-1) c_k phi_k(z).
-
-    Node values are tabulated for inspection/export, but queries evaluate
-    the truncated expansion exactly (the expansion is cheap and exactness
-    keeps the empirical risk identical to the coefficient pairing).
-    """
-    x = grid.axis()
-    phi = op.basis(x, cutoff)
-    inv_b = 1.0 / op.singular_values[: cutoff + 1]
-    values = {}
-    coefficient_data = {}
-    for label in labels:
-        c = svd_loss_coefficients(clf, op, cutoff, grid, label)
-        weighted = inv_b * c
-        values[label] = weighted @ phi
-        coefficient_data[label] = (cutoff, weighted)
-    return ModifiedLossTable(z_nodes=x, values=values, backend="svd",
-                             smoothing=cutoff, coefficient_data=coefficient_data)
+    return ModifiedLossTable(z_nodes=x, values=values)
 
 
 def empirical_risk(table: ModifiedLossTable, sample: NoisySample) -> float:

@@ -17,7 +17,7 @@ from .kernels import NoiseModel
 
 __all__ = [
     "SpectralOperator",
-    "CoefficientVector",
+    "basis_integrals",
     "contaminate",
     "apply_operator",
     "SamplerTable",
@@ -38,8 +38,8 @@ class SpectralOperator:
 
     Eigenfunctions are phi_0(x) = 1 and phi_k(x) = sqrt(2) cos(pi k x); the
     eigenvalue sequence is b_0 = 1, b_k = k^(-decay). Self-adjointness makes
-    the image basis coincide with the input basis, so unbiased coefficient
-    estimation can evaluate the same functions at the observations.
+    the image basis coincide with the input basis, so the spectral backend
+    evaluates the same functions at the observations.
     """
 
     decay: float = 1.0
@@ -86,35 +86,13 @@ class SpectralOperator:
         return out
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Cosine-basis coefficients theta_k, k = 0..k_max."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if not np.all(np.isfinite(vals)):
-            raise ModelError("coefficients must be finite")
-
-    @property
-    def k_max(self) -> int:
-        return len(self.values) - 1
-
-    def check_density_guard(self, tol: float = 1e-9) -> None:
-        """Sufficient condition for pointwise nonnegativity of the density.
-
-        Requires theta_0 = 1 (unit mass) and sum_(k>=1) sqrt(2)|theta_k| <= 1,
-        which bounds the oscillating part below the constant term.
-        """
-        if abs(self.values[0] - 1.0) > tol:
-            raise ModelError("density coefficients must have theta_0 = 1")
-        osc = np.sqrt(2.0) * np.abs(self.values[1:]).sum()
-        if osc > 1.0 + tol:
-            raise ModelError(
-                f"positivity guard violated: sqrt(2) * sum|theta_k| = {osc:.6f} > 1"
-            )
+def basis_integrals(a, b, cutoff: int) -> np.ndarray:
+    """The integrals of phi_0 .. phi_cutoff over [a, b], one row per interval
+    for bounds of one shape: x for k = 0, sqrt(2) sin(pi k x)/(pi k) else."""
+    a, b = (np.asarray(v, dtype=float)[..., None] for v in (a, b))
+    kk = np.arange(1, cutoff + 1, dtype=float)
+    sines = np.sqrt(2.0) * (np.sin(np.pi * kk * b) - np.sin(np.pi * kk * a)) / (np.pi * kk)
+    return np.concatenate([b - a, sines], axis=-1)
 
 
 def contaminate(x_draws: np.ndarray, noise: NoiseModel, seed) -> np.ndarray:
@@ -129,17 +107,27 @@ def contaminate(x_draws: np.ndarray, noise: NoiseModel, seed) -> np.ndarray:
     return x + noise.sample(_as_rng(seed), x.shape[0])
 
 
-def apply_operator(coeffs: CoefficientVector, op: SpectralOperator,
+def apply_operator(coefficients: np.ndarray, op: SpectralOperator,
                    grid: Grid) -> np.ndarray:
     """Tabulate the image density sum_k b_k theta_k phi_k on the grid.
 
-    The input must satisfy the positivity guard; the output is checked to be
-    a valid density (nonnegative, unit mass under the grid quadrature).
+    The input's cosine coefficients theta_k must be finite and pass the
+    positivity guard, theta_0 = 1 (unit mass) and sum_(k>=1) sqrt(2)
+    |theta_k| <= 1, a sufficient condition for a nonnegative density. The
+    output is checked to be a valid density (nonnegative, unit mass under
+    the grid quadrature). Each check raises ``ModelError``.
     """
-    coeffs.check_density_guard()
-    n = min(coeffs.k_max, op.k_max)
+    theta = np.asarray(coefficients, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ModelError("coefficients must be finite")
+    if abs(theta[0] - 1.0) > 1e-9:
+        raise ModelError("density coefficients must have theta_0 = 1")
+    osc = np.sqrt(2.0) * np.abs(theta[1:]).sum()
+    if osc > 1.0 + 1e-9:
+        raise ModelError(f"positivity guard violated: sqrt(2) * sum|theta_k| = {osc:.6f} > 1")
+    n = min(len(theta) - 1, op.k_max)
     phi = op.basis(grid.axis(), n)
-    vals = (op.singular_values[: n + 1] * coeffs.values[: n + 1]) @ phi
+    vals = (op.singular_values[: n + 1] * theta[: n + 1]) @ phi
     if np.any(vals < -1e-9):
         raise ModelError("operator image is negative on the grid")
     vals = np.clip(vals, 0.0, None)

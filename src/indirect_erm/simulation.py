@@ -37,7 +37,6 @@ from .hypotheses import (
 from .kernels import NoiseModel
 from .noisy_risk import NoisySample, build_lattice
 from .operators import (
-    CoefficientVector,
     SamplerTable,
     SpectralOperator,
     apply_operator,
@@ -74,8 +73,8 @@ def _sampling_density(scenario: Scenario, label: int) -> SamplerTable:
     if table is None:
         op = scenario.contamination
         if isinstance(op, SpectralOperator):
-            coeffs = CoefficientVector(scenario.cosine_coefficients(label, op.k_max))
-            values = apply_operator(coeffs, op, scenario.domain)
+            values = apply_operator(scenario.cosine_coefficients(label, op.k_max), op,
+                                    scenario.domain)
         else:
             values = scenario.density_values(label)
         table = scenario._cache[key] = sampler_table(values, scenario.domain)

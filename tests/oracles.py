@@ -128,6 +128,16 @@ def reference_loss_coefficients(clf, label, lo, hi, cutoff):
     return left * integrals(lo, t) + right * integrals(t, hi)
 
 
+def reference_svd_losses(clf, label, z, op, cutoff, grid):
+    """One classifier's spectral-cutoff regularized loss at the points z,
+    sum_k b_k^(-1) c_k phi_k(z): its loss coefficients over the domain
+    (``reference_loss_coefficients``) against the directly evaluated basis
+    (``reference_basis``)."""
+    inv_b = 1.0 / op.singular_values[: cutoff + 1]
+    coefficients = reference_loss_coefficients(clf, label, grid.lower, grid.upper, cutoff)
+    return (inv_b * coefficients) @ reference_basis(z, cutoff)
+
+
 def reference_empirical_risks(hclass, sample, backend):
     """Kernel-backend empirical risks in the per-label order: for each label
     present, its full-lattice plug-in features summed over the runs of
@@ -231,16 +241,15 @@ def naive_bias_deconv(scenario, lattice, hclass, star_index, bias_variant="squar
     return _bias_from_risks(risks, reg, star_index, scenario.kappa, bias_variant)
 
 
-def naive_bias_svd(scenario, op, cutoff, hclass, star_index, bias_variant="squared_loss"):
+def naive_bias_svd(scenario, cutoff, hclass, star_index, bias_variant="squared_loss"):
     """Approximation function of the spectral route: exact risks against the
     pairing of each classifier's loss coefficients with the density's
     cosine coefficients, one classifier at a time."""
-    from indirect_erm.noisy_risk import svd_loss_coefficients
-
+    lo, hi = scenario.domain.lower, scenario.domain.upper
     risks = np.array([reference_true_risk(c, scenario) for c in hclass])
     reg = np.array([
         sum(scenario.priors[y] * float(np.dot(
-            svd_loss_coefficients(c, op, cutoff, scenario.domain, y),
+            reference_loss_coefficients(c, y, lo, hi, cutoff),
             scenario.cosine_coefficients(y, cutoff))) for y in scenario.labels)
         for c in hclass])
     return _bias_from_risks(risks, reg, star_index, scenario.kappa, bias_variant)

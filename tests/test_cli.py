@@ -221,6 +221,13 @@ def test_malformed_config_exit_codes(tmp_path):
     (fit_config, "loss", "clip", 0.5),
     # a seed SeedSequence refuses inside the first trial
     (rates_config, None, "seed", -1),
+    # a domain other than [0, 1], where the density families and the cosine
+    # basis live: the run used to fail inside the work with exit 3
+    (rates_config, "scenario.grid", "upper", [2.0]),
+    (svd_rates_config, "scenario.grid", "upper", [2.0]),
+    (fit_config, "scenario.grid", "lower", [-1.0]),
+    (diagnose_config, "scenario.grid", "upper", 2.0),
+    (kernel_config, "scenario.grid", "lower", 0.5),
 ])
 def test_bad_config_values_exit_two(tmp_path, make, block, key, value):
     out = tmp_path / "artifacts"

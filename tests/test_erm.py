@@ -34,8 +34,6 @@ from indirect_erm.noisy_risk import (
     contaminated_density,
     empirical_risk,
     modified_loss_deconv,
-    modified_loss_svd,
-    svd_loss_coefficients,
 )
 from indirect_erm.reader import ConfigReader
 from indirect_erm.simulation import generate_sample, trial_seed_sequence
@@ -47,6 +45,7 @@ from oracles import (
     reference_loss_coefficients,
     reference_plug_in_features,
     reference_runs,
+    reference_svd_losses,
 )
 
 
@@ -151,8 +150,8 @@ def test_minimize_svd_matches_per_classifier_tables(grid):
     backend = SvdBackend(operator=op, cutoff=8, grid=grid)
     sample = generate_sample(sc, 300, np.random.default_rng(4))
     fit = minimize(hclass, sample, backend)
-    risks = [empirical_risk(modified_loss_svd(clf, op, 8, grid), sample)
-             for clf in hclass]
+    risks = [sum(reference_svd_losses(clf, y, sample.z[sample.y == y], op, 8, grid).sum()
+                 for y in (0, 1)) / sample.n for clf in hclass]
     assert fit.index == int(np.argmin(risks))
     assert abs(fit.empirical_risk - min(risks)) < 1e-12
 
@@ -180,7 +179,7 @@ def test_backend_losses_match_per_classifier_tables(grid):
         ref = [modified_loss_deconv(c, lattice, window=window).evaluate(z, label)
                for c in hclass]
         assert np.abs(deconv.losses(hclass, label, z) - np.vstack(ref)).max() < 1e-12
-        ref = [modified_loss_svd(c, op, 8, grid).evaluate(z, label) for c in hclass]
+        ref = [reference_svd_losses(c, label, z, op, 8, grid) for c in hclass]
         assert np.abs(svd.losses(hclass, label, z) - np.vstack(ref)).max() < 1e-12
 
 
@@ -248,7 +247,8 @@ def test_backend_expected_risks_match_reference_quadrature(grid):
     # loss coefficients paired with the density coefficients
     op = SpectralOperator(decay=1.0, k_max=64)
     sc = make_margin_scenario(1, op, grid=grid)
-    ref = [sum(sc.priors[y] * float(np.dot(svd_loss_coefficients(c, op, 8, grid, y),
+    lo, hi = grid.lower, grid.upper
+    ref = [sum(sc.priors[y] * float(np.dot(reference_loss_coefficients(c, y, lo, hi, 8),
                                            sc.cosine_coefficients(y, 8)))
                for y in sc.labels) for c in hclass]
     got = expected_risks(hclass, sc, SvdBackend(operator=op, cutoff=8, grid=grid))
@@ -337,8 +337,7 @@ def test_argmin_invariant_under_constant_shift(grid):
         risks.append(empirical_risk(table, sample))
         bumped = ModifiedLossTable(
             z_nodes=table.z_nodes,
-            values={k: v + 0.37 for k, v in table.values.items()},
-            backend=table.backend, smoothing=table.smoothing)
+            values={k: v + 0.37 for k, v in table.values.items()})
         shifted.append(empirical_risk(bumped, sample))
     assert int(np.argmin(risks)) == int(np.argmin(shifted))
 

@@ -7,8 +7,10 @@ from scipy.signal import fftconvolve
 from indirect_erm import (
     ConfigurationError,
     DataError,
+    HypothesisClass,
     NoisySample,
     SpectralOperator,
+    SvdBackend,
     ThresholdClassifier,
     build_lattice,
     dirac_noise,
@@ -16,23 +18,21 @@ from indirect_erm import (
     laplace_noise,
     make_margin_scenario,
     modified_loss_deconv,
-    modified_loss_svd,
     plug_in_density,
 )
-from indirect_erm.erm import RateConfig, select_bandwidth
+from indirect_erm.erm import RateConfig, empirical_risks, select_bandwidth
 from indirect_erm.grid import trapezoid_weights
 from indirect_erm.hypotheses import loss_values, snap_to_cell_midpoint
 from indirect_erm import noisy_risk
 from indirect_erm.noisy_risk import (
     base_smoothed_density,
     contaminated_density,
-    svd_loss_coefficients,
     zero_extended_density,
 )
 from indirect_erm.operators import contaminate, sample_density, sampler_table
 from indirect_erm.simulation import generate_sample
 
-from oracles import naive_empirical_risk
+from oracles import naive_empirical_risk, reference_basis, reference_loss_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +191,18 @@ def test_labels_outside_binary_rejected(labels):
         NoisySample(z=[0.1, 0.2, 0.3], y=labels)
 
 
+@pytest.mark.parametrize("z, y", [
+    ([0.1, np.nan, 0.3], [0, 1, 1]),  # made every risk NaN; ``minimize`` picked index 0
+    ([0.1, np.inf, 0.3], [0, 1, 1]),
+    ([0.1, -np.inf, 0.3], [0, 1, 1]),
+    ([[0.1], [0.2], [0.3]], [0, 1, 1]),
+    ([0.1, 0.2, 0.3], [[0], [1], [1]]),
+])
+def test_non_finite_or_multidimensional_observations_rejected(z, y):
+    with pytest.raises(DataError):
+        NoisySample(z=z, y=y)
+
+
 def test_empty_sample_rejected():
     with pytest.raises(DataError):
         NoisySample(z=np.array([]), y=np.array([], dtype=int))
@@ -201,14 +213,6 @@ def test_table_clamps_out_of_range(laplace_lattice):
     table = modified_loss_deconv(clf, laplace_lattice)
     far = np.array([laplace_lattice.nodes[-1] + 5.0])
     assert table.evaluate(far, 1)[0] == table.values[1][-1]
-
-
-def test_table_csv_export(tmp_path, laplace_lattice):
-    table = modified_loss_deconv(ThresholdClassifier(0.5), laplace_lattice)
-    path = tmp_path / "table.csv"
-    table.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "label,z,value"
 
 
 # ---------------------------------------------------------------------------
@@ -363,30 +367,26 @@ def test_noise_correction_beats_plain_smoothing(grid):
 def test_svd_zero_loss_table(grid):
     op = SpectralOperator(decay=1.0, k_max=64)
     clf = ThresholdClassifier(grid.lower - 1.0)  # zero loss at label 1
-    table = modified_loss_svd(clf, op, 16, grid, labels=(1,))
-    assert np.abs(table.values[1]).max() < 1e-12
+    backend = SvdBackend(operator=op, cutoff=16, grid=grid)
+    values = backend.losses(HypothesisClass((clf,)), 1, grid.axis())
+    assert np.abs(values).max() < 1e-12
 
 
 def test_svd_coefficients_closed_form(grid):
-    # hard loss of a threshold at label 1 is the indicator of [0, t]
+    # hard loss of a threshold at label 1 is the indicator of [0, t], and so
+    # is the label-0 loss of the opposite orientation: its class-matrix row
     op = SpectralOperator(decay=1.0, k_max=64)
     t = snap_to_cell_midpoint(0.37, grid)
-    clf = ThresholdClassifier(t)
-    c = svd_loss_coefficients(clf, op, 12, grid, 1)
+    backend = SvdBackend(operator=op, cutoff=12, grid=grid)
+    c = backend.class_matrix(HypothesisClass((ThresholdClassifier(t, -1),)))[0]
     k = np.arange(1, 13)
     exact = np.sqrt(2.0) * np.sin(np.pi * k * t) / (np.pi * k)
     assert abs(c[0] - t) < 1e-12
     assert np.abs(c[1:] - exact).max() < 1e-12
 
 
-def test_svd_cutoff_validation(grid):
-    op = SpectralOperator(decay=1.0, k_max=8)
-    with pytest.raises(ConfigurationError):
-        modified_loss_svd(ThresholdClassifier(0.5), op, 9, grid)
-
-
 def test_svd_table_converges_to_raw_loss(grid):
-    # identity operator: the table converges to the raw loss in mean square
+    # identity operator: the loss converges to the raw loss in mean square
     op = SpectralOperator(decay=0.0, k_max=64)
     t = snap_to_cell_midpoint(0.5, grid)
     clf = ThresholdClassifier(t)
@@ -394,30 +394,32 @@ def test_svd_table_converges_to_raw_loss(grid):
     raw = loss_values(clf, 1, x)
     errs = []
     for cutoff in (8, 16, 32, 64):
-        table = modified_loss_svd(clf, op, cutoff, grid, labels=(1,))
-        errs.append(float(np.dot(w, (table.values[1] - raw) ** 2)))
+        backend = SvdBackend(operator=op, cutoff=cutoff, grid=grid)
+        values = backend.losses(HypothesisClass((clf,)), 1, x)[0]
+        errs.append(float(np.dot(w, (values - raw) ** 2)))
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 0.01
 
 
 def test_svd_plug_in_identity(grid, rng):
-    # empirical risk over the table equals the coefficient pairing
+    # the backend's empirical risk equals the per-label pairing of the loss
+    # coefficients with the directly evaluated basis moments
     op = SpectralOperator(decay=1.0, k_max=64)
     cutoff = 12
     clf = ThresholdClassifier(snap_to_cell_midpoint(0.45, grid))
-    table = modified_loss_svd(clf, op, cutoff, grid)
+    backend = SvdBackend(operator=op, cutoff=cutoff, grid=grid)
     z = rng.random(200)
     y = (rng.random(200) < 0.5).astype(int)
     sample = NoisySample(z=z, y=y)
-    direct = empirical_risk(table, sample)
+    direct = empirical_risks(HypothesisClass((clf,)), sample, backend)[0]
     paired = 0.0
     inv_b = 1.0 / op.singular_values[: cutoff + 1]
     for label in (0, 1):
         z_lab = z[y == label]
         if z_lab.size == 0:
             continue
-        c = svd_loss_coefficients(clf, op, cutoff, grid, label)
-        moments = op.basis(z_lab, cutoff).mean(axis=1)
+        c = reference_loss_coefficients(clf, label, grid.lower, grid.upper, cutoff)
+        moments = reference_basis(z_lab, cutoff).mean(axis=1)
         paired += (z_lab.size / len(z)) * float(np.dot(c * inv_b, moments))
     assert abs(direct - paired) < 1e-10
 

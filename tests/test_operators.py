@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from indirect_erm import (
-    CoefficientVector,
     ConfigurationError,
     ModelError,
     NoisySample,
@@ -23,7 +22,7 @@ from oracles import reference_basis, reference_quantile, reference_sample_densit
 def uniform_coeffs(k_max=64):
     vals = np.zeros(k_max + 1)
     vals[0] = 1.0
-    return CoefficientVector(vals)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +116,7 @@ def test_apply_operator_scales_coefficients(grid):
     coeffs = np.zeros(65)
     coeffs[0] = 1.0
     coeffs[3] = 0.1
-    vals = apply_operator(CoefficientVector(coeffs), op, grid)
+    vals = apply_operator(coeffs, op, grid)
     x, w = grid.axis(), grid.weights()
     phi3 = np.sqrt(2.0) * np.cos(3.0 * np.pi * x)
     extracted = float(np.dot(w, vals * phi3))
@@ -131,14 +130,24 @@ def test_apply_operator_positivity_guard(grid):
     coeffs[0] = 1.0
     coeffs[1] = 0.9  # sqrt(2) * 0.9 > 1 violates the guard
     with pytest.raises(ModelError):
-        apply_operator(CoefficientVector(coeffs), op, grid)
+        apply_operator(coeffs, op, grid)
+
+
+@pytest.mark.parametrize("k, value", [(0, 0.5), (3, np.nan), (3, np.inf)])
+def test_apply_operator_rejects_bad_coefficients(grid, k, value):
+    # theta_0 other than 1 is not unit mass; coefficients must be finite
+    coeffs = np.zeros(65)
+    coeffs[0] = 1.0
+    coeffs[k] = value
+    with pytest.raises(ModelError):
+        apply_operator(coeffs, SpectralOperator(decay=1.0, k_max=64), grid)
 
 
 def test_self_adjoint_roundtrip(grid, linear_scenario):
     # coefficients of the operator image are b_k theta_k
     op = SpectralOperator(decay=1.0, k_max=64)
     theta = linear_scenario.cosine_coefficients(1, 64)
-    vals = apply_operator(CoefficientVector(theta), op, grid)
+    vals = apply_operator(theta, op, grid)
     x, w = grid.axis(), grid.weights()
     phi = op.basis(x)
     extracted = (phi * w) @ vals
@@ -196,8 +205,8 @@ def sampler_densities(grid):
     """Densities that stress the guide table, by name."""
     op = SpectralOperator(decay=1.0, k_max=64)
     linear = make_margin_scenario(1, op, grid=grid)
-    out = {f"svd image {y}": apply_operator(
-        CoefficientVector(linear.cosine_coefficients(y, 64)), op, grid) for y in (0, 1)}
+    out = {f"svd image {y}": apply_operator(linear.cosine_coefficients(y, 64), op, grid)
+           for y in (0, 1)}
     # near-zero tails put many CDF nodes in one guide cell; x_star tilts the
     # priors, so both crossings give the same pair of densities
     for x_star in (0.5, 0.3):
@@ -270,7 +279,7 @@ def test_unbiasedness_under_operator_image(grid, linear_scenario):
     # E theta_hat_k = theta_k when Z is drawn from the operator image
     op = SpectralOperator(decay=1.0, k_max=64)
     theta = linear_scenario.cosine_coefficients(1, 64)
-    image = apply_operator(CoefficientVector(theta), op, grid)
+    image = apply_operator(theta, op, grid)
     n = 100_000
     z = sample_density(sampler_table(image, grid), n, 17)
     est = svd_features(z, op, 8, grid)
