@@ -80,20 +80,20 @@ def _loss(top: ConfigReader) -> None:
     r.done()
 
 
-def _at_least_one(key: str, value: int) -> int:
-    """A count or sample size, which must be at least 1."""
-    if value < 1:
-        raise ConfigurationError(f"config key {key!r} must be at least 1, got {value}")
+def _at_least(key: str, value: int, minimum: int = 1) -> int:
+    """A count or sample size, which must be at least ``minimum``."""
+    if value < minimum:
+        raise ConfigurationError(f"config key {key!r} must be at least {minimum}, got {value}")
     return value
 
 
-def _class_size(top: ConfigReader, default: int = 101) -> int:
+def _class_size(top: ConfigReader, default: int = 101, minimum: int = 1) -> int:
     """The threshold count of the ``hypotheses`` block."""
     r = ConfigReader(top.get("hypotheses", dict, {}), "hypotheses")
     r.get("kind", str, "thresholds", ("thresholds",))
     count = r.get("count", int, default)
     r.done()
-    return _at_least_one("hypotheses.count", count)
+    return _at_least("hypotheses.count", count, minimum)
 
 
 def _check_smoothing(scenario: Scenario, key: str, values) -> None:
@@ -191,7 +191,7 @@ def _read_kernel(top: ConfigReader):
 
 def _read_fit(top: ConfigReader):
     scenario, _, cfg = _scenario(top), _loss(top), _rate_config(top)
-    n, count = _at_least_one("n", top.get("n", int, 1024)), _class_size(top)
+    n, count = _at_least("n", top.get("n", int, 1024)), _class_size(top)
     kind, options = _backend(top)
     _check_backend(kind, scenario, options.get("window"))
     key = "cutoff" if kind == "svd" else "bandwidth"
@@ -213,10 +213,11 @@ def _read_fit(top: ConfigReader):
 
 
 def _read_plan(top: ConfigReader) -> ExperimentPlan:
-    """The rate experiment of a ``rates`` config, at base seed 0 (the run sets it)."""
+    """The rate experiment of a ``rates`` config, at base seed 0 (the run
+    sets it), with the rule's smoothing checked at every n."""
     kind, options = _backend(top)
     _loss(top)
-    return ExperimentPlan(
+    plan = ExperimentPlan(
         scenario=_scenario(top),
         rate_config=_rate_config(top),
         n_grid=tuple(top.get("n_grid", [int], [256, 512, 1024])),
@@ -226,6 +227,9 @@ def _read_plan(top: ConfigReader) -> ExperimentPlan:
         theory_mode=top.get("theory_mode", str, "hard_loss", RATE_MODES),
         **options,
     )
+    _check_smoothing(plan.scenario, "rate_config", [
+        rule_smoothing(kind, plan.scenario, plan.rate_config, n) for n in plan.n_grid])
+    return plan
 
 
 def _read_rates(top: ConfigReader):
@@ -255,17 +259,21 @@ def _read_rates(top: ConfigReader):
 
 
 def _read_diagnose(top: ConfigReader):
-    scenario, _, count = _scenario(top), _loss(top), _class_size(top, 33)
+    # the Lipschitz ratios need a pair of classifiers
+    scenario, _, count = _scenario(top), _loss(top), _class_size(top, 33, minimum=2)
     kind = "svd" if isinstance(scenario.contamination, SpectralOperator) else "deconvolution"
     options = {} if kind == "svd" else _kernel_options(top)
     r = ConfigReader(top.get("diagnose", dict, {}), "diagnose")
     key, typ, default = (("cutoffs", [int], [4, 8, 16, 32]) if kind == "svd"
                          else ("bandwidths", [float], [0.1, 0.15, 0.22, 0.33, 0.5]))
     smoothings = r.get(key, typ, default)
+    if not smoothings or len(set(smoothings)) < len(smoothings):
+        raise ConfigurationError(f"config key 'diagnose.{key}' must be a nonempty list "
+                                 f"of distinct values, got {smoothings}")
     _check_smoothing(scenario, f"diagnose.{key}", smoothings)
     bias_variant = r.get("bias_variant", str, "squared_loss", BIAS_VARIANTS)
-    mc_n = _at_least_one("diagnose.mc_n", r.get("mc_n", int, 20000))
-    pair_count = _at_least_one("diagnose.pair_count", r.get("pair_count", int, 40))
+    mc_n = _at_least("diagnose.mc_n", r.get("mc_n", int, 20000))
+    pair_count = _at_least("diagnose.pair_count", r.get("pair_count", int, 40))
     r.done()
 
     def work(out_dir, seed, threads):

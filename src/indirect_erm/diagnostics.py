@@ -8,10 +8,10 @@ centered empirical process over shrinking loss balls. Every measured
 constant takes a risk backend of ``erm`` and reads the regularized loss
 class through it: its losses at Monte-Carlo draws, and the label-0 class
 matrix the minimizer pairs with the signed statistic of P_0 - P_1, here
-the empirical statistic, its expectation (``expected_risks``) or, for the
-bias, the lattice-weighted density and base-smoothed density. The
-certificates read the grid, kernel or operator, and cutoff from the
-backend.
+the empirical statistic or its expectation (``expected_risks``); the
+kernel bias pairs it with the lattice-weighted density for the exact
+risks as well. The certificates read the grid, kernel or operator, and
+cutoff from the backend.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .erm import BIAS_VARIANTS, DeconvolutionBackend, SvdBackend, empirical_risks, expected_risks
+from .erm import (BIAS_VARIANTS, DeconvolutionBackend, SvdBackend, _risks, empirical_risks,
+                  expected_risks)
 from .errors import ConfigurationError, DataError
 from .grid import Grid
 from .hypotheses import HypothesisClass, Scenario, _cuts, true_risks
 from .kernels import kernel_fourier_l2
-from .noisy_risk import base_smoothed_density, zero_extended_density
+from .noisy_risk import zero_extended_density
 
 logger = logging.getLogger(__name__)
 
@@ -93,15 +94,16 @@ def fit_rate_slope(points) -> tuple[float, float]:
     means are dropped with a log message. Weights are inverse squared
     log-scale standard errors (se/mean); when any se is 0 the fit falls
     back to equal weights. Returns (slope, half_width) with a 95% normal
-    half-width, nan when there are no residual degrees of freedom.
+    half-width, nan when there are no residual degrees of freedom. Kept
+    points at fewer than two distinct n raise ``DataError``.
     """
     points = list(points)
     kept = [(n, m, s) for n, m, s in points if m > 0]
     dropped = len(points) - len(kept)
     if dropped:
         logger.warning("dropping %d nonpositive mean point(s) from the slope fit", dropped)
-    if len(kept) < 2:
-        raise DataError("slope fit needs at least two points with positive means")
+    if len({n for n, _, _ in kept}) < 2:
+        raise DataError("slope fit needs points with positive means at two or more distinct n")
     x = np.log([p[0] for p in kept])
     y = np.log([p[1] for p in kept])
     se_log = np.array([s / m if m > 0 else 0.0 for _, m, s in kept])
@@ -238,24 +240,16 @@ def empirical_bias_deconv(scenario: Scenario, backend: DeconvolutionBackend,
                           bias_variant: str = "squared_loss") -> float:
     """Approximation-function estimate for the kernel backend.
 
-    The backend's scan of the quadrature-weighted density gives the exact
-    risks; its scan of the quadrature-weighted base-smoothed density (see
-    ``base_smoothed_density``) gives the expected regularized risks. That
-    is analytically the table expectation, free of the oscillatory-
-    quadrature noise that would otherwise floor the small-bandwidth
-    scaling. Both risks use the padded-grid quadrature, so discretization
-    errors cancel in the difference. As in ``erm.empirical_risks``, each
-    is the scan of the signed measure p_0 F_0 - p_1 F_1 plus the label-1
-    mass p_1 sum F_1 that every classifier shares.
+    The exact risks integrate the raw loss against the zero-extended
+    density, the expected regularized risks (``expected_risks``) against
+    the base-smoothed density, both with the lattice quadrature, so
+    discretization errors cancel in the difference. Neither integrates the
+    oscillatory corrected kernel, whose quadrature noise would otherwise
+    floor the small-bandwidth scaling.
     """
-    lattice, (p0, p1) = backend.lattice, scenario.priors
-
-    def risks(density) -> np.ndarray:
-        f0, f1 = (lattice.weights * density(scenario, lattice, y) for y in (0, 1))
-        return backend.scan(hclass, p0 * f0 - p1 * f1) + p1 * f1.sum()
-
-    return _bias(risks(zero_extended_density), risks(base_smoothed_density), star_index,
-                 scenario.kappa, bias_variant)
+    exact = backend._density_statistic(hclass, scenario, zero_extended_density)
+    return _bias(_risks(hclass, backend, exact), expected_risks(hclass, scenario, backend),
+                 star_index, scenario.kappa, bias_variant)
 
 
 def empirical_bias_svd(scenario: Scenario, backend: SvdBackend, hclass: HypothesisClass,
@@ -294,7 +288,8 @@ def empirical_modulus(scenario: Scenario, backend, hclass: HypothesisClass, delt
     Average over replications of the sup, over classifier pairs whose raw
     loss distance under nu_y is at most delta, of |empirical - expected|
     regularized risk difference. Both risks come from the backend; the
-    expected ones are exact.
+    expected ones (``expected_risks``) are exact on the spectral backend and
+    the deconvolution identity's lattice quadrature on the kernel backend.
     """
     if delta < 0:
         raise ConfigurationError("delta must be nonnegative")

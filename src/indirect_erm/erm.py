@@ -7,7 +7,8 @@ backend's cached label-0 class matrix against a statistic of the signed
 measure P_0 - P_1, plus the statistic of P_1 against the loss 1, one
 number that every classifier shares. ``empirical_risks`` pairs it with a
 sample's statistic (``features``), ``expected_risks`` with its expectation
-(``expected_features``).
+(``expected_features``), on the kernel backend by the deconvolution
+identity: the raw loss against the base-smoothed density.
 
 Each class matrix comes from the thresholds alone. The kernel backend's
 holds the 0/1 predictions on runs of lattice nodes that start right of a
@@ -36,8 +37,8 @@ from .noisy_risk import (
     ObservationLattice,
     _cells,
     _log_clamped,
+    base_smoothed_density,
     bin_draws,
-    contaminated_density,
     plug_in_density,  # noqa: F401  unused here; the benchmark's tracer wraps it by name
 )
 from .operators import SpectralOperator, basis_integrals
@@ -204,13 +205,21 @@ class DeconvolutionBackend:
 
     def expected_features(self, hclass: HypothesisClass,
                           scenario: Scenario) -> tuple[np.ndarray, float]:
-        """The expectation of ``features``: the statistic of the node
-        measures p_y w g_y, with w the lattice weights and g_y the
-        contaminated density of label y."""
-        lattice = self.lattice
-        p0, p1 = (scenario.priors[y] * lattice.weights * contaminated_density(scenario, lattice, y)
-                  for y in (0, 1))
-        return self._statistic(hclass, p0 - p1, p1)
+        """The expectation of ``features`` by the deconvolution identity (at
+        a contaminated observation the corrected kernel has the expectation
+        of the base kernel at the clean input): the statistic of the node
+        measures p_y w S_y, with S_y the ``base_smoothed_density``."""
+        return self._density_statistic(hclass, scenario, base_smoothed_density)
+
+    def _density_statistic(self, hclass: HypothesisClass, scenario: Scenario,
+                           density) -> tuple[np.ndarray, float]:
+        """The statistic whose risks (``_risks``) integrate each label's raw
+        loss against ``density(scenario, lattice, y)``: the signed node
+        measure p_0 w f_0 - p_1 w f_1 summed per run (w the weights, zero
+        outside the window), and the label-1 mass every classifier shares."""
+        (p0, p1), starts = scenario.priors, self._runs(hclass)[1]
+        f0, f1 = (self._weights * density(scenario, self.lattice, y) for y in (0, 1))
+        return np.add.reduceat(p0 * f0 - p1 * f1, starts), float(p1 * f1.sum())
 
     def _statistic(self, hclass: HypothesisClass, signed: np.ndarray,
                    label1: np.ndarray) -> tuple[np.ndarray, float]:
@@ -273,11 +282,6 @@ class DeconvolutionBackend:
             return starts, self.lattice.kernel_window(a, b), q
 
         return _cached(self._cache, ("signed", hclass), build)
-
-    def scan(self, hclass: HypothesisClass, features: np.ndarray) -> np.ndarray:
-        """The class matrix against the node features summed per run."""
-        matrix, starts = self._runs(hclass)
-        return matrix @ np.add.reduceat(features, starts)
 
     def _tables(self, hclass: HypothesisClass) -> np.ndarray:
         """Regularized losses on the nodes: row j for the loss 1{x > t_j} and

@@ -50,7 +50,6 @@ __all__ = [
     "bin_draws",
     "plug_in_density",
     "zero_extended_density",
-    "contaminated_density",
 ]
 
 
@@ -125,7 +124,8 @@ class ObservationLattice:
     the weights, so discrete convolutions against node functions are exact
     sums. ``base_scaled`` is the bandwidth-scaled base kernel on the same
     offsets (the noise-free twin of ``kernel``); it is built on first use,
-    since only bias diagnostics read it. ``whole_window`` holds the real
+    since only expected risks read it (``base_smoothed_density``), never a
+    trial. ``whole_window`` holds the real
     FFT of ``kernel`` at the shortest 5-smooth length whose circular
     convolution against a node function leaves the 'valid' outputs free of
     wraparound (at least 2P - 1 for P nodes); it is computed on first use
@@ -332,21 +332,6 @@ def zero_extended_density(scenario: Scenario, lattice: ObservationLattice,
     return f
 
 
-def contaminated_density(scenario: Scenario, lattice: ObservationLattice,
-                         label: int) -> np.ndarray:
-    """Density of the contaminated observation Z for one label, on the lattice.
-
-    For additive noise this is the discrete convolution of the conditional
-    density (zero-extended to the padded grid) with the tabulated noise
-    density; for dirac noise it is the zero-extended density itself.
-    """
-    f = zero_extended_density(scenario, lattice, label)
-    if lattice.noise.kind == "dirac":
-        return f
-    eta = lattice.noise.density(lattice.kernel.offsets[0])
-    return lattice.convolve(lattice.weights * f, eta)
-
-
 def base_smoothed_density(scenario: Scenario, lattice: ObservationLattice,
                           label: int) -> np.ndarray:
     """Conditional density smoothed by the bandwidth-scaled base kernel.
@@ -354,8 +339,8 @@ def base_smoothed_density(scenario: Scenario, lattice: ObservationLattice,
     The expectation of the noise-corrected kernel column at a contaminated
     observation equals the base-kernel column at the clean input, so the
     expected regularized risk is the quadrature of the raw loss against
-    this smoothed density. This form avoids integrating the oscillatory
-    corrected kernel and is the numerically stable route to expectations.
+    this smoothed density (``DeconvolutionBackend.expected_features``).
+    This form avoids integrating the oscillatory corrected kernel.
     """
     f = zero_extended_density(scenario, lattice, label)
     return lattice.convolve(lattice.weights * f, lattice.base_scaled.values[0])

@@ -5,11 +5,14 @@ of the package noticing, so these tests read the tracer's source and check
 that every name it uses exists and that the ``cli`` hooks of a diagnose run
 are still called. The tracer's rate replay also scores each trial with
 the one-classifier ``true_risk`` and requires its rows to equal the
-untraced run's, so that risk must equal the plan's risk vector exactly."""
+untraced run's, so that risk must equal the plan's risk vector exactly.
+Two tests import the tracer itself and run its rate replay and its traced
+diagnose at a small size."""
 
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import json
 import pkgutil
@@ -19,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import indirect_erm
-from indirect_erm import cli, true_risk
+from indirect_erm import cli, run_rate_experiment, true_risk
 from indirect_erm.reader import ConfigReader
 from indirect_erm.simulation import _plan_context
 
@@ -108,3 +111,49 @@ def test_only_the_tracer_names_take_a_loss():
                     and "loss" in inspect.signature(obj).parameters):
                 takes_loss.add(name)
     assert takes_loss == {"true_risk", "ExperimentPlan", "DeconvolutionBackend", "SvdBackend"}
+
+
+def _child():
+    """``perfbench/child.py`` as a module, imported from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_rate_replay_matches_the_untraced_run():
+    child = _child()
+    doc = json.loads((ROOT / "presets" / "laplace-linear.json").read_text())
+    doc.update(n_grid=[256, 512], replications=2)
+    tracer = child.Tracer()
+    try:
+        child._wrap_inner_calls(tracer)
+        rows = child._replay_rates(tracer, doc, 11)
+    finally:
+        tracer.unwrap_all()
+    want = [list(row) for row in run_rate_experiment(child._plan(doc, 11), threads=1).rows]
+    assert rows == want
+    inversions = [span for span in tracer.spans if span["name"] == "kernels.invert"]
+    assert len(inversions) == 2 and all("offsets" in span for span in inversions)
+
+
+def test_tracer_diagnose_runs(tmp_path):
+    child = _child()
+    doc = {
+        "version": 1, "command": "diagnose", "seed": 5,
+        "scenario": {"family": "smooth", "alpha": 1, "gamma": 2.0, "sharpness": 1.3,
+                     "contamination": {"kind": "laplace", "beta": 2},
+                     "grid": {"points": 128}},
+        "hypotheses": {"kind": "thresholds", "count": 5},
+        "diagnose": {"bandwidths": [0.2, 0.4], "mc_n": 200, "pair_count": 4},
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    tracer = child.Tracer()
+    try:
+        child._wrap_inner_calls(tracer)
+        child._traced_diagnose(tracer, str(config), str(tmp_path / "out"), 5)
+    finally:
+        tracer.unwrap_all()
+    assert {"hypotheses.context", "diagnostics.lipschitz", "diagnostics.sup_bound",
+            "diagnostics.bias", "diagnostics.bernstein"} <= {span["name"] for span in tracer.spans}

@@ -148,6 +148,14 @@ def test_slope_drops_nonpositive_means():
         fit_rate_slope([(100, 0.0, 0.0), (200, -1.0, 0.0)])
 
 
+def test_slope_needs_two_distinct_sample_sizes():
+    # repeated n used to give 0/0 (a RuntimeWarning) and a NaN slope
+    with pytest.raises(DataError):
+        fit_rate_slope([(100, 0.5, 0.0), (100, 0.4, 0.0)])
+    with pytest.raises(DataError):
+        fit_rate_slope([(100, 0.5, 0.01), (100, 0.4, 0.01), (400, 0.0, 0.01)])
+
+
 def test_slope_counts_dropped_points_from_a_generator(caplog):
     pts = [(100, 0.5, 0.01), (400, 0.0, 0.01), (1600, 0.125, 0.01)]
     with caplog.at_level("WARNING", logger="indirect_erm.diagnostics"):

@@ -24,16 +24,18 @@ from indirect_erm import (
     threshold_grid,
 )
 from indirect_erm.cli import _read_plan
-from indirect_erm.erm import empirical_risks, expected_risks
-from indirect_erm.hypotheses import loss_values, snap_to_cell_midpoint
+from indirect_erm.erm import _risks, empirical_risks, expected_risks
+from indirect_erm.hypotheses import loss_values, snap_to_cell_midpoint, window_mask
 from indirect_erm import noisy_risk
 from indirect_erm.noisy_risk import (
     ModifiedLossTable,
     NoisySample,
     _next_fast_len,
-    contaminated_density,
+    base_smoothed_density,
     empirical_risk,
     modified_loss_deconv,
+    plug_in_density,
+    zero_extended_density,
 )
 from indirect_erm.reader import ConfigReader
 from indirect_erm.simulation import generate_sample, trial_seed_sequence
@@ -236,11 +238,25 @@ def test_backend_expected_risks_match_reference_quadrature(grid):
     sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     for window in (None, (0.2, 0.7)):
-        # each reference table integrated against the contaminated density
+        # the deconvolution identity: each raw node loss, times the
+        # (windowed) weights, against the base-smoothed density
+        w = lattice.weights if window is None else np.where(
+            window_mask(lattice.nodes, window), lattice.weights, 0.0)
+        ref = [sum(sc.priors[y] * float(np.dot(
+            w, loss_values(c, y, lattice.nodes) * base_smoothed_density(sc, lattice, y)))
+            for y in sc.labels) for c in hclass]
+        backend = DeconvolutionBackend(lattice=lattice, window=window)
+        got = expected_risks(hclass, sc, backend)
+        assert np.abs(got - ref).max() < 1e-12
+    # under dirac noise the observations are the inputs: each reference
+    # table integrated against the zero-extended density
+    sc = make_margin_scenario(1, dirac_noise(), grid=grid)
+    lattice = build_lattice(grid, dirac_noise(), 0.25)
+    for window in (None, (0.2, 0.7)):
         ref = [sum(sc.priors[y] * float(np.dot(
             lattice.weights,
             modified_loss_deconv(c, lattice, window=window).values[y]
-            * contaminated_density(sc, lattice, y))) for y in sc.labels) for c in hclass]
+            * zero_extended_density(sc, lattice, y))) for y in sc.labels) for c in hclass]
         backend = DeconvolutionBackend(lattice=lattice, window=window)
         got = expected_risks(hclass, sc, backend)
         assert np.abs(got - ref).max() < 1e-12
@@ -423,17 +439,24 @@ def test_fit_result_serialization(grid):
 @pytest.mark.parametrize("window", [None, (0.2, 0.7)])
 def test_run_merged_scan_matches_dense_product(grid, window):
     # the class matrix keeps one column per run of nodes on which no loss
-    # changes; its scan is the dense label-0 node-loss product in another order
+    # changes; its risks of node densities (``_density_statistic``) are the
+    # dense label-0 node-loss product in another order. Label 1 gets the
+    # zero density, so no shared term is added, and p_0 = 1/2 scales exactly.
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     backend = DeconvolutionBackend(lattice=lattice, window=window)
+    sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
+    assert sc.priors[0] == 0.5
     rng = np.random.default_rng(9)
     for hclass in (threshold_grid(41, grid), threshold_grid(41, grid, orientation=-1)):
         dense = np.vstack([loss_values(clf, 0, lattice.nodes) for clf in hclass])
         assert backend.class_matrix(hclass).shape[1] < len(lattice.nodes) // 50
         for _ in range(4):
-            features = reference_plug_in_features(rng.uniform(-0.5, 1.5, 300), backend)
+            z = rng.uniform(-0.5, 1.5, 300)
+            features = 0.5 * reference_plug_in_features(z, backend)
             want = dense @ features
-            got = backend.scan(hclass, features)
+            densities = (plug_in_density(z, lattice), np.zeros(len(lattice.nodes)))
+            statistic = backend._density_statistic(hclass, sc, lambda s, lat, y: densities[y])
+            got = _risks(hclass, backend, statistic)
             # relative to the size of the summed terms, the scale of rounding
             assert np.all(np.abs(got - want) <= 1e-15 * (np.abs(dense) @ np.abs(features)))
             assert np.argmin(got) == np.argmin(want)

@@ -26,7 +26,6 @@ from indirect_erm.hypotheses import loss_values, snap_to_cell_midpoint
 from indirect_erm import noisy_risk
 from indirect_erm.noisy_risk import (
     base_smoothed_density,
-    contaminated_density,
     zero_extended_density,
 )
 from indirect_erm.operators import contaminate, sample_density, sampler_table
@@ -165,16 +164,12 @@ def test_densities_match_fftconvolve(grid):
     noise = laplace_noise(2.0)
     sc = make_margin_scenario(1, noise, family="smooth", gamma=2.0, sharpness=1.3, grid=grid)
     lattice = build_lattice(grid, noise, 0.2)
-    m = len(lattice.nodes) - 1
-    eta = noise.density(lattice.spacing * np.arange(-m, m + 1))
     for label in sc.labels:
         f = lattice.weights * zero_extended_density(sc, lattice, label)
-        for got, kernel in ((contaminated_density(sc, lattice, label), eta),
-                            (base_smoothed_density(sc, lattice, label),
-                             lattice.base_scaled.values[0])):
-            expected = fftconvolve(f, kernel, mode="valid")
-            assert got.shape == expected.shape
-            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+        got = base_smoothed_density(sc, lattice, label)
+        expected = fftconvolve(f, lattice.base_scaled.values[0], mode="valid")
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_next_fast_len_matches_scipy():
@@ -308,7 +303,7 @@ def test_plug_in_density_logs_clamped_draws(laplace_lattice, caplog, monkeypatch
     assert "clamping 2 observation(s)" in records[0].getMessage()
 
 
-def test_contaminated_density_evaluates_only_the_domain(grid):
+def test_base_smoothed_density_evaluates_only_the_domain(grid):
     # the smooth family's powers are undefined left of the domain; the
     # zero extension must never evaluate them there
     noise = laplace_noise(2.0)
@@ -318,10 +313,11 @@ def test_contaminated_density_evaluates_only_the_domain(grid):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for label in sc.labels:
-            g = contaminated_density(sc, lattice, label)
-            assert np.all(np.isfinite(g))
-            # the padding holds all but the noise tails beyond four sigma
-            assert abs(float(np.dot(w, g)) - 1.0) < 0.01
+            s = base_smoothed_density(sc, lattice, label)
+            assert np.all(np.isfinite(s))
+            # the lattice cuts off the slowly decaying sinc tails: the mass
+            # falls short of 1 by 0.011 for both labels at this bandwidth
+            assert abs(float(np.dot(w, s)) - 1.0) < 0.015
 
 
 def test_noise_correction_beats_plain_smoothing(grid):
