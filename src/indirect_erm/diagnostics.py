@@ -170,8 +170,7 @@ def empirical_lipschitz(scenario: Scenario, backend, hclass: HypothesisClass, pa
         raise DataError("no classifier pair with a nonzero loss distance to measure")
     i, j, denom = i[keep], j[keep], denom[keep]
     num_sq = np.zeros(len(i))
-    for label in scenario.labels:
-        z_lab = sample.z[sample.y == label]
+    for label, z_lab in enumerate(sample.groups):
         if z_lab.size:
             values = backend.losses(hclass, label, z_lab)
             num_sq += [float(np.sum((values[a] - values[b]) ** 2)) for a, b in zip(i, j)]

@@ -69,10 +69,10 @@ def _next_fast_len(target: int) -> int:
     return best
 
 
-def _log_clamped(z: np.ndarray, lo: float, hi: float) -> None:
-    """Log how many observations fall outside [lo, hi] and get clamped to it."""
+def _log_clamped(groups, lo: float, hi: float) -> None:
+    """Log in one event how many draws of the groups fall outside [lo, hi]."""
     global _clamp_seen
-    n_clamped = int(np.sum((z < lo) | (z > hi)))
+    n_clamped = sum(np.count_nonzero((z < lo) | (z > hi)) for z in groups)
     if n_clamped:
         level = logging.DEBUG if _clamp_seen else logging.WARNING
         _clamp_seen = True
@@ -80,38 +80,53 @@ def _log_clamped(z: np.ndarray, lo: float, hi: float) -> None:
                    "(later clamp events log at DEBUG)", n_clamped)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NoisySample:
-    """Labeled contaminated observations (z_i, y_i): one-dimensional arrays
-    of finite draws and of labels that are each 0 or 1."""
+    """Read-only labeled draws: the labels ``y`` and, read by every consumer,
+    the groups ``groups[y]`` of label-y draws in draw order; ``z`` interleaves
+    them when read. ``NoisySample(z, y)`` splits 1-D draws and 0/1 labels once,
+    ``from_groups`` takes finite groups; a bad or empty one is a ``DataError``."""
 
-    z: np.ndarray
     y: np.ndarray
+    groups: tuple[np.ndarray, np.ndarray]
 
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        y = np.asarray(self.y)
+    def __init__(self, z, y):
+        z, y = np.asarray(z, dtype=float), np.asarray(y)
         if z.ndim != 1 or y.ndim != 1:
             raise DataError(f"observations and labels must be one-dimensional arrays, "
                             f"got shapes {z.shape} and {y.shape}")
-        if not np.all(np.isfinite(z)):
-            raise DataError("observations must be finite")
         if not np.all((y == 0) | (y == 1)):
             raise DataError("labels must be 0 or 1")
-        y = y.astype(int)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "y", y)
         if z.shape[0] != y.shape[0]:
             raise DataError("observations and labels differ in length")
-        if z.shape[0] < 1:
+        y = y.astype(int)
+        self._set(y, np.split(z[np.argsort(y, kind="stable")], [y.size - np.count_nonzero(y)]))
+        self.__dict__["z"] = z  # as the cached property below would
+
+    @classmethod
+    def from_groups(cls, y: np.ndarray, groups) -> "NoisySample":
+        return cls.__new__(cls)._set(y, groups)
+
+    def _set(self, y: np.ndarray, groups) -> "NoisySample":
+        if y.shape[0] < 1:
             raise DataError("sample must contain at least one observation")
+        if not all(np.all(np.isfinite(z)) for z in groups):
+            raise DataError("observations must be finite")
+        self.__dict__.update(y=y, groups=tuple(groups))  # frozen: set once, here
+        return self
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        z = np.empty(self.n)
+        z[np.argsort(self.y, kind="stable")] = np.concatenate(self.groups)  # undoes the split
+        return z
 
     @property
     def n(self) -> int:
-        return int(self.z.shape[0])
+        return int(self.y.shape[0])
 
     def counts(self) -> dict[int, int]:
-        return {lab: int(np.sum(self.y == lab)) for lab in (0, 1)}
+        return {label: len(z) for label, z in enumerate(self.groups)}
 
 
 @dataclass(frozen=True)
@@ -239,7 +254,7 @@ class ModifiedLossTable:
         if label not in self.values:
             raise DataError(f"no table for label {label}")
         z = np.asarray(z, dtype=float)
-        _log_clamped(z, self.z_nodes[0], self.z_nodes[-1])
+        _log_clamped((z,), self.z_nodes[0], self.z_nodes[-1])
         return np.interp(z, self.z_nodes, self.values[label])
 
 
@@ -264,12 +279,8 @@ def modified_loss_deconv(clf, lattice: ObservationLattice, labels=(0, 1),
 
 def empirical_risk(table: ModifiedLossTable, sample: NoisySample) -> float:
     """Mean of table lookups at the sample points."""
-    total = 0.0
-    for label in np.unique(sample.y):
-        label = int(label)
-        z_lab = sample.z[sample.y == label]
-        total += float(np.sum(table.evaluate(z_lab, label)))
-    return total / sample.n
+    return sum(float(np.sum(table.evaluate(z, label)))
+               for label, z in enumerate(sample.groups) if z.size) / sample.n
 
 
 def _cells(z: np.ndarray, nodes: np.ndarray, h: float) -> np.ndarray:
@@ -285,22 +296,19 @@ def _cells(z: np.ndarray, nodes: np.ndarray, h: float) -> np.ndarray:
     return np.clip(idx, 0, len(nodes) - 2, out=idx)
 
 
-def bin_draws(z: np.ndarray, y: np.ndarray, lattice: ObservationLattice) -> np.ndarray:
-    """Linear binning of labeled draws onto the lattice nodes: row y holds
-    the binned mass of the label-y draws over the number of all draws, so
-    the two rows are the empirical measures P_0 and P_1 on the nodes.
-
-    Draws outside the lattice are clamped to its ends, with a logged count.
-    """
+def bin_draws(groups, lattice: ObservationLattice) -> np.ndarray:
+    """Linear binning onto the lattice nodes of groups of draws, clamped to its
+    ends with one logged count: a row per group over all draws (P_0 and P_1)."""
     nodes, h, p = lattice.nodes, lattice.spacing, len(lattice.nodes)
-    _log_clamped(z, nodes[0], nodes[-1])
-    z = np.clip(z, nodes[0], nodes[-1])
+    _log_clamped(groups, nodes[0], nodes[-1])
+    z = np.clip(np.concatenate(groups), nodes[0], nodes[-1])
     idx = _cells(z, nodes, h)
     frac = (z - nodes[idx]) / h
-    rows = idx + p * y
-    binned = np.bincount(np.concatenate([rows, rows + 1]),
-                         weights=np.concatenate([1.0 - frac, frac]), minlength=2 * p)
-    return binned.reshape(2, p) / z.size
+    for start in np.cumsum([len(g) for g in groups[:-1]]):
+        idx[start:] += p  # each later group's draws bin one row further down
+    binned = np.bincount(np.concatenate([idx, idx + 1]),
+                         weights=np.concatenate([1.0 - frac, frac]), minlength=len(groups) * p)
+    return binned.reshape(len(groups), p) / z.size
 
 
 def plug_in_density(z_draws: np.ndarray, lattice: ObservationLattice) -> np.ndarray:
@@ -315,7 +323,7 @@ def plug_in_density(z_draws: np.ndarray, lattice: ObservationLattice) -> np.ndar
     z = np.asarray(z_draws, dtype=float)
     if z.size == 0:
         raise DataError("plug-in density needs at least one observation")
-    return lattice.convolve(bin_draws(z, np.zeros(z.size, dtype=np.intp), lattice)[0])
+    return lattice.convolve(bin_draws((z,), lattice)[0])
 
 
 def zero_extended_density(scenario: Scenario, lattice: ObservationLattice,

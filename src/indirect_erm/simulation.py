@@ -84,27 +84,25 @@ def _sampling_density(scenario: Scenario, label: int) -> SamplerTable:
 def generate_sample(scenario: Scenario, n: int, rng) -> NoisySample:
     """Draw a contaminated labeled sample of size n from the scenario.
 
-    Labels follow the priors. With a spectral operator, observations are
-    drawn directly from the operator image densities; with additive noise,
-    inputs are drawn from the conditional densities and contaminated. The
-    densities' sampler tables do not depend on the sample, so they are
-    built on a scenario's first draw and cached on it (``_sampling_density``).
+    Labels follow the priors; each label's draws, label 0 first, are its
+    group (``NoisySample.from_groups``): spectral ones come from the operator
+    image density, additive-noise ones are contaminated clean draws. Sampler
+    tables do not depend on the sample, so they are built on a scenario's
+    first draw and cached on it (``_sampling_density``).
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     y = (rng.random(n) < scenario.priors[1]).astype(int)
-    z = np.empty(n)
-    contamination = scenario.contamination
-    for label in scenario.labels:
-        mask = y == label
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        draws = sample_density(_sampling_density(scenario, label), count, rng)
-        if not isinstance(contamination, SpectralOperator):  # additive noise
-            draws = contaminate(draws, contamination, rng)
-        z[mask] = draws
-    return NoisySample(z=z, y=y)
+    n1 = int(np.count_nonzero(y))
+    groups = []
+    for label, count in zip(scenario.labels, (n - n1, n1)):
+        draws = np.empty(0)
+        if count:
+            draws = sample_density(_sampling_density(scenario, label), count, rng)
+            if not isinstance(scenario.contamination, SpectralOperator):  # additive noise
+                draws = contaminate(draws, scenario.contamination, rng)
+        groups.append(draws)
+    return NoisySample.from_groups(y, groups)
 
 
 BACKENDS = ("deconvolution", "restricted", "svd")

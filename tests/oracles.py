@@ -9,6 +9,7 @@ import numpy as np
 from indirect_erm.grid import trapezoid_weights
 from indirect_erm.hypotheses import HypothesisClass, ThresholdClassifier, loss_values, window_mask
 from indirect_erm.noisy_risk import plug_in_density
+from indirect_erm.operators import SpectralOperator, apply_operator
 
 
 def closed_form_corrected_sinc(u, lam):
@@ -52,6 +53,49 @@ def reference_quantile(values, grid, u):
 def reference_sample_density(values, grid, n, seed):
     """n draws by ``reference_quantile`` of the seed's first n uniforms."""
     return reference_quantile(values, grid, np.random.default_rng(seed).random(n))
+
+
+def reference_interleaved_sample(scenario, n, seed):
+    """(z, y) of an n-draw sample, drawn interleaved: uniform labels against
+    the label-1 prior, then per label, label 0 first, the quantiles
+    (``reference_quantile``) of its sampling density, the operator image or
+    the clean density, plus the noise summed over a (folds, count) Laplace
+    draw, scattered into z through a boolean mask of the labels."""
+    rng = np.random.default_rng(seed)
+    y = (rng.random(n) < scenario.priors[1]).astype(int)
+    z = np.empty(n)
+    op = scenario.contamination
+    for label in (0, 1):
+        mask = y == label
+        count = int(mask.sum())
+        if count == 0:
+            continue
+        if isinstance(op, SpectralOperator):
+            values = apply_operator(scenario.cosine_coefficients(label, op.k_max), op,
+                                    scenario.domain)
+        else:
+            values = scenario.density_values(label)
+        draws = reference_quantile(values, scenario.domain, rng.random(count))
+        if not isinstance(op, SpectralOperator):
+            folds = 0 if op.kind == "dirac" else int(op.beta / 2)
+            draws = draws + rng.laplace(0.0, 1.0, size=(folds, count)).sum(axis=0)
+        z[mask] = draws
+    return z, y
+
+
+def reference_labelled_binning(z, y, lattice):
+    """The label rows P_0 and P_1 of linear binning, made as one
+    ``bincount`` over the interleaved draws with each label-1 bin one row
+    down: every node adds its draws in draw order, the 1 - frac weights
+    before the frac ones. Cells by ``searchsorted``, draws clamped."""
+    nodes, p = lattice.nodes, len(lattice.nodes)
+    z = np.clip(z, nodes[0], nodes[-1])
+    idx = np.clip(np.searchsorted(nodes, z) - 1, 0, p - 2)
+    frac = (z - nodes[idx]) / lattice.spacing
+    rows = idx + p * np.asarray(y)
+    binned = np.bincount(np.concatenate([rows, rows + 1]),
+                         weights=np.concatenate([1.0 - frac, frac]), minlength=2 * p)
+    return binned.reshape(2, p) / z.size
 
 
 def reference_plug_in_features(z, backend):

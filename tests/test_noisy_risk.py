@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.signal import fftconvolve
 from indirect_erm import (
     ConfigurationError,
     DataError,
+    DeconvolutionBackend,
     HypothesisClass,
     NoisySample,
     SpectralOperator,
@@ -31,7 +33,12 @@ from indirect_erm.noisy_risk import (
 from indirect_erm.operators import contaminate, sample_density, sampler_table
 from indirect_erm.simulation import generate_sample
 
-from oracles import naive_empirical_risk, reference_basis, reference_loss_coefficients
+from oracles import (
+    naive_empirical_risk,
+    reference_basis,
+    reference_labelled_binning,
+    reference_loss_coefficients,
+)
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +308,58 @@ def test_plug_in_density_logs_clamped_draws(laplace_lattice, caplog, monkeypatch
     records = [r for r in caplog.records if "clamping" in r.getMessage()]
     assert [r.levelname for r in records] == ["WARNING", "DEBUG"]
     assert "clamping 2 observation(s)" in records[0].getMessage()
+
+
+def test_binning_groups_gives_the_bits_of_labelled_binning(laplace_lattice):
+    # the groups laid end to end, label 1 one row down, add each node's
+    # draws in the order of the interleaved sample, so the rows are equal
+    # bit for bit; draws crowd a few cells, sit on nodes and get clamped
+    rng = np.random.default_rng(5)
+    nodes = laplace_lattice.nodes
+    z = np.concatenate([rng.uniform(0.45, 0.55, 3000), nodes[rng.integers(0, len(nodes), 40)],
+                        [nodes[0] - 1.0, nodes[-1] + 2.0]])
+    for y in (rng.random(z.size) < 0.4, np.ones(z.size, dtype=int)):
+        rng.shuffle(z)
+        want = reference_labelled_binning(z, y, laplace_lattice)
+        assert np.array_equal(noisy_risk.bin_draws(NoisySample(z, y).groups, laplace_lattice), want)
+    assert np.array_equal(noisy_risk.bin_draws((z,), laplace_lattice)[0],
+                          reference_labelled_binning(z, np.zeros(z.size, dtype=int),
+                                                     laplace_lattice)[0])
+
+
+def test_binning_logs_one_clamp_event_for_both_labels(laplace_lattice, caplog, monkeypatch):
+    # a sample's two label groups are binned in one call, which logs one
+    # event with the clamped count of both
+    monkeypatch.setattr(noisy_risk, "_clamp_seen", False)
+    lo, hi = laplace_lattice.nodes[[0, -1]]
+    sample = NoisySample(z=[lo - 1.0, 0.5, hi + 1.0, 0.2, hi + 3.0, lo - 2.0],
+                         y=[0, 0, 1, 1, 1, 1])
+    backend = DeconvolutionBackend(lattice=laplace_lattice)
+    with caplog.at_level("DEBUG", logger="indirect_erm.noisy_risk"):
+        backend.features(HypothesisClass((ThresholdClassifier(0.5),)), sample)
+    records = [r for r in caplog.records if "clamping" in r.getMessage()]
+    assert len(records) == 1
+    assert "clamping 4 observation(s)" in records[0].getMessage()
+
+
+def test_grouped_sample_rejects_non_finite_or_empty_groups():
+    # a generated sample skips the interleaved checks; its groups get the
+    # same finiteness check, and it must hold a draw
+    with pytest.raises(DataError):
+        NoisySample.from_groups(np.array([0, 1]), (np.array([0.1]), np.array([np.nan])))
+    with pytest.raises(DataError):
+        NoisySample.from_groups(np.array([], dtype=int), (np.empty(0), np.empty(0)))
+
+
+def test_sample_is_read_only():
+    # y, the groups and z are three views of one sample: none can be reassigned
+    split = NoisySample(z=[0.1, 0.2, 0.3], y=[0, 1, 0])
+    grouped = NoisySample.from_groups(split.y, split.groups)
+    for sample in (split, grouped):
+        for name in ("y", "groups", "z"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sample, name, getattr(sample, name))
+        assert np.array_equal(sample.z, [0.1, 0.2, 0.3])
 
 
 def test_base_smoothed_density_evaluates_only_the_domain(grid):

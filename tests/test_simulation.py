@@ -15,6 +15,7 @@ from indirect_erm import (
 )
 from indirect_erm import simulation
 from indirect_erm.cli import run
+from indirect_erm.noisy_risk import NoisySample
 from indirect_erm.simulation import (
     ExperimentPlan,
     build_backend,
@@ -24,6 +25,8 @@ from indirect_erm.simulation import (
     run_trial,
     trial_seed_sequence,
 )
+
+from oracles import reference_interleaved_sample
 
 
 def small_plan(grid, noise=None, **kw):
@@ -48,6 +51,24 @@ def test_generate_sample_determinism(grid, linear_scenario):
     a = generate_sample(linear_scenario, 500, 99)
     b = generate_sample(linear_scenario, 500, 99)
     assert np.array_equal(a.z, b.z) and np.array_equal(a.y, b.y)
+
+
+@pytest.mark.parametrize("contamination", [laplace_noise(2.0), laplace_noise(4.0), dirac_noise(),
+                                           SpectralOperator(1.0, 64)],
+                         ids=["laplace2", "laplace4", "dirac", "svd"])
+@pytest.mark.parametrize("n", [1, 2, 500])
+def test_generate_sample_matches_interleaved_reference(grid, contamination, n):
+    # the sample is kept as its label groups; its z, interleaved on first
+    # read, and its y are those of the masked scatter, bit for bit
+    scenario = make_margin_scenario(1, contamination, grid=grid)
+    for seed in range(4):
+        sample = generate_sample(scenario, n, seed)
+        z, y = reference_interleaved_sample(scenario, n, seed)
+        assert np.array_equal(sample.y, y) and sample.y.dtype == y.dtype
+        assert np.array_equal(sample.z, z)
+        split = NoisySample(z=z, y=y)
+        assert all(np.array_equal(a, b) for a, b in zip(sample.groups, split.groups))
+        assert sample.counts() == split.counts() == {0: n - y.sum(), 1: y.sum()}
 
 
 @pytest.mark.parametrize("contamination", [SpectralOperator(1.0, 64), laplace_noise(2.0)])
