@@ -15,7 +15,6 @@ model error, 4 I/O error.
 
 from __future__ import annotations
 
-import argparse
 import ctypes
 import functools
 import hashlib
@@ -438,6 +437,8 @@ def run(config_path: str, out_dir: str | None = None, threads: int | None = None
 
 
 def main(argv=None) -> int:
+    import argparse  # only the console script parses arguments; ``run`` never does
+
     parser = argparse.ArgumentParser(
         prog="indirect-erm",
         description="Smoothed ERM for classification from indirect observations",

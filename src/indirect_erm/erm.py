@@ -58,6 +58,9 @@ __all__ = [
 
 BIAS_VARIANTS = ("general", "squared_loss")
 
+# table rows whose right-end step ``DeconvolutionBackend.losses`` gathers at once
+_STEP_ROWS = 8
+
 
 @dataclass(frozen=True)
 class RateConfig:
@@ -309,18 +312,30 @@ class DeconvolutionBackend:
     def losses(self, hclass: HypothesisClass, label: int, z: np.ndarray) -> np.ndarray:
         """Regularized losses at the points z (clamped to the lattice, with a
         logged count), one row per classifier: ``_tables`` interpolated
-        linearly, with each point's cell found once. A row of orientation -1
-        for label 0, or +1 for label 1, is the loss 1's minus its table's."""
+        linearly, with each point's cell found once. The left-end values
+        are gathered whole and the right-end step is added into them
+        ``_STEP_ROWS`` rows at a time, so the gathers hold one matrix, not
+        two. A row of orientation -1 for label 0, or +1 for label 1, is the
+        loss 1's minus its table's."""
         z = np.asarray(z, dtype=float)
         nodes = self.lattice.nodes
         _log_clamped((z,), nodes[0], nodes[-1])
         z = np.clip(z, nodes[0], nodes[-1])
         cell = _cells(z, nodes, self.lattice.spacing)
+        right = cell + 1
+        frac = (z - nodes[cell]) / (nodes[right] - nodes[cell])
         tables = self._tables(hclass)
-        out, step = tables[:, cell], tables[:, cell + 1]
-        step -= out
-        step *= (z - nodes[cell]) / (nodes[cell + 1] - nodes[cell])
-        out += step
+        out = tables[:, cell]
+        buffer = np.empty((min(_STEP_ROWS, len(out)), len(z)))
+        for rows in range(0, len(out), _STEP_ROWS):
+            left = out[rows: rows + _STEP_ROWS]
+            # ``take``'s default mode would gather into a temporary first;
+            # every index is in range, so "clip" clips nothing
+            step = np.take(tables[rows: rows + _STEP_ROWS], right, axis=1, mode="clip",
+                           out=buffer[:len(left)])
+            step -= left
+            step *= frac
+            left += step
         flip = (_thresholds(hclass)[1] == 1) == (label == 1)
         return np.subtract(out[-1], out[:-1], out=out[:-1], where=flip[:, None])
 

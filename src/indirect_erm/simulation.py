@@ -10,7 +10,6 @@ log-log slope fit that is compared to the theoretical exponent.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,12 +255,17 @@ def _iter_blocks(plan: ExperimentPlan, threads: int):
     """Yield (n, excess array) per sample size, in n order.
 
     The pool never gets more workers than n-blocks or cores: forked
-    workers all start at once, and surplus ones would sit idle.
+    workers all start at once, and surplus ones would sit idle. It is
+    imported only when one starts: ``concurrent.futures`` loads
+    ``multiprocessing``, ``socket`` and ``subprocess``, which a one-process
+    run would pay for in memory and start-up time and never use.
     """
     ctx = _plan_context(plan)
     args = [(plan, ctx, n) for n in plan.n_grid]
     workers = min(threads, len(plan.n_grid), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_run_block, args)
     else:

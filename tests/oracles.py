@@ -7,8 +7,10 @@ summation) and shares no code path with the package internals it checks.
 import numpy as np
 
 from indirect_erm.grid import trapezoid_weights
-from indirect_erm.hypotheses import HypothesisClass, ThresholdClassifier, loss_values, window_mask
-from indirect_erm.noisy_risk import plug_in_density
+from indirect_erm.hypotheses import (HypothesisClass, ThresholdClassifier, _thresholds,
+                                     loss_values, window_mask)
+from indirect_erm.kernels import _SPLIT
+from indirect_erm.noisy_risk import _cells, plug_in_density
 from indirect_erm.operators import SpectralOperator, apply_operator
 
 
@@ -107,6 +109,44 @@ def reference_plug_in_features(z, backend):
     if backend.window is not None:
         w = np.where(window_mask(lattice.nodes, backend.window), w, 0.0)
     return w * plug_in_density(z, lattice)
+
+
+def fresh_block_inversion(symbol_values, s_nodes, s_weights, offsets):
+    """The split inversion of ``kernels._invert_symbol`` with every cosine,
+    sine and scaled block a fresh array: the bits that the in-place
+    evaluation must reproduce. Offsets are taken as symmetric and uniform."""
+    h = (offsets[-1] - offsets[0]) / max(len(offsets) - 1, 1)
+    upper = offsets[len(offsets) // 2:]
+    coef = s_weights * symbol_values
+    phase_a = np.outer(upper[::_SPLIT], s_nodes)
+    phase_r = np.outer(h * np.arange(_SPLIT), s_nodes)
+    out = (np.einsum("js,rs->jr", np.cos(phase_a) * coef, np.cos(phase_r))
+           - np.einsum("js,rs->jr", np.sin(phase_a) * coef, np.sin(phase_r)))
+    out = out.ravel()[:len(upper)] / np.pi
+    return np.concatenate([out[len(offsets) % 2:][::-1], out])
+
+
+def whole_gather_losses(backend, hclass, label, z):
+    """``DeconvolutionBackend.losses`` with both ends of every point's cell
+    gathered for all table rows at once: the bits that the blocked
+    right-end step must reproduce."""
+    nodes = backend.lattice.nodes
+    z = np.clip(np.asarray(z, dtype=float), nodes[0], nodes[-1])
+    cell = _cells(z, nodes, backend.lattice.spacing)
+    tables = backend._tables(hclass)
+    out, step = tables[:, cell], tables[:, cell + 1]
+    step -= out
+    step *= (z - nodes[cell]) / (nodes[cell + 1] - nodes[cell])
+    out += step
+    flip = (_thresholds(hclass)[1] == 1) == (label == 1)
+    return np.subtract(out[-1], out[:-1], out=out[:-1], where=flip[:, None])
+
+
+def abs_copy_table_sup(tables):
+    """The largest |loss| over kernel loss tables (a row per threshold, the
+    loss 1's row last), from the absolute values of the rows and of the loss
+    1's row minus each."""
+    return float(max(np.abs(tables[:-1]).max(), np.abs(tables[-1] - tables[:-1]).max()))
 
 
 def mixed_threshold_class(grid):

@@ -546,11 +546,15 @@ import json, sys
 from indirect_erm import cli
 for path in sys.argv[1:]:
     assert cli.run(path, threads=1) == 0, path
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("scipy", "concurrent", "multiprocessing",
+                                               "argparse"))))
 """
 
 
 def test_import_and_run_load_no_scipy(tmp_path):
+    # nor, at one process, the pool's modules or the console script's parser:
+    # the pooled path is test_simulation.py::test_parallel_matches_sequential
     paths = [write_config(tmp_path, make(str(tmp_path / name)), f"{name}.json")
              for name, make in (("rates", rates_config), ("svd_rates", svd_rates_config),
                                 ("diagnose", diagnose_config))]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,7 @@ from indirect_erm.noisy_risk import modified_loss_deconv
 from indirect_erm.simulation import generate_sample
 
 from oracles import (
+    abs_copy_table_sup,
     mixed_threshold_class,
     naive_bias_deconv,
     naive_bias_svd,
@@ -251,15 +254,34 @@ def test_table_sup_matches_reference_tables(grid):
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     # here the largest loss is the loss 1's row minus a table row (3.38 against 3.15)
     left = HypothesisClass(tuple(ThresholdClassifier(t) for t in (0.05, 0.1)))
-    for cls in (hclass, left):
-        ref = sup(modified_loss_deconv(c, lattice) for c in cls)
-        assert table_sup(DeconvolutionBackend(lattice=lattice),
-                         cls) == pytest.approx(ref, rel=1e-12)
+    for cls in (hclass, left, mixed_threshold_class(grid)):
+        for window in (None, (0.1, 0.9)):
+            ref = sup(modified_loss_deconv(c, lattice, window=window) for c in cls)
+            backend = DeconvolutionBackend(lattice=lattice, window=window)
+            got = table_sup(backend, cls)
+            assert got == pytest.approx(ref, rel=1e-12)
+            # read off node-wise min and max: the bits of the absolute values
+            assert got == abs_copy_table_sup(backend._tables(cls))
     op = SpectralOperator(decay=1.0, k_max=64)
     ref = max(np.abs(reference_svd_losses(c, y, grid.axis(), op, 8, grid)).max()
               for c in hclass for y in (0, 1))
     svd = SvdBackend(operator=op, cutoff=8, grid=grid)
     assert table_sup(svd, hclass) == pytest.approx(ref, rel=1e-12)
+
+
+def test_table_sup_copies_no_table(grid):
+    # node-wise min and max are a few lattice vectors; the absolute values
+    # of the rows and of the loss 1's row minus them were two table copies
+    backend = DeconvolutionBackend(lattice=build_lattice(grid, laplace_noise(2.0), 0.1))
+    hclass = threshold_grid(33, grid)
+    tables = backend._tables(hclass)  # cached beforehand, as by the diagnose sweep
+    tracemalloc.start()
+    try:
+        table_sup(backend, hclass)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= tables.nbytes / 4
 
 
 def test_sup_bound_scalings(grid):

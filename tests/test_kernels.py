@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,14 @@ from indirect_erm import (
 )
 from indirect_erm.kernels import (
     NoiseModel,
+    _SPLIT,
     _invert_symbol,
     _panel_rule,
     base_symbol,
     kernel_fourier_l2,
 )
 
-from oracles import closed_form_corrected_sinc
+from oracles import closed_form_corrected_sinc, fresh_block_inversion
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +218,26 @@ def test_split_inversion_matches_cos_sum(grid, parity, noise):
     got = _invert_symbol(symbol, s_nodes, s_weights, off)
     want = _cos_sum_inversion(symbol, s_nodes, s_weights, off)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # the cosines overwrite the phases in place: the bits of fresh blocks
+    assert np.array_equal(got, fresh_block_inversion(symbol, s_nodes, s_weights, off))
+
+
+def test_inversion_holds_its_phase_block_twice(grid):
+    # the M/64 x S phase block becomes the cosines, beside one block of
+    # sines: a peak of 2.9 blocks with the 64 x S factors, where fresh
+    # cosine, sine and scaled blocks made it 3.5
+    lam = 0.1
+    off = build_lattice(grid, laplace_noise(2.0), lam).kernel.offsets[0]
+    s_nodes, s_weights = _panel_rule(1.0 / lam, float(np.max(np.abs(off))))
+    symbol = base_symbol("sinc", lam * s_nodes) / laplace_noise(2.0).fourier(s_nodes)
+    block = -(-(len(off) - len(off) // 2) // _SPLIT) * len(s_nodes) * 8
+    tracemalloc.start()
+    try:
+        _invert_symbol(symbol, s_nodes, s_weights, off)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * block
 
 
 def test_nonuniform_offsets_rejected(grid):

@@ -217,10 +217,13 @@ class _RecordingPool:
     (1, 8, []),
 ])
 def test_pool_capped_at_blocks_and_cores(grid, monkeypatch, threads, cores, expected):
+    import concurrent.futures
+
     import indirect_erm.simulation as sim
 
     _RecordingPool.sizes = []
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
+    # ``_iter_blocks`` imports the pool class only when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(sim.os, "cpu_count", lambda: cores)
     plan = small_plan(grid, replications=2, n_grid=(128, 256))
     report = run_rate_experiment(plan, threads=threads)
