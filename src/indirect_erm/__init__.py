@@ -66,7 +66,6 @@ from .simulation import (
     RateReport,
     generate_sample,
     run_rate_experiment,
-    run_trial,
 )
 
 __version__ = "0.1.0"

@@ -106,7 +106,7 @@ def fit_rate_slope(points) -> tuple[float, float]:
         raise DataError("slope fit needs points with positive means at two or more distinct n")
     x = np.log([p[0] for p in kept])
     y = np.log([p[1] for p in kept])
-    se_log = np.array([s / m if m > 0 else 0.0 for _, m, s in kept])
+    se_log = np.array([s / m for _, m, s in kept])
     if np.any(se_log <= 0):
         weights = np.ones_like(x)
     else:

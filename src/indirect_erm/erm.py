@@ -278,8 +278,8 @@ class DeconvolutionBackend:
             head, tail = w.copy(), w.copy()
             head[a:] = 0.0
             tail[:b] = 0.0
-            # ``lattice.whole_window``, but not kept on the lattice: nothing
-            # else in a rate run reads its spectrum
+            # the window over every node, built once per class: nothing else
+            # in a rate run reads its spectrum
             whole = self.lattice.kernel_window(0, p)
             q = np.vstack([whole.convolve(v) for v in (head, tail, w)])
             return starts, self.lattice.kernel_window(a, b), q
@@ -355,6 +355,10 @@ class SvdBackend:
     # unread; kept for perfbench/child.py, which passes one, until ROADMAP item 1
     loss: LossSpec = field(default_factory=LossSpec)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _inv_b: np.ndarray = field(init=False, compare=False, repr=False)
+    # the loss coefficients of the loss 1: the basis integrals over the
+    # domain (a classifier's label-0 plus label-1 row)
+    _ones: np.ndarray = field(init=False, compare=False, repr=False)
 
     name = "svd"
 
@@ -362,22 +366,13 @@ class SvdBackend:
         if not 1 <= self.cutoff <= self.operator.k_max:
             raise ConfigurationError(
                 f"cutoff {self.cutoff} outside [1, k_max={self.operator.k_max}]")
+        object.__setattr__(self, "_inv_b", 1.0 / self.operator.singular_values[: self.cutoff + 1])
+        object.__setattr__(self, "_ones", basis_integrals(self.grid.lower, self.grid.upper,
+                                                          self.cutoff))
 
     @property
     def smoothing(self) -> int:
         return self.cutoff
-
-    @property
-    def _inv_b(self) -> np.ndarray:
-        return _cached(self._cache, ("inv_b",),
-                       lambda: 1.0 / self.operator.singular_values[: self.cutoff + 1])
-
-    @property
-    def _ones(self) -> np.ndarray:
-        """The loss coefficients of the loss 1: the basis integrals over the
-        domain (a classifier's label-0 plus label-1 row)."""
-        return _cached(self._cache, ("domain",), lambda: basis_integrals(
-            self.grid.lower, self.grid.upper, self.cutoff))
 
     def features(self, hclass: HypothesisClass, sample: NoisySample) -> tuple[np.ndarray, float]:
         """The statistic ``empirical_risks`` pairs with the class matrix:

@@ -1,5 +1,9 @@
 """Modified losses and empirical risks built from contaminated observations.
 
+A sample (``NoisySample``) is its two label groups: under the hard loss
+the regularized empirical risk reads the draws only through their
+label-wise empirical measures P_0 and P_1, so no label array is kept.
+
 The regularized loss of a classifier is the quadrature of its pointwise
 loss against the noise-corrected kernel. Because the observation grid, the
 quadrature grid, and the kernel offsets share one spacing, the table path,
@@ -82,48 +86,27 @@ def _log_clamped(groups, lo: float, hi: float) -> None:
 
 @dataclass(frozen=True, init=False)
 class NoisySample:
-    """Read-only labeled draws: the labels ``y`` and, read by every consumer,
-    the groups ``groups[y]`` of label-y draws in draw order; ``z`` interleaves
-    them when read. ``NoisySample(z, y)`` splits 1-D draws and 0/1 labels once,
-    ``from_groups`` takes finite groups; a bad or empty one is a ``DataError``."""
+    """Frozen labeled draws, held as their two label groups: ``groups[y]``
+    holds the label-y draws in draw order (the empirical measures P_0 and
+    P_1), not copied. Two one-dimensional groups of finite draws, with at
+    least one draw between them; anything else is a ``DataError``."""
 
-    y: np.ndarray
     groups: tuple[np.ndarray, np.ndarray]
 
-    def __init__(self, z, y):
-        z, y = np.asarray(z, dtype=float), np.asarray(y)
-        if z.ndim != 1 or y.ndim != 1:
-            raise DataError(f"observations and labels must be one-dimensional arrays, "
-                            f"got shapes {z.shape} and {y.shape}")
-        if not np.all((y == 0) | (y == 1)):
-            raise DataError("labels must be 0 or 1")
-        if z.shape[0] != y.shape[0]:
-            raise DataError("observations and labels differ in length")
-        y = y.astype(int)
-        self._set(y, np.split(z[np.argsort(y, kind="stable")], [y.size - np.count_nonzero(y)]))
-        self.__dict__["z"] = z  # as the cached property below would
-
-    @classmethod
-    def from_groups(cls, y: np.ndarray, groups) -> "NoisySample":
-        return cls.__new__(cls)._set(y, groups)
-
-    def _set(self, y: np.ndarray, groups) -> "NoisySample":
-        if y.shape[0] < 1:
+    def __init__(self, groups):
+        groups = tuple(np.asarray(z, dtype=float) for z in groups)
+        if len(groups) != 2 or any(z.ndim != 1 for z in groups):
+            raise DataError(f"a sample is two one-dimensional label groups, got shapes "
+                            f"{[z.shape for z in groups]}")
+        if not any(z.size for z in groups):
             raise DataError("sample must contain at least one observation")
         if not all(np.all(np.isfinite(z)) for z in groups):
             raise DataError("observations must be finite")
-        self.__dict__.update(y=y, groups=tuple(groups))  # frozen: set once, here
-        return self
-
-    @cached_property
-    def z(self) -> np.ndarray:
-        z = np.empty(self.n)
-        z[np.argsort(self.y, kind="stable")] = np.concatenate(self.groups)  # undoes the split
-        return z
+        object.__setattr__(self, "groups", groups)
 
     @property
     def n(self) -> int:
-        return int(self.y.shape[0])
+        return sum(len(z) for z in self.groups)
 
     def counts(self) -> dict[int, int]:
         return {label: len(z) for label, z in enumerate(self.groups)}
@@ -140,12 +123,7 @@ class ObservationLattice:
     sums. ``base_scaled`` is the bandwidth-scaled base kernel on the same
     offsets (the noise-free twin of ``kernel``); it is built on first use,
     since only expected risks read it (``base_smoothed_density``), never a
-    trial. ``whole_window`` holds the real
-    FFT of ``kernel`` at the shortest 5-smooth length whose circular
-    convolution against a node function leaves the 'valid' outputs free of
-    wraparound (at least 2P - 1 for P nodes); it is computed on first use
-    and cached on the lattice, so every ``convolve`` with the kernel
-    (plug-in densities, reference tables) reuses it.
+    trial.
     """
 
     domain: Grid
@@ -166,22 +144,14 @@ class ObservationLattice:
     def base_scaled(self) -> TabulatedKernel:
         return build_deconvolution_kernel(self.kernel, dirac_noise(), self.bandwidth)
 
-    @cached_property
-    def whole_window(self) -> "KernelWindow":
-        """The kernel's window over every node, built on first use."""
-        return self.kernel_window(0, len(self.nodes))
-
     def convolve(self, values: np.ndarray, offset_values: np.ndarray | None = None) -> np.ndarray:
         """'valid' convolution of node values with a function on the kernel's
-        2P - 1 offsets: P values, one per node.
-
-        Without ``offset_values`` the function is ``kernel``, through the
-        cached ``whole_window``. Same result as ``fftconvolve(values,
-        offset_values, mode="valid")`` to rounding.
+        2P - 1 offsets (``kernel`` without ``offset_values``): P values, one
+        per node, through the window over every node, at the shortest
+        5-smooth length free of wraparound (at least 2P - 1). Same result as
+        ``fftconvolve(values, offset_values, mode="valid")`` to rounding.
         """
-        window = (self.whole_window if offset_values is None
-                  else self.kernel_window(0, len(self.nodes), offset_values))
-        return window.convolve(values).copy()
+        return self.kernel_window(0, len(self.nodes), offset_values).convolve(values).copy()
 
     def kernel_window(self, start: int, stop: int,
                       offset_values: np.ndarray | None = None) -> "KernelWindow":

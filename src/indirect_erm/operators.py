@@ -26,12 +26,6 @@ __all__ = [
 ]
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 @dataclass(frozen=True)
 class SpectralOperator:
     """Self-adjoint compact operator diagonal in the cosine basis on [0, 1].
@@ -104,7 +98,7 @@ def contaminate(x_draws: np.ndarray, noise: NoiseModel, seed) -> np.ndarray:
     x = np.asarray(x_draws, dtype=float)
     if x.ndim != 1:
         raise ConfigurationError(f"draws must be a one-dimensional array, got shape {x.shape}")
-    return x + noise.sample(_as_rng(seed), x.shape[0])
+    return x + noise.sample(np.random.default_rng(seed), x.shape[0])
 
 
 def apply_operator(coefficients: np.ndarray, op: SpectralOperator,
@@ -213,4 +207,4 @@ def sample_density(table: SamplerTable, n: int, seed) -> np.ndarray:
     same order, as a fresh CDF build and a full search, so the draws are
     bit-identical to that.
     """
-    return table.quantile(_as_rng(seed).random(n))
+    return table.quantile(np.random.default_rng(seed).random(n))

@@ -1,10 +1,13 @@
 """End-to-end Monte-Carlo experiments over growing sample sizes.
 
 A plan fixes a scenario, a hypothesis class, a backend, and a rate
-configuration; each trial draws a contaminated sample, fits the smoothed
-empirical risk minimizer with the tuned smoothing parameter, and scores
-the exact excess risk by quadrature. Means per sample size feed a weighted
-log-log slope fit that is compared to the theoretical exponent.
+configuration. The class's exact risks are computed once by quadrature;
+each sample size is one block, which builds the backend at the tuned
+smoothing parameter once and runs its trials inline: each draws a
+contaminated sample from its own seed sequence, fits the smoothed
+empirical risk minimizer, and scores the fit's excess over the class's
+smallest risk. Means per sample size feed a weighted log-log slope fit
+that is compared to the theoretical exponent.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ __all__ = [
     "build_backend",
     "generate_sample",
     "rule_smoothing",
-    "run_trial",
     "run_rate_experiment",
     "trial_seed_sequence",
 ]
@@ -83,16 +85,15 @@ def _sampling_density(scenario: Scenario, label: int) -> SamplerTable:
 def generate_sample(scenario: Scenario, n: int, rng) -> NoisySample:
     """Draw a contaminated labeled sample of size n from the scenario.
 
-    Labels follow the priors; each label's draws, label 0 first, are its
-    group (``NoisySample.from_groups``): spectral ones come from the operator
-    image density, additive-noise ones are contaminated clean draws. Sampler
-    tables do not depend on the sample, so they are built on a scenario's
-    first draw and cached on it (``_sampling_density``).
+    ``rng`` is a ``Generator`` or a seed for one. Labels follow the priors,
+    drawn only to count the label-1 draws; each label's draws, label 0
+    first, are its group of the sample: spectral ones come from the
+    operator image density, additive-noise ones are contaminated clean
+    draws. Sampler tables do not depend on the sample, so they are built on
+    a scenario's first draw and cached on it (``_sampling_density``).
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    y = (rng.random(n) < scenario.priors[1]).astype(int)
-    n1 = int(np.count_nonzero(y))
+    rng = np.random.default_rng(rng)
+    n1 = int(np.count_nonzero(rng.random(n) < scenario.priors[1]))
     groups = []
     for label, count in zip(scenario.labels, (n - n1, n1)):
         draws = np.empty(0)
@@ -101,7 +102,7 @@ def generate_sample(scenario: Scenario, n: int, rng) -> NoisySample:
             if not isinstance(scenario.contamination, SpectralOperator):  # additive noise
                 draws = contaminate(draws, scenario.contamination, rng)
         groups.append(draws)
-    return NoisySample.from_groups(y, groups)
+    return NoisySample(groups)
 
 
 BACKENDS = ("deconvolution", "restricted", "svd")
@@ -196,32 +197,6 @@ def trial_seed_sequence(base_seed: int, n: int, replicate: int) -> np.random.See
     return np.random.SeedSequence(entropy=base_seed, spawn_key=(n, replicate))
 
 
-@dataclass(frozen=True)
-class _PlanContext:
-    """Shared per-plan state: class, oracle, per-n smoothing artifacts."""
-
-    hclass: HypothesisClass
-    risks: np.ndarray
-    star_index: int
-
-
-def _plan_context(plan: ExperimentPlan) -> _PlanContext:
-    hclass = plan.hypothesis_class()
-    risks = true_risks(hclass, plan.scenario, window=plan.window)
-    star = int(np.argmin(risks))
-    return _PlanContext(hclass=hclass, risks=risks, star_index=star)
-
-
-def run_trial(plan: ExperimentPlan, n: int, seed, _context=None, _backend=None) -> float:
-    """One replication: sample, fit, exact excess risk (nonnegative)."""
-    ctx = _context or _plan_context(plan)
-    backend = _backend or plan.backend_at(n)
-    rng = np.random.default_rng(seed)
-    sample = generate_sample(plan.scenario, n, rng)
-    fit = minimize(ctx.hclass, sample, backend)
-    return float(ctx.risks[fit.index] - ctx.risks[ctx.star_index])
-
-
 @dataclass
 class RateReport:
     """Per-n excess-risk summaries plus the fitted log-log slope."""
@@ -241,13 +216,16 @@ class RateReport:
 
 
 def _run_block(args):
-    """All replications for one n (a pool worker entry, so kept picklable)."""
-    plan, ctx, n = args
+    """All replications for one n (a pool worker entry, so kept picklable):
+    each draws its sample from its own seed sequence, fits it, and scores
+    the fit's exact excess risk over the class's smallest (nonnegative)."""
+    plan, hclass, risks, n = args
     backend = plan.backend_at(n)
+    best = risks.min()
     out = np.empty(plan.replications)
     for rep in range(plan.replications):
-        seed = trial_seed_sequence(plan.base_seed, n, rep)
-        out[rep] = run_trial(plan, n, seed, _context=ctx, _backend=backend)
+        sample = generate_sample(plan.scenario, n, trial_seed_sequence(plan.base_seed, n, rep))
+        out[rep] = risks[minimize(hclass, sample, backend).index] - best
     return n, out
 
 
@@ -260,8 +238,9 @@ def _iter_blocks(plan: ExperimentPlan, threads: int):
     ``multiprocessing``, ``socket`` and ``subprocess``, which a one-process
     run would pay for in memory and start-up time and never use.
     """
-    ctx = _plan_context(plan)
-    args = [(plan, ctx, n) for n in plan.n_grid]
+    hclass = plan.hypothesis_class()
+    risks = true_risks(hclass, plan.scenario, window=plan.window)
+    args = [(plan, hclass, risks, n) for n in plan.n_grid]
     workers = min(threads, len(plan.n_grid), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

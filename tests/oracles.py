@@ -10,8 +10,15 @@ from indirect_erm.grid import trapezoid_weights
 from indirect_erm.hypotheses import (HypothesisClass, ThresholdClassifier, _thresholds,
                                      loss_values, window_mask)
 from indirect_erm.kernels import _SPLIT
-from indirect_erm.noisy_risk import _cells, plug_in_density
+from indirect_erm.noisy_risk import NoisySample, _cells, plug_in_density
 from indirect_erm.operators import SpectralOperator, apply_operator
+
+
+def labelled_sample(z, y):
+    """The sample of draws z under 0/1 labels y: its two label groups, each
+    in draw order."""
+    z, y = np.asarray(z, dtype=float), np.asarray(y)
+    return NoisySample((z[y == 0], z[y == 1]))
 
 
 def closed_form_corrected_sinc(u, lam):
@@ -238,9 +245,9 @@ def reference_empirical_risks(hclass, sample, backend):
     matrix, starts = reference_runs(hclass, backend.lattice.nodes)
     risks = np.zeros(len(hclass))
     scale = 0.0
-    for label in np.unique(sample.y):
-        label = int(label)
-        z_y = sample.z[sample.y == label]
+    for label, z_y in enumerate(sample.groups):
+        if not z_y.size:
+            continue
         features = reference_plug_in_features(z_y, backend)
         weight = z_y.size / sample.n
         losses = matrix if label == 0 else 1.0 - matrix
@@ -261,10 +268,10 @@ def naive_empirical_risk(clf, lattice, sample):
     off = lattice.kernel.offsets[0]
     kv = lattice.kernel.values[0]
     total = 0.0
-    for z_i, y_i in zip(sample.z, sample.y):
-        kcol = np.interp(z_i - x, off, kv, left=0.0, right=0.0)
-        lv = loss_values(clf, int(y_i), x)
-        total += float(np.sum(w * lv * kcol))
+    for label, z in enumerate(sample.groups):
+        lv = w * loss_values(clf, label, x)
+        for z_i in z:
+            total += float(np.sum(lv * np.interp(z_i - x, off, kv, left=0.0, right=0.0)))
     return total / sample.n
 
 

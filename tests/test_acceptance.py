@@ -139,8 +139,7 @@ def test_criterion_3_plug_in_equivalence():
     worst = 0.0
     for sample, hclass in instances:
         fhat = {}
-        for label in (0, 1):
-            z_lab = sample.z[sample.y == label]
+        for label, z_lab in enumerate(sample.groups):
             if z_lab.size:
                 fhat[label] = (z_lab.size / sample.n) * plug_in_density(z_lab, lattice)
         for clf in hclass:

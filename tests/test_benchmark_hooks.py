@@ -23,8 +23,8 @@ import pytest
 
 import indirect_erm
 from indirect_erm import cli, run_rate_experiment, true_risk
+from indirect_erm.hypotheses import true_risks
 from indirect_erm.reader import ConfigReader
-from indirect_erm.simulation import _plan_context
 
 ROOT = Path(__file__).resolve().parents[1]
 CHILD = ROOT / "perfbench" / "child.py"
@@ -93,9 +93,9 @@ def test_one_classifier_risk_equals_plan_risks_exactly(preset, window):
                                                   .read_text())))
     if window is not None:
         plan = replace(plan, backend="restricted", window=window)
-    ctx = _plan_context(plan)
+    hclass = plan.hypothesis_class()
     assert [true_risk(c, plan.scenario, plan.loss, plan.window)
-            for c in ctx.hclass] == ctx.risks.tolist()
+            for c in hclass] == true_risks(hclass, plan.scenario, window=plan.window).tolist()
 
 
 def test_only_the_tracer_names_take_a_loss():

@@ -210,8 +210,8 @@ def test_loss_distances_use_the_backend_loss(grid):
     ratios = empirical_lipschitz(sc, backend, hclass, pairs, sample)
     assert ratios.size == 3
     num_sq = np.zeros(len(pairs))
-    for label in sc.labels:
-        values = backend.losses(hclass, label, sample.z[sample.y == label])
+    for label, z in enumerate(sample.groups):
+        values = backend.losses(hclass, label, z)
         num_sq += [np.sum((values[i] - values[j]) ** 2) for i, j in pairs]
     gaps = np.array([hclass[j].threshold - hclass[i].threshold for i, j in pairs])
     np.testing.assert_allclose(ratios, np.sqrt(num_sq / sample.n / gaps), rtol=1e-12, atol=0.0)

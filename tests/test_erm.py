@@ -42,6 +42,7 @@ from indirect_erm.reader import ConfigReader
 from indirect_erm.simulation import generate_sample, trial_seed_sequence
 
 from oracles import (
+    labelled_sample,
     naive_minimize_index,
     reference_basis,
     reference_empirical_risks,
@@ -154,8 +155,8 @@ def test_minimize_svd_matches_per_classifier_tables(grid):
     backend = SvdBackend(operator=op, cutoff=8, grid=grid)
     sample = generate_sample(sc, 300, np.random.default_rng(4))
     fit = minimize(hclass, sample, backend)
-    risks = [sum(reference_svd_losses(clf, y, sample.z[sample.y == y], op, 8, grid).sum()
-                 for y in (0, 1)) / sample.n for clf in hclass]
+    risks = [sum(reference_svd_losses(clf, y, z, op, 8, grid).sum()
+                 for y, z in enumerate(sample.groups)) / sample.n for clf in hclass]
     assert fit.index == int(np.argmin(risks))
     assert abs(fit.empirical_risk - min(risks)) < 1e-12
 
@@ -341,6 +342,20 @@ def test_svd_backend_rejects_cutoff_outside_range(grid):
     assert SvdBackend(operator=op, cutoff=16, grid=grid).smoothing == 16
 
 
+def test_svd_backend_class_free_weights_built_with_it(grid):
+    # 1/b_k and the loss-1 coefficients depend on the cutoff alone: built
+    # once with the backend, left out of its equality and its cache
+    op = SpectralOperator(decay=1.0, k_max=16)
+    backend = SvdBackend(operator=op, cutoff=8, grid=grid)
+    np.testing.assert_array_equal(backend._inv_b, 1.0 / op.singular_values[:9])
+    np.testing.assert_array_equal(backend._ones,
+                                  reference_loss_coefficients(ThresholdClassifier(-1.0), 0,
+                                                              grid.lower, grid.upper, 8))
+    backend.losses(threshold_grid(5, grid), 1, np.array([0.2, 0.7]))
+    assert [key[0] for key in backend._cache] == ["matrix"]
+    assert backend == SvdBackend(operator=op, cutoff=8, grid=grid)
+
+
 def test_restricted_backend_window_checked(grid):
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
     with pytest.raises(ConfigurationError):
@@ -498,10 +513,10 @@ def _reference_cases(grid, orientation):
     rng = np.random.default_rng(17)
     z = rng.uniform(-0.3, 1.3, 400)
     samples = {
-        "two-label": NoisySample(z, rng.random(400) < 0.45),
-        "one-label": NoisySample(z[:150], np.ones(150, dtype=int)),
-        "clamped": NoisySample(np.concatenate([[-40.0, -40.0, 55.0], z[:60], [70.0]]),
-                               np.r_[0, 1, 0, rng.random(60) < 0.5, 1]),
+        "two-label": labelled_sample(z, rng.random(400) < 0.45),
+        "one-label": NoisySample((np.empty(0), z[:150])),
+        "clamped": labelled_sample(np.concatenate([[-40.0, -40.0, 55.0], z[:60], [70.0]]),
+                                   np.r_[0, 1, 0, rng.random(60) < 0.5, 1]),
     }
     return [(f"{c}/{s}", hclass, sample) for c, hclass in classes.items()
             for s, sample in samples.items()]

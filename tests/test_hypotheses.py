@@ -214,7 +214,7 @@ def test_margin_proportion_linear(grid):
     # P(|2 eta - 1| <= t) is at most (1 + 0.1) t for the linear member
     sc = make_margin_scenario(1, dirac_noise(), grid=grid)
     sample = generate_sample(sc, 100_000, np.random.default_rng(3))
-    x = sample.z  # dirac noise: Z = X
+    x = np.concatenate(sample.groups)  # dirac noise: Z = X
     eta = x  # equal priors: regression equals the identity
     for t in (0.1, 0.2, 0.4):
         prop = float(np.mean(np.abs(2.0 * eta - 1.0) <= t))

@@ -34,6 +34,7 @@ from indirect_erm.operators import contaminate, sample_density, sampler_table
 from indirect_erm.simulation import generate_sample
 
 from oracles import (
+    labelled_sample,
     naive_empirical_risk,
     reference_basis,
     reference_labelled_binning,
@@ -122,7 +123,7 @@ def test_base_scaled_built_once_on_first_use(grid, monkeypatch):
     assert first.bandwidth == lam and first.base_kind == lattice.kernel.base_kind
 
 
-def test_spectrum_built_once_per_lattice(grid, monkeypatch):
+def test_spectra_built_on_use(grid, monkeypatch):
     original = noisy_risk.rfft
     lengths = []
 
@@ -136,10 +137,9 @@ def test_spectrum_built_once_per_lattice(grid, monkeypatch):
     plug_in_density(np.array([0.3, 0.6]), lattice)
     modified_loss_deconv(ThresholdClassifier(0.5), lattice)
     plug_in_density(np.array([0.4]), lattice)
-    # one kernel transform, then one per convolved node function (1 + 2 + 1)
-    assert lengths.count(len(lattice.kernel.values[0])) == 1
+    # per convolution, one kernel transform and one of the node function (1 + 2 + 1)
+    assert lengths.count(len(lattice.kernel.values[0])) == 4
     assert lengths.count(len(lattice.nodes)) == 4
-    assert lattice.whole_window is lattice.whole_window
 
 
 def _binned(z, nodes):
@@ -187,27 +187,46 @@ def test_next_fast_len_matches_scipy():
             == [next_fast_len(t, True) for t in targets])
 
 
-@pytest.mark.parametrize("labels", [[0, -1, 1], [0, 2, 1], [0.0, 0.5, 1.0]])
-def test_labels_outside_binary_rejected(labels):
-    with pytest.raises(DataError):
-        NoisySample(z=[0.1, 0.2, 0.3], y=labels)
-
-
 @pytest.mark.parametrize("z, y", [
     ([0.1, np.nan, 0.3], [0, 1, 1]),  # made every risk NaN; ``minimize`` picked index 0
     ([0.1, np.inf, 0.3], [0, 1, 1]),
     ([0.1, -np.inf, 0.3], [0, 1, 1]),
     ([[0.1], [0.2], [0.3]], [0, 1, 1]),
-    ([0.1, 0.2, 0.3], [[0], [1], [1]]),
 ])
 def test_non_finite_or_multidimensional_observations_rejected(z, y):
     with pytest.raises(DataError):
-        NoisySample(z=z, y=y)
+        labelled_sample(z, y)
 
 
-def test_empty_sample_rejected():
+def test_grouped_sample_rejects_non_finite_or_empty_groups():
+    # a non-finite draw in either group poisons every risk; a sample must
+    # hold a draw
+    for groups in (([0.1], [np.nan]), ([np.inf], [0.2])):
+        with pytest.raises(DataError):
+            NoisySample(groups)
     with pytest.raises(DataError):
-        NoisySample(z=np.array([]), y=np.array([], dtype=int))
+        NoisySample((np.empty(0), np.empty(0)))
+
+
+@pytest.mark.parametrize("groups", [
+    (np.empty(0), np.empty(0)),
+    ([0.1, 0.2, 0.3],),
+    ([0.1], [0.2], [0.3]),
+], ids=["no-draws", "one-group", "three-groups"])
+def test_sample_rejects_bad_groups(groups):
+    with pytest.raises(DataError):
+        NoisySample(groups)
+
+
+@pytest.mark.parametrize("groups, counts", [
+    (([0.1, 0.3], [0.2]), {0: 2, 1: 1}),
+    (([], [0.2]), {0: 0, 1: 1}),  # one label may be absent
+    ((np.array([1, 0]), np.empty(0)), {0: 2, 1: 0}),
+], ids=["lists", "one-empty", "integers"])
+def test_sample_takes_two_groups_as_floats(groups, counts):
+    sample = NoisySample(groups)
+    assert [z.dtype for z in sample.groups] == [np.float64, np.float64]
+    assert sample.counts() == counts and sample.n == sum(counts.values())
 
 
 def test_table_clamps_out_of_range(laplace_lattice):
@@ -223,7 +242,7 @@ def test_table_clamps_out_of_range(laplace_lattice):
 
 def test_empirical_risk_single_observation(laplace_lattice):
     table = modified_loss_deconv(ThresholdClassifier(0.5), laplace_lattice)
-    sample = NoisySample(z=np.array([0.37]), y=np.array([1]))
+    sample = NoisySample((np.empty(0), np.array([0.37])))
     expected = table.evaluate(np.array([0.37]), 1)[0]
     assert empirical_risk(table, sample) == pytest.approx(expected, abs=1e-15)
 
@@ -232,14 +251,14 @@ def test_empirical_risk_duplication_invariance(laplace_lattice, rng):
     table = modified_loss_deconv(ThresholdClassifier(0.5), laplace_lattice)
     z = rng.random(40)
     y = (rng.random(40) < 0.5).astype(int)
-    once = empirical_risk(table, NoisySample(z=z, y=y))
-    twice = empirical_risk(table, NoisySample(z=np.tile(z, 2), y=np.tile(y, 2)))
+    once = empirical_risk(table, labelled_sample(z, y))
+    twice = empirical_risk(table, labelled_sample(np.tile(z, 2), np.tile(y, 2)))
     assert abs(once - twice) < 1e-12
 
 
 def test_missing_label_table(laplace_lattice):
     table = modified_loss_deconv(ThresholdClassifier(0.5), laplace_lattice, labels=(1,))
-    sample = NoisySample(z=np.array([0.2]), y=np.array([0]))
+    sample = NoisySample((np.array([0.2]), np.empty(0)))
     with pytest.raises(DataError):
         empirical_risk(table, sample)
 
@@ -255,8 +274,7 @@ def test_plug_in_equivalence(grid, laplace_lattice):
         table = modified_loss_deconv(clf, laplace_lattice)
         table_path = empirical_risk(table, sample)
         plug_path = 0.0
-        for label in (0, 1):
-            z_lab = sample.z[sample.y == label]
+        for label, z_lab in enumerate(sample.groups):
             if z_lab.size == 0:
                 continue
             fhat = plug_in_density(z_lab, laplace_lattice)
@@ -321,7 +339,8 @@ def test_binning_groups_gives_the_bits_of_labelled_binning(laplace_lattice):
     for y in (rng.random(z.size) < 0.4, np.ones(z.size, dtype=int)):
         rng.shuffle(z)
         want = reference_labelled_binning(z, y, laplace_lattice)
-        assert np.array_equal(noisy_risk.bin_draws(NoisySample(z, y).groups, laplace_lattice), want)
+        assert np.array_equal(noisy_risk.bin_draws(labelled_sample(z, y).groups, laplace_lattice),
+                              want)
     assert np.array_equal(noisy_risk.bin_draws((z,), laplace_lattice)[0],
                           reference_labelled_binning(z, np.zeros(z.size, dtype=int),
                                                      laplace_lattice)[0])
@@ -332,8 +351,7 @@ def test_binning_logs_one_clamp_event_for_both_labels(laplace_lattice, caplog, m
     # event with the clamped count of both
     monkeypatch.setattr(noisy_risk, "_clamp_seen", False)
     lo, hi = laplace_lattice.nodes[[0, -1]]
-    sample = NoisySample(z=[lo - 1.0, 0.5, hi + 1.0, 0.2, hi + 3.0, lo - 2.0],
-                         y=[0, 0, 1, 1, 1, 1])
+    sample = NoisySample(([lo - 1.0, 0.5], [hi + 1.0, 0.2, hi + 3.0, lo - 2.0]))
     backend = DeconvolutionBackend(lattice=laplace_lattice)
     with caplog.at_level("DEBUG", logger="indirect_erm.noisy_risk"):
         backend.features(HypothesisClass((ThresholdClassifier(0.5),)), sample)
@@ -342,24 +360,14 @@ def test_binning_logs_one_clamp_event_for_both_labels(laplace_lattice, caplog, m
     assert "clamping 4 observation(s)" in records[0].getMessage()
 
 
-def test_grouped_sample_rejects_non_finite_or_empty_groups():
-    # a generated sample skips the interleaved checks; its groups get the
-    # same finiteness check, and it must hold a draw
-    with pytest.raises(DataError):
-        NoisySample.from_groups(np.array([0, 1]), (np.array([0.1]), np.array([np.nan])))
-    with pytest.raises(DataError):
-        NoisySample.from_groups(np.array([], dtype=int), (np.empty(0), np.empty(0)))
-
-
 def test_sample_is_read_only():
-    # y, the groups and z are three views of one sample: none can be reassigned
-    split = NoisySample(z=[0.1, 0.2, 0.3], y=[0, 1, 0])
-    grouped = NoisySample.from_groups(split.y, split.groups)
-    for sample in (split, grouped):
-        for name in ("y", "groups", "z"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(sample, name, getattr(sample, name))
-        assert np.array_equal(sample.z, [0.1, 0.2, 0.3])
+    # the groups are the sample: they cannot be reassigned, and the
+    # constructor keeps float arrays as given, without a copy
+    z0, z1 = np.array([0.1, 0.3]), np.array([0.2])
+    sample = NoisySample((z0, z1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sample.groups = sample.groups
+    assert sample.groups[0] is z0 and sample.groups[1] is z1
 
 
 def test_base_smoothed_density_evaluates_only_the_domain(grid):
@@ -465,7 +473,7 @@ def test_svd_plug_in_identity(grid, rng):
     backend = SvdBackend(operator=op, cutoff=cutoff, grid=grid)
     z = rng.random(200)
     y = (rng.random(200) < 0.5).astype(int)
-    sample = NoisySample(z=z, y=y)
+    sample = labelled_sample(z, y)
     direct = empirical_risks(HypothesisClass((clf,)), sample, backend)[0]
     paired = 0.0
     inv_b = 1.0 / op.singular_values[: cutoff + 1]
@@ -537,8 +545,6 @@ def test_identity_reduction_dirac_small_bandwidth(grid):
     sample = generate_sample(sc, 2000, np.random.default_rng(2))
     table = modified_loss_deconv(clf, lattice)
     smoothed = empirical_risk(table, sample)
-    direct = float(np.mean([
-        loss_values(clf, int(yi), np.array([zi]))[0]
-        for zi, yi in zip(sample.z, sample.y)
-    ]))
+    direct = float(np.mean(np.concatenate([loss_values(clf, label, z)
+                                           for label, z in enumerate(sample.groups)])))
     assert abs(smoothed - direct) < 0.02

@@ -255,7 +255,7 @@ def test_sampler_quantile_matches_reference_at_edges(grid):
 def svd_features(z, op, cutoff, grid):
     # every draw labeled 0, so the signed statistic is that label's estimates
     backend = SvdBackend(operator=op, cutoff=cutoff, grid=grid)
-    return backend.features(None, NoisySample(z, np.zeros(z.size, dtype=int)))[0]
+    return backend.features(None, NoisySample((z, np.empty(0))))[0]
 
 
 def test_estimate_uniform_coefficients(rng, grid):

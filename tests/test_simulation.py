@@ -5,6 +5,7 @@ import pytest
 
 from indirect_erm import (
     ConfigurationError,
+    DataError,
     RateConfig,
     Scenario,
     SimulationError,
@@ -12,21 +13,21 @@ from indirect_erm import (
     dirac_noise,
     laplace_noise,
     make_margin_scenario,
+    minimize,
 )
 from indirect_erm import simulation
+from indirect_erm.hypotheses import true_risks
 from indirect_erm.cli import run
-from indirect_erm.noisy_risk import NoisySample
 from indirect_erm.simulation import (
     ExperimentPlan,
     build_backend,
     generate_sample,
     run_rate_experiment,
     rule_smoothing,
-    run_trial,
     trial_seed_sequence,
 )
 
-from oracles import reference_interleaved_sample
+from oracles import labelled_sample, reference_interleaved_sample
 
 
 def small_plan(grid, noise=None, **kw):
@@ -47,10 +48,19 @@ def _fields(report):
     return json.dumps([report.rows, report.summary_json()], sort_keys=True)
 
 
+def _same_groups(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a.groups, b.groups, strict=True))
+
+
 def test_generate_sample_determinism(grid, linear_scenario):
+    # an integer seed, a seed sequence and a generator seeded from either
+    # give the same draws
     a = generate_sample(linear_scenario, 500, 99)
-    b = generate_sample(linear_scenario, 500, 99)
-    assert np.array_equal(a.z, b.z) and np.array_equal(a.y, b.y)
+    assert _same_groups(a, generate_sample(linear_scenario, 500, 99))
+    seq = np.random.SeedSequence(99)
+    b = generate_sample(linear_scenario, 500, seq)
+    assert _same_groups(a, b)
+    assert _same_groups(b, generate_sample(linear_scenario, 500, np.random.default_rng(seq)))
 
 
 @pytest.mark.parametrize("contamination", [laplace_noise(2.0), laplace_noise(4.0), dirac_noise(),
@@ -58,17 +68,15 @@ def test_generate_sample_determinism(grid, linear_scenario):
                          ids=["laplace2", "laplace4", "dirac", "svd"])
 @pytest.mark.parametrize("n", [1, 2, 500])
 def test_generate_sample_matches_interleaved_reference(grid, contamination, n):
-    # the sample is kept as its label groups; its z, interleaved on first
-    # read, and its y are those of the masked scatter, bit for bit
+    # the sample's label groups are the masked scatter's draws split by
+    # its labels, bit for bit
     scenario = make_margin_scenario(1, contamination, grid=grid)
     for seed in range(4):
         sample = generate_sample(scenario, n, seed)
         z, y = reference_interleaved_sample(scenario, n, seed)
-        assert np.array_equal(sample.y, y) and sample.y.dtype == y.dtype
-        assert np.array_equal(sample.z, z)
-        split = NoisySample(z=z, y=y)
-        assert all(np.array_equal(a, b) for a, b in zip(sample.groups, split.groups))
-        assert sample.counts() == split.counts() == {0: n - y.sum(), 1: y.sum()}
+        assert all(a.dtype == z.dtype for a in sample.groups)
+        assert _same_groups(sample, labelled_sample(z, y))
+        assert sample.n == n and sample.counts() == {0: n - y.sum(), 1: y.sum()}
 
 
 @pytest.mark.parametrize("contamination", [SpectralOperator(1.0, 64), laplace_noise(2.0)])
@@ -98,8 +106,7 @@ def test_sampling_density_built_once_per_scenario(grid, monkeypatch, contaminati
     assert len(tables) == 2  # one sampler table per label, not per draw
     assert sampled == scenario()  # the cache takes no part in equality
     for seed, sample in enumerate(samples):
-        fresh = generate_sample(scenario(), 300, seed)
-        assert np.array_equal(sample.z, fresh.z) and np.array_equal(sample.y, fresh.y)
+        assert _same_groups(sample, generate_sample(scenario(), 300, seed))
 
 
 def test_generate_sample_label_frequencies(grid):
@@ -114,22 +121,32 @@ def test_generate_sample_operator_route(grid):
     op = SpectralOperator(decay=1.0, k_max=64)
     sc = make_margin_scenario(1, op, grid=grid)
     sample = generate_sample(sc, 2000, 7)
-    assert np.all((sample.z >= 0.0) & (sample.z <= 1.0))
+    assert all(np.all((z >= 0.0) & (z <= 1.0)) for z in sample.groups)
 
 
-def test_run_trial_reproducible(grid):
-    plan = small_plan(grid, laplace_noise(2.0))
-    seed = trial_seed_sequence(plan.base_seed, 512, 0)
-    a = run_trial(plan, 512, seed)
-    b = run_trial(plan, 512, trial_seed_sequence(plan.base_seed, 512, 0))
-    assert a == b
-    assert a >= 0.0
+def test_rate_rows_are_means_of_seeded_trials(grid):
+    # each trial is the exact excess risk, over the class's smallest, of the
+    # fit to the sample drawn from its own seed sequence, whatever ran before
+    plan = small_plan(grid, laplace_noise(2.0), replications=3, n_grid=(128, 512))
+    hclass = plan.hypothesis_class()
+    risks = true_risks(hclass, plan.scenario)
+    for n, mean, _, count in run_rate_experiment(plan).rows:
+        backend = plan.backend_at(n)
+        excess = np.array([
+            risks[minimize(hclass, generate_sample(
+                plan.scenario, n, trial_seed_sequence(plan.base_seed, n, rep)), backend).index]
+            - risks.min() for rep in range(plan.replications)])
+        assert np.all(excess >= 0.0)
+        assert (mean, count) == (excess.mean(), plan.replications)
 
 
-def test_run_trial_singleton_class_zero_excess(grid):
-    plan = small_plan(grid, n_thresholds=1)
-    seed = trial_seed_sequence(plan.base_seed, 128, 0)
-    assert run_trial(plan, 128, seed) == 0.0
+def test_rate_experiment_singleton_class_zero_excess(grid):
+    # every row is zero, so no point is left for the slope fit
+    plan = small_plan(grid, n_thresholds=1, replications=2)
+    rows = []
+    with pytest.raises(DataError):
+        run_rate_experiment(plan, progress=rows.append)
+    assert rows == [(n, 0.0, 0.0, 2) for n in plan.n_grid]
 
 
 def test_plan_validation(grid):
@@ -242,14 +259,14 @@ def test_partial_results_on_failure(grid, monkeypatch):
     import indirect_erm.simulation as sim
 
     plan = small_plan(grid, replications=2)
-    original = sim.run_trial
+    original = sim.minimize
 
-    def failing(plan_, n, seed, **kw):
-        if n == 512:
+    def failing(hclass, sample, backend):
+        if sample.n == 512:
             raise ValueError("synthetic failure")
-        return original(plan_, n, seed, **kw)
+        return original(hclass, sample, backend)
 
-    monkeypatch.setattr(sim, "run_trial", failing)
+    monkeypatch.setattr(sim, "minimize", failing)
     with pytest.raises(SimulationError) as err:
         sim.run_rate_experiment(plan)
     assert [row[0] for row in err.value.partial_rows] == [128]
