@@ -222,7 +222,8 @@ def _read_plan(top: ConfigReader) -> ExperimentPlan:
         n_grid=tuple(top.get("n_grid", [int], [256, 512, 1024])),
         replications=top.get("replications", int, 50),
         backend=kind,
-        n_thresholds=_class_size(top),
+        # a one-threshold class has zero excess at every n: no slope to fit
+        n_thresholds=_class_size(top, minimum=2),
         theory_mode=top.get("theory_mode", str, "hard_loss", RATE_MODES),
         **options,
     )
@@ -293,6 +294,7 @@ def _read_diagnose(top: ConfigReader):
             report.lipschitz.append((smoothing, float(ratios.max())))
             report.sup_bounds.append((smoothing, cert, table_sup(backend, hclass)))
             report.bias.append((smoothing, bias))
+            del backend  # the next bandwidth is built without this one's lattice and caches
         report.slopes = _scaling_slopes([float(s) for s in smoothings], report)
         report.bernstein_max = bernstein_ratio(scenario, hclass, star_index)
         _write(os.path.join(out_dir, "diagnostics.json"), _json_bytes(report.to_json()))

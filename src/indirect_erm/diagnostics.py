@@ -212,18 +212,26 @@ def sup_bound_svd(backend: SvdBackend, hclass: HypothesisClass) -> float:
 
 def table_sup(backend, hclass: HypothesisClass) -> float:
     """Raw measured sup of the regularized losses over the class (secondary
-    diagnostic) on the backend's nodes: every kernel loss is a cached table
-    row or the loss 1's row minus it; spectral losses are taken on the domain.
+    diagnostic) on the backend's nodes: every kernel loss is a loss row or
+    the loss 1's row minus it; spectral losses are taken on the domain.
 
-    The kernel sup is read off the rows' node-wise min and max, alone and
-    against the loss 1's row, with no copy of the tables: a rounded
-    difference is monotone in each operand, so the largest |one - row| at
-    a node is one less the smallest row, or the largest row less one,
-    exactly."""
+    The kernel rows (``DeconvolutionBackend._row_filler``, slices of the
+    kernel's cumulative sum) are folded one at a time into their node-wise
+    min and max, and the sup is read off those, alone and against the loss
+    1's row: a rounded difference is monotone in each operand, so the
+    largest |one - row| at a node is one less the smallest row, or the
+    largest row less one, exactly. No table of the rows is held."""
     if isinstance(backend, DeconvolutionBackend):
-        tables = backend._tables(hclass)
-        lo, hi, one = tables[:-1].min(axis=0), tables[:-1].max(axis=0), tables[-1]
-        return float(max(hi.max(), -lo.min(), (one - lo).max(), (hi - one).max()))
+        fill, p = backend._row_filler(hclass), len(backend.lattice.nodes)
+        lo, hi, row = np.full(p, np.inf), np.full(p, -np.inf), np.empty(p)
+        for j in range(len(hclass)):
+            np.minimum(lo, fill(j, row), out=lo)
+            np.maximum(hi, row, out=hi)
+        one = fill(len(hclass), row)
+        top, bottom = hi.max(), -lo.min()
+        # one - lo and hi - one overwrite lo and hi, which nothing reads after
+        return float(max(top, bottom, np.subtract(one, lo, out=lo).max(),
+                         np.subtract(hi, one, out=hi).max()))
     return max(float(np.abs(backend.losses(hclass, y, backend.grid.axis())).max()) for y in (0, 1))
 
 

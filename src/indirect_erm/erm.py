@@ -17,10 +17,12 @@ windowed convolution between the first run's end and the last run's
 start, and cached dot products for the outer runs and the shared term.
 The spectral backend's holds the basis integrals over the side of each
 threshold where its label-0 loss is 1, against the 1/b_k-weighted basis
-moments. ``losses`` at given points come from differences of the kernel's
-cumulative sum, or from the spectral class matrix and basis, the one
-spectral evaluation; the kernel tables of ``noisy_risk`` are the reference
-the tests compare the kernel backend against.
+moments. ``losses`` at given points come, on the kernel backend, from
+each loss row's two values of the kernel's cumulative sum at the ends of
+every point's cell, one row at a time, with no table of the rows kept; on
+the spectral backend from its class matrix and basis, the one spectral
+evaluation. The per-classifier kernel tables of ``noisy_risk`` are the
+reference the tests compare the kernel backend against.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
 from .hypotheses import HypothesisClass, LossSpec, Scenario, _cuts, _thresholds, window_mask
@@ -57,9 +58,6 @@ __all__ = [
 ]
 
 BIAS_VARIANTS = ("general", "squared_loss")
-
-# table rows whose right-end step ``DeconvolutionBackend.losses`` gathers at once
-_STEP_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -286,58 +284,89 @@ class DeconvolutionBackend:
 
         return _cached(self._cache, ("signed", hclass), build)
 
-    def _tables(self, hclass: HypothesisClass) -> np.ndarray:
-        """Regularized losses on the nodes: row j for the loss 1{x > t_j} and
-        a last row for the loss 1, zero outside the window. The loss 1 on
-        nodes lo .. hi gives h (CK[i - lo + P] - CK[i - hi + P - 1]) at node
-        i, less h/2 times the kernel at each lattice end node in lo .. hi;
-        CK[u] sums the kernel's first u offsets. Row j runs from s_j."""
+    def _loss_rows(self, hclass: HypothesisClass) -> tuple[np.ndarray, int, np.ndarray]:
+        """The first node lo_j of each regularized loss row: the cut s_j for
+        the loss 1{x > t_j}, then the window's first node for the loss 1,
+        clipped to the window's end nodes first .. last + 1; the last end
+        node; and CK, the kernel's cumulative sum from 0 (2P values)."""
         def build():
-            p, h = len(self.lattice.nodes), self.lattice.spacing
             kernel = self.lattice.kernel.values[0]
-            first, last = np.flatnonzero(self._weights)[[0, -1]]  # the window's end nodes
+            first, last = np.flatnonzero(self._weights)[[0, -1]]
             lo = np.clip(np.r_[_cuts(hclass, self.lattice.nodes)[0], first], first, last + 1)
-            ck = sliding_window_view(np.r_[0.0, np.cumsum(kernel)], p)  # ck[k] = CK[k: k + P]
-            tables = ck[p - lo]
-            tables -= ck[p - 1 - last]
-            tables *= h
-            if first == 0:
-                tables[lo == 0] -= h / 2 * kernel[p - 1:]
-            if last == p - 1:
-                tables[lo <= last] -= h / 2 * kernel[:p]
-            return tables
+            ck = np.empty(len(kernel) + 1)
+            ck[0] = 0.0
+            np.cumsum(kernel, out=ck[1:])
+            return lo, int(last), ck
 
-        return _cached(self._cache, ("tables", hclass), build)
+        return _cached(self._cache, ("rows", hclass), build)
+
+    def _row_filler(self, hclass: HypothesisClass, cells: np.ndarray | None = None):
+        """``fill(j, out)`` writes loss row j (``_loss_rows``; the loss 1's
+        row is j = len(hclass)) at the nodes ``cells``, or at every lattice
+        node when None, into ``out`` and returns it. The loss 1 on nodes
+        lo .. last gives h (CK[i - lo + P] - CK[i - last + P - 1]) at node i,
+        less h/2 times the kernel at each lattice end node in lo .. last
+        (its trapezoid weight), in that order; the terms every row shares
+        are taken once. At every node the CK values are slices, at given
+        cells gathers."""
+        lo, last, ck = self._loss_rows(hclass)
+        p, h = len(self._weights), self.lattice.spacing
+        kernel = self.lattice.kernel.values[0]
+
+        def at(values, start, out=None):  # values[start + i] at the nodes i
+            if cells is None:
+                return values[start: start + p]
+            # ``take``'s default mode would gather into a temporary first;
+            # every index is in range, so "clip" clips nothing
+            return np.take(values[start:], cells, mode="clip", out=out)
+
+        base = at(ck, p - 1 - last)
+        head = at(kernel, p - 1) * (h / 2) if lo.min() == 0 else None
+        tail = at(kernel, 0) * (h / 2) if last == p - 1 else None
+
+        def fill(j: int, out: np.ndarray) -> np.ndarray:
+            np.subtract(at(ck, p - lo[j], out), base, out=out)
+            out *= h
+            if lo[j] == 0:
+                out -= head
+            if tail is not None and lo[j] <= last:
+                out -= tail
+            return out
+
+        return fill
 
     def losses(self, hclass: HypothesisClass, label: int, z: np.ndarray) -> np.ndarray:
         """Regularized losses at the points z (clamped to the lattice, with a
-        logged count), one row per classifier: ``_tables`` interpolated
-        linearly, with each point's cell found once. The left-end values
-        are gathered whole and the right-end step is added into them
-        ``_STEP_ROWS`` rows at a time, so the gathers hold one matrix, not
-        two. A row of orientation -1 for label 0, or +1 for label 1, is the
-        loss 1's minus its table's."""
+        logged count), one row per classifier: each row's values at both
+        ends of every point's cell (``_row_filler``), interpolated linearly,
+        one row at a time into the result, so a call holds the result and a
+        few vectors of the points. A row of orientation -1 for label 0, or
+        +1 for label 1, is the loss 1's minus its own."""
         z = np.asarray(z, dtype=float)
         nodes = self.lattice.nodes
         _log_clamped((z,), nodes[0], nodes[-1])
         z = np.clip(z, nodes[0], nodes[-1])
         cell = _cells(z, nodes, self.lattice.spacing)
-        right = cell + 1
-        frac = (z - nodes[cell]) / (nodes[right] - nodes[cell])
-        tables = self._tables(hclass)
-        out = tables[:, cell]
-        buffer = np.empty((min(_STEP_ROWS, len(out)), len(z)))
-        for rows in range(0, len(out), _STEP_ROWS):
-            left = out[rows: rows + _STEP_ROWS]
-            # ``take``'s default mode would gather into a temporary first;
-            # every index is in range, so "clip" clips nothing
-            step = np.take(tables[rows: rows + _STEP_ROWS], right, axis=1, mode="clip",
-                           out=buffer[:len(left)])
+        frac = (z - nodes[cell]) / (nodes[cell + 1] - nodes[cell])
+        del z  # the clamped copy is read no further
+        fill_left, fill_right = self._row_filler(hclass, cell), self._row_filler(hclass, cell + 1)
+        buffer = np.empty(len(cell))
+
+        def interpolate(j, out):  # row j's left-end value plus its step times frac
+            left, step = fill_left(j, out), fill_right(j, buffer)
             step -= left
             step *= frac
             left += step
+            return left
+
+        one = interpolate(len(hclass), np.empty(len(cell)))
         flip = (_thresholds(hclass)[1] == 1) == (label == 1)
-        return np.subtract(out[-1], out[:-1], out=out[:-1], where=flip[:, None])
+        out = np.empty((len(hclass), len(cell)))
+        for j, row in enumerate(out):
+            interpolate(j, row)
+            if flip[j]:
+                np.subtract(one, row, out=row)
+        return out
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ runs of a class need it pointwise (``ObservationLattice.kernel_window``);
 the per-classifier tables here (``ModifiedLossTable``,
 ``modified_loss_deconv``, ``empirical_risk``) and ``plug_in_density`` are
 the kernel backend's reference order, which the tests compare against.
+The backend itself keeps no loss table: it reads each loss row off the
+kernel's cumulative sum at the nodes it needs.
 The spectral backend has no table here: ``erm.SvdBackend`` evaluates its
 loss from the basis integrals and the basis of ``operators``.
 """

@@ -5,9 +5,10 @@ summation) and shares no code path with the package internals it checks.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from indirect_erm.grid import trapezoid_weights
-from indirect_erm.hypotheses import (HypothesisClass, ThresholdClassifier, _thresholds,
+from indirect_erm.hypotheses import (HypothesisClass, ThresholdClassifier, _cuts, _thresholds,
                                      loss_values, window_mask)
 from indirect_erm.kernels import _SPLIT
 from indirect_erm.noisy_risk import NoisySample, _cells, plug_in_density
@@ -133,14 +134,39 @@ def fresh_block_inversion(symbol_values, s_nodes, s_weights, offsets):
     return np.concatenate([out[len(offsets) % 2:][::-1], out])
 
 
+def reference_tables(backend, hclass):
+    """A kernel backend's regularized losses on the lattice nodes as one
+    (count + 1) x P table: row j for the loss 1{x > t_j} and a last row for
+    the loss 1, zero outside the window. The loss 1 on nodes lo .. hi gives
+    h (CK[i - lo + P] - CK[i - hi + P - 1]) at node i, less h/2 times the
+    kernel at each lattice end node in lo .. hi; CK[u] sums the kernel's
+    first u offsets. Row j runs from s_j. Every row is gathered whole from
+    a sliding window of CK: the bits that the backend's row-at-a-time
+    evaluation must reproduce."""
+    lattice = backend.lattice
+    p, h = len(lattice.nodes), lattice.spacing
+    kernel = lattice.kernel.values[0]
+    first, last = np.flatnonzero(backend._weights)[[0, -1]]  # the window's end nodes
+    lo = np.clip(np.r_[_cuts(hclass, lattice.nodes)[0], first], first, last + 1)
+    ck = sliding_window_view(np.r_[0.0, np.cumsum(kernel)], p)  # ck[k] = CK[k: k + P]
+    tables = ck[p - lo]
+    tables -= ck[p - 1 - last]
+    tables *= h
+    if first == 0:
+        tables[lo == 0] -= h / 2 * kernel[p - 1:]
+    if last == p - 1:
+        tables[lo <= last] -= h / 2 * kernel[:p]
+    return tables
+
+
 def whole_gather_losses(backend, hclass, label, z):
-    """``DeconvolutionBackend.losses`` with both ends of every point's cell
-    gathered for all table rows at once: the bits that the blocked
-    right-end step must reproduce."""
+    """``DeconvolutionBackend.losses`` from the reference tables, with both
+    ends of every point's cell gathered for all rows at once: the bits that
+    the row-at-a-time evaluation must reproduce."""
     nodes = backend.lattice.nodes
     z = np.clip(np.asarray(z, dtype=float), nodes[0], nodes[-1])
     cell = _cells(z, nodes, backend.lattice.spacing)
-    tables = backend._tables(hclass)
+    tables = reference_tables(backend, hclass)
     out, step = tables[:, cell], tables[:, cell + 1]
     step -= out
     step *= (z - nodes[cell]) / (nodes[cell + 1] - nodes[cell])

@@ -6,11 +6,13 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import indirect_erm
-from indirect_erm import cli
+from indirect_erm import cli, simulation
 from indirect_erm.cli import run, validate_config
 from indirect_erm.errors import ConfigurationError
 
@@ -240,6 +242,10 @@ def test_malformed_config_exit_codes(tmp_path):
     (diagnose_config, "diagnose", "bandwidths", [0.2, 0.2]),
     (svd_diagnose_config, "diagnose", "cutoffs", []),
     (svd_diagnose_config, "diagnose", "cutoffs", [8, 8]),
+    # a one-threshold class, which has zero excess at every n: the run used
+    # to finish every trial, find no point for the slope fit and exit 3
+    (rates_config, "hypotheses", "count", 1),
+    (svd_rates_config, "hypotheses", "count", 1),
 ])
 def test_bad_config_values_exit_two(tmp_path, make, block, key, value):
     out = tmp_path / "artifacts"
@@ -255,8 +261,7 @@ def test_bad_config_values_exit_two(tmp_path, make, block, key, value):
     with pytest.raises(ConfigurationError):
         validate_config(doc)
     assert run(write_config(tmp_path, doc), threads=1) == 2
-    for name in ("rates.csv", "fit.json", "exponent.json", "diagnostics.json", "error.json"):
-        assert not (out / name).exists()
+    assert not out.exists()
 
 
 def fit_bandwidth_config(out):
@@ -501,6 +506,50 @@ def test_diagnose_command_svd(tmp_path):
     for series in ("lipschitz", "sup_bounds", "bias"):
         assert [entry[0] for entry in report[series]] == [[4.0], [8.0]]
     assert all(math.isfinite(value) and value > 0 for _, value in report["lipschitz"])
+
+
+def test_diagnose_keeps_no_loss_table(tmp_path, monkeypatch):
+    # the benchmark's laplace diagnose config at its smallest bandwidth. Its
+    # traced peak was 8.9 MiB while the backend cached the class's
+    # (count + 1) x P loss table; every loss row is now read off the
+    # kernel's cumulative sum where it is needed
+    doc = {
+        "version": 1, "command": "diagnose", "seed": 11, "out": str(tmp_path / "artifacts"),
+        "scenario": {"family": "smooth", "alpha": 1, "gamma": 2.0, "sharpness": 1.3,
+                     "x_star": 0.5, "contamination": {"kind": "laplace", "beta": 2},
+                     "grid": {"lower": [0.0], "upper": [1.0], "points": 1024}},
+        "hypotheses": {"kind": "thresholds", "count": 33},
+        "loss": {"kind": "hard"},
+        "base_kernel": "order_m_flat_top",
+        "diagnose": {"bandwidths": [0.1], "mc_n": 20000, "pair_count": 40,
+                     "bias_variant": "squared_loss"},
+    }
+    built = []
+
+    def build_backend(*args, **kwargs):
+        built.append(simulation.build_backend(*args, **kwargs))
+        return built[-1]
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            for item in value:
+                yield from arrays(item)
+
+    monkeypatch.setattr(cli, "build_backend", build_backend)
+    path = write_config(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        assert run(path, threads=1) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2 ** 20
+    (backend,) = built
+    table = (doc["hypotheses"]["count"] + 1) * len(backend.lattice.nodes)
+    cached = list(arrays(tuple(backend._cache.values())))
+    assert cached and all(a.size < table for a in cached)
 
 
 def test_preset_files_are_valid():

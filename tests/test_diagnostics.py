@@ -50,6 +50,7 @@ from oracles import (
     naive_bias_svd,
     reference_loss_distance_sq,
     reference_svd_losses,
+    reference_tables,
     reference_true_risk,
 )
 
@@ -261,7 +262,7 @@ def test_table_sup_matches_reference_tables(grid):
             got = table_sup(backend, cls)
             assert got == pytest.approx(ref, rel=1e-12)
             # read off node-wise min and max: the bits of the absolute values
-            assert got == abs_copy_table_sup(backend._tables(cls))
+            assert got == abs_copy_table_sup(reference_tables(backend, cls))
     op = SpectralOperator(decay=1.0, k_max=64)
     ref = max(np.abs(reference_svd_losses(c, y, grid.axis(), op, 8, grid)).max()
               for c in hclass for y in (0, 1))
@@ -271,17 +272,19 @@ def test_table_sup_matches_reference_tables(grid):
 
 def test_table_sup_copies_no_table(grid):
     # node-wise min and max are a few lattice vectors; the absolute values
-    # of the rows and of the loss 1's row minus them were two table copies
+    # of the rows and of the loss 1's row minus them were two table copies.
+    # Nothing is cached beforehand, so the peak also holds the class's
+    # cumulative kernel
     backend = DeconvolutionBackend(lattice=build_lattice(grid, laplace_noise(2.0), 0.1))
     hclass = threshold_grid(33, grid)
-    tables = backend._tables(hclass)  # cached beforehand, as by the diagnose sweep
+    table_bytes = (len(hclass) + 1) * len(backend.lattice.nodes) * 8
     tracemalloc.start()
     try:
         table_sup(backend, hclass)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= tables.nbytes / 4
+    assert peak <= table_bytes / 4
 
 
 def test_sup_bound_scalings(grid):

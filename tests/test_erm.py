@@ -25,7 +25,7 @@ from indirect_erm import (
     threshold_grid,
 )
 from indirect_erm.cli import _read_plan
-from indirect_erm.erm import _STEP_ROWS, _risks, empirical_risks, expected_risks
+from indirect_erm.erm import _risks, empirical_risks, expected_risks
 from indirect_erm.hypotheses import loss_values, snap_to_cell_midpoint, window_mask
 from indirect_erm import noisy_risk
 from indirect_erm.noisy_risk import (
@@ -216,19 +216,18 @@ def test_closed_form_tables_match_convolution_tables(grid, noise, bandwidth):
                 want = np.vstack([t.evaluate(z, label) for t in tables])
                 got = backend.losses(hclass, label, z)
                 assert np.abs(got - want).max() <= 2e-14 * np.abs(want).max()
-                # the right-end step added a few rows at a time, the last
-                # block short: the bits of two whole gathers
-                assert (len(hclass) + 1) % _STEP_ROWS
+                # evaluated row by row at the cells' ends: the bits of two
+                # whole gathers from the reference tables
                 assert np.array_equal(got, whole_gather_losses(backend, hclass, label, z))
 
 
 def test_losses_hold_one_gathered_matrix(grid):
-    # the right-end step adds into the left-end gather a few rows at a
-    # time; two whole gathers made the peak twice the gathered matrix
+    # each row is evaluated into the result at the cells' ends; two whole
+    # gathers made the peak twice the gathered matrix. Nothing is cached
+    # beforehand, so the peak also holds the class's cumulative kernel
     backend = DeconvolutionBackend(lattice=build_lattice(grid, laplace_noise(2.0), 0.1))
     hclass = threshold_grid(33, grid)
     z = np.random.default_rng(8).uniform(-0.5, 1.5, 20_000)
-    backend._tables(hclass)  # cached beforehand, as by the diagnose sweep
     tracemalloc.start()
     try:
         backend.losses(hclass, 0, z)
