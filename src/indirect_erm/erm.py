@@ -265,21 +265,23 @@ class DeconvolutionBackend:
 
     def _signed_runs(self, hclass: HypothesisClass):
         """The first node of each run; the kernel window over the interior
-        runs (from the second run's start to the last run's); and the
-        kernel convolved with the weights over the first run, over the last
-        run and over the whole lattice. A class with one run has no
-        interior and no last run apart from its first."""
+        runs (from the second run's start to the last run's); and q, whose
+        rows are the kernel convolved with the weights over the first run,
+        over the last run and over the whole lattice, filled one at a time.
+        A class with one run has no interior and no last run apart from its first."""
         def build():
             starts = self._runs(hclass)[1]
             w, p = self._weights, len(self._weights)
             a, b = (int(starts[1]), int(starts[-1])) if len(starts) > 1 else (p, p)
-            head, tail = w.copy(), w.copy()
-            head[a:] = 0.0
-            tail[:b] = 0.0
-            # the window over every node, built once per class: nothing else
-            # in a rate run reads its spectrum
+            # the window over every node, built once per class and dropped
+            # before the interior one: nothing else in a rate run reads it
             whole = self.lattice.kernel_window(0, p)
-            q = np.vstack([whole.convolve(v) for v in (head, tail, w)])
+            q, part = np.empty((3, p)), np.empty(p)
+            for row, (lo, hi) in zip(q, ((0, a), (b, p), (0, p))):  # head, tail, whole
+                part.fill(0.0)
+                part[lo:hi] = w[lo:hi]
+                row[:] = whole.convolve(part)
+            del whole, part
             return starts, self.lattice.kernel_window(a, b), q
 
         return _cached(self._cache, ("signed", hclass), build)

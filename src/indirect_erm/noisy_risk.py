@@ -258,29 +258,38 @@ def empirical_risk(table: ModifiedLossTable, sample: NoisySample) -> float:
 def _cells(z: np.ndarray, nodes: np.ndarray, h: float) -> np.ndarray:
     """The cell i in [0, P - 2] of each draw z in [nodes[0], nodes[-1]], with
     nodes[i] < z <= nodes[i + 1] (i = 0 at the first node): exactly
-    ``searchsorted(nodes, z) - 1``, clipped. The nodes are uniform at
-    spacing h, so a floor index is off by at most one through rounding,
-    and one node comparison each way corrects it.
+    ``searchsorted(nodes, z) - 1``, clipped. A floor index on the nodes,
+    uniform at spacing h, is off by at most one through rounding, and one
+    node comparison each way, gathered into the floor's vector, corrects it.
     """
-    idx = np.clip(np.floor((z - nodes[0]) / h).astype(np.intp), 0, len(nodes) - 2)
-    idx -= nodes[idx] >= z
-    idx += nodes[idx + 1] < z
+    scratch = np.subtract(z, nodes[0])
+    idx = np.floor(np.divide(scratch, h, out=scratch), out=scratch).astype(np.intp)
+    np.clip(idx, 0, len(nodes) - 2, out=idx)
+    idx -= np.take(nodes, idx, mode="clip", out=scratch) >= z  # "clip": no temporary
+    idx += np.take(nodes[1:], idx, mode="clip", out=scratch) < z  # -1 gathers node 1 >= z
     return np.clip(idx, 0, len(nodes) - 2, out=idx)
 
 
 def bin_draws(groups, lattice: ObservationLattice) -> np.ndarray:
     """Linear binning onto the lattice nodes of groups of draws, clamped to its
-    ends with one logged count: a row per group over all draws (P_0 and P_1)."""
+    ends with one logged count: a row per group over all draws (P_0 and P_1).
+    The draws are laid end to end once, in the right cell ends' half of the
+    2n ``bincount`` weights, and turn into their fracs there."""
     nodes, h, p = lattice.nodes, lattice.spacing, len(lattice.nodes)
     _log_clamped(groups, nodes[0], nodes[-1])
-    z = np.clip(np.concatenate(groups), nodes[0], nodes[-1])
-    idx = _cells(z, nodes, h)
-    frac = (z - nodes[idx]) / h
+    n = sum(len(g) for g in groups)
+    weights = np.empty(2 * n)
+    frac = np.clip(np.concatenate(groups, out=weights[n:]), nodes[0], nodes[-1], out=weights[n:])
+    cells = _cells(frac, nodes, h)
+    frac -= np.take(nodes, cells, mode="clip", out=weights[:n])
+    frac /= h
+    np.subtract(1.0, frac, out=weights[:n])
     for start in np.cumsum([len(g) for g in groups[:-1]]):
-        idx[start:] += p  # each later group's draws bin one row further down
-    binned = np.bincount(np.concatenate([idx, idx + 1]),
-                         weights=np.concatenate([1.0 - frac, frac]), minlength=len(groups) * p)
-    return binned.reshape(len(groups), p) / z.size
+        cells[start:] += p  # each later group's draws bin one row further down
+    cells = np.concatenate((cells, cells))
+    cells[n:] += 1
+    binned = np.bincount(cells, weights=weights, minlength=len(groups) * p)
+    return np.divide(binned, n, out=binned).reshape(len(groups), p)
 
 
 def plug_in_density(z_draws: np.ndarray, lattice: ObservationLattice) -> np.ndarray:

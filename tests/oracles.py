@@ -108,6 +108,47 @@ def reference_labelled_binning(z, y, lattice):
     return binned.reshape(2, p) / z.size
 
 
+def temporary_cells(z, nodes, h):
+    """``noisy_risk._cells`` with every step a fresh array (the floor, its
+    index, each gathered node, idx + 1): the bits that the in-place
+    evaluation must reproduce."""
+    idx = np.clip(np.floor((z - nodes[0]) / h).astype(np.intp), 0, len(nodes) - 2)
+    idx -= nodes[idx] >= z
+    idx += nodes[idx + 1] < z
+    return np.clip(idx, 0, len(nodes) - 2, out=idx)
+
+
+def temporary_binning(groups, lattice):
+    """``noisy_risk.bin_draws`` with separate copies of the draws, their
+    cells and fracs, idx + 1, 1 - frac and both concatenations, and the rows
+    divided into a new array: the bits that binning into one copy of the
+    draws must reproduce. Logs nothing."""
+    nodes, h, p = lattice.nodes, lattice.spacing, len(lattice.nodes)
+    z = np.clip(np.concatenate(groups), nodes[0], nodes[-1])
+    idx = temporary_cells(z, nodes, h)
+    frac = (z - nodes[idx]) / h
+    for start in np.cumsum([len(g) for g in groups[:-1]]):
+        idx[start:] += p
+    binned = np.bincount(np.concatenate([idx, idx + 1]),
+                         weights=np.concatenate([1.0 - frac, frac]), minlength=len(groups) * p)
+    return binned.reshape(len(groups), p) / z.size
+
+
+def stacked_run_vectors(backend, hclass):
+    """The kernel convolved with the weights over a class's first run, its
+    last run and the whole lattice (``DeconvolutionBackend._signed_runs``),
+    from two copies of the weights zeroed outside each end run and
+    stacked: the bits that the one-row-at-a-time build must reproduce."""
+    starts = backend._runs(hclass)[1]
+    w, p = backend._weights, len(backend._weights)
+    a, b = (int(starts[1]), int(starts[-1])) if len(starts) > 1 else (p, p)
+    head, tail = w.copy(), w.copy()
+    head[a:] = 0.0
+    tail[:b] = 0.0
+    whole = backend.lattice.kernel_window(0, p)
+    return np.vstack([whole.convolve(v) for v in (head, tail, w)])
+
+
 def reference_plug_in_features(z, backend):
     """One label's kernel-backend statistic on every lattice node: the
     full-lattice plug-in density of its draws times the quadrature weights,

@@ -222,6 +222,16 @@ def test_split_inversion_matches_cos_sum(grid, parity, noise):
     assert np.array_equal(got, fresh_block_inversion(symbol, s_nodes, s_weights, off))
 
 
+def test_panel_rule_takes_numpys_gauss_legendre_rule():
+    # the 16-point rule is held as constants, bit for bit leggauss(16):
+    # on 4 panels of width 2 each panel's nodes are its midpoint plus the
+    # rule's nodes, and its weights are the rule's weights
+    x, w = np.polynomial.legendre.leggauss(16)
+    nodes, weights = _panel_rule(8.0, 0.0)
+    assert np.array_equal(nodes, (np.array([1.0, 3.0, 5.0, 7.0])[:, None] + x).ravel())
+    assert np.array_equal(weights, np.tile(w, 4))
+
+
 def test_inversion_holds_its_phase_block_twice(grid):
     # the M/64 x S phase block becomes the cosines, beside one block of
     # sines: a peak of 2.9 blocks with the 64 x S factors, where fresh

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,6 +40,9 @@ from oracles import (
     reference_basis,
     reference_labelled_binning,
     reference_loss_coefficients,
+    stacked_run_vectors,
+    temporary_binning,
+    temporary_cells,
 )
 
 
@@ -294,7 +298,10 @@ def test_cells_match_searchsorted(laplace_lattice, rng):
                         rng.uniform(nodes[0] - 1.0, nodes[-1] + 1.0, 100_000)])
     z = np.clip(z, nodes[0], nodes[-1])
     want = np.clip(np.searchsorted(nodes, z) - 1, 0, len(nodes) - 2)
-    np.testing.assert_array_equal(noisy_risk._cells(z, nodes, laplace_lattice.spacing), want)
+    got = noisy_risk._cells(z, nodes, laplace_lattice.spacing)
+    np.testing.assert_array_equal(got, want)
+    # computed in place, it gives the bits of fresh arrays at every step
+    assert np.array_equal(got, temporary_cells(z, nodes, laplace_lattice.spacing))
 
 
 def test_plug_in_density_single_dirac_draw(grid):
@@ -331,19 +338,50 @@ def test_plug_in_density_logs_clamped_draws(laplace_lattice, caplog, monkeypatch
 def test_binning_groups_gives_the_bits_of_labelled_binning(laplace_lattice):
     # the groups laid end to end, label 1 one row down, add each node's
     # draws in the order of the interleaved sample, so the rows are equal
-    # bit for bit; draws crowd a few cells, sit on nodes and get clamped
+    # bit for bit; draws crowd a few cells, sit on nodes and get clamped.
+    # Binned into one copy of the draws, and with each run vector of the
+    # statistic convolved into its row, they give the bits of fresh arrays
     rng = np.random.default_rng(5)
     nodes = laplace_lattice.nodes
     z = np.concatenate([rng.uniform(0.45, 0.55, 3000), nodes[rng.integers(0, len(nodes), 40)],
                         [nodes[0] - 1.0, nodes[-1] + 2.0]])
-    for y in (rng.random(z.size) < 0.4, np.ones(z.size, dtype=int)):
+    for y in (rng.random(z.size) < 0.4, np.ones(z.size, dtype=int)):  # then label 0 empty
         rng.shuffle(z)
         want = reference_labelled_binning(z, y, laplace_lattice)
-        assert np.array_equal(noisy_risk.bin_draws(labelled_sample(z, y).groups, laplace_lattice),
-                              want)
+        groups = labelled_sample(z, y).groups
+        assert np.array_equal(noisy_risk.bin_draws(groups, laplace_lattice), want)
+        assert np.array_equal(noisy_risk.bin_draws(groups, laplace_lattice),
+                              temporary_binning(groups, laplace_lattice))
     assert np.array_equal(noisy_risk.bin_draws((z,), laplace_lattice)[0],
                           reference_labelled_binning(z, np.zeros(z.size, dtype=int),
                                                      laplace_lattice)[0])
+    assert np.array_equal(noisy_risk.bin_draws((z,), laplace_lattice),
+                          temporary_binning((z,), laplace_lattice))
+    one_run = HypothesisClass((ThresholdClassifier(float(nodes[-1]) + 1.0),))
+    for window in (None, (0.2, 0.7)):
+        for hclass in (HypothesisClass(tuple(ThresholdClassifier(t) for t in (0.3, 0.5, 0.8))),
+                       one_run):
+            backend = DeconvolutionBackend(lattice=laplace_lattice, window=window)
+            assert np.array_equal(backend._signed_runs(hclass)[2],
+                                  stacked_run_vectors(backend, hclass))
+    assert len(backend._runs(one_run)[1]) == 1
+
+
+def test_binning_holds_one_copy_of_the_draws(laplace_lattice):
+    # the peak holds the 2n cells, the 2n weights and the two binned rows:
+    # four vectors of the draws beside the rows. Clamped draws, their cells
+    # and their fracs kept beside both concatenations made it seven
+    n, p = 16384, len(laplace_lattice.nodes)
+    z = np.random.default_rng(6).uniform(-0.5, 1.5, n)
+    groups = (z[: n // 3], z[n // 3:])
+    noisy_risk.bin_draws(groups, laplace_lattice)
+    tracemalloc.start()
+    try:
+        noisy_risk.bin_draws(groups, laplace_lattice)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * n * 8 + 2 * p * 8
 
 
 def test_binning_logs_one_clamp_event_for_both_labels(laplace_lattice, caplog, monkeypatch):
