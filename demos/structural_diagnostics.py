@@ -5,7 +5,12 @@ Lipschitz constant, the certified uniform bound, and the approximation
 (bias) function, for the kernel and the spectral-cutoff routes; also
 reports the Bernstein ratio of the excess-loss class and the root-n decay
 of the empirical-process modulus.
+
+``structural_pair_priors`` and ``empirical_modulus`` live here, with this
+script as their one caller; no command of the package reaches them.
 """
+
+import logging
 
 import numpy as np
 
@@ -19,25 +24,67 @@ from indirect_erm import (
     threshold_grid,
 )
 from indirect_erm.diagnostics import (
+    _loss_distance_sq,
     bernstein_ratio,
     empirical_bias_deconv,
     empirical_bias_svd,
     empirical_lipschitz,
-    empirical_modulus,
     fit_rate_slope,
     sup_bound_deconv,
     sup_bound_svd,
 )
+from indirect_erm.errors import ConfigurationError
 from indirect_erm.hypotheses import (
     HypothesisClass,
     ThresholdClassifier,
+    _density_tent_pair,
     bayes_in_class,
     snap_to_cell_midpoint,
-    structural_pair_priors,
-    _TENT_CROSSING,
 )
-from indirect_erm.erm import DeconvolutionBackend, SvdBackend
+from indirect_erm.erm import DeconvolutionBackend, SvdBackend, empirical_risks, expected_risks
 from indirect_erm.simulation import generate_sample
+
+logger = logging.getLogger(__name__)
+
+# the regression crossing of the ``tent_pair`` family: the peak of its
+# label-0 tent
+_TENT_CROSSING = 0.45
+
+
+def structural_pair_priors() -> tuple[float, float]:
+    """Priors putting the structural-pair regression crossing at its design point."""
+    xc = np.array([_TENT_CROSSING])
+    f1 = float(_density_tent_pair(1, xc, {})[0])
+    f0 = float(_density_tent_pair(0, xc, {})[0])
+    p1 = f0 / (f0 + f1)
+    return (1.0 - p1, p1)
+
+
+def empirical_modulus(scenario, backend, hclass, delta: float, n: int, mc_reps: int,
+                      seed) -> float:
+    """Monte-Carlo modulus of continuity of the centered empirical process.
+
+    Average over replications of the sup, over classifier pairs whose raw
+    loss distance under nu_y is at most delta, of |empirical - expected|
+    regularized risk difference. Both risks come from the backend; the
+    expected ones (``expected_risks``) are exact on the spectral backend and
+    the deconvolution identity's lattice quadrature on the kernel backend.
+    """
+    if delta < 0:
+        raise ConfigurationError("delta must be nonnegative")
+    i, j = np.triu_indices(len(hclass), 1)
+    near = np.sqrt(_loss_distance_sq(scenario, hclass, i, j)) <= delta
+    i, j = i[near], j[near]
+    if not i.size:
+        logger.warning("no classifier pair within delta=%g; modulus is 0", delta)
+        return 0.0
+    expected = expected_risks(hclass, scenario, backend)
+    rng = np.random.default_rng(seed)
+    sups = []
+    for _ in range(mc_reps):
+        emp = empirical_risks(hclass, generate_sample(scenario, n, rng), backend)
+        sups.append(float(np.max(np.abs((emp[i] - emp[j]) - (expected[i] - expected[j])))))
+    return float(np.mean(sups))
 
 
 def neighbor_pairs(hclass, per_scale=5):

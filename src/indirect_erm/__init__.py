@@ -50,7 +50,6 @@ from .noisy_risk import (
     NoisySample,
     ObservationLattice,
     build_lattice,
-    empirical_risk,
     modified_loss_deconv,
     plug_in_density,
 )

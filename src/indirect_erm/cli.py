@@ -41,7 +41,7 @@ from .diagnostics import (
     table_sup,
 )
 from .erm import BIAS_VARIANTS, RateConfig, minimize
-from .errors import ConfigurationError, IndirectErmError, SimulationError
+from .errors import ConfigurationError, DataError, IndirectErmError, SimulationError
 from .hypotheses import LOSS_KINDS, Scenario, bayes_in_class, threshold_grid, true_risks
 from .kernels import BASE_KINDS, build_base_kernel, build_deconvolution_kernel
 # not called here; kept as module attributes that the benchmark tracer wraps
@@ -347,11 +347,11 @@ def _diagnostic_pairs(hclass, count):
 
 
 def _scaling_slopes(xs, report) -> dict:
-    def slope(values):
-        pts = [(x, v, 0.0) for x, v in zip(xs, values) if v > 0]
-        if len(pts) < 2:
+    def slope(values):  # ``fit_rate_slope`` logs the points it drops
+        try:
+            return fit_rate_slope([(x, v, 0.0) for x, v in zip(xs, values)])[0]
+        except DataError:
             return float("nan")
-        return fit_rate_slope(pts)[0]
 
     return {
         "lipschitz": slope([v for _, v in report.lipschitz]),

@@ -3,15 +3,15 @@
 Everything here is either closed-form exponent arithmetic or a measured
 log-log scaling: the Lipschitz constant of the regularized loss class, its
 certified uniform bound, the approximation (bias) function, the Bernstein
-ratio of the excess-loss class, and the modulus of continuity of the
-centered empirical process over shrinking loss balls. Every measured
-constant takes a risk backend of ``erm`` and reads the regularized loss
-class through it: its losses at Monte-Carlo draws, and the label-0 class
-matrix the minimizer pairs with the signed statistic of P_0 - P_1, here
-the empirical statistic or its expectation (``expected_risks``); the
-kernel bias pairs it with the lattice-weighted density for the exact
-risks as well. The certificates read the grid, kernel or operator, and
-cutoff from the backend.
+ratio of the excess-loss class. Every measured constant takes a risk
+backend of ``erm`` and reads the regularized loss class through it: its
+losses at Monte-Carlo draws, and the label-0 class matrix the minimizer
+pairs with the expectation of the signed statistic of P_0 - P_1
+(``expected_risks``); the kernel bias pairs it with the lattice-weighted
+density for the exact risks as well. The raw-loss distances and norms are
+differences of the domain weight at the classifiers' cuts. The
+certificates read the grid, kernel or operator, and cutoff from the
+backend.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .erm import (BIAS_VARIANTS, DeconvolutionBackend, SvdBackend, _risks, empirical_risks,
-                  expected_risks)
+from .erm import BIAS_VARIANTS, DeconvolutionBackend, SvdBackend, _risks, expected_risks
 from .errors import ConfigurationError, DataError
 from .grid import Grid
 from .hypotheses import HypothesisClass, Scenario, _cuts, true_risks
@@ -42,7 +41,6 @@ __all__ = [
     "empirical_bias_deconv",
     "empirical_bias_svd",
     "bernstein_ratio",
-    "empirical_modulus",
     "DiagnosticsReport",
 ]
 
@@ -134,21 +132,18 @@ def fit_rate_slope(points) -> tuple[float, float]:
 def _weights_at_cuts(hclass: HypothesisClass, grid: Grid):
     """The domain weight left of each cut (``_cuts``): h (s - 1/2) clipped to
     [0, P - 1] at node s, exact where a running sum drifts by up to 4e-14
-    at 2048 nodes. Also the total weight and the orientations."""
-    cuts, orientations = _cuts(hclass, grid.axis())
+    at 2048 nodes. Also the total weight."""
     total = grid.points_per_dim - 1.0
-    return grid.spacing * np.clip(cuts - 0.5, 0.0, total), grid.spacing * total, orientations
+    left = grid.spacing * np.clip(_cuts(hclass, grid.axis()) - 0.5, 0.0, total)
+    return left, grid.spacing * total
 
 
 def _loss_distance_sq(scenario: Scenario, hclass: HypothesisClass, a, b) -> np.ndarray:
     """Squared L2(nu_y) distances (Lebesgue x priors) of the raw losses of
     classifiers a[k] and b[k], for index arrays a and b: the label-1 losses
-    differ where the label-0 losses do, that is between the two cuts for
-    equal orientations and outside them otherwise."""
-    left, total, orientations = _weights_at_cuts(hclass, scenario.domain)
-    between = np.abs(left[a] - left[b])
-    same = orientations[a] == orientations[b]
-    return sum(scenario.priors) * np.where(same, between, total - between)
+    differ where the label-0 losses do, that is between the two cuts."""
+    left = _weights_at_cuts(hclass, scenario.domain)[0]
+    return sum(scenario.priors) * np.abs(left[a] - left[b])
 
 
 def empirical_lipschitz(scenario: Scenario, backend, hclass: HypothesisClass, pairs,
@@ -181,7 +176,7 @@ def empirical_lipschitz(scenario: Scenario, backend, hclass: HypothesisClass, pa
 def _max_loss_l2(hclass: HypothesisClass, grid: Grid) -> float:
     """The largest raw-loss L2 norm over the class and both labels: the
     root of the domain weight left or right of a cut, whichever is larger."""
-    left, total, _ = _weights_at_cuts(hclass, grid)
+    left, total = _weights_at_cuts(hclass, grid)
     return math.sqrt(max(left.max(), (total - left).max()))
 
 
@@ -293,35 +288,6 @@ def bernstein_ratio(scenario: Scenario, hclass: HypothesisClass, star_index: int
     kept = np.flatnonzero(excess > 1e-8)
     ratios = _loss_distance_sq(scenario, hclass, kept, star_index) / excess[kept] ** (1 / kappa)
     return float(ratios.max(initial=0.0))
-
-
-def empirical_modulus(scenario: Scenario, backend, hclass: HypothesisClass, delta: float,
-                      n: int, mc_reps: int, seed) -> float:
-    """Monte-Carlo modulus of continuity of the centered empirical process.
-
-    Average over replications of the sup, over classifier pairs whose raw
-    loss distance under nu_y is at most delta, of |empirical - expected|
-    regularized risk difference. Both risks come from the backend; the
-    expected ones (``expected_risks``) are exact on the spectral backend and
-    the deconvolution identity's lattice quadrature on the kernel backend.
-    """
-    if delta < 0:
-        raise ConfigurationError("delta must be nonnegative")
-    i, j = np.triu_indices(len(hclass), 1)
-    near = np.sqrt(_loss_distance_sq(scenario, hclass, i, j)) <= delta
-    i, j = i[near], j[near]
-    if not i.size:
-        logger.warning("no classifier pair within delta=%g; modulus is 0", delta)
-        return 0.0
-    expected = expected_risks(hclass, scenario, backend)
-    from .simulation import generate_sample  # a top-level import would be circular
-
-    rng = np.random.default_rng(seed)
-    sups = []
-    for _ in range(mc_reps):
-        emp = empirical_risks(hclass, generate_sample(scenario, n, rng), backend)
-        sups.append(float(np.max(np.abs((emp[i] - emp[j]) - (expected[i] - expected[j])))))
-    return float(np.mean(sups))
 
 
 # ---------------------------------------------------------------------------

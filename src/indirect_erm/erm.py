@@ -10,17 +10,19 @@ sample's statistic (``features``), ``expected_risks`` with its expectation
 (``expected_features``), on the kernel backend by the deconvolution
 identity: the raw loss against the base-smoothed density.
 
-Each class matrix comes from the thresholds alone. The kernel backend's
-holds the 0/1 predictions on runs of lattice nodes that start right of a
-threshold, against the weighted plug-in density summed per run: one
-windowed convolution between the first run's end and the last run's
-start, and cached dot products for the outer runs and the shared term.
-The spectral backend's holds the basis integrals over the side of each
-threshold where its label-0 loss is 1, against the 1/b_k-weighted basis
-moments. ``losses`` at given points come, on the kernel backend, from
-each loss row's two values of the kernel's cumulative sum at the ends of
-every point's cell, one row at a time, with no table of the rows kept; on
-the spectral backend from its class matrix and basis, the one spectral
+Each class matrix comes from the thresholds alone: every classifier
+predicts 1 right of its threshold, where its label-0 loss is 1. The
+kernel backend's holds the 0/1 predictions on runs of lattice nodes that
+start right of a threshold, against the weighted plug-in density summed
+per run: one windowed convolution between the first run's end and the
+last run's start, and cached dot products for the outer runs and the
+shared term. The spectral backend's holds the basis integrals from each
+threshold to the domain's end, against the 1/b_k-weighted basis moments.
+``losses`` at given points come, on the kernel backend, from each loss
+row's two values of the kernel's cumulative sum at the ends of every
+point's cell, one row at a time, with no table of the rows kept; a
+label-1 row is the loss 1's minus the label-0 row. On the spectral
+backend they come from its class matrix and basis, the one spectral
 evaluation. The per-classifier kernel tables of ``noisy_risk`` are the
 reference the tests compare the kernel backend against.
 """
@@ -154,8 +156,9 @@ class FitResult:
             "smoothing": [self.smoothing],
             "backend": self.backend,
             "diagnostics": self.diagnostics,
+            # every classifier predicts 1 right of its threshold
             "classifier": {"kind": "threshold", "threshold": self.classifier.threshold,
-                           "orientation": self.classifier.orientation},
+                           "orientation": 1},
         }
 
 
@@ -250,12 +253,11 @@ class DeconvolutionBackend:
         no prediction changes: node 0 and every cut s_j (``_cuts``) inside
         the lattice."""
         def build():
-            cuts, orientations = _cuts(hclass, self.lattice.nodes)
+            cuts = _cuts(hclass, self.lattice.nodes)
             change = np.zeros(len(self.lattice.nodes) + 1, dtype=bool)
             change[np.r_[0, cuts]] = True  # np.unique would add 1.4 MiB to a run's peak RSS
             starts = np.flatnonzero(change[:-1])
-            return np.where(orientations[:, None] == 1, starts >= cuts[:, None],
-                            starts < cuts[:, None]) * 1.0, starts
+            return (starts >= cuts[:, None]) * 1.0, starts
 
         return _cached(self._cache, ("runs", hclass), build)
 
@@ -294,7 +296,7 @@ class DeconvolutionBackend:
         def build():
             kernel = self.lattice.kernel.values[0]
             first, last = np.flatnonzero(self._weights)[[0, -1]]
-            lo = np.clip(np.r_[_cuts(hclass, self.lattice.nodes)[0], first], first, last + 1)
+            lo = np.clip(np.r_[_cuts(hclass, self.lattice.nodes), first], first, last + 1)
             ck = np.empty(len(kernel) + 1)
             ck[0] = 0.0
             np.cumsum(kernel, out=ck[1:])
@@ -342,8 +344,8 @@ class DeconvolutionBackend:
         logged count), one row per classifier: each row's values at both
         ends of every point's cell (``_row_filler``), interpolated linearly,
         one row at a time into the result, so a call holds the result and a
-        few vectors of the points. A row of orientation -1 for label 0, or
-        +1 for label 1, is the loss 1's minus its own."""
+        few vectors of the points. A label-1 row is the loss 1's minus the
+        label-0 row."""
         z = np.asarray(z, dtype=float)
         nodes = self.lattice.nodes
         _log_clamped((z,), nodes[0], nodes[-1])
@@ -361,12 +363,11 @@ class DeconvolutionBackend:
             left += step
             return left
 
-        one = interpolate(len(hclass), np.empty(len(cell)))
-        flip = (_thresholds(hclass)[1] == 1) == (label == 1)
+        one = interpolate(len(hclass), np.empty(len(cell))) if label == 1 else None
         out = np.empty((len(hclass), len(cell)))
         for j, row in enumerate(out):
             interpolate(j, row)
-            if flip[j]:
+            if one is not None:
                 np.subtract(one, row, out=row)
         return out
 
@@ -425,14 +426,11 @@ class SvdBackend:
 
     def class_matrix(self, hclass: HypothesisClass) -> np.ndarray:
         """Label-0 spectral loss coefficients, one row per classifier: the
-        basis integrals over the part of the domain where its loss is 1:
-        right of the threshold, clipped to the domain, for orientation +1
-        and left of it for -1."""
+        basis integrals over the part of the domain where its loss is 1,
+        from the threshold, clipped to the domain, to the domain's end."""
         def build():
-            thresholds, orientations = _thresholds(hclass)
             lo, hi = self.grid.lower, self.grid.upper
-            t, right = np.clip(thresholds, lo, hi), orientations == 1
-            return basis_integrals(np.where(right, t, lo), np.where(right, hi, t), self.cutoff)
+            return basis_integrals(np.clip(_thresholds(hclass), lo, hi), hi, self.cutoff)
 
         return _cached(self._cache, ("matrix", hclass), build)
 

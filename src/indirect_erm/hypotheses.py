@@ -63,19 +63,12 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class ThresholdClassifier:
-    """Predict 1 where x > threshold (orientation +1) or x <= threshold (-1)."""
+    """Predict 1 where x > threshold."""
 
     threshold: float
-    orientation: int = 1
-
-    def __post_init__(self):
-        if self.orientation not in (1, -1):
-            raise ConfigurationError(f"orientation must be +1 or -1, got {self.orientation!r}")
 
     def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        above = (x > self.threshold).astype(float)
-        return above if self.orientation == 1 else 1.0 - above
+        return (np.asarray(x, dtype=float) > self.threshold).astype(float)
 
 
 @dataclass(frozen=True)
@@ -114,15 +107,13 @@ def snap_to_cell_midpoint(value: float, grid: Grid) -> float:
     return lo + (j + 0.5) * h
 
 
-def threshold_grid(count: int, grid: Grid, orientation: int = 1) -> HypothesisClass:
+def threshold_grid(count: int, grid: Grid) -> HypothesisClass:
     """Equally spaced threshold classifiers snapped to cell midpoints."""
     if count < 1:
         raise ConfigurationError("need at least one threshold")
     raw = np.linspace(grid.lower, grid.upper, count)
-    clfs = tuple(
-        ThresholdClassifier(snap_to_cell_midpoint(t, grid), orientation) for t in raw
-    )
-    return HypothesisClass(clfs)
+    return HypothesisClass(tuple(ThresholdClassifier(snap_to_cell_midpoint(t, grid))
+                                 for t in raw))
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +156,13 @@ def _density_uniform(label: int, x: np.ndarray, params: dict) -> np.ndarray:
 # both supports have the whole class of localized kernels decay before the
 # domain edges matter. The crossing sits at 0.45 to avoid phase locking of
 # the cosine basis at half-period points. Pieces are (lo, hi, coeffs) with
-# f(x) = sum_j coeffs[j] x^j; canonical priors put the regression crossing
-# at _TENT_CROSSING (see structural_pair_priors).
+# f(x) = sum_j coeffs[j] x^j; the priors that put the regression crossing at
+# 0.45 are f_0 : f_1 there (``demos/structural_diagnostics.py``).
 _TENT_PIECES = {
     1: ((0.0, 1.0, (0.0, 0.0, 0.0, 0.0, 105.0, -210.0, 105.0)),),
     0: ((0.05, 0.45, (-0.3125, 6.25)),
         (0.45, 0.85, (5.3125, -6.25))),
 }
-_TENT_CROSSING = 0.45
 
 
 def _eval_pieces(pieces, x: np.ndarray) -> np.ndarray:
@@ -212,15 +202,6 @@ def _piecewise_cosine_coefficients(pieces, k_max: int) -> np.ndarray:
                 total = total + c * moments[j]
         out[1:] += np.sqrt(2.0) * total.real
     return out
-
-
-def structural_pair_priors() -> tuple[float, float]:
-    """Priors putting the structural-pair regression crossing at its design point."""
-    xc = np.array([_TENT_CROSSING])
-    f1 = float(_density_tent_pair(1, xc, {})[0])
-    f0 = float(_density_tent_pair(0, xc, {})[0])
-    p1 = f0 / (f0 + f1)
-    return (1.0 - p1, p1)
 
 
 _DENSITY_FUNCS = {
@@ -440,33 +421,29 @@ def window_mask(x: np.ndarray, window: tuple[float, float]) -> np.ndarray:
 
 
 def _thresholds(hclass: HypothesisClass) -> np.ndarray:
-    """The thresholds (row 0) and the orientations (row 1, +1 or -1) of a class."""
-    return np.array([(c.threshold, c.orientation) for c in hclass], dtype=float).T
+    """The thresholds of a class."""
+    return np.array([c.threshold for c in hclass], dtype=float)
 
 
-def _cuts(hclass: HypothesisClass, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """s_j, the first node right of threshold j (len(nodes) if none is), and
-    the orientations: the label-0 loss is 1 from s_j on for orientation +1,
-    and before s_j for -1."""
-    thresholds, orientations = _thresholds(hclass)
-    return np.searchsorted(nodes, thresholds, "right"), orientations
+def _cuts(hclass: HypothesisClass, nodes: np.ndarray) -> np.ndarray:
+    """s_j, the first node right of threshold j (len(nodes) if none is): the
+    label-0 loss is 1 from s_j on."""
+    return np.searchsorted(nodes, _thresholds(hclass), "right")
 
 
 def true_risks(hclass: HypothesisClass, scenario: Scenario,
                window: tuple[float, float] | None = None) -> np.ndarray:
     """Risks sum_y p(y) integral loss(g(x), y) f_y(x) by trapezoid quadrature
-    (clipped to ``window``): w (p_0 f_0 - p_1 f_1) summed from or before each
-    cut (``_cuts``), where the label-0 loss is 1, plus p_1 sum w f_1. The sums
-    do not depend on the class, so ``true_risk`` equals each entry bit for bit."""
+    (clipped to ``window``): w (p_0 f_0 - p_1 f_1) summed from each cut
+    (``_cuts``) on, where the label-0 loss is 1, plus p_1 sum w f_1. The sum
+    does not depend on the class, so ``true_risk`` equals each entry bit for bit."""
     x, w = scenario.domain.axis(), scenario.domain.weights()
     if window is not None:
         w = np.where(window_mask(x, window), w, 0.0)
     (p0, p1), f1 = scenario.priors, w * scenario.density(1, x)
     signed = p0 * w * scenario.density(0, x) - p1 * f1
-    head = np.r_[0.0, np.cumsum(signed)]              # sum before node s
     tail = np.r_[np.cumsum(signed[::-1])[::-1], 0.0]  # sum from node s on
-    cuts, orientations = _cuts(hclass, x)
-    risks = np.where(orientations == 1, tail[cuts], head[cuts]) + p1 * f1.sum()
+    risks = tail[_cuts(hclass, x)] + p1 * f1.sum()
     if not np.all((risks >= -1e-9) & (risks <= 1.0 + 1e-9)):  # NaN fails too
         raise ModelError(f"a risk escaped [0, 1]: {risks.min()} .. {risks.max()}")
     return np.clip(risks, 0.0, 1.0)

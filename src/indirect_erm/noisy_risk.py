@@ -13,8 +13,8 @@ The pipeline evaluates it through the backends of ``erm``, which bin a
 sample once (``bin_draws``) and convolve it with the kernel only where the
 runs of a class need it pointwise (``ObservationLattice.kernel_window``);
 the per-classifier tables here (``ModifiedLossTable``,
-``modified_loss_deconv``, ``empirical_risk``) and ``plug_in_density`` are
-the kernel backend's reference order, which the tests compare against.
+``modified_loss_deconv``) and ``plug_in_density`` are the kernel backend's
+reference order, which the tests compare against.
 The backend itself keeps no loss table: it reads each loss row off the
 kernel's cumulative sum at the nodes it needs.
 The spectral backend has no table here: ``erm.SvdBackend`` evaluates its
@@ -52,7 +52,6 @@ __all__ = [
     "ModifiedLossTable",
     "build_lattice",
     "modified_loss_deconv",
-    "empirical_risk",
     "bin_draws",
     "plug_in_density",
     "zero_extended_density",
@@ -247,12 +246,6 @@ def modified_loss_deconv(clf, lattice: ObservationLattice, labels=(0, 1),
             lv = np.where(mask, lv, 0.0)
         values[label] = lattice.convolve(lattice.weights * lv)
     return ModifiedLossTable(z_nodes=x, values=values)
-
-
-def empirical_risk(table: ModifiedLossTable, sample: NoisySample) -> float:
-    """Mean of table lookups at the sample points."""
-    return sum(float(np.sum(table.evaluate(z, label)))
-               for label, z in enumerate(sample.groups) if z.size) / sample.n
 
 
 def _cells(z: np.ndarray, nodes: np.ndarray, h: float) -> np.ndarray:

@@ -82,7 +82,7 @@ class SpectralOperator:
 
 def basis_integrals(a, b, cutoff: int) -> np.ndarray:
     """The integrals of phi_0 .. phi_cutoff over [a, b], one row per interval
-    for bounds of one shape: x for k = 0, sqrt(2) sin(pi k x)/(pi k) else."""
+    for bounds that broadcast: x for k = 0, sqrt(2) sin(pi k x)/(pi k) else."""
     a, b = (np.asarray(v, dtype=float)[..., None] for v in (a, b))
     kk = np.arange(1, cutoff + 1, dtype=float)
     sines = np.sqrt(2.0) * (np.sin(np.pi * kk * b) - np.sin(np.pi * kk * a)) / (np.pi * kk)

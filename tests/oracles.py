@@ -4,15 +4,33 @@ Everything here is deliberately naive (per-observation quadrature, direct
 summation) and shares no code path with the package internals it checks.
 """
 
+import importlib.util
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from indirect_erm.grid import trapezoid_weights
-from indirect_erm.hypotheses import (HypothesisClass, ThresholdClassifier, _cuts, _thresholds,
-                                     loss_values, window_mask)
+from indirect_erm.hypotheses import (HypothesisClass, ThresholdClassifier, _cuts, loss_values,
+                                     window_mask)
 from indirect_erm.kernels import _SPLIT
 from indirect_erm.noisy_risk import NoisySample, _cells, plug_in_density
 from indirect_erm.operators import SpectralOperator, apply_operator
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@lru_cache(maxsize=None)
+def structural_demo():
+    """``demos/structural_diagnostics.py`` as a module, imported from its
+    file: ``structural_pair_priors``, ``_TENT_CROSSING`` and
+    ``empirical_modulus`` live there."""
+    spec = importlib.util.spec_from_file_location("structural_diagnostics",
+                                                  DEMOS / "structural_diagnostics.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def labelled_sample(z, y):
@@ -108,32 +126,6 @@ def reference_labelled_binning(z, y, lattice):
     return binned.reshape(2, p) / z.size
 
 
-def temporary_cells(z, nodes, h):
-    """``noisy_risk._cells`` with every step a fresh array (the floor, its
-    index, each gathered node, idx + 1): the bits that the in-place
-    evaluation must reproduce."""
-    idx = np.clip(np.floor((z - nodes[0]) / h).astype(np.intp), 0, len(nodes) - 2)
-    idx -= nodes[idx] >= z
-    idx += nodes[idx + 1] < z
-    return np.clip(idx, 0, len(nodes) - 2, out=idx)
-
-
-def temporary_binning(groups, lattice):
-    """``noisy_risk.bin_draws`` with separate copies of the draws, their
-    cells and fracs, idx + 1, 1 - frac and both concatenations, and the rows
-    divided into a new array: the bits that binning into one copy of the
-    draws must reproduce. Logs nothing."""
-    nodes, h, p = lattice.nodes, lattice.spacing, len(lattice.nodes)
-    z = np.clip(np.concatenate(groups), nodes[0], nodes[-1])
-    idx = temporary_cells(z, nodes, h)
-    frac = (z - nodes[idx]) / h
-    for start in np.cumsum([len(g) for g in groups[:-1]]):
-        idx[start:] += p
-    binned = np.bincount(np.concatenate([idx, idx + 1]),
-                         weights=np.concatenate([1.0 - frac, frac]), minlength=len(groups) * p)
-    return binned.reshape(len(groups), p) / z.size
-
-
 def stacked_run_vectors(backend, hclass):
     """The kernel convolved with the weights over a class's first run, its
     last run and the whole lattice (``DeconvolutionBackend._signed_runs``),
@@ -188,7 +180,7 @@ def reference_tables(backend, hclass):
     p, h = len(lattice.nodes), lattice.spacing
     kernel = lattice.kernel.values[0]
     first, last = np.flatnonzero(backend._weights)[[0, -1]]  # the window's end nodes
-    lo = np.clip(np.r_[_cuts(hclass, lattice.nodes)[0], first], first, last + 1)
+    lo = np.clip(np.r_[_cuts(hclass, lattice.nodes), first], first, last + 1)
     ck = sliding_window_view(np.r_[0.0, np.cumsum(kernel)], p)  # ck[k] = CK[k: k + P]
     tables = ck[p - lo]
     tables -= ck[p - 1 - last]
@@ -212,8 +204,7 @@ def whole_gather_losses(backend, hclass, label, z):
     step -= out
     step *= (z - nodes[cell]) / (nodes[cell + 1] - nodes[cell])
     out += step
-    flip = (_thresholds(hclass)[1] == 1) == (label == 1)
-    return np.subtract(out[-1], out[:-1], out=out[:-1], where=flip[:, None])
+    return np.subtract(out[-1], out[:-1], out=out[:-1]) if label == 1 else out[:-1]
 
 
 def abs_copy_table_sup(tables):
@@ -224,13 +215,12 @@ def abs_copy_table_sup(tables):
 
 
 def mixed_threshold_class(grid):
-    """Both orientations at thresholds left of, right of and across the
-    domain: on nodes, at the end nodes and inside cells."""
+    """Thresholds left of, right of and across the domain: on nodes, at the
+    end nodes and inside cells."""
     x = grid.axis()
     thresholds = [*np.linspace(grid.lower - 0.2, grid.upper + 0.2, 23),
                   x[0], x[100], x[-1], 0.5 * (x[3] + x[4]), grid.lower - 5.0, grid.upper + 5.0]
-    return HypothesisClass(tuple(ThresholdClassifier(float(t), o)
-                                 for t in thresholds for o in (1, -1)))
+    return HypothesisClass(tuple(ThresholdClassifier(float(t)) for t in thresholds))
 
 
 def _domain_weights(scenario, window=None):
@@ -321,6 +311,12 @@ def reference_empirical_risks(hclass, sample, backend):
         risks += weight * (losses @ np.add.reduceat(features, starts))
         scale += weight * np.abs(features).sum()
     return risks, np.full(len(hclass), scale)
+
+
+def empirical_risk(table, sample):
+    """Mean of a ``ModifiedLossTable``'s lookups at the sample points."""
+    return sum(float(np.sum(table.evaluate(z, label)))
+               for label, z in enumerate(sample.groups) if z.size) / sample.n
 
 
 def naive_empirical_risk(clf, lattice, sample):

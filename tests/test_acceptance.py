@@ -31,14 +31,11 @@ from indirect_erm.hypotheses import (
     ThresholdClassifier,
     loss_values,
     snap_to_cell_midpoint,
-    structural_pair_priors,
     threshold_grid,
-    _TENT_CROSSING,
 )
 from indirect_erm.kernels import build_base_kernel, build_deconvolution_kernel
 from indirect_erm.noisy_risk import (
     build_lattice,
-    empirical_risk,
     modified_loss_deconv,
     plug_in_density,
 )
@@ -46,7 +43,8 @@ from indirect_erm.operators import contaminate, sample_density, sampler_table
 from indirect_erm.reader import ConfigReader
 from indirect_erm.simulation import generate_sample, run_rate_experiment
 
-from oracles import closed_form_corrected_sinc, naive_minimize_index
+from oracles import (closed_form_corrected_sinc, empirical_risk, naive_minimize_index,
+                     structural_demo)
 
 PRESET_DIR = os.path.normpath(os.path.join(
     os.path.dirname(os.path.abspath(ie.__file__)), "..", "..", "presets"))
@@ -176,7 +174,8 @@ def test_criterion_5_structural_scaling():
     """Lipschitz, uniform-bound, and bias constants scale as predicted."""
     started = time.perf_counter()
     noise = ie.laplace_noise(2.0)  # total decay 2
-    priors = structural_pair_priors()
+    demo = structural_demo()
+    priors = demo.structural_pair_priors()
     scenario = ie.Scenario(priors=priors, densities="tent_pair",
                            contamination=noise, alpha=1.0, gamma=1.0,
                            domain=GRID)
@@ -198,7 +197,7 @@ def test_criterion_5_structural_scaling():
         ratios = empirical_lipschitz(scenario, backend, hclass, pairs, mc_sample)
         lipschitz.append(float(ratios.max()))
         bounds.append(sup_bound_deconv(backend, hclass))
-    scan_class, scan_star = geometric_scan_class(_TENT_CROSSING)
+    scan_class, scan_star = geometric_scan_class(demo._TENT_CROSSING)
     bias_lams = [0.02, 0.03, 0.045, 0.068, 0.1]
     bias = []
     for lam in bias_lams:

@@ -508,6 +508,19 @@ def test_diagnose_command_svd(tmp_path):
     assert all(math.isfinite(value) and value > 0 for _, value in report["lipschitz"])
 
 
+def test_diagnose_logs_the_slope_points_it_drops(tmp_path, caplog):
+    # the svd bias is 0 at every cutoff: the slope fit drops both points
+    # with one log line, and the slope is NaN
+    doc = svd_diagnose_config(str(tmp_path / "artifacts"))
+    with caplog.at_level("INFO", logger="indirect_erm.diagnostics"):
+        assert run(write_config(tmp_path, doc), threads=1) == 0
+    report = json.loads((tmp_path / "artifacts" / "diagnostics.json").read_text())
+    assert [value for _, value in report["bias"]] == [0.0, 0.0]
+    assert math.isnan(report["slopes"]["bias"])
+    assert [r.getMessage() for r in caplog.records if r.name == "indirect_erm.diagnostics"] == [
+        "dropping 2 nonpositive mean point(s) from the slope fit"]
+
+
 def test_diagnose_keeps_no_loss_table(tmp_path, monkeypatch):
     # the benchmark's laplace diagnose config at its smallest bandwidth. Its
     # traced peak was 8.9 MiB while the backend cached the class's

@@ -22,7 +22,6 @@ from indirect_erm.diagnostics import (
     empirical_bias_deconv,
     empirical_bias_svd,
     empirical_lipschitz,
-    empirical_modulus,
     fit_rate_slope,
     hard_loss_exponent,
     rate_exponent,
@@ -32,14 +31,7 @@ from indirect_erm.diagnostics import (
 )
 from indirect_erm.erm import DeconvolutionBackend, SvdBackend
 from indirect_erm.errors import DataError
-from indirect_erm.hypotheses import (
-    _TENT_CROSSING,
-    Scenario,
-    bayes_in_class,
-    loss_values,
-    snap_to_cell_midpoint,
-    structural_pair_priors,
-)
+from indirect_erm.hypotheses import Scenario, bayes_in_class, loss_values, snap_to_cell_midpoint
 from indirect_erm.noisy_risk import modified_loss_deconv
 from indirect_erm.simulation import generate_sample
 
@@ -52,7 +44,11 @@ from oracles import (
     reference_svd_losses,
     reference_tables,
     reference_true_risk,
+    structural_demo,
 )
+
+# the modulus lives beside its one caller, the structural diagnostics demo
+empirical_modulus = structural_demo().empirical_modulus
 
 
 def cfg(**kw):
@@ -325,11 +321,12 @@ def test_bias_deconv_matches_per_classifier_quadrature(grid, variant):
 @pytest.mark.parametrize("variant", ["squared_loss", "general"])
 def test_bias_svd_matches_coefficient_pairing(grid, variant):
     op = SpectralOperator(decay=1.0, k_max=64)
-    sc = Scenario(priors=structural_pair_priors(), densities="tent_pair", contamination=op,
+    demo = structural_demo()
+    sc = Scenario(priors=demo.structural_pair_priors(), densities="tent_pair", contamination=op,
                   alpha=1.0, gamma=1.0, domain=grid)
     # thresholds around the crossing, where the bias is not floored at zero
     hclass = HypothesisClass(tuple(
-        ThresholdClassifier(snap_to_cell_midpoint(_TENT_CROSSING + 0.002 * j, grid))
+        ThresholdClassifier(snap_to_cell_midpoint(demo._TENT_CROSSING + 0.002 * j, grid))
         for j in range(-8, 9)))
     for cutoff in (6, 14, 32, 48):
         svd = SvdBackend(operator=op, cutoff=cutoff, grid=grid)

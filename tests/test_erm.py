@@ -33,7 +33,6 @@ from indirect_erm.noisy_risk import (
     NoisySample,
     _next_fast_len,
     base_smoothed_density,
-    empirical_risk,
     modified_loss_deconv,
     plug_in_density,
     zero_extended_density,
@@ -42,7 +41,9 @@ from indirect_erm.reader import ConfigReader
 from indirect_erm.simulation import generate_sample, trial_seed_sequence
 
 from oracles import (
+    empirical_risk,
     labelled_sample,
+    mixed_threshold_class,
     naive_minimize_index,
     reference_basis,
     reference_empirical_risks,
@@ -188,13 +189,13 @@ def test_backend_losses_match_per_classifier_tables(grid):
         assert np.abs(svd.losses(hclass, label, z) - np.vstack(ref)).max() < 1e-12
 
 
-def _edge_class(nodes, grid, orientation):
+def _edge_class(nodes, grid):
     """Thresholds on a grid, left and right of the lattice, on a node, and
     two in one cell."""
     t, h = snap_to_cell_midpoint(0.5, grid), grid.spacing
     ts = [*(c.threshold for c in threshold_grid(9, grid)), nodes[0] - 0.5, nodes[-1] + 0.5,
           nodes[len(nodes) // 3], t - h / 4, t + h / 4]
-    return HypothesisClass(tuple(ThresholdClassifier(v, orientation) for v in ts))
+    return HypothesisClass(tuple(ThresholdClassifier(v) for v in ts))
 
 
 @pytest.mark.parametrize("noise", [laplace_noise(2.0), dirac_noise()], ids=["laplace", "dirac"])
@@ -207,18 +208,17 @@ def test_closed_form_tables_match_convolution_tables(grid, noise, bandwidth):
     nodes = lattice.nodes
     z = np.r_[nodes, nodes[0] - 1.0, nodes[-1] + 2.0,
               np.random.default_rng(6).uniform(nodes[0], nodes[-1], 200)]
+    hclass = _edge_class(nodes, grid)
     for window in (None, (0.1, 0.9)):
-        for orientation in (1, -1):
-            hclass = _edge_class(nodes, grid, orientation)
-            backend = DeconvolutionBackend(lattice=lattice, window=window)
-            tables = [modified_loss_deconv(c, lattice, window=window) for c in hclass]
-            for label in (0, 1):
-                want = np.vstack([t.evaluate(z, label) for t in tables])
-                got = backend.losses(hclass, label, z)
-                assert np.abs(got - want).max() <= 2e-14 * np.abs(want).max()
-                # evaluated row by row at the cells' ends: the bits of two
-                # whole gathers from the reference tables
-                assert np.array_equal(got, whole_gather_losses(backend, hclass, label, z))
+        backend = DeconvolutionBackend(lattice=lattice, window=window)
+        tables = [modified_loss_deconv(c, lattice, window=window) for c in hclass]
+        for label in (0, 1):
+            want = np.vstack([t.evaluate(z, label) for t in tables])
+            got = backend.losses(hclass, label, z)
+            assert np.abs(got - want).max() <= 2e-14 * np.abs(want).max()
+            # evaluated row by row at the cells' ends: the bits of two
+            # whole gathers from the reference tables
+            assert np.array_equal(got, whole_gather_losses(backend, hclass, label, z))
 
 
 def test_losses_hold_one_gathered_matrix(grid):
@@ -237,16 +237,15 @@ def test_losses_hold_one_gathered_matrix(grid):
     assert peak <= 1.5 * (len(hclass) + 1) * z.size * 8
 
 
-@pytest.mark.parametrize("orientation", [1, -1])
-def test_closed_form_class_matrices_match_loss_loops(grid, orientation):
+def test_closed_form_class_matrices_match_loss_loops(grid):
     # exactly: the risks, and so every fit, do not move
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
-    hclass = _edge_class(lattice.nodes, grid, orientation)
+    hclass = _edge_class(lattice.nodes, grid)
     matrix, starts = reference_runs(hclass, lattice.nodes)
     for window in (None, (0.1, 0.9)):
         runs = DeconvolutionBackend(lattice=lattice, window=window)._runs(hclass)
         assert np.array_equal(runs[0], matrix) and np.array_equal(runs[1], starts)
-    hclass = HypothesisClass(tuple(ThresholdClassifier(t, orientation)
+    hclass = HypothesisClass(tuple(ThresholdClassifier(t)
                                    for t in (-0.5, 0.0, 0.3, 0.5, 1.0, 1.5)))
     op = SpectralOperator(decay=1.0, k_max=64)
     for cutoff in (1, 8, 64):
@@ -483,7 +482,7 @@ def test_run_merged_scan_matches_dense_product(grid, window):
     sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
     assert sc.priors[0] == 0.5
     rng = np.random.default_rng(9)
-    for hclass in (threshold_grid(41, grid), threshold_grid(41, grid, orientation=-1)):
+    for hclass in (threshold_grid(41, grid), mixed_threshold_class(grid)):
         dense = np.vstack([loss_values(clf, 0, lattice.nodes) for clf in hclass])
         assert backend.class_matrix(hclass).shape[1] < len(lattice.nodes) // 50
         for _ in range(4):
@@ -498,16 +497,16 @@ def test_run_merged_scan_matches_dense_product(grid, window):
             assert np.argmin(got) == np.argmin(want)
 
 
-def _reference_cases(grid, orientation):
+def _reference_cases(grid):
     """(name, class, sample) triples for the reference comparison."""
     h = grid.spacing
     t = snap_to_cell_midpoint(0.5, grid)
     classes = {
-        "grid": threshold_grid(41, grid, orientation=orientation),
-        "singleton": HypothesisClass((ThresholdClassifier(t, orientation),)),
+        "grid": threshold_grid(41, grid),
+        "singleton": HypothesisClass((ThresholdClassifier(t),)),
         # both thresholds in one lattice cell: two runs, so no interior window
-        "one-cell": HypothesisClass((ThresholdClassifier(t - h / 4, orientation),
-                                     ThresholdClassifier(t + h / 4, orientation))),
+        "one-cell": HypothesisClass((ThresholdClassifier(t - h / 4),
+                                     ThresholdClassifier(t + h / 4))),
     }
     rng = np.random.default_rng(17)
     z = rng.uniform(-0.3, 1.3, 400)
@@ -523,13 +522,12 @@ def _reference_cases(grid, orientation):
 
 @pytest.mark.parametrize("noise", [laplace_noise(2.0), dirac_noise()], ids=["laplace", "dirac"])
 @pytest.mark.parametrize("window", [None, (0.2, 0.7)])
-@pytest.mark.parametrize("orientation", [1, -1])
-def test_empirical_risks_match_per_label_reference(grid, noise, window, orientation):
+def test_empirical_risks_match_per_label_reference(grid, noise, window):
     # one signed, windowed statistic against the full-lattice plug-in
     # density of each label scanned against its own class matrix
     lattice = build_lattice(grid, noise, 0.25)
     backend = DeconvolutionBackend(lattice=lattice, window=window)
-    for name, hclass, sample in _reference_cases(grid, orientation):
+    for name, hclass, sample in _reference_cases(grid):
         runs = backend.class_matrix(hclass).shape[1]
         assert runs > 2 if name.startswith("grid") else runs == 2, name
         got = empirical_risks(hclass, sample, backend)

@@ -63,19 +63,6 @@ def test_hard_loss_difference_identity(grid):
         assert np.array_equal(diff, ind)
 
 
-@pytest.mark.parametrize("orientation", [0, 2, -3])
-def test_orientation_other_than_plus_minus_one_rejected(orientation):
-    # 0 and 2 used to predict as +1 and -3 as -1, with the raw value in fit.json
-    with pytest.raises(ConfigurationError):
-        ThresholdClassifier(0.5, orientation)
-
-
-def test_orientation_minus_one_predicts_at_and_left_of_threshold():
-    x = np.array([0.2, 0.5, 0.7])
-    assert ThresholdClassifier(0.5, -1).predict(x).tolist() == [1.0, 1.0, 0.0]
-    assert ThresholdClassifier(0.5).predict(x).tolist() == [0.0, 0.0, 1.0]
-
-
 # ---------------------------------------------------------------------------
 # scenarios and risks
 # ---------------------------------------------------------------------------

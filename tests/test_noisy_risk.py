@@ -17,7 +17,6 @@ from indirect_erm import (
     ThresholdClassifier,
     build_lattice,
     dirac_noise,
-    empirical_risk,
     laplace_noise,
     make_margin_scenario,
     modified_loss_deconv,
@@ -35,14 +34,13 @@ from indirect_erm.operators import contaminate, sample_density, sampler_table
 from indirect_erm.simulation import generate_sample
 
 from oracles import (
+    empirical_risk,
     labelled_sample,
     naive_empirical_risk,
     reference_basis,
     reference_labelled_binning,
     reference_loss_coefficients,
     stacked_run_vectors,
-    temporary_binning,
-    temporary_cells,
 )
 
 
@@ -300,8 +298,6 @@ def test_cells_match_searchsorted(laplace_lattice, rng):
     want = np.clip(np.searchsorted(nodes, z) - 1, 0, len(nodes) - 2)
     got = noisy_risk._cells(z, nodes, laplace_lattice.spacing)
     np.testing.assert_array_equal(got, want)
-    # computed in place, it gives the bits of fresh arrays at every step
-    assert np.array_equal(got, temporary_cells(z, nodes, laplace_lattice.spacing))
 
 
 def test_plug_in_density_single_dirac_draw(grid):
@@ -339,8 +335,8 @@ def test_binning_groups_gives_the_bits_of_labelled_binning(laplace_lattice):
     # the groups laid end to end, label 1 one row down, add each node's
     # draws in the order of the interleaved sample, so the rows are equal
     # bit for bit; draws crowd a few cells, sit on nodes and get clamped.
-    # Binned into one copy of the draws, and with each run vector of the
-    # statistic convolved into its row, they give the bits of fresh arrays
+    # Each run vector of the statistic, convolved into its row, gives the
+    # bits of fresh arrays
     rng = np.random.default_rng(5)
     nodes = laplace_lattice.nodes
     z = np.concatenate([rng.uniform(0.45, 0.55, 3000), nodes[rng.integers(0, len(nodes), 40)],
@@ -350,13 +346,9 @@ def test_binning_groups_gives_the_bits_of_labelled_binning(laplace_lattice):
         want = reference_labelled_binning(z, y, laplace_lattice)
         groups = labelled_sample(z, y).groups
         assert np.array_equal(noisy_risk.bin_draws(groups, laplace_lattice), want)
-        assert np.array_equal(noisy_risk.bin_draws(groups, laplace_lattice),
-                              temporary_binning(groups, laplace_lattice))
     assert np.array_equal(noisy_risk.bin_draws((z,), laplace_lattice)[0],
                           reference_labelled_binning(z, np.zeros(z.size, dtype=int),
                                                      laplace_lattice)[0])
-    assert np.array_equal(noisy_risk.bin_draws((z,), laplace_lattice),
-                          temporary_binning((z,), laplace_lattice))
     one_run = HypothesisClass((ThresholdClassifier(float(nodes[-1]) + 1.0),))
     for window in (None, (0.2, 0.7)):
         for hclass in (HypothesisClass(tuple(ThresholdClassifier(t) for t in (0.3, 0.5, 0.8))),
@@ -474,12 +466,12 @@ def test_svd_zero_loss_table(grid):
 
 
 def test_svd_coefficients_closed_form(grid):
-    # hard loss of a threshold at label 1 is the indicator of [0, t], and so
-    # is the label-0 loss of the opposite orientation: its class-matrix row
+    # hard loss of a threshold at label 1 is the indicator of [0, t]: the
+    # loss 1's coefficients less the class-matrix row, the label-0 loss
     op = SpectralOperator(decay=1.0, k_max=64)
     t = snap_to_cell_midpoint(0.37, grid)
     backend = SvdBackend(operator=op, cutoff=12, grid=grid)
-    c = backend.class_matrix(HypothesisClass((ThresholdClassifier(t, -1),)))[0]
+    c = backend._ones - backend.class_matrix(HypothesisClass((ThresholdClassifier(t),)))[0]
     k = np.arange(1, 13)
     exact = np.sqrt(2.0) * np.sin(np.pi * k * t) / (np.pi * k)
     assert abs(c[0] - t) < 1e-12
@@ -549,11 +541,12 @@ def test_restricted_vanishing_integrand(grid):
 
 def test_restricted_monotone_with_base_kernel(grid):
     # with the noise-free kernel, growing the window changes the table by
-    # at most the absolute kernel mass over the added region
+    # at most the absolute kernel mass over the added region; the label-0
+    # loss is 1 right of the threshold
     lattice = build_lattice(grid, dirac_noise(), 0.1)
-    clf = ThresholdClassifier(snap_to_cell_midpoint(0.4, grid), orientation=-1)
-    small = modified_loss_deconv(clf, lattice, labels=(1,), window=(0.2, 0.5))
-    big = modified_loss_deconv(clf, lattice, labels=(1,), window=(0.1, 0.7))
+    clf = ThresholdClassifier(snap_to_cell_midpoint(0.4, grid))
+    small = modified_loss_deconv(clf, lattice, labels=(0,), window=(0.2, 0.5))
+    big = modified_loss_deconv(clf, lattice, labels=(0,), window=(0.1, 0.7))
     w = trapezoid_weights(len(lattice.nodes), lattice.spacing)
     added = ((lattice.nodes >= 0.1) & (lattice.nodes < 0.2)) | \
             ((lattice.nodes > 0.5) & (lattice.nodes <= 0.7))
@@ -562,7 +555,7 @@ def test_restricted_monotone_with_base_kernel(grid):
         cols = lattice.kernel.evaluate(z - lattice.nodes)
         bound = max(bound, float(np.sum(w[added] * np.abs(cols[added]))))
         iz = np.argmin(np.abs(lattice.nodes - z))
-        assert small.values[1][iz] <= big.values[1][iz] + bound + 1e-9
+        assert small.values[0][iz] <= big.values[0][iz] + bound + 1e-9
 
 
 def test_restricted_empty_window(laplace_lattice):
