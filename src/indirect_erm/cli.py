@@ -46,7 +46,7 @@ from .hypotheses import LOSS_KINDS, Scenario, bayes_in_class, threshold_grid, tr
 from .kernels import BASE_KINDS, build_base_kernel, build_deconvolution_kernel
 # not called here; kept as module attributes that the benchmark tracer wraps
 from .noisy_risk import build_lattice, modified_loss_deconv  # noqa: F401
-from .operators import SpectralOperator
+from .operators import SpectralOperator, check_density_coefficients
 from .reader import ConfigReader
 from .simulation import (
     BACKENDS,
@@ -64,7 +64,15 @@ from .simulation import (
 # ---------------------------------------------------------------------------
 
 def _scenario(top: ConfigReader) -> Scenario:
-    return Scenario.from_json(top.get("scenario", dict))
+    """The ``scenario`` block. Under a spectral operator each label's
+    cosine coefficients must pass the positivity guard that the first draw
+    applies, so a scenario that could never draw fails here."""
+    scenario = Scenario.from_json(top.get("scenario", dict))
+    op = scenario.contamination
+    if isinstance(op, SpectralOperator):
+        for label in scenario.labels:
+            check_density_coefficients(scenario.cosine_coefficients(label, op.k_max))
+    return scenario
 
 
 def _rate_config(top: ConfigReader) -> RateConfig:
@@ -229,6 +237,13 @@ def _read_plan(top: ConfigReader) -> ExperimentPlan:
     )
     _check_smoothing(plan.scenario, "rate_config", [
         rule_smoothing(kind, plan.scenario, plan.rate_config, n) for n in plan.n_grid])
+    scenario = plan.scenario
+    if scenario.densities == "uniform" and scenario.priors[0] == scenario.priors[1]:
+        # both labels uniform at equal priors: every exact risk is 1/2, so
+        # every excess is 0 and no slope can be fitted. At unequal priors
+        # the risks differ and only the draws decide the excess
+        raise ConfigurationError("a rates config with uniform densities needs unequal "
+                                 f"priors, got {scenario.priors}")
     return plan
 
 

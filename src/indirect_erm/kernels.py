@@ -13,7 +13,9 @@ keeps the pointwise error near machine precision even for small bandwidths.
 Offset grids are uniform and symmetric about 0, and the integrand is
 even, so only the upper half of the offsets is evaluated and mirrored:
 every table is exactly even. Uniform offsets also let the cosines of the
-inversion factor into two small matrix products (``_invert_symbol``).
+inversion factor by angle addition about block centres, so one pair of
+small matrix products serves the offsets on both sides of each centre
+(``_invert_symbol``).
 """
 
 from __future__ import annotations
@@ -154,8 +156,16 @@ def base_symbol(kind: str, t: np.ndarray) -> np.ndarray:
 # Fourier inversion on Gauss-Legendre panels
 # ---------------------------------------------------------------------------
 
-# offsets per row of the split inversion in ``_invert_symbol``
-_SPLIT = 64
+# Half-width R of the centred offset blocks of ``_invert_symbol`` and the
+# number T of block centres per chunk. The products take (1 + 1/R) S
+# multiply-adds per offset, for S quadrature nodes. Measured
+# on the five diagnose bandwidths (lambda 0.1 .. 0.5, 25,195 offsets; 2
+# vCPU): the five inversions took a median 17.5 ms at R = 32, T = 14, 23.9
+# ms at R = 16, and 16.4-19.5 ms for R in {32, 48, 64} and T in {8 .. 28},
+# within the noise. R = 32 is the smallest R at that level, so the (R + 1)
+# x S factors stay small.
+_HALF_BLOCK = 32
+_CHUNK = 14
 
 # the 16-point Gauss-Legendre rule's nodes x > 0 and weights, as leggauss(16);
 # tuples, since two arrays made at import raised svd-rates' peak RSS 0.1 MiB
@@ -192,16 +202,26 @@ def _invert_symbol(symbol_values: np.ndarray, s_nodes: np.ndarray,
     The integral is even in v, so only the upper half of the symmetric
     offset grid (from the 0 node on for odd lengths, the positive offsets
     for even ones) is evaluated; the lower half is its mirror image and the
-    table is exactly even. The grid must also be uniform, at spacing h: the
-    upper half then splits as v = a_j + h r with a_j every 64th offset and
-    0 <= r < 64, and cos(s v) = cos(s a_j) cos(s h r) - sin(s a_j) sin(s h r)
-    turns the M x S cosines of M offsets and S quadrature nodes into two
-    (M/64 x S)(S x 64) matrix products. ``einsum`` forms them on the calling
+    table is exactly even. The grid must also be uniform, at spacing h.
+
+    The M upper offsets then fall into J = ceil(M / 2R) blocks of 2R (the
+    last one's values past M are dropped), and block j is c_j + rho h about
+    its centre c_j = upper[0] + (2R j + R) h, for -R <= rho < R. With
+    coef = weight * symbol at the S quadrature nodes s,
+    P = sum_s coef cos(s c_j) cos(s rho h) and
+    Q = sum_s coef sin(s c_j) sin(s rho h) for rho = 0..R,
+    the block's values are P - Q at c_j + rho h and P + Q at c_j - rho h.
+    So one (J x S)(S x (R+1)) pair of products serves both sides of each
+    centre: M S (1 + 1/R) multiply-adds, where splitting each offset from
+    a coarse point below it takes 2 M S. The centres are taken T at a time,
+    j = T q + t, and c_j = A_q + B_t with A_q = upper[0] + (R + 2R T q) h
+    and B_t = 2R t h. The centre sines and cosines then come by angle
+    addition from one chunk's A_q and the T factors of B_t, which carry
+    ``coef``: the sines and cosines of J/T + T + R + 1 rows of S, and no
+    J x S block is formed. ``einsum`` forms the products on the calling
     thread: they are small, and a threaded BLAS product leaves its worker
-    threads spinning after each call, which nearly doubled the CPU time of a
-    laplace rate experiment. The sines are taken first and the cosines then
-    overwrite the phases, both scaled in place, so the M/64 x S block is
-    held twice, not three times.
+    threads spinning after each call, which nearly doubled the CPU time of
+    a laplace rate experiment.
     """
     if not np.array_equal(offsets, -offsets[::-1]):
         raise ConfigurationError("kernel offsets must be symmetric about 0")
@@ -210,14 +230,30 @@ def _invert_symbol(symbol_values: np.ndarray, s_nodes: np.ndarray,
                        atol=1e-9 * h):
         raise ConfigurationError("kernel offsets must be uniformly spaced")
     upper = offsets[len(offsets) // 2:]
+    r, t = _HALF_BLOCK, _CHUNK
     coef = s_weights * symbol_values
-    phase_a = np.outer(upper[::_SPLIT], s_nodes)
-    phase_r = np.outer(h * np.arange(_SPLIT), s_nodes)
-    sin_a, sin_r = np.sin(phase_a), np.sin(phase_r)
-    cos_a, cos_r = np.cos(phase_a, out=phase_a), np.cos(phase_r, out=phase_r)
-    cos_a *= coef
-    sin_a *= coef
-    out = np.einsum("js,rs->jr", cos_a, cos_r) - np.einsum("js,rs->jr", sin_a, sin_r)
+    phase = np.outer(h * np.arange(r + 1), s_nodes)
+    sin_r, cos_r = np.sin(phase), np.cos(phase, out=phase)
+    phase = np.outer(2 * r * h * np.arange(t), s_nodes)
+    sin_b = np.sin(phase)
+    cos_b = np.cos(phase, out=phase)
+    sin_b *= coef
+    cos_b *= coef
+    blocks = -(-len(upper) // (2 * r))
+    out = np.empty((blocks, 2 * r))
+    for first in range(0, blocks, t):
+        rows = out[first:first + t]
+        phase_a = (upper[0] + (r + 2 * r * first) * h) * s_nodes
+        sin_a, cos_a = np.sin(phase_a), np.cos(phase_a)
+        cb, sb = cos_b[:len(rows)], sin_b[:len(rows)]
+        cos_c = cos_a * cb
+        cos_c -= sin_a * sb
+        sin_c = sin_a * cb
+        sin_c += cos_a * sb
+        p = np.einsum("ts,rs->tr", cos_c, cos_r)
+        q = np.einsum("ts,rs->tr", sin_c, sin_r)
+        np.add(p[:, r:0:-1], q[:, r:0:-1], out=rows[:, :r])
+        np.subtract(p[:, :r], q[:, :r], out=rows[:, r:])
     out = out.ravel()[:len(upper)] / np.pi
     return np.concatenate([out[len(offsets) % 2:][::-1], out])
 

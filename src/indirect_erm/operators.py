@@ -19,6 +19,7 @@ __all__ = [
     "SpectralOperator",
     "basis_integrals",
     "contaminate",
+    "check_density_coefficients",
     "apply_operator",
     "SamplerTable",
     "sampler_table",
@@ -101,15 +102,12 @@ def contaminate(x_draws: np.ndarray, noise: NoiseModel, seed) -> np.ndarray:
     return x + noise.sample(np.random.default_rng(seed), x.shape[0])
 
 
-def apply_operator(coefficients: np.ndarray, op: SpectralOperator,
-                   grid: Grid) -> np.ndarray:
-    """Tabulate the image density sum_k b_k theta_k phi_k on the grid.
+def check_density_coefficients(coefficients: np.ndarray) -> np.ndarray:
+    """The cosine coefficients theta_k of a density on [0, 1], as floats.
 
-    The input's cosine coefficients theta_k must be finite and pass the
-    positivity guard, theta_0 = 1 (unit mass) and sum_(k>=1) sqrt(2)
-    |theta_k| <= 1, a sufficient condition for a nonnegative density. The
-    output is checked to be a valid density (nonnegative, unit mass under
-    the grid quadrature). Each check raises ``ModelError``.
+    They must be finite and pass the positivity guard, theta_0 = 1 (unit
+    mass) and sum_(k>=1) sqrt(2) |theta_k| <= 1, a sufficient condition for
+    a nonnegative density. Each check raises ``ModelError``.
     """
     theta = np.asarray(coefficients, dtype=float)
     if not np.all(np.isfinite(theta)):
@@ -119,6 +117,19 @@ def apply_operator(coefficients: np.ndarray, op: SpectralOperator,
     osc = np.sqrt(2.0) * np.abs(theta[1:]).sum()
     if osc > 1.0 + 1e-9:
         raise ModelError(f"positivity guard violated: sqrt(2) * sum|theta_k| = {osc:.6f} > 1")
+    return theta
+
+
+def apply_operator(coefficients: np.ndarray, op: SpectralOperator,
+                   grid: Grid) -> np.ndarray:
+    """Tabulate the image density sum_k b_k theta_k phi_k on the grid.
+
+    The input's cosine coefficients theta_k must pass
+    ``check_density_coefficients``. The output is checked to be a valid
+    density (nonnegative, unit mass under the grid quadrature). Each check
+    raises ``ModelError``.
+    """
+    theta = check_density_coefficients(coefficients)
     n = min(len(theta) - 1, op.k_max)
     phi = op.basis(grid.axis(), n)
     vals = (op.singular_values[: n + 1] * theta[: n + 1]) @ phi

@@ -14,7 +14,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from indirect_erm.grid import trapezoid_weights
 from indirect_erm.hypotheses import (HypothesisClass, ThresholdClassifier, _cuts, loss_values,
                                      window_mask)
-from indirect_erm.kernels import _SPLIT
 from indirect_erm.noisy_risk import NoisySample, _cells, plug_in_density
 from indirect_erm.operators import SpectralOperator, apply_operator
 
@@ -150,21 +149,6 @@ def reference_plug_in_features(z, backend):
     if backend.window is not None:
         w = np.where(window_mask(lattice.nodes, backend.window), w, 0.0)
     return w * plug_in_density(z, lattice)
-
-
-def fresh_block_inversion(symbol_values, s_nodes, s_weights, offsets):
-    """The split inversion of ``kernels._invert_symbol`` with every cosine,
-    sine and scaled block a fresh array: the bits that the in-place
-    evaluation must reproduce. Offsets are taken as symmetric and uniform."""
-    h = (offsets[-1] - offsets[0]) / max(len(offsets) - 1, 1)
-    upper = offsets[len(offsets) // 2:]
-    coef = s_weights * symbol_values
-    phase_a = np.outer(upper[::_SPLIT], s_nodes)
-    phase_r = np.outer(h * np.arange(_SPLIT), s_nodes)
-    out = (np.einsum("js,rs->jr", np.cos(phase_a) * coef, np.cos(phase_r))
-           - np.einsum("js,rs->jr", np.sin(phase_a) * coef, np.sin(phase_r)))
-    out = out.ravel()[:len(upper)] / np.pi
-    return np.concatenate([out[len(offsets) % 2:][::-1], out])
 
 
 def reference_tables(backend, hclass):

@@ -14,7 +14,7 @@ import pytest
 import indirect_erm
 from indirect_erm import cli, simulation
 from indirect_erm.cli import run, validate_config
-from indirect_erm.errors import ConfigurationError
+from indirect_erm.errors import ConfigurationError, ModelError
 
 MISSING = object()  # a test case that deletes the key
 
@@ -386,23 +386,50 @@ def test_missing_file_is_io_error(tmp_path):
     assert run(str(tmp_path / "nope.json")) == 4
 
 
-def test_model_error_exit_three(tmp_path):
-    # the smooth family violates the spectral positivity guard: the fit
-    # aborts with a model error, exit 3, and a machine-readable report
+def test_model_error_exit_three(tmp_path, monkeypatch):
+    # a model error raised by the work, here the fit's search, exits 3 with
+    # a machine-readable report; an invalid model that a config names is
+    # rejected when the config is read, with exit 2 (tests below)
+    def fail(*args):
+        raise ModelError("operator image is negative on the grid")
+
+    monkeypatch.setattr(cli, "minimize", fail)
     out = str(tmp_path / "artifacts")
-    doc = {
-        "version": 1, "command": "fit", "out": out, "seed": 1, "n": 50,
-        "backend": "svd",
-        "scenario": {"family": "smooth", "alpha": 1, "gamma": 2.0,
-                     "contamination": {"kind": "svd_operator", "beta": 1.0},
-                     "grid": {"points": 256}},
-        "hypotheses": {"kind": "thresholds", "count": 5},
-        "rate_config": {"kappa": 2.0, "rho": 0.5, "gamma": 2.0, "beta_bar": 1.0},
-    }
-    path = write_config(tmp_path, doc)
+    path = write_config(tmp_path, svd_fit_config(out))
     assert run(path) == 3
     report = json.loads((tmp_path / "artifacts" / "error.json").read_text())
     assert report["kind"] == "ModelError"
+
+
+@pytest.mark.parametrize("densities", ["tent_pair", "smooth"])
+@pytest.mark.parametrize("make", [svd_fit_config, svd_rates_config, svd_diagnose_config])
+def test_svd_scenario_failing_positivity_guard_exits_two(tmp_path, make, densities):
+    # sqrt(2) sum|theta_k| is 1.975 (tent_pair) and 1.934 (smooth) at k_max
+    # 64: the first draw would fail the guard, so the config is rejected
+    # before any output is written
+    out = tmp_path / "artifacts"
+    doc = make(str(out))
+    doc["scenario"] = {"priors": [0.5, 0.5], "densities": densities,
+                       "contamination": {"kind": "svd_operator", "beta": 1.0, "k_max": 64},
+                       "grid": {"points": 256}}
+    with pytest.raises(ModelError, match="positivity guard"):
+        validate_config(doc)
+    assert run(write_config(tmp_path, doc), threads=1) == 2
+    assert not out.exists()
+
+
+def test_uniform_rates_at_equal_priors_exit_two(tmp_path):
+    # every exact risk is 1/2, so no trial can have a positive excess; at
+    # unequal priors the risks differ and the config is read
+    out = tmp_path / "artifacts"
+    doc = full_form_rates_config(str(out))
+    doc["scenario"]["densities"] = "uniform"
+    with pytest.raises(ConfigurationError, match="unequal priors"):
+        validate_config(doc)
+    assert run(write_config(tmp_path, doc), threads=1) == 2
+    assert not out.exists()
+    doc["scenario"]["priors"] = [0.4, 0.6]
+    validate_config(doc)
 
 
 def test_model_error_exit_code(tmp_path):

@@ -15,14 +15,14 @@ from indirect_erm import (
 )
 from indirect_erm.kernels import (
     NoiseModel,
-    _SPLIT,
+    _HALF_BLOCK,
     _invert_symbol,
     _panel_rule,
     base_symbol,
     kernel_fourier_l2,
 )
 
-from oracles import closed_form_corrected_sinc, fresh_block_inversion
+from oracles import closed_form_corrected_sinc
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +207,36 @@ def _cos_sum_inversion(symbol_values, s_nodes, s_weights, offsets):
 @pytest.mark.parametrize("parity", ["odd", "even"])
 @pytest.mark.parametrize("noise", [dirac_noise(), laplace_noise(2.0)])
 def test_split_inversion_matches_cos_sum(grid, parity, noise):
-    lam = 0.41  # the laplace preset's bandwidth at n = 16384
-    off = build_lattice(grid, laplace_noise(2.0), lam).kernel.offsets[0]
-    if parity == "even":
-        m = len(off) // 2
-        off = (np.arange(2 * m) - (m - 0.5)) * grid.spacing
-    assert len(off) == (25_195 if parity == "odd" else 25_194)
-    s_nodes, s_weights = _panel_rule(1.0 / lam, float(np.max(np.abs(off))))
-    symbol = base_symbol("sinc", lam * s_nodes) / noise.fourier(s_nodes)
+    # lambda 0.1 runs every chunk of block centres with S = 800 nodes, the
+    # last one with a single centre; 0.41 is the laplace preset's bandwidth
+    # at n = 16384
+    for lam in (0.1, 0.41):
+        off = build_lattice(grid, laplace_noise(2.0), lam).kernel.offsets[0]
+        if parity == "even":
+            m = len(off) // 2
+            off = (np.arange(2 * m) - (m - 0.5)) * grid.spacing
+        assert len(off) == (25_195 if parity == "odd" else 25_194)
+        s_nodes, s_weights = _panel_rule(1.0 / lam, float(np.max(np.abs(off))))
+        assert len(s_nodes) == (800 if lam == 0.1 else 208)
+        for base_kind in ("sinc", "order_m_flat_top"):
+            symbol = base_symbol(base_kind, lam * s_nodes) / noise.fourier(s_nodes)
+            got = _invert_symbol(symbol, s_nodes, s_weights, off)
+            want = _cos_sum_inversion(symbol, s_nodes, s_weights, off)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("length", [1, 2, 21, 64, 125, 126])
+def test_inversion_of_a_partial_chunk_matches_cos_sum(grid, length):
+    # fewer than 2R upper offsets: one block, cut short of its 2R values
+    assert length - length // 2 < 2 * _HALF_BLOCK
+    off = (np.arange(length) - (length - 1) / 2) * grid.spacing
+    s_nodes, s_weights = _panel_rule(1.0 / 0.1, float(np.max(np.abs(off))))
+    symbol = base_symbol("sinc", 0.1 * s_nodes) / laplace_noise(2.0).fourier(s_nodes)
     got = _invert_symbol(symbol, s_nodes, s_weights, off)
     want = _cos_sum_inversion(symbol, s_nodes, s_weights, off)
+    assert len(got) == length
+    np.testing.assert_array_equal(got, got[::-1])
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    # the cosines overwrite the phases in place: the bits of fresh blocks
-    assert np.array_equal(got, fresh_block_inversion(symbol, s_nodes, s_weights, off))
 
 
 def test_panel_rule_takes_numpys_gauss_legendre_rule():
@@ -232,22 +249,22 @@ def test_panel_rule_takes_numpys_gauss_legendre_rule():
     assert np.array_equal(weights, np.tile(w, 4))
 
 
-def test_inversion_holds_its_phase_block_twice(grid):
-    # the M/64 x S phase block becomes the cosines, beside one block of
-    # sines: a peak of 2.9 blocks with the 64 x S factors, where fresh
-    # cosine, sine and scaled blocks made it 3.5
+def test_inversion_holds_no_offsets_by_nodes_block(grid):
+    # the products run over chunks of T block centres, so no array spans
+    # both the offsets and the nodes: the traced peak stays below 1.5 times
+    # the M/64 x S block of a split over every 64th offset (which held 2.9)
     lam = 0.1
     off = build_lattice(grid, laplace_noise(2.0), lam).kernel.offsets[0]
     s_nodes, s_weights = _panel_rule(1.0 / lam, float(np.max(np.abs(off))))
     symbol = base_symbol("sinc", lam * s_nodes) / laplace_noise(2.0).fourier(s_nodes)
-    block = -(-(len(off) - len(off) // 2) // _SPLIT) * len(s_nodes) * 8
+    block = -(-(len(off) - len(off) // 2) // 64) * len(s_nodes) * 8
     tracemalloc.start()
     try:
         _invert_symbol(symbol, s_nodes, s_weights, off)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.0 * block
+    assert peak <= 1.5 * block
 
 
 def test_nonuniform_offsets_rejected(grid):

@@ -44,8 +44,8 @@ UNREACHED = {
     "errors.SimulationError.__init__": "raised when a rate experiment aborts",
     "reader.ConfigReader._path": "names a key in a rejected config's message",
     "hypotheses._piecewise_cosine_coefficients":
-        "tent_pair under the spectral operator: an svd config fails the positivity guard "
-        "after computing them; the structural demo's spectral bias reads them",
+        "tent_pair under the spectral operator: such a config fails the positivity guard "
+        "when it is read, after computing them; the structural demo's spectral bias reads them",
     # tracer-only names, deleted or moved into the tests with ROADMAP items 1 and 6
     "hypotheses.true_risk": "the tracer and refresh_refs.py call it (item 1)",
     "hypotheses.loss_values": "modified_loss_deconv and tests evaluate it (items 6 and 11)",
