@@ -244,6 +244,11 @@ def _read_plan(top: ConfigReader) -> ExperimentPlan:
         # the risks differ and only the draws decide the excess
         raise ConfigurationError("a rates config with uniform densities needs unequal "
                                  f"priors, got {scenario.priors}")
+    if 0.0 in scenario.priors:
+        # one label only: the oracle is the class's end on that label's
+        # side, the trials' minimizers land there too, so every mean excess
+        # is 0 and no slope can be fitted
+        raise ConfigurationError(f"a rates config needs two positive priors, got {scenario.priors}")
     return plan
 
 

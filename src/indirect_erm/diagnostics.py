@@ -4,11 +4,13 @@ Everything here is either closed-form exponent arithmetic or a measured
 log-log scaling: the Lipschitz constant of the regularized loss class, its
 certified uniform bound, the approximation (bias) function, the Bernstein
 ratio of the excess-loss class. Every measured constant takes a risk
-backend of ``erm`` and reads the regularized loss class through it: its
-losses at Monte-Carlo draws, and the label-0 class matrix the minimizer
-pairs with the expectation of the signed statistic of P_0 - P_1
-(``expected_risks``); the kernel bias pairs it with the lattice-weighted
-density for the exact risks as well. The raw-loss distances and norms are
+backend of ``erm`` and reads the regularized loss class through it: the
+label-0 losses of the classifiers the Lipschitz pairs use, at Monte-Carlo
+draws and up to a term they share (``relative_losses``: under the hard
+loss a label-1 difference is minus the label-0 one), and the label-0
+class matrix the minimizer pairs with the expectation of the signed
+statistic of P_0 - P_1 (``expected_risks``); the kernel bias pairs it
+with the lattice-weighted density for the exact risks as well. The raw-loss distances and norms are
 differences of the domain weight at the classifiers' cuts. The
 certificates read the grid, kernel or operator, and cutoff from the
 backend.
@@ -155,6 +157,11 @@ def empirical_lipschitz(scenario: Scenario, backend, hclass: HypothesisClass, pa
     losses, divided by the quadrature L2 norm of the raw loss difference
     under nu_y. Degenerate pairs are skipped; a ``DataError`` is raised when
     none is left.
+
+    Under the hard loss a pair's label-1 loss difference is minus its
+    label-0 difference, and a term every row shares cancels in it. So each
+    label group reads the label-0 losses of the classifiers the pairs use
+    alone, up to such a term (``relative_losses``), and no label-1 row.
     """
     i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
     denom = np.sqrt(_loss_distance_sq(scenario, hclass, i, j))
@@ -164,12 +171,16 @@ def empirical_lipschitz(scenario: Scenario, backend, hclass: HypothesisClass, pa
     if not keep.any():
         raise DataError("no classifier pair with a nonzero loss distance to measure")
     i, j, denom = i[keep], j[keep], denom[keep]
+    used, where = np.unique(np.r_[i, j], return_inverse=True)  # rows of i, then of j
     num_sq = np.zeros(len(i))
-    for label, z_lab in enumerate(sample.groups):
+    for z_lab in sample.groups:
         if z_lab.size:
-            values = backend.losses(hclass, label, z_lab)
-            num_sq += [float(np.sum((values[a] - values[b]) ** 2)) for a, b in zip(i, j)]
-            del values  # one label's loss matrix alive at a time
+            values = backend.relative_losses(hclass, used, z_lab)
+            diff = np.empty(len(z_lab))
+            for k, (a, b) in enumerate(where.reshape(2, -1).T):
+                np.subtract(values[a], values[b], out=diff)
+                num_sq[k] += float(np.square(diff, out=diff).sum())
+            del values, diff  # one label's rows alive at a time
     return np.sqrt(num_sq / sample.n) / denom
 
 

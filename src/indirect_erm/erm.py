@@ -18,13 +18,16 @@ per run: one windowed convolution between the first run's end and the
 last run's start, and cached dot products for the outer runs and the
 shared term. The spectral backend's holds the basis integrals from each
 threshold to the domain's end, against the 1/b_k-weighted basis moments.
-``losses`` at given points come, on the kernel backend, from each loss
-row's two values of the kernel's cumulative sum at the ends of every
-point's cell, one row at a time, with no table of the rows kept; a
-label-1 row is the loss 1's minus the label-0 row. On the spectral
-backend they come from its class matrix and basis, the one spectral
-evaluation. The per-classifier kernel tables of ``noisy_risk`` are the
-reference the tests compare the kernel backend against.
+``relative_losses`` gives the label-0 losses of chosen classifiers at
+given points, up to one term all of them share, which is all that a
+difference of two losses needs: on the kernel backend a row is h times
+the kernel's cumulative sum at the ends of every point's cell,
+interpolated, one row at a time, with no table of the rows kept. On the
+spectral backend it and ``losses`` come from the class matrix and basis,
+the one spectral evaluation. The kernel backend's whole rows (``losses``;
+a label-1 row is the loss 1's minus the label-0 row) and the
+per-classifier kernel tables of ``noisy_risk`` are the references the
+tests compare the kernel backend against.
 """
 
 from __future__ import annotations
@@ -339,20 +342,24 @@ class DeconvolutionBackend:
 
         return fill
 
+    def _cell_fracs(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cell of each point z, clamped to the lattice with a logged
+        count (``_cells``), and the fraction of the cell left of it."""
+        z = np.asarray(z, dtype=float)
+        nodes = self.lattice.nodes
+        _log_clamped((z,), nodes[0], nodes[-1])
+        z = np.clip(z, nodes[0], nodes[-1])
+        cell = _cells(z, nodes, self.lattice.spacing)
+        return cell, (z - nodes[cell]) / (nodes[cell + 1] - nodes[cell])
+
     def losses(self, hclass: HypothesisClass, label: int, z: np.ndarray) -> np.ndarray:
         """Regularized losses at the points z (clamped to the lattice, with a
         logged count), one row per classifier: each row's values at both
         ends of every point's cell (``_row_filler``), interpolated linearly,
         one row at a time into the result, so a call holds the result and a
         few vectors of the points. A label-1 row is the loss 1's minus the
-        label-0 row."""
-        z = np.asarray(z, dtype=float)
-        nodes = self.lattice.nodes
-        _log_clamped((z,), nodes[0], nodes[-1])
-        z = np.clip(z, nodes[0], nodes[-1])
-        cell = _cells(z, nodes, self.lattice.spacing)
-        frac = (z - nodes[cell]) / (nodes[cell + 1] - nodes[cell])
-        del z  # the clamped copy is read no further
+        label-0 row. The reference for ``relative_losses``."""
+        cell, frac = self._cell_fracs(z)
         fill_left, fill_right = self._row_filler(hclass, cell), self._row_filler(hclass, cell + 1)
         buffer = np.empty(len(cell))
 
@@ -369,6 +376,50 @@ class DeconvolutionBackend:
             interpolate(j, row)
             if one is not None:
                 np.subtract(one, row, out=row)
+        return out
+
+    def relative_losses(self, hclass: HypothesisClass, rows, z: np.ndarray) -> np.ndarray:
+        """Label-0 regularized losses of the classifiers ``rows`` at the
+        points z (clamped as in ``losses``), one row each, up to one term
+        that all of them share; the label-1 losses differ by minus the same.
+
+        A row is h CK[i - lo + P] (``_loss_rows``) at the two ends i of each
+        point's cell, interpolated: the step between them is h times the
+        kernel at the left end. ``losses``' base gather h CK[i - last + P - 1]
+        and, when the window holds the lattice's last node, its tail term
+        are shared by every row with a cut inside the window and are never
+        formed. So a row whose cut lies past the window's last node, whose
+        loss is 0, adds that tail term back, and one whose cut lies at node
+        0 subtracts its head term, as in ``losses``."""
+        cell, step = self._cell_fracs(z)
+        lo, last, ck = self._loss_rows(hclass)
+        p, h = len(self._weights), self.lattice.spacing
+        kernel = self.lattice.kernel.values[0]
+        hck = ck * h
+        buffer = np.empty(len(cell))
+
+        def edge(start):  # h/2 times the kernel at offset index start + i, interpolated
+            out = np.take(kernel[start + 1:], cell, mode="clip")
+            out -= np.take(kernel[start:], cell, mode="clip", out=buffer)
+            out *= step
+            out += buffer
+            out *= h / 2
+            return out
+
+        lo = lo[np.asarray(rows, dtype=int)]
+        head = edge(p - 1) if (lo == 0).any() else None
+        tail = edge(0) if last == p - 1 and (lo > last).any() else None
+        step *= h  # the fracs, scaled for the kernel's step
+        out = np.empty((len(lo), len(cell)))
+        for start, row in zip(p - lo, out):
+            np.take(hck[start:], cell, mode="clip", out=row)
+            np.take(kernel[start:], cell, mode="clip", out=buffer)
+            buffer *= step
+            row += buffer
+            if start == p:
+                row -= head
+            elif tail is not None and start < p - last:
+                row += tail
         return out
 
 
@@ -439,6 +490,13 @@ class SvdBackend:
         matrix = self.class_matrix(hclass)
         if label == 1:
             matrix = self._ones - matrix
+        return (matrix * self._inv_b) @ self.operator.basis(z, self.cutoff)
+
+    def relative_losses(self, hclass: HypothesisClass, rows, z: np.ndarray) -> np.ndarray:
+        """Label-0 regularized losses of the classifiers ``rows`` at the
+        points z, one row each: ``DeconvolutionBackend.relative_losses``
+        with no term left out."""
+        matrix = self.class_matrix(hclass)[np.asarray(rows, dtype=int)]
         return (matrix * self._inv_b) @ self.operator.basis(z, self.cutoff)
 
 

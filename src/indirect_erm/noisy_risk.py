@@ -122,9 +122,9 @@ class ObservationLattice:
     difference at the domain's ``spacing``, the one that built the nodes and
     the weights, so discrete convolutions against node functions are exact
     sums. ``base_scaled`` is the bandwidth-scaled base kernel on the same
-    offsets (the noise-free twin of ``kernel``); it is built on first use,
-    since only expected risks read it (``base_smoothed_density``), never a
-    trial.
+    offsets (the noise-free twin of ``kernel``); it and its window
+    ``base_window`` are built on first use, since only expected risks read
+    them (``base_smoothed_density``), never a trial.
     """
 
     domain: Grid
@@ -145,14 +145,20 @@ class ObservationLattice:
     def base_scaled(self) -> TabulatedKernel:
         return build_deconvolution_kernel(self.kernel, dirac_noise(), self.bandwidth)
 
-    def convolve(self, values: np.ndarray, offset_values: np.ndarray | None = None) -> np.ndarray:
-        """'valid' convolution of node values with a function on the kernel's
-        2P - 1 offsets (``kernel`` without ``offset_values``): P values, one
-        per node, through the window over every node, at the shortest
-        5-smooth length free of wraparound (at least 2P - 1). Same result as
-        ``fftconvolve(values, offset_values, mode="valid")`` to rounding.
+    @cached_property
+    def base_window(self) -> "KernelWindow":
+        """``base_scaled`` over every node: its spectrum, taken once for both
+        labels' ``base_smoothed_density``."""
+        return self.kernel_window(0, len(self.nodes), self.base_scaled.values[0])
+
+    def convolve(self, values: np.ndarray) -> np.ndarray:
+        """'valid' convolution of node values with the kernel on its 2P - 1
+        offsets: P values, one per node, through the window over every node,
+        at the shortest 5-smooth length free of wraparound (at least
+        2P - 1). Same result as ``fftconvolve(values, kernel, mode="valid")``
+        to rounding. Only the reference orders call it.
         """
-        return self.kernel_window(0, len(self.nodes), offset_values).convolve(values).copy()
+        return self.kernel_window(0, len(self.nodes)).convolve(values).copy()
 
     def kernel_window(self, start: int, stop: int,
                       offset_values: np.ndarray | None = None) -> "KernelWindow":
@@ -325,4 +331,4 @@ def base_smoothed_density(scenario: Scenario, lattice: ObservationLattice,
     This form avoids integrating the oscillatory corrected kernel.
     """
     f = zero_extended_density(scenario, lattice, label)
-    return lattice.convolve(lattice.weights * f, lattice.base_scaled.values[0])
+    return lattice.base_window.convolve(lattice.weights * f)

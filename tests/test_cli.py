@@ -432,6 +432,22 @@ def test_uniform_rates_at_equal_priors_exit_two(tmp_path):
     validate_config(doc)
 
 
+@pytest.mark.parametrize("priors", [[1.0, 0.0], [0.0, 1.0]])
+def test_rates_with_a_zero_prior_exit_two(tmp_path, priors):
+    # one label only: every mean excess is 0, so the run used to fit no slope
+    # and exit 3 after its trials; ``fit`` at those priors still runs
+    out = tmp_path / "artifacts"
+    doc = full_form_rates_config(str(out))
+    doc["scenario"]["priors"] = priors
+    with pytest.raises(ConfigurationError, match="two positive priors"):
+        validate_config(doc)
+    assert run(write_config(tmp_path, doc), threads=1) == 2
+    assert not out.exists()
+    doc = full_form_fit_config(str(out))
+    doc["scenario"]["priors"] = priors
+    assert run(write_config(tmp_path, doc), threads=1) == 0
+
+
 def test_model_error_exit_code(tmp_path):
     out = str(tmp_path / "artifacts")
     doc = exponent_config(out)

@@ -15,6 +15,7 @@ from indirect_erm import (
     make_margin_scenario,
     threshold_grid,
 )
+from indirect_erm.cli import _diagnostic_pairs
 from indirect_erm.diagnostics import (
     _loss_distance_sq,
     _max_loss_l2,
@@ -195,6 +196,16 @@ def test_lipschitz_skips_degenerate_pairs(grid):
         empirical_lipschitz(sc, backend, hclass, [], sample)
 
 
+def _ratios_from_losses(sc, backend, hclass, pairs, sample):
+    """The Lipschitz ratios from both labels' whole loss matrices (``losses``)."""
+    i, j = np.array(pairs).T
+    num_sq = np.zeros(len(pairs))
+    for label, z in enumerate(sample.groups):
+        values = backend.losses(hclass, label, z)
+        num_sq += [np.sum((values[a] - values[b]) ** 2) for a, b in zip(i, j)]
+    return np.sqrt(num_sq / sample.n / _loss_distance_sq(sc, hclass, i, j))
+
+
 def test_loss_distances_use_the_backend_loss(grid):
     # under nu_y the raw hard-loss distance of two thresholds is the root of
     # their gap; the regularized one is the backend's losses at the draws
@@ -206,16 +217,52 @@ def test_loss_distances_use_the_backend_loss(grid):
     sample = generate_sample(sc, 5000, np.random.default_rng(3))
     ratios = empirical_lipschitz(sc, backend, hclass, pairs, sample)
     assert ratios.size == 3
-    num_sq = np.zeros(len(pairs))
-    for label, z in enumerate(sample.groups):
-        values = backend.losses(hclass, label, z)
-        num_sq += [np.sum((values[i] - values[j]) ** 2) for i, j in pairs]
     gaps = np.array([hclass[j].threshold - hclass[i].threshold for i, j in pairs])
-    np.testing.assert_allclose(ratios, np.sqrt(num_sq / sample.n / gaps), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(ratios, _ratios_from_losses(sc, backend, hclass, pairs, sample),
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(_loss_distance_sq(sc, hclass, *np.array(pairs).T), gaps,
+                               rtol=1e-12, atol=0.0)
+    # every edge row against ``losses``: cuts at node 0 (its head term),
+    # past the last node (the tail term added back) and on a node, over the
+    # whole lattice and in a window; then the spectral rows
+    nodes = lattice.nodes
+    edges = HypothesisClass(tuple(ThresholdClassifier(float(t)) for t in (
+        nodes[0] - 0.5, 0.2, nodes[len(nodes) // 2], 0.7, nodes[-1] + 0.5)))
+    pairs = [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (0, 4)]
+    for window in (None, (0.1, 0.9)):
+        backend = DeconvolutionBackend(lattice=lattice, window=window)
+        np.testing.assert_allclose(empirical_lipschitz(sc, backend, edges, pairs, sample),
+                                   _ratios_from_losses(sc, backend, edges, pairs, sample),
+                                   rtol=1e-12, atol=0.0)
+    svd = SvdBackend(operator=SpectralOperator(decay=1.0, k_max=64), cutoff=8, grid=grid)
+    np.testing.assert_allclose(empirical_lipschitz(sc, svd, edges, pairs, sample),
+                               _ratios_from_losses(sc, svd, edges, pairs, sample),
+                               rtol=1e-12, atol=0.0)
     # a modulus ball narrower than the closest pair's raw distance holds no pair
     closest = np.sqrt(min(b.threshold - a.threshold for a, b in zip(hclass, hclass[1:])))
     assert empirical_modulus(sc, backend, hclass, 0.99 * closest, 400, 4, seed=3) == 0.0
     assert empirical_modulus(sc, backend, hclass, 1.01 * closest, 400, 4, seed=3) > 0.0
+
+
+def test_lipschitz_holds_one_label_of_the_used_rows(grid):
+    # each label group holds the label-0 rows of the classifiers the pairs
+    # use and a few vectors of its draws; both labels' whole loss matrices
+    # were 1.6 times that. The first call caches the class's cumulative kernel
+    sc = make_margin_scenario(1, laplace_noise(2.0), family="smooth", gamma=2.0,
+                              sharpness=1.3, grid=grid)
+    backend = DeconvolutionBackend(lattice=build_lattice(grid, laplace_noise(2.0), 0.1))
+    hclass = threshold_grid(33, grid)
+    pairs = _diagnostic_pairs(hclass, 40)  # the diagnose command's: 27 of the 33 rows
+    sample = generate_sample(sc, 20_000, np.random.default_rng(11))
+    empirical_lipschitz(sc, backend, hclass, pairs, sample)
+    tracemalloc.start()
+    try:
+        empirical_lipschitz(sc, backend, hclass, pairs, sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    used = len(np.unique(pairs))
+    assert peak <= 1.3 * used * max(len(z) for z in sample.groups) * 8
 
 
 def test_loss_distances_match_reference_quadrature(grid):

@@ -274,6 +274,21 @@ def test_nonuniform_offsets_rejected(grid):
         off = grid.spacing * np.array(units)
         with pytest.raises(ConfigurationError, match="uniform"):
             build_base_kernel("sinc", grid, offsets=off)
+    # a symmetric shift of two offsets: the tolerance is 1e-9 of the spacing
+    h = grid.spacing
+    for shift, ok in ((0.5e-9, True), (2e-9, False)):
+        off = h * np.arange(-4.0, 5.0)
+        off[1] += shift * h
+        off[-2] -= shift * h
+        if ok:
+            build_base_kernel("sinc", grid, offsets=off)
+        else:
+            with pytest.raises(ConfigurationError, match="uniform"):
+                build_base_kernel("sinc", grid, offsets=off)
+    # infinite ends are symmetric, but give a NaN spacing and NaN deviations
+    with np.errstate(invalid="ignore"), pytest.raises(ConfigurationError, match="uniform"):
+        _invert_symbol(np.ones(2), np.array([0.0, 1.0]), np.ones(2),
+                       np.array([-np.inf, 0.0, np.inf]))
 
 
 def test_fft_roundtrip_of_tables(grid):

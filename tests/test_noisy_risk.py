@@ -169,6 +169,27 @@ def test_convolve_matches_fftconvolve(laplace_lattice, source):
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
+def test_one_base_scaled_transform_serves_both_labels(grid, monkeypatch):
+    # both labels' expected features read the base-scaled kernel's spectrum,
+    # taken once per lattice
+    sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
+    lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
+    base = lattice.base_scaled.values[0]
+    original, transforms = noisy_risk.rfft, []
+
+    def counting(values, n=None):
+        transforms.append(np.shares_memory(values, base))
+        return original(values, n)
+
+    monkeypatch.setattr(noisy_risk, "rfft", counting)
+    backend = DeconvolutionBackend(lattice=lattice)
+    hclass = HypothesisClass(tuple(ThresholdClassifier(t) for t in (0.3, 0.5, 0.7)))
+    backend.expected_features(hclass, sc)
+    assert transforms.count(True) == 1
+    backend.expected_features(hclass, sc)
+    assert transforms.count(True) == 1
+
+
 def test_densities_match_fftconvolve(grid):
     noise = laplace_noise(2.0)
     sc = make_margin_scenario(1, noise, family="smooth", gamma=2.0, sharpness=1.3, grid=grid)
