@@ -222,11 +222,13 @@ def table_sup(backend, hclass: HypothesisClass) -> float:
     the loss 1's row minus it; spectral losses are taken on the domain.
 
     The kernel rows (``DeconvolutionBackend._row_filler``, slices of the
-    kernel's cumulative sum) are folded one at a time into their node-wise
-    min and max, and the sup is read off those, alone and against the loss
-    1's row: a rounded difference is monotone in each operand, so the
-    largest |one - row| at a node is one less the smallest row, or the
-    largest row less one, exactly. No table of the rows is held."""
+    kernel's cumulative sum: the losses on the nodes, where
+    ``relative_losses`` gives them at points up to a shared term) are
+    folded one at a time into their node-wise min and max, and the sup is
+    read off those, alone and against the loss 1's row: a rounded
+    difference is monotone in each operand, so the largest |one - row| at
+    a node is one less the smallest row, or the largest row less one,
+    exactly. No table of the rows is held."""
     if isinstance(backend, DeconvolutionBackend):
         fill, p = backend._row_filler(hclass), len(backend.lattice.nodes)
         lo, hi, row = np.full(p, np.inf), np.full(p, -np.inf), np.empty(p)

@@ -22,12 +22,12 @@ threshold to the domain's end, against the 1/b_k-weighted basis moments.
 given points, up to one term all of them share, which is all that a
 difference of two losses needs: on the kernel backend a row is h times
 the kernel's cumulative sum at the ends of every point's cell,
-interpolated, one row at a time, with no table of the rows kept. On the
-spectral backend it and ``losses`` come from the class matrix and basis,
-the one spectral evaluation. The kernel backend's whole rows (``losses``;
-a label-1 row is the loss 1's minus the label-0 row) and the
-per-classifier kernel tables of ``noisy_risk`` are the references the
-tests compare the kernel backend against.
+interpolated, one row at a time, with no table of the rows kept; it is
+the kernel backend's one evaluation of losses at points, and the
+per-classifier FFT tables of ``noisy_risk`` (``modified_loss_deconv``)
+are the reference the tests compare it against. On the spectral backend
+it and ``losses`` come from the class matrix and basis, the one spectral
+evaluation.
 """
 
 from __future__ import annotations
@@ -307,32 +307,23 @@ class DeconvolutionBackend:
 
         return _cached(self._cache, ("rows", hclass), build)
 
-    def _row_filler(self, hclass: HypothesisClass, cells: np.ndarray | None = None):
+    def _row_filler(self, hclass: HypothesisClass):
         """``fill(j, out)`` writes loss row j (``_loss_rows``; the loss 1's
-        row is j = len(hclass)) at the nodes ``cells``, or at every lattice
-        node when None, into ``out`` and returns it. The loss 1 on nodes
-        lo .. last gives h (CK[i - lo + P] - CK[i - last + P - 1]) at node i,
-        less h/2 times the kernel at each lattice end node in lo .. last
-        (its trapezoid weight), in that order; the terms every row shares
-        are taken once. At every node the CK values are slices, at given
-        cells gathers."""
+        row is j = len(hclass)) at every lattice node into ``out`` and
+        returns it. The loss 1 on nodes lo .. last gives h (CK[i - lo + P] -
+        CK[i - last + P - 1]) at node i, less h/2 times the kernel at each
+        lattice end node in lo .. last (its trapezoid weight), in that
+        order: slices of CK and of the kernel, the terms every row shares
+        taken once."""
         lo, last, ck = self._loss_rows(hclass)
         p, h = len(self._weights), self.lattice.spacing
         kernel = self.lattice.kernel.values[0]
-
-        def at(values, start, out=None):  # values[start + i] at the nodes i
-            if cells is None:
-                return values[start: start + p]
-            # ``take``'s default mode would gather into a temporary first;
-            # every index is in range, so "clip" clips nothing
-            return np.take(values[start:], cells, mode="clip", out=out)
-
-        base = at(ck, p - 1 - last)
-        head = at(kernel, p - 1) * (h / 2) if lo.min() == 0 else None
-        tail = at(kernel, 0) * (h / 2) if last == p - 1 else None
+        base = ck[p - 1 - last: 2 * p - 1 - last]
+        head = kernel[p - 1:] * (h / 2) if lo.min() == 0 else None
+        tail = kernel[:p] * (h / 2) if last == p - 1 else None
 
         def fill(j: int, out: np.ndarray) -> np.ndarray:
-            np.subtract(at(ck, p - lo[j], out), base, out=out)
+            np.subtract(ck[p - lo[j]: 2 * p - lo[j]], base, out=out)
             out *= h
             if lo[j] == 0:
                 out -= head
@@ -342,56 +333,28 @@ class DeconvolutionBackend:
 
         return fill
 
-    def _cell_fracs(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The cell of each point z, clamped to the lattice with a logged
-        count (``_cells``), and the fraction of the cell left of it."""
+    def relative_losses(self, hclass: HypothesisClass, rows, z: np.ndarray) -> np.ndarray:
+        """Label-0 regularized losses of the classifiers ``rows`` at the
+        points z, clamped to the lattice with a logged count, one row each,
+        up to one term that all of them share; the label-1 losses differ by
+        minus the same.
+
+        A row is h CK[i - lo + P] (``_loss_rows``) at the two ends i of each
+        point's cell (``_cells``), interpolated: the step between them is h
+        times the kernel at the left end. The loss's other CK term,
+        h CK[i - last + P - 1], and, when the window holds the lattice's
+        last node, its tail term are shared by every row with a cut inside
+        the window and are never formed. So a row whose cut lies past the
+        window's last node, whose loss is 0, adds that tail term back, and
+        one whose cut lies at node 0 subtracts its head term (``_row_filler``
+        forms all of these terms on the nodes)."""
         z = np.asarray(z, dtype=float)
         nodes = self.lattice.nodes
         _log_clamped((z,), nodes[0], nodes[-1])
         z = np.clip(z, nodes[0], nodes[-1])
         cell = _cells(z, nodes, self.lattice.spacing)
-        return cell, (z - nodes[cell]) / (nodes[cell + 1] - nodes[cell])
-
-    def losses(self, hclass: HypothesisClass, label: int, z: np.ndarray) -> np.ndarray:
-        """Regularized losses at the points z (clamped to the lattice, with a
-        logged count), one row per classifier: each row's values at both
-        ends of every point's cell (``_row_filler``), interpolated linearly,
-        one row at a time into the result, so a call holds the result and a
-        few vectors of the points. A label-1 row is the loss 1's minus the
-        label-0 row. The reference for ``relative_losses``."""
-        cell, frac = self._cell_fracs(z)
-        fill_left, fill_right = self._row_filler(hclass, cell), self._row_filler(hclass, cell + 1)
-        buffer = np.empty(len(cell))
-
-        def interpolate(j, out):  # row j's left-end value plus its step times frac
-            left, step = fill_left(j, out), fill_right(j, buffer)
-            step -= left
-            step *= frac
-            left += step
-            return left
-
-        one = interpolate(len(hclass), np.empty(len(cell))) if label == 1 else None
-        out = np.empty((len(hclass), len(cell)))
-        for j, row in enumerate(out):
-            interpolate(j, row)
-            if one is not None:
-                np.subtract(one, row, out=row)
-        return out
-
-    def relative_losses(self, hclass: HypothesisClass, rows, z: np.ndarray) -> np.ndarray:
-        """Label-0 regularized losses of the classifiers ``rows`` at the
-        points z (clamped as in ``losses``), one row each, up to one term
-        that all of them share; the label-1 losses differ by minus the same.
-
-        A row is h CK[i - lo + P] (``_loss_rows``) at the two ends i of each
-        point's cell, interpolated: the step between them is h times the
-        kernel at the left end. ``losses``' base gather h CK[i - last + P - 1]
-        and, when the window holds the lattice's last node, its tail term
-        are shared by every row with a cut inside the window and are never
-        formed. So a row whose cut lies past the window's last node, whose
-        loss is 0, adds that tail term back, and one whose cut lies at node
-        0 subtracts its head term, as in ``losses``."""
-        cell, step = self._cell_fracs(z)
+        step = np.subtract(z, nodes[cell], out=z)  # no second copy kept beside the rows
+        step /= nodes[cell + 1] - nodes[cell]  # the fraction of the cell left of z
         lo, last, ck = self._loss_rows(hclass)
         p, h = len(self._weights), self.lattice.spacing
         kernel = self.lattice.kernel.values[0]

@@ -337,12 +337,14 @@ def build_base_kernel(kind: str, grid: Grid,
     grid : Grid
         Supplies the spacing and the default offset span.
     offsets : optional offset array
-        Override the tabulation window (must be uniform and exactly
+        Override the tabulation window (must be finite, uniform and exactly
         symmetric about 0, else ``ConfigurationError``).
     """
     if kind not in BASE_KINDS:
         raise ConfigurationError(f"unknown base kernel kind {kind!r}")
     off = _default_offsets(grid) if offsets is None else np.asarray(offsets, dtype=float)
+    if not np.isfinite(off).all():  # before _panel_rule sizes its panels from them
+        raise ConfigurationError("kernel offsets must be finite")
     s_nodes, s_weights = _panel_rule(1.0, float(np.max(np.abs(off))))
     values = _invert_symbol(base_symbol(kind, s_nodes), s_nodes, s_weights, off)
     return TabulatedKernel(offsets=(off,), values=(values,), bandwidth=1.0, base_kind=kind)

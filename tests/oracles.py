@@ -14,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from indirect_erm.grid import trapezoid_weights
 from indirect_erm.hypotheses import (HypothesisClass, ThresholdClassifier, _cuts, loss_values,
                                      window_mask)
-from indirect_erm.noisy_risk import NoisySample, _cells, plug_in_density
+from indirect_erm.noisy_risk import NoisySample, plug_in_density
 from indirect_erm.operators import SpectralOperator, apply_operator
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -174,21 +174,6 @@ def reference_tables(backend, hclass):
     if last == p - 1:
         tables[lo <= last] -= h / 2 * kernel[:p]
     return tables
-
-
-def whole_gather_losses(backend, hclass, label, z):
-    """``DeconvolutionBackend.losses`` from the reference tables, with both
-    ends of every point's cell gathered for all rows at once: the bits that
-    the row-at-a-time evaluation must reproduce."""
-    nodes = backend.lattice.nodes
-    z = np.clip(np.asarray(z, dtype=float), nodes[0], nodes[-1])
-    cell = _cells(z, nodes, backend.lattice.spacing)
-    tables = reference_tables(backend, hclass)
-    out, step = tables[:, cell], tables[:, cell + 1]
-    step -= out
-    step *= (z - nodes[cell]) / (nodes[cell + 1] - nodes[cell])
-    out += step
-    return np.subtract(out[-1], out[:-1], out=out[:-1]) if label == 1 else out[:-1]
 
 
 def abs_copy_table_sup(tables):

@@ -1,9 +1,10 @@
 """The benchmark's tracer (``perfbench/child.py``) reaches into the package
-by name: it imports public names and wraps module attributes. A rename in
-``src`` would break ``--trace 1`` or leave its spans empty without any test
-of the package noticing, so these tests read the tracer's source and check
-that every name it uses exists and that the ``cli`` hooks of a diagnose run
-are still called. The tracer's rate replay also scores each trial with
+by name: it imports public names and wraps module attributes, and the ref
+refresher (``perfbench/refresh_refs.py``) imports public names too. A
+rename in ``src`` would break ``--trace 1``, leave its spans empty or break
+the refresher without any test of the package noticing, so these tests
+read both sources and check that every name they use exists and that the
+``cli`` hooks of a diagnose run are still called. The tracer's rate replay also scores each trial with
 the one-classifier ``true_risk`` and requires its rows to equal the
 untraced run's, so that risk must equal the plan's risk vector exactly.
 Two tests import the tracer itself and run its rate replay and its traced
@@ -28,6 +29,7 @@ from indirect_erm.reader import ConfigReader
 
 ROOT = Path(__file__).resolve().parents[1]
 CHILD = ROOT / "perfbench" / "child.py"
+REFRESH = ROOT / "perfbench" / "refresh_refs.py"
 
 # the cli attributes a traced diagnose run wraps and expects to be called
 DIAGNOSE_HOOKS = ("bayes_in_class", "empirical_lipschitz", "sup_bound_deconv",
@@ -35,15 +37,17 @@ DIAGNOSE_HOOKS = ("bayes_in_class", "empirical_lipschitz", "sup_bound_deconv",
 
 
 def _tracer_names():
-    """(module, attribute) for every package name the tracer imports or wraps."""
+    """(module, attribute) for every package name the tracer or the ref
+    refresher imports, and every one the tracer wraps."""
     tree = ast.parse(CHILD.read_text())
     modules = {}  # local name -> dotted module path
     names = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("indirect_erm"):
-            for alias in node.names:
-                names.append((node.module, alias.name))
-                modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for source in (tree, ast.parse(REFRESH.read_text())):
+        for node in ast.walk(source):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("indirect_erm"):
+                for alias in node.names:
+                    names.append((node.module, alias.name))
+                    modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "wrap" and isinstance(node.args[0], ast.Name)):
@@ -57,6 +61,9 @@ def test_tracer_names_exist():
     names = _tracer_names()
     wrapped = [attr for _, attr in names if attr in DIAGNOSE_HOOKS]
     assert sorted(wrapped) == sorted(DIAGNOSE_HOOKS)
+    refreshed = {("indirect_erm", name) for name in ("LossSpec", "threshold_grid", "true_risk",
+                                                      "cli")}
+    assert refreshed <= set(names)
     missing = [f"{module}.{attr}" for module, attr in names
                if not hasattr(importlib.import_module(module), attr)]
     assert not missing

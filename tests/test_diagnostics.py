@@ -197,11 +197,16 @@ def test_lipschitz_skips_degenerate_pairs(grid):
 
 
 def _ratios_from_losses(sc, backend, hclass, pairs, sample):
-    """The Lipschitz ratios from both labels' whole loss matrices (``losses``)."""
+    """The Lipschitz ratios from both labels' whole loss matrices: the
+    per-classifier FFT tables (``modified_loss_deconv``) on the kernel
+    backend, ``losses`` on the spectral one."""
+    tables = ([modified_loss_deconv(c, backend.lattice, window=backend.window) for c in hclass]
+              if isinstance(backend, DeconvolutionBackend) else None)
     i, j = np.array(pairs).T
     num_sq = np.zeros(len(pairs))
     for label, z in enumerate(sample.groups):
-        values = backend.losses(hclass, label, z)
+        values = (backend.losses(hclass, label, z) if tables is None
+                  else np.vstack([t.evaluate(z, label) for t in tables]))
         num_sq += [np.sum((values[a] - values[b]) ** 2) for a, b in zip(i, j)]
     return np.sqrt(num_sq / sample.n / _loss_distance_sq(sc, hclass, i, j))
 
@@ -222,7 +227,7 @@ def test_loss_distances_use_the_backend_loss(grid):
                                rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(_loss_distance_sq(sc, hclass, *np.array(pairs).T), gaps,
                                rtol=1e-12, atol=0.0)
-    # every edge row against ``losses``: cuts at node 0 (its head term),
+    # every edge row against the tables: cuts at node 0 (its head term),
     # past the last node (the tail term added back) and on a node, over the
     # whole lattice and in a window; then the spectral rows
     nodes = lattice.nodes

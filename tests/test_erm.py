@@ -1,6 +1,5 @@
 import json
 import os
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -51,7 +50,6 @@ from oracles import (
     reference_plug_in_features,
     reference_runs,
     reference_svd_losses,
-    whole_gather_losses,
 )
 
 
@@ -171,20 +169,12 @@ def test_class_matrix_cache_keyed_by_value(grid):
 
 
 def test_backend_losses_match_per_classifier_tables(grid):
-    # the class-wide losses are the reference tables' lookups, to rounding:
-    # closed-form tables and a gather on the lattice, the exact expansion
-    # for the spectral backend
-    lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
+    # the class-wide spectral losses are the exact expansion's, to rounding
     op = SpectralOperator(decay=1.0, k_max=64)
     hclass = threshold_grid(9, grid)
     z = np.random.default_rng(2).uniform(-0.5, 1.5, 400)
-    window = (0.1, 0.9)
-    deconv = DeconvolutionBackend(lattice=lattice, window=window)
     svd = SvdBackend(operator=op, cutoff=8, grid=grid)
     for label in (0, 1):
-        ref = [modified_loss_deconv(c, lattice, window=window).evaluate(z, label)
-               for c in hclass]
-        assert np.abs(deconv.losses(hclass, label, z) - np.vstack(ref)).max() < 1e-12
         ref = [reference_svd_losses(c, label, z, op, 8, grid) for c in hclass]
         assert np.abs(svd.losses(hclass, label, z) - np.vstack(ref)).max() < 1e-12
 
@@ -203,7 +193,10 @@ def _edge_class(nodes, grid):
 def test_closed_form_tables_match_convolution_tables(grid, noise, bandwidth):
     # each regularized loss, a difference of two values of the kernel's
     # cumulative sum, against the per-classifier FFT tables: at every node
-    # and at points clamped to both lattice ends
+    # and at points clamped to both lattice ends. ``relative_losses`` leaves
+    # out a term every row shares, so the differences of its rows are
+    # checked: those of the label-0 tables, and minus those of the label-1
+    # tables
     lattice = build_lattice(grid, noise, bandwidth)
     nodes = lattice.nodes
     z = np.r_[nodes, nodes[0] - 1.0, nodes[-1] + 2.0,
@@ -211,30 +204,11 @@ def test_closed_form_tables_match_convolution_tables(grid, noise, bandwidth):
     hclass = _edge_class(nodes, grid)
     for window in (None, (0.1, 0.9)):
         backend = DeconvolutionBackend(lattice=lattice, window=window)
+        got = np.diff(backend.relative_losses(hclass, range(len(hclass)), z), axis=0)
         tables = [modified_loss_deconv(c, lattice, window=window) for c in hclass]
-        for label in (0, 1):
+        for label, sign in ((0, 1.0), (1, -1.0)):
             want = np.vstack([t.evaluate(z, label) for t in tables])
-            got = backend.losses(hclass, label, z)
-            assert np.abs(got - want).max() <= 2e-14 * np.abs(want).max()
-            # evaluated row by row at the cells' ends: the bits of two
-            # whole gathers from the reference tables
-            assert np.array_equal(got, whole_gather_losses(backend, hclass, label, z))
-
-
-def test_losses_hold_one_gathered_matrix(grid):
-    # each row is evaluated into the result at the cells' ends; two whole
-    # gathers made the peak twice the gathered matrix. Nothing is cached
-    # beforehand, so the peak also holds the class's cumulative kernel
-    backend = DeconvolutionBackend(lattice=build_lattice(grid, laplace_noise(2.0), 0.1))
-    hclass = threshold_grid(33, grid)
-    z = np.random.default_rng(8).uniform(-0.5, 1.5, 20_000)
-    tracemalloc.start()
-    try:
-        backend.losses(hclass, 0, z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * (len(hclass) + 1) * z.size * 8
+            assert np.abs(sign * got - np.diff(want, axis=0)).max() <= 2e-14 * np.abs(want).max()
 
 
 def test_closed_form_class_matrices_match_loss_loops(grid):
@@ -295,8 +269,8 @@ def test_backend_expected_risks_match_reference_quadrature(grid):
 def test_risks_request_label_zero_losses_only(grid, monkeypatch):
     # stricter than label 0 only: both backends build their class matrices
     # and tables from the thresholds alone, so no classifier is evaluated on
-    # the nodes for either label, and a fresh kernel backend's losses take
-    # no FFT
+    # the nodes for either label, and a fresh kernel backend's losses at
+    # points take no FFT
     from indirect_erm.diagnostics import empirical_bias_deconv
 
     def refused(*args):
@@ -317,8 +291,7 @@ def test_risks_request_label_zero_losses_only(grid, monkeypatch):
     z = np.random.default_rng(3).uniform(-0.5, 1.5, 300)
     for window in (None, (0.2, 0.7)):
         deconv = DeconvolutionBackend(lattice=lattice, window=window)
-        for label in (0, 1):
-            deconv.losses(hclass, label, z)
+        deconv.relative_losses(hclass, range(len(hclass)), z)
         assert transforms == []
         sample = generate_sample(sc, 200, np.random.default_rng(1))
         empirical_risks(hclass, sample, deconv)

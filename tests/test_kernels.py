@@ -291,6 +291,15 @@ def test_nonuniform_offsets_rejected(grid):
                        np.array([-np.inf, 0.0, np.inf]))
 
 
+def test_nonfinite_offsets_rejected(grid):
+    # with the documented error, before the panel count is sized from the
+    # largest offset, which would raise a bare ValueError or OverflowError
+    h = grid.spacing
+    for units in ([-1.0, np.nan, 1.0], [-np.inf, 0.0, np.inf]):
+        with pytest.raises(ConfigurationError, match="finite"):
+            build_base_kernel("sinc", grid, offsets=h * np.array(units))
+
+
 def test_fft_roundtrip_of_tables(grid):
     base = build_base_kernel("sinc", grid)
     vals = base.values[0]

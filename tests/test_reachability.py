@@ -55,9 +55,6 @@ UNREACHED = {
     "noisy_risk.plug_in_density": "the tracer wraps it in erm (items 1 and 6)",
     "noisy_risk.ObservationLattice.convolve": "modified_loss_deconv and plug_in_density (item 6)",
     # references that only tests call
-    "erm.DeconvolutionBackend.losses":
-        "the whole kernel loss rows, the reference relative_losses is tested against",
-    "erm.DeconvolutionBackend.losses.interpolate": "DeconvolutionBackend.losses' rows",
     "erm.DeconvolutionBackend.relative_losses.edge":
         "the head or tail term of a cut at node 0 or past the window's last node: "
         "no command's class has one; the Lipschitz tests do",
