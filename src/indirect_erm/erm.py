@@ -8,7 +8,8 @@ measure P_0 - P_1, plus the statistic of P_1 against the loss 1, one
 number that every classifier shares. ``empirical_risks`` pairs it with a
 sample's statistic (``features``), ``expected_risks`` with its expectation
 (``expected_features``), on the kernel backend by the deconvolution
-identity: the raw loss against the base-smoothed density.
+identity: the raw loss against the base-smoothed density, read off the
+scaled base kernel's cumulative sum at the run boundaries.
 
 Each class matrix comes from the thresholds alone: every classifier
 predicts 1 right of its threshold, where its label-0 loss is 1. The
@@ -42,8 +43,8 @@ from .noisy_risk import (
     NoisySample,
     ObservationLattice,
     _cells,
+    _domain_nodes,
     _log_clamped,
-    base_smoothed_density,
     bin_draws,
     plug_in_density,  # noqa: F401  unused here; the benchmark's tracer wraps it by name
 )
@@ -215,15 +216,58 @@ class DeconvolutionBackend:
         """The expectation of ``features`` by the deconvolution identity (at
         a contaminated observation the corrected kernel has the expectation
         of the base kernel at the clean input): the statistic of the node
-        measures p_y w S_y, with S_y the ``base_smoothed_density``."""
-        return self._density_statistic(hclass, scenario, base_smoothed_density)
+        measures p_y w S_y, with S_y(i) = sum_l B[i - l + P - 1] w_l f_y(l)
+        the label-y density smoothed by the scaled base kernel B
+        (``lattice.base_scaled``) and w the weights, zero outside the window
+        in the outer sum only.
+
+        Summed over the nodes a .. b - 1 of a run, clipped to the window's
+        end nodes, B gives h (CB[b - l + P - 1] - CB[a - l + P - 1]) at the
+        node l, CB the cumulative sum of B from 0, less h/2 B at each lattice
+        end node the window holds (its trapezoid weight): the identity of
+        ``_row_filler``. So every run boundary c gives one sum of CB[c - l +
+        P - 1] against the signed node measure g = p_0 w f_0 - p_1 w f_1 over
+        the domain's nodes l, off which the densities vanish; a run is the
+        difference of its two ends', and the shared term, of p_1 w f_1, that
+        of the window's. No transform is taken and no runs x P array formed.
+        """
+        lattice = self.lattice
+        p, h = len(lattice.nodes), lattice.spacing
+        base = lattice.base_scaled.values[0]
+        cb = np.empty(len(base) + 1)
+        cb[0] = 0.0
+        np.cumsum(base, out=cb[1:])
+        first, last = np.flatnonzero(self._weights)[[0, -1]]
+        dom = _domain_nodes(scenario, lattice)
+        (p0, p1), x, w = scenario.priors, lattice.nodes[dom], lattice.weights[dom]
+        f0, f1 = (w * scenario.density(y, x) for y in (0, 1))
+        # reversed, so node l meets CB[c - l + P - 1] in one forward slice
+        signed, label1 = (p0 * f0 - p1 * f1)[::-1], (p1 * f1)[::-1]
+        lo, hi = p - dom.stop, p - dom.start  # B[P - 1 - l] for l in dom, reversed
+
+        def at(start, g):  # sum over l of g_l CB[c - l + P - 1] at c = start - lo
+            return (cb[start: start + len(g)] * g).sum()
+
+        bounds = np.clip(np.r_[self._runs(hclass)[1], p], first, last + 1) + lo
+        stat = np.diff([at(c, signed) for c in bounds])
+        stat *= h
+        shared = h * (at(last + 1 + lo, label1) - at(first + lo, label1))
+        if first == 0:
+            stat[0] -= h / 2 * (base[lo: hi] * signed).sum()
+            shared -= h / 2 * (base[lo: hi] * label1).sum()
+        if last == p - 1:
+            stat[-1] -= h / 2 * (base[lo + p - 1: hi + p - 1] * signed).sum()
+            shared -= h / 2 * (base[lo + p - 1: hi + p - 1] * label1).sum()
+        return stat, float(shared)
 
     def _density_statistic(self, hclass: HypothesisClass, scenario: Scenario,
                            density) -> tuple[np.ndarray, float]:
         """The statistic whose risks (``_risks``) integrate each label's raw
         loss against ``density(scenario, lattice, y)``: the signed node
         measure p_0 w f_0 - p_1 w f_1 summed per run (w the weights, zero
-        outside the window), and the label-1 mass every classifier shares."""
+        outside the window), and the label-1 mass every classifier shares.
+        The exact risks of ``diagnostics.empirical_bias_deconv`` read it
+        with the zero-extended density."""
         (p0, p1), starts = scenario.priors, self._runs(hclass)[1]
         f0, f1 = (self._weights * density(scenario, self.lattice, y) for y in (0, 1))
         return np.add.reduceat(p0 * f0 - p1 * f1, starts), float(p1 * f1.sum())

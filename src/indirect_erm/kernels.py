@@ -8,8 +8,12 @@ of such univariate factors; this package works on the line, so every
 table here is one univariate factor.
 
 Tables are produced by numerically inverting the Fourier integral with
-composite 16-point Gauss-Legendre panels sized to the oscillation, which
-keeps the pointwise error near machine precision even for small bandwidths.
+composite 16-point Gauss-Legendre panels sized to the integrand: to the
+oscillation of the offsets, with a panel edge where the flat-top symbol's
+ramp starts (``_panel_rule``). Against a rule with 8 times the panels every
+table lies within a few 1e-15 of its largest |value|. A base kernel is its kind
+and its checked offset grid; its table is inverted only when ``values`` is
+first read, since the lattices read only its kind and its offsets.
 Offset grids are uniform and symmetric about 0, and the integrand is
 even, so only the upper half of the offsets is evaluated and mirrored:
 every table is exactly even. Uniform offsets also let the cosines of the
@@ -21,7 +25,9 @@ small matrix products serves the offsets on both sides of each centre
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -156,16 +162,28 @@ def base_symbol(kind: str, t: np.ndarray) -> np.ndarray:
 # Fourier inversion on Gauss-Legendre panels
 # ---------------------------------------------------------------------------
 
-# Half-width R of the centred offset blocks of ``_invert_symbol`` and the
-# number T of block centres per chunk. The products take (1 + 1/R) S
-# multiply-adds per offset, for S quadrature nodes. Measured
-# on the five diagnose bandwidths (lambda 0.1 .. 0.5, 25,195 offsets; 2
-# vCPU): the five inversions took a median 17.5 ms at R = 32, T = 14, 23.9
-# ms at R = 16, and 16.4-19.5 ms for R in {32, 48, 64} and T in {8 .. 28},
-# within the noise. R = 32 is the smallest R at that level, so the (R + 1)
-# x S factors stay small.
+# Half-width R of the centred offset blocks of ``_invert_symbol``, the
+# number T of block centres per chunk, and the panels of ``_panel_rule``: at
+# most _PANEL_PHASE radians of the phase s v per panel, and at least
+# _RAMP_PANELS panels on the flat-top ramp. The products take (1 + 1/R) S
+# multiply-adds per offset, for S quadrature nodes. Measured on the laplace
+# lattice's 25,195 offsets (2 vCPU), against the same symbol on a uniform
+# rule with 8 times the panels:
+# - 7.5 rad and 10 ramp panels keep every table within 2.5e-15 of its
+#   largest |value| (both base kinds, dirac and laplace(2) noise, lambda
+#   0.1 .. 0.6 and the base kernel at 1; 3.8e-15 at lambda 0.05 with
+#   laplace(6)). 6 ramp panels leave the flat-top 1.4e-13 off, 10 and
+#   12.5 rad leave it 6e-15 and 1.3e-14 off at lambda 0.05.
+# - The five diagnose flat-top inversions (lambda 0.1 .. 0.5, S = 304 ..
+#   192) took 9.6 ms at R = 32, T = 14, 12.0 ms at R = 16 and 9.1-10.8 ms
+#   for R in {32, 48, 64} and T in {8 .. 28}, within the noise; the uniform
+#   2.5 rad panels of before (S = 800 .. 160) took about 1.6 times as long.
+#   R = 32 is the smallest R at that level, so the (R + 1) x S factors
+#   stay small.
 _HALF_BLOCK = 32
 _CHUNK = 14
+_PANEL_PHASE = 7.5
+_RAMP_PANELS = 10
 
 # the 16-point Gauss-Legendre rule's nodes x > 0 and weights, as leggauss(16);
 # tuples, since two arrays made at import raised svd-rates' peak RSS 0.1 MiB
@@ -177,22 +195,34 @@ _GAUSS_W = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
              0.062253523938647456, 0.027152459411754176)
 
 
-def _panel_rule(s_max: float, v_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for integrating f(s)cos(sv) over [0, s_max], |v| <= v_max.
-
-    Panels are sized so the phase s*v advances at most 2.5 radians per
-    panel, which keeps the Gauss error negligible for any oscillation the
-    offsets can produce; each takes the 16-point rule.
-    """
-    n_panels = max(4, int(np.ceil(s_max * max(v_max, 1.0) / 2.5)))
+def _gauss_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights of the 16-point Gauss-Legendre rule on each panel
+    between consecutive ``edges``."""
     half_x, half_w = np.array(_GAUSS_X), np.array(_GAUSS_W)
     x, w = np.r_[-half_x[::-1], half_x], np.r_[half_w[::-1], half_w]
-    edges = np.linspace(0.0, s_max, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
+
+
+def _panel_rule(kind: str, s_max: float, v_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights for integrating base_symbol(kind, s / s_max) cos(sv)
+    over [0, s_max], |v| <= v_max.
+
+    The flat-top symbol's ramp starts at s_max / 2, so a panel edge sits
+    there and the ramp gets at least _RAMP_PANELS panels; sinc has no
+    interior break. Every panel is also sized so the phase s v advances at
+    most _PANEL_PHASE radians across it.
+    """
+    def edges(lo, hi, least):
+        return np.linspace(lo, hi, max(least, math.ceil((hi - lo) * v_max / _PANEL_PHASE)) + 1)
+
+    if kind == "order_m_flat_top":
+        ramp = 0.5 * s_max
+        return _gauss_rule(np.r_[edges(0.0, ramp, 1)[:-1], edges(ramp, s_max, _RAMP_PANELS)])
+    return _gauss_rule(edges(0.0, s_max, 1))
 
 
 def _invert_symbol(symbol_values: np.ndarray, s_nodes: np.ndarray,
@@ -218,19 +248,20 @@ def _invert_symbol(symbol_values: np.ndarray, s_nodes: np.ndarray,
     and B_t = 2R t h. The centre sines and cosines then come by angle
     addition from one chunk's A_q and the T factors of B_t, which carry
     ``coef``: the sines and cosines of J/T + T + R + 1 rows of S, and no
-    J x S block is formed. ``einsum`` forms the products on the calling
-    thread: they are small, and a threaded BLAS product leaves its worker
-    threads spinning after each call, which nearly doubled the CPU time of
-    a laplace rate experiment.
+    J x S block is formed. The offsets are checked where they enter
+    (``_checked_grid``); any length, one offset included, inverts.
+
+    ``einsum`` forms the products on the calling thread. ``@`` would hand
+    them to BLAS: OpenBLAS 0.3.31 keeps products this small (T x S by
+    S x (R + 1)) on the calling thread too (its worker threads took no
+    CPU time in diagnose runs) and takes them in a fifth of the time, but
+    its GEMM buffers raised ``peak_rss_mb`` by 0.13-0.19 MiB on the
+    laplace diagnose benchmark and 0.04-0.07 MiB on the laplace rate
+    benchmark, where the bound is 0.1 MiB. The worker threads that once
+    spun and doubled a run's CPU time were started by lattice-length dot
+    products, not by these.
     """
-    if not np.array_equal(offsets, -offsets[::-1]):
-        raise ConfigurationError("kernel offsets must be symmetric about 0")
     h = (offsets[-1] - offsets[0]) / max(len(offsets) - 1, 1)
-    # one max-abs comparison, written so that a NaN fails it, with the
-    # tolerance of ``np.allclose`` at under half its cost (0.17 against
-    # 0.37 ms on the laplace lattice's 25,195 offsets)
-    if not np.abs(offsets - (offsets[0] + h * np.arange(len(offsets)))).max() <= 1e-9 * h:
-        raise ConfigurationError("kernel offsets must be uniformly spaced")
     upper = offsets[len(offsets) // 2:]
     r, t = _HALF_BLOCK, _CHUNK
     coef = s_weights * symbol_values
@@ -268,26 +299,48 @@ def _invert_symbol(symbol_values: np.ndarray, s_nodes: np.ndarray,
 class TabulatedKernel:
     """Univariate kernel tabulated on a symmetric uniform offset grid.
 
-    ``offsets`` and ``values`` are one-element tuples holding the offset
-    grid and the table. At ``bandwidth`` 1 (``build_base_kernel``) the
-    values are the unscaled base kernel K(u). Otherwise
-    (``build_deconvolution_kernel``) they are the bandwidth-scaled,
-    noise-corrected kernel (1/lambda) K_eta(v/lambda) tabulated in
-    observation-offset units v, so discrete convolution against grid
-    functions needs no further rescaling.
+    The grid is held as its ``size`` and ``spacing`` (checked where offsets
+    enter, ``build_base_kernel``): ``offsets``, a one-element tuple holding
+    it, is made when first read, since no trial reads it. ``values`` holds
+    the table, the inverse Fourier integral of
+    ``base_symbol(lambda s) / noise(s)``, inverted when first read. At
+    ``bandwidth`` 1 with dirac noise (``build_base_kernel``) the values are
+    the unscaled base kernel K(u).
+    Otherwise (``build_deconvolution_kernel``, which reads them at once)
+    they are the bandwidth-scaled, noise-corrected kernel
+    (1/lambda) K_eta(v/lambda) tabulated in observation-offset units v, so
+    discrete convolution against grid functions needs no further rescaling.
     """
 
-    offsets: tuple[np.ndarray]
-    values: tuple[np.ndarray]
+    size: int
+    spacing: float
     bandwidth: float
     base_kind: str
+    noise: NoiseModel = field(default_factory=dirac_noise)
 
-    def __post_init__(self):
-        (off,), (val,) = self.offsets, self.values
-        if off.shape != val.shape:
-            raise ConfigurationError("offset/value shape mismatch")
-        if not np.all(np.isfinite(val)):
-            raise ConfigurationError("kernel values must be finite")
+    def _grid(self) -> np.ndarray:
+        """The offsets, spacing * (k - (size - 1) / 2) for k = 0 .. size - 1."""
+        return self.spacing * (np.arange(self.size) - (self.size - 1) / 2)
+
+    @cached_property
+    def offsets(self) -> tuple[np.ndarray]:
+        """The offset grid, in a one-element tuple, made when first read."""
+        return (self._grid(),)
+
+    @cached_property
+    def values(self) -> tuple[np.ndarray]:
+        """The table on the offsets, in a one-element tuple; an
+        ``IllPosednessError`` where the noise characteristic function falls
+        below ``MIN_NOISE_FOURIER`` on the symbol's support."""
+        off, lam = self._grid(), self.bandwidth
+        s_nodes, s_weights = _panel_rule(self.base_kind, 1.0 / lam, float(off[-1]))
+        num = base_symbol(self.base_kind, lam * s_nodes)
+        den = self.noise.fourier(s_nodes)
+        if not np.all(np.abs(den[num != 0.0]) >= MIN_NOISE_FOURIER):  # NaN fails too
+            raise IllPosednessError(
+                "noise characteristic function below threshold on the kernel band"
+            )
+        return (_invert_symbol(num / den, s_nodes, s_weights, off),)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the kernel by linear interpolation.
@@ -305,8 +358,7 @@ class TabulatedKernel:
         finite window misses slowly decaying oscillatory tails; the windowed
         value is exact only up to that truncated tail mass.
         """
-        off = self.offsets[0]
-        return float(np.dot(trapezoid_weights(len(off), off[1] - off[0]), self.values[0]))
+        return float(np.dot(trapezoid_weights(self.size, self.spacing), self.values[0]))
 
     def to_csv(self, path) -> None:
         """Write (axis, offset, value) rows for plotting; the axis is always 0."""
@@ -317,37 +369,52 @@ class TabulatedKernel:
                 writer.writerow([0, repr(float(o)), repr(float(v))])
 
 
-def _default_offsets(grid: Grid) -> np.ndarray:
-    """Symmetric offsets at the grid spacing spanning eight grid widths.
-
-    Wide enough that slowly decaying kernel tails are visible in exports;
-    convolution lattices override this with exactly matched offsets.
-    """
-    m = 8 * (grid.points_per_dim - 1)
-    return grid.spacing * np.arange(-m, m + 1)
+def _checked_grid(offsets) -> tuple[int, float]:
+    """The size and spacing of an offset grid, or ``ConfigurationError``:
+    one-dimensional with at least two points (else the spacing is
+    undefined), finite (before ``_panel_rule`` sizes its panels from them),
+    exactly symmetric about 0, and increasing and uniform, within 1e-9 of
+    the spacing of the two offsets about 0."""
+    off = np.asarray(offsets, dtype=float)
+    if off.ndim != 1 or len(off) < 2:
+        raise ConfigurationError(
+            f"kernel offsets must be a 1-D grid of at least two points, got shape {off.shape}")
+    if not np.isfinite(off).all():
+        raise ConfigurationError("kernel offsets must be finite")
+    if not np.array_equal(off, -off[::-1]):
+        raise ConfigurationError("kernel offsets must be symmetric about 0")
+    n = len(off)
+    h = float(off[(n + 1) // 2] - off[(n + 1) // 2 - 1])
+    if not (h > 0 and np.abs(off - h * (np.arange(n) - (n - 1) / 2)).max() <= 1e-9 * h):
+        raise ConfigurationError("kernel offsets must be increasing and uniformly spaced")
+    return n, h
 
 
 def build_base_kernel(kind: str, grid: Grid,
                       offsets: np.ndarray | None = None) -> TabulatedKernel:
-    """Tabulate a base kernel with band-limited transform on grid-aligned offsets.
+    """A base kernel with band-limited transform on grid-aligned offsets;
+    its table is inverted when ``values`` is first read.
 
     Parameters
     ----------
     kind : {"sinc", "order_m_flat_top"}
     grid : Grid
-        Supplies the spacing and the default offset span.
+        Supplies the spacing and the default offset span, eight grid widths
+        each way; convolution lattices pass exactly matched offsets.
     offsets : optional offset array
-        Override the tabulation window (must be finite, uniform and exactly
-        symmetric about 0, else ``ConfigurationError``).
+        Override the tabulation window (must hold at least two points and
+        be finite, exactly symmetric about 0 and uniform, else
+        ``ConfigurationError``). It is kept as its size and the spacing of
+        its two offsets about 0, so offsets within the tolerance of
+        uniform read back as the exact grid.
     """
     if kind not in BASE_KINDS:
         raise ConfigurationError(f"unknown base kernel kind {kind!r}")
-    off = _default_offsets(grid) if offsets is None else np.asarray(offsets, dtype=float)
-    if not np.isfinite(off).all():  # before _panel_rule sizes its panels from them
-        raise ConfigurationError("kernel offsets must be finite")
-    s_nodes, s_weights = _panel_rule(1.0, float(np.max(np.abs(off))))
-    values = _invert_symbol(base_symbol(kind, s_nodes), s_nodes, s_weights, off)
-    return TabulatedKernel(offsets=(off,), values=(values,), bandwidth=1.0, base_kind=kind)
+    if offsets is None:  # eight grid widths: slowly decaying tails show in exports
+        size, spacing = 16 * (grid.points_per_dim - 1) + 1, grid.spacing
+    else:
+        size, spacing = _checked_grid(offsets)
+    return TabulatedKernel(size=size, spacing=spacing, bandwidth=1.0, base_kind=kind)
 
 
 def _as_bandwidth(bandwidth) -> float:
@@ -363,28 +430,18 @@ def build_deconvolution_kernel(base: TabulatedKernel, noise: NoiseModel,
 
     The table is the inverse Fourier integral of
     ``base_symbol(lambda s) / noise_fourier(s)``, in scaled form
-    (1/lambda) K_eta(v/lambda) on the base kernel's offset grid. With
-    dirac noise this reduces to the bandwidth-scaled base kernel.
+    (1/lambda) K_eta(v/lambda) on the base kernel's offset grid, inverted
+    here. With dirac noise this reduces to the bandwidth-scaled base kernel.
     """
     lam = _as_bandwidth(bandwidth)
-    off = base.offsets[0]
-    h = off[1] - off[0]
-    if lam <= h:
+    if lam <= base.spacing:
         raise ConfigurationError(
-            f"bandwidth {lam} at or below grid spacing {h}: refusing to alias"
+            f"bandwidth {lam} at or below grid spacing {base.spacing}: refusing to alias"
         )
-    s_max = 1.0 / lam  # symbol support of base_symbol(lam * s)
-    s_nodes, s_weights = _panel_rule(s_max, float(np.max(np.abs(off))))
-    num = base_symbol(base.base_kind, lam * s_nodes)
-    den = noise.fourier(s_nodes)
-    active = num != 0.0
-    if np.any(np.abs(den[active]) < MIN_NOISE_FOURIER):
-        raise IllPosednessError(
-            "noise characteristic function below threshold on the kernel band"
-        )
-    values = _invert_symbol(num / den, s_nodes, s_weights, off)
-    return TabulatedKernel(offsets=base.offsets, values=(values,), bandwidth=lam,
-                           base_kind=base.base_kind)
+    kernel = TabulatedKernel(size=base.size, spacing=base.spacing, bandwidth=lam,
+                             base_kind=base.base_kind, noise=noise)
+    kernel.values  # inverted here, so an ill-posed noise law fails at the build
+    return kernel
 
 
 def kernel_fourier_sup(base_kind: str, noise: NoiseModel, bandwidth: float,
@@ -408,6 +465,10 @@ def kernel_fourier_l2(base_kind: str, noise: NoiseModel, bandwidth: float) -> fl
     norm).
     """
     lam = _as_bandwidth(bandwidth)
-    s_nodes, s_weights = _panel_rule(1.0 / lam, 0.0)
+    s_max = 1.0 / lam
+    # 4 uniform panels, or one per 2.5 of s: the rule the certificates
+    # were fixed with (2.8-3.4e-10 relative off a 2000-panel rule at
+    # lambda 0.1 .. 0.6; ROADMAP item 20)
+    s_nodes, s_weights = _gauss_rule(np.linspace(0.0, s_max, max(4, math.ceil(s_max / 2.5)) + 1))
     ratio = base_symbol(base_kind, lam * s_nodes) / noise.fourier(s_nodes)
     return float(np.sqrt(np.dot(s_weights, ratio * ratio) / np.pi))

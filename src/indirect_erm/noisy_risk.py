@@ -122,9 +122,9 @@ class ObservationLattice:
     difference at the domain's ``spacing``, the one that built the nodes and
     the weights, so discrete convolutions against node functions are exact
     sums. ``base_scaled`` is the bandwidth-scaled base kernel on the same
-    offsets (the noise-free twin of ``kernel``); it and its window
-    ``base_window`` are built on first use, since only expected risks read
-    them (``base_smoothed_density``), never a trial.
+    offsets (the noise-free twin of ``kernel``); it is built on first use,
+    since only expected risks read it
+    (``DeconvolutionBackend.expected_features``), never a trial.
     """
 
     domain: Grid
@@ -145,12 +145,6 @@ class ObservationLattice:
     def base_scaled(self) -> TabulatedKernel:
         return build_deconvolution_kernel(self.kernel, dirac_noise(), self.bandwidth)
 
-    @cached_property
-    def base_window(self) -> "KernelWindow":
-        """``base_scaled`` over every node: its spectrum, taken once for both
-        labels' ``base_smoothed_density``."""
-        return self.kernel_window(0, len(self.nodes), self.base_scaled.values[0])
-
     def convolve(self, values: np.ndarray) -> np.ndarray:
         """'valid' convolution of node values with the kernel on its 2P - 1
         offsets: P values, one per node, through the window over every node,
@@ -160,10 +154,8 @@ class ObservationLattice:
         """
         return self.kernel_window(0, len(self.nodes)).convolve(values).copy()
 
-    def kernel_window(self, start: int, stop: int,
-                      offset_values: np.ndarray | None = None) -> "KernelWindow":
-        """``convolve`` with the kernel, or with ``offset_values``, at the
-        nodes start .. stop - 1 only.
+    def kernel_window(self, start: int, stop: int) -> "KernelWindow":
+        """``convolve`` at the nodes start .. stop - 1 only.
 
         Those D = stop - start outputs read the function at the P + D - 1
         offsets start - P + 1 .. stop - 1 alone, so a circular convolution
@@ -171,18 +163,16 @@ class ObservationLattice:
         them free of wraparound; the segment's spectrum is taken once here.
         """
         p = len(self.nodes)
-        table = self.kernel.values[0] if offset_values is None else offset_values
         length = _next_fast_len(p + stop - start - 1)
         return KernelWindow(start=start, stop=stop, length=length,
-                            spectrum=rfft(table[start: stop + p - 1], length))
+                            spectrum=rfft(self.kernel.values[0][start: stop + p - 1], length))
 
 
 @dataclass(frozen=True)
 class KernelWindow:
-    """A 'valid' convolution on the lattice (with its kernel, or another
-    function on the kernel's offsets) restricted to the nodes ``start`` ..
-    ``stop - 1``, at the FFT ``length`` of its ``spectrum``
-    (``ObservationLattice.kernel_window``)."""
+    """A 'valid' convolution with the lattice's kernel restricted to the
+    nodes ``start`` .. ``stop - 1``, at the FFT ``length`` of its
+    ``spectrum`` (``ObservationLattice.kernel_window``)."""
 
     start: int
     stop: int
@@ -306,29 +296,21 @@ def plug_in_density(z_draws: np.ndarray, lattice: ObservationLattice) -> np.ndar
     return lattice.convolve(bin_draws((z,), lattice)[0])
 
 
+def _domain_nodes(scenario: Scenario, lattice: ObservationLattice) -> slice:
+    """The lattice nodes inside the scenario's domain, a contiguous run."""
+    nodes = lattice.nodes
+    inside = np.flatnonzero((nodes >= scenario.domain.lower) & (nodes <= scenario.domain.upper))
+    return slice(int(inside[0]), int(inside[-1]) + 1)
+
+
 def zero_extended_density(scenario: Scenario, lattice: ObservationLattice,
                           label: int) -> np.ndarray:
     """Conditional density on the lattice nodes, zero outside the domain.
 
-    Only nodes inside the domain are evaluated, so density formulas never
-    see arguments outside their support.
+    Only nodes inside the domain (``_domain_nodes``) are evaluated, so
+    density formulas never see arguments outside their support.
     """
-    nodes = lattice.nodes
-    inside = (nodes >= scenario.domain.lower) & (nodes <= scenario.domain.upper)
-    f = np.zeros(len(nodes))
-    f[inside] = scenario.density(label, nodes[inside])
+    inside = _domain_nodes(scenario, lattice)
+    f = np.zeros(len(lattice.nodes))
+    f[inside] = scenario.density(label, lattice.nodes[inside])
     return f
-
-
-def base_smoothed_density(scenario: Scenario, lattice: ObservationLattice,
-                          label: int) -> np.ndarray:
-    """Conditional density smoothed by the bandwidth-scaled base kernel.
-
-    The expectation of the noise-corrected kernel column at a contaminated
-    observation equals the base-kernel column at the clean input, so the
-    expected regularized risk is the quadrature of the raw loss against
-    this smoothed density (``DeconvolutionBackend.expected_features``).
-    This form avoids integrating the oscillatory corrected kernel.
-    """
-    f = zero_extended_density(scenario, lattice, label)
-    return lattice.base_window.convolve(lattice.weights * f)

@@ -14,7 +14,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from indirect_erm.grid import trapezoid_weights
 from indirect_erm.hypotheses import (HypothesisClass, ThresholdClassifier, _cuts, loss_values,
                                      window_mask)
-from indirect_erm.noisy_risk import NoisySample, plug_in_density
+from indirect_erm.noisy_risk import (NoisySample, _next_fast_len, plug_in_density,
+                                     zero_extended_density)
 from indirect_erm.operators import SpectralOperator, apply_operator
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -341,6 +342,22 @@ def _bias_from_risks(risks, reg, star_index, kappa, bias_variant):
     return float(max((bias - r * excess).max(), 0.0))
 
 
+def base_smoothed_density(scenario, lattice, label):
+    """A label's zero-extended density, weighted, smoothed by the
+    bandwidth-scaled base kernel (``lattice.base_scaled``) at every lattice
+    node, by the FFT route: a 'valid' convolution (P values) through one
+    ``rfft``/``irfft`` pair at the shortest 5-smooth length free of
+    wraparound, 2P - 1 or more. The expected regularized risk is the
+    quadrature of the raw loss against it: the reference of
+    ``DeconvolutionBackend.expected_features``, which reads the same sums off
+    the base kernel's cumulative sum."""
+    f = lattice.weights * zero_extended_density(scenario, lattice, label)
+    p = len(f)
+    length = _next_fast_len(2 * p - 1)
+    spectrum = np.fft.rfft(lattice.base_scaled.values[0], length)
+    return np.fft.irfft(spectrum * np.fft.rfft(f, length), length)[p - 1: 2 * p - 1]
+
+
 def naive_bias_deconv(scenario, lattice, hclass, star_index, bias_variant="squared_loss"):
     """Approximation function of the kernel route, one classifier at a time.
 
@@ -348,8 +365,6 @@ def naive_bias_deconv(scenario, lattice, hclass, star_index, bias_variant="squar
     zero-extended density (exact risk) and against the base-smoothed density
     (expected regularized risk) with the lattice weights.
     """
-    from indirect_erm.noisy_risk import base_smoothed_density, zero_extended_density
-
     nodes, w = lattice.nodes, lattice.weights
     risks = np.zeros(len(hclass))
     reg = np.zeros(len(hclass))

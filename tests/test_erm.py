@@ -31,7 +31,6 @@ from indirect_erm.noisy_risk import (
     ModifiedLossTable,
     NoisySample,
     _next_fast_len,
-    base_smoothed_density,
     modified_loss_deconv,
     plug_in_density,
     zero_extended_density,
@@ -40,6 +39,7 @@ from indirect_erm.reader import ConfigReader
 from indirect_erm.simulation import generate_sample, trial_seed_sequence
 
 from oracles import (
+    base_smoothed_density,
     empirical_risk,
     labelled_sample,
     mixed_threshold_class,
@@ -264,6 +264,30 @@ def test_backend_expected_risks_match_reference_quadrature(grid):
                for y in sc.labels) for c in hclass]
     got = expected_risks(hclass, sc, SvdBackend(operator=op, cutoff=8, grid=grid))
     assert np.abs(got - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("noise", [laplace_noise(2.0), dirac_noise()])
+def test_expected_risks_match_the_fft_route_relative_to_their_terms(grid, noise):
+    # the cumulative base kernel at the run boundaries against the FFT
+    # route's base-smoothed densities, within 1e-14 of the summed terms
+    # p_y sum w |S_y| (3.9e-15 measured): on the padded lattice and on one
+    # whose end nodes, of weight h/2, carry density (pad_factor 0), over the
+    # whole lattice, a window inside the domain and windows holding either
+    # lattice end; thresholds on, left of, right of and across the domain
+    sc = make_margin_scenario(1, noise, grid=grid)
+    hclass = mixed_threshold_class(grid)
+    for lam, pad in ((0.25, 4.0), (0.5, 4.0), (0.25, 0.0)):
+        lattice = build_lattice(grid, noise, lam, base_kind="order_m_flat_top", pad_factor=pad)
+        smoothed = [base_smoothed_density(sc, lattice, y) for y in sc.labels]
+        for window in (None, (0.2, 0.7), (-10.0, 0.5), (0.5, 10.0)):
+            w = lattice.weights if window is None else np.where(
+                window_mask(lattice.nodes, window), lattice.weights, 0.0)
+            ref = np.array([sum(sc.priors[y] * float(np.dot(
+                w, loss_values(c, y, lattice.nodes) * smoothed[y])) for y in sc.labels)
+                for c in hclass])
+            scale = sum(sc.priors[y] * float(np.dot(w, np.abs(smoothed[y]))) for y in sc.labels)
+            got = expected_risks(hclass, sc, DeconvolutionBackend(lattice=lattice, window=window))
+            assert np.abs(got - ref).max() <= 1e-14 * scale, (lam, pad, window)
 
 
 def test_risks_request_label_zero_losses_only(grid, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from indirect_erm import (
     ConfigurationError,
+    Grid,
     IllPosednessError,
     build_base_kernel,
     build_deconvolution_kernel,
@@ -16,6 +17,7 @@ from indirect_erm import (
 from indirect_erm.kernels import (
     NoiseModel,
     _HALF_BLOCK,
+    _gauss_rule,
     _invert_symbol,
     _panel_rule,
     base_symbol,
@@ -207,22 +209,70 @@ def _cos_sum_inversion(symbol_values, s_nodes, s_weights, offsets):
 @pytest.mark.parametrize("parity", ["odd", "even"])
 @pytest.mark.parametrize("noise", [dirac_noise(), laplace_noise(2.0)])
 def test_split_inversion_matches_cos_sum(grid, parity, noise):
-    # lambda 0.1 runs every chunk of block centres with S = 800 nodes, the
-    # last one with a single centre; 0.41 is the laplace preset's bandwidth
-    # at n = 16384
+    # lambda 0.1 runs every chunk of block centres with S = 272 (sinc) and
+    # 304 (flat-top) nodes, the last one with a single centre; 0.41 is the
+    # laplace preset's bandwidth at n = 16384
+    counts = {(0.1, "sinc"): 272, (0.1, "order_m_flat_top"): 304,
+              (0.41, "sinc"): 80, (0.41, "order_m_flat_top"): 208}
     for lam in (0.1, 0.41):
         off = build_lattice(grid, laplace_noise(2.0), lam).kernel.offsets[0]
         if parity == "even":
             m = len(off) // 2
             off = (np.arange(2 * m) - (m - 0.5)) * grid.spacing
         assert len(off) == (25_195 if parity == "odd" else 25_194)
-        s_nodes, s_weights = _panel_rule(1.0 / lam, float(np.max(np.abs(off))))
-        assert len(s_nodes) == (800 if lam == 0.1 else 208)
         for base_kind in ("sinc", "order_m_flat_top"):
+            s_nodes, s_weights = _panel_rule(base_kind, 1.0 / lam, float(np.max(np.abs(off))))
+            assert len(s_nodes) == counts[lam, base_kind]
             symbol = base_symbol(base_kind, lam * s_nodes) / noise.fourier(s_nodes)
             got = _invert_symbol(symbol, s_nodes, s_weights, off)
             want = _cos_sum_inversion(symbol, s_nodes, s_weights, off)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _finer_rule_inversion(symbol, s_max, panels, offsets):
+    """(1/pi) int_0^s_max symbol(s) cos(s v) ds on ``panels`` uniform
+    panels of numpy's 16-point Gauss-Legendre rule."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, s_max, panels + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    nodes, weights = (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+    return _invert_symbol(symbol(nodes), nodes, weights, offsets)
+
+
+@pytest.mark.parametrize("base_kind", ["sinc", "order_m_flat_top"])
+@pytest.mark.parametrize("noise", [dirac_noise(), laplace_noise(2.0)])
+def test_inversion_matches_a_finer_rule(grid, base_kind, noise):
+    # every table within 1e-14 of its largest |value| of the same symbol on
+    # a uniform rule with 8 times the panels: the flat-top ramp, which
+    # starts at s = 1/(2 lambda), is integrated as finely as the
+    # oscillation (uniform 2.5 rad panels left it 1.1e-13 off at lambda
+    # 0.5 and 2.1e-12 at 0.6, the laplace preset's bandwidth at n = 256)
+    off = build_lattice(grid, laplace_noise(2.0), 0.41).kernel.offsets[0]
+    cases = [(lam, build_deconvolution_kernel(build_base_kernel(base_kind, grid, offsets=off),
+                                              noise, lam)) for lam in (0.1, 0.41, 0.5, 0.6)]
+    if noise.kind == "dirac":
+        cases.append((1.0, build_base_kernel(base_kind, grid)))  # read at bandwidth 1
+    for lam, kernel in cases:
+        (o,), (got,) = kernel.offsets, kernel.values
+        panels = len(_panel_rule(base_kind, 1.0 / lam, float(np.max(np.abs(o))))[0]) // 16
+        want = _finer_rule_inversion(
+            lambda s: base_symbol(base_kind, lam * s) / noise.fourier(s), 1.0 / lam,
+            8 * panels, o)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), lam
+
+
+def test_one_offset_grid_rejected():
+    # one offset has no spacing: the base is refused where its offsets are
+    # checked, not with an IndexError in a later inversion or integral
+    with pytest.raises(ConfigurationError, match="two points"):
+        build_base_kernel("sinc", Grid(points_per_dim=1024), offsets=[0.0])
+    for off in ([], [[-1.0, 0.0, 1.0]]):
+        with pytest.raises(ConfigurationError, match="two points"):
+            build_base_kernel("sinc", Grid(points_per_dim=1024), offsets=off)
+    # a zero or negative spacing (equal or decreasing offsets) is no grid either
+    for off in ([0.0, 0.0], [1.0, 0.0, -1.0]):
+        with pytest.raises(ConfigurationError, match="increasing"):
+            build_base_kernel("sinc", Grid(points_per_dim=1024), offsets=off)
 
 
 @pytest.mark.parametrize("length", [1, 2, 21, 64, 125, 126])
@@ -230,7 +280,7 @@ def test_inversion_of_a_partial_chunk_matches_cos_sum(grid, length):
     # fewer than 2R upper offsets: one block, cut short of its 2R values
     assert length - length // 2 < 2 * _HALF_BLOCK
     off = (np.arange(length) - (length - 1) / 2) * grid.spacing
-    s_nodes, s_weights = _panel_rule(1.0 / 0.1, float(np.max(np.abs(off))))
+    s_nodes, s_weights = _panel_rule("sinc", 1.0 / 0.1, float(np.max(np.abs(off))))
     symbol = base_symbol("sinc", 0.1 * s_nodes) / laplace_noise(2.0).fourier(s_nodes)
     got = _invert_symbol(symbol, s_nodes, s_weights, off)
     want = _cos_sum_inversion(symbol, s_nodes, s_weights, off)
@@ -244,7 +294,7 @@ def test_panel_rule_takes_numpys_gauss_legendre_rule():
     # on 4 panels of width 2 each panel's nodes are its midpoint plus the
     # rule's nodes, and its weights are the rule's weights
     x, w = np.polynomial.legendre.leggauss(16)
-    nodes, weights = _panel_rule(8.0, 0.0)
+    nodes, weights = _gauss_rule(np.array([0.0, 2.0, 4.0, 6.0, 8.0]))
     assert np.array_equal(nodes, (np.array([1.0, 3.0, 5.0, 7.0])[:, None] + x).ravel())
     assert np.array_equal(weights, np.tile(w, 4))
 
@@ -255,7 +305,7 @@ def test_inversion_holds_no_offsets_by_nodes_block(grid):
     # the M/64 x S block of a split over every 64th offset (which held 2.9)
     lam = 0.1
     off = build_lattice(grid, laplace_noise(2.0), lam).kernel.offsets[0]
-    s_nodes, s_weights = _panel_rule(1.0 / lam, float(np.max(np.abs(off))))
+    s_nodes, s_weights = _panel_rule("sinc", 1.0 / lam, float(np.max(np.abs(off))))
     symbol = base_symbol("sinc", lam * s_nodes) / laplace_noise(2.0).fourier(s_nodes)
     block = -(-(len(off) - len(off) // 2) // 64) * len(s_nodes) * 8
     tracemalloc.start()
@@ -285,10 +335,6 @@ def test_nonuniform_offsets_rejected(grid):
         else:
             with pytest.raises(ConfigurationError, match="uniform"):
                 build_base_kernel("sinc", grid, offsets=off)
-    # infinite ends are symmetric, but give a NaN spacing and NaN deviations
-    with np.errstate(invalid="ignore"), pytest.raises(ConfigurationError, match="uniform"):
-        _invert_symbol(np.ones(2), np.array([0.0, 1.0]), np.ones(2),
-                       np.array([-np.inf, 0.0, np.inf]))
 
 
 def test_nonfinite_offsets_rejected(grid):

@@ -27,13 +27,13 @@ from indirect_erm.grid import trapezoid_weights
 from indirect_erm.hypotheses import loss_values, snap_to_cell_midpoint
 from indirect_erm import noisy_risk
 from indirect_erm.noisy_risk import (
-    base_smoothed_density,
     zero_extended_density,
 )
 from indirect_erm.operators import contaminate, sample_density, sampler_table
 from indirect_erm.simulation import generate_sample
 
 from oracles import (
+    base_smoothed_density,
     empirical_risk,
     labelled_sample,
     naive_empirical_risk,
@@ -125,6 +125,33 @@ def test_base_scaled_built_once_on_first_use(grid, monkeypatch):
     assert first.bandwidth == lam and first.base_kind == lattice.kernel.base_kind
 
 
+def test_lattice_inverts_one_table_and_holds_no_offsets(grid, monkeypatch):
+    # the base kernel's table is never inverted for a lattice, and its
+    # offsets, which no trial reads, are made only when read: a rate trial
+    # holds neither array
+    from indirect_erm import kernels
+
+    original, inverted = kernels._invert_symbol, []
+
+    def counting(*args):
+        inverted.append(len(args[3]))
+        return original(*args)
+
+    monkeypatch.setattr(kernels, "_invert_symbol", counting)
+    noise = laplace_noise(2.0)
+    sc = make_margin_scenario(1, noise, grid=grid)
+    lattice = build_lattice(grid, noise, 0.41, base_kind="order_m_flat_top")
+    p = len(lattice.nodes)
+    assert inverted == [2 * p - 1]
+    hclass = HypothesisClass(tuple(ThresholdClassifier(t) for t in (0.3, 0.5, 0.7)))
+    empirical_risks(hclass, generate_sample(sc, 500, np.random.default_rng(1)),
+                    DeconvolutionBackend(lattice=lattice))
+    assert inverted == [2 * p - 1]
+    assert "offsets" not in vars(lattice.kernel)
+    np.testing.assert_array_equal(lattice.kernel.offsets[0],
+                                  grid.spacing * np.arange(-(p - 1), p))
+
+
 def test_spectra_built_on_use(grid, monkeypatch):
     original = noisy_risk.rfft
     lengths = []
@@ -169,25 +196,24 @@ def test_convolve_matches_fftconvolve(laplace_lattice, source):
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
-def test_one_base_scaled_transform_serves_both_labels(grid, monkeypatch):
-    # both labels' expected features read the base-scaled kernel's spectrum,
-    # taken once per lattice
-    sc = make_margin_scenario(1, laplace_noise(2.0), grid=grid)
-    lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
-    base = lattice.base_scaled.values[0]
-    original, transforms = noisy_risk.rfft, []
+def test_expected_features_take_no_transform(grid, monkeypatch):
+    # the expected features read the base-scaled kernel's cumulative sum at
+    # the run boundaries: no spectrum of it, and none of the densities
+    transforms = []
 
-    def counting(values, n=None):
-        transforms.append(np.shares_memory(values, base))
-        return original(values, n)
+    def counting(*args, _original=noisy_risk.rfft):
+        transforms.append(args)
+        return _original(*args)
 
     monkeypatch.setattr(noisy_risk, "rfft", counting)
-    backend = DeconvolutionBackend(lattice=lattice)
-    hclass = HypothesisClass(tuple(ThresholdClassifier(t) for t in (0.3, 0.5, 0.7)))
-    backend.expected_features(hclass, sc)
-    assert transforms.count(True) == 1
-    backend.expected_features(hclass, sc)
-    assert transforms.count(True) == 1
+    monkeypatch.setattr(noisy_risk, "irfft", counting)
+    for noise in (laplace_noise(2.0), dirac_noise()):
+        sc = make_margin_scenario(1, noise, grid=grid)
+        lattice = build_lattice(grid, noise, 0.25)
+        hclass = HypothesisClass(tuple(ThresholdClassifier(t) for t in (0.3, 0.5, 0.7)))
+        for window in (None, (0.2, 0.7)):
+            DeconvolutionBackend(lattice=lattice, window=window).expected_features(hclass, sc)
+    assert transforms == []
 
 
 def test_densities_match_fftconvolve(grid):

@@ -66,6 +66,11 @@ UNREACHED = {
     # demos
     "kernels.TabulatedKernel.evaluate": "the build_kernels demo and tests",
 }
+# Not listed: no command reads a base kernel's table (``build_lattice`` and
+# the ``kernel`` command read only its kind and offsets), so a base table
+# is inverted only when tests or the build_kernels demo read ``values``.
+# That lazy inversion is ``TabulatedKernel.values``, the one every
+# noise-corrected kernel's build reaches, so it has no entry of its own.
 
 
 def uniform_fit_config(out):
