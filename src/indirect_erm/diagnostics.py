@@ -9,11 +9,12 @@ label-0 losses of the classifiers the Lipschitz pairs use, at Monte-Carlo
 draws and up to a term they share (``relative_losses``: under the hard
 loss a label-1 difference is minus the label-0 one), and the label-0
 class matrix the minimizer pairs with the expectation of the signed
-statistic of P_0 - P_1 (``expected_risks``); the kernel bias pairs it
-with the lattice-weighted density for the exact risks as well. The raw-loss distances and norms are
-differences of the domain weight at the classifiers' cuts. The
-certificates read the grid, kernel or operator, and cutoff from the
-backend.
+statistic of P_0 - P_1 (``expected_risks``); both biases take the exact
+risks from ``true_risks``. The raw sup folds the loss rows on the
+backend's nodes (``_row_filler``) one at a time, with one body for both
+backends. The raw-loss distances and norms are differences of the domain
+weight at the classifiers' cuts. The certificates read the grid, kernel
+or operator, and cutoff from the backend.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .erm import BIAS_VARIANTS, DeconvolutionBackend, SvdBackend, _risks, expected_risks
+from .erm import BIAS_VARIANTS, DeconvolutionBackend, SvdBackend, expected_risks
 from .errors import ConfigurationError, DataError
 from .grid import Grid
 from .hypotheses import HypothesisClass, Scenario, _cuts, true_risks
 from .kernels import kernel_fourier_l2
-from .noisy_risk import zero_extended_density
 
 logger = logging.getLogger(__name__)
 
@@ -218,29 +218,28 @@ def sup_bound_svd(backend: SvdBackend, hclass: HypothesisClass) -> float:
 
 def table_sup(backend, hclass: HypothesisClass) -> float:
     """Raw measured sup of the regularized losses over the class (secondary
-    diagnostic) on the backend's nodes: every kernel loss is a loss row or
-    the loss 1's row minus it; spectral losses are taken on the domain.
+    diagnostic) on the backend's nodes: every loss is a loss row or the
+    loss 1's row minus it.
 
-    The kernel rows (``DeconvolutionBackend._row_filler``, slices of the
-    kernel's cumulative sum: the losses on the nodes, where
-    ``relative_losses`` gives them at points up to a shared term) are
+    The rows (``_row_filler``: on the kernel backend slices of the
+    kernel's cumulative sum, the losses on the nodes, where
+    ``relative_losses`` gives them at points up to a shared term; on the
+    spectral one the loss coefficients against the basis on the domain) are
     folded one at a time into their node-wise min and max, and the sup is
     read off those, alone and against the loss 1's row: a rounded
     difference is monotone in each operand, so the largest |one - row| at
     a node is one less the smallest row, or the largest row less one,
     exactly. No table of the rows is held."""
-    if isinstance(backend, DeconvolutionBackend):
-        fill, p = backend._row_filler(hclass), len(backend.lattice.nodes)
-        lo, hi, row = np.full(p, np.inf), np.full(p, -np.inf), np.empty(p)
-        for j in range(len(hclass)):
-            np.minimum(lo, fill(j, row), out=lo)
-            np.maximum(hi, row, out=hi)
-        one = fill(len(hclass), row)
-        top, bottom = hi.max(), -lo.min()
-        # one - lo and hi - one overwrite lo and hi, which nothing reads after
-        return float(max(top, bottom, np.subtract(one, lo, out=lo).max(),
-                         np.subtract(hi, one, out=hi).max()))
-    return max(float(np.abs(backend.losses(hclass, y, backend.grid.axis())).max()) for y in (0, 1))
+    fill, p = backend._row_filler(hclass)
+    lo, hi, row = np.full(p, np.inf), np.full(p, -np.inf), np.empty(p)
+    for j in range(len(hclass)):
+        np.minimum(lo, fill(j, row), out=lo)
+        np.maximum(hi, row, out=hi)
+    one = fill(len(hclass), row)
+    top, bottom = hi.max(), -lo.min()
+    # one - lo and hi - one overwrite lo and hi, which nothing reads after
+    return float(max(top, bottom, np.subtract(one, lo, out=lo).max(),
+                     np.subtract(hi, one, out=hi).max()))
 
 
 def _bias(risks: np.ndarray, reg: np.ndarray, star_index: int, kappa: float,
@@ -262,15 +261,14 @@ def empirical_bias_deconv(scenario: Scenario, backend: DeconvolutionBackend,
                           bias_variant: str = "squared_loss") -> float:
     """Approximation-function estimate for the kernel backend.
 
-    The exact risks integrate the raw loss against the zero-extended
-    density, the expected regularized risks (``expected_risks``) against
-    the base-smoothed density, both with the lattice quadrature, so
-    discretization errors cancel in the difference. Neither integrates the
-    oscillatory corrected kernel, whose quadrature noise would otherwise
-    floor the small-bandwidth scaling.
+    The exact risks (``true_risks``, clipped to the backend's window) are
+    the spectral backend's; the expected regularized risks
+    (``expected_risks``) integrate the raw loss against the base-smoothed
+    density. Neither integrates the oscillatory corrected kernel, whose
+    quadrature noise would otherwise floor the small-bandwidth scaling.
     """
-    exact = backend._density_statistic(hclass, scenario, zero_extended_density)
-    return _bias(_risks(hclass, backend, exact), expected_risks(hclass, scenario, backend),
+    return _bias(true_risks(hclass, scenario, backend.window),
+                 expected_risks(hclass, scenario, backend),
                  star_index, scenario.kappa, bias_variant)
 
 

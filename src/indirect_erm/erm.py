@@ -27,8 +27,10 @@ interpolated, one row at a time, with no table of the rows kept; it is
 the kernel backend's one evaluation of losses at points, and the
 per-classifier FFT tables of ``noisy_risk`` (``modified_loss_deconv``)
 are the reference the tests compare it against. On the spectral backend
-it and ``losses`` come from the class matrix and basis, the one spectral
-evaluation.
+it comes from the class matrix and basis, the one spectral evaluation.
+``_row_filler`` fills the loss rows on the backend's nodes one at a time,
+on both backends: each classifier's label-0 loss, then the loss 1's.
+No exact risk is computed here: ``hypotheses.true_risks`` gives them.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .noisy_risk import (
     NoisySample,
     ObservationLattice,
     _cells,
-    _domain_nodes,
     _log_clamped,
     bin_draws,
     plug_in_density,  # noqa: F401  unused here; the benchmark's tracer wraps it by name
@@ -227,9 +228,11 @@ class DeconvolutionBackend:
         end node the window holds (its trapezoid weight): the identity of
         ``_row_filler``. So every run boundary c gives one sum of CB[c - l +
         P - 1] against the signed node measure g = p_0 w f_0 - p_1 w f_1 over
-        the domain's nodes l, off which the densities vanish; a run is the
-        difference of its two ends', and the shared term, of p_1 w f_1, that
-        of the window's. No transform is taken and no runs x P array formed.
+        the domain's nodes l (``lattice.domain_nodes``), off which the
+        densities vanish, with f_y taken at the domain's axis, where
+        ``true_risks`` takes it; a run is the difference of its two ends',
+        and the shared term, of p_1 w f_1, that of the window's. No
+        transform is taken and no runs x P array formed.
         """
         lattice = self.lattice
         p, h = len(lattice.nodes), lattice.spacing
@@ -238,8 +241,8 @@ class DeconvolutionBackend:
         cb[0] = 0.0
         np.cumsum(base, out=cb[1:])
         first, last = np.flatnonzero(self._weights)[[0, -1]]
-        dom = _domain_nodes(scenario, lattice)
-        (p0, p1), x, w = scenario.priors, lattice.nodes[dom], lattice.weights[dom]
+        dom, x = lattice.domain_nodes, scenario.domain.axis()
+        (p0, p1), w = scenario.priors, lattice.weights[dom]
         f0, f1 = (w * scenario.density(y, x) for y in (0, 1))
         # reversed, so node l meets CB[c - l + P - 1] in one forward slice
         signed, label1 = (p0 * f0 - p1 * f1)[::-1], (p1 * f1)[::-1]
@@ -259,18 +262,6 @@ class DeconvolutionBackend:
             stat[-1] -= h / 2 * (base[lo + p - 1: hi + p - 1] * signed).sum()
             shared -= h / 2 * (base[lo + p - 1: hi + p - 1] * label1).sum()
         return stat, float(shared)
-
-    def _density_statistic(self, hclass: HypothesisClass, scenario: Scenario,
-                           density) -> tuple[np.ndarray, float]:
-        """The statistic whose risks (``_risks``) integrate each label's raw
-        loss against ``density(scenario, lattice, y)``: the signed node
-        measure p_0 w f_0 - p_1 w f_1 summed per run (w the weights, zero
-        outside the window), and the label-1 mass every classifier shares.
-        The exact risks of ``diagnostics.empirical_bias_deconv`` read it
-        with the zero-extended density."""
-        (p0, p1), starts = scenario.priors, self._runs(hclass)[1]
-        f0, f1 = (self._weights * density(scenario, self.lattice, y) for y in (0, 1))
-        return np.add.reduceat(p0 * f0 - p1 * f1, starts), float(p1 * f1.sum())
 
     def _statistic(self, hclass: HypothesisClass, signed: np.ndarray,
                    label1: np.ndarray) -> tuple[np.ndarray, float]:
@@ -352,13 +343,13 @@ class DeconvolutionBackend:
         return _cached(self._cache, ("rows", hclass), build)
 
     def _row_filler(self, hclass: HypothesisClass):
-        """``fill(j, out)`` writes loss row j (``_loss_rows``; the loss 1's
-        row is j = len(hclass)) at every lattice node into ``out`` and
-        returns it. The loss 1 on nodes lo .. last gives h (CK[i - lo + P] -
-        CK[i - last + P - 1]) at node i, less h/2 times the kernel at each
-        lattice end node in lo .. last (its trapezoid weight), in that
-        order: slices of CK and of the kernel, the terms every row shares
-        taken once."""
+        """``fill(j, out)``, which writes loss row j (``_loss_rows``; the
+        loss 1's row is j = len(hclass)) at every lattice node into ``out``
+        and returns it, and the node count P. The loss 1 on nodes lo ..
+        last gives h (CK[i - lo + P] - CK[i - last + P - 1]) at node i, less
+        h/2 times the kernel at each lattice end node in lo .. last (its
+        trapezoid weight), in that order: slices of CK and of the kernel,
+        the terms every row shares taken once."""
         lo, last, ck = self._loss_rows(hclass)
         p, h = len(self._weights), self.lattice.spacing
         kernel = self.lattice.kernel.values[0]
@@ -375,7 +366,7 @@ class DeconvolutionBackend:
                 out -= tail
             return out
 
-        return fill
+        return fill, p
 
     def relative_losses(self, hclass: HypothesisClass, rows, z: np.ndarray) -> np.ndarray:
         """Label-0 regularized losses of the classifiers ``rows`` at the
@@ -492,12 +483,20 @@ class SvdBackend:
 
         return _cached(self._cache, ("matrix", hclass), build)
 
-    def losses(self, hclass: HypothesisClass, label: int, z: np.ndarray) -> np.ndarray:
-        """Regularized losses at the points z, one row per classifier."""
+    def _row_filler(self, hclass: HypothesisClass):
+        """``DeconvolutionBackend._row_filler`` on the grid's nodes:
+        ``fill(j, out)`` writes classifier j's label-0 loss, or the loss 1's
+        for j = len(hclass), into ``out`` and returns it, and the node count.
+        A row is its loss coefficients (``class_matrix``, ``_ones``) over b_k
+        against the basis at the nodes, taken once."""
         matrix = self.class_matrix(hclass)
-        if label == 1:
-            matrix = self._ones - matrix
-        return (matrix * self._inv_b) @ self.operator.basis(z, self.cutoff)
+        basis = self.operator.basis(self.grid.axis(), self.cutoff)
+
+        def fill(j: int, out: np.ndarray) -> np.ndarray:
+            coefficients = self._ones if j == len(matrix) else matrix[j]
+            return np.dot(coefficients * self._inv_b, basis, out=out)
+
+        return fill, self.grid.points_per_dim
 
     def relative_losses(self, hclass: HypothesisClass, rows, z: np.ndarray) -> np.ndarray:
         """Label-0 regularized losses of the classifiers ``rows`` at the

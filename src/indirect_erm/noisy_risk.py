@@ -19,6 +19,9 @@ The backend itself keeps no loss table: it reads each loss row off the
 kernel's cumulative sum at the nodes it needs.
 The spectral backend has no table here: ``erm.SvdBackend`` evaluates its
 loss from the basis integrals and the basis of ``operators``.
+No density is evaluated here: the lattice gives the domain's nodes as a
+slice (``ObservationLattice.domain_nodes``), where expected risks place
+the densities taken at the domain's own axis.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from numpy.fft import irfft, rfft
 
 from .errors import DataError
 from .grid import Grid, padded_axis
-from .hypotheses import Scenario, loss_values, window_mask
+from .hypotheses import loss_values, window_mask
 from .kernels import (
     NoiseModel,
     TabulatedKernel,
@@ -54,7 +57,6 @@ __all__ = [
     "modified_loss_deconv",
     "bin_draws",
     "plug_in_density",
-    "zero_extended_density",
 ]
 
 
@@ -140,6 +142,14 @@ class ObservationLattice:
     @property
     def spacing(self) -> float:
         return self.domain.spacing
+
+    @property
+    def domain_nodes(self) -> slice:
+        """The domain's nodes, counted (``padded_axis`` pads as many on each
+        side): a comparison with the domain's ends can drop the last one,
+        whose coordinate may round past the domain."""
+        pad = (len(self.nodes) - self.domain.points_per_dim) // 2
+        return slice(pad, pad + self.domain.points_per_dim)
 
     @cached_property
     def base_scaled(self) -> TabulatedKernel:
@@ -294,23 +304,3 @@ def plug_in_density(z_draws: np.ndarray, lattice: ObservationLattice) -> np.ndar
     if z.size == 0:
         raise DataError("plug-in density needs at least one observation")
     return lattice.convolve(bin_draws((z,), lattice)[0])
-
-
-def _domain_nodes(scenario: Scenario, lattice: ObservationLattice) -> slice:
-    """The lattice nodes inside the scenario's domain, a contiguous run."""
-    nodes = lattice.nodes
-    inside = np.flatnonzero((nodes >= scenario.domain.lower) & (nodes <= scenario.domain.upper))
-    return slice(int(inside[0]), int(inside[-1]) + 1)
-
-
-def zero_extended_density(scenario: Scenario, lattice: ObservationLattice,
-                          label: int) -> np.ndarray:
-    """Conditional density on the lattice nodes, zero outside the domain.
-
-    Only nodes inside the domain (``_domain_nodes``) are evaluated, so
-    density formulas never see arguments outside their support.
-    """
-    inside = _domain_nodes(scenario, lattice)
-    f = np.zeros(len(lattice.nodes))
-    f[inside] = scenario.density(label, lattice.nodes[inside])
-    return f

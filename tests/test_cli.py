@@ -608,6 +608,23 @@ def test_diagnose_keeps_no_loss_table(tmp_path, monkeypatch):
     assert cached and all(a.size < table for a in cached)
 
 
+@pytest.mark.parametrize("make", [diagnose_config, fit_config, rates_config])
+def test_densities_are_read_on_the_domain_nodes_only(tmp_path, monkeypatch, make):
+    # exact risks, expected risks and sampling tables all take a density at
+    # the domain's own nodes, never at lattice nodes within rounding of them
+    from indirect_erm.hypotheses import Scenario
+
+    calls = []
+
+    def density(self, label, x, _original=Scenario.density):
+        calls.append((self.domain.axis(), x))
+        return _original(self, label, x)
+
+    monkeypatch.setattr(Scenario, "density", density)
+    assert run(write_config(tmp_path, make(str(tmp_path / "artifacts"))), threads=1) == 0
+    assert calls and all(np.array_equal(axis, x) for axis, x in calls)
+
+
 def test_preset_files_are_valid():
     import indirect_erm
 

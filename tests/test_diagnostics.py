@@ -199,14 +199,16 @@ def test_lipschitz_skips_degenerate_pairs(grid):
 def _ratios_from_losses(sc, backend, hclass, pairs, sample):
     """The Lipschitz ratios from both labels' whole loss matrices: the
     per-classifier FFT tables (``modified_loss_deconv``) on the kernel
-    backend, ``losses`` on the spectral one."""
+    backend, the exact expansion (``reference_svd_losses``) on the spectral
+    one."""
     tables = ([modified_loss_deconv(c, backend.lattice, window=backend.window) for c in hclass]
               if isinstance(backend, DeconvolutionBackend) else None)
     i, j = np.array(pairs).T
     num_sq = np.zeros(len(pairs))
     for label, z in enumerate(sample.groups):
-        values = (backend.losses(hclass, label, z) if tables is None
-                  else np.vstack([t.evaluate(z, label) for t in tables]))
+        values = np.vstack([
+            reference_svd_losses(c, label, z, backend.operator, backend.cutoff, backend.grid)
+            for c in hclass] if tables is None else [t.evaluate(z, label) for t in tables])
         num_sq += [np.sum((values[a] - values[b]) ** 2) for a, b in zip(i, j)]
     return np.sqrt(num_sq / sample.n / _loss_distance_sq(sc, hclass, i, j))
 
@@ -319,20 +321,23 @@ def test_table_sup_matches_reference_tables(grid):
 
 
 def test_table_sup_copies_no_table(grid):
-    # node-wise min and max are a few lattice vectors; the absolute values
-    # of the rows and of the loss 1's row minus them were two table copies.
-    # Nothing is cached beforehand, so the peak also holds the class's
-    # cumulative kernel
-    backend = DeconvolutionBackend(lattice=build_lattice(grid, laplace_noise(2.0), 0.1))
-    hclass = threshold_grid(33, grid)
-    table_bytes = (len(hclass) + 1) * len(backend.lattice.nodes) * 8
-    tracemalloc.start()
-    try:
-        table_sup(backend, hclass)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= table_bytes / 4
+    # node-wise min and max are a few node vectors; the absolute values of
+    # the rows and of the loss 1's row minus them were two table copies, and
+    # the spectral losses were a class x nodes table per label. Nothing is
+    # cached beforehand, so the peak also holds the class's cumulative
+    # kernel, or its class matrix and the basis on the nodes
+    kernel = DeconvolutionBackend(lattice=build_lattice(grid, laplace_noise(2.0), 0.1))
+    svd = SvdBackend(operator=SpectralOperator(decay=1.0, k_max=64), cutoff=8, grid=grid)
+    for backend, hclass, nodes in ((kernel, threshold_grid(33, grid), len(kernel.lattice.nodes)),
+                                   (svd, threshold_grid(101, grid), grid.points_per_dim)):
+        table_bytes = (len(hclass) + 1) * nodes * 8
+        tracemalloc.start()
+        try:
+            table_sup(backend, hclass)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table_bytes / 4, backend.name
 
 
 def test_sup_bound_scalings(grid):

@@ -33,7 +33,6 @@ from indirect_erm.noisy_risk import (
     _next_fast_len,
     modified_loss_deconv,
     plug_in_density,
-    zero_extended_density,
 )
 from indirect_erm.reader import ConfigReader
 from indirect_erm.simulation import generate_sample, trial_seed_sequence
@@ -50,6 +49,7 @@ from oracles import (
     reference_plug_in_features,
     reference_runs,
     reference_svd_losses,
+    zero_extended_density,
 )
 
 
@@ -169,14 +169,22 @@ def test_class_matrix_cache_keyed_by_value(grid):
 
 
 def test_backend_losses_match_per_classifier_tables(grid):
-    # the class-wide spectral losses are the exact expansion's, to rounding
+    # the class-wide spectral losses are the exact expansion's, to rounding:
+    # label 0 at points, and both labels' rows on the grid's nodes, the
+    # label-1 row the loss 1's less the label-0 one
     op = SpectralOperator(decay=1.0, k_max=64)
     hclass = threshold_grid(9, grid)
     z = np.random.default_rng(2).uniform(-0.5, 1.5, 400)
     svd = SvdBackend(operator=op, cutoff=8, grid=grid)
-    for label in (0, 1):
-        ref = [reference_svd_losses(c, label, z, op, 8, grid) for c in hclass]
-        assert np.abs(svd.losses(hclass, label, z) - np.vstack(ref)).max() < 1e-12
+    ref = [reference_svd_losses(c, 0, z, op, 8, grid) for c in hclass]
+    assert np.abs(svd.relative_losses(hclass, range(len(hclass)), z) - np.vstack(ref)).max() < 1e-12
+    fill, p = svd._row_filler(hclass)
+    one = fill(len(hclass), np.empty(p))
+    for j, c in enumerate(hclass):
+        row = fill(j, np.empty(p))
+        for label, got in ((0, row), (1, one - row)):
+            ref = reference_svd_losses(c, label, grid.axis(), op, 8, grid)
+            assert np.abs(got - ref).max() < 1e-12
 
 
 def _edge_class(nodes, grid):
@@ -273,10 +281,11 @@ def test_expected_risks_match_the_fft_route_relative_to_their_terms(grid, noise)
     # p_y sum w |S_y| (3.9e-15 measured): on the padded lattice and on one
     # whose end nodes, of weight h/2, carry density (pad_factor 0), over the
     # whole lattice, a window inside the domain and windows holding either
-    # lattice end; thresholds on, left of, right of and across the domain
+    # lattice end; thresholds on, left of, right of and across the domain.
+    # At lambda = 0.33 the dirac lattice's last domain node rounds past 1
     sc = make_margin_scenario(1, noise, grid=grid)
     hclass = mixed_threshold_class(grid)
-    for lam, pad in ((0.25, 4.0), (0.5, 4.0), (0.25, 0.0)):
+    for lam, pad in ((0.25, 4.0), (0.5, 4.0), (0.25, 0.0), (0.33, 4.0)):
         lattice = build_lattice(grid, noise, lam, base_kind="order_m_flat_top", pad_factor=pad)
         smoothed = [base_smoothed_density(sc, lattice, y) for y in sc.labels]
         for window in (None, (0.2, 0.7), (-10.0, 0.5), (0.5, 10.0)):
@@ -295,7 +304,7 @@ def test_risks_request_label_zero_losses_only(grid, monkeypatch):
     # and tables from the thresholds alone, so no classifier is evaluated on
     # the nodes for either label, and a fresh kernel backend's losses at
     # points take no FFT
-    from indirect_erm.diagnostics import empirical_bias_deconv
+    from indirect_erm.diagnostics import empirical_bias_deconv, table_sup
 
     def refused(*args):
         raise AssertionError("a classifier was evaluated")
@@ -325,8 +334,8 @@ def test_risks_request_label_zero_losses_only(grid, monkeypatch):
     svd = SvdBackend(operator=op, cutoff=8, grid=grid)
     empirical_risks(hclass, generate_sample(svd_sc, 200, np.random.default_rng(2)), svd)
     expected_risks(hclass, svd_sc, SvdBackend(operator=op, cutoff=8, grid=grid))
-    for label in (0, 1):
-        SvdBackend(operator=op, cutoff=8, grid=grid).losses(hclass, label, z)
+    SvdBackend(operator=op, cutoff=8, grid=grid).relative_losses(hclass, range(len(hclass)), z)
+    table_sup(SvdBackend(operator=op, cutoff=8, grid=grid), hclass)
 
 
 def test_svd_backend_rejects_cutoff_outside_range(grid):
@@ -346,7 +355,8 @@ def test_svd_backend_class_free_weights_built_with_it(grid):
     np.testing.assert_array_equal(backend._ones,
                                   reference_loss_coefficients(ThresholdClassifier(-1.0), 0,
                                                               grid.lower, grid.upper, 8))
-    backend.losses(threshold_grid(5, grid), 1, np.array([0.2, 0.7]))
+    backend.relative_losses(threshold_grid(5, grid), [0], np.array([0.2, 0.7]))
+    backend._row_filler(threshold_grid(5, grid))
     assert [key[0] for key in backend._cache] == ["matrix"]
     assert backend == SvdBackend(operator=op, cutoff=8, grid=grid)
 
@@ -471,7 +481,7 @@ def test_fit_result_serialization(grid):
 @pytest.mark.parametrize("window", [None, (0.2, 0.7)])
 def test_run_merged_scan_matches_dense_product(grid, window):
     # the class matrix keeps one column per run of nodes on which no loss
-    # changes; its risks of node densities (``_density_statistic``) are the
+    # changes; its risks of node densities, p_0 w f summed per run, are the
     # dense label-0 node-loss product in another order. Label 1 gets the
     # zero density, so no shared term is added, and p_0 = 1/2 scales exactly.
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
@@ -486,8 +496,8 @@ def test_run_merged_scan_matches_dense_product(grid, window):
             z = rng.uniform(-0.5, 1.5, 300)
             features = 0.5 * reference_plug_in_features(z, backend)
             want = dense @ features
-            densities = (plug_in_density(z, lattice), np.zeros(len(lattice.nodes)))
-            statistic = backend._density_statistic(hclass, sc, lambda s, lat, y: densities[y])
+            signed = 0.5 * (backend._weights * plug_in_density(z, lattice))
+            statistic = np.add.reduceat(signed, backend._runs(hclass)[1]), 0.0
             got = _risks(hclass, backend, statistic)
             # relative to the size of the summed terms, the scale of rounding
             assert np.all(np.abs(got - want) <= 1e-15 * (np.abs(dense) @ np.abs(features)))

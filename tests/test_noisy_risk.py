@@ -26,9 +26,6 @@ from indirect_erm.erm import RateConfig, empirical_risks, select_bandwidth
 from indirect_erm.grid import trapezoid_weights
 from indirect_erm.hypotheses import loss_values, snap_to_cell_midpoint
 from indirect_erm import noisy_risk
-from indirect_erm.noisy_risk import (
-    zero_extended_density,
-)
 from indirect_erm.operators import contaminate, sample_density, sampler_table
 from indirect_erm.simulation import generate_sample
 
@@ -41,6 +38,7 @@ from oracles import (
     reference_labelled_binning,
     reference_loss_coefficients,
     stacked_run_vectors,
+    zero_extended_density,
 )
 
 
@@ -62,6 +60,21 @@ def test_lattice_spacing_builds_weights_and_offsets(grid):
                           trapezoid_weights(len(lattice.nodes), lattice.spacing))
     m = len(lattice.nodes) - 1
     assert np.array_equal(lattice.kernel.offsets[0], lattice.spacing * np.arange(-m, m + 1))
+
+
+@pytest.mark.parametrize("bandwidth", [
+    0.33, *(select_bandwidth(RateConfig(kappa=2.0, rho=0.5, gamma=2.0, bias_variant="squared_loss"),
+                             n) for n in (256, 2048))], ids=["0.33", "preset-256", "preset-2048"])
+def test_domain_nodes_hold_every_domain_node(grid, bandwidth):
+    # on these dirac lattices (the last two at the dirac preset's bandwidths)
+    # the last domain node rounds to 1 + 2.2e-16, which a comparison of the
+    # nodes with the domain's ends dropped; the slice counts nodes instead
+    lattice = build_lattice(grid, dirac_noise(), bandwidth)
+    inside = lattice.domain_nodes
+    assert len(lattice.nodes[inside]) == grid.points_per_dim
+    assert np.abs(lattice.nodes[inside] - grid.axis()).max() <= 1e-15
+    outside = np.r_[lattice.nodes[: inside.start], lattice.nodes[inside.stop:]]
+    assert np.all(np.abs(outside - 0.5) > 0.5 + grid.spacing / 2)
 
 
 def test_zero_loss_table_is_zero(laplace_lattice):
@@ -508,7 +521,8 @@ def test_svd_zero_loss_table(grid):
     op = SpectralOperator(decay=1.0, k_max=64)
     clf = ThresholdClassifier(grid.lower - 1.0)  # zero loss at label 1
     backend = SvdBackend(operator=op, cutoff=16, grid=grid)
-    values = backend.losses(HypothesisClass((clf,)), 1, grid.axis())
+    fill, p = backend._row_filler(HypothesisClass((clf,)))
+    values = fill(1, np.empty(p)) - fill(0, np.empty(p))  # the loss 1 less the label-0 loss
     assert np.abs(values).max() < 1e-12
 
 
@@ -534,8 +548,9 @@ def test_svd_table_converges_to_raw_loss(grid):
     raw = loss_values(clf, 1, x)
     errs = []
     for cutoff in (8, 16, 32, 64):
-        backend = SvdBackend(operator=op, cutoff=cutoff, grid=grid)
-        values = backend.losses(HypothesisClass((clf,)), 1, x)[0]
+        fill, p = SvdBackend(operator=op, cutoff=cutoff, grid=grid)._row_filler(
+            HypothesisClass((clf,)))
+        values = fill(1, np.empty(p)) - fill(0, np.empty(p))  # the label-1 loss on x
         errs.append(float(np.dot(w, (values - raw) ** 2)))
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 0.01
