@@ -5,12 +5,13 @@ log-log scaling: the Lipschitz constant of the regularized loss class, its
 certified uniform bound, the approximation (bias) function, the Bernstein
 ratio of the excess-loss class. Every measured constant takes a risk
 backend of ``erm`` and reads the regularized loss class through it: the
-label-0 losses of the classifiers the Lipschitz pairs use, at Monte-Carlo
-draws and up to a term they share (``relative_losses``: under the hard
-loss a label-1 difference is minus the label-0 one), and the label-0
-class matrix the minimizer pairs with the expectation of the signed
-statistic of P_0 - P_1 (``expected_risks``); both biases take the exact
-risks from ``true_risks``. The raw sup folds the loss rows on the
+Lipschitz pairs' squared label-0 loss differences summed over the
+Monte-Carlo draws, off the sample's second moments
+(``squared_differences``: under the hard loss a label-1 difference is
+minus the label-0 one), and the label-0 class matrix the minimizer pairs
+with the expectation of the signed statistic of P_0 - P_1
+(``expected_risks``); both biases take the exact risks from
+``true_risks``. The raw sup folds the loss rows on the
 backend's nodes (``_row_filler``) one at a time, with one body for both
 backends. The raw-loss distances and norms are differences of the domain
 weight at the classifiers' cuts. The certificates read the grid, kernel
@@ -158,10 +159,10 @@ def empirical_lipschitz(scenario: Scenario, backend, hclass: HypothesisClass, pa
     under nu_y. Degenerate pairs are skipped; a ``DataError`` is raised when
     none is left.
 
-    Under the hard loss a pair's label-1 loss difference is minus its
-    label-0 difference, and a term every row shares cancels in it. So each
-    label group reads the label-0 losses of the classifiers the pairs use
-    alone, up to such a term (``relative_losses``), and no label-1 row.
+    The numerator's squares are the backend's ``squared_differences``:
+    under the hard loss a pair's label-1 loss difference is minus its
+    label-0 difference, so the label groups pool and the sums read the
+    sample's second moments once, for every pair.
     """
     i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
     denom = np.sqrt(_loss_distance_sq(scenario, hclass, i, j))
@@ -170,18 +171,8 @@ def empirical_lipschitz(scenario: Scenario, backend, hclass: HypothesisClass, pa
         logger.info("skipping %d degenerate classifier pair(s)", np.count_nonzero(~keep))
     if not keep.any():
         raise DataError("no classifier pair with a nonzero loss distance to measure")
-    i, j, denom = i[keep], j[keep], denom[keep]
-    used, where = np.unique(np.r_[i, j], return_inverse=True)  # rows of i, then of j
-    num_sq = np.zeros(len(i))
-    for z_lab in sample.groups:
-        if z_lab.size:
-            values = backend.relative_losses(hclass, used, z_lab)
-            diff = np.empty(len(z_lab))
-            for k, (a, b) in enumerate(where.reshape(2, -1).T):
-                np.subtract(values[a], values[b], out=diff)
-                num_sq[k] += float(np.square(diff, out=diff).sum())
-            del values, diff  # one label's rows alive at a time
-    return np.sqrt(num_sq / sample.n) / denom
+    num_sq = backend.squared_differences(hclass, i[keep], j[keep], sample)
+    return np.sqrt(num_sq / sample.n) / denom[keep]
 
 
 def _max_loss_l2(hclass: HypothesisClass, grid: Grid) -> float:
@@ -200,7 +191,7 @@ def sup_bound_deconv(backend: DeconvolutionBackend, hclass: HypothesisClass) -> 
     the theoretical scaling.
     """
     lattice = backend.lattice
-    l2 = kernel_fourier_l2(lattice.kernel.base_kind, lattice.noise, lattice.bandwidth)
+    l2 = kernel_fourier_l2(lattice.kernel.base_kind, lattice.kernel.noise, lattice.bandwidth)
     return l2 * _max_loss_l2(hclass, lattice.domain)
 
 
@@ -222,8 +213,7 @@ def table_sup(backend, hclass: HypothesisClass) -> float:
     loss 1's row minus it.
 
     The rows (``_row_filler``: on the kernel backend slices of the
-    kernel's cumulative sum, the losses on the nodes, where
-    ``relative_losses`` gives them at points up to a shared term; on the
+    kernel's cumulative sum, the losses on the lattice nodes; on the
     spectral one the loss coefficients against the basis on the domain) are
     folded one at a time into their node-wise min and max, and the sup is
     read off those, alone and against the loss 1's row: a rounded

@@ -19,18 +19,18 @@ per run: one windowed convolution between the first run's end and the
 last run's start, and cached dot products for the outer runs and the
 shared term. The spectral backend's holds the basis integrals from each
 threshold to the domain's end, against the 1/b_k-weighted basis moments.
-``relative_losses`` gives the label-0 losses of chosen classifiers at
-given points, up to one term all of them share, which is all that a
-difference of two losses needs: on the kernel backend a row is h times
-the kernel's cumulative sum at the ends of every point's cell,
-interpolated, one row at a time, with no table of the rows kept; it is
-the kernel backend's one evaluation of losses at points, and the
-per-classifier FFT tables of ``noisy_risk`` (``modified_loss_deconv``)
-are the reference the tests compare it against. On the spectral backend
-it comes from the class matrix and basis, the one spectral evaluation.
-``_row_filler`` fills the loss rows on the backend's nodes one at a time,
-on both backends: each classifier's label-0 loss, then the loss 1's.
-No exact risk is computed here: ``hypotheses.true_risks`` gives them.
+``squared_differences`` sums, over a sample's draws, the squared
+difference of two classifiers' label-0 losses for each of given pairs,
+off the draws' second moments: on the kernel backend the linear-binning
+moments against the pair's node difference, the loss 1 between the two
+cuts (``_span``), and on the spectral backend the basis Gram matrix
+against the pair's loss coefficients; no loss is evaluated at a draw.
+The per-classifier FFT tables of ``noisy_risk`` (``modified_loss_deconv``)
+are the kernel reference the tests compare it against. ``_row_filler``
+fills the loss rows on the backend's nodes one at a time, on both
+backends: each classifier's label-0 loss, then the loss 1's, on the
+kernel backend each a ``_span``. No exact risk is computed here:
+``hypotheses.true_risks`` gives them.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ class DeconvolutionBackend:
         end nodes, B gives h (CB[b - l + P - 1] - CB[a - l + P - 1]) at the
         node l, CB the cumulative sum of B from 0, less h/2 B at each lattice
         end node the window holds (its trapezoid weight): the identity of
-        ``_row_filler``. So every run boundary c gives one sum of CB[c - l +
+        ``_span``. So every run boundary c gives one sum of CB[c - l +
         P - 1] against the signed node measure g = p_0 w f_0 - p_1 w f_1 over
         the domain's nodes l (``lattice.domain_nodes``), off which the
         densities vanish, with f_y taken at the domain's axis, where
@@ -326,98 +326,91 @@ class DeconvolutionBackend:
 
         return _cached(self._cache, ("signed", hclass), build)
 
-    def _loss_rows(self, hclass: HypothesisClass) -> tuple[np.ndarray, int, np.ndarray]:
+    def _loss_rows(self, hclass: HypothesisClass) -> tuple[np.ndarray, int]:
         """The first node lo_j of each regularized loss row: the cut s_j for
         the loss 1{x > t_j}, then the window's first node for the loss 1,
-        clipped to the window's end nodes first .. last + 1; the last end
-        node; and CK, the kernel's cumulative sum from 0 (2P values)."""
+        clipped to the window's end nodes first .. last + 1; and the last
+        end node."""
         def build():
-            kernel = self.lattice.kernel.values[0]
             first, last = np.flatnonzero(self._weights)[[0, -1]]
             lo = np.clip(np.r_[_cuts(hclass, self.lattice.nodes), first], first, last + 1)
+            return lo, int(last)
+
+        return _cached(self._cache, ("rows", hclass), build)
+
+    def _span(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """The regularized loss 1 on the nodes lo .. hi (0 for hi = lo - 1) at
+        every lattice node, written into ``out`` and returned: h (CK[i - lo +
+        P] - CK[i - hi + P - 1]) at node i, CK the kernel's cumulative sum
+        from 0 (2P values, built once per backend), less h/2 times the
+        kernel at each lattice end node in lo .. hi (its trapezoid weight),
+        in that order."""
+        kernel = self.lattice.kernel.values[0]
+
+        def build():
             ck = np.empty(len(kernel) + 1)
             ck[0] = 0.0
             np.cumsum(kernel, out=ck[1:])
-            return lo, int(last), ck
+            return ck
 
-        return _cached(self._cache, ("rows", hclass), build)
+        ck = _cached(self._cache, ("cumulative",), build)
+        p, h = len(self._weights), self.lattice.spacing
+        np.subtract(ck[p - lo: 2 * p - lo], ck[p - 1 - hi: 2 * p - 1 - hi], out=out)
+        out *= h
+        if lo <= hi:
+            if lo == 0:
+                out -= kernel[p - 1:] * (h / 2)
+            if hi == p - 1:
+                out -= kernel[:p] * (h / 2)
+        return out
 
     def _row_filler(self, hclass: HypothesisClass):
         """``fill(j, out)``, which writes loss row j (``_loss_rows``; the
         loss 1's row is j = len(hclass)) at every lattice node into ``out``
-        and returns it, and the node count P. The loss 1 on nodes lo ..
-        last gives h (CK[i - lo + P] - CK[i - last + P - 1]) at node i, less
-        h/2 times the kernel at each lattice end node in lo .. last (its
-        trapezoid weight), in that order: slices of CK and of the kernel,
-        the terms every row shares taken once."""
-        lo, last, ck = self._loss_rows(hclass)
-        p, h = len(self._weights), self.lattice.spacing
-        kernel = self.lattice.kernel.values[0]
-        base = ck[p - 1 - last: 2 * p - 1 - last]
-        head = kernel[p - 1:] * (h / 2) if lo.min() == 0 else None
-        tail = kernel[:p] * (h / 2) if last == p - 1 else None
+        and returns it, and the node count P: the loss 1 on the nodes lo_j
+        .. last (``_span``)."""
+        lo, last = self._loss_rows(hclass)
 
         def fill(j: int, out: np.ndarray) -> np.ndarray:
-            np.subtract(ck[p - lo[j]: 2 * p - lo[j]], base, out=out)
-            out *= h
-            if lo[j] == 0:
-                out -= head
-            if tail is not None and lo[j] <= last:
-                out -= tail
-            return out
+            return self._span(lo[j], last, out)
 
-        return fill, p
+        return fill, len(self._weights)
 
-    def relative_losses(self, hclass: HypothesisClass, rows, z: np.ndarray) -> np.ndarray:
-        """Label-0 regularized losses of the classifiers ``rows`` at the
-        points z, clamped to the lattice with a logged count, one row each,
-        up to one term that all of them share; the label-1 losses differ by
-        minus the same.
+    def squared_differences(self, hclass: HypothesisClass, a, b,
+                            sample: NoisySample) -> np.ndarray:
+        """For each pair (a[k], b[k]) of class indices, the sum over every
+        draw of ``sample``, clamped to the lattice with one logged count, of
+        the squared difference of the two classifiers' label-0 regularized
+        losses (a label-1 difference is minus it, so the groups pool).
 
-        A row is h CK[i - lo + P] (``_loss_rows``) at the two ends i of each
-        point's cell (``_cells``), interpolated: the step between them is h
-        times the kernel at the left end. The loss's other CK term,
-        h CK[i - last + P - 1], and, when the window holds the lattice's
-        last node, its tail term are shared by every row with a cut inside
-        the window and are never formed. So a row whose cut lies past the
-        window's last node, whose loss is 0, adds that tail term back, and
-        one whose cut lies at node 0 subtracts its head term (``_row_filler``
-        forms all of these terms on the nodes)."""
-        z = np.asarray(z, dtype=float)
-        nodes = self.lattice.nodes
-        _log_clamped((z,), nodes[0], nodes[-1])
-        z = np.clip(z, nodes[0], nodes[-1])
-        cell = _cells(z, nodes, self.lattice.spacing)
-        step = np.subtract(z, nodes[cell], out=z)  # no second copy kept beside the rows
-        step /= nodes[cell + 1] - nodes[cell]  # the fraction of the cell left of z
-        lo, last, ck = self._loss_rows(hclass)
-        p, h = len(self._weights), self.lattice.spacing
-        kernel = self.lattice.kernel.values[0]
-        hck = ck * h
-        buffer = np.empty(len(cell))
-
-        def edge(start):  # h/2 times the kernel at offset index start + i, interpolated
-            out = np.take(kernel[start + 1:], cell, mode="clip")
-            out -= np.take(kernel[start:], cell, mode="clip", out=buffer)
-            out *= step
-            out += buffer
-            out *= h / 2
-            return out
-
-        lo = lo[np.asarray(rows, dtype=int)]
-        head = edge(p - 1) if (lo == 0).any() else None
-        tail = edge(0) if last == p - 1 and (lo > last).any() else None
-        step *= h  # the fracs, scaled for the kernel's step
-        out = np.empty((len(lo), len(cell)))
-        for start, row in zip(p - lo, out):
-            np.take(hck[start:], cell, mode="clip", out=row)
-            np.take(kernel[start:], cell, mode="clip", out=buffer)
-            buffer *= step
-            row += buffer
-            if start == p:
-                row -= head
-            elif tail is not None and start < p - last:
-                row += tail
+        The two rows differ by the loss 1 on the nodes between their first
+        nodes (``_span``), Delta, and a draw in cell c at the fraction t of
+        it reads (1 - t) Delta_c + t Delta_(c+1). So each sum is
+        sum_k s_k Delta_k^2 + 2 sum_c x_c Delta_c Delta_(c+1), with s and x
+        the draws' linear-binning second moments: s_k sums (1 - t)^2 over
+        the draws of cell k and t^2 over those of cell k - 1, and x_c sums
+        t (1 - t) over cell c. No loss is evaluated at a draw."""
+        nodes, p = self.lattice.nodes, len(self._weights)
+        _log_clamped(sample.groups, nodes[0], nodes[-1])
+        t = np.clip(np.concatenate(sample.groups), nodes[0], nodes[-1])
+        cell = _cells(t, nodes, self.lattice.spacing)
+        left = np.take(nodes, cell)
+        t -= left
+        t /= np.subtract(np.take(nodes[1:], cell), left, out=left)  # the node gap, as np.interp
+        np.subtract(1.0, t, out=left)
+        cross = np.bincount(cell, left * t, minlength=p - 1)
+        diag = np.bincount(cell, np.square(left, out=left), minlength=p)
+        diag[1:] += np.bincount(cell, np.square(t, out=t), minlength=p - 1)
+        lo = self._loss_rows(hclass)[0]
+        delta, scratch = np.empty(p), np.empty(p - 1)
+        out = np.empty(len(a))
+        for k, (u, v) in enumerate(zip(lo[a], lo[b])):
+            self._span(min(u, v), max(u, v) - 1, delta)
+            np.multiply(delta[:-1], delta[1:], out=scratch)
+            scratch *= cross
+            np.square(delta, out=delta)
+            delta *= diag
+            out[k] = delta.sum() + 2.0 * scratch.sum()
         return out
 
 
@@ -498,12 +491,18 @@ class SvdBackend:
 
         return fill, self.grid.points_per_dim
 
-    def relative_losses(self, hclass: HypothesisClass, rows, z: np.ndarray) -> np.ndarray:
-        """Label-0 regularized losses of the classifiers ``rows`` at the
-        points z, one row each: ``DeconvolutionBackend.relative_losses``
-        with no term left out."""
-        matrix = self.class_matrix(hclass)[np.asarray(rows, dtype=int)]
-        return (matrix * self._inv_b) @ self.operator.basis(z, self.cutoff)
+    def squared_differences(self, hclass: HypothesisClass, a, b,
+                            sample: NoisySample) -> np.ndarray:
+        """``DeconvolutionBackend.squared_differences`` on the basis: c^T G c
+        for each pair, c = (C_a - C_b) / b_k the pair's difference of loss
+        coefficients over b_k and G the basis Gram matrix at every draw,
+        formed with ``einsum`` on the calling thread (``@`` would hand it to
+        BLAS)."""
+        basis = self.operator.basis(np.concatenate(sample.groups), self.cutoff)
+        gram = np.einsum("kn,ln->kl", basis, basis)
+        matrix = self.class_matrix(hclass)
+        c = (matrix[a] - matrix[b]) * self._inv_b
+        return np.einsum("pk,kl,pl->p", c, gram, c)
 
 
 def _risks(hclass: HypothesisClass, backend, statistic: tuple[np.ndarray, float]) -> np.ndarray:

@@ -133,7 +133,6 @@ class ObservationLattice:
     nodes: np.ndarray
     weights: np.ndarray
     kernel: TabulatedKernel
-    noise: NoiseModel
 
     @property
     def bandwidth(self) -> float:
@@ -210,8 +209,7 @@ def build_lattice(grid: Grid, noise: NoiseModel, bandwidth: float,
     offsets = grid.spacing * np.arange(-m, m + 1)
     base = build_base_kernel(base_kind, grid, offsets=offsets)
     kernel = build_deconvolution_kernel(base, noise, bandwidth)
-    return ObservationLattice(domain=grid, nodes=nodes, weights=weights,
-                              kernel=kernel, noise=noise)
+    return ObservationLattice(domain=grid, nodes=nodes, weights=weights, kernel=kernel)
 
 
 @dataclass(frozen=True)

@@ -168,16 +168,30 @@ def test_class_matrix_cache_keyed_by_value(grid):
     assert backend.class_matrix(threshold_grid(9, grid)).shape[0] == 9
 
 
+def _pair_sums(losses):
+    """Every pair (i < j) of the rows of ``losses`` and the sums over the
+    columns of their squared differences; also the largest row's sum of
+    squares, the scale of those sums."""
+    i, j = np.triu_indices(len(losses), 1)
+    return i, j, ((losses[i] - losses[j]) ** 2).sum(axis=1), (losses ** 2).sum(axis=1).max()
+
+
 def test_backend_losses_match_per_classifier_tables(grid):
     # the class-wide spectral losses are the exact expansion's, to rounding:
-    # label 0 at points, and both labels' rows on the grid's nodes, the
-    # label-1 row the loss 1's less the label-0 one
+    # the squared label-0 differences summed over points in two groups, and
+    # both labels' rows on the grid's nodes, the label-1 row the loss 1's
+    # less the label-0 one
     op = SpectralOperator(decay=1.0, k_max=64)
-    hclass = threshold_grid(9, grid)
     z = np.random.default_rng(2).uniform(-0.5, 1.5, 400)
+    sample = NoisySample((z[:150], z[150:]))
+    for cutoff, hclass in ((8, threshold_grid(9, grid)), (64, threshold_grid(33, grid))):
+        ref = np.vstack([reference_svd_losses(c, 0, z, op, cutoff, grid) for c in hclass])
+        i, j, want, scale = _pair_sums(ref)
+        got = SvdBackend(operator=op, cutoff=cutoff, grid=grid).squared_differences(
+            hclass, i, j, sample)
+        assert np.abs(got - want).max() < 1e-12 * scale, cutoff
+    hclass = threshold_grid(9, grid)
     svd = SvdBackend(operator=op, cutoff=8, grid=grid)
-    ref = [reference_svd_losses(c, 0, z, op, 8, grid) for c in hclass]
-    assert np.abs(svd.relative_losses(hclass, range(len(hclass)), z) - np.vstack(ref)).max() < 1e-12
     fill, p = svd._row_filler(hclass)
     one = fill(len(hclass), np.empty(p))
     for j, c in enumerate(hclass):
@@ -200,23 +214,22 @@ def _edge_class(nodes, grid):
 @pytest.mark.parametrize("bandwidth", [0.05, 0.1, 0.25, 0.5])
 def test_closed_form_tables_match_convolution_tables(grid, noise, bandwidth):
     # each regularized loss, a difference of two values of the kernel's
-    # cumulative sum, against the per-classifier FFT tables: at every node
-    # and at points clamped to both lattice ends. ``relative_losses`` leaves
-    # out a term every row shares, so the differences of its rows are
-    # checked: those of the label-0 tables, and minus those of the label-1
-    # tables
+    # cumulative sum, against the per-classifier FFT tables: the squared
+    # differences of every pair's label-0 losses, summed over the nodes and
+    # over points clamped to both lattice ends, in two label groups, off the
+    # points' second moments, against the same sums of the tables' values
     lattice = build_lattice(grid, noise, bandwidth)
     nodes = lattice.nodes
     z = np.r_[nodes, nodes[0] - 1.0, nodes[-1] + 2.0,
               np.random.default_rng(6).uniform(nodes[0], nodes[-1], 200)]
+    sample = NoisySample((z[::2], z[1::2]))
     hclass = _edge_class(nodes, grid)
     for window in (None, (0.1, 0.9)):
         backend = DeconvolutionBackend(lattice=lattice, window=window)
-        got = np.diff(backend.relative_losses(hclass, range(len(hclass)), z), axis=0)
         tables = [modified_loss_deconv(c, lattice, window=window) for c in hclass]
-        for label, sign in ((0, 1.0), (1, -1.0)):
-            want = np.vstack([t.evaluate(z, label) for t in tables])
-            assert np.abs(sign * got - np.diff(want, axis=0)).max() <= 2e-14 * np.abs(want).max()
+        i, j, want, scale = _pair_sums(np.vstack([t.evaluate(z, 0) for t in tables]))
+        got = backend.squared_differences(hclass, i, j, sample)
+        assert np.abs(got - want).max() <= 2e-14 * scale, window
 
 
 def test_closed_form_class_matrices_match_loss_loops(grid):
@@ -302,8 +315,8 @@ def test_expected_risks_match_the_fft_route_relative_to_their_terms(grid, noise)
 def test_risks_request_label_zero_losses_only(grid, monkeypatch):
     # stricter than label 0 only: both backends build their class matrices
     # and tables from the thresholds alone, so no classifier is evaluated on
-    # the nodes for either label, and a fresh kernel backend's losses at
-    # points take no FFT
+    # the nodes for either label, and a fresh kernel backend's loss
+    # differences at points take no FFT
     from indirect_erm.diagnostics import empirical_bias_deconv, table_sup
 
     def refused(*args):
@@ -322,9 +335,11 @@ def test_risks_request_label_zero_losses_only(grid, monkeypatch):
     sc, svd_sc = make_margin_scenario(1, noise, grid=grid), make_margin_scenario(1, op, grid=grid)
     lattice = build_lattice(grid, noise, 0.25)
     z = np.random.default_rng(3).uniform(-0.5, 1.5, 300)
+    points = NoisySample((z[:100], z[100:]))
+    pairs = np.triu_indices(len(hclass), 1)
     for window in (None, (0.2, 0.7)):
         deconv = DeconvolutionBackend(lattice=lattice, window=window)
-        deconv.relative_losses(hclass, range(len(hclass)), z)
+        deconv.squared_differences(hclass, *pairs, points)
         assert transforms == []
         sample = generate_sample(sc, 200, np.random.default_rng(1))
         empirical_risks(hclass, sample, deconv)
@@ -334,7 +349,7 @@ def test_risks_request_label_zero_losses_only(grid, monkeypatch):
     svd = SvdBackend(operator=op, cutoff=8, grid=grid)
     empirical_risks(hclass, generate_sample(svd_sc, 200, np.random.default_rng(2)), svd)
     expected_risks(hclass, svd_sc, SvdBackend(operator=op, cutoff=8, grid=grid))
-    SvdBackend(operator=op, cutoff=8, grid=grid).relative_losses(hclass, range(len(hclass)), z)
+    SvdBackend(operator=op, cutoff=8, grid=grid).squared_differences(hclass, *pairs, points)
     table_sup(SvdBackend(operator=op, cutoff=8, grid=grid), hclass)
 
 
@@ -355,7 +370,8 @@ def test_svd_backend_class_free_weights_built_with_it(grid):
     np.testing.assert_array_equal(backend._ones,
                                   reference_loss_coefficients(ThresholdClassifier(-1.0), 0,
                                                               grid.lower, grid.upper, 8))
-    backend.relative_losses(threshold_grid(5, grid), [0], np.array([0.2, 0.7]))
+    backend.squared_differences(threshold_grid(5, grid), [0], [1],
+                                NoisySample((np.array([0.2]), np.array([0.7]))))
     backend._row_filler(threshold_grid(5, grid))
     assert [key[0] for key in backend._cache] == ["matrix"]
     assert backend == SvdBackend(operator=op, cutoff=8, grid=grid)

@@ -54,10 +54,6 @@ UNREACHED = {
     "noisy_risk.ModifiedLossTable.evaluate": "modified_loss_deconv's tables (item 6)",
     "noisy_risk.plug_in_density": "the tracer wraps it in erm (items 1 and 6)",
     "noisy_risk.ObservationLattice.convolve": "modified_loss_deconv and plug_in_density (item 6)",
-    # references that only tests call
-    "erm.DeconvolutionBackend.relative_losses.edge":
-        "the head or tail term of a cut at node 0 or past the window's last node: "
-        "no command's class has one; the Lipschitz tests do",
     # given readers by ROADMAP items 8, 15 and 18
     "kernels.NoiseModel.density": "exact second moments and clamped mass (items 15, 18)",
     "kernels._laplace_fold_density": "NoiseModel.density's Laplace case (items 15, 18)",
