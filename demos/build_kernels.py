@@ -52,7 +52,7 @@ def main():
     for lam in (1.0, 0.5, 0.25):
         corrected = build_deconvolution_kernel(base, noise, lam)
         off = corrected.offsets[0]
-        err = np.abs(corrected.values[0] - closed_form(off / lam, lam) / lam).max()
+        err = np.abs(corrected.values - closed_form(off / lam, lam) / lam).max()
         sup = kernel_fourier_sup("sinc", noise, lam)
         print(f"lam = {lam:4.2f}: sup err vs closed form = {err:.2e}, "
               f"band amplification = {sup:8.2f}")
@@ -62,7 +62,7 @@ def main():
     print("\nwrote corrected_kernel.csv (offset, value) for plotting")
 
     identity = build_deconvolution_kernel(base, dirac_noise(), 1.0)
-    drift = np.abs(identity.values[0] - base.values[0]).max()
+    drift = np.abs(identity.values - base.values).max()
     print(f"dirac noise sanity: corrected == base kernel to {drift:.1e}")
 
 

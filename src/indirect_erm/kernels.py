@@ -12,8 +12,8 @@ composite 16-point Gauss-Legendre panels sized to the integrand: to the
 oscillation of the offsets, with a panel edge where the flat-top symbol's
 ramp starts (``_panel_rule``). Against a rule with 8 times the panels every
 table lies within a few 1e-15 of its largest |value|. A base kernel is its kind
-and its checked offset grid; its table is inverted only when ``values`` is
-first read, since the lattices read only its kind and its offsets.
+and its checked offset grid; its table, the array ``values``, is inverted
+only when first read, since the lattices read only its kind and its offsets.
 Offset grids are uniform and symmetric about 0, and the integrand is
 even, so only the upper half of the offsets is evaluated and mirrored:
 every table is exactly even. Uniform offsets also let the cosines of the
@@ -301,8 +301,8 @@ class TabulatedKernel:
 
     The grid is held as its ``size`` and ``spacing`` (checked where offsets
     enter, ``build_base_kernel``): ``offsets``, a one-element tuple holding
-    it, is made when first read, since no trial reads it. ``values`` holds
-    the table, the inverse Fourier integral of
+    it, is made when first read, since no trial reads it. ``values`` is
+    the table, an array on the offsets: the inverse Fourier integral of
     ``base_symbol(lambda s) / noise(s)``, inverted when first read. At
     ``bandwidth`` 1 with dirac noise (``build_base_kernel``) the values are
     the unscaled base kernel K(u).
@@ -328,10 +328,10 @@ class TabulatedKernel:
         return (self._grid(),)
 
     @cached_property
-    def values(self) -> tuple[np.ndarray]:
-        """The table on the offsets, in a one-element tuple; an
-        ``IllPosednessError`` where the noise characteristic function falls
-        below ``MIN_NOISE_FOURIER`` on the symbol's support."""
+    def values(self) -> np.ndarray:
+        """The table on the offsets; an ``IllPosednessError`` where the
+        noise characteristic function falls below ``MIN_NOISE_FOURIER`` on
+        the symbol's support."""
         off, lam = self._grid(), self.bandwidth
         s_nodes, s_weights = _panel_rule(self.base_kind, 1.0 / lam, float(off[-1]))
         num = base_symbol(self.base_kind, lam * s_nodes)
@@ -340,7 +340,7 @@ class TabulatedKernel:
             raise IllPosednessError(
                 "noise characteristic function below threshold on the kernel band"
             )
-        return (_invert_symbol(num / den, s_nodes, s_weights, off),)
+        return _invert_symbol(num / den, s_nodes, s_weights, off)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the kernel by linear interpolation.
@@ -348,7 +348,7 @@ class TabulatedKernel:
         Points outside the tabulated window evaluate to 0 (the window is
         chosen to cover every offset the quadratures can request).
         """
-        return np.interp(np.asarray(points, dtype=float), self.offsets[0], self.values[0],
+        return np.interp(np.asarray(points, dtype=float), self.offsets[0], self.values,
                          left=0.0, right=0.0)
 
     def integral(self) -> float:
@@ -358,14 +358,14 @@ class TabulatedKernel:
         finite window misses slowly decaying oscillatory tails; the windowed
         value is exact only up to that truncated tail mass.
         """
-        return float(np.dot(trapezoid_weights(self.size, self.spacing), self.values[0]))
+        return float(np.dot(trapezoid_weights(self.size, self.spacing), self.values))
 
     def to_csv(self, path) -> None:
         """Write (axis, offset, value) rows for plotting; the axis is always 0."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["axis", "offset", "value"])
-            for o, v in zip(self.offsets[0], self.values[0]):
+            for o, v in zip(self.offsets[0], self.values):
                 writer.writerow([0, repr(float(o)), repr(float(v))])
 
 

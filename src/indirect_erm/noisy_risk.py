@@ -174,7 +174,7 @@ class ObservationLattice:
         p = len(self.nodes)
         length = _next_fast_len(p + stop - start - 1)
         return KernelWindow(start=start, stop=stop, length=length,
-                            spectrum=rfft(self.kernel.values[0][start: stop + p - 1], length))
+                            spectrum=rfft(self.kernel.values[start: stop + p - 1], length))
 
 
 @dataclass(frozen=True)

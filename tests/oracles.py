@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (per-observation quadrature, direct
-summation) and shares no code path with the package internals it checks.
+summation) and shares no code path with the package internals it checks,
+apart from the cut rule and the two-level cumulative sum that
+``reference_tables`` takes from the package to pin its bits.
 """
 
 import importlib.util
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from indirect_erm.erm import _cumulative
 from indirect_erm.grid import trapezoid_weights
 from indirect_erm.hypotheses import (HypothesisClass, ThresholdClassifier, _cuts, loss_values,
                                      window_mask)
@@ -164,15 +167,16 @@ def reference_tables(backend, hclass):
     the loss 1, zero outside the window. The loss 1 on nodes lo .. hi gives
     h (CK[i - lo + P] - CK[i - hi + P - 1]) at node i, less h/2 times the
     kernel at each lattice end node in lo .. hi; CK[u] sums the kernel's
-    first u offsets. Row j runs from s_j. Every row is gathered whole from
-    a sliding window of CK: the bits that the backend's row-at-a-time
-    evaluation must reproduce."""
+    first u offsets, in the backend's two levels (``erm._cumulative``). Row
+    j runs from s_j. Every row is gathered whole from a sliding window of
+    CK: the bits that the backend's row-at-a-time evaluation must
+    reproduce."""
     lattice = backend.lattice
     p, h = len(lattice.nodes), lattice.spacing
-    kernel = lattice.kernel.values[0]
+    kernel = lattice.kernel.values
     first, last = np.flatnonzero(backend._weights)[[0, -1]]  # the window's end nodes
     lo = np.clip(np.r_[_cuts(hclass, lattice.nodes), first], first, last + 1)
-    ck = sliding_window_view(np.r_[0.0, np.cumsum(kernel)], p)  # ck[k] = CK[k: k + P]
+    ck = sliding_window_view(_cumulative(kernel), p)  # ck[k] = CK[k: k + P]
     tables = ck[p - lo]
     tables -= ck[p - 1 - last]
     tables *= h
@@ -305,7 +309,7 @@ def naive_empirical_risk(clf, lattice, sample):
     x = lattice.nodes
     w = trapezoid_weights(len(x), lattice.spacing)
     off = lattice.kernel.offsets[0]
-    kv = lattice.kernel.values[0]
+    kv = lattice.kernel.values
     total = 0.0
     for label, z in enumerate(sample.groups):
         lv = w * loss_values(clf, label, x)
@@ -371,7 +375,7 @@ def base_smoothed_density(scenario, lattice, label):
     f = lattice.weights * zero_extended_density(scenario, lattice, label)
     p = len(f)
     length = _next_fast_len(2 * p - 1)
-    spectrum = np.fft.rfft(lattice.base_scaled.values[0], length)
+    spectrum = np.fft.rfft(lattice.base_scaled.values, length)
     return np.fft.irfft(spectrum * np.fft.rfft(f, length), length)[p - 1: 2 * p - 1]
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from dataclasses import replace
 
@@ -24,7 +25,7 @@ from indirect_erm import (
     threshold_grid,
 )
 from indirect_erm.cli import _read_plan
-from indirect_erm.erm import _risks, empirical_risks, expected_risks
+from indirect_erm.erm import _cumulative, _risks, empirical_risks, expected_risks
 from indirect_erm.hypotheses import loss_values, snap_to_cell_midpoint, window_mask
 from indirect_erm import noisy_risk
 from indirect_erm.noisy_risk import (
@@ -229,7 +230,42 @@ def test_closed_form_tables_match_convolution_tables(grid, noise, bandwidth):
         tables = [modified_loss_deconv(c, lattice, window=window) for c in hclass]
         i, j, want, scale = _pair_sums(np.vstack([t.evaluate(z, 0) for t in tables]))
         got = backend.squared_differences(hclass, i, j, sample)
-        assert np.abs(got - want).max() <= 2e-14 * scale, window
+        assert np.abs(got - want).max() <= 2e-15 * scale, window
+
+
+def test_cumulative_table_sums_to_rounding(grid):
+    # the two-level cumulative sum against math.fsum of each prefix, within
+    # a few units in the last place of the running sum of |values|, at any
+    # length: below, at and past one block of 128, and the laplace
+    # lattice's 25,195 offsets
+    for n in (1, 127, 128, 129, 25195):
+        values = np.random.default_rng(n).standard_normal(n)
+        got = _cumulative(values)
+        assert len(got) == n + 1 and got[0] == 0.0
+        at = np.unique(np.linspace(1, n, 50).astype(int))
+        want = np.array([math.fsum(values[:u]) for u in at])
+        ulp = np.spacing(np.cumsum(np.abs(values))[at - 1])
+        assert (np.abs(got[at] - want) <= 4 * ulp).all(), n
+    # every fifth loss row of the laplace preset's class, and the loss 1's,
+    # on its lattices at n = 256 and 16384, against spans summed by fsum at
+    # 50 nodes: within 1.5e-15 of the row's largest |value| (one running
+    # sum left 7.5e-15 there)
+    hclass = threshold_grid(101, grid)
+    for lam in (256 ** (-1 / 11), 16384 ** (-1 / 11)):
+        lattice = build_lattice(grid, laplace_noise(2.0), lam, base_kind="order_m_flat_top")
+        backend = DeconvolutionBackend(lattice=lattice)
+        kernel, p, h = lattice.kernel.values, len(lattice.nodes), lattice.spacing
+        fill, _ = backend._row_filler(hclass)
+        lo, last = backend._loss_rows(hclass)
+        nodes = np.linspace(0, p - 1, 50).astype(int)
+        for j in [*range(0, len(hclass), 5), len(hclass)]:
+            a, row = lo[j], fill(j, np.empty(p))
+            want = np.array([h * math.fsum(kernel[i - last + p - 1: i - a + p]) for i in nodes])
+            if a == 0:  # the trapezoid weight of each lattice end node in the span
+                want -= h / 2 * kernel[p - 1 + nodes]
+            if last == p - 1 and a <= last:
+                want -= h / 2 * kernel[nodes]
+            assert np.abs(row[nodes] - want).max() <= 1.5e-15 * np.abs(row).max(), (lam, j)
 
 
 def test_closed_form_class_matrices_match_loss_loops(grid):

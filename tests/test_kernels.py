@@ -86,7 +86,7 @@ def test_sinc_base_kernel_matches_closed_form(grid):
     off = base.offsets[0]
     safe = np.where(off == 0.0, 1.0, off)
     exact = np.where(np.abs(off) < 1e-12, 1.0 / np.pi, np.sin(safe) / (np.pi * safe))
-    assert np.abs(base.values[0] - exact).max() < 1e-9
+    assert np.abs(base.values - exact).max() < 1e-9
     # K(0) = 1/pi, K(pi) = 0
     assert abs(base.evaluate(np.array([0.0]))[0] - 1.0 / np.pi) < 1e-9
     assert abs(base.evaluate(np.array([np.pi]))[0]) < 1e-5  # interpolated node gap
@@ -107,7 +107,7 @@ def test_flat_top_kernel_moments_vanish(grid):
     h = 0.05
     off = h * np.arange(-12000, 12001)
     base = build_base_kernel("order_m_flat_top", grid, offsets=off)
-    vals = base.values[0]
+    vals = base.values
     for order in (1, 2, 3):
         moment = np.sum(off ** order * vals) * h
         assert abs(moment) < 1e-5
@@ -137,7 +137,7 @@ def test_windowed_normalization(grid):
 def test_dirac_correction_is_identity(grid):
     base = build_base_kernel("sinc", grid)
     corrected = build_deconvolution_kernel(base, dirac_noise(), 1.0)
-    assert np.abs(corrected.values[0] - base.values[0]).max() < 1e-10
+    assert np.abs(corrected.values - base.values).max() < 1e-10
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.5, 0.25, 0.1])
@@ -147,7 +147,7 @@ def test_corrected_sinc_matches_closed_form(grid, lam):
     corrected = build_deconvolution_kernel(base, laplace_noise(2.0), lam)
     off = corrected.offsets[0]
     exact = closed_form_corrected_sinc(off / lam, lam) / lam
-    values = corrected.values[0]
+    values = corrected.values
     assert np.abs(values - exact).max() <= 1e-14 * np.abs(values).max()
 
 
@@ -188,7 +188,7 @@ def test_tables_are_exactly_even(grid, parity):
     base = build_base_kernel("order_m_flat_top", grid, offsets=off)
     corrected = build_deconvolution_kernel(base, laplace_noise(2.0), lam)
     for table in (base, corrected):
-        vals = table.values[0]
+        vals = table.values
         assert len(vals) % 2 == (parity == "odd")
         np.testing.assert_array_equal(vals, vals[::-1])
 
@@ -255,7 +255,7 @@ def test_inversion_matches_a_finer_rule(grid, base_kind, noise):
     if noise.kind == "dirac":
         cases.append((1.0, build_base_kernel(base_kind, grid)))  # read at bandwidth 1
     for lam, kernel in cases:
-        (o,), (got,) = kernel.offsets, kernel.values
+        (o,), got = kernel.offsets, kernel.values
         panels = len(_panel_rule(base_kind, 1.0 / lam, float(np.max(np.abs(o))))[0]) // 16
         want = _finer_rule_inversion(
             lambda s: base_symbol(base_kind, lam * s) / noise.fourier(s), 1.0 / lam,
@@ -350,7 +350,7 @@ def test_nonfinite_offsets_rejected(grid):
 
 def test_fft_roundtrip_of_tables(grid):
     base = build_base_kernel("sinc", grid)
-    vals = base.values[0]
+    vals = base.values
     roundtrip = np.fft.ifft(np.fft.fft(vals)).real
     assert np.abs(roundtrip - vals).max() < 1e-10
 

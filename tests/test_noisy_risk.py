@@ -133,7 +133,7 @@ def test_base_scaled_built_once_on_first_use(grid, monkeypatch):
     assert lattice.base_scaled is first
     assert len(calls) == 2
     direct = original(lattice.kernel, dirac_noise(), lam)
-    np.testing.assert_array_equal(first.values[0], direct.values[0])
+    np.testing.assert_array_equal(first.values, direct.values)
     np.testing.assert_array_equal(first.offsets[0], lattice.kernel.offsets[0])
     assert first.bandwidth == lam and first.base_kind == lattice.kernel.base_kind
 
@@ -180,7 +180,7 @@ def test_spectra_built_on_use(grid, monkeypatch):
     modified_loss_deconv(ThresholdClassifier(0.5), lattice)
     plug_in_density(np.array([0.4]), lattice)
     # per convolution, one kernel transform and one of the node function (1 + 2 + 1)
-    assert lengths.count(len(lattice.kernel.values[0])) == 4
+    assert lengths.count(len(lattice.kernel.values)) == 4
     assert lengths.count(len(lattice.nodes)) == 4
 
 
@@ -203,7 +203,7 @@ def test_convolve_matches_fftconvolve(laplace_lattice, source):
         values = _binned(z, lattice.nodes)
     else:
         values = lattice.weights * loss_values(ThresholdClassifier(0.4), 1, lattice.nodes)
-    expected = fftconvolve(values, lattice.kernel.values[0], mode="valid")
+    expected = fftconvolve(values, lattice.kernel.values, mode="valid")
     got = lattice.convolve(values)
     assert got.shape == (len(lattice.nodes),)
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
@@ -236,7 +236,7 @@ def test_densities_match_fftconvolve(grid):
     for label in sc.labels:
         f = lattice.weights * zero_extended_density(sc, lattice, label)
         got = base_smoothed_density(sc, lattice, label)
-        expected = fftconvolve(f, lattice.base_scaled.values[0], mode="valid")
+        expected = fftconvolve(f, lattice.base_scaled.values, mode="valid")
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
@@ -497,7 +497,7 @@ def test_noise_correction_beats_plain_smoothing(grid):
     mise_corrected = float(np.dot(w, (corrected - truth) ** 2))
 
     plain = np.zeros(len(lattice.nodes))
-    base_vals = lattice.base_scaled.values[0]
+    base_vals = lattice.base_scaled.values
     off = lattice.base_scaled.offsets[0]
     from scipy.signal import fftconvolve
 
