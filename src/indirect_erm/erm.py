@@ -8,8 +8,8 @@ measure P_0 - P_1, plus the statistic of P_1 against the loss 1, one
 number that every classifier shares. ``empirical_risks`` pairs it with a
 sample's statistic (``features``), ``expected_risks`` with its expectation
 (``expected_features``), on the kernel backend by the deconvolution
-identity: the raw loss against the base-smoothed density, read off the
-scaled base kernel's cumulative sum at the run boundaries.
+identity: the raw loss against the base-smoothed density, on each run
+the loss 1 on its nodes smoothed by the scaled base kernel (``_span``).
 
 Each class matrix comes from the thresholds alone: every classifier
 predicts 1 right of its threshold, where its label-0 loss is 1. The
@@ -29,10 +29,11 @@ The per-classifier FFT tables of ``noisy_risk`` (``modified_loss_deconv``)
 are the kernel reference the tests compare it against. ``_row_filler``
 fills the loss rows on the backend's nodes one at a time, on both
 backends: each classifier's label-0 loss, then the loss 1's, on the
-kernel backend each a ``_span``. Both cumulative sums over a kernel
-table, the corrected kernel's under every loss row and the scaled base
-kernel's under the expected risks, come from ``_cumulative``, which sums
-in two levels: inside blocks, then across them; the scan reads neither.
+kernel backend each a ``_span``. ``_span`` is the one evaluation of the
+loss 1 on a node range against a kernel table: the corrected kernel under
+every loss row, the scaled base kernel under the expected risks. Both
+cumulative sums it reads come from ``_cumulative``, which sums in two
+levels: inside blocks, then across them; the scan reads neither.
 No exact risk is computed here: ``hypotheses.true_risks`` gives them.
 """
 
@@ -198,6 +199,27 @@ def _cumulative(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _span(ck: np.ndarray, kernel: np.ndarray, h: float, lo: int, hi: int, start: int,
+          out: np.ndarray) -> np.ndarray:
+    """The loss 1 on the nodes lo .. hi (0 for hi = lo - 1) smoothed by a
+    kernel table K on the 2P - 1 offsets of P lattice nodes, at the nodes
+    start .. start + len(out) - 1, written into ``out`` and returned: the
+    trapezoid-weighted sum of K[i - l + P - 1] over l = lo .. hi at node i.
+    That is h (CK[i - lo + P] - CK[i - hi + P - 1]), CK the cumulative sum
+    of K from 0 (2P values, ``_cumulative``), less h/2 times K at each
+    lattice end node in lo .. hi (its trapezoid weight), in that order."""
+    p, m = len(ck) // 2, len(out)
+    a, b = start + p - lo, start + p - 1 - hi
+    np.subtract(ck[a: a + m], ck[b: b + m], out=out)
+    out *= h
+    if lo <= hi:
+        if lo == 0:
+            out -= kernel[start + p - 1: start + p - 1 + m] * (h / 2)
+        if hi == p - 1:
+            out -= kernel[start: start + m] * (h / 2)
+    return out
+
+
 def _cached(cache: dict, key: tuple, build):
     """``build()`` once per key, kept in ``cache``; keys hold values, never ids."""
     value = cache.get(key)
@@ -221,12 +243,14 @@ class DeconvolutionBackend:
     window: tuple[float, float] | None = None
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
     _weights: np.ndarray = field(init=False, compare=False, repr=False)
+    _ends: tuple[int, int] = field(init=False, compare=False, repr=False)  # the window's end nodes
 
     def __post_init__(self):
         w = self.lattice.weights
         if self.window is not None:
             w = np.where(window_mask(self.lattice.nodes, self.window), w, 0.0)
         object.__setattr__(self, "_weights", w)
+        object.__setattr__(self, "_ends", tuple(int(k) for k in np.flatnonzero(w)[[0, -1]]))
 
     @property
     def name(self) -> str:
@@ -248,49 +272,31 @@ class DeconvolutionBackend:
         """The expectation of ``features`` by the deconvolution identity (at
         a contaminated observation the corrected kernel has the expectation
         of the base kernel at the clean input): the statistic of the node
-        measures p_y w S_y, with S_y(i) = sum_l B[i - l + P - 1] w_l f_y(l)
-        the label-y density smoothed by the scaled base kernel B
-        (``lattice.base_scaled``) and w the weights, zero outside the window
-        in the outer sum only.
+        measures p_y w S_y, with S_y the label-y density smoothed by the
+        scaled base kernel B (``lattice.base_scaled``) and w the weights,
+        zero outside the window in the outer sum only.
 
-        Summed over the nodes a .. b - 1 of a run, clipped to the window's
-        end nodes, B gives h (CB[b - l + P - 1] - CB[a - l + P - 1]) at the
-        node l, CB the cumulative sum of B from 0 (``_cumulative``), less
-        h/2 B at each lattice end node the window holds (its trapezoid
-        weight): the identity of ``_span``. So every run boundary c gives
-        one sum of CB[c - l + P - 1] against the signed node measure
-        g = p_0 w f_0 - p_1 w f_1 over the domain's nodes l
-        (``lattice.domain_nodes``), off which the densities vanish, with
-        f_y taken at the domain's axis, where ``true_risks`` takes it; a
-        run is the difference of its two ends', and the shared term, of
-        p_1 w f_1, that of the window's. No transform is taken and no
-        runs x P array formed.
+        B is even, so a run's sum is the loss 1 on its nodes, clipped to the
+        window's end nodes, smoothed by B (``_span`` off CB, the cumulative
+        sum of B), against g = p_0 w f_0 - p_1 w f_1 on the domain's nodes
+        (``lattice.domain_nodes``), off which the densities vanish, with f_y
+        taken at the domain's axis, where ``true_risks`` takes it; the
+        shared term is the window's against p_1 w f_1. No transform is
+        taken and no runs x P array formed.
         """
         lattice = self.lattice
-        p, h = len(lattice.nodes), lattice.spacing
-        base = lattice.base_scaled.values
+        h, base = lattice.spacing, lattice.base_scaled.values
         cb = _cumulative(base)
-        first, last = np.flatnonzero(self._weights)[[0, -1]]
+        first, last = self._ends
         dom, x = lattice.domain_nodes, scenario.domain.axis()
         (p0, p1), w = scenario.priors, lattice.weights[dom]
         f0, f1 = (w * scenario.density(y, x) for y in (0, 1))
-        # reversed, so node l meets CB[c - l + P - 1] in one forward slice
-        signed, label1 = (p0 * f0 - p1 * f1)[::-1], (p1 * f1)[::-1]
-        lo, hi = p - dom.stop, p - dom.start  # B[P - 1 - l] for l in dom, reversed
-
-        def at(start, g):  # sum over l of g_l CB[c - l + P - 1] at c = start - lo
-            return (cb[start: start + len(g)] * g).sum()
-
-        bounds = np.clip(np.r_[self._runs(hclass)[1], p], first, last + 1) + lo
-        stat = np.diff([at(c, signed) for c in bounds])
-        stat *= h
-        shared = h * (at(last + 1 + lo, label1) - at(first + lo, label1))
-        if first == 0:
-            stat[0] -= h / 2 * (base[lo: hi] * signed).sum()
-            shared -= h / 2 * (base[lo: hi] * label1).sum()
-        if last == p - 1:
-            stat[-1] -= h / 2 * (base[lo + p - 1: hi + p - 1] * signed).sum()
-            shared -= h / 2 * (base[lo + p - 1: hi + p - 1] * label1).sum()
+        signed, label1 = p0 * f0 - p1 * f1, p1 * f1
+        span = np.empty(len(w))
+        bounds = np.clip(np.r_[self._runs(hclass)[1], len(self._weights)], first, last + 1)
+        stat = np.array([(_span(cb, base, h, a, b - 1, dom.start, span) * signed).sum()
+                         for a, b in zip(bounds[:-1], bounds[1:])])
+        shared = (_span(cb, base, h, first, last, dom.start, span) * label1).sum()
         return stat, float(shared)
 
     def _statistic(self, hclass: HypothesisClass, signed: np.ndarray,
@@ -362,30 +368,19 @@ class DeconvolutionBackend:
         clipped to the window's end nodes first .. last + 1; and the last
         end node."""
         def build():
-            first, last = np.flatnonzero(self._weights)[[0, -1]]
+            first, last = self._ends
             lo = np.clip(np.r_[_cuts(hclass, self.lattice.nodes), first], first, last + 1)
-            return lo, int(last)
+            return lo, last
 
         return _cached(self._cache, ("rows", hclass), build)
 
-    def _span(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """The regularized loss 1 on the nodes lo .. hi (0 for hi = lo - 1) at
-        every lattice node, written into ``out`` and returned: h (CK[i - lo +
-        P] - CK[i - hi + P - 1]) at node i, CK the kernel's cumulative sum
-        from 0 (2P values, built once per backend by ``_cumulative``), less
-        h/2 times the kernel at each lattice end node in lo .. hi (its
-        trapezoid weight), in that order."""
+    def _kernel_span(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """The regularized loss 1 on the nodes lo .. hi at every lattice
+        node: ``_span`` of the corrected kernel, off its cumulative sum CK,
+        built once per backend."""
         kernel = self.lattice.kernel.values
         ck = _cached(self._cache, ("cumulative",), lambda: _cumulative(kernel))
-        p, h = len(self._weights), self.lattice.spacing
-        np.subtract(ck[p - lo: 2 * p - lo], ck[p - 1 - hi: 2 * p - 1 - hi], out=out)
-        out *= h
-        if lo <= hi:
-            if lo == 0:
-                out -= kernel[p - 1:] * (h / 2)
-            if hi == p - 1:
-                out -= kernel[:p] * (h / 2)
-        return out
+        return _span(ck, kernel, self.lattice.spacing, lo, hi, 0, out)
 
     def _row_filler(self, hclass: HypothesisClass):
         """``fill(j, out)``, which writes loss row j (``_loss_rows``; the
@@ -395,7 +390,7 @@ class DeconvolutionBackend:
         lo, last = self._loss_rows(hclass)
 
         def fill(j: int, out: np.ndarray) -> np.ndarray:
-            return self._span(lo[j], last, out)
+            return self._kernel_span(lo[j], last, out)
 
         return fill, len(self._weights)
 
@@ -428,7 +423,7 @@ class DeconvolutionBackend:
         delta, scratch = np.empty(p), np.empty(p - 1)
         out = np.empty(len(a))
         for k, (u, v) in enumerate(zip(lo[a], lo[b])):
-            self._span(min(u, v), max(u, v) - 1, delta)
+            self._kernel_span(min(u, v), max(u, v) - 1, delta)
             np.multiply(delta[:-1], delta[1:], out=scratch)
             scratch *= cross
             np.square(delta, out=delta)

@@ -25,7 +25,7 @@ from indirect_erm import (
     threshold_grid,
 )
 from indirect_erm.cli import _read_plan
-from indirect_erm.erm import _cumulative, _risks, empirical_risks, expected_risks
+from indirect_erm.erm import _cumulative, _risks, _span, empirical_risks, expected_risks
 from indirect_erm.hypotheses import loss_values, snap_to_cell_midpoint, window_mask
 from indirect_erm import noisy_risk
 from indirect_erm.noisy_risk import (
@@ -268,6 +268,26 @@ def test_cumulative_table_sums_to_rounding(grid):
             assert np.abs(row[nodes] - want).max() <= 1.5e-15 * np.abs(row).max(), (lam, j)
 
 
+@pytest.mark.parametrize("pad", [4.0, 0.0])
+def test_span_at_a_node_range_is_the_whole_lattice_span_sliced(grid, pad):
+    # bit for bit, so the loss rows (every node) and the expected risks (the
+    # domain's nodes, every node at pad_factor 0) read one identity: spans
+    # from node 0, to node P - 1, over both, empty and interior, for the
+    # corrected and the scaled base kernel
+    lattice = build_lattice(grid, laplace_noise(2.0), 0.25, pad_factor=pad)
+    p, h, dom = len(lattice.nodes), lattice.spacing, lattice.domain_nodes
+    assert pad or (dom.start, dom.stop) == (0, p)
+    for kernel in (lattice.kernel.values, lattice.base_scaled.values):
+        ck = _cumulative(kernel)
+        for lo, hi in ((0, p // 3), (p // 2, p - 1), (0, p - 1), (p // 2, p // 2 - 1),
+                       (p // 3, p // 2)):
+            whole = _span(ck, kernel, h, lo, hi, 0, np.empty(p))
+            assert lo <= hi or not whole.any()
+            for start, stop in ((dom.start, dom.stop), (0, 7), (p - 7, p), (p // 4, p // 2)):
+                got = _span(ck, kernel, h, lo, hi, start, np.empty(stop - start))
+                assert np.array_equal(got, whole[start: stop]), (lo, hi, start)
+
+
 def test_closed_form_class_matrices_match_loss_loops(grid):
     # exactly: the risks, and so every fit, do not move
     lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
@@ -325,9 +345,10 @@ def test_backend_expected_risks_match_reference_quadrature(grid):
 
 @pytest.mark.parametrize("noise", [laplace_noise(2.0), dirac_noise()])
 def test_expected_risks_match_the_fft_route_relative_to_their_terms(grid, noise):
-    # the cumulative base kernel at the run boundaries against the FFT
-    # route's base-smoothed densities, within 1e-14 of the summed terms
-    # p_y sum w |S_y| (3.9e-15 measured): on the padded lattice and on one
+    # each run's span of the cumulative base kernel against the FFT route's
+    # base-smoothed densities, within 2e-15 of the summed terms
+    # p_y sum w |S_y| (5.9e-16 measured; 3.8e-15 with one running sum in
+    # place of ``_cumulative``): on the padded lattice and on one
     # whose end nodes, of weight h/2, carry density (pad_factor 0), over the
     # whole lattice, a window inside the domain and windows holding either
     # lattice end; thresholds on, left of, right of and across the domain.
@@ -345,7 +366,7 @@ def test_expected_risks_match_the_fft_route_relative_to_their_terms(grid, noise)
                 for c in hclass])
             scale = sum(sc.priors[y] * float(np.dot(w, np.abs(smoothed[y]))) for y in sc.labels)
             got = expected_risks(hclass, sc, DeconvolutionBackend(lattice=lattice, window=window))
-            assert np.abs(got - ref).max() <= 1e-14 * scale, (lam, pad, window)
+            assert np.abs(got - ref).max() <= 2e-15 * scale, (lam, pad, window)
 
 
 def test_risks_request_label_zero_losses_only(grid, monkeypatch):

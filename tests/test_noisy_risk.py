@@ -210,8 +210,9 @@ def test_convolve_matches_fftconvolve(laplace_lattice, source):
 
 
 def test_expected_features_take_no_transform(grid, monkeypatch):
-    # the expected features read the base-scaled kernel's cumulative sum at
-    # the run boundaries: no spectrum of it, and none of the densities
+    # the expected features read each run's span (``erm._span``) off the
+    # base-scaled kernel's cumulative sum: no spectrum of it, and none of
+    # the densities
     transforms = []
 
     def counting(*args, _original=noisy_risk.rfft):
