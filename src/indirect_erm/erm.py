@@ -16,24 +16,22 @@ predicts 1 right of its threshold, where its label-0 loss is 1. The
 kernel backend's holds the 0/1 predictions on runs of lattice nodes that
 start right of a threshold, against the weighted plug-in density summed
 per run: one windowed convolution between the first run's end and the
-last run's start, and cached dot products for the outer runs and the
-shared term. The spectral backend's holds the basis integrals from each
-threshold to the domain's end, against the 1/b_k-weighted basis moments.
-``squared_differences`` sums, over a sample's draws, the squared
-difference of two classifiers' label-0 losses for each of given pairs,
-off the draws' second moments: on the kernel backend the linear-binning
-moments against the pair's node difference, the loss 1 between the two
-cuts (``_span``), and on the spectral backend the basis Gram matrix
+last run's start, and dot products with cached rows for the outer runs
+and the shared term. The spectral backend's holds the basis integrals
+from each threshold to the domain's end, against the 1/b_k-weighted
+basis moments. ``squared_differences`` sums, over a sample's draws, the
+squared difference of two classifiers' label-0 losses for each of given
+pairs, off the draws' second moments: on the kernel backend the
+linear-binning moments against the pair's node difference, the loss 1
+between the two cuts, and on the spectral backend the basis Gram matrix
 against the pair's loss coefficients; no loss is evaluated at a draw.
-The per-classifier FFT tables of ``noisy_risk`` (``modified_loss_deconv``)
-are the kernel reference the tests compare it against. ``_row_filler``
-fills the loss rows on the backend's nodes one at a time, on both
-backends: each classifier's label-0 loss, then the loss 1's, on the
-kernel backend each a ``_span``. ``_span`` is the one evaluation of the
-loss 1 on a node range against a kernel table: the corrected kernel under
-every loss row, the scaled base kernel under the expected risks. Both
-cumulative sums it reads come from ``_cumulative``, which sums in two
-levels: inside blocks, then across them; the scan reads neither.
+``_row_filler`` fills the loss rows on the backend's nodes one at a time,
+on both backends: each classifier's label-0 loss, then the loss 1's.
+On the kernel backend every loss of the loss 1 on a node range is one
+``_span`` off a kernel table's two-level cumulative sum (``_cumulative``):
+the corrected kernel under the loss rows, their pairs' differences and
+the scan's cached rows, whose build drops its sum, and the scaled base
+kernel under the expected risks.
 No exact risk is computed here: ``hypotheses.true_risks`` gives them.
 """
 
@@ -48,8 +46,7 @@ from .hypotheses import HypothesisClass, LossSpec, Scenario, _cuts, _thresholds,
 from .noisy_risk import (
     NoisySample,
     ObservationLattice,
-    _cells,
-    _log_clamped,
+    _fractions,
     bin_draws,
     plug_in_density,  # noqa: F401  unused here; the benchmark's tracer wraps it by name
 )
@@ -276,27 +273,26 @@ class DeconvolutionBackend:
         scaled base kernel B (``lattice.base_scaled``) and w the weights,
         zero outside the window in the outer sum only.
 
-        B is even, so a run's sum is the loss 1 on its nodes, clipped to the
-        window's end nodes, smoothed by B (``_span`` off CB, the cumulative
-        sum of B), against g = p_0 w f_0 - p_1 w f_1 on the domain's nodes
-        (``lattice.domain_nodes``), off which the densities vanish, with f_y
-        taken at the domain's axis, where ``true_risks`` takes it; the
-        shared term is the window's against p_1 w f_1. No transform is
-        taken and no runs x P array formed.
+        B is even, so a run's sum is the loss 1 on its bounds clipped to
+        the window (``_runs``, as for the scan's outer rows) smoothed by B
+        (``_span`` off CB, the cumulative sum of B), against g = p_0 w f_0
+        - p_1 w f_1 on the domain's nodes (``lattice.domain_nodes``), off
+        which the densities vanish, with f_y taken at the domain's axis,
+        where ``true_risks`` takes it; the shared term is the window's
+        against p_1 w f_1. No transform is taken and no runs x P array formed.
         """
         lattice = self.lattice
         h, base = lattice.spacing, lattice.base_scaled.values
         cb = _cumulative(base)
-        first, last = self._ends
         dom, x = lattice.domain_nodes, scenario.domain.axis()
         (p0, p1), w = scenario.priors, lattice.weights[dom]
         f0, f1 = (w * scenario.density(y, x) for y in (0, 1))
         signed, label1 = p0 * f0 - p1 * f1, p1 * f1
         span = np.empty(len(w))
-        bounds = np.clip(np.r_[self._runs(hclass)[1], len(self._weights)], first, last + 1)
+        bounds = self._runs(hclass)[2]
         stat = np.array([(_span(cb, base, h, a, b - 1, dom.start, span) * signed).sum()
                          for a, b in zip(bounds[:-1], bounds[1:])])
-        shared = (_span(cb, base, h, first, last, dom.start, span) * label1).sum()
+        shared = (_span(cb, base, h, bounds[0], bounds[-1] - 1, dom.start, span) * label1).sum()
         return stat, float(shared)
 
     def _statistic(self, hclass: HypothesisClass, signed: np.ndarray,
@@ -307,11 +303,10 @@ class DeconvolutionBackend:
 
         The interior runs come from one windowed convolution; the first and
         the last run, and the shared term, are dot products of the node
-        measures with the kernel convolved with the weights over that run
-        (the kernel is even). These multiply and sum: numpy's pairwise sum
-        keeps them accurate where a running sum (``einsum``) loses about
-        1e-15 over 12,598 nodes, and BLAS (``@``) would start a thread.
-        """
+        measure with the rows of ``_signed_runs`` (the kernel is even), as
+        multiply and sum: numpy's pairwise sum keeps them accurate where a
+        running sum (``einsum``) loses about 1e-15 over 12,598 nodes, and
+        BLAS (``@``) would start a thread."""
         starts, window, q = self._signed_runs(hclass)
         stat = np.empty(len(starts))
         if window.stop > window.start:
@@ -322,16 +317,18 @@ class DeconvolutionBackend:
         stat[0] = (q[0] * signed).sum()  # after the last: one run is its own head
         return stat, float((q[2] * label1).sum())
 
-    def _runs(self, hclass: HypothesisClass) -> tuple[np.ndarray, np.ndarray]:
-        """The class matrix and the first node of each run of nodes on which
+    def _runs(self, hclass: HypothesisClass) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The class matrix; the first node of each run of nodes on which
         no prediction changes: node 0 and every cut s_j (``_cuts``) inside
-        the lattice."""
+        the lattice; and the bounds of the runs clipped to the window's end
+        nodes: run k holds bounds[k] .. bounds[k + 1] - 1, maybe no node."""
         def build():
-            cuts = _cuts(hclass, self.lattice.nodes)
-            change = np.zeros(len(self.lattice.nodes) + 1, dtype=bool)
+            cuts, p = _cuts(hclass, self.lattice.nodes), len(self._weights)
+            change = np.zeros(p + 1, dtype=bool)
             change[np.r_[0, cuts]] = True  # np.unique would add 1.4 MiB to a run's peak RSS
             starts = np.flatnonzero(change[:-1])
-            return (starts >= cuts[:, None]) * 1.0, starts
+            bounds = np.clip(np.r_[starts, p], self._ends[0], self._ends[1] + 1)
+            return (starts >= cuts[:, None]) * 1.0, starts, bounds
 
         return _cached(self._cache, ("runs", hclass), build)
 
@@ -343,22 +340,19 @@ class DeconvolutionBackend:
         """The first node of each run; the kernel window over the interior
         runs (from the second run's start to the last run's); and q, whose
         rows are the kernel convolved with the weights over the first run,
-        over the last run and over the whole lattice, filled one at a time.
-        A class with one run has no interior and no last run apart from its first."""
+        the last run and the window (``_runs``' bounds[0] .. bounds[-1] - 1):
+        each the loss 1 on those nodes smoothed by the kernel (``_span``),
+        off a cumulative sum dropped with the build. One run is both ends."""
         def build():
-            starts = self._runs(hclass)[1]
-            w, p = self._weights, len(self._weights)
+            _, starts, bounds = self._runs(hclass)
+            p = len(self._weights)
             a, b = (int(starts[1]), int(starts[-1])) if len(starts) > 1 else (p, p)
-            # the window over every node, built once per class and dropped
-            # before the interior one: nothing else in a rate run reads it
-            whole = self.lattice.kernel_window(0, p)
-            q, part = np.empty((3, p)), np.empty(p)
-            for row, (lo, hi) in zip(q, ((0, a), (b, p), (0, p))):  # head, tail, whole
-                part.fill(0.0)
-                part[lo:hi] = w[lo:hi]
-                row[:] = whole.convolve(part)
-            del whole, part
-            return starts, self.lattice.kernel_window(a, b), q
+            q, window = np.empty((3, p)), self.lattice.kernel_window(a, b)
+            kernel = self.lattice.kernel.values
+            ck = _cumulative(kernel)
+            for row, (u, v) in zip(q, ((0, 1), (-2, -1), (0, -1))):  # head, tail, whole
+                _span(ck, kernel, self.lattice.spacing, bounds[u], bounds[v] - 1, 0, row)
+            return starts, window, q
 
         return _cached(self._cache, ("signed", hclass), build)
 
@@ -403,19 +397,15 @@ class DeconvolutionBackend:
 
         The two rows differ by the loss 1 on the nodes between their first
         nodes (``_span``), Delta, and a draw in cell c at the fraction t of
-        it reads (1 - t) Delta_c + t Delta_(c+1). So each sum is
+        it (``_fractions``) reads (1 - t) Delta_c + t Delta_(c+1). So each sum is
         sum_k s_k Delta_k^2 + 2 sum_c x_c Delta_c Delta_(c+1), with s and x
         the draws' linear-binning second moments: s_k sums (1 - t)^2 over
         the draws of cell k and t^2 over those of cell k - 1, and x_c sums
         t (1 - t) over cell c. No loss is evaluated at a draw."""
-        nodes, p = self.lattice.nodes, len(self._weights)
-        _log_clamped(sample.groups, nodes[0], nodes[-1])
-        t = np.clip(np.concatenate(sample.groups), nodes[0], nodes[-1])
-        cell = _cells(t, nodes, self.lattice.spacing)
-        left = np.take(nodes, cell)
-        t -= left
-        t /= np.subtract(np.take(nodes[1:], cell), left, out=left)  # the node gap, as np.interp
-        np.subtract(1.0, t, out=left)
+        n, p = sample.n, len(self._weights)
+        fractions = np.empty(2 * n)
+        cell = _fractions(sample.groups, self.lattice, fractions)
+        left, t = fractions[:n], fractions[n:]
         cross = np.bincount(cell, left * t, minlength=p - 1)
         diag = np.bincount(cell, np.square(left, out=left), minlength=p)
         diag[1:] += np.bincount(cell, np.square(t, out=t), minlength=p - 1)

@@ -267,20 +267,29 @@ def _cells(z: np.ndarray, nodes: np.ndarray, h: float) -> np.ndarray:
     return np.clip(idx, 0, len(nodes) - 2, out=idx)
 
 
+def _fractions(groups, lattice: ObservationLattice, out: np.ndarray) -> np.ndarray:
+    """The linear-binning rule, with one logged clamp count: the groups' draws
+    end to end, clamped to the lattice, give their cells (``_cells``,
+    returned) and their fractions t of the cell by h, 1 - t then t in ``out``."""
+    nodes, n = lattice.nodes, len(out) // 2
+    _log_clamped(groups, nodes[0], nodes[-1])
+    frac = np.clip(np.concatenate(groups, out=out[n:]), nodes[0], nodes[-1], out=out[n:])
+    cells = _cells(frac, nodes, lattice.spacing)
+    frac -= np.take(nodes, cells, mode="clip", out=out[:n])
+    frac /= lattice.spacing
+    np.subtract(1.0, frac, out=out[:n])
+    return cells
+
+
 def bin_draws(groups, lattice: ObservationLattice) -> np.ndarray:
     """Linear binning onto the lattice nodes of groups of draws, clamped to its
-    ends with one logged count: a row per group over all draws (P_0 and P_1).
-    The draws are laid end to end once, in the right cell ends' half of the
-    2n ``bincount`` weights, and turn into their fracs there."""
-    nodes, h, p = lattice.nodes, lattice.spacing, len(lattice.nodes)
-    _log_clamped(groups, nodes[0], nodes[-1])
+    ends with one logged count (``_fractions``): a row per group over all
+    draws (P_0 and P_1). The 2n ``bincount`` weights are the fractions'
+    1 - t at each cell's left node, then t at its right node."""
+    p = len(lattice.nodes)
     n = sum(len(g) for g in groups)
     weights = np.empty(2 * n)
-    frac = np.clip(np.concatenate(groups, out=weights[n:]), nodes[0], nodes[-1], out=weights[n:])
-    cells = _cells(frac, nodes, h)
-    frac -= np.take(nodes, cells, mode="clip", out=weights[:n])
-    frac /= h
-    np.subtract(1.0, frac, out=weights[:n])
+    cells = _fractions(groups, lattice, weights)
     for start in np.cumsum([len(g) for g in groups[:-1]]):
         cells[start:] += p  # each later group's draws bin one row further down
     cells = np.concatenate((cells, cells))

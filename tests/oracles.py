@@ -135,19 +135,25 @@ def reference_labelled_binning(z, y, lattice):
     return binned.reshape(2, p) / z.size
 
 
-def stacked_run_vectors(backend, hclass):
+def direct_run_vectors(backend, hclass, at):
     """The kernel convolved with the weights over a class's first run, its
-    last run and the whole lattice (``DeconvolutionBackend._signed_runs``),
-    from two copies of the weights zeroed outside each end run and
-    stacked: the bits that the one-row-at-a-time build must reproduce."""
-    starts = backend._runs(hclass)[1]
-    w, p = backend._weights, len(backend._weights)
-    a, b = (int(starts[1]), int(starts[-1])) if len(starts) > 1 else (p, p)
-    head, tail = w.copy(), w.copy()
-    head[a:] = 0.0
-    tail[:b] = 0.0
-    whole = backend.lattice.kernel_window(0, p)
-    return np.vstack([whole.convolve(v) for v in (head, tail, w)])
+    last run and the whole lattice (``DeconvolutionBackend._signed_runs``)
+    at the nodes ``at``, summed directly in ``np.longdouble``: at node i,
+    the sum of w_l K[i - l + P - 1] over the run's nodes l, with w the
+    backend's weights (zero outside its window). The runs are those of
+    ``reference_runs``; a class with one run has it as its first and its
+    last."""
+    lattice = backend.lattice
+    p = len(lattice.nodes)
+    starts = reference_runs(hclass, lattice.nodes)[1]
+    kernel = lattice.kernel.values.astype(np.longdouble)
+    w = backend._weights.astype(np.longdouble)
+    a = starts[1] if len(starts) > 1 else p
+    rows = np.empty((3, len(at)), dtype=np.longdouble)
+    for row, (lo, hi) in zip(rows, ((0, a), (starts[-1], p), (0, p))):
+        for k, i in enumerate(at):
+            row[k] = np.dot(w[lo:hi], kernel[i + p - hi: i + p - lo][::-1])
+    return rows
 
 
 def reference_plug_in_features(z, backend):

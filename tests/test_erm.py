@@ -638,3 +638,27 @@ def test_minimize_makes_one_windowed_transform_pair(grid, monkeypatch):
     length = _next_fast_len(int(len(lattice.nodes) + starts[-1] - starts[1] - 1))
     assert length < 2 * len(lattice.nodes) - 1
     assert calls == [("rfft", length), ("irfft", length)]
+
+
+def test_scan_rows_take_one_transform_and_keep_no_cumulative_kernel(grid, monkeypatch):
+    # the head, tail and whole-lattice rows are spans of the kernel's
+    # cumulative sum, which their build makes and drops: the build takes
+    # the interior window's rfft alone, and a trial caches only the runs
+    # and the signed rows
+    lattice = build_lattice(grid, laplace_noise(2.0), 0.25)
+    backend = DeconvolutionBackend(lattice=lattice)
+    hclass = threshold_grid(41, grid)
+    calls = []
+    for name in ("rfft", "irfft"):
+        def counted(values, n, _name=name, _original=getattr(noisy_risk, name)):
+            calls.append((_name, n))
+            return _original(values, n)
+
+        monkeypatch.setattr(noisy_risk, name, counted)
+    window = backend._signed_runs(hclass)[1]
+    assert calls == [("rfft", window.length)]
+    monkeypatch.undo()
+    sample = generate_sample(make_margin_scenario(1, laplace_noise(2.0), grid=grid), 300,
+                             np.random.default_rng(3))
+    backend.features(hclass, sample)
+    assert sorted(key[0] for key in backend._cache) == ["runs", "signed"]

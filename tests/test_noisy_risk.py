@@ -31,13 +31,13 @@ from indirect_erm.simulation import generate_sample
 
 from oracles import (
     base_smoothed_density,
+    direct_run_vectors,
     empirical_risk,
     labelled_sample,
     naive_empirical_risk,
     reference_basis,
     reference_labelled_binning,
     reference_loss_coefficients,
-    stacked_run_vectors,
     zero_extended_density,
 )
 
@@ -396,11 +396,12 @@ def test_binning_groups_gives_the_bits_of_labelled_binning(laplace_lattice):
     # the groups laid end to end, label 1 one row down, add each node's
     # draws in the order of the interleaved sample, so the rows are equal
     # bit for bit; draws crowd a few cells, sit on nodes and get clamped.
-    # Each run vector of the statistic, convolved into its row, gives the
-    # bits of fresh arrays
+    # Each run vector of the statistic is the loss row of its clipped run,
+    # bit for bit, and within rounding of a direct sum
     rng = np.random.default_rng(5)
     nodes = laplace_lattice.nodes
-    z = np.concatenate([rng.uniform(0.45, 0.55, 3000), nodes[rng.integers(0, len(nodes), 40)],
+    p = len(nodes)
+    z = np.concatenate([rng.uniform(0.45, 0.55, 3000), nodes[rng.integers(0, p, 40)],
                         [nodes[0] - 1.0, nodes[-1] + 2.0]])
     for y in (rng.random(z.size) < 0.4, np.ones(z.size, dtype=int)):  # then label 0 empty
         rng.shuffle(z)
@@ -415,8 +416,14 @@ def test_binning_groups_gives_the_bits_of_labelled_binning(laplace_lattice):
         for hclass in (HypothesisClass(tuple(ThresholdClassifier(t) for t in (0.3, 0.5, 0.8))),
                        one_run):
             backend = DeconvolutionBackend(lattice=laplace_lattice, window=window)
-            assert np.array_equal(backend._signed_runs(hclass)[2],
-                                  stacked_run_vectors(backend, hclass))
+            rows = backend._signed_runs(hclass)[2]
+            bounds, (first, last) = backend._runs(hclass)[2], backend._ends
+            runs = ((bounds[0], bounds[1]), (bounds[-2], bounds[-1]), (first, last + 1))
+            for row, (lo, stop) in zip(rows, runs):  # head, tail, whole
+                assert np.array_equal(row, backend._kernel_span(lo, stop - 1, np.empty(p)))
+            at = np.unique(np.clip(np.r_[0:p:17, bounds - 1, bounds, p - 1], 0, p - 1))
+            error = np.abs(rows[:, at] - direct_run_vectors(backend, hclass, at)).max(axis=1)
+            assert np.all(error <= 1.5e-15 * np.abs(rows).max(axis=1)), error
     assert len(backend._runs(one_run)[1]) == 1
 
 
