@@ -31,6 +31,7 @@ from .errors import ConfigurationError, DataError
 from .grid import Grid
 from .hypotheses import HypothesisClass, Scenario, _cuts, true_risks
 from .kernels import kernel_fourier_l2
+from .operators import cosine_basis
 
 logger = logging.getLogger(__name__)
 
@@ -202,7 +203,7 @@ def sup_bound_svd(backend: SvdBackend, hclass: HypothesisClass) -> float:
     loss L2 norm over the class.
     """
     grid = backend.grid
-    phi = backend.operator.basis(grid.axis(), backend.cutoff)
+    phi = cosine_basis(grid.axis(), backend.cutoff)
     col_norms = np.sqrt(np.sum((backend._inv_b[:, None] * phi) ** 2, axis=0))
     return float(col_norms.max()) * _max_loss_l2(hclass, grid)
 

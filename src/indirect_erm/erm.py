@@ -23,8 +23,9 @@ basis moments. ``squared_differences`` sums, over a sample's draws, the
 squared difference of two classifiers' label-0 losses for each of given
 pairs, off the draws' second moments: on the kernel backend the
 linear-binning moments against the pair's node difference, the loss 1
-between the two cuts, and on the spectral backend the basis Gram matrix
-against the pair's loss coefficients; no loss is evaluated at a draw.
+between the two cuts, and on the spectral backend the basis Gram matrix,
+read off the draws' cosine sums (``_cosine_gram``), against the pair's
+loss coefficients; no loss is evaluated at a draw.
 ``_row_filler`` fills the loss rows on the backend's nodes one at a time,
 on both backends: each classifier's label-0 loss, then the loss 1's.
 On the kernel backend every loss of the loss 1 on a node range is one
@@ -50,7 +51,7 @@ from .noisy_risk import (
     bin_draws,
     plug_in_density,  # noqa: F401  unused here; the benchmark's tracer wraps it by name
 )
-from .operators import SpectralOperator, basis_integrals
+from .operators import SpectralOperator, basis_integrals, cosine_basis
 from .reader import ConfigReader
 
 __all__ = [
@@ -461,7 +462,7 @@ class SvdBackend:
         the 1/b_k-weighted basis moments of the signed measure P_0 - P_1,
         and the label-1 term every classifier shares, those moments of P_1
         against the loss coefficients of the loss 1."""
-        moments = np.stack([self.operator.basis(z, self.cutoff).sum(axis=1)
+        moments = np.stack([cosine_basis(z, self.cutoff).sum(axis=1)
                             for z in sample.groups]) / sample.n * self._inv_b
         return moments[0] - moments[1], float(self._ones @ moments[1])
 
@@ -491,7 +492,7 @@ class SvdBackend:
         A row is its loss coefficients (``class_matrix``, ``_ones``) over b_k
         against the basis at the nodes, taken once."""
         matrix = self.class_matrix(hclass)
-        basis = self.operator.basis(self.grid.axis(), self.cutoff)
+        basis = cosine_basis(self.grid.axis(), self.cutoff)
 
         def fill(j: int, out: np.ndarray) -> np.ndarray:
             coefficients = self._ones if j == len(matrix) else matrix[j]
@@ -503,14 +504,32 @@ class SvdBackend:
                             sample: NoisySample) -> np.ndarray:
         """``DeconvolutionBackend.squared_differences`` on the basis: c^T G c
         for each pair, c = (C_a - C_b) / b_k the pair's difference of loss
-        coefficients over b_k and G the basis Gram matrix at every draw,
-        formed with ``einsum`` on the calling thread (``@`` would hand it to
-        BLAS)."""
-        basis = self.operator.basis(np.concatenate(sample.groups), self.cutoff)
-        gram = np.einsum("kn,ln->kl", basis, basis)
+        coefficients over b_k and G the basis Gram matrix at every draw
+        (``_cosine_gram``), the forms taken with ``einsum`` on the calling
+        thread (``@`` would hand them to BLAS)."""
+        gram = _cosine_gram(np.concatenate(sample.groups), self.cutoff)
         matrix = self.class_matrix(hclass)
         c = (matrix[a] - matrix[b]) * self._inv_b
         return np.einsum("pk,kl,pl->p", c, gram, c)
+
+
+def _cosine_gram(z: np.ndarray, cutoff: int) -> np.ndarray:
+    """The basis Gram matrix at the draws, sum_i phi_k(z_i) phi_l(z_i) for
+    k, l = 0..N, off their cosine sums c_j = sum_i cos(pi j z_i), j <= 2N:
+    c_|k-l| + c_(k+l) for k, l >= 1 (Toeplitz plus Hankel), sqrt(2) c_l in
+    row and column 0, and n in the corner. c_j for j <= N are the N + 1
+    basis rows' sums, and c_(N+k) = sum_i phi_N phi_k - c_(N-k)."""
+    phi = cosine_basis(z, cutoff)
+    c = np.r_[z.size, phi[1:].sum(axis=1) / np.sqrt(2.0), np.empty(cutoff)]
+    phi[1:cutoff] *= phi[cutoff]  # row N last: it is the other factor
+    phi[cutoff] *= phi[cutoff]
+    c[cutoff + 1:] = phi[1:].sum(axis=1) - c[cutoff - 1::-1]
+    del phi  # the assembly's temporaries do not sit on top of the rows
+    k = np.arange(cutoff + 1)
+    gram = c[np.abs(k[:, None] - k)] + c[k[:, None] + k]
+    gram[0] = gram[:, 0] = np.sqrt(2.0) * c[: cutoff + 1]
+    gram[0, 0] = z.size
+    return gram
 
 
 def _risks(hclass: HypothesisClass, backend, statistic: tuple[np.ndarray, float]) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigurationError, ModelError
 from .grid import Grid, _one_number
 from .kernels import NoiseModel, dirac_noise, laplace_noise
-from .operators import SpectralOperator
+from .operators import SpectralOperator, cosine_basis
 from .reader import ConfigReader
 
 __all__ = [
@@ -271,13 +271,13 @@ class Scenario:
 
         Closed form for the uniform and linear families, exact piecewise
         integration for the tent pair, grid quadrature against the one
-        basis (``SpectralOperator.basis``) for the smooth family.
+        basis evaluation (``operators.cosine_basis``) for the smooth family.
         """
         if self.densities == "tent_pair":
             return _piecewise_cosine_coefficients(_TENT_PIECES[label], k_max)
         if self.densities == "smooth":
             x, w = self.domain.axis(), self.domain.weights()
-            return SpectralOperator(k_max=k_max).basis(x) @ (w * self.density(label, x))
+            return cosine_basis(x, k_max) @ (w * self.density(label, x))
         out = np.zeros(k_max + 1)
         out[0] = 1.0
         if self.densities == "linear":

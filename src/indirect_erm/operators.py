@@ -3,6 +3,7 @@
 Two contamination routes: additive noise Z = X + eps (convolution), and a
 known self-adjoint compact operator acting on the input density, realized
 in the cosine eigenbasis on [0, 1] with polynomially decaying eigenvalues.
+The basis rows are one function of the points alone (``cosine_basis``).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .kernels import NoiseModel
 
 __all__ = [
     "SpectralOperator",
+    "cosine_basis",
     "basis_integrals",
     "contaminate",
     "check_density_coefficients",
@@ -34,7 +36,7 @@ class SpectralOperator:
     Eigenfunctions are phi_0(x) = 1 and phi_k(x) = sqrt(2) cos(pi k x); the
     eigenvalue sequence is b_0 = 1, b_k = k^(-decay). Self-adjointness makes
     the image basis coincide with the input basis, so the spectral backend
-    evaluates the same functions at the observations.
+    evaluates the same functions (``cosine_basis``) at the observations.
     """
 
     decay: float = 1.0
@@ -56,29 +58,27 @@ class SpectralOperator:
         vals[1:] = k[1:] ** (-self.decay)
         return vals
 
-    def basis(self, x: np.ndarray, n_funcs: int | None = None) -> np.ndarray:
-        """Matrix phi[k, j] = phi_k(x_j) for k = 0..n_funcs.
 
-        One ``cos`` per point: row k holds the Chebyshev polynomial
-        T_k(c) = cos(pi k x) of c = cos(pi x), filled in place by
-        T_k = 2c T_(k-1) - T_(k-2) from T_0 = 1, and rows 1..n are then
-        scaled by sqrt(2). On [0, 1] it stays within 7e-15 of the direct
-        sqrt(2) cos(pi k x) up to k = 6 and within 4e-13 up to k = 64.
-        """
-        n = self.k_max if n_funcs is None else n_funcs
-        if n > self.k_max:
-            raise ConfigurationError(f"requested {n} basis functions, k_max={self.k_max}")
-        x = np.asarray(x, dtype=float)
-        out = np.empty((n + 1, x.size))
-        out[0] = 1.0
-        if n >= 1:
-            np.cos(np.pi * x, out=out[1])
-            two_c = 2.0 * out[1]
-            for k in range(2, n + 1):
-                np.multiply(two_c, out[k - 1], out=out[k])
-                out[k] -= out[k - 2]
-            out[1:] *= np.sqrt(2.0)
-        return out
+def cosine_basis(x: np.ndarray, count: int) -> np.ndarray:
+    """Matrix phi[k, j] = phi_k(x_j) for k = 0..count, at any real x.
+
+    One ``cos`` per point: row k holds the Chebyshev polynomial
+    T_k(c) = cos(pi k x) of c = cos(pi x), filled in place by
+    T_k = 2c T_(k-1) - T_(k-2) from T_0 = 1, and rows 1..count are then
+    scaled by sqrt(2). On [0, 1] it stays within 7e-15 of the direct
+    sqrt(2) cos(pi k x) up to k = 6 and within 4e-13 up to k = 64.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty((count + 1, x.size))
+    out[0] = 1.0
+    if count >= 1:
+        np.cos(np.pi * x, out=out[1])
+        two_c = 2.0 * out[1]
+        for k in range(2, count + 1):
+            np.multiply(two_c, out[k - 1], out=out[k])
+            out[k] -= out[k - 2]
+        out[1:] *= np.sqrt(2.0)
+    return out
 
 
 def basis_integrals(a, b, cutoff: int) -> np.ndarray:
@@ -131,7 +131,7 @@ def apply_operator(coefficients: np.ndarray, op: SpectralOperator,
     """
     theta = check_density_coefficients(coefficients)
     n = min(len(theta) - 1, op.k_max)
-    phi = op.basis(grid.axis(), n)
+    phi = cosine_basis(grid.axis(), n)
     vals = (op.singular_values[: n + 1] * theta[: n + 1]) @ phi
     if np.any(vals < -1e-9):
         raise ModelError("operator image is negative on the grid")

@@ -73,6 +73,24 @@ def reference_basis(x, n_funcs):
     return out
 
 
+def reference_gram(z, cutoff):
+    """The basis Gram matrix at the draws z, sum_i phi_k(z_i) phi_l(z_i) for
+    k, l = 0..cutoff, as one ``einsum`` over the directly evaluated basis
+    (``reference_basis``), O(cutoff^2 n)."""
+    phi = reference_basis(z, cutoff)
+    return np.einsum("kn,ln->kl", phi, phi)
+
+
+def longdouble_gram(z, cutoff):
+    """``reference_gram`` with every cosine, product and sum in
+    ``np.longdouble``."""
+    k = np.arange(cutoff + 1)[:, None]
+    phi = np.sqrt(np.longdouble(2)) * np.cos(np.arccos(np.longdouble(-1)) * k
+                                             * np.asarray(z, dtype=np.longdouble))
+    phi[0] = 1
+    return np.einsum("kn,ln->kl", phi, phi)
+
+
 def reference_quantile(values, grid, u):
     """Inverse CDF of tabulated density values at uniforms u: the CDF built
     afresh, then a binary search of every u in it."""
@@ -322,6 +340,34 @@ def naive_empirical_risk(clf, lattice, sample):
         for z_i in z:
             total += float(np.sum(lv * np.interp(z_i - x, off, kv, left=0.0, right=0.0)))
     return total / sample.n
+
+
+def plain_erm_index(hclass, sample):
+    """Plain ERM on the contaminated inputs: the hard loss at the raw draws,
+    no deconvolution. Each label group is sorted once, and a threshold's
+    label-0 errors (draws right of it) and label-1 errors (draws at or left
+    of it) are counted by ``searchsorted``; the lowest index wins ties, as
+    in ``minimize``."""
+    t = np.array([c.threshold for c in hclass])
+    z0, z1 = (np.sort(z) for z in sample.groups)
+    errors = z0.size - np.searchsorted(z0, t, side="right") + np.searchsorted(z1, t, side="right")
+    return int(np.argmin(errors))
+
+
+def plain_erm_population_index(hclass, scenario):
+    """The argmin of plain ERM's expected risk, p_0 P(Z_0 > t) + p_1
+    P(Z_1 <= t), lowest index on ties: each label's density on the domain
+    nodes, by the trapezoid rule, against the survival function
+    S(t - x) = P(eps > t - x) of the contaminated input Z = x + eps. S is
+    the cumulative trapezoid sum of ``NoiseModel.density`` from the right
+    on [-40, 40] at step 1e-3, interpolated linearly."""
+    u = np.linspace(-40.0, 40.0, 80_001)
+    dens = scenario.contamination.density(u)
+    survival = np.r_[np.cumsum((0.5e-3 * (dens[1:] + dens[:-1]))[::-1])[::-1], 0.0]
+    x, w = scenario.domain.axis(), scenario.domain.weights()
+    s = np.interp(np.array([c.threshold for c in hclass])[:, None] - x, u, survival)
+    (p0, p1), f0, f1 = scenario.priors, w * scenario.density(0, x), w * scenario.density(1, x)
+    return int(np.argmin(p0 * (s @ f0) + p1 * ((1.0 - s) @ f1)))
 
 
 def naive_minimize_index(hclass, lattice, sample):

@@ -25,9 +25,11 @@ from indirect_erm import (
     threshold_grid,
 )
 from indirect_erm.cli import _read_plan
-from indirect_erm.erm import _cumulative, _risks, _span, empirical_risks, expected_risks
+from indirect_erm.erm import (_cosine_gram, _cumulative, _risks, _span, empirical_risks,
+                              expected_risks)
 from indirect_erm.hypotheses import loss_values, snap_to_cell_midpoint, window_mask
-from indirect_erm import noisy_risk
+from indirect_erm.operators import cosine_basis
+from indirect_erm import erm, noisy_risk
 from indirect_erm.noisy_risk import (
     ModifiedLossTable,
     NoisySample,
@@ -42,10 +44,12 @@ from oracles import (
     base_smoothed_density,
     empirical_risk,
     labelled_sample,
+    longdouble_gram,
     mixed_threshold_class,
     naive_minimize_index,
     reference_basis,
     reference_empirical_risks,
+    reference_gram,
     reference_loss_coefficients,
     reference_plug_in_features,
     reference_runs,
@@ -200,6 +204,42 @@ def test_backend_losses_match_per_classifier_tables(grid):
         for label, got in ((0, row), (1, one - row)):
             ref = reference_svd_losses(c, label, grid.axis(), op, 8, grid)
             assert np.abs(got - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_spectral_gram_from_cosine_sums(monkeypatch, grid, seed):
+    # the Gram matrix of the spectral Lipschitz step, read off the draws'
+    # cosine sums up to 2N from N + 1 basis rows, against the direct
+    # cosines' Gram matrix summed in np.longdouble: within 1e-15 of its
+    # largest entry (measured at most 6.6e-16; one einsum over the rows
+    # reads 2.0-5.4e-15), and against that einsum (reference_gram) to 1e-14
+    rows = []
+
+    def counted(x, count):
+        rows.append(count)
+        return cosine_basis(x, count)
+
+    monkeypatch.setattr(erm, "cosine_basis", counted)
+    z = np.random.default_rng(seed).random(20_000)
+    sample = NoisySample((z[:8_000], z[8_000:]))
+    hclass = threshold_grid(9, grid)
+    i, j = np.triu_indices(len(hclass), 1)
+    # a cutoff's Gram matrix is the top-left block of a larger cutoff's
+    exact, products = longdouble_gram(z, 64), reference_gram(z, 64)
+    for cutoff in (1, 4, 16, 64):
+        want, ref_gram = exact[: cutoff + 1, : cutoff + 1], products[: cutoff + 1, : cutoff + 1]
+        scale = float(np.abs(want).max())
+        gram = _cosine_gram(z, cutoff)
+        assert float(np.abs(gram - want).max()) <= 1e-15 * scale, cutoff
+        assert np.abs(gram - ref_gram).max() <= 1e-14 * scale, cutoff
+        backend = SvdBackend(operator=SpectralOperator(k_max=64), cutoff=cutoff, grid=grid)
+        rows.clear()
+        got = backend.squared_differences(hclass, i, j, sample)
+        assert rows == [cutoff]  # N + 1 rows, not 2N + 1
+        matrix = backend.class_matrix(hclass)
+        c = (matrix[i] - matrix[j]) * backend._inv_b
+        ref = np.einsum("pk,kl,pl->p", c, ref_gram, c)
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale * np.abs(c).sum(axis=1) ** 2)
 
 
 def _edge_class(nodes, grid):
@@ -502,8 +542,7 @@ def test_svd_preset_argmin_same_with_direct_cosine_basis(monkeypatch):
             rng = np.random.default_rng(trial_seed_sequence(plan.base_seed, n, rep))
             sample = generate_sample(plan.scenario, n, rng)
             trials.append((backend, sample, minimize(hclass, sample, backend).index))
-    monkeypatch.setattr(SpectralOperator, "basis",
-                        lambda self, x, n_funcs: reference_basis(x, n_funcs))
+    monkeypatch.setattr(erm, "cosine_basis", reference_basis)
     assert [minimize(hclass, sample, backend).index for backend, sample, _ in trials] \
         == [index for _, _, index in trials]
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from indirect_erm import (
-    ConfigurationError,
     ModelError,
     NoisySample,
     SpectralOperator,
@@ -14,8 +13,10 @@ from indirect_erm import (
     make_margin_scenario,
     sample_density,
     sampler_table,
+    threshold_grid,
 )
 from indirect_erm import operators
+from indirect_erm.operators import cosine_basis
 from oracles import reference_basis, reference_quantile, reference_sample_density
 
 
@@ -55,35 +56,32 @@ def test_contamination_seed_determinism():
 # ---------------------------------------------------------------------------
 
 def test_basis_orthonormal_under_quadrature(grid):
-    op = SpectralOperator(decay=1.0, k_max=64)
     x, w = grid.axis(), grid.weights()
-    phi = op.basis(x)
+    phi = cosine_basis(x, 64)
     gram = (phi * w) @ phi.T
     assert np.abs(gram - np.eye(65)).max() < 1e-6
 
 
 def test_basis_matches_direct_cosines():
     # the Chebyshev recurrence against sqrt(2) cos(pi k x), endpoints included
-    op = SpectralOperator(k_max=64)
     x = np.concatenate([np.linspace(0.0, 1.0, 1025),
                         np.random.default_rng(5).random(4000)])
-    phi = op.basis(x)
+    phi = cosine_basis(x, 64)
     assert phi.shape == (65, x.size)
     assert np.all(phi[0] == 1.0)
     assert np.abs(phi - reference_basis(x, 64)).max() < 1e-12
 
 
 def test_basis_edge_cases():
-    op = SpectralOperator(k_max=8)
     x = np.array([0.0, 0.3, 1.0])
-    assert np.array_equal(op.basis(x, 0), np.ones((1, 3)))
-    assert op.basis(np.array([]), 5).shape == (6, 0)  # a label with no draws
-    assert op.basis(np.array([]), 0).shape == (1, 0)
-    with pytest.raises(ConfigurationError):
-        op.basis(x, 9)
+    assert np.array_equal(cosine_basis(x, 0), np.ones((1, 3)))
+    assert cosine_basis(np.array([]), 5).shape == (6, 0)  # a label with no draws
+    assert cosine_basis(np.array([]), 0).shape == (1, 0)
 
 
-def test_basis_takes_one_cos_per_point(monkeypatch):
+def test_basis_takes_one_cos_per_point(monkeypatch, grid):
+    # the basis, and the spectral Lipschitz step's Gram matrix of the
+    # pooled draws, which reads the cosine sums up to 2N off N + 1 rows
     sizes = []
     original = np.cos
 
@@ -93,7 +91,12 @@ def test_basis_takes_one_cos_per_point(monkeypatch):
 
     monkeypatch.setattr(operators.np, "cos", counted)
     x = np.random.default_rng(2).random(300)
-    SpectralOperator(k_max=64).basis(x, 6)
+    cosine_basis(x, 6)
+    assert sizes == [x.size]
+    backend = SvdBackend(operator=SpectralOperator(k_max=64), cutoff=64, grid=grid)
+    sizes.clear()
+    backend.squared_differences(threshold_grid(9, grid), [0, 2], [1, 8],
+                                NoisySample((x[:120], x[120:])))
     assert sizes == [x.size]
 
 
@@ -149,7 +152,7 @@ def test_self_adjoint_roundtrip(grid, linear_scenario):
     theta = linear_scenario.cosine_coefficients(1, 64)
     vals = apply_operator(theta, op, grid)
     x, w = grid.axis(), grid.weights()
-    phi = op.basis(x)
+    phi = cosine_basis(x, 64)
     extracted = (phi * w) @ vals
     assert np.abs(extracted - op.singular_values * theta).max() < 1e-8
 
@@ -294,5 +297,5 @@ def test_beta_zero_is_projection(rng, grid):
     op = SpectralOperator(decay=0.0, k_max=16)
     z = rng.random(20_000)
     est = svd_features(z, op, 6, grid)
-    phi = op.basis(z, 6)
+    phi = cosine_basis(z, 6)
     assert np.allclose(est, phi.mean(axis=1), atol=1e-12)
